@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -346,25 +347,34 @@ class LinearKernelShift:
         return self.automaton.apply_periodic(x).is_zero
 
     def admissible_words(self, offset: int, length: int) -> set[Word]:
+        return set(self.window_counts(length))
+
+    def window_counts(self, length: int) -> Counter:
+        """Solutions of the kernel equations on a window padded by the rule
+        width on both sides, counted by their middle word of `length` letters.
+
+        The padded window is enumerated once; the counts do not depend on the
+        window's position, since the kernel is shift invariant.
+        """
         small = self.automaton.smallest_neighborhood()
         pad = small.width - 1
         window = length + 2 * pad
         zero = self.alphabet.zero
         abc = letters(self.alphabet)
-        words: set[Word] = set()
+        counts: Counter = Counter()
 
         def extend(prefix: Word) -> None:
             if len(prefix) >= small.width:
                 if small.local(prefix[-small.width:]) != zero:
                     return
             if len(prefix) == window:
-                words.add(prefix[pad : pad + length])
+                counts[prefix[pad : pad + length]] += 1
                 return
             for a in abc:
                 extend(prefix + (a,))
 
         extend(())
-        return words
+        return counts
 
     def describe(self) -> str:
         return f"kernel of {self.automaton.describe()}"

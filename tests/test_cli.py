@@ -197,3 +197,16 @@ def test_cesaro_command(tmp_path):
                 "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["distances"][0] == {"num": 1, "den": 4}
+
+
+def test_degenerate_measure_windows_are_usage_errors(tmp_path, capsys):
+    mu_file = tmp_path / "uniform.json"
+    mu_file.write_text(json.dumps({"type": "bernoulli", "alphabet": {"moduli": [2]}}))
+    assert run(["measure", "cesaro", "--measure", str(mu_file),
+                "--ca", "id_plus_sigma_z2", "--steps", "0"]) == 2
+    assert "steps must be >= 1" in capsys.readouterr().err
+    assert run(["measure", "invariance", "--measure", str(mu_file),
+                "--length", "0"]) == 2
+    err = capsys.readouterr()
+    assert "cylinder length must be >= 1" in err.err
+    assert "invariant on all cylinders" not in err.out

@@ -7,14 +7,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from groupca.automata import letters, linear_ca, shift_ca
+from groupca.automata import compose, letters, linear_ca, shift_ca, table_ca
 from groupca.configs import Cylinder, PeriodicConfig
-from groupca.groups import Character, GroupSpec, Subgroup
+from groupca.groups import Character, GroupSpec, Subgroup, subgroup_closure
 from groupca.kernels import FullShift, LinearKernelShift, ProductSubgroup
 from groupca.measures import (
     Bernoulli,
     HaarMeasure,
+    MixtureMeasure,
     PeriodicOrbitMeasure,
     PushforwardMeasure,
     character_integral,
@@ -286,3 +289,104 @@ def test_invariance_mc_mode():
     )
     assert not res_bad.invariant
     assert res_bad.max_discrepancy > 0.2
+
+
+def test_degenerate_windows_are_rejected():
+    mu = uniform_bernoulli(Z2)
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        cesaro_sequence(mu, F_xor, 0, 1)
+    with pytest.raises(ValueError, match="length must be >= 1"):
+        invariance_check(mu, F_xor, f_power=1, length=0)
+    with pytest.raises(ValueError, match="offset"):
+        invariance_check(mu, F_xor, f_power=1, length=2, offsets=())
+
+
+# -- block distributions against the preimage expansion ------------------------------
+
+ALPHABETS = (GroupSpec((2,)), GroupSpec((3,)), GroupSpec((4,)), GroupSpec((2, 2)))
+
+
+@st.composite
+def coefficients(draw, group):
+    """A residue on a cyclic alphabet, a 0/1 matrix on Z/2 x Z/2."""
+    if group.rank == 1:
+        return draw(st.integers(0, group.moduli[0] - 1))
+    return [[draw(st.integers(0, 1)) for _ in range(2)] for _ in range(2)]
+
+
+@st.composite
+def rules(draw, group):
+    """Linear, affine or table rules on a two-cell window starting at r."""
+    kind = draw(st.sampled_from(("linear", "affine", "table")))
+    r = draw(st.integers(-1, 1))
+    abc = letters(group)
+    if kind == "table":
+        table = {
+            window: draw(st.sampled_from(abc))
+            for window in itertools.product(abc, repeat=2)
+        }
+        return table_ca(group, (r, r + 1), table)
+    coeffs = {r: draw(coefficients(group)), r + 1: draw(coefficients(group))}
+    constant = draw(st.sampled_from(abc)) if kind == "affine" else None
+    return linear_ca(group, coeffs, constant=constant, neighborhood=(r, r + 1))
+
+
+@st.composite
+def base_measures(draw, group, mixtures=True):
+    abc = letters(group)
+    kinds = ["bernoulli", "product", "kernel", "orbit"] + (["mixture"] if mixtures else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "bernoulli":
+        nums = draw(st.lists(st.integers(0, 3), min_size=len(abc), max_size=len(abc))
+                    .filter(any))
+        return Bernoulli(group, {a: Fraction(n, sum(nums)) for a, n in zip(abc, nums)})
+    if kind == "product":
+        pair = group.power(2)
+        seeds = draw(st.lists(st.sampled_from(list(pair.elements())), min_size=1, max_size=2))
+        block = subgroup_closure(pair, seeds)
+        return HaarMeasure(ProductSubgroup(group, 2, block, phase=draw(st.integers(0, 1))))
+    if kind == "kernel":
+        unit = [[1, 1], [0, 1]] if group.rank == 2 else group.moduli[0] - 1
+        return HaarMeasure(LinearKernelShift(linear_ca(group, {0: 1, 1: unit})))
+    if kind == "orbit":
+        # one anchored configuration: a point mass that is not shift invariant
+        word = draw(st.lists(st.sampled_from(abc), min_size=1, max_size=4))
+        return PeriodicOrbitMeasure((PeriodicConfig(group, tuple(word)),))
+    first = draw(base_measures(group, mixtures=False))
+    second = draw(base_measures(group, mixtures=False))
+    c = Fraction(draw(st.integers(0, 4)), 4)
+    return MixtureMeasure(((c, first), (1 - c, second)))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_block_distributions_match_preimage_oracle(data):
+    group = data.draw(st.sampled_from(ALPHABETS))
+    F = data.draw(rules(group))
+    base = data.draw(base_measures(group))
+    length = data.draw(st.integers(1, 3))
+    # keep the oracle's |A|^(length + j) preimage cylinders small
+    j_max = max(j for j in range(4) if group.order ** (length + j) <= 512)
+    j = data.draw(st.integers(0, j_max))
+    shift = data.draw(st.integers(-2, 2))
+    offset = data.draw(st.integers(-2, 3))
+    push = PushforwardMeasure(base, F, j, shift)
+    dist = push.block_distribution(offset, length)
+    assert all(p > 0 for p in dist.values())
+    for word in itertools.product(letters(group), repeat=length):
+        cyl = Cylinder(offset, word)
+        oracle = sum((base.cylinder_prob(c) for c in push.preimage(cyl)), Fraction(0))
+        assert dist.get(word, 0) == oracle
+
+
+def test_nested_pushforward_is_pushforward_by_composite():
+    Z3 = GroupSpec((3,))
+    abc = letters(Z3)
+    F = table_ca(Z3, (0, 1), {wd: ((wd[0][0] * wd[1][0] + 1) % 3,)
+                               for wd in itertools.product(abc, repeat=2)})
+    G = linear_ca(Z3, {-1: 1, 0: 2}, constant=(1,))
+    mu = Bernoulli(Z3, {(0,): Fraction(1, 2), (1,): Fraction(1, 3), (2,): Fraction(1, 6)})
+    nested = PushforwardMeasure(PushforwardMeasure(mu, F, 1, shift=1), G, 2, shift=-1)
+    direct = PushforwardMeasure(mu, compose(compose(G, G), F), 1)
+    for offset in (-1, 0, 2):
+        assert nested.block_distribution(offset, 3) == direct.block_distribution(offset, 3)
