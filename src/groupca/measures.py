@@ -44,10 +44,12 @@ from .kernels import (
 
 DEFAULT_EXPANSION_CAP = 1 << 16
 DEFAULT_WINDOW_CAP = 10  # maximal exactly-enumerated window length
+MAX_EXACT_WORDS = 1 << 22  # most words of one exactly enumerated window
 
 
-def _check_window(alphabet: GroupSpec, length: int, cap: int = DEFAULT_WINDOW_CAP) -> None:
-    if length > cap or alphabet.order**length > 1 << 22:
+def _check_window(alphabet: GroupSpec, length: int,
+                  cap: int | None = DEFAULT_WINDOW_CAP) -> None:
+    if (cap is not None and length > cap) or alphabet.order**length > MAX_EXACT_WORDS:
         raise CapExceeded(f"window of length {length} too large for exact enumeration")
 
 
@@ -97,7 +99,6 @@ def _sweep(
     constant: Element | None,
     lo: int,
     length: int,
-    cap: int | None = None,
 ) -> dict[Word, Fraction]:
     """Block distribution on [lo, lo + length) of the image of independent
     pieces under the affine rule y_t = sum_u c_u(x_(t+u)) + constant.
@@ -105,9 +106,10 @@ def _sweep(
     The pieces are swept once, left to right.  The state is the word of
     partial output sums, so the cost is (number of pieces) * |A|^length * |A|,
     polynomial in the rule width.  Weights stay integers over the product of
-    the piece denominators, with one Fraction per final word.  `cap` bounds
-    the number of states.
+    the piece denominators, with one Fraction per final word.  A window of
+    more than MAX_EXACT_WORDS possible words raises CapExceeded up front.
     """
+    _check_window(alphabet, length, None)
     abc = letters(alphabet)
     n = len(abc)
     index = {a: i for i, a in enumerate(abc)}
@@ -144,12 +146,6 @@ def _sweep(
                     delta[t] = plus[delta[t]][image[i]]
             delta = tuple(delta)
             weights[delta] = weights.get(delta, 0) + weight
-        if len(weights) == 1:
-            # every value of the run moves the outputs alike: a translation
-            # with probability one, so the denominator stays
-            (delta,) = weights
-            states = {translate(s, delta): c for s, c in states.items()}
-            continue
         moves = [(delta, tables.setdefault(delta, {}), w) for delta, w in weights.items()]
         den *= run_den
         nxt: defaultdict = defaultdict(int)
@@ -160,8 +156,6 @@ def _sweep(
                     s2 = table[s] = translate(s, delta)
                 nxt[s2] += c * weight
         states = nxt
-        if cap is not None and len(states) > cap:
-            raise CapExceeded(f"block distribution exceeds cap {cap} words")
     return {
         tuple(abc[s // q % n] for q in place): Fraction(c, den) for s, c in states.items()
     }
@@ -197,36 +191,42 @@ def _image_distribution(
     offset: int,
     length: int,
     cap: int,
-    Fj: CellularAutomaton | None = None,
 ) -> dict[Word, Fraction]:
     """Block distribution on [offset, offset + length) of F^j pushing `base`.
 
-    An i.i.d.-letter or i.i.d.-block base under an affine F^j takes one sweep
-    over the input letters.  A mixture is pushed component by component.  Any
-    other base or rule has its distribution on the widened window pushed
-    through F one step at a time, merging equal words after each step; `cap`
-    bounds the words of that widened distribution.  `Fj`, when given, is F^j
-    already composed.
+    A linear or affine F^j is composed first and applied as one step.  An
+    i.i.d.-letter or i.i.d.-block base under it takes one sweep over the
+    input letters.  A mixture is pushed component by component.  Any other
+    base or rule has its distribution on the widened window pushed through
+    F one step at a time, merging equal words after each step.  `cap`
+    bounds the widened words per target word, |A|^(j * (width - 1)), as it
+    bounds the preimage cylinders per target word of
+    `PushforwardMeasure.preimage`; it is checked before anything is
+    enumerated.
     """
     if j == 0:
         return base.block_distribution(offset, length)
-    if Fj is None and F.is_affine:
-        Fj = power(F, j)
+    if j > 1 and F.is_affine:
+        return _image_distribution(base, power(F, j), 1, offset, length, cap)
     if isinstance(base, MixtureMeasure):
         return _mix(
-            (c, _image_distribution(m, F, j, offset, length, cap, Fj))
+            (c, _image_distribution(m, F, j, offset, length, cap))
             for c, m in base.components if c
         )
-    if Fj is not None:
-        lo, hi = offset + min(Fj.coeffs), offset + length - 1 + max(Fj.coeffs)
+    if F.is_affine:
+        lo, hi = offset + min(F.coeffs), offset + length - 1 + max(F.coeffs)
         pieces = _independent_pieces(base, lo, hi)
         if pieces is not None:
-            return _sweep(base.alphabet, pieces, Fj.coeffs, Fj.constant, offset, length, cap)
+            return _sweep(base.alphabet, pieces, F.coeffs, F.constant, offset, length)
     small = F.smallest_neighborhood()
     r, s = small.neighborhood
+    per_target = base.alphabet.order ** (j * (s - r))
+    if per_target > cap:
+        raise CapExceeded(
+            f"pushforward by F^{j} needs {per_target} words per target word, "
+            f"over cap {cap}"
+        )
     dist = base.block_distribution(offset + j * r, length + j * (s - r))
-    if len(dist) > cap:
-        raise CapExceeded(f"pushforward window of {len(dist)} words exceeds cap {cap}")
     for _ in range(j):
         image: defaultdict = defaultdict(Fraction)
         for word, p in dist.items():
@@ -390,9 +390,12 @@ class PushforwardMeasure:
     product subgroup) under a linear or affine rule, at a cost polynomial in
     the automaton power; component by component for a mixture; otherwise the
     base's distribution on the widened window is pushed through the rule
-    step by step.  `cap` bounds the words any of these enumerate.
-    `preimage` expands cylinder preimages instead; it is kept as an
-    independent reference for tests.
+    step by step.  `cap` bounds the widened words per target word, as it
+    bounds the preimage cylinders per target word of `preimage`, so both
+    raise CapExceeded at the same power of a surjective rule; the sweep
+    enumerates at most one state per target word.  `preimage` expands
+    cylinder preimages instead; it is kept as an independent reference for
+    tests.
     """
 
     base: "MeasureSpec"
@@ -801,11 +804,10 @@ def cesaro_sequence(
     (1/n) sum_(j<n) F^j mu0 for n = 1..steps, with their total-variation
     distances to the uniform block distribution.
 
-    Each F^j mu0 comes from the engine behind
-    `PushforwardMeasure.block_distribution`.  A linear or affine F^j is built
-    incrementally as F^(j-1) F, so an i.i.d. base costs one sweep per step,
-    polynomial in j, on every alphabet.  `cap` bounds the words any step
-    enumerates.
+    Each F^j mu0 is a `PushforwardMeasure` block distribution.  A linear or
+    affine F^j is built incrementally as F^(j-1) F and pushed as one step, so
+    an i.i.d. base costs one sweep per step, polynomial in j, on every
+    alphabet.  `cap` is the pushforwards' cap.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -813,14 +815,17 @@ def cesaro_sequence(
     words = list(itertools.product(letters(mu0.alphabet), repeat=length))
     uniform = Fraction(1, len(words))
     running = dict.fromkeys(words, Fraction(0))
-    Fj = None
+    Fj = None  # F^j for an affine F, composed incrementally
     averages = []
     distances = []
     for n in range(1, steps + 1):
         j = n - 1
         if j and F.is_affine:
             Fj = F if Fj is None else compose(Fj, F)
-        for w, p in _image_distribution(mu0, F, j, 0, length, cap, Fj).items():
+            push = PushforwardMeasure(mu0, Fj, 1, 0, cap)
+        else:
+            push = PushforwardMeasure(mu0, F, j, 0, cap)
+        for w, p in push.block_distribution(0, length).items():
             running[w] += p
         avg = {w: p / n for w, p in running.items()}
         averages.append(avg)

@@ -210,3 +210,17 @@ def test_degenerate_measure_windows_are_usage_errors(tmp_path, capsys):
     err = capsys.readouterr()
     assert "cylinder length must be >= 1" in err.err
     assert "invariant on all cylinders" not in err.out
+
+
+def test_pushforward_over_cap_is_usage_error(tmp_path, capsys):
+    mu_file = tmp_path / "uniform.json"
+    mu_file.write_text(json.dumps({"type": "bernoulli", "alphabet": {"moduli": [2]}}))
+    ca_file = tmp_path / "xor_table.json"
+    entries = [{"window": [[a], [b]], "value": [(a + b) % 2]} for a in (0, 1) for b in (0, 1)]
+    ca_file.write_text(json.dumps({
+        "alphabet": {"moduli": [2]}, "neighborhood": [0, 1],
+        "rule": {"type": "table", "entries": entries},
+    }))
+    assert run(["measure", "invariance", "--measure", str(mu_file), "--ca", str(ca_file),
+                "--f-power", "40"]) == 2
+    assert "over cap 65536" in capsys.readouterr().err

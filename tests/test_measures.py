@@ -4,6 +4,7 @@ averages, the counterexample bundle and hypothesis reports."""
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 
 from groupca.automata import compose, letters, linear_ca, shift_ca, table_ca
 from groupca.configs import Cylinder, PeriodicConfig
-from groupca.groups import Character, GroupSpec, Subgroup, subgroup_closure
+from groupca.groups import CapExceeded, Character, GroupSpec, Subgroup, subgroup_closure
 from groupca.kernels import FullShift, LinearKernelShift, ProductSubgroup
 from groupca.measures import (
+    DEFAULT_EXPANSION_CAP,
     Bernoulli,
     HaarMeasure,
     MixtureMeasure,
@@ -390,3 +392,49 @@ def test_nested_pushforward_is_pushforward_by_composite():
     direct = PushforwardMeasure(mu, compose(compose(G, G), F), 1)
     for offset in (-1, 0, 2):
         assert nested.block_distribution(offset, 3) == direct.block_distribution(offset, 3)
+
+
+# -- the pushforward cap ---------------------------------------------------------------
+
+# x_0 + x_1 written as a table: surjective, so every target word of length L
+# has exactly 2^j preimage words of length L + j under F^j
+F_xor_table = table_ca(Z2, (0, 1), {(a, b): ((a[0] + b[0]) % 2,)
+                                    for a in letters(Z2) for b in letters(Z2)})
+
+
+def test_pushforward_cap_matches_preimage_expansion():
+    mu = Bernoulli(Z2, {(0,): Fraction(1, 3), (1,): Fraction(2, 3)})
+    cyl = Cylinder(1, w(1, 0))
+    for j in range(1, 6):
+        push = PushforwardMeasure(mu, F_xor_table, j, cap=8)
+        if j <= 3:
+            oracle = sum((mu.cylinder_prob(c) for c in push.preimage(cyl)), Fraction(0))
+            assert push.cylinder_prob(cyl) == oracle
+        else:
+            with pytest.raises(CapExceeded, match="cap 8"):
+                push.cylinder_prob(cyl)
+            with pytest.raises(CapExceeded):
+                push.preimage(cyl)
+
+
+def test_cesaro_table_rule_on_both_sides_of_the_cap():
+    mu = Bernoulli(Z2, {(0,): Fraction(1, 3), (1,): Fraction(2, 3)})
+    # F^8 needs 2^8 = 256 words per target word: within a cap of 256
+    table = cesaro_sequence(mu, F_xor_table, 9, 2, cap=256)
+    assert table.distances_to_uniform == cesaro_sequence(mu, F_xor, 9, 2).distances_to_uniform
+    with pytest.raises(CapExceeded, match="cap 256"):
+        cesaro_sequence(mu, F_xor_table, 10, 2, cap=256)
+    # the linear rule takes the sweep, whose cost does not grow like 2^j
+    assert len(cesaro_sequence(mu, F_xor, 40, 2, cap=256).distances_to_uniform) == 40
+
+
+def test_oversized_enumerations_raise_before_enumerating():
+    mu = uniform_bernoulli(Z2)
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=f"cap {DEFAULT_EXPANSION_CAP}"):
+        invariance_check(mu, F_xor_table, f_power=40)
+    with pytest.raises(CapExceeded, match="too large"):
+        PushforwardMeasure(mu, F_xor, 1).cylinder_prob(Cylinder(0, w(*[0] * 23)))
+    with pytest.raises(CapExceeded, match="too large"):
+        PushforwardMeasure(mu, F_xor_table, 4).cylinder_prob(Cylinder(0, w(*[0] * 20)))
+    assert time.perf_counter() - start < 5.0
