@@ -75,6 +75,8 @@ def _load_fraction(obj, path: str) -> Fraction:
     if isinstance(obj, int):
         return Fraction(obj)
     if isinstance(obj, dict) and "num" in obj and "den" in obj:
+        if not all(isinstance(obj[k], int) for k in ("num", "den")):
+            _fail(path, "num and den must be integers")
         if obj["den"] == 0:
             _fail(path, "zero denominator")
         return Fraction(obj["num"], obj["den"])
@@ -97,6 +99,12 @@ def _load_letter(obj, alphabet: GroupSpec, path: str):
     return alphabet.element(obj)
 
 
+def _is_int_matrix(obj) -> bool:
+    return isinstance(obj, list) and all(
+        isinstance(row, list) and all(isinstance(m, int) for m in row) for row in obj
+    )
+
+
 def load_ca(obj, path: str = "ca") -> CellularAutomaton:
     alphabet = _load_group(_expect_key(obj, "alphabet", path), f"{path}.alphabet")
     nbhd = _expect_key(obj, "neighborhood", path)
@@ -109,6 +117,8 @@ def load_ca(obj, path: str = "ca") -> CellularAutomaton:
     kind = _expect_key(rule, "type", f"{path}.rule")
     if kind == "linear":
         coeffs_obj = _expect_key(rule, "coeffs", f"{path}.rule")
+        if not isinstance(coeffs_obj, dict):
+            _fail(f"{path}.rule.coeffs", "expected an object mapping offsets to coefficients")
         coeffs = {}
         for key, value in coeffs_obj.items():
             try:
@@ -117,6 +127,8 @@ def load_ca(obj, path: str = "ca") -> CellularAutomaton:
                 _fail(f"{path}.rule.coeffs.{key}", "offset keys must be integers")
             if not r <= u <= s:
                 _fail(f"{path}.rule.coeffs.{key}", f"offset outside [{r},{s}]")
+            if not (isinstance(value, int) or _is_int_matrix(value)):
+                _fail(f"{path}.rule.coeffs.{key}", "expected an integer or a matrix of integers")
             coeffs[u] = value
         constant = rule.get("constant")
         if constant is not None:
@@ -187,6 +199,8 @@ def load_measure(obj, path: str = "measure"):
         alphabet = _load_group(_expect_key(obj, "alphabet", path), f"{path}.alphabet")
         if "weights" not in obj:
             return uniform_bernoulli(alphabet)
+        if not isinstance(obj["weights"], list):
+            _fail(f"{path}.weights", "expected a list of {letter, num, den} entries")
         weights = {}
         for i, entry in enumerate(obj["weights"]):
             letter = _load_letter(
@@ -695,6 +709,8 @@ def cmd_hypotheses(args) -> int:
         "unchecked": list(rep.unchecked),
         "all_checkable_hold": rep.all_checkable_hold,
     }
+    if rep.criteria_skipped is not None:
+        report["criteria_skipped"] = rep.criteria_skipped
     print(f"automaton: {rep.automaton}")
     print(f"nontrivial: {rep.nontrivial}, bipermutative: {rep.bipermutative}")
     print(f"k = {rep.k}, p1 = {rep.p1}, k*p1 = {rep.k_p1}")
@@ -702,6 +718,8 @@ def cmd_hypotheses(args) -> int:
         print(f"boundary generation: found={rep.condition4.found} m={rep.condition4.m}")
     if rep.corollary_ker is not None:
         print(f"first-level subgroup criterion: {rep.corollary_ker.holds}")
+    if rep.criteria_skipped is not None:
+        print(f"kernel criteria skipped: {rep.criteria_skipped}")
     print(f"entropy positive: {rep.entropy_positive} ({rep.entropy_method})")
     print("UNCHECKED:")
     for item in rep.unchecked:

@@ -13,11 +13,19 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 from .automata import CellularAutomaton, letters, power
 from .configs import PeriodicConfig, Word
-from .groups import CapExceeded, Element, GroupSpec, Subgroup, closure_set
+from .groups import (
+    CapExceeded,
+    Element,
+    GroupSpec,
+    Subgroup,
+    _prime_factors,
+    closure_set,
+    enumerate_subgroups,
+)
 
 DEFAULT_KERNEL_CAP = 1 << 16
 DEFAULT_M_MAX = 4
@@ -397,23 +405,53 @@ def restrict(tw: KernelTower, sigma: SubgroupShiftSpec) -> KernelTower:
 # -- density criteria ----------------------------------------------------------
 
 
-def _generated_subgroup(
-    seeds: Iterable[PeriodicConfig],
-    alphabet: GroupSpec,
-    operators: Sequence[Callable[[PeriodicConfig], PeriodicConfig]],
-    cap: int,
-) -> frozenset[PeriodicConfig]:
-    # shift powers and algebraic rules are homomorphisms, so operator closure
-    # of the generators suffices
-    return closure_set(
-        seeds,
-        add=lambda a, b: a.add(b),
-        neg=lambda a: a.neg(),
-        zero=PeriodicConfig.zero(alphabet),
-        operators=operators,
-        cap=cap,
-        additive_operators=True,
-    )
+class _CodedLevel:
+    """One unrestricted kernel level, coded by a window of its elements.
+
+    A level is a finite subgroup closed under the shift and the rule, and
+    x -> x.window(0, l) is a homomorphism.  At the smallest l where the
+    windows are distinct it is an isomorphism onto its image in A^l, so
+    subgroups are closed over short residue tuples, with the shift and the
+    rule tabulated on the codes.
+    """
+
+    def __init__(self, F: CellularAutomaton, n: int, cap: int) -> None:
+        self.elements = kernel_elements(F, n, cap)
+        size = len(self.elements)
+        ell = 1
+        while F.alphabet.order**ell < size or len(
+            {_window_code(x, ell) for x in self.elements}
+        ) < size:
+            ell += 1
+        self.ell = ell
+        self.group = F.alphabet.power(ell)
+        self.shift = {
+            self.code(x): self.code(x.shift(1)) for x in self.elements
+        }
+        self.rule = {
+            self.code(x): self.code(F.apply_periodic(x)) for x in self.elements
+        }
+
+    def code(self, x: PeriodicConfig) -> Element:
+        return _window_code(x, self.ell)
+
+    def generated(self, seed: Element, cap: int) -> frozenset[Element]:
+        """Codes of the subgroup that seed generates under shift and rule.
+
+        Both operators are homomorphisms, so closing the generators under
+        them suffices (`additive_operators`).
+        """
+        group = self.group
+        return closure_set(
+            [seed], group.add, group.neg, group.zero,
+            operators=[self.shift.__getitem__, self.rule.__getitem__],
+            cap=cap,
+            additive_operators=True,
+        )
+
+
+def _window_code(x: PeriodicConfig, ell: int) -> Element:
+    return tuple(c for letter in x.window(0, ell) for c in letter)
 
 
 @dataclass(frozen=True)
@@ -439,57 +477,33 @@ def condition4_search(
     """Search m such that every d in the (m+1)-th boundary generates a
     subgroup (closed under rule and shift) containing the whole first level."""
     sigma = sigma if sigma is not None else FullShift(F.alphabet)
-    ops = [lambda c: c.shift(1), F.apply_periodic]
-
-    def level(n: int) -> set[PeriodicConfig]:
-        return {x for x in kernel_elements(F, n, cap) if sigma.contains(x)}
-
-    d1 = level(1)
-    prev = d1
-    last_failures: tuple[PeriodicConfig, ...] = ()
+    lvl = _CodedLevel(F, 1, cap)
+    d1 = [x for x in lvl.elements if sigma.contains(x)]
+    lower = {PeriodicConfig.zero(F.alphabet)}
+    failures: list[PeriodicConfig] = []
     for m in range(m_max + 1):
-        cur = level(m + 1) if m > 0 else d1
         if m > 0:
-            bound = cur - prev
-        else:
-            bound = cur - {PeriodicConfig.zero(F.alphabet)}
+            lvl = _CodedLevel(F, m + 1, cap)
+        target = {lvl.code(x) for x in d1}
+        verdicts: dict[Element, bool] = {}
         failures = []
-        for d in sorted(bound, key=lambda c: (c.period, c.word)):
-            gen = _generated_subgroup([d], F.alphabet, ops, cap)
-            if not d1 <= gen:
+        for d in lvl.elements:
+            if d in lower or not sigma.contains(d):
+                continue
+            c = lvl.code(d)
+            if c not in verdicts:
+                # every shift of d generates the same subgroup as d
+                ok = target <= lvl.generated(c, cap)
+                s = c
+                while s not in verdicts:
+                    verdicts[s] = ok
+                    s = lvl.shift[s]
+            if not verdicts[c]:
                 failures.append(d)
         if not failures:
             return Condition4Result(True, m, m_max)
-        prev = cur
-        last_failures = tuple(failures)
-    return Condition4Result(False, None, m_max, last_failures)
-
-
-def _enumerate_closed_subgroups(
-    universe: Sequence[PeriodicConfig],
-    alphabet: GroupSpec,
-    operators: Sequence[Callable[[PeriodicConfig], PeriodicConfig]],
-) -> list[frozenset[PeriodicConfig]]:
-    cap = len(universe) + 1
-
-    def close(seed: list[PeriodicConfig]) -> frozenset[PeriodicConfig]:
-        return _generated_subgroup(seed, alphabet, operators, cap)
-
-    trivial = close([])
-    seen = {trivial}
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            for g in universe:
-                if g in sub:
-                    continue
-                bigger = close(list(sub) + [g])
-                if bigger not in seen:
-                    seen.add(bigger)
-                    nxt.append(bigger)
-        frontier = nxt
-    return sorted(seen, key=len)
+        lower = set(lvl.elements)
+    return Condition4Result(False, None, m_max, tuple(failures))
 
 
 @dataclass(frozen=True)
@@ -511,19 +525,20 @@ def corollary_ker_check(
     cap: int = DEFAULT_KERNEL_CAP,
 ) -> CorollaryKerResult:
     sigma = sigma if sigma is not None else FullShift(F.alphabet)
-    d1 = [x for x in kernel_elements(F, 1, cap) if sigma.contains(x)]
-    subs = _enumerate_closed_subgroups(d1, F.alphabet, [lambda c: c.shift(1)])
+    lvl = _CodedLevel(F, 1, cap)
+    d1 = [x for x in lvl.elements if sigma.contains(x)]
+    codes = [lvl.code(x) for x in d1]
+    subs = enumerate_subgroups(
+        Subgroup(lvl.group, tuple(codes)), [lvl.shift.__getitem__], cap=cap
+    )
     proper = sum(1 for s in subs if 1 < len(s) < len(d1))
-    ops = [lambda c: c.shift(1), F.apply_periodic]
-    zero = PeriodicConfig.zero(F.alphabet)
-    gen_data = []
-    full = set(d1)
-    for d in d1:
-        if d == zero:
-            continue
-        gen = _generated_subgroup([d], F.alphabet, ops, cap)
-        gen_data.append((d, full <= gen))
-    return CorollaryKerResult(proper == 0, proper, tuple(gen_data))
+    full = set(codes)
+    gen_data = tuple(
+        (d, full <= lvl.generated(c, cap))
+        for d, c in zip(d1, codes)
+        if not d.is_zero
+    )
+    return CorollaryKerResult(proper == 0, proper, gen_data)
 
 
 # -- the companion recurrence ---------------------------------------------------
@@ -547,31 +562,6 @@ def _matpow(a, e: int, mod: int):
         base = _matmul(base, base, mod)
         e >>= 1
     return result
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _distinct_primes(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @dataclass(frozen=True)
@@ -607,11 +597,11 @@ class KernelRecurrence:
         identity = tuple(
             tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
         )
-        if _is_prime(self.modulus):
+        if _prime_factors(self.modulus) == [self.modulus]:
             p = self.modulus
             bound = math.prod(p**n - p**i for i in range(n))
             order = bound
-            for ell in _distinct_primes(bound):
+            for ell in _prime_factors(bound):
                 while order % ell == 0 and _matpow(self.matrix, order // ell, p) == identity:
                     order //= ell
             if _matpow(self.matrix, order, p) != identity:

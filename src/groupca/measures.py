@@ -965,6 +965,7 @@ class HypothesisReport:
     entropy_method: str
     unchecked: tuple[str, ...]
     notes: tuple[str, ...] = ()
+    criteria_skipped: str | None = None
 
     @property
     def all_checkable_hold(self) -> bool:
@@ -995,15 +996,18 @@ def check_hypotheses(
     k = F.alphabet.radical
     p1 = kp1 = None
     cond4 = corker = None
-    if nontrivial:
+    skipped = None
+    if not nontrivial:
+        skipped = "trivial rule: no kernel tower to check"
+    else:
         try:
             elems = [x for x in kernel_elements(F, 1) if sigma.contains(x)]
             p1 = math.lcm(*(x.period for x in elems)) if elems else 1
             kp1 = k * p1
             cond4 = condition4_search(F, sigma, m_max=m_max)
             corker = corollary_ker_check(F, sigma)
-        except ValueError:
-            pass
+        except ValueError as exc:
+            skipped = f"{type(exc).__name__}: {exc}"
     entropy_positive: bool | None = None
     method = "unchecked (abstract measure)"
     if not isinstance(mu, str):
@@ -1037,4 +1041,5 @@ def check_hypotheses(
         entropy_method=method,
         unchecked=unchecked,
         notes=tuple(notes),
+        criteria_skipped=skipped,
     )

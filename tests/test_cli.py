@@ -224,3 +224,58 @@ def test_pushforward_over_cap_is_usage_error(tmp_path, capsys):
     assert run(["measure", "invariance", "--measure", str(mu_file), "--ca", str(ca_file),
                 "--f-power", "40"]) == 2
     assert "over cap 65536" in capsys.readouterr().err
+
+
+def test_linear_coeffs_list_is_spec_error(tmp_path, capsys):
+    bad = tmp_path / "coeff_list.json"
+    bad.write_text(json.dumps({
+        "alphabet": {"moduli": [2]},
+        "neighborhood": [0, 1],
+        "rule": {"type": "linear", "coeffs": [1, 1]},
+    }))
+    assert run(["analyze", "--ca", str(bad)]) == 2
+    assert "ca.rule.coeffs" in capsys.readouterr().err
+    bad.write_text(json.dumps({
+        "alphabet": {"moduli": [2]},
+        "neighborhood": [0, 1],
+        "rule": {"type": "linear", "coeffs": {"0": 1, "1": 1.5}},
+    }))
+    assert run(["analyze", "--ca", str(bad)]) == 2
+    assert "ca.rule.coeffs.1" in capsys.readouterr().err
+
+
+def test_string_weight_is_spec_error(tmp_path, capsys):
+    mu_file = tmp_path / "string_num.json"
+    mu_file.write_text(json.dumps({
+        "type": "bernoulli",
+        "alphabet": {"moduli": [2]},
+        "weights": [
+            {"letter": [0], "num": "1", "den": 2},
+            {"letter": [1], "num": 1, "den": 2},
+        ],
+    }))
+    assert run(["measure", "invariance", "--measure", str(mu_file)]) == 2
+    assert "measure.weights[0]" in capsys.readouterr().err
+    mu_file.write_text(json.dumps({
+        "type": "bernoulli", "alphabet": {"moduli": [2]}, "weights": 1,
+    }))
+    assert run(["measure", "invariance", "--measure", str(mu_file)]) == 2
+    assert "measure.weights" in capsys.readouterr().err
+
+
+def test_hypotheses_reports_why_criteria_are_missing(tmp_path, capsys):
+    affine = tmp_path / "affine.json"
+    affine.write_text(json.dumps({
+        "alphabet": {"moduli": [2]},
+        "neighborhood": [0, 1],
+        "rule": {"type": "linear", "coeffs": {"0": 1, "1": 1}, "constant": [1]},
+    }))
+    out = tmp_path / "hyp.json"
+    assert run(["hypotheses", "--ca", str(affine), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["condition4"] is None
+    assert report["criteria_skipped"].startswith("NotAlgebraicError: affine rule")
+    assert "kernel criteria skipped: NotAlgebraicError" in capsys.readouterr().out
+    out_ok = tmp_path / "hyp_ok.json"
+    assert run(["hypotheses", "--ca", "id_plus_sigma_z2", "--out", str(out_ok)]) == 0
+    assert "criteria_skipped" not in json.loads(out_ok.read_text())

@@ -4,11 +4,15 @@ import itertools
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from groupca.automata import linear_ca, power, shift_ca, table_from_rule
 from groupca.configs import PeriodicConfig
-from groupca.groups import GroupSpec, Subgroup
+from groupca.groups import CapExceeded, GroupSpec, Subgroup, closure_set, subgroup_closure
 from groupca.kernels import (
+    Condition4Result,
+    CorollaryKerResult,
     FullShift,
     InfiniteKernelError,
     LinearKernelShift,
@@ -327,3 +331,139 @@ def test_recurrence_orbit_period_agrees_with_configs():
     for x in kernel_elements(F, 1):
         state = tuple(a[0] for a in x.window(0, rec.width))[::-1]
         assert rec.orbit_period(state) == x.period
+
+
+# -- the density criteria against closures of PeriodicConfig sums ----------------
+
+
+def _config_closure(seeds, F, operators, cap):
+    return closure_set(
+        seeds,
+        add=lambda a, b: a + b,
+        neg=lambda a: -a,
+        zero=PeriodicConfig.zero(F.alphabet),
+        operators=operators,
+        cap=cap,
+        additive_operators=True,
+    )
+
+
+def _condition4_oracle(F, sigma, m_max, cap):
+    """Boundary search with every subgroup closed over PeriodicConfig sums."""
+    ops = [lambda c: c.shift(1), F.apply_periodic]
+
+    def level(n):
+        return {x for x in kernel_elements(F, n, cap) if sigma.contains(x)}
+
+    d1 = level(1)
+    prev = {PeriodicConfig.zero(F.alphabet)}
+    for m in range(m_max + 1):
+        cur = level(m + 1)
+        failures = tuple(
+            d for d in sorted(cur - prev, key=lambda c: (c.period, c.word))
+            if not d1 <= _config_closure([d], F, ops, cap)
+        )
+        if not failures:
+            return Condition4Result(True, m, m_max)
+        prev = cur
+    return Condition4Result(False, None, m_max, failures)
+
+
+def _corollary_oracle(F, sigma, cap):
+    """Shift-closed subgroups of the first level, grown one generator at a
+    time over PeriodicConfig sums."""
+    d1 = [x for x in kernel_elements(F, 1, cap) if sigma.contains(x)]
+    shift = [lambda c: c.shift(1)]
+    seen = {_config_closure([], F, shift, len(d1) + 1)}
+    frontier = set(seen)
+    while frontier:
+        bigger = {
+            _config_closure(list(sub) + [g], F, shift, len(d1) + 1)
+            for sub in frontier for g in d1 if g not in sub
+        }
+        frontier = bigger - seen
+        seen |= bigger
+    proper = sum(1 for sub in seen if 1 < len(sub) < len(d1))
+    ops = shift + [F.apply_periodic]
+    gens = tuple(
+        (d, set(d1) <= _config_closure([d], F, ops, cap)) for d in d1 if not d.is_zero
+    )
+    return CorollaryKerResult(proper == 0, proper, gens)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, CapExceeded) as exc:
+        return type(exc)
+
+
+Z2xZ2 = GroupSpec((2, 2))
+DUAL_TABLES = [
+    table_from_rule(Z2, (-1, 1), lambda w: ((w[0][0] + w[1][0] + w[2][0]) % 2,)),
+    table_from_rule(Z2, (-1, 1), lambda w: ((w[0][0] + w[2][0]) % 2,)),
+]
+
+
+def _coefficient(group):
+    if group.rank == 1:
+        return st.integers(0, group.moduli[0] - 1)
+    row = st.lists(st.integers(0, 1), min_size=2, max_size=2)
+    return st.lists(row, min_size=2, max_size=2)
+
+
+@st.composite
+def _linear_rules(draw, group):
+    width = draw(st.integers(1, 2))
+    coeffs = draw(st.lists(_coefficient(group), min_size=width + 1, max_size=width + 1))
+    return linear_ca(group, dict(enumerate(coeffs)), neighborhood=(0, width))
+
+
+@st.composite
+def _criteria_cases(draw):
+    group = draw(st.sampled_from([Z2, Z3, Z4, Z2xZ2]))
+    if group == Z2 and draw(st.booleans()):
+        F = draw(st.sampled_from(DUAL_TABLES))
+    else:
+        F = draw(_linear_rules(group))
+    kind = draw(st.sampled_from(["full", "product", "kernel"]))
+    if kind == "full":
+        sigma = FullShift(group)
+    elif kind == "product":
+        t = draw(st.integers(1, 2))
+        ambient = group.power(t)
+        gen = tuple(draw(st.integers(0, d - 1)) for d in ambient.moduli)
+        block = subgroup_closure(ambient, [gen])
+        sigma = ProductSubgroup(group, t, block, draw(st.integers(0, t - 1)))
+    else:
+        sigma = LinearKernelShift(draw(_linear_rules(group)))
+    # the third level of a width-2 rule is too large for the oracle
+    width = F.neighborhood[1] - F.neighborhood[0]
+    return F, sigma, draw(st.integers(0, 2 if width == 1 else 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_criteria_cases())
+# fails at m = 0 and m = 1, so the third level's boundary is searched
+@example((linear_ca(Z4, {0: 1, 1: 1}), FullShift(Z4), 2))
+# the constant 1 fails to generate but lies outside sigma
+@example((F_dist2, ProductSubgroup(Z2, 2, Subgroup(Z2.power(2), ((0, 0), (0, 1)))), 0))
+# first-level windows of length 1 collide, although |A|^1 = |level 1|
+@example((linear_ca(Z2xZ2, {0: [[0, 0], [0, 1]], 1: [[0, 0], [0, 1]],
+                            2: [[1, 0], [0, 1]]}), FullShift(Z2xZ2), 1))
+def test_density_criteria_match_config_closure_oracle(case):
+    F, sigma, m_max = case
+    cap = 1 << 12
+    assert _outcome(condition4_search, F, sigma, m_max, cap) == _outcome(
+        _condition4_oracle, F, sigma, m_max, cap
+    )
+    assert _outcome(corollary_ker_check, F, sigma, cap) == _outcome(
+        _corollary_oracle, F, sigma, cap
+    )
+
+
+def test_density_criteria_small_cap_names_it():
+    with pytest.raises(CapExceeded, match="cap 3"):
+        condition4_search(F_dist2, cap=3)
+    with pytest.raises(CapExceeded, match="cap 3"):
+        corollary_ker_check(F_dist2, cap=3)

@@ -278,6 +278,18 @@ def test_check_hypotheses_trivial_rule():
     assert rep.entropy_positive is None
 
 
+def test_check_hypotheses_records_why_criteria_are_missing():
+    affine = linear_ca(Z2, {0: 1, 1: 1}, constant=(1,))
+    rep = check_hypotheses(affine)
+    assert rep.nontrivial
+    assert rep.p1 is None and rep.condition4 is None and rep.corollary_ker is None
+    assert rep.criteria_skipped == (
+        "NotAlgebraicError: affine rule with nonzero constant has no kernel tower"
+    )
+    assert check_hypotheses(shift_ca(Z2)).criteria_skipped.startswith("trivial rule")
+    assert check_hypotheses(F_xor).criteria_skipped is None
+
+
 def test_invariance_mc_mode():
     res = invariance_check(
         uniform_bernoulli(Z2), F_xor, f_power=1, length=3,
