@@ -12,7 +12,6 @@ from .groups import (
     Endomorphism,
     GroupSpec,
     Subgroup,
-    char_eval,
     closure_set,
     enumerate_subgroups,
     hom_apply,

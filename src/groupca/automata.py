@@ -43,12 +43,8 @@ class LaurentPoly:
     terms: Mapping[int, Endomorphism]
 
     def __post_init__(self) -> None:
-        clean = {
-            int(u): _coerce_endo(self.group, f)
-            for u, f in self.terms.items()
-            if not (isinstance(f, Endomorphism) and f.is_zero)
-        }
-        clean = {u: f for u, f in clean.items() if not f.is_zero}
+        coerced = ((int(u), _coerce_endo(self.group, f)) for u, f in self.terms.items())
+        clean = {u: f for u, f in coerced if not f.is_zero}
         object.__setattr__(self, "terms", clean)
 
     def __eq__(self, other) -> bool:
@@ -155,17 +151,9 @@ class CellularAutomaton:
     # -- structure ---------------------------------------------------------
 
     @property
-    def radius_interval(self) -> tuple[int, int]:
-        return self.neighborhood
-
-    @property
     def width(self) -> int:
         r, s = self.neighborhood
         return s - r + 1
-
-    @property
-    def is_table(self) -> bool:
-        return self.table is not None
 
     @property
     def is_linear(self) -> bool:
@@ -423,11 +411,7 @@ def compose(F: CellularAutomaton, G: CellularAutomaton,
     rF, sF = F.neighborhood
     rG, sG = G.neighborhood
     if F.coeffs is not None and G.coeffs is not None:
-        acc: dict[int, Endomorphism] = {}
-        for u, f in F.coeffs.items():
-            for v, g in G.coeffs.items():
-                fg = f.compose(g)
-                acc[u + v] = acc[u + v] + fg if u + v in acc else fg
+        poly = LaurentPoly(F.alphabet, F.coeffs) * LaurentPoly(G.alphabet, G.coeffs)
         const = None
         if G.constant is not None:
             const = _constant_image(
@@ -437,7 +421,7 @@ def compose(F: CellularAutomaton, G: CellularAutomaton,
         if F.constant is not None:
             const = F.constant if const is None else F.alphabet.add(const, F.constant)
         return linear_ca(
-            F.alphabet, acc, constant=const, neighborhood=(rF + rG, sF + sG)
+            F.alphabet, poly.terms, constant=const, neighborhood=(rF + rG, sF + sG)
         )
     width = (sF - rF) + (sG - rG) + 1
     if F.alphabet.order ** width > cap:
@@ -451,29 +435,11 @@ def compose(F: CellularAutomaton, G: CellularAutomaton,
 
 
 def power(F: CellularAutomaton, n: int, cap: int = DEFAULT_TABLE_CAP) -> CellularAutomaton:
-    """The n-th iterate of F (n >= 0)."""
+    """The n-th iterate of F (n >= 0), composed one step at a time."""
     if n < 0:
         raise ValueError("negative CA power")
     if n == 0:
         return identity_ca(F.alphabet)
-    if F.coeffs is not None:
-        poly = LaurentPoly(F.alphabet, F.coeffs) ** n
-        const = None
-        if F.constant is not None:
-            # (L + c)^n adds sum_{j<n} S^j(c) where S is the coefficient sum.
-            S = Endomorphism.zero_map(F.alphabet)
-            for f in F.coeffs.values():
-                S = S + f
-            acc = F.alphabet.zero
-            term = F.constant
-            for _ in range(n):
-                acc = F.alphabet.add(acc, term)
-                term = S(term)
-            const = acc
-        rF, sF = F.neighborhood
-        return linear_ca(
-            F.alphabet, poly.terms, constant=const, neighborhood=(rF * n, sF * n)
-        )
     result = F
     for _ in range(n - 1):
         result = compose(F, result, cap)

@@ -23,8 +23,6 @@ from .kernels import (
     LinearKernelShift,
     NotAlgebraicError,
     ProductSubgroup,
-    condition4_search,
-    corollary_ker_check,
     restrict,
     tower,
 )
@@ -289,7 +287,7 @@ def _word_key(word) -> str:
     return "|".join(",".join(map(str, a)) for a in word)
 
 
-def _tower_json(tw, small, with_elements: bool = True) -> dict:
+def _tower_json(tw, small) -> dict:
     width = small.neighborhood[1] - small.neighborhood[0]
     order = small.alphabet.order
     levels = []
@@ -300,7 +298,7 @@ def _tower_json(tw, small, with_elements: bool = True) -> dict:
             "size": tw.size(n),
             "p_n": tw.period(n),
         }
-        if with_elements and tw.size(n) <= 64:
+        if tw.size(n) <= 64:
             lvl["elements"] = [_config_json(x) for x in tw.level(n).elements]
         if n >= 1:
             lvl["p_divides_next"] = tw.period(n) % tw.period(n - 1) == 0
@@ -312,6 +310,28 @@ def _tower_json(tw, small, with_elements: bool = True) -> dict:
             ok = ok and lvl["claim_bound_divides"]
         levels.append(lvl)
     return {"levels": levels, "divisibility_ok": ok, "width": width}
+
+
+def _criteria_section(rep) -> dict:
+    """Print the density-criteria verdicts of a hypothesis report and return
+    its report keys: `criteria_skipped` only when a criterion is missing."""
+    c4, ck = rep.condition4, rep.corollary_ker
+    out: dict = {
+        "condition4": None if c4 is None else {
+            "found": c4.found, "m": c4.m, "m_max": c4.m_max,
+        },
+        "corollary_ker": None if ck is None else {
+            "holds": ck.holds, "proper_invariant_subgroups": ck.proper_invariant_subgroups,
+        },
+    }
+    if c4 is not None:
+        print(f"boundary generation criterion: found={c4.found} m={c4.m}")
+    if ck is not None:
+        print(f"first-level subgroup criterion: {ck.holds}")
+    if rep.criteria_skipped is not None:
+        out["criteria_skipped"] = rep.criteria_skipped
+        print(f"kernel criteria skipped: {rep.criteria_skipped}")
+    return out
 
 
 def _print(report: dict, out: str | None) -> None:
@@ -361,6 +381,7 @@ def cmd_analyze(args) -> int:
             "formula_at_uniform": h_top,
         }
         print(f"topological entropy: {h_top:.6f} nats ({formula_case(small)} case)")
+    tw = None
     try:
         tw = tower(F, args.levels, cap=args.cap)
         report["kernel_tower"] = _tower_json(tw, small)
@@ -368,32 +389,18 @@ def cmd_analyze(args) -> int:
         sizes = [tw.size(n) for n in range(args.levels + 1)]
         print(f"kernel tower sizes: {sizes}, periods: {[tw.period(n) for n in range(args.levels + 1)]}")
         if perm.bipermutative:
-            width = small.neighborhood[1] - small.neighborhood[0]
-            law = all(
-                tw.size(n) == F.alphabet.order ** (width * n)
-                for n in range(args.levels + 1)
-            )
-            report["kernel_tower"]["size_law_ok"] = law
-            if not law:
-                failures.append("kernel size law violated")
+            report["kernel_tower"]["size_law_ok"] = True  # `tower` asserts it
         if not report["kernel_tower"]["divisibility_ok"]:
             failures.append("period divisibility violated")
-        cond4 = condition4_search(F, m_max=args.m_max, cap=args.cap)
-        corker = corollary_ker_check(F, cap=args.cap)
-        report["condition4"] = {
-            "found": cond4.found, "m": cond4.m, "m_max": cond4.m_max,
-        }
-        report["corollary_ker"] = {
-            "holds": corker.holds,
-            "proper_invariant_subgroups": corker.proper_invariant_subgroups,
-        }
-        print(f"boundary generation criterion: found={cond4.found} m={cond4.m}")
-        print(f"first-level subgroup criterion: {corker.holds}")
-        if corker.holds and not cond4.found:
-            failures.append("subgroup criterion holds but generation search failed")
     except (NotAlgebraicError, InfiniteKernelError, CapExceeded) as exc:
         report["kernel_tower"] = {"error": str(exc)}
         print(f"kernel tower unavailable: {exc}")
+    hyp = check_hypotheses(tw if tw is not None else F, m_max=args.m_max)
+    if tw is not None:
+        report.update(_criteria_section(hyp))
+        c4, ck = hyp.condition4, hyp.corollary_ker
+        if ck is not None and ck.holds and not c4.found:
+            failures.append("subgroup criterion holds but generation search failed")
     if F.neighborhood == (0, 1):
         analysis = analyze_radius1(F)
         section = {
@@ -418,7 +425,6 @@ def cmd_analyze(args) -> int:
             if not conj.ok:
                 failures.append("dual conjugacy verification failed")
         report["class_a"] = section
-    hyp = check_hypotheses(F, m_max=args.m_max)
     report["hypotheses"] = {
         "nontrivial": hyp.nontrivial,
         "bipermutative": hyp.bipermutative,
@@ -687,6 +693,9 @@ def cmd_hypotheses(args) -> int:
     sigma = _load_sigma_arg(args.sigma) if args.sigma else None
     mu = load_measure(_read_json(args.measure)) if args.measure else "abstract"
     rep = check_hypotheses(F, sigma, mu, m_max=args.m_max, seed=args.seed)
+    print(f"automaton: {rep.automaton}")
+    print(f"nontrivial: {rep.nontrivial}, bipermutative: {rep.bipermutative}")
+    print(f"k = {rep.k}, p1 = {rep.p1}, k*p1 = {rep.k_p1}")
     report = {
         "automaton": rep.automaton,
         "sigma": rep.sigma,
@@ -696,30 +705,12 @@ def cmd_hypotheses(args) -> int:
         "k": rep.k,
         "p1": rep.p1,
         "k_p1": rep.k_p1,
-        "condition4": None if rep.condition4 is None else {
-            "found": rep.condition4.found, "m": rep.condition4.m,
-            "m_max": rep.condition4.m_max,
-        },
-        "corollary_ker": None if rep.corollary_ker is None else {
-            "holds": rep.corollary_ker.holds,
-            "proper_invariant_subgroups": rep.corollary_ker.proper_invariant_subgroups,
-        },
+        **_criteria_section(rep),
         "entropy_positive": rep.entropy_positive,
         "entropy_method": rep.entropy_method,
         "unchecked": list(rep.unchecked),
         "all_checkable_hold": rep.all_checkable_hold,
     }
-    if rep.criteria_skipped is not None:
-        report["criteria_skipped"] = rep.criteria_skipped
-    print(f"automaton: {rep.automaton}")
-    print(f"nontrivial: {rep.nontrivial}, bipermutative: {rep.bipermutative}")
-    print(f"k = {rep.k}, p1 = {rep.p1}, k*p1 = {rep.k_p1}")
-    if rep.condition4 is not None:
-        print(f"boundary generation: found={rep.condition4.found} m={rep.condition4.m}")
-    if rep.corollary_ker is not None:
-        print(f"first-level subgroup criterion: {rep.corollary_ker.holds}")
-    if rep.criteria_skipped is not None:
-        print(f"kernel criteria skipped: {rep.criteria_skipped}")
     print(f"entropy positive: {rep.entropy_positive} ({rep.entropy_method})")
     print("UNCHECKED:")
     for item in rep.unchecked:
@@ -832,13 +823,6 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--length", type=int, default=6)
     common(mp)
     mp.set_defaults(func=cmd_measure)
-    mp = msub.add_parser("hypotheses")
-    mp.add_argument("--ca", required=True)
-    mp.add_argument("--sigma")
-    mp.add_argument("--measure")
-    mp.add_argument("--m-max", type=int, default=2)
-    common(mp)
-    mp.set_defaults(func=cmd_hypotheses)
 
     p = sub.add_parser("hypotheses", help="rigidity premise report")
     p.add_argument("--ca", required=True)

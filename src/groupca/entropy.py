@@ -18,8 +18,6 @@ import numpy as np
 
 from .automata import CellularAutomaton
 
-LOWER_BOUND_EXPANSIVE_RADIUS = 1  # one-sided invertible expansive automata
-
 
 def _require_bipermutative(F: CellularAutomaton) -> CellularAutomaton:
     small = F.smallest_neighborhood()

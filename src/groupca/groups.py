@@ -198,7 +198,7 @@ class Endomorphism:
 
     @property
     def is_zero(self) -> bool:
-        return all(all(m == 0 for m in row) for row in self.matrix)
+        return not any(map(any, self.matrix))
 
     def image(self) -> frozenset[Element]:
         return frozenset(self(x) for x in self.source.elements())
@@ -272,15 +272,6 @@ class Character:
 
     def is_one_at(self, x: Element) -> bool:
         return self.phase(x)[0] == 0
-
-
-def char_eval(chi: Character, x: Element) -> complex:
-    return chi(x)
-
-
-def all_characters(group: GroupSpec) -> Iterator[Character]:
-    for res in group.elements():
-        yield Character(group, res)
 
 
 Operator = Callable[[Element], Element]
@@ -400,10 +391,6 @@ class Subgroup:
     @property
     def is_trivial(self) -> bool:
         return len(self.elements) == 1
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.elements) == self.ambient.order
 
 
 def subgroup_closure(

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .automata import CellularAutomaton, letters, power
+from .automata import CellularAutomaton, compose, letters
 from .configs import PeriodicConfig, Word
 from .groups import (
     CapExceeded,
@@ -122,14 +122,16 @@ def kernel_elements(
     Complete whenever the kernel is finite (always, for bipermutative
     algebraic rules, with exactly |A|^((s-r)n) elements); raises
     InfiniteKernelError when the zero-window graph has branching cycles.
+    The levels below n are enumerated on the way, in a `KernelTower`.
     """
-    F = _require_algebraic(F)
-    alphabet = F.alphabet
-    if n < 0:
-        raise ValueError("kernel level must be >= 0")
-    if n == 0:
-        return [PeriodicConfig.zero(alphabet)]
-    G = power(F, n).smallest_neighborhood()
+    return list(KernelTower(F, cap).level(n).elements)
+
+
+def _annihilated(G: CellularAutomaton, cap: int) -> list[PeriodicConfig]:
+    """The periodic kernel of the endomorphism G, walked on the de Bruijn
+    graph of its zero-windows."""
+    G = G.smallest_neighborhood()
+    alphabet = G.alphabet
     k = G.width - 1
     abc = letters(alphabet)
     if len(abc) ** k > cap:
@@ -199,40 +201,78 @@ class KernelLevel:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
+def _level(elements: Iterable[PeriodicConfig]) -> KernelLevel:
+    elements = tuple(elements)
+    period = math.lcm(*(x.period for x in elements)) if elements else 1
+    return KernelLevel(elements, period)
+
+
 class KernelTower:
-    automaton: CellularAutomaton
-    levels: tuple[KernelLevel, ...]
+    """The kernel levels ker F^n of one automaton, n = 0, 1, ...
+
+    Level n is enumerated on its first request, from F^n composed as F^(n-1)
+    then F, and kept; so is its window code for the density criteria.
+    `depth` is the deepest level computed so far.  A tower made by `restrict`
+    holds levels filtered by a subgroup shift (`sigma`): it cannot grow, and
+    the density criteria refuse it.
+    """
+
+    def __init__(self, automaton: CellularAutomaton, cap: int = DEFAULT_KERNEL_CAP) -> None:
+        self.automaton = automaton
+        self.cap = cap
+        self.sigma: SubgroupShiftSpec | None = None
+        self._levels: list[KernelLevel] = []
+        self._coded: dict[int, _CodedLevel] = {}
+        self._rule: CellularAutomaton | None = None
+        self._power: CellularAutomaton | None = None  # F^depth, for depth >= 1
 
     @property
     def depth(self) -> int:
-        return len(self.levels) - 1
+        return len(self._levels) - 1
 
     def level(self, n: int) -> KernelLevel:
-        return self.levels[n]
+        if n < 0:
+            raise ValueError("kernel level must be >= 0")
+        while self.depth < n:
+            if self.sigma is not None:
+                raise ValueError(f"a restricted tower holds levels 0..{self.depth} only")
+            if self._rule is None:
+                self._rule = _require_algebraic(self.automaton)
+                elements = [PeriodicConfig.zero(self.automaton.alphabet)]
+            else:
+                Fn = self._rule if self._power is None else compose(self._power, self._rule)
+                elements = _annihilated(Fn, self.cap)
+                self._power = Fn
+            self._levels.append(_level(elements))
+        return self._levels[n]
 
     def size(self, n: int) -> int:
-        return self.levels[n].size
+        return self.level(n).size
 
     def period(self, n: int) -> int:
         """p_n, the smallest common shift period of level n."""
-        return self.levels[n].period
+        return self.level(n).period
 
     def boundary(self, n: int) -> tuple[PeriodicConfig, ...]:
         return boundary(self, n)
 
+    def restricted_level(self, n: int, sigma: SubgroupShiftSpec | None) -> KernelLevel:
+        """The elements of level n that lie in sigma (None: the full shift)."""
+        sigma = subgroup_shift_on(sigma, self.automaton.alphabet)
+        return _level(x for x in self.level(n).elements if sigma.contains(x))
 
-def _common_period(elements: Iterable[PeriodicConfig]) -> int:
-    return math.lcm(*(x.period for x in elements)) if elements else 1
+    def coded(self, n: int) -> _CodedLevel:
+        """Level n with its window code, made once."""
+        if n not in self._coded:
+            self._coded[n] = _CodedLevel(self.automaton, self.level(n).elements)
+        return self._coded[n]
 
 
 def tower(F: CellularAutomaton, N: int, cap: int = DEFAULT_KERNEL_CAP) -> KernelTower:
     """Kernel tower with levels 0..N, with the structural invariants checked:
     nesting, the size law for bipermutative rules, and period divisibility."""
-    levels = []
-    for n in range(N + 1):
-        elems = kernel_elements(F, n, cap)
-        levels.append(KernelLevel(tuple(elems), _common_period(elems)))
+    tw = KernelTower(F, cap)
+    levels = [tw.level(n) for n in range(N + 1)]
     small = F.smallest_neighborhood()
     bipermutative = small.permutativity().bipermutative
     width = small.neighborhood[1] - small.neighborhood[0]
@@ -246,15 +286,15 @@ def tower(F: CellularAutomaton, N: int, cap: int = DEFAULT_KERNEL_CAP) -> Kernel
         if n >= 1 and lvl.period % levels[n - 1].period != 0:
             raise AssertionError(f"period p_{n} not a multiple of p_{n - 1}")
         prev = members
-    return KernelTower(F, tuple(levels))
+    return tw
 
 
 def boundary(tw: KernelTower, n: int) -> tuple[PeriodicConfig, ...]:
     """Level n minus level n-1 (n >= 1)."""
     if not 1 <= n <= tw.depth:
         raise ValueError(f"boundary level {n} not in computed range 1..{tw.depth}")
-    lower = set(tw.levels[n - 1].elements)
-    return tuple(x for x in tw.levels[n].elements if x not in lower)
+    lower = set(tw.level(n - 1).elements)
+    return tuple(x for x in tw.level(n).elements if x not in lower)
 
 
 # -- subgroup shifts -----------------------------------------------------------
@@ -391,15 +431,32 @@ class LinearKernelShift:
 SubgroupShiftSpec = FullShift | ProductSubgroup | LinearKernelShift
 
 
+def subgroup_shift_on(
+    sigma: SubgroupShiftSpec | None, alphabet: GroupSpec
+) -> SubgroupShiftSpec:
+    """sigma, or the full shift when it is None, checked to live over alphabet."""
+    if sigma is None:
+        return FullShift(alphabet)
+    if sigma.alphabet != alphabet:
+        raise ValueError(
+            f"alphabet mismatch: sigma is a subgroup shift over {sigma.alphabet},"
+            f" not over {alphabet}"
+        )
+    return sigma
+
+
 def restrict(tw: KernelTower, sigma: SubgroupShiftSpec) -> KernelTower:
-    """Filter every tower level by membership in the subgroup shift."""
-    if isinstance(sigma, FullShift):
+    """Filter every computed tower level by membership in the subgroup shift.
+
+    The result keeps tw's depth and is refused by the density criteria,
+    which need unrestricted levels.
+    """
+    if isinstance(subgroup_shift_on(sigma, tw.automaton.alphabet), FullShift):
         return tw
-    levels = []
-    for lvl in tw.levels:
-        kept = tuple(x for x in lvl.elements if sigma.contains(x))
-        levels.append(KernelLevel(kept, _common_period(kept)))
-    return KernelTower(tw.automaton, tuple(levels))
+    out = KernelTower(tw.automaton, tw.cap)
+    out._levels = [tw.restricted_level(n, sigma) for n in range(tw.depth + 1)]
+    out.sigma = sigma
+    return out
 
 
 # -- density criteria ----------------------------------------------------------
@@ -415,22 +472,17 @@ class _CodedLevel:
     rule tabulated on the codes.
     """
 
-    def __init__(self, F: CellularAutomaton, n: int, cap: int) -> None:
-        self.elements = kernel_elements(F, n, cap)
-        size = len(self.elements)
+    def __init__(self, F: CellularAutomaton, elements: tuple[PeriodicConfig, ...]) -> None:
+        size = len(elements)
         ell = 1
         while F.alphabet.order**ell < size or len(
-            {_window_code(x, ell) for x in self.elements}
+            {_window_code(x, ell) for x in elements}
         ) < size:
             ell += 1
         self.ell = ell
         self.group = F.alphabet.power(ell)
-        self.shift = {
-            self.code(x): self.code(x.shift(1)) for x in self.elements
-        }
-        self.rule = {
-            self.code(x): self.code(F.apply_periodic(x)) for x in self.elements
-        }
+        self.shift = {self.code(x): self.code(x.shift(1)) for x in elements}
+        self.rule = {self.code(x): self.code(F.apply_periodic(x)) for x in elements}
 
     def code(self, x: PeriodicConfig) -> Element:
         return _window_code(x, self.ell)
@@ -468,27 +520,40 @@ class Condition4Result:
         return self.found
 
 
+def _unrestricted(
+    F: CellularAutomaton | KernelTower, cap: int = DEFAULT_KERNEL_CAP
+) -> KernelTower:
+    """F itself when it is a kernel tower, which must not come from
+    `restrict`; otherwise a new tower of F, enumerating under cap."""
+    tw = F if isinstance(F, KernelTower) else KernelTower(F, cap)
+    if tw.sigma is not None:
+        raise ValueError("the density criteria need unrestricted kernel levels, "
+                         f"not levels restricted to {tw.sigma.describe()}")
+    return tw
+
+
 def condition4_search(
-    F: CellularAutomaton,
+    F: CellularAutomaton | KernelTower,
     sigma: SubgroupShiftSpec | None = None,
     m_max: int = DEFAULT_M_MAX,
     cap: int = DEFAULT_KERNEL_CAP,
 ) -> Condition4Result:
     """Search m such that every d in the (m+1)-th boundary generates a
-    subgroup (closed under rule and shift) containing the whole first level."""
-    sigma = sigma if sigma is not None else FullShift(F.alphabet)
-    lvl = _CodedLevel(F, 1, cap)
-    d1 = [x for x in lvl.elements if sigma.contains(x)]
-    lower = {PeriodicConfig.zero(F.alphabet)}
+    subgroup (closed under rule and shift) containing the whole first level.
+
+    F may be a kernel tower, whose levels are read and extended under its own
+    cap; `cap` then bounds each closure only."""
+    tw = _unrestricted(F, cap)
+    d1 = tw.restricted_level(1, sigma).elements
+    lower = set(tw.level(0).elements)
     failures: list[PeriodicConfig] = []
     for m in range(m_max + 1):
-        if m > 0:
-            lvl = _CodedLevel(F, m + 1, cap)
+        lvl = tw.coded(m + 1)
         target = {lvl.code(x) for x in d1}
         verdicts: dict[Element, bool] = {}
         failures = []
-        for d in lvl.elements:
-            if d in lower or not sigma.contains(d):
+        for d in tw.restricted_level(m + 1, sigma).elements:
+            if d in lower:
                 continue
             c = lvl.code(d)
             if c not in verdicts:
@@ -502,7 +567,7 @@ def condition4_search(
                 failures.append(d)
         if not failures:
             return Condition4Result(True, m, m_max)
-        lower = set(lvl.elements)
+        lower = set(tw.level(m + 1).elements)
     return Condition4Result(False, None, m_max, tuple(failures))
 
 
@@ -520,13 +585,14 @@ class CorollaryKerResult:
 
 
 def corollary_ker_check(
-    F: CellularAutomaton,
+    F: CellularAutomaton | KernelTower,
     sigma: SubgroupShiftSpec | None = None,
     cap: int = DEFAULT_KERNEL_CAP,
 ) -> CorollaryKerResult:
-    sigma = sigma if sigma is not None else FullShift(F.alphabet)
-    lvl = _CodedLevel(F, 1, cap)
-    d1 = [x for x in lvl.elements if sigma.contains(x)]
+    """F may be a kernel tower, as in `condition4_search`."""
+    tw = _unrestricted(F, cap)
+    d1 = tw.restricted_level(1, sigma).elements
+    lvl = tw.coded(1)
     codes = [lvl.code(x) for x in d1]
     subs = enumerate_subgroups(
         Subgroup(lvl.group, tuple(codes)), [lvl.shift.__getitem__], cap=cap

@@ -34,12 +34,14 @@ from .kernels import (
     Condition4Result,
     CorollaryKerResult,
     FullShift,
+    KernelTower,
     LinearKernelShift,
     ProductSubgroup,
     SubgroupShiftSpec,
+    _unrestricted,
     condition4_search,
     corollary_ker_check,
-    kernel_elements,
+    subgroup_shift_on,
 )
 
 DEFAULT_EXPANSION_CAP = 1 << 16
@@ -747,6 +749,7 @@ def haar_test(
     One block distribution of mu on [0, budget) serves every character,
     through its marginal on the character's support window."""
     alphabet = mu.alphabet
+    sigma = subgroup_shift_on(sigma, alphabet)
     _check_window(alphabet, support_budget)
     admissible = sorted(sigma.admissible_words(0, support_budget))
     abc = letters(alphabet)
@@ -979,7 +982,7 @@ class HypothesisReport:
 
 
 def check_hypotheses(
-    F: CellularAutomaton,
+    F: CellularAutomaton | KernelTower,
     sigma: SubgroupShiftSpec | None = None,
     mu: MeasureSpec | str = "abstract",
     m_max: int = 4,
@@ -988,8 +991,13 @@ def check_hypotheses(
     notes: Sequence[str] = (),
 ) -> HypothesisReport:
     """Populate every checkable premise; ergodicity and invariant-set algebra
-    equalities stay explicitly unchecked."""
-    sigma = sigma if sigma is not None else FullShift(F.alphabet)
+    equalities stay explicitly unchecked.
+
+    F may be a kernel tower: p1 and both density criteria read its levels
+    and extend it, under its own cap."""
+    tw = _unrestricted(F)
+    F = tw.automaton
+    sigma = subgroup_shift_on(sigma, F.alphabet)
     small = F.smallest_neighborhood()
     nontrivial = not small.is_trivial
     perm = small.permutativity()
@@ -1001,11 +1009,10 @@ def check_hypotheses(
         skipped = "trivial rule: no kernel tower to check"
     else:
         try:
-            elems = [x for x in kernel_elements(F, 1) if sigma.contains(x)]
-            p1 = math.lcm(*(x.period for x in elems)) if elems else 1
+            p1 = tw.restricted_level(1, sigma).period
             kp1 = k * p1
-            cond4 = condition4_search(F, sigma, m_max=m_max)
-            corker = corollary_ker_check(F, sigma)
+            cond4 = condition4_search(tw, sigma, m_max=m_max, cap=tw.cap)
+            corker = corollary_ker_check(tw, sigma, cap=tw.cap)
         except ValueError as exc:
             skipped = f"{type(exc).__name__}: {exc}"
     entropy_positive: bool | None = None

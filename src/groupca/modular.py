@@ -11,31 +11,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from .automata import CellularAutomaton, LaurentPoly, as_laurent, linear_ca, power
-from .groups import CapExceeded, GroupSpec
+from .groups import CapExceeded, GroupSpec, _prime_factors
 from .kernels import kernel_elements
 
 MAX_FACTOR_DEGREE = 8
-
-
-def _prime_power(n: int) -> tuple[int, int]:
-    """Decompose n as p^k, or raise."""
-    if n < 2:
-        raise ValueError("modulus must be >= 2")
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            break
-        p += 1
-    else:
-        return n, 1
-    k = 0
-    m = n
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1:
-        raise ValueError(f"modulus {n} is not a prime power")
-    return p, k
 
 
 def _scalar_coeffs(F: CellularAutomaton) -> dict[int, int]:
@@ -72,7 +51,12 @@ class PermutativeSupport:
 def permutative_support(F: CellularAutomaton) -> PermutativeSupport:
     """Offsets of coefficients coprime with the base prime."""
     coeffs = _scalar_coeffs(F)
-    p, k = _prime_power(F.alphabet.moduli[0])
+    d = F.alphabet.moduli[0]
+    primes = _prime_factors(d)
+    if len(primes) != 1:
+        raise ValueError(f"modulus {d} is not a prime power")
+    p = primes[0]
+    k = next(k for k in itertools.count(1) if p**k == d)
     units = tuple(sorted(u for u, c in coeffs.items() if math.gcd(c, p) == 1))
     return PermutativeSupport(p, k, units)
 
@@ -146,7 +130,7 @@ def divisor_bound(p: int, r: int) -> int:
     divisor of first-level kernel periods."""
     if r < 1:
         raise ValueError("width must be >= 1")
-    if _prime_power(p)[1] != 1:
+    if _prime_factors(p) != [p]:
         raise ValueError(f"{p} is not prime")
     return math.prod(p**r - p**i for i in range(r))
 
@@ -235,8 +219,7 @@ def factor_mod_p(poly: LaurentPoly | dict, p: int | None = None) -> Factorizatio
         if p is None:
             raise ValueError("plain coefficient dicts need an explicit prime")
         coeffs = dict(poly)
-    _, k = _prime_power(p)
-    if k != 1:
+    if _prime_factors(p) != [p]:
         raise ValueError(f"{p} is not prime")
     coeffs = {u: c % p for u, c in coeffs.items() if c % p}
     if not coeffs:
@@ -283,7 +266,8 @@ def kernel_direct_sum_check(F: CellularAutomaton, n: int, cap: int = 1 << 14) ->
     """Check that the n-th kernel splits as the direct sum of the kernels of
     the coprime factor powers: sizes multiply and the sum map is bijective."""
     _scalar_coeffs(F)  # shape validation
-    if _prime_power(F.alphabet.moduli[0])[1] != 1:
+    p = F.alphabet.moduli[0]
+    if _prime_factors(p) != [p]:
         raise ValueError("direct sum check needs a prime cyclic alphabet")
     fact = factor_mod_p(as_laurent(F))
     whole = set(kernel_elements(F, n, cap))

@@ -279,3 +279,73 @@ def test_hypotheses_reports_why_criteria_are_missing(tmp_path, capsys):
     out_ok = tmp_path / "hyp_ok.json"
     assert run(["hypotheses", "--ca", "id_plus_sigma_z2", "--out", str(out_ok)]) == 0
     assert "criteria_skipped" not in json.loads(out_ok.read_text())
+
+
+def _z3_files(tmp_path):
+    sigma = tmp_path / "product_z3.json"
+    sigma.write_text(json.dumps({
+        "type": "product", "alphabet": {"moduli": [3]}, "grouping": 1,
+        "block": [[0], [1], [2]],
+    }))
+    mu = tmp_path / "bernoulli_z3.json"
+    mu.write_text(json.dumps({"type": "bernoulli", "alphabet": {"moduli": [3]}}))
+    return str(sigma), str(mu)
+
+
+def _names_sigma_and_alphabets(err, sigma_alphabet, other_alphabet):
+    return "sigma" in err and f"over {sigma_alphabet}," in err and other_alphabet in err
+
+
+def test_hypotheses_sigma_over_another_alphabet_is_usage_error(capsys):
+    assert run(["hypotheses", "--ca", "classA_F1", "--sigma", "ledrappier_kernel_sigma"]) == 2
+    assert _names_sigma_and_alphabets(capsys.readouterr().err, "Z/2", "Z/2 x Z/2")
+
+
+def test_hypotheses_product_sigma_over_another_alphabet_is_usage_error(tmp_path, capsys):
+    sigma, _ = _z3_files(tmp_path)
+    assert run(["hypotheses", "--ca", "id_plus_sigma_z2", "--sigma", sigma]) == 2
+    captured = capsys.readouterr()
+    assert _names_sigma_and_alphabets(captured.err, "Z/3", "Z/2")
+    assert "all checkable premises hold" not in captured.out
+
+
+def test_kernel_sigma_over_another_alphabet_is_usage_error(tmp_path, capsys):
+    sigma, _ = _z3_files(tmp_path)
+    assert run(["kernel", "--ca", "id_plus_sigma_z2", "--sigma", sigma]) == 2
+    captured = capsys.readouterr()
+    assert _names_sigma_and_alphabets(captured.err, "Z/3", "Z/2")
+    assert "level 0" not in captured.out
+
+
+def test_haar_test_sigma_over_another_alphabet_is_usage_error(tmp_path, capsys):
+    _, mu = _z3_files(tmp_path)
+    assert run(["measure", "haar-test", "--measure", mu,
+                "--sigma", "ledrappier_kernel_sigma"]) == 2
+    captured = capsys.readouterr()
+    assert _names_sigma_and_alphabets(captured.err, "Z/2", "Z/3")
+    assert "consistent" not in captured.out
+
+
+def _graphs_walked(monkeypatch, argv):
+    """Zero-window graphs of the kernel levels enumerated while running argv:
+    every enumeration of a level n >= 1 walks its graph once."""
+    from groupca import kernels
+
+    walk = kernels._strongly_connected_components
+    graphs = []
+
+    def spy(graph):
+        graphs.append(frozenset((u, tuple(vs)) for u, vs in graph.items()))
+        return walk(graph)
+
+    monkeypatch.setattr(kernels, "_strongly_connected_components", spy)
+    assert run(argv) == 0
+    return graphs
+
+
+def test_analyze_and_hypotheses_enumerate_each_level_once(monkeypatch):
+    # levels 1..3: the tower's 0..2, then level 3 for the boundary search at m = 2
+    for argv in (["analyze", "--ca", "id_sigma_2sigma2_z4", "--levels", "2"],
+                 ["hypotheses", "--ca", "id_sigma_2sigma2_z4"]):
+        graphs = _graphs_walked(monkeypatch, argv)
+        assert len(graphs) == len(set(graphs)) == 3, argv

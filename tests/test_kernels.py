@@ -15,6 +15,7 @@ from groupca.kernels import (
     CorollaryKerResult,
     FullShift,
     InfiniteKernelError,
+    KernelTower,
     LinearKernelShift,
     NotAlgebraicError,
     ProductSubgroup,
@@ -81,9 +82,11 @@ def test_kernel_dual_f1_matches_listed_elements():
 
 
 def test_kernel_matches_brute_force_oracle():
-    for F, bound in [(F_xor, 4), (F_dist2, 4), (DUAL_F1, 6), (DUAL_F2, 4)]:
-        got = set(kernel_elements(F, 1))
-        assert got == brute_force_kernel(F, 1, bound)
+    for F, n, bound in [(F_xor, 1, 4), (F_dist2, 1, 4), (DUAL_F1, 1, 6), (DUAL_F2, 1, 4),
+                        (F_xor, 3, 4), (F_dist2, 2, 4),
+                        (linear_ca(Z4, {0: 1, 1: 1, 2: 2}), 2, 4)]:
+        got = set(kernel_elements(F, n))
+        assert got == brute_force_kernel(F, n, bound)
 
 
 def test_kernel_level_zero_and_bijective():
@@ -225,6 +228,35 @@ def test_restrict_kernel_shift_keeps_level_one():
     sigma = LinearKernelShift(F_xor)
     tw = restrict(tower(F_xor, 2), sigma)
     assert set(tw.level(1).elements) == set(tower(F_xor, 1).level(1).elements)
+
+
+def test_tower_grows_on_request_and_keeps_its_levels():
+    tw = tower(linear_ca(Z4, {0: 1, 1: 1, 2: 2}), 1)
+    assert tw.depth == 1
+    assert tw.level(3) is tw.level(3)
+    assert tw.depth == 3
+    assert tw.coded(2) is tw.coded(2)
+
+
+def test_criteria_refuse_a_restricted_tower():
+    sigma = LinearKernelShift(F_xor)
+    tw = restrict(tower(F_xor, 2), sigma)
+    with pytest.raises(ValueError, match="unrestricted"):
+        condition4_search(tw, sigma)
+    with pytest.raises(ValueError, match="unrestricted"):
+        corollary_ker_check(tw, sigma)
+    with pytest.raises(ValueError, match="levels 0..2 only"):
+        tw.level(3)
+
+
+def test_subgroup_shift_over_another_alphabet_is_refused():
+    sigma = FullShift(Z3)
+    with pytest.raises(ValueError, match="sigma .* Z/3, not over Z/2"):
+        restrict(tower(F_xor, 1), sigma)
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        condition4_search(F_xor, sigma)
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        corollary_ker_check(F_xor, sigma)
 
 
 def test_condition4_xor():
@@ -454,12 +486,14 @@ def _criteria_cases(draw):
 def test_density_criteria_match_config_closure_oracle(case):
     F, sigma, m_max = case
     cap = 1 << 12
-    assert _outcome(condition4_search, F, sigma, m_max, cap) == _outcome(
-        _condition4_oracle, F, sigma, m_max, cap
-    )
-    assert _outcome(corollary_ker_check, F, sigma, cap) == _outcome(
-        _corollary_oracle, F, sigma, cap
-    )
+    cond4 = _outcome(_condition4_oracle, F, sigma, m_max, cap)
+    corker = _outcome(_corollary_oracle, F, sigma, cap)
+    assert _outcome(condition4_search, F, sigma, m_max, cap) == cond4
+    assert _outcome(corollary_ker_check, F, sigma, cap) == corker
+    # one tower shared by both criteria, in the order `analyze` runs them
+    tw = KernelTower(F, cap)
+    assert _outcome(condition4_search, tw, sigma, m_max, cap) == cond4
+    assert _outcome(corollary_ker_check, tw, sigma, cap) == corker
 
 
 def test_density_criteria_small_cap_names_it():

@@ -138,6 +138,21 @@ def test_factor_degree_cap():
         factor_mod_p({0: 1, 9: 1}, p=2)
 
 
+def test_prime_checks_reject_small_composite_and_prime_power_moduli():
+    for bad in (-3, 0, 1, 4, 6):
+        with pytest.raises(ValueError):
+            divisor_bound(bad, 1)
+        with pytest.raises(ValueError):
+            factor_mod_p({0: 1, 1: 1}, p=bad)
+    with pytest.raises(ValueError):
+        permutative_support(linear_ca(GroupSpec((12,)), {0: 1, 1: 1}))
+    with pytest.raises(ValueError):
+        kernel_direct_sum_check(linear_ca(Z4, {0: 1, 1: 1}), 1)
+    sup = permutative_support(linear_ca(Z8, {0: 1, 1: 2, 2: 3}))
+    assert (sup.p, sup.k, sup.offsets) == (2, 3, (0, 2))
+    assert divisor_bound(3, 2) == 48
+
+
 def test_kernel_direct_sum_examples():
     # (1+X)(1+X+X^2) = 1+X^3 over Z/2: kernel sizes 2*4 = 8
     F = linear_ca(Z2, {0: 1, 3: 1})
