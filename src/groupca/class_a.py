@@ -273,9 +273,15 @@ def verify_conjugacy(
 ) -> ConjugacyResult:
     """Check the commuting square on every seed window: class labels of the
     orbit shifted one cell right must equal the dual rule applied to the
-    label column, wherever both sides are determined."""
-    analysis = dual.analysis
-    cls = analysis.class_of
+    label column, wherever both sides are determined.
+
+    The check at row n, column j reads only seed[j .. j+|n|+1], the same way
+    at every j, so the seeds of width min(width, depth+1) decide the verdict
+    of every wider walk.  A pass counts the positions the full walk covers;
+    a failure walks the full seeds for the first witness and the count up to
+    it.
+    """
+    cls = dual.analysis.class_of
     inv = invert_radius1(F)
     abc = letters(F.alphabet)
     # flat lookup tables keep the seed loop tight
@@ -285,26 +291,29 @@ def verify_conjugacy(
         (k[0][0], k[1][0], k[2][0]): v[0]
         for k, v in dual.automaton.table.items()
     }
-    checked = 0
-    for seed in itertools.product(abc, repeat=width):
-        rows: dict[int, tuple] = {0: seed}
-        for n in range(1, depth + 1):
-            prev = rows[n - 1]
-            rows[n] = tuple(ftab[pair] for pair in zip(prev, prev[1:]))
-            prev = rows[-(n - 1)]
-            rows[-n] = tuple(itab[pair] for pair in zip(prev, prev[1:]))
-        labels = {n: [cls[a] for a in row] for n, row in rows.items()}
-        for n in range(-depth + 1, depth):
-            here = labels[n]
-            above = labels[n + 1]
-            below = labels[n - 1]
-            limit = min(len(here) - 1, len(above), len(below))
-            for j in range(limit):
-                checked += 1
-                if dtab[below[j], here[j], above[j]] != here[j + 1]:
-                    return ConjugacyResult(
-                        False,
-                        checked,
-                        (seed, n, j, here[j + 1], dtab[below[j], here[j], above[j]]),
-                    )
-    return ConjugacyResult(True, checked)
+
+    def walk(w: int) -> ConjugacyResult:
+        checked = 0
+        for seed in itertools.product(abc, repeat=w):
+            rows: dict[int, tuple] = {0: seed}
+            for n in range(1, depth + 1):
+                prev = rows[n - 1]
+                rows[n] = tuple(ftab[pair] for pair in zip(prev, prev[1:]))
+                prev = rows[-(n - 1)]
+                rows[-n] = tuple(itab[pair] for pair in zip(prev, prev[1:]))
+            labels = {n: [cls[a] for a in row] for n, row in rows.items()}
+            for n in range(-depth + 1, depth):
+                here = labels[n]
+                above = labels[n + 1]
+                below = labels[n - 1]
+                for j in range(w - abs(n) - 1):
+                    checked += 1
+                    want = dtab[below[j], here[j], above[j]]
+                    if want != here[j + 1]:
+                        return ConjugacyResult(False, checked, (seed, n, j, here[j + 1], want))
+        return ConjugacyResult(True, checked)
+
+    if walk(min(width, max(depth, 0) + 1)).ok:
+        per_seed = sum(max(0, width - abs(n) - 1) for n in range(-depth + 1, depth))
+        return ConjugacyResult(True, len(abc) ** width * per_seed)
+    return walk(width)

@@ -12,11 +12,12 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .automata import CellularAutomaton
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _require_bipermutative(F: CellularAutomaton) -> CellularAutomaton:
@@ -191,6 +192,8 @@ class EntropyReport:
 
 
 def _encode_columns(arr: np.ndarray, base: int) -> np.ndarray:
+    import numpy as np
+
     code = np.zeros(arr.shape[0], dtype=np.int64)
     for j in range(arr.shape[1]):
         code = code * base + arr[:, j]
@@ -198,6 +201,8 @@ def _encode_columns(arr: np.ndarray, base: int) -> np.ndarray:
 
 
 def _counts_entropy(code: np.ndarray) -> float:
+    import numpy as np
+
     counts = np.bincount(code)
     counts = counts[counts > 0]
     total = int(counts.sum())
@@ -209,6 +214,8 @@ def _fast_column_entropy(
 ) -> float:
     """Vectorized column-process entropy for scalar linear rules on cyclic
     alphabets and array-capable samplers."""
+    import numpy as np
+
     small = F.smallest_neighborhood()
     r, s = small.neighborhood
     d = small.alphabet.moduli[0]
@@ -239,6 +246,8 @@ def _fast_column_entropy(
 
 
 def _fast_shift_entropy(measure, k: int, d: int, count: int, rng) -> float:
+    import numpy as np
+
     arr = measure.sample_array(0, k - 1, count, rng).astype(np.int64)
     h_k = _counts_entropy(_encode_columns(arr, d))
     if k == 1:
@@ -270,6 +279,8 @@ def entropy_report(
         and hasattr(measure, "sample_array")
     )
     if fast:
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         d = small.alphabet.moduli[0]
         h_sigma = _fast_shift_entropy(measure, k, d, samples, rng)

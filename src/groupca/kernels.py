@@ -271,6 +271,8 @@ class KernelTower:
 def tower(F: CellularAutomaton, N: int, cap: int = DEFAULT_KERNEL_CAP) -> KernelTower:
     """Kernel tower with levels 0..N, with the structural invariants checked:
     nesting, the size law for bipermutative rules, and period divisibility."""
+    if N < 0:
+        raise ValueError(f"kernel tower depth must be >= 0, got {N}")
     tw = KernelTower(F, cap)
     levels = [tw.level(n) for n in range(N + 1)]
     small = F.smallest_neighborhood()

@@ -15,9 +15,7 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .automata import (
     CellularAutomaton,
@@ -43,6 +41,9 @@ from .kernels import (
     corollary_ker_check,
     subgroup_shift_on,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_EXPANSION_CAP = 1 << 16
 DEFAULT_WINDOW_CAP = 10  # maximal exactly-enumerated window length
@@ -257,6 +258,10 @@ class Bernoulli:
         if sum(table.values()) != 1:
             raise ValueError("letter weights must sum to 1")
         object.__setattr__(self, "weights", table)
+        # sample_word's letters and cumulative float weights, made once
+        object.__setattr__(self, "_letters", tuple(table))
+        cum = list(itertools.accumulate(float(w) for w in table.values()))
+        object.__setattr__(self, "_cum_weights", cum)
 
     @classmethod
     def uniform(cls, alphabet: GroupSpec) -> "Bernoulli":
@@ -273,11 +278,11 @@ class Bernoulli:
         return _identity_sweep(self, offset, length)
 
     def sample_word(self, lo: int, hi: int, rng: random.Random) -> Word:
-        abc = letters(self.alphabet)
-        ws = [float(self.weights[a]) for a in abc]
-        return tuple(rng.choices(abc, weights=ws, k=hi - lo + 1))
+        return tuple(rng.choices(self._letters, cum_weights=self._cum_weights, k=hi - lo + 1))
 
     def sample_array(self, lo: int, hi: int, count: int, rng) -> np.ndarray:
+        import numpy as np
+
         if self.alphabet.rank != 1:
             raise ValueError("array sampling needs a cyclic alphabet")
         d = self.alphabet.moduli[0]
@@ -998,6 +1003,10 @@ def check_hypotheses(
     tw = _unrestricted(F)
     F = tw.automaton
     sigma = subgroup_shift_on(sigma, F.alphabet)
+    if not isinstance(mu, str) and mu.alphabet != F.alphabet:
+        raise ValueError(
+            f"alphabet mismatch: the measure is over {mu.alphabet}, not over {F.alphabet}"
+        )
     small = F.smallest_neighborhood()
     nontrivial = not small.is_trivial
     perm = small.permutativity()

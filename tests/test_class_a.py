@@ -1,5 +1,6 @@
 """Partition analysis, inversion, dual rules and conjugacy verification."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -9,9 +10,11 @@ from groupca.automata import (
     as_laurent,
     letters,
     linear_ca,
+    table_ca,
     table_from_rule,
 )
 from groupca.class_a import (
+    ConjugacyResult,
     analyze_radius1,
     check_bm1,
     check_bm2,
@@ -181,6 +184,70 @@ def test_verify_conjugacy_mismatch_produces_witness():
     res = verify_conjugacy(F1, dual2, depth=2, width=5)
     assert not res.ok
     assert res.witness is not None
+
+
+def _seed_walk(F, dual, depth, width):
+    """The seed walk verify_conjugacy made before it checked each distinct
+    window once, kept as the oracle for its verdict, count and witness."""
+    cls = dual.analysis.class_of
+    inv = invert_radius1(F)
+    abc = letters(F.alphabet)
+    ftab = {(a, b): F.local((a, b)) for a in abc for b in abc}
+    itab = {(a, b): inv.local((a, b)) for a in abc for b in abc}
+    dtab = {
+        (k[0][0], k[1][0], k[2][0]): v[0]
+        for k, v in dual.automaton.table.items()
+    }
+    checked = 0
+    for seed in itertools.product(abc, repeat=width):
+        rows = {0: seed}
+        for n in range(1, depth + 1):
+            prev = rows[n - 1]
+            rows[n] = tuple(ftab[pair] for pair in zip(prev, prev[1:]))
+            prev = rows[-(n - 1)]
+            rows[-n] = tuple(itab[pair] for pair in zip(prev, prev[1:]))
+        labels = {n: [cls[a] for a in row] for n, row in rows.items()}
+        for n in range(-depth + 1, depth):
+            here = labels[n]
+            above = labels[n + 1]
+            below = labels[n - 1]
+            limit = min(len(here) - 1, len(above), len(below))
+            for j in range(limit):
+                checked += 1
+                if dtab[below[j], here[j], above[j]] != here[j + 1]:
+                    return ConjugacyResult(
+                        False,
+                        checked,
+                        (seed, n, j, here[j + 1], dtab[below[j], here[j], above[j]]),
+                    )
+    return ConjugacyResult(True, checked)
+
+
+def _single_entry_mutations(dual):
+    """The dual with one table entry changed, for every entry and every
+    other value."""
+    table = dual.rule_table()
+    for key, value in sorted(table.items()):
+        for other in letters(dual.alphabet):
+            if other != value:
+                rule = table_ca(dual.alphabet, (-1, 1), {**table, key: other})
+                yield dataclasses.replace(dual, automaton=rule, linear_form=None)
+
+
+def test_verify_conjugacy_matches_the_seed_walk():
+    duals = {"F1": dual_ca(F1), "F2": dual_ca(F2)}
+    cases = [(F, dual) for F in (F1, F2) for dual in duals.values()]
+    cases += [(F1, d) for d in _single_entry_mutations(duals["F1"])]
+    cases += [(F2, d) for d in _single_entry_mutations(duals["F2"])]
+    assert len(cases) == 4 + 16
+    failures = 0
+    for F, dual in cases:
+        for depth in (1, 2, 3):
+            for width in range(2, 8):
+                got = verify_conjugacy(F, dual, depth=depth, width=width)
+                assert got == _seed_walk(F, dual, depth, width), (depth, width)
+                failures += not got.ok
+    assert failures > 0
 
 
 def test_wrong_arity_rejected():

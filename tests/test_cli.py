@@ -1,7 +1,12 @@
 """Exit-code contracts, spec loading and report determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import groupca
 from groupca.cli import bundled_spec, load_sigma, main
 
 
@@ -349,3 +354,37 @@ def test_analyze_and_hypotheses_enumerate_each_level_once(monkeypatch):
                  ["hypotheses", "--ca", "id_sigma_2sigma2_z4"]):
         graphs = _graphs_walked(monkeypatch, argv)
         assert len(graphs) == len(set(graphs)) == 3, argv
+
+
+def test_negative_levels_are_usage_errors(capsys):
+    for command in ("kernel", "analyze"):
+        assert run([command, "--ca", "id_plus_sigma_z2", "--levels", "-1"]) == 2, command
+        captured = capsys.readouterr()
+        assert "depth must be >= 0" in captured.err
+        assert "divisibility" not in captured.out
+
+
+def test_hypotheses_measure_over_another_alphabet_is_usage_error(tmp_path, capsys):
+    _, mu = _z3_files(tmp_path)
+    assert run(["hypotheses", "--ca", "id_plus_sigma_z2", "--measure", mu]) == 2
+    captured = capsys.readouterr()
+    assert "alphabet mismatch: the measure is over Z/3, not over Z/2" in captured.err
+    assert "all checkable premises hold" not in captured.out
+
+
+def test_import_and_examples_leave_numpy_unloaded():
+    # numpy is imported only by the vectorized entropy and array-sampling paths
+    script = (
+        "import sys\n"
+        "import groupca\n"
+        "assert 'numpy' not in sys.modules, 'import groupca'\n"
+        "from groupca.cli import main\n"
+        "assert 'numpy' not in sys.modules, 'import groupca.cli'\n"
+        "assert main(['examples']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'groupca examples'\n"
+    )
+    src = str(Path(groupca.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

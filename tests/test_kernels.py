@@ -138,6 +138,12 @@ def test_tower_xor_z3():
     assert tw.period(1) == 2
 
 
+def test_tower_refuses_negative_depth():
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        tower(F_xor, -1)
+    assert tower(F_xor, 0).depth == 0
+
+
 def test_tower_trivial_kernel():
     tw = tower(shift_ca(Z2), 3)
     assert [tw.size(n) for n in range(4)] == [1, 1, 1, 1]
