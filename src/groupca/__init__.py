@@ -21,8 +21,6 @@ from .groups import (
 from .configs import (
     Cylinder,
     PeriodicConfig,
-    config_add,
-    config_shift,
     group_blocks,
     group_word,
     ungroup_blocks,

@@ -279,8 +279,14 @@ def verify_conjugacy(
     at every j, so the seeds of width min(width, depth+1) decide the verdict
     of every wider walk.  A pass counts the positions the full walk covers;
     a failure walks the full seeds for the first witness and the count up to
-    it.
+    it.  A depth below 1 or a width below 2 would check no position, so it
+    is refused.
     """
+    if depth < 1 or width < 2:
+        raise ValueError(
+            f"conjugacy check needs depth >= 1 and width >= 2, got depth {depth}"
+            f" and width {width}"
+        )
     cls = dual.analysis.class_of
     inv = invert_radius1(F)
     abc = letters(F.alphabet)
@@ -313,7 +319,7 @@ def verify_conjugacy(
                         return ConjugacyResult(False, checked, (seed, n, j, here[j + 1], want))
         return ConjugacyResult(True, checked)
 
-    if walk(min(width, max(depth, 0) + 1)).ok:
+    if walk(min(width, depth + 1)).ok:
         per_seed = sum(max(0, width - abs(n) - 1) for n in range(-depth + 1, depth))
         return ConjugacyResult(True, len(abc) ** width * per_seed)
     return walk(width)

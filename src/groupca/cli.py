@@ -104,6 +104,9 @@ def _is_int_matrix(obj) -> bool:
 
 
 def load_ca(obj, path: str = "ca") -> CellularAutomaton:
+    """An automaton from its spec, or from the name of a bundled spec."""
+    if isinstance(obj, str):
+        obj = bundled_spec(obj, path)
     alphabet = _load_group(_expect_key(obj, "alphabet", path), f"{path}.alphabet")
     nbhd = _expect_key(obj, "neighborhood", path)
     if not (isinstance(nbhd, list) and len(nbhd) == 2 and all(isinstance(v, int) for v in nbhd)):
@@ -253,17 +256,18 @@ def _read_json(path: str):
         raise SpecError(f"{path}: invalid JSON ({exc})")
 
 
-def bundled_spec(name: str):
+def bundled_spec(name: str, path: str | None = None):
+    """The bundled spec called name; path, if given, is the spec field that
+    names it, for the error."""
     if name not in BUNDLED:
-        raise SpecError(f"unknown bundled example {name!r}; choose from {', '.join(BUNDLED)}")
+        message = f"unknown bundled example {name!r}; choose from {', '.join(BUNDLED)}"
+        raise SpecError(f"{path}: {message}" if path else message)
     text = resources.files("groupca.data").joinpath(f"{name}.json").read_text()
     return json.loads(text)
 
 
 def _load_ca_arg(value: str) -> CellularAutomaton:
-    if value in BUNDLED:
-        return load_ca(bundled_spec(value))
-    return load_ca(_read_json(value))
+    return load_ca(value if value in BUNDLED else _read_json(value))
 
 
 def _load_sigma_arg(value: str):

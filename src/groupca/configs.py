@@ -61,10 +61,18 @@ class PeriodicConfig:
         return tuple(self.at(i) for i in range(start, start + length))
 
     def shift(self, m: int = 1) -> "PeriodicConfig":
-        """The image under the m-th shift power: position i reads old position i+m."""
-        q = len(self.word)
-        m %= q
-        return PeriodicConfig(self.alphabet, self.word[m:] + self.word[:m])
+        """The image under the m-th shift power: position i reads old position i+m.
+
+        A rotation of a reduced, minimal word is itself reduced and minimal,
+        so the rotated word is stored without checking it again.
+        """
+        m %= len(self.word)
+        if m == 0:
+            return self
+        out = object.__new__(PeriodicConfig)
+        object.__setattr__(out, "alphabet", self.alphabet)
+        object.__setattr__(out, "word", self.word[m:] + self.word[:m])
+        return out
 
     def add(self, other: "PeriodicConfig") -> "PeriodicConfig":
         if other.alphabet != self.alphabet:
@@ -98,14 +106,6 @@ class PeriodicConfig:
             str(a[0]) if len(a) == 1 else "".join(map(str, a)) for a in self.word
         )
         return f"inf({letters})inf"
-
-
-def config_shift(x: PeriodicConfig, m: int) -> PeriodicConfig:
-    return x.shift(m)
-
-
-def config_add(x: PeriodicConfig, y: PeriodicConfig) -> PeriodicConfig:
-    return x.add(y)
 
 
 def group_word(word: Sequence[Element], r: int) -> Word:

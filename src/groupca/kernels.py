@@ -4,7 +4,11 @@ The n-th level is the set of periodic configurations annihilated by the n-th
 iterate.  Elements are enumerated as cycles of the overlap (de Bruijn) graph
 whose edges are the zero-windows of the iterated rule: for a bipermutative
 rule that graph is a permutation, and in general the recurrent part must
-decompose into disjoint cycles for the kernel to be finite.
+decompose into disjoint cycles for the kernel to be finite.  The rule is
+additive, so the graph is built from one table per window column and one
+group addition per vertex.  The density criteria work on a level coded by
+short windows of its elements, with the shift and the rule tabulated on the
+codes from windows too.
 """
 
 from __future__ import annotations
@@ -129,7 +133,15 @@ def kernel_elements(
 
 def _annihilated(G: CellularAutomaton, cap: int) -> list[PeriodicConfig]:
     """The periodic kernel of the endomorphism G, walked on the de Bruijn
-    graph of its zero-windows."""
+    graph of its zero-windows.
+
+    G is additive, so G(w) is the sum over positions i of G applied to the
+    window holding w_i at i and zero elsewhere.  Each of the k+1 columns is
+    tabulated once; the sum of the first k columns is built for every vertex
+    of A^k by a prefix sweep, one group addition per new prefix; and the
+    letters a extending a vertex u are those whose last column cancels that
+    sum.
+    """
     G = G.smallest_neighborhood()
     alphabet = G.alphabet
     k = G.width - 1
@@ -137,19 +149,35 @@ def _annihilated(G: CellularAutomaton, cap: int) -> list[PeriodicConfig]:
     if len(abc) ** k > cap:
         raise CapExceeded(f"kernel seed space |A|^{k} exceeds cap {cap}")
     zero = alphabet.zero
+    columns = [
+        [G.local((zero,) * i + (a,) + (zero,) * (k - i)) for a in abc]
+        for i in range(k + 1)
+    ]
 
     if k == 0:
-        roots = [a for a in abc if G.local((a,)) == zero]
+        roots = [a for a, image in zip(abc, columns[0]) if image == zero]
         if roots != [zero]:
             raise InfiniteKernelError(
                 "pointwise rule with nontrivial letter kernel: kernel is a full shift"
             )
         return [PeriodicConfig.zero(alphabet)]
 
-    graph: dict[Word, list[Word]] = {}
-    for u in itertools.product(abc, repeat=k):
-        succs = [u[1:] + (a,) for a in abc if G.local(u + (a,)) == zero]
-        graph[u] = succs
+    # cancels[g]: the letters a with G(0...0, a) = -g, in alphabet order
+    cancels: dict[Element, list[Element]] = {}
+    for a, image in zip(abc, columns[k]):
+        cancels.setdefault(alphabet.neg(image), []).append(a)
+    add = alphabet.add
+    sums: dict[Word, Element] = {(): zero}
+    for column in columns[:k]:
+        sums = {
+            u + (a,): add(total, image)
+            for u, total in sums.items()
+            for a, image in zip(abc, column)
+        }
+    graph: dict[Word, list[Word]] = {
+        u: [u[1:] + (a,) for a in cancels.get(total, ())]
+        for u, total in sums.items()
+    }
 
     out: list[PeriodicConfig] = []
     for comp in _strongly_connected_components(graph):
@@ -471,7 +499,9 @@ class _CodedLevel:
     x -> x.window(0, l) is a homomorphism.  At the smallest l where the
     windows are distinct it is an isomorphism onto its image in A^l, so
     subgroups are closed over short residue tuples, with the shift and the
-    rule tabulated on the codes.
+    rule tabulated on the codes.  Both tables are read off windows of each
+    element: the shift's code is x.window(1, l), and the rule's is the rule
+    slid over x.window(r, l+w-1), l local evaluations per element.
     """
 
     def __init__(self, F: CellularAutomaton, elements: tuple[PeriodicConfig, ...]) -> None:
@@ -483,8 +513,12 @@ class _CodedLevel:
             ell += 1
         self.ell = ell
         self.group = F.alphabet.power(ell)
-        self.shift = {self.code(x): self.code(x.shift(1)) for x in elements}
-        self.rule = {self.code(x): self.code(F.apply_periodic(x)) for x in elements}
+        r = F.neighborhood[0]
+        span = ell + F.width - 1
+        self.shift = {self.code(x): _flat(x.window(1, ell)) for x in elements}
+        self.rule = {
+            self.code(x): _flat(F.apply_window(x.window(r, span))) for x in elements
+        }
 
     def code(self, x: PeriodicConfig) -> Element:
         return _window_code(x, self.ell)
@@ -504,8 +538,12 @@ class _CodedLevel:
         )
 
 
+def _flat(word: Word) -> Element:
+    return tuple(c for letter in word for c in letter)
+
+
 def _window_code(x: PeriodicConfig, ell: int) -> Element:
-    return tuple(c for letter in x.window(0, ell) for c in letter)
+    return _flat(x.window(0, ell))
 
 
 @dataclass(frozen=True)

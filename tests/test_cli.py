@@ -388,3 +388,73 @@ def test_import_and_examples_leave_numpy_unloaded():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_dual_depth_zero_is_usage_error(capsys):
+    assert run(["dual", "--ca", "classA_F1", "--depth", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "depth >= 1 and width >= 2, got depth 0" in captured.err
+    assert "conjugacy verified" not in captured.out
+
+
+def test_dual_width_one_is_usage_error(capsys):
+    assert run(["dual", "--ca", "classA_F1", "--width", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "depth >= 1 and width >= 2, got depth 2 and width 1" in captured.err
+    assert "conjugacy verified" not in captured.out
+
+
+def test_analyze_conjugacy_width_one_is_usage_error(capsys):
+    assert run(["analyze", "--ca", "classA_F1", "--conjugacy-width", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "depth >= 1 and width >= 2, got depth 2 and width 1" in captured.err
+    assert "conjugacy verified" not in captured.out
+
+
+UNIFORM_Z2 = {"type": "bernoulli", "alphabet": {"moduli": [2]}}
+
+
+def _prob_output(tmp_path, capsys, measure, word="[[0],[1],[1]]"):
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps(measure))
+    capsys.readouterr()
+    code = run(["measure", "prob", "--measure", str(path), "--word", word])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_bundled_ca_name_in_a_measure_spec(tmp_path, capsys):
+    inline = bundled_spec("id_plus_sigma_z2")
+    base = {"type": "pushforward", "base": UNIFORM_Z2, "ca": inline}
+    named = {**base, "ca": "id_plus_sigma_z2"}
+    want = _prob_output(tmp_path, capsys, base)
+    assert want[0] == 0
+    assert _prob_output(tmp_path, capsys, named) == want
+    orbit = {"type": "periodic_orbit", "alphabet": {"moduli": [2]},
+             "period_word": [[0], [1], [1]]}
+    want = _prob_output(tmp_path, capsys, {**orbit, "ca": inline})
+    assert want[0] == 0
+    assert _prob_output(tmp_path, capsys, {**orbit, "ca": "id_plus_sigma_z2"}) == want
+    haar = {"type": "haar", "sigma": {"type": "kernel", "ca": inline}}
+    want = _prob_output(tmp_path, capsys, haar)
+    assert want[0] == 0
+    named = {"type": "haar", "sigma": {"type": "kernel", "ca": "id_plus_sigma_z2"}}
+    assert _prob_output(tmp_path, capsys, named) == want
+
+
+def test_bundled_ca_name_in_a_nested_measure_spec(tmp_path, capsys):
+    def mixture(ca):
+        push = {"type": "pushforward", "base": UNIFORM_Z2, "ca": ca, "shift": 1}
+        return {"type": "mixture", "components": [
+            {"num": 1, "den": 3, "measure": UNIFORM_Z2},
+            {"num": 2, "den": 3, "measure": push},
+        ]}
+
+    want = _prob_output(tmp_path, capsys, mixture(bundled_spec("id_plus_sigma_z2")))
+    assert want[0] == 0
+    assert _prob_output(tmp_path, capsys, mixture("id_plus_sigma_z2")) == want
+    code, out, err = _prob_output(tmp_path, capsys, mixture("no_such_rule"))
+    assert code == 2
+    assert ("measure.components[1].measure.ca: unknown bundled example 'no_such_rule'"
+            in err)
+    assert out == ""

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from groupca.configs import (
     Cylinder,
     PeriodicConfig,
-    config_add,
-    config_shift,
     group_blocks,
     group_word,
     ungroup_blocks,
@@ -40,12 +38,12 @@ def test_anchored_equality_distinguishes_rotations():
 
 def test_shift_examples():
     x = cfg(Z2, 0, 1)
-    assert config_shift(x, 1) == cfg(Z2, 1, 0)
-    assert config_shift(x, 1).same_orbit(x)
+    assert x.shift(1) == cfg(Z2, 1, 0)
+    assert x.shift(1).same_orbit(x)
     const = cfg(Z2, 1)
-    assert config_shift(const, 5) == const
+    assert const.shift(5) == const
     y = cfg(Z2, 0, 0, 1)
-    assert config_shift(y, 3) == y
+    assert y.shift(3) == y
 
 
 def test_shift_composed_period_times_is_identity():
@@ -56,14 +54,33 @@ def test_shift_composed_period_times_is_identity():
     assert y == x
 
 
+@given(
+    st.sampled_from([Z2, Z3, GroupSpec((2, 2))]),
+    st.lists(st.integers(0, 3), min_size=1, max_size=4),
+    st.integers(1, 3),
+    st.integers(-9, 9),
+)
+def test_shift_equals_the_rotated_word(group, block, repeats, m):
+    # repeating the block makes non-primitive words as well as primitive ones
+    abc = list(group.elements())
+    word = tuple(abc[v % len(abc)] for v in block) * repeats
+    x = PeriodicConfig(group, word)
+    q = len(word)
+    rotated = PeriodicConfig(group, word[m % q:] + word[:m % q])
+    y = x.shift(m)
+    assert y == rotated
+    assert hash(y) == hash(rotated)
+    assert y.period == x.period
+
+
 def test_add_examples():
     x = cfg(Z2, 0, 1)
     zero = PeriodicConfig.zero(Z2)
-    assert config_add(x, zero) == x
+    assert x.add(zero) == x
     ones = cfg(Z2, 1)
-    assert config_add(x, ones) == cfg(Z2, 1, 0)
+    assert x.add(ones) == cfg(Z2, 1, 0)
     w = cfg(Z2, 0, 0, 1, 1)
-    assert config_add(x, w) == cfg(Z2, 0, 1, 1, 0)
+    assert x.add(w) == cfg(Z2, 0, 1, 1, 0)
 
 
 @given(st.data())

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from groupca.automata import linear_ca, power, shift_ca, table_from_rule
+from groupca.automata import (
+    CellularAutomaton,
+    letters,
+    linear_ca,
+    power,
+    shift_ca,
+    table_from_rule,
+)
 from groupca.configs import PeriodicConfig
 from groupca.groups import CapExceeded, GroupSpec, Subgroup, closure_set, subgroup_closure
 from groupca.kernels import (
@@ -19,6 +26,7 @@ from groupca.kernels import (
     LinearKernelShift,
     NotAlgebraicError,
     ProductSubgroup,
+    _strongly_connected_components,
     boundary,
     condition4_search,
     corollary_ker_check,
@@ -507,3 +515,123 @@ def test_density_criteria_small_cap_names_it():
         condition4_search(F_dist2, cap=3)
     with pytest.raises(CapExceeded, match="cap 3"):
         corollary_ker_check(F_dist2, cap=3)
+
+
+# -- the additive walk against the per-letter walk --------------------------------
+
+
+def _annihilated_oracle(G, cap):
+    """The de Bruijn walk that evaluated the rule on every window of every
+    vertex, kept as the oracle for the additive walk."""
+    G = G.smallest_neighborhood()
+    alphabet = G.alphabet
+    k = G.width - 1
+    abc = letters(alphabet)
+    if len(abc) ** k > cap:
+        raise CapExceeded(f"kernel seed space |A|^{k} exceeds cap {cap}")
+    zero = alphabet.zero
+    if k == 0:
+        if [a for a in abc if G.local((a,)) == zero] != [zero]:
+            raise InfiniteKernelError("pointwise rule with nontrivial letter kernel")
+        return [PeriodicConfig.zero(alphabet)]
+    graph = {
+        u: [u[1:] + (a,) for a in abc if G.local(u + (a,)) == zero]
+        for u in itertools.product(abc, repeat=k)
+    }
+    out = []
+    for comp in _strongly_connected_components(graph):
+        members = set(comp)
+        internal = {u: [v for v in graph[u] if v in members] for u in comp}
+        if len(comp) == 1 and comp[0] not in internal[comp[0]]:
+            continue
+        if any(len(vs) != 1 for vs in internal.values()):
+            raise InfiniteKernelError("branching recurrent component")
+        cycle_letters = []
+        v = comp[0]
+        while True:
+            v = internal[v][0]
+            cycle_letters.append(v[-1])
+            if v == comp[0]:
+                break
+        L = len(cycle_letters)
+        base = PeriodicConfig(alphabet, tuple(cycle_letters[(i - k) % L] for i in range(L)))
+        for t in range(L):
+            if len(out) >= cap:
+                raise CapExceeded(f"kernel element count exceeds cap {cap}")
+            out.append(base.shift(t))
+    out.sort(key=lambda c: (c.period, c.word))
+    return out
+
+
+@st.composite
+def _walk_cases(draw):
+    group = draw(st.sampled_from([Z2, Z3, Z4, Z2xZ2]))
+    kind = draw(st.sampled_from(["linear", "table", "dual"] if group == Z2
+                                else ["linear", "table"]))
+    if kind == "dual":
+        F = draw(st.sampled_from(DUAL_TABLES))
+    else:
+        F = draw(_linear_rules(group))
+        if kind == "table":
+            F = table_from_rule(group, F.neighborhood, F.local)
+    width = F.neighborhood[1] - F.neighborhood[0]
+    depth = draw(st.integers(1, 3 if width == 1 else 2))
+    return F, depth, draw(st.sampled_from([1 << 3, 1 << 12]))
+
+
+def _elements(fn, *args):
+    try:
+        return tuple(fn(*args))
+    except (InfiniteKernelError, CapExceeded) as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_walk_cases())
+# not bipermutative: the kernel is the four constants at every level
+@example((linear_ca(Z4, {0: 1, 1: 1, 2: 2}), 2, 1 << 12))
+# every vertex has two successors: a branching, infinite kernel
+@example((linear_ca(Z4, {0: 2, 1: 2}), 1, 1 << 12))
+# a pointwise rule with a nontrivial letter kernel
+@example((linear_ca(Z4, {0: 2}, neighborhood=(0, 1)), 1, 1 << 12))
+def test_kernel_levels_match_the_per_letter_walk(case):
+    F, depth, cap = case
+    tw = KernelTower(F, cap)
+    for n in range(1, depth + 1):
+        want = _elements(_annihilated_oracle, power(F, n), cap)
+        assert _elements(lambda: tw.level(n).elements) == want, n
+        if not isinstance(want, tuple):
+            break
+        # the coded tables agree with the shift and the rule on configurations
+        lvl = tw.coded(n)
+        assert lvl.shift == {lvl.code(x): lvl.code(x.shift(1)) for x in want}
+        assert lvl.rule == {lvl.code(x): lvl.code(F.apply_periodic(x)) for x in want}
+
+
+BIPERMUTATIVE = {
+    "z3": linear_ca(Z3, {0: 1, 1: 2}),
+    "dual_f1": DUAL_F1,
+    "z2xz2": linear_ca(Z2xZ2, {0: [[1, 1], [1, 0]], 1: [[0, 1], [1, 1]]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIPERMUTATIVE))
+def test_walking_a_level_evaluates_each_column_once(monkeypatch, name):
+    # level n of a width-(w+1) bipermutative rule walks a width-(wn+1) rule:
+    # one local evaluation per letter and column, not per letter and vertex
+    F = BIPERMUTATIVE[name]
+    w = F.neighborhood[1] - F.neighborhood[0]
+    local = CellularAutomaton.local
+    for n in (1, 2, 3):
+        tw = KernelTower(F)
+        tw.level(n - 1)
+        calls = []
+
+        def spy(self, window):
+            calls.append(window)
+            return local(self, window)
+
+        monkeypatch.setattr(CellularAutomaton, "local", spy)
+        tw.level(n)
+        monkeypatch.undo()
+        assert len(calls) == F.alphabet.order * (w * n + 1), n
