@@ -14,8 +14,6 @@ from .groups import (
     Subgroup,
     closure_set,
     enumerate_subgroups,
-    hom_apply,
-    hom_is_automorphism,
     subgroup_closure,
 )
 from .configs import (
@@ -70,7 +68,6 @@ from .modular import (
     divisor_bound,
     factor_mod_p,
     frobenius_congruence_check,
-    is_irreducible,
     kernel_direct_sum_check,
     permutative_support,
 )
@@ -87,8 +84,6 @@ from .class_a import (
     ClassAAnalysis,
     DualCA,
     analyze_radius1,
-    check_bm1,
-    check_bm2,
     check_linear_classA,
     dual_ca,
     invert_radius1,
@@ -105,11 +100,8 @@ from .measures import (
     character_integral,
     check_hypotheses,
     counterexample_suite,
-    cylinder_prob,
     haar_test,
     invariance_check,
-    sample,
-    uniform_bernoulli,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -204,9 +204,6 @@ class CellularAutomaton:
         word = tuple(self.local(x.window(i + r, self.width)) for i in range(q))
         return PeriodicConfig(self.alphabet, word)
 
-    def __call__(self, x: PeriodicConfig) -> PeriodicConfig:
-        return self.apply_periodic(x)
-
     # -- normalization -----------------------------------------------------
 
     def smallest_neighborhood(self) -> "CellularAutomaton":
@@ -249,7 +246,7 @@ class CellularAutomaton:
         small = self.smallest_neighborhood()
         return small.neighborhood[0] == small.neighborhood[1]
 
-    # -- permutativity and surjectivity -------------------------------------
+    # -- permutativity -----------------------------------------------------
 
     def permutativity(self) -> Permutativity:
         """Left/right permutativity, decided on the smallest neighborhood.
@@ -275,29 +272,6 @@ class CellularAutomaton:
                 right = False
                 break
         return Permutativity(left, right)
-
-    def is_surjective(self, l_max: int | None = None) -> "SurjectivityResult":
-        return is_surjective(self, l_max)
-
-    # -- algebra -----------------------------------------------------------
-
-    def compose(self, other: "CellularAutomaton",
-                cap: int = DEFAULT_TABLE_CAP) -> "CellularAutomaton":
-        """self after other; neighborhoods add."""
-        return compose(self, other, cap)
-
-    def power(self, n: int, cap: int = DEFAULT_TABLE_CAP) -> "CellularAutomaton":
-        return power(self, n, cap)
-
-    def with_shift(self, m: int) -> "CellularAutomaton":
-        return with_shift(self, m)
-
-    def as_laurent(self) -> LaurentPoly:
-        return as_laurent(self)
-
-    def cylinder_preimage(self, cyl: Cylinder,
-                          cap: int = DEFAULT_PREIMAGE_CAP) -> list[Cylinder]:
-        return cylinder_preimage(self, cyl, cap)
 
     def describe(self) -> str:
         r, s = self.neighborhood

@@ -80,20 +80,6 @@ def analyze_radius1(F: CellularAutomaton) -> ClassAAnalysis:
     )
 
 
-def check_bm1(analysis: ClassAAnalysis) -> bool:
-    """Invertibility with radius-1 inverse: diagonal permutation, left
-    permutativity, successors inside the mapped class."""
-    return analysis.invertible_r1
-
-
-def check_bm2(analysis: ClassAAnalysis) -> bool:
-    """Expansivity of the transposed rule: unique class intersections and
-    successors filling the mapped class exactly."""
-    if not analysis.invertible_r1:
-        raise ValueError("expansivity conditions only apply to invertible rules")
-    return analysis.intersections_at_most_one and analysis.succ_equals_pi_class
-
-
 def check_linear_classA(f0: Endomorphism, f1: Endomorphism) -> bool:
     """Membership test for linear rules f0 + f1 sigma by exhaustive image and
     kernel computation."""

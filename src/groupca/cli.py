@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 from importlib import resources
 
-from .automata import CellularAutomaton, linear_ca, table_ca
+from .automata import CellularAutomaton, as_laurent, is_surjective, linear_ca, table_ca
 from .class_a import analyze_radius1, dual_ca, verify_conjugacy
 from .configs import Cylinder, PeriodicConfig
 from .entropy import entropy_report, formula_case, topological_entropy
@@ -38,7 +38,6 @@ from .measures import (
     counterexample_suite,
     haar_test,
     invariance_check,
-    uniform_bernoulli,
 )
 from .modular import (
     bipermutative_power,
@@ -46,13 +45,14 @@ from .modular import (
     permutative_support,
 )
 
-BUNDLED = (
-    "id_plus_sigma_z2",
-    "id_sigma_2sigma2_z4",
-    "classA_F1",
-    "classA_F2",
-    "ledrappier_kernel_sigma",
-)
+# bundled example name -> the kind of spec it holds
+BUNDLED = {
+    "id_plus_sigma_z2": "an automaton",
+    "id_sigma_2sigma2_z4": "an automaton",
+    "classA_F1": "an automaton",
+    "classA_F2": "an automaton",
+    "ledrappier_kernel_sigma": "a subgroup shift",
+}
 
 
 class SpecError(ValueError):
@@ -106,7 +106,7 @@ def _is_int_matrix(obj) -> bool:
 def load_ca(obj, path: str = "ca") -> CellularAutomaton:
     """An automaton from its spec, or from the name of a bundled spec."""
     if isinstance(obj, str):
-        obj = bundled_spec(obj, path)
+        obj = _bundled_of_kind(obj, path, "an automaton")
     alphabet = _load_group(_expect_key(obj, "alphabet", path), f"{path}.alphabet")
     nbhd = _expect_key(obj, "neighborhood", path)
     if not (isinstance(nbhd, list) and len(nbhd) == 2 and all(isinstance(v, int) for v in nbhd)):
@@ -199,7 +199,7 @@ def load_measure(obj, path: str = "measure"):
     if kind == "bernoulli":
         alphabet = _load_group(_expect_key(obj, "alphabet", path), f"{path}.alphabet")
         if "weights" not in obj:
-            return uniform_bernoulli(alphabet)
+            return Bernoulli.uniform(alphabet)
         if not isinstance(obj["weights"], list):
             _fail(f"{path}.weights", "expected a list of {letter, num, den} entries")
         weights = {}
@@ -266,13 +266,20 @@ def bundled_spec(name: str, path: str | None = None):
     return json.loads(text)
 
 
+def _bundled_of_kind(name: str, path: str, kind: str):
+    """The bundled spec called name, refused unless it holds kind of spec."""
+    if BUNDLED.get(name, kind) != kind:
+        _fail(path, f"bundled example {name!r} is {BUNDLED[name]} spec, not {kind} spec")
+    return bundled_spec(name, path)
+
+
 def _load_ca_arg(value: str) -> CellularAutomaton:
     return load_ca(value if value in BUNDLED else _read_json(value))
 
 
 def _load_sigma_arg(value: str):
     if value in BUNDLED:
-        return load_sigma(bundled_spec(value))
+        return load_sigma(_bundled_of_kind(value, "sigma", "a subgroup shift"))
     return load_sigma(_read_json(value))
 
 
@@ -352,7 +359,7 @@ def cmd_analyze(args) -> int:
     F = _load_ca_arg(args.ca)
     small = F.smallest_neighborhood()
     perm = small.permutativity()
-    surj = F.is_surjective()
+    surj = is_surjective(F)
     report: dict = {
         "ca": F.describe(),
         "alphabet": list(F.alphabet.moduli),
@@ -470,7 +477,7 @@ def cmd_kernel(args) -> int:
 
 def cmd_entropy(args) -> int:
     F = _load_ca_arg(args.ca)
-    mu = load_measure(_read_json(args.measure)) if args.measure else uniform_bernoulli(F.alphabet)
+    mu = load_measure(_read_json(args.measure)) if args.measure else Bernoulli.uniform(F.alphabet)
     rep = entropy_report(F, mu, samples=args.samples, k=args.block, seed=args.seed)
     report = rep.as_dict()
     print(f"shift entropy estimate: {rep.h_sigma_estimate:.6f} nats")
@@ -507,8 +514,6 @@ def cmd_modular(args) -> int:
         }
         print(f"power {q}: neighborhood {Fq.neighborhood}, bipermutative")
     if sup.k == 1:
-        from .automata import as_laurent
-
         fact = factor_mod_p(as_laurent(F))
         report["factorization"] = {
             "shift_power": fact.shift_power,
@@ -745,8 +750,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", help="write the JSON report to this path")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cap", type=int, default=1 << 16, help="size cap for exhaustive steps")
+
+    # only the subcommands that read them take --cap and --seed
+    cap = dict(type=int, default=1 << 16, help="size cap for the kernel levels")
+    seed = dict(type=int, default=0, help="seed of the sampled estimates")
 
     p = sub.add_parser("analyze", help="full report for one automaton")
     p.add_argument("--ca", required=True, help="spec file or bundled name")
@@ -754,6 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-max", type=int, default=2,
                    help="depth bound for the boundary generation search")
     p.add_argument("--conjugacy-width", type=int, default=6)
+    p.add_argument("--cap", **cap)
     common(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -761,6 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ca", required=True)
     p.add_argument("--levels", type=int, default=3)
     p.add_argument("--sigma", help="restrict to a subgroup shift spec")
+    p.add_argument("--cap", **cap)
     common(p)
     p.set_defaults(func=cmd_kernel)
 
@@ -769,6 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", help="measure spec file (default uniform)")
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--block", type=int, default=4)
+    p.add_argument("--seed", **seed)
     common(p)
     p.set_defaults(func=cmd_entropy)
 
@@ -802,6 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--length", type=int, default=4)
     mp.add_argument("--mode", choices=("exact", "mc"), default="exact")
     mp.add_argument("--mc-samples", type=int, default=50000)
+    mp.add_argument("--seed", **seed)
     common(mp)
     mp.set_defaults(func=cmd_measure)
     mp = msub.add_parser("char")
@@ -834,6 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure")
     p.add_argument("--m-max", type=int, default=2,
                    help="depth bound for the boundary generation search")
+    p.add_argument("--seed", **seed)
     common(p)
     p.set_defaults(func=cmd_hypotheses)
 

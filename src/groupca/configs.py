@@ -74,7 +74,7 @@ class PeriodicConfig:
         object.__setattr__(out, "word", self.word[m:] + self.word[:m])
         return out
 
-    def add(self, other: "PeriodicConfig") -> "PeriodicConfig":
+    def __add__(self, other: "PeriodicConfig") -> "PeriodicConfig":
         if other.alphabet != self.alphabet:
             raise ValueError("alphabet mismatch")
         q = math.lcm(self.period, other.period)
@@ -83,14 +83,8 @@ class PeriodicConfig:
         )
         return PeriodicConfig(self.alphabet, word)
 
-    def neg(self) -> "PeriodicConfig":
-        return PeriodicConfig(self.alphabet, tuple(self.alphabet.neg(a) for a in self.word))
-
-    def __add__(self, other: "PeriodicConfig") -> "PeriodicConfig":
-        return self.add(other)
-
     def __neg__(self) -> "PeriodicConfig":
-        return self.neg()
+        return PeriodicConfig(self.alphabet, tuple(self.alphabet.neg(a) for a in self.word))
 
     def canonical_rotation(self) -> "PeriodicConfig":
         """Lexicographically least rotation; identifies the shift orbit."""

@@ -37,6 +37,15 @@ def _prime_factors(n: int) -> list[int]:
     return factors
 
 
+def _is_prime(n: int) -> bool:
+    return _prime_factors(n) == [n]
+
+
+def _gl_order(p: int, r: int) -> int:
+    """|GL_r(F_p)|, the count of invertible r x r matrices over F_p."""
+    return math.prod(p**r - p**i for i in range(r))
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """A finite abelian group given in product form Z/d_1 x ... x Z/d_k."""
@@ -227,14 +236,6 @@ class Endomorphism:
             cols.append(preimage[gen])
         rows = tuple(tuple(cols[i][j] for i in range(n)) for j in range(n))
         return Endomorphism(self.target, self.source, rows)
-
-
-def hom_apply(f: Endomorphism, x: Element) -> Element:
-    return f(x)
-
-
-def hom_is_automorphism(f: Endomorphism) -> bool:
-    return f.is_automorphism()
 
 
 @dataclass(frozen=True)

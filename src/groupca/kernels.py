@@ -26,6 +26,8 @@ from .groups import (
     Element,
     GroupSpec,
     Subgroup,
+    _gl_order,
+    _is_prime,
     _prime_factors,
     closure_set,
     enumerate_subgroups,
@@ -281,9 +283,6 @@ class KernelTower:
         """p_n, the smallest common shift period of level n."""
         return self.level(n).period
 
-    def boundary(self, n: int) -> tuple[PeriodicConfig, ...]:
-        return boundary(self, n)
-
     def restricted_level(self, n: int, sigma: SubgroupShiftSpec | None) -> KernelLevel:
         """The elements of level n that lie in sigma (None: the full shift)."""
         sigma = subgroup_shift_on(sigma, self.automaton.alphabet)
@@ -366,16 +365,13 @@ class ProductSubgroup:
             raise ValueError("block subgroup must live in the grouped alphabet")
         object.__setattr__(self, "phase", self.phase % self.grouping)
 
-    def _block_of(self, word: Word) -> Element:
-        return tuple(c for letter in word for c in letter)
-
     def contains(self, x: PeriodicConfig) -> bool:
         if x.alphabet != self.alphabet:
             return False
         t = self.grouping
         span = math.lcm(x.period, t)
         for start in range(self.phase, self.phase + span, t):
-            if self._block_of(x.window(start, t)) not in self.block:
+            if _flat(x.window(start, t)) not in self.block:
                 return False
         return True
 
@@ -703,9 +699,9 @@ class KernelRecurrence:
         identity = tuple(
             tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
         )
-        if _prime_factors(self.modulus) == [self.modulus]:
+        if _is_prime(self.modulus):
             p = self.modulus
-            bound = math.prod(p**n - p**i for i in range(n))
+            bound = _gl_order(p, n)
             order = bound
             for ell in _prime_factors(bound):
                 while order % ell == 0 and _matpow(self.matrix, order // ell, p) == identity:

@@ -384,10 +384,6 @@ class HaarMeasure:
         return f"Haar on {self.sigma.describe()}"
 
 
-def uniform_bernoulli(alphabet: GroupSpec) -> Bernoulli:
-    return Bernoulli.uniform(alphabet)
-
-
 @dataclass(frozen=True)
 class PushforwardMeasure:
     """Image of a base measure under automaton and shift powers.
@@ -561,15 +557,6 @@ class PeriodicOrbitMeasure:
 MeasureSpec = (
     Bernoulli | HaarMeasure | PushforwardMeasure | MixtureMeasure | PeriodicOrbitMeasure
 )
-
-
-def cylinder_prob(mu: MeasureSpec, cyl: Cylinder) -> Fraction:
-    return mu.cylinder_prob(cyl)
-
-
-def sample(mu: MeasureSpec, window: tuple[int, int], seed: int = 0) -> Word:
-    lo, hi = window
-    return mu.sample_word(lo, hi, random.Random(seed))
 
 
 # -- invariance ------------------------------------------------------------------

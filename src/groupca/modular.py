@@ -11,7 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from .automata import CellularAutomaton, LaurentPoly, as_laurent, linear_ca, power
-from .groups import CapExceeded, GroupSpec, _prime_factors
+from .groups import CapExceeded, GroupSpec, _gl_order, _is_prime, _prime_factors
 from .kernels import kernel_elements
 
 MAX_FACTOR_DEGREE = 8
@@ -81,48 +81,20 @@ def bipermutative_power(F: CellularAutomaton) -> CellularAutomaton:
     return Fq
 
 
-def _int_poly(poly: LaurentPoly | dict, mod: int) -> dict[int, int]:
-    if isinstance(poly, LaurentPoly):
-        coeffs = poly.scalar_coeffs()
-    else:
-        coeffs = dict(poly)
-    return {u: c % mod for u, c in coeffs.items() if c % mod}
-
-
-def _poly_mul_mod(a: dict[int, int], b: dict[int, int], mod: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for u, c in a.items():
-        for v, d in b.items():
-            out[u + v] = (out.get(u + v, 0) + c * d) % mod
-    return {u: c for u, c in out.items() if c}
-
-
-def _poly_pow_mod(a: dict[int, int], e: int, mod: int) -> dict[int, int]:
-    result = {0: 1 % mod}
-    base = dict(a)
-    while e:
-        if e & 1:
-            result = _poly_mul_mod(result, base, mod)
-        base = _poly_mul_mod(base, base, mod)
-        e >>= 1
-    return result
-
-
 def frobenius_congruence_check(
     P1: LaurentPoly | dict, P2: LaurentPoly | dict, p: int, j: int
 ) -> bool:
     """Verify (P1 + p*P2)^(p^j) = P1^(p^j) mod p^(j+1) by exact expansion."""
     if j < 0:
         raise ValueError("power index must be >= 0")
-    mod = p ** (j + 1)
-    a = _int_poly(P1, mod)
-    b = _int_poly(P2, mod)
-    lhs_base: dict[int, int] = dict(a)
-    for u, c in b.items():
-        lhs_base[u] = (lhs_base.get(u, 0) + p * c) % mod
-    lhs = _poly_pow_mod({u: c for u, c in lhs_base.items() if c}, p**j, mod)
-    rhs = _poly_pow_mod(a, p**j, mod)
-    return lhs == rhs
+    ring = GroupSpec((p ** (j + 1),))
+
+    def over_ring(poly: LaurentPoly | dict, scale: int = 1) -> LaurentPoly:
+        coeffs = poly.scalar_coeffs() if isinstance(poly, LaurentPoly) else poly
+        return LaurentPoly(ring, {u: scale * c for u, c in coeffs.items()})
+
+    a = over_ring(P1)
+    return (a + over_ring(P2, p)) ** p**j == a ** p**j
 
 
 def divisor_bound(p: int, r: int) -> int:
@@ -130,9 +102,9 @@ def divisor_bound(p: int, r: int) -> int:
     divisor of first-level kernel periods."""
     if r < 1:
         raise ValueError("width must be >= 1")
-    if _prime_factors(p) != [p]:
+    if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return math.prod(p**r - p**i for i in range(r))
+    return _gl_order(p, r)
 
 
 # -- factorization over prime fields -------------------------------------------
@@ -170,6 +142,13 @@ def _dense_divmod(
     return _dense_trim(quot), _dense_trim(num_l)
 
 
+def _dense_pow(f: tuple[int, ...], m: int, p: int) -> tuple[int, ...]:
+    acc = (1,)
+    for _ in range(m):
+        acc = _dense_mul(acc, f, p)
+    return acc
+
+
 @dataclass(frozen=True)
 class Factorization:
     """Factorization of a Laurent polynomial over a prime field.
@@ -190,19 +169,15 @@ class Factorization:
     def reassemble(self) -> dict[int, int]:
         acc = (self.unit,)
         for f, m in self.factors:
-            for _ in range(m):
-                acc = _dense_mul(acc, f, self.p)
+            acc = _dense_mul(acc, _dense_pow(f, m, self.p), self.p)
         return {i + self.shift_power: c for i, c in enumerate(acc) if c}
 
     def factor_automata(self, alphabet: GroupSpec) -> list[tuple[CellularAutomaton, int]]:
         """One CA per irreducible factor raised to its multiplicity."""
-        out = []
-        for f, m in self.factors:
-            piece = (1,)
-            for _ in range(m):
-                piece = _dense_mul(piece, f, self.p)
-            out.append((linear_ca(alphabet, dict(enumerate(piece))), m))
-        return out
+        return [
+            (linear_ca(alphabet, dict(enumerate(_dense_pow(f, m, self.p)))), m)
+            for f, m in self.factors
+        ]
 
 
 def factor_mod_p(poly: LaurentPoly | dict, p: int | None = None) -> Factorization:
@@ -219,7 +194,7 @@ def factor_mod_p(poly: LaurentPoly | dict, p: int | None = None) -> Factorizatio
         if p is None:
             raise ValueError("plain coefficient dicts need an explicit prime")
         coeffs = dict(poly)
-    if _prime_factors(p) != [p]:
+    if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     coeffs = {u: c % p for u, c in coeffs.items() if c % p}
     if not coeffs:
@@ -258,16 +233,12 @@ def factor_mod_p(poly: LaurentPoly | dict, p: int | None = None) -> Factorizatio
     return Factorization(p, shift, unit, tuple(factors))
 
 
-def is_irreducible(poly: LaurentPoly | dict, p: int | None = None) -> bool:
-    return factor_mod_p(poly, p).is_irreducible
-
-
 def kernel_direct_sum_check(F: CellularAutomaton, n: int, cap: int = 1 << 14) -> bool:
     """Check that the n-th kernel splits as the direct sum of the kernels of
     the coprime factor powers: sizes multiply and the sum map is bijective."""
     _scalar_coeffs(F)  # shape validation
     p = F.alphabet.moduli[0]
-    if _prime_factors(p) != [p]:
+    if not _is_prime(p):
         raise ValueError("direct sum check needs a prime cyclic alphabet")
     fact = factor_mod_p(as_laurent(F))
     whole = set(kernel_elements(F, n, cap))

@@ -36,7 +36,6 @@ from groupca.measures import (
     counterexample_suite,
     haar_test,
     invariance_check,
-    uniform_bernoulli,
 )
 from groupca.modular import bipermutative_power, divisor_bound, permutative_support
 
@@ -194,7 +193,7 @@ def test_criterion_6_period_divisibility():
 def test_criterion_7_entropy_consistency():
     budget = Budget("criterion 7: entropy estimates and bounds", 120)
     F = load_ca(bundled_spec("id_plus_sigma_z2"))
-    rep = entropy_report(F, uniform_bernoulli(Z2), samples=1_000_000, k=4, seed=0)
+    rep = entropy_report(F, Bernoulli.uniform(Z2), samples=1_000_000, k=4, seed=0)
     assert 0.95 * LOG2 <= rep.h_f_estimate <= 1.05 * LOG2
     assert rep.h_f_formula == pytest.approx(1 * rep.h_sigma_estimate)
     assert rep.bounds.upper_ok
@@ -206,7 +205,7 @@ def test_criterion_7_entropy_consistency():
         ("classA_F2", 30_000),
     ):
         G = load_ca(bundled_spec(name))
-        r = entropy_report(G, uniform_bernoulli(G.alphabet), samples=samples, k=3, seed=1)
+        r = entropy_report(G, Bernoulli.uniform(G.alphabet), samples=samples, k=3, seed=1)
         assert r.bounds.upper_ok, name
     budget.done()
 
@@ -253,8 +252,8 @@ def test_criterion_9_density_criteria_cross_check():
         queue = [seed]
         while queue:
             x = queue.pop()
-            new = [x.neg(), x.shift(1), F.apply_periodic(x)]
-            new.extend(x.add(y) for y in list(found))
+            new = [-x, x.shift(1), F.apply_periodic(x)]
+            new.extend(x + y for y in list(found))
             for y in new:
                 if y not in found:
                     found.add(y)
@@ -272,7 +271,7 @@ def test_criterion_9_density_criteria_cross_check():
 
 def test_criterion_10_haar_tests():
     budget = Budget("criterion 10: Haar tests", 10)
-    rep = haar_test(uniform_bernoulli(Z2), FullShift(Z2), 3)
+    rep = haar_test(Bernoulli.uniform(Z2), FullShift(Z2), 3)
     assert rep.consistent
     assert rep.max_abs_integral < 1e-9
     sigma = ProductSubgroup(Z4, 1, Subgroup(Z4, ((0,), (2,))))

@@ -202,7 +202,7 @@ def test_cylinder_preimage_examples():
     pre2 = cylinder_preimage(F_xor, Cylinder(0, w(0, 1)))
     assert {c.word for c in pre2} == {w(0, 0, 1), w(1, 1, 0)}
     # permutativity count: |A|^(s-r) cylinders for a length-1 word
-    pre3 = cylinder_preimage(F_z4.power(1), Cylinder(2, w(3)))
+    pre3 = cylinder_preimage(power(F_z4, 1), Cylinder(2, w(3)))
     assert len(pre3) == 16  # not bipermutative: width-2 extension over Z/4
     preb = cylinder_preimage(linear_ca(Z3, {0: 1, 1: 1}), Cylinder(0, w(2)))
     assert len(preb) == 3
@@ -225,6 +225,6 @@ def test_cylinder_preimage_partition_and_offset():
 def test_compose_with_shift_is_shift_of_compose(m, n):
     F = linear_ca(Z4, {0: 1, 1: 3})
     lhs = with_shift(power(F, n), m)
-    rhs = power(with_shift(F, 0), n).compose(shift_ca(Z4, m))
+    rhs = compose(power(with_shift(F, 0), n), shift_ca(Z4, m))
     x = cfg(Z4, 1, 2, 0)
     assert lhs.apply_periodic(x) == rhs.apply_periodic(x)

@@ -16,8 +16,6 @@ from groupca.automata import (
 from groupca.class_a import (
     ConjugacyResult,
     analyze_radius1,
-    check_bm1,
-    check_bm2,
     check_linear_classA,
     dual_ca,
     invert_radius1,
@@ -69,20 +67,18 @@ def test_analysis_constant_rule():
 
 def test_bm_checks():
     a1 = analyze_radius1(F1)
-    assert check_bm1(a1) and check_bm2(a1)
+    assert a1.invertible_r1 and a1.class_a
     a2 = analyze_radius1(F2)
-    assert check_bm1(a2) and check_bm2(a2)
+    assert a2.invertible_r1 and a2.class_a
     bad = analyze_radius1(table_from_rule(V, (0, 1), lambda w: (0, 0)))
-    assert not check_bm1(bad)
-    with pytest.raises(ValueError):
-        check_bm2(bad)
+    assert not bad.invertible_r1 and not bad.class_a
 
 
 def test_identity_is_invertible():
     I = linear_ca(V, {0: Endomorphism.identity(V), 1: Endomorphism.zero_map(V)},
                   neighborhood=(0, 1))
     a = analyze_radius1(I)
-    assert check_bm1(a)
+    assert a.invertible_r1
     inv = invert_radius1(I)
     for win in itertools.product(letters(V), repeat=2):
         assert inv.local(win) == win[0]

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import groupca
-from groupca.cli import bundled_spec, load_sigma, main
+from groupca.cli import build_parser, bundled_spec, load_sigma, main
 
 
 def run(argv):
@@ -167,12 +167,64 @@ def test_ledrappier_sigma_spec_loads():
     assert isinstance(sigma, LinearKernelShift)
 
 
+# the fewest arguments each subcommand that writes a report parses with
+MINIMAL_ARGV = {
+    "analyze": ["analyze", "--ca", "x"],
+    "kernel": ["kernel", "--ca", "x"],
+    "entropy": ["entropy", "--ca", "x"],
+    "modular": ["modular", "--ca", "x"],
+    "dual": ["dual"],
+    "measure prob": ["measure", "prob", "--measure", "m", "--word", "[]"],
+    "measure invariance": ["measure", "invariance", "--measure", "m"],
+    "measure char": ["measure", "char", "--measure", "m", "--character", "{}"],
+    "measure haar-test": ["measure", "haar-test", "--measure", "m"],
+    "measure cesaro": ["measure", "cesaro", "--measure", "m", "--ca", "x"],
+    "measure counterexample": ["measure", "counterexample"],
+    "hypotheses": ["hypotheses", "--ca", "x"],
+}
+
+
+def test_seed_and_cap_only_where_read(capsys):
+    parser = build_parser()
+
+    def takes(flag, value):
+        accepted = set()
+        for name, argv in MINIMAL_ARGV.items():
+            try:
+                parser.parse_args(argv + [flag, value])
+            except SystemExit:
+                continue
+            accepted.add(name)
+        return accepted
+
+    assert takes("--out", "r.json") == set(MINIMAL_ARGV)
+    assert takes("--seed", "1") == {"entropy", "measure invariance", "hypotheses"}
+    assert takes("--cap", "5") == {"analyze", "kernel"}
+    capsys.readouterr()
+    assert run(["modular", "--ca", "id_plus_sigma_z2", "--seed", "1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_bundled_subgroup_shift_as_automaton_is_usage_error(capsys):
+    assert run(["kernel", "--ca", "ledrappier_kernel_sigma", "--levels", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "ca: bundled example 'ledrappier_kernel_sigma'" in err
+    assert "not an automaton spec" in err
+
+
+def test_bundled_automaton_as_subgroup_shift_is_usage_error(capsys):
+    assert run(["kernel", "--ca", "id_plus_sigma_z2", "--sigma", "classA_F1"]) == 2
+    err = capsys.readouterr().err
+    assert "sigma: bundled example 'classA_F1'" in err
+    assert "not a subgroup shift spec" in err
+
+
 def test_report_determinism(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
     for out in (out1, out2):
         assert run(["analyze", "--ca", "classA_F1", "--levels", "1",
-                    "--out", str(out), "--seed", "7"]) == 0
+                    "--out", str(out)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 

@@ -76,11 +76,11 @@ def test_shift_equals_the_rotated_word(group, block, repeats, m):
 def test_add_examples():
     x = cfg(Z2, 0, 1)
     zero = PeriodicConfig.zero(Z2)
-    assert x.add(zero) == x
+    assert x + zero == x
     ones = cfg(Z2, 1)
-    assert x.add(ones) == cfg(Z2, 1, 0)
+    assert x + ones == cfg(Z2, 1, 0)
     w = cfg(Z2, 0, 0, 1, 1)
-    assert x.add(w) == cfg(Z2, 0, 1, 1, 0)
+    assert x + w == cfg(Z2, 0, 1, 1, 0)
 
 
 @given(st.data())

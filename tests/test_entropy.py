@@ -17,7 +17,7 @@ from groupca.entropy import (
     topological_entropy,
 )
 from groupca.groups import GroupSpec
-from groupca.measures import Bernoulli, uniform_bernoulli
+from groupca.measures import Bernoulli
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
@@ -71,7 +71,7 @@ def test_block_entropy_monotone_in_block_length():
 
 
 def test_column_factor_samples_shift_is_identity_process():
-    mu = uniform_bernoulli(Z2)
+    mu = Bernoulli.uniform(Z2)
     cols = column_factor_samples(shift_ca(Z2), mu, width=1, depth=3, count=50, seed=1)
     assert len(cols) == 50
     for sample in cols:
@@ -81,20 +81,20 @@ def test_column_factor_samples_shift_is_identity_process():
 
 
 def test_column_factor_depth_one():
-    mu = uniform_bernoulli(Z2)
+    mu = Bernoulli.uniform(Z2)
     cols = column_factor_samples(F_xor, mu, width=2, depth=1, count=10, seed=2)
     assert all(len(c) == 1 and len(c[0]) == 2 for c in cols)
 
 
 def test_column_entropy_close_to_formula_small():
-    mu = uniform_bernoulli(Z2)
+    mu = Bernoulli.uniform(Z2)
     cols = column_factor_samples(F_xor, mu, width=1, depth=4, count=30_000, seed=3)
     est = block_entropy_estimate(cols, 4)
     assert abs(est - LOG2) < 0.05
 
 
 def test_entropy_report_fast_path_matches_formula():
-    mu = uniform_bernoulli(Z2)
+    mu = Bernoulli.uniform(Z2)
     rep = entropy_report(F_xor, mu, samples=100_000, k=4, seed=0)
     assert abs(rep.h_sigma_estimate - LOG2) < 0.02
     assert abs(rep.h_f_estimate - LOG2) < 0.02
@@ -104,7 +104,7 @@ def test_entropy_report_fast_path_matches_formula():
 
 
 def test_entropy_report_object_path():
-    mu = uniform_bernoulli(Z3)
+    mu = Bernoulli.uniform(Z3)
     F = linear_ca(Z3, {0: 1, 1: 1})
     # table rules force the object path
     from groupca.automata import table_ca, letters

@@ -26,12 +26,9 @@ from groupca.measures import (
     cesaro_sequence,
     check_hypotheses,
     counterexample_suite,
-    cylinder_prob,
     haar_test,
     invariance_check,
-    sample,
     sigma_entropy_exact,
-    uniform_bernoulli,
 )
 
 Z2 = GroupSpec((2,))
@@ -45,10 +42,10 @@ def w(*xs):
 
 
 def test_bernoulli_cylinder_prob():
-    mu = uniform_bernoulli(Z2)
-    assert cylinder_prob(mu, Cylinder(0, w(0, 1))) == Fraction(1, 4)
+    mu = Bernoulli.uniform(Z2)
+    assert mu.cylinder_prob(Cylinder(0, w(0, 1))) == Fraction(1, 4)
     biased = Bernoulli(Z2, {(0,): Fraction(3, 4), (1,): Fraction(1, 4)})
-    assert cylinder_prob(biased, Cylinder(2, w(0, 0, 1))) == Fraction(9, 64)
+    assert biased.cylinder_prob(Cylinder(2, w(0, 0, 1))) == Fraction(9, 64)
 
 
 def test_bernoulli_validation():
@@ -61,9 +58,9 @@ def test_bernoulli_validation():
 def test_haar_product_subgroup_probabilities():
     sigma = ProductSubgroup(Z4, 1, Subgroup(Z4, ((0,), (2,))))
     mu = HaarMeasure(sigma)
-    assert cylinder_prob(mu, Cylinder(0, w(2))) == Fraction(1, 2)
-    assert cylinder_prob(mu, Cylinder(0, w(1))) == 0
-    assert cylinder_prob(mu, Cylinder(-3, w(0, 2, 0))) == Fraction(1, 8)
+    assert mu.cylinder_prob(Cylinder(0, w(2))) == Fraction(1, 2)
+    assert mu.cylinder_prob(Cylinder(0, w(1))) == 0
+    assert mu.cylinder_prob(Cylinder(-3, w(0, 2, 0))) == Fraction(1, 8)
 
 
 def test_haar_paired_blocks_phase():
@@ -71,25 +68,25 @@ def test_haar_paired_blocks_phase():
     diag = Subgroup(pair, ((0, 0), (1, 1)))
     x1 = ProductSubgroup(Z2, 2, diag, phase=0)
     mu = HaarMeasure(x1)
-    assert cylinder_prob(mu, Cylinder(0, w(0, 0))) == Fraction(1, 2)
-    assert cylinder_prob(mu, Cylinder(0, w(0, 1))) == 0
+    assert mu.cylinder_prob(Cylinder(0, w(0, 0))) == Fraction(1, 2)
+    assert mu.cylinder_prob(Cylinder(0, w(0, 1))) == 0
     # across a block boundary the two letters are independent
-    assert cylinder_prob(mu, Cylinder(1, w(0, 0))) == Fraction(1, 4)
-    assert cylinder_prob(mu, Cylinder(1, w(0, 1))) == Fraction(1, 4)
+    assert mu.cylinder_prob(Cylinder(1, w(0, 0))) == Fraction(1, 4)
+    assert mu.cylinder_prob(Cylinder(1, w(0, 1))) == Fraction(1, 4)
 
 
 def test_haar_kernel_shift_probabilities():
     mu = HaarMeasure(LinearKernelShift(F_xor))
     # the kernel holds exactly the two constant configurations
-    assert cylinder_prob(mu, Cylinder(0, w(0))) == Fraction(1, 2)
-    assert cylinder_prob(mu, Cylinder(5, w(1, 1, 1))) == Fraction(1, 2)
-    assert cylinder_prob(mu, Cylinder(0, w(0, 1))) == 0
+    assert mu.cylinder_prob(Cylinder(0, w(0))) == Fraction(1, 2)
+    assert mu.cylinder_prob(Cylinder(5, w(1, 1, 1))) == Fraction(1, 2)
+    assert mu.cylinder_prob(Cylinder(0, w(0, 1))) == 0
 
 
 def test_additivity_over_letter_refinement():
     suite = counterexample_suite()
     measures = [
-        uniform_bernoulli(Z2),
+        Bernoulli.uniform(Z2),
         HaarMeasure(suite.x1),
         suite.mu,
         PushforwardMeasure(HaarMeasure(suite.x1), F_xor, 1),
@@ -100,13 +97,13 @@ def test_additivity_over_letter_refinement():
         for ell in range(1, 5):
             for word in itertools.product(abc, repeat=ell):
                 total = sum(
-                    cylinder_prob(mu, Cylinder(0, word + (a,))) for a in abc
+                    mu.cylinder_prob(Cylinder(0, word + (a,))) for a in abc
                 )
-                assert total == cylinder_prob(mu, Cylinder(0, word))
+                assert total == mu.cylinder_prob(Cylinder(0, word))
 
 
 def test_pushforward_matches_preimage_sum():
-    mu = uniform_bernoulli(Z2)
+    mu = Bernoulli.uniform(Z2)
     push = PushforwardMeasure(mu, F_xor, 1)
     for word in itertools.product(letters(Z2), repeat=3):
         cyl = Cylinder(0, word)
@@ -120,9 +117,9 @@ def test_pushforward_matches_preimage_sum():
 def test_periodic_orbit_measure():
     orbit = PeriodicOrbitMeasure.from_orbit(PeriodicConfig(Z2, w(0, 1)))
     assert len(orbit.configs) == 2
-    assert cylinder_prob(orbit, Cylinder(0, w(0, 1, 0))) == Fraction(1, 2)
-    assert cylinder_prob(orbit, Cylinder(0, w(0, 0))) == 0
-    word = sample(orbit, (0, 5), seed=3)
+    assert orbit.cylinder_prob(Cylinder(0, w(0, 1, 0))) == Fraction(1, 2)
+    assert orbit.cylinder_prob(Cylinder(0, w(0, 0))) == 0
+    word = orbit.sample_word(0, 5, random.Random(3))
     assert word in {w(0, 1, 0, 1, 0, 1), w(1, 0, 1, 0, 1, 0)}
 
 
@@ -130,7 +127,7 @@ def test_sampler_frequencies_match_exact():
     rng = random.Random(17)
     suite = counterexample_suite()
     cases = [
-        uniform_bernoulli(Z2),
+        Bernoulli.uniform(Z2),
         HaarMeasure(suite.x1),
         suite.mu,
     ]
@@ -141,16 +138,16 @@ def test_sampler_frequencies_match_exact():
             word = mu.sample_word(0, 1, rng)
             counts[word] = counts.get(word, 0) + 1
         for word in itertools.product(letters(Z2), repeat=2):
-            p = float(cylinder_prob(mu, Cylinder(0, word)))
+            p = float(mu.cylinder_prob(Cylinder(0, word)))
             freq = counts.get(word, 0) / n
             sigma = math.sqrt(max(p * (1 - p), 1e-9) / n)
             assert abs(freq - p) < 4 * sigma + 1e-3
 
 
 def test_invariance_uniform_under_surjective_rule():
-    res = invariance_check(uniform_bernoulli(Z2), F_xor, f_power=1, length=6)
+    res = invariance_check(Bernoulli.uniform(Z2), F_xor, f_power=1, length=6)
     assert res.invariant
-    res_shift = invariance_check(uniform_bernoulli(Z2), shift=1, length=5)
+    res_shift = invariance_check(Bernoulli.uniform(Z2), shift=1, length=5)
     assert res_shift.invariant
 
 
@@ -163,7 +160,7 @@ def test_invariance_detects_noninvariant_measure():
 
 
 def test_character_integral_examples():
-    mu = uniform_bernoulli(Z2)
+    mu = Bernoulli.uniform(Z2)
     chi = {0: Character(Z2, (1,))}
     assert abs(character_integral(mu, chi)) < 1e-12
     assert character_integral(mu, {}) == 1
@@ -173,7 +170,7 @@ def test_character_integral_examples():
 
 
 def test_haar_test_uniform_passes():
-    rep = haar_test(uniform_bernoulli(Z2), FullShift(Z2), 3)
+    rep = haar_test(Bernoulli.uniform(Z2), FullShift(Z2), 3)
     assert rep.consistent
     assert rep.max_abs_integral < 1e-9
 
@@ -201,7 +198,7 @@ def test_cesaro_sequence_biased_bernoulli():
 
 
 def test_cesaro_uniform_is_fixed():
-    res = cesaro_sequence(uniform_bernoulli(Z2), F_xor, 8, 2)
+    res = cesaro_sequence(Bernoulli.uniform(Z2), F_xor, 8, 2)
     assert all(dist == 0 for dist in res.distances_to_uniform)
 
 
@@ -228,13 +225,13 @@ def test_counterexample_suite_checks():
 
 def test_suite_mu_single_letter_mass():
     suite = counterexample_suite()
-    assert cylinder_prob(suite.mu, Cylinder(0, w(0))) == Fraction(5, 8)
-    assert cylinder_prob(suite.mu, Cylinder(0, w(1))) == Fraction(3, 8)
+    assert suite.mu.cylinder_prob(Cylinder(0, w(0))) == Fraction(5, 8)
+    assert suite.mu.cylinder_prob(Cylinder(0, w(1))) == Fraction(3, 8)
 
 
 def test_sigma_entropy_exact_values():
     suite = counterexample_suite()
-    assert sigma_entropy_exact(uniform_bernoulli(Z2)) == pytest.approx(math.log(2))
+    assert sigma_entropy_exact(Bernoulli.uniform(Z2)) == pytest.approx(math.log(2))
     assert sigma_entropy_exact(HaarMeasure(suite.x1)) == pytest.approx(math.log(2) / 2)
     assert sigma_entropy_exact(suite.mu) == pytest.approx(math.log(2) / 2)
     assert sigma_entropy_exact(HaarMeasure(LinearKernelShift(F_xor))) == 0.0
@@ -243,7 +240,7 @@ def test_sigma_entropy_exact_values():
 
 
 def test_check_hypotheses_xor_uniform():
-    rep = check_hypotheses(F_xor, mu=uniform_bernoulli(Z2))
+    rep = check_hypotheses(F_xor, mu=Bernoulli.uniform(Z2))
     assert rep.nontrivial and rep.bipermutative
     assert rep.k == 2 and rep.p1 == 1 and rep.k_p1 == 2
     assert rep.condition4.found and rep.condition4.m == 0
@@ -292,7 +289,7 @@ def test_check_hypotheses_records_why_criteria_are_missing():
 
 def test_invariance_mc_mode():
     res = invariance_check(
-        uniform_bernoulli(Z2), F_xor, f_power=1, length=3,
+        Bernoulli.uniform(Z2), F_xor, f_power=1, length=3,
         mode="mc", mc_samples=30_000, seed=2,
     )
     assert not res.exact
@@ -306,7 +303,7 @@ def test_invariance_mc_mode():
 
 
 def test_degenerate_windows_are_rejected():
-    mu = uniform_bernoulli(Z2)
+    mu = Bernoulli.uniform(Z2)
     with pytest.raises(ValueError, match="steps must be >= 1"):
         cesaro_sequence(mu, F_xor, 0, 1)
     with pytest.raises(ValueError, match="length must be >= 1"):
@@ -441,7 +438,7 @@ def test_cesaro_table_rule_on_both_sides_of_the_cap():
 
 
 def test_oversized_enumerations_raise_before_enumerating():
-    mu = uniform_bernoulli(Z2)
+    mu = Bernoulli.uniform(Z2)
     start = time.perf_counter()
     with pytest.raises(CapExceeded, match=f"cap {DEFAULT_EXPANSION_CAP}"):
         invariance_check(mu, F_xor_table, f_power=40)

@@ -13,7 +13,6 @@ from groupca.modular import (
     divisor_bound,
     factor_mod_p,
     frobenius_congruence_check,
-    is_irreducible,
     kernel_direct_sum_check,
     permutative_support,
 )
@@ -101,10 +100,10 @@ def test_divisor_bound_values():
 
 
 def test_factor_examples():
-    assert is_irreducible({0: 1, 1: 1}, p=2)
+    assert factor_mod_p({0: 1, 1: 1}, p=2).is_irreducible
     f = factor_mod_p({0: 1, 2: 1}, p=2)
     assert f.factors == (((1, 1), 2),)
-    assert is_irreducible({0: 1, 1: 1, 2: 1}, p=2)
+    assert factor_mod_p({0: 1, 1: 1, 2: 1}, p=2).is_irreducible
 
 
 def test_factor_reassembles_input():
