@@ -91,10 +91,27 @@ def _load_group(obj, path: str) -> GroupSpec:
     return GroupSpec(tuple(moduli))
 
 
+def _load_int(obj, path: str, minimum: int | None = None) -> int:
+    if not isinstance(obj, int) or isinstance(obj, bool):
+        _fail(path, f"expected an integer, got {obj!r}")
+    if minimum is not None and obj < minimum:
+        _fail(path, f"expected an integer >= {minimum}, got {obj}")
+    return obj
+
+
 def _load_letter(obj, alphabet: GroupSpec, path: str):
     if not isinstance(obj, list) or len(obj) != alphabet.rank:
         _fail(path, f"letter must list {alphabet.rank} residues")
+    if not all(isinstance(e, int) for e in obj):
+        _fail(path, "letter residues must be integers")
     return alphabet.element(obj)
+
+
+def _first_listing(seen: dict, key, path: str, what: str) -> None:
+    """Record the path listing key, refusing a key listed twice."""
+    if key in seen:
+        _fail(path, f"repeated {what}, first listed at {seen[key]}")
+    seen[key] = path
 
 
 def _is_int_matrix(obj) -> bool:
@@ -142,6 +159,7 @@ def load_ca(obj, path: str = "ca") -> CellularAutomaton:
         entries = _expect_key(rule, "entries", f"{path}.rule")
         width = s - r + 1
         table = {}
+        listed: dict = {}
         for i, entry in enumerate(entries):
             win = _expect_key(entry, "window", f"{path}.rule.entries[{i}]")
             if not isinstance(win, list) or len(win) != width:
@@ -150,6 +168,7 @@ def load_ca(obj, path: str = "ca") -> CellularAutomaton:
                 _load_letter(a, alphabet, f"{path}.rule.entries[{i}].window[{j}]")
                 for j, a in enumerate(win)
             )
+            _first_listing(listed, window, f"{path}.rule.entries[{i}].window", "window")
             value = _load_letter(
                 _expect_key(entry, "value", f"{path}.rule.entries[{i}]"),
                 alphabet, f"{path}.rule.entries[{i}].value",
@@ -171,9 +190,7 @@ def load_sigma(obj, path: str = "sigma"):
         return FullShift(alphabet)
     if kind == "product":
         alphabet = _load_group(_expect_key(obj, "alphabet", path), f"{path}.alphabet")
-        t = _expect_key(obj, "grouping", path)
-        if not isinstance(t, int) or t < 1:
-            _fail(f"{path}.grouping", "expected an integer >= 1")
+        t = _load_int(_expect_key(obj, "grouping", path), f"{path}.grouping", 1)
         block_obj = _expect_key(obj, "block", path)
         ambient = alphabet.power(t)
         elements = tuple(
@@ -185,7 +202,8 @@ def load_sigma(obj, path: str = "sigma"):
             block.validate()
         except ValueError as exc:
             _fail(f"{path}.block", str(exc))
-        return ProductSubgroup(alphabet, t, block, obj.get("phase", 0))
+        phase = _load_int(obj.get("phase", 0), f"{path}.phase")
+        return ProductSubgroup(alphabet, t, block, phase)
     if kind == "kernel":
         ca = load_ca(_expect_key(obj, "ca", path), f"{path}.ca")
         if not ca.is_linear:
@@ -203,11 +221,13 @@ def load_measure(obj, path: str = "measure"):
         if not isinstance(obj["weights"], list):
             _fail(f"{path}.weights", "expected a list of {letter, num, den} entries")
         weights = {}
+        listed: dict = {}
         for i, entry in enumerate(obj["weights"]):
             letter = _load_letter(
                 _expect_key(entry, "letter", f"{path}.weights[{i}]"),
                 alphabet, f"{path}.weights[{i}].letter",
             )
+            _first_listing(listed, letter, f"{path}.weights[{i}].letter", "letter")
             weights[letter] = _load_fraction(entry, f"{path}.weights[{i}]")
         try:
             return Bernoulli(alphabet, weights)
@@ -218,9 +238,9 @@ def load_measure(obj, path: str = "measure"):
     if kind == "pushforward":
         base = load_measure(_expect_key(obj, "base", path), f"{path}.base")
         ca = load_ca(obj["ca"], f"{path}.ca") if "ca" in obj else None
-        return PushforwardMeasure(
-            base, ca, obj.get("f_power", 1 if ca else 0), obj.get("shift", 0)
-        )
+        f_power = _load_int(obj.get("f_power", 1 if ca else 0), f"{path}.f_power", 0)
+        shift = _load_int(obj.get("shift", 0), f"{path}.shift")
+        return PushforwardMeasure(base, ca, f_power, shift)
     if kind == "mixture":
         comps = []
         for i, entry in enumerate(obj.get("components", [])):
@@ -254,6 +274,13 @@ def _read_json(path: str):
         raise SpecError(f"{path}: file not found")
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path}: invalid JSON ({exc})")
+
+
+def _read_json_arg(text: str, flag: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"{flag}: invalid JSON ({exc})")
 
 
 def bundled_spec(name: str, path: str | None = None):
@@ -583,8 +610,11 @@ def cmd_dual(args) -> int:
 
 
 def _parse_cylinder(args, alphabet) -> Cylinder:
-    word = tuple(alphabet.element(a) for a in json.loads(args.word))
-    return Cylinder(args.offset, word)
+    word = _read_json_arg(args.word, "--word")
+    if not isinstance(word, list) or not word:
+        _fail("--word", "expected a nonempty JSON list of letters")
+    letters_ = tuple(_load_letter(a, alphabet, f"--word[{i}]") for i, a in enumerate(word))
+    return Cylinder(args.offset, letters_)
 
 
 def cmd_measure(args) -> int:
@@ -656,11 +686,16 @@ def cmd_measure(args) -> int:
         _print(report, args.out)
         return 0 if res.invariant else 1
     if args.measure_cmd == "char":
-        spec = json.loads(args.character)
-        chi = {
-            int(pos): Character(mu.alphabet, tuple(res))
-            for pos, res in spec.items()
-        }
+        spec = _read_json_arg(args.character, "--character")
+        if not isinstance(spec, dict):
+            _fail("--character", "expected a JSON object mapping positions to residues")
+        chi = {}
+        for pos, res in spec.items():
+            try:
+                i = int(pos)
+            except ValueError:
+                _fail(f"--character.{pos}", "position keys must be integers")
+            chi[i] = Character(mu.alphabet, _load_letter(res, mu.alphabet, f"--character.{pos}"))
         value = character_integral(mu, chi)
         print(f"character integral = {value.real:+.9f} {value.imag:+.9f}i")
         _print({"real": value.real, "imag": value.imag}, args.out)

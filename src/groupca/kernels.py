@@ -9,6 +9,12 @@ additive, so the graph is built from one table per window column and one
 group addition per vertex.  The density criteria work on a level coded by
 short windows of its elements, with the shift and the rule tabulated on the
 codes from windows too.
+
+A linear rule over a prime field Z/p, whose polynomial normalized to P(0) != 0
+has degree k, has ker F^n isomorphic to Z/p[x]/(P^n) as a module over the
+shift, which acts as x.  Its sizes, periods and both density criteria then
+follow from the factorization of P, without enumerating a level
+(`_KernelModule`).  Reading a level's elements still enumerates it.
 """
 
 from __future__ import annotations
@@ -17,9 +23,10 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
-from .automata import CellularAutomaton, compose, letters
+from .automata import CellularAutomaton, as_laurent, compose, letters
 from .configs import PeriodicConfig, Word
 from .groups import (
     CapExceeded,
@@ -32,6 +39,7 @@ from .groups import (
     closure_set,
     enumerate_subgroups,
 )
+from .modular import MAX_FACTOR_DEGREE, _x_order, factor_mod_p
 
 DEFAULT_KERNEL_CAP = 1 << 16
 DEFAULT_M_MAX = 4
@@ -237,14 +245,87 @@ def _level(elements: Iterable[PeriodicConfig]) -> KernelLevel:
     return KernelLevel(elements, period)
 
 
+@dataclass(frozen=True)
+class _KernelModule:
+    """The kernel levels of a linear rule over Z/p as the modules
+    Z/p[x]/(P^n), with P = prod f_i^(e_i) over monic irreducibles f_i
+    (`factors`, as pairs (f_i, e_i)).
+    """
+
+    p: int
+    k: int
+    factors: tuple[tuple[tuple[int, ...], int], ...]
+
+    @property
+    def multiplicities(self) -> tuple[int, ...]:
+        return tuple(e for _, e in self.factors)
+
+    @cached_property
+    def order(self) -> int:
+        """The x-order of P's squarefree part: the lcm of the orders of x
+        modulo each f_i (Lidl & Niederreiter, Finite Fields, Thm 3.8-3.9)."""
+        return math.lcm(*(_x_order(f, self.p) for f, _ in self.factors))
+
+    def size(self, n: int) -> int:
+        return self.p ** (self.k * n)
+
+    def levels_within(self, cap: int) -> int:
+        """The deepest level n with size(n) <= cap (0 if none above 0)."""
+        n = 0
+        while self.size(n + 1) <= cap:
+            n += 1
+        return n
+
+    def period(self, n: int) -> int:
+        """The order of x modulo P^n: `order` times the least power of p
+        that is at least n times the largest multiplicity."""
+        if n == 0:
+            return 1
+        power = 1
+        while power < n * max(self.multiplicities):
+            power *= self.p
+        return self.order * power
+
+    @property
+    def condition4_m(self) -> int | None:
+        """Where the boundary search succeeds.  The subgroup d generates is
+        the ideal of gcd(d, P^n), so with one factor f^e it is found at m = 0
+        if e = 1 and at m = 1 otherwise; with two or more factors, the
+        product of the other factors' full powers fails at every m."""
+        if len(self.multiplicities) > 1:
+            return None
+        return 0 if self.multiplicities[0] == 1 else 1
+
+    @property
+    def proper_ideals(self) -> int:
+        """Shift-invariant subgroups of level 1 other than 0 and itself: the
+        ideals of Z/p[x]/(P), one per monic divisor of P."""
+        return math.prod(e + 1 for e in self.multiplicities) - 2
+
+
+def _kernel_module(F: CellularAutomaton, cap: int) -> _KernelModule | None:
+    """The closed form of F's kernel tower: F linear over a prime field, with
+    smallest-neighborhood width k in 1..MAX_FACTOR_DEGREE and |A|^k within
+    cap (else level 1 is over the cap anyway).  None for every other rule."""
+    if not F.is_linear or F.alphabet.rank != 1:
+        return None
+    p = F.alphabet.moduli[0]
+    r, s = F.smallest_neighborhood().neighborhood
+    k = s - r
+    if not (1 <= k <= MAX_FACTOR_DEGREE and p**k <= cap and _is_prime(p)):
+        return None
+    return _KernelModule(p, k, factor_mod_p(as_laurent(F)).factors)
+
+
 class KernelTower:
     """The kernel levels ker F^n of one automaton, n = 0, 1, ...
 
     Level n is enumerated on its first request, from F^n composed as F^(n-1)
-    then F, and kept; so is its window code for the density criteria.
-    `depth` is the deepest level computed so far.  A tower made by `restrict`
-    holds levels filtered by a subgroup shift (`sigma`): it cannot grow, and
-    the density criteria refuse it.
+    then F, and kept; so is its window code for the density criteria.  Sizes
+    and periods come from `module` when the rule has a closed form.  `depth`
+    is the deepest level computed so far.  A tower made by `restrict` holds
+    levels filtered by a subgroup shift (`sigma`): it cannot grow, and the
+    density criteria refuse it.
     """
 
     def __init__(self, automaton: CellularAutomaton, cap: int = DEFAULT_KERNEL_CAP) -> None:
@@ -252,18 +333,24 @@ class KernelTower:
         self.cap = cap
         self.sigma: SubgroupShiftSpec | None = None
         self._levels: list[KernelLevel] = []
+        self._closed_depth = -1  # deepest level whose size `module` gave
         self._coded: dict[int, _CodedLevel] = {}
         self._rule: CellularAutomaton | None = None
         self._power: CellularAutomaton | None = None  # F^depth, for depth >= 1
 
+    @cached_property
+    def module(self) -> _KernelModule | None:
+        """The closed form of the unrestricted levels, if the rule has one."""
+        return None if self.sigma is not None else _kernel_module(self.automaton, self.cap)
+
     @property
     def depth(self) -> int:
-        return len(self._levels) - 1
+        return max(len(self._levels) - 1, self._closed_depth)
 
     def level(self, n: int) -> KernelLevel:
         if n < 0:
             raise ValueError("kernel level must be >= 0")
-        while self.depth < n:
+        while len(self._levels) <= n:
             if self.sigma is not None:
                 raise ValueError(f"a restricted tower holds levels 0..{self.depth} only")
             if self._rule is None:
@@ -276,12 +363,30 @@ class KernelTower:
             self._levels.append(_level(elements))
         return self._levels[n]
 
+    def _reach(self, n: int) -> _KernelModule:
+        """`module`, once levels up to n pass the cap that enumerating them
+        would check, in the same order and with the same error."""
+        if n < 0:
+            raise ValueError("kernel level must be >= 0")
+        module = self.module
+        for m in range(self._closed_depth + 1, n + 1):
+            if module.size(m) > self.cap:
+                raise CapExceeded(
+                    f"kernel seed space |A|^{module.k * m} exceeds cap {self.cap}"
+                )
+            self._closed_depth = m
+        return module
+
     def size(self, n: int) -> int:
-        return self.level(n).size
+        if self.module is None:
+            return self.level(n).size
+        return self._reach(n).size(n)
 
     def period(self, n: int) -> int:
         """p_n, the smallest common shift period of level n."""
-        return self.level(n).period
+        if self.module is None:
+            return self.level(n).period
+        return self._reach(n).period(n)
 
     def restricted_level(self, n: int, sigma: SubgroupShiftSpec | None) -> KernelLevel:
         """The elements of level n that lie in sigma (None: the full shift)."""
@@ -297,24 +402,33 @@ class KernelTower:
 
 def tower(F: CellularAutomaton, N: int, cap: int = DEFAULT_KERNEL_CAP) -> KernelTower:
     """Kernel tower with levels 0..N, with the structural invariants checked:
-    nesting, the size law for bipermutative rules, and period divisibility."""
+    nesting, the size law for bipermutative rules, and period divisibility.
+
+    On the closed form, nesting holds by construction, and the periods must
+    also satisfy p_n | |A|^k p_(n-1) for n >= 2."""
     if N < 0:
         raise ValueError(f"kernel tower depth must be >= 0, got {N}")
     tw = KernelTower(F, cap)
-    levels = [tw.level(n) for n in range(N + 1)]
+    sizes = [tw.size(n) for n in range(N + 1)]
+    periods = [tw.period(n) for n in range(N + 1)]
     small = F.smallest_neighborhood()
     bipermutative = small.permutativity().bipermutative
     width = small.neighborhood[1] - small.neighborhood[0]
     prev: set[PeriodicConfig] = set()
-    for n, lvl in enumerate(levels):
-        members = set(lvl.elements)
-        if not prev <= members:
-            raise AssertionError(f"kernel level {n} does not contain level {n - 1}")
-        if bipermutative and lvl.size != F.alphabet.order ** (width * n):
+    for n in range(N + 1):
+        if tw.module is None:
+            members = set(tw.level(n).elements)
+            if not prev <= members:
+                raise AssertionError(f"kernel level {n} does not contain level {n - 1}")
+            prev = members
+        if bipermutative and sizes[n] != F.alphabet.order ** (width * n):
             raise AssertionError(f"kernel level {n} violates the size law")
-        if n >= 1 and lvl.period % levels[n - 1].period != 0:
+        if n >= 1 and periods[n] % periods[n - 1] != 0:
             raise AssertionError(f"period p_{n} not a multiple of p_{n - 1}")
-        prev = members
+        if tw.module is not None and n >= 2 and (
+            F.alphabet.order**width * periods[n - 1] % periods[n] != 0
+        ):
+            raise AssertionError(f"period p_{n} does not divide |A|^{width} p_{n - 1}")
     return tw
 
 
@@ -495,9 +609,11 @@ class _CodedLevel:
     x -> x.window(0, l) is a homomorphism.  At the smallest l where the
     windows are distinct it is an isomorphism onto its image in A^l, so
     subgroups are closed over short residue tuples, with the shift and the
-    rule tabulated on the codes.  Both tables are read off windows of each
-    element: the shift's code is x.window(1, l), and the rule's is the rule
-    slid over x.window(r, l+w-1), l local evaluations per element.
+    rule tabulated on the codes.  Both tables are read off windows: the
+    shift's code of x is x.window(1, l).  A level is a union of whole shift
+    orbits and the rule commutes with the shift, so the rule is applied once
+    per orbit, to one element x, and F(shift^t x) is coded by the window of
+    F(x) at t: one local evaluation per element.
     """
 
     def __init__(self, F: CellularAutomaton, elements: tuple[PeriodicConfig, ...]) -> None:
@@ -509,12 +625,16 @@ class _CodedLevel:
             ell += 1
         self.ell = ell
         self.group = F.alphabet.power(ell)
-        r = F.neighborhood[0]
-        span = ell + F.width - 1
         self.shift = {self.code(x): _flat(x.window(1, ell)) for x in elements}
-        self.rule = {
-            self.code(x): _flat(F.apply_window(x.window(r, span))) for x in elements
-        }
+        self.rule: dict[Element, Element] = {}
+        for x in elements:
+            c = self.code(x)
+            if c in self.rule:
+                continue
+            image = F.apply_periodic(x)
+            for t in range(x.period):
+                self.rule[c] = _flat(image.window(t, ell))
+                c = self.shift[c]
 
     def code(self, x: PeriodicConfig) -> Element:
         return _window_code(x, self.ell)
@@ -532,6 +652,20 @@ class _CodedLevel:
             cap=cap,
             additive_operators=True,
         )
+
+    def generates(self, target: set[Element], seeds: Iterable[Element],
+                  cap: int) -> dict[Element, bool]:
+        """Whether each seed generates a subgroup containing target.  Every
+        shift of a seed generates the same subgroup, so a shift orbit shares
+        one closure; the verdicts of the whole orbit are returned too."""
+        verdicts: dict[Element, bool] = {}
+        for c in seeds:
+            if c not in verdicts:
+                ok = target <= self.generated(c, cap)
+                while c not in verdicts:
+                    verdicts[c] = ok
+                    c = self.shift[c]
+        return verdicts
 
 
 def _flat(word: Word) -> Element:
@@ -578,29 +712,33 @@ def condition4_search(
     subgroup (closed under rule and shift) containing the whole first level.
 
     F may be a kernel tower, whose levels are read and extended under its own
-    cap; `cap` then bounds each closure only."""
+    cap; `cap` then bounds each closure only.  On a tower with a closed form
+    and the full shift, a found m is read off the factorization.  Otherwise
+    the search fails at every m up to m_max, and only m = m_max, where the
+    failures are taken, is enumerated.  Where a closure could exceed `cap`,
+    every m is enumerated as on any other tower."""
     tw = _unrestricted(F, cap)
+    sigma = subgroup_shift_on(sigma, tw.automaton.alphabet)
+    module = tw.module if isinstance(sigma, FullShift) else None
+    start = 0
+    if module is not None and m_max >= 0:
+        m = module.condition4_m
+        found = m is not None and m <= m_max
+        last = m + 1 if found else m_max + 1  # the deepest level the search reads
+        if min(last, module.levels_within(tw.cap)) <= module.levels_within(cap):
+            tw.size(last)  # the cap checks of the levels the search reads
+            if found:
+                return Condition4Result(True, m, m_max)
+            start = m_max
     d1 = tw.restricted_level(1, sigma).elements
-    lower = set(tw.level(0).elements)
+    lower = set(tw.level(start).elements)
     failures: list[PeriodicConfig] = []
-    for m in range(m_max + 1):
+    for m in range(start, m_max + 1):
         lvl = tw.coded(m + 1)
-        target = {lvl.code(x) for x in d1}
-        verdicts: dict[Element, bool] = {}
-        failures = []
-        for d in tw.restricted_level(m + 1, sigma).elements:
-            if d in lower:
-                continue
-            c = lvl.code(d)
-            if c not in verdicts:
-                # every shift of d generates the same subgroup as d
-                ok = target <= lvl.generated(c, cap)
-                s = c
-                while s not in verdicts:
-                    verdicts[s] = ok
-                    s = lvl.shift[s]
-            if not verdicts[c]:
-                failures.append(d)
+        fresh = [d for d in tw.restricted_level(m + 1, sigma).elements if d not in lower]
+        verdicts = lvl.generates({lvl.code(x) for x in d1},
+                                 (lvl.code(d) for d in fresh), cap)
+        failures = [d for d in fresh if not verdicts[lvl.code(d)]]
         if not failures:
             return Condition4Result(True, m, m_max)
         lower = set(tw.level(m + 1).elements)
@@ -625,21 +763,24 @@ def corollary_ker_check(
     sigma: SubgroupShiftSpec | None = None,
     cap: int = DEFAULT_KERNEL_CAP,
 ) -> CorollaryKerResult:
-    """F may be a kernel tower, as in `condition4_search`."""
+    """F may be a kernel tower, as in `condition4_search`.  On a tower with a
+    closed form and the full shift, the invariant subgroups are counted from
+    the factorization instead of enumerated."""
     tw = _unrestricted(F, cap)
+    sigma = subgroup_shift_on(sigma, tw.automaton.alphabet)
     d1 = tw.restricted_level(1, sigma).elements
     lvl = tw.coded(1)
     codes = [lvl.code(x) for x in d1]
-    subs = enumerate_subgroups(
-        Subgroup(lvl.group, tuple(codes)), [lvl.shift.__getitem__], cap=cap
-    )
-    proper = sum(1 for s in subs if 1 < len(s) < len(d1))
-    full = set(codes)
-    gen_data = tuple(
-        (d, full <= lvl.generated(c, cap))
-        for d, c in zip(d1, codes)
-        if not d.is_zero
-    )
+    if isinstance(sigma, FullShift) and tw.module is not None and len(d1) <= cap:
+        proper = tw.module.proper_ideals
+    else:
+        subs = enumerate_subgroups(
+            Subgroup(lvl.group, tuple(codes)), [lvl.shift.__getitem__], cap=cap
+        )
+        proper = sum(1 for s in subs if 1 < len(s) < len(d1))
+    nonzero = [(d, c) for d, c in zip(d1, codes) if not d.is_zero]
+    verdicts = lvl.generates(set(codes), (c for _, c in nonzero), cap)
+    gen_data = tuple((d, verdicts[c]) for d, c in nonzero)
     return CorollaryKerResult(proper == 0, proper, gen_data)
 
 

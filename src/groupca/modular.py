@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from .automata import CellularAutomaton, LaurentPoly, as_laurent, linear_ca, power
 from .groups import CapExceeded, GroupSpec, _gl_order, _is_prime, _prime_factors
-from .kernels import kernel_elements
 
 MAX_FACTOR_DEGREE = 8
 
@@ -149,6 +148,31 @@ def _dense_pow(f: tuple[int, ...], m: int, p: int) -> tuple[int, ...]:
     return acc
 
 
+def _x_power_mod(e: int, f: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """x^e mod f, by repeated squaring."""
+    acc = (1,)
+    base = _dense_divmod((0, 1), f, p)[1]
+    while e:
+        if e & 1:
+            acc = _dense_divmod(_dense_mul(acc, base, p), f, p)[1]
+        base = _dense_divmod(_dense_mul(base, base, p), f, p)[1]
+        e >>= 1
+    return acc
+
+
+def _x_order(f: tuple[int, ...], p: int) -> int:
+    """Multiplicative order of x modulo a monic irreducible f with f(0) != 0.
+
+    It divides p^deg(f) - 1, the unit count of the field Z/p[x]/(f), so it
+    is found by dividing out prime factors of that bound.
+    """
+    order = p ** (len(f) - 1) - 1
+    for ell in _prime_factors(order):
+        while order % ell == 0 and _x_power_mod(order // ell, f, p) == (1,):
+            order //= ell
+    return order
+
+
 @dataclass(frozen=True)
 class Factorization:
     """Factorization of a Laurent polynomial over a prime field.
@@ -236,6 +260,8 @@ def factor_mod_p(poly: LaurentPoly | dict, p: int | None = None) -> Factorizatio
 def kernel_direct_sum_check(F: CellularAutomaton, n: int, cap: int = 1 << 14) -> bool:
     """Check that the n-th kernel splits as the direct sum of the kernels of
     the coprime factor powers: sizes multiply and the sum map is bijective."""
+    from .kernels import kernel_elements  # kernels imports this module
+
     _scalar_coeffs(F)  # shape validation
     p = F.alphabet.moduli[0]
     if not _is_prime(p):

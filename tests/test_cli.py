@@ -510,3 +510,50 @@ def test_bundled_ca_name_in_a_nested_measure_spec(tmp_path, capsys):
     assert ("measure.components[1].measure.ca: unknown bundled example 'no_such_rule'"
             in err)
     assert out == ""
+
+
+def test_non_integer_spec_fields_are_spec_errors(tmp_path, capsys):
+    push = {"type": "pushforward", "base": UNIFORM_Z2, "ca": "id_plus_sigma_z2"}
+    for field, value in (("f_power", "x"), ("shift", 1.5), ("f_power", -1)):
+        code, out, err = _prob_output(tmp_path, capsys, {**push, field: value}, "[[0]]")
+        assert code == 2
+        assert f"spec error: measure.{field}: expected an integer" in err
+    sigma = tmp_path / "phase.json"
+    sigma.write_text(json.dumps({
+        "type": "product", "alphabet": {"moduli": [2]}, "grouping": 1,
+        "block": [[0], [1]], "phase": "a",
+    }))
+    assert run(["kernel", "--ca", "id_plus_sigma_z2", "--levels", "2",
+                "--sigma", str(sigma)]) == 2
+    assert "spec error: sigma.phase: expected an integer, got 'a'" in capsys.readouterr().err
+
+
+def test_repeated_entries_are_spec_errors(tmp_path, capsys):
+    twice = {"type": "bernoulli", "alphabet": {"moduli": [2]}, "weights": [
+        {"letter": [0], "num": 1, "den": 1},
+        {"letter": [0], "num": 1, "den": 1},
+    ]}
+    code, _, err = _prob_output(tmp_path, capsys, twice, "[[0]]")
+    assert code == 2
+    assert ("measure.weights[1].letter: repeated letter, first listed at "
+            "measure.weights[0].letter") in err
+    entries = [{"window": [[a], [b]], "value": [(a + b) % 2]} for a in (0, 1) for b in (0, 1)]
+    bad = tmp_path / "table.json"
+    bad.write_text(json.dumps({
+        "alphabet": {"moduli": [2]},
+        "neighborhood": [0, 1],
+        "rule": {"type": "table", "entries": entries + [{"window": [[0], [1]], "value": [0]}]},
+    }))
+    assert run(["analyze", "--ca", str(bad)]) == 2
+    assert ("ca.rule.entries[4].window: repeated window, first listed at "
+            "ca.rule.entries[1].window") in capsys.readouterr().err
+
+
+def test_letter_arguments_name_the_flag(tmp_path, capsys):
+    code, _, err = _prob_output(tmp_path, capsys, UNIFORM_Z2, "[[0,1]]")
+    assert code == 2
+    assert "spec error: --word[0]: letter must list 1 residues" in err
+    path = tmp_path / "measure.json"
+    assert run(["measure", "char", "--measure", str(path), "--character", '{"0":[1,1]}']) == 2
+    assert "spec error: --character.0: letter must list 1 residues" in capsys.readouterr().err
+    assert run(["measure", "char", "--measure", str(path), "--character", '{"0":[1]}']) == 0

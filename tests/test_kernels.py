@@ -635,3 +635,123 @@ def test_walking_a_level_evaluates_each_column_once(monkeypatch, name):
         tw.level(n)
         monkeypatch.undo()
         assert len(calls) == F.alphabet.order * (w * n + 1), n
+
+
+def test_coding_a_level_evaluates_the_rule_once_per_element(monkeypatch):
+    # the rule is applied once per shift orbit and read at each rotation, so a
+    # coded level costs one local evaluation per element, not one per letter
+    # of the window code
+    for F in BIPERMUTATIVE.values():
+        for n in (1, 2, 3):
+            tw = KernelTower(F)
+            tw.level(n)
+            calls = []
+            local = CellularAutomaton.local
+
+            def spy(self, window):
+                calls.append(window)
+                return local(self, window)
+
+            monkeypatch.setattr(CellularAutomaton, "local", spy)
+            lvl = tw.coded(n)
+            monkeypatch.undo()
+            assert lvl.ell >= 2 or n == 1
+            assert len(calls) == tw.level(n).size, (F, n)
+
+
+# -- the closed form over prime fields against enumeration --------------------
+
+
+Z7 = GroupSpec((7,))
+# the widest rule drawn per field: a table rule is checked for additivity over
+# all pairs of windows, |A|^(2k+2) sums
+_MAX_CLOSED_WIDTH = {Z2: 4, Z3: 3, Z5: 2, Z7: 1}
+
+
+@st.composite
+def _closed_form_cases(draw):
+    group = draw(st.sampled_from(sorted(_MAX_CLOSED_WIDTH, key=lambda g: g.order)))
+    p = group.order
+    k = draw(st.integers(1, _MAX_CLOSED_WIDTH[group]))
+    unit = st.integers(1, p - 1)
+    coeffs = [draw(unit)] + draw(st.lists(st.integers(0, p - 1), min_size=k - 1,
+                                          max_size=k - 1)) + [draw(unit)]
+    r = draw(st.integers(-2, 0))
+    F = linear_ca(group, {r + i: c for i, c in enumerate(coeffs)}, neighborhood=(r, r + k))
+    return F, draw(st.integers(1, 3)), draw(st.integers(0, 2)), draw(st.integers(1, 300))
+
+
+def _tower_values(F, N, cap):
+    try:
+        tw = tower(F, N, cap)
+    except CapExceeded as exc:
+        return type(exc)
+    assert tw.depth == N
+    return [tw.size(n) for n in range(N + 1)], [tw.period(n) for n in range(N + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_closed_form_cases())
+# repeated factors: (1+x)^2 and (1+x)^4 over Z/2, (1+x)^3 over Z/3
+@example((linear_ca(Z2, {0: 1, 2: 1}), 3, 2, 300))
+@example((linear_ca(Z2, {-2: 1, 2: 1}), 2, 1, 300))
+@example((linear_ca(Z3, {0: 1, 3: 1}), 2, 0, 300))
+# distinct factors: (1+x)(1+x+x^2) over Z/2, (x+1)(x+2) over Z/5, x^2-1 over Z/7
+@example((linear_ca(Z2, {0: 1, 3: 1}), 2, 2, 300))
+@example((linear_ca(Z5, {-1: 2, 0: 3, 1: 1}), 2, 1, 300))
+@example((linear_ca(Z7, {0: 6, 2: 1}), 2, 1, 60))
+# irreducible of degree 4 over Z/2, whose x-order is 5
+@example((linear_ca(Z2, {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}), 3, 2, 300))
+# the cap admits level 1 only
+@example((linear_ca(Z3, {0: 1, 2: 2}), 3, 2, 9))
+def test_closed_form_matches_enumeration_of_the_table_form(case):
+    F, N, m_max, cap = case
+    T = table_from_rule(F.alphabet, F.neighborhood, F.local)
+    if F.alphabet.order ** (F.width - 1) <= cap:
+        assert KernelTower(F, cap).module is not None
+    assert KernelTower(T, cap).module is None
+    assert _tower_values(F, N, cap) == _tower_values(T, N, cap)
+    table_tower = KernelTower(T, cap)
+    assert (_outcome(condition4_search, F, None, m_max, cap)
+            == _outcome(condition4_search, table_tower, None, m_max, cap))
+    assert (_outcome(corollary_ker_check, F, FullShift(F.alphabet), cap)
+            == _outcome(corollary_ker_check, table_tower, None, cap))
+    # towers under a larger cap than the criteria's closures
+    wide, wide_table = KernelTower(F, 1 << 9), KernelTower(T, 1 << 9)
+    assert (_outcome(condition4_search, wide, None, m_max, cap)
+            == _outcome(condition4_search, wide_table, None, m_max, cap))
+    assert (_outcome(corollary_ker_check, wide, None, cap)
+            == _outcome(corollary_ker_check, wide_table, None, cap))
+
+
+def test_closed_form_walks_no_level(monkeypatch):
+    import groupca.kernels as kernels
+
+    walks = []
+    scc = kernels._strongly_connected_components
+
+    def spy(graph):
+        walks.append(len(graph))
+        return scc(graph)
+
+    monkeypatch.setattr(kernels, "_strongly_connected_components", spy)
+    for F, m in ((F_xor, 0), (F_dist2, 1), (linear_ca(Z3, {-1: 1, 1: 1}), 0),
+                 (linear_ca(Z5, {0: 1, 1: 2}), 0)):
+        tw = tower(F, 2)
+        assert walks == []
+        res = condition4_search(F, m_max=3)
+        assert res.found and res.m == m
+        assert walks == []
+        # depths far beyond what enumeration reaches, under a cap that admits them
+        tw = tower(F, 12, cap=10**40)
+        assert tw.depth == 12
+        assert tw.size(12) == F.alphabet.order ** (12 * (F.width - 1))
+        assert tw.period(12) % tw.period(11) == 0
+    # a failing search whose depth is past the cap raises as enumeration would,
+    # at the first level over the cap, before walking any level
+    with pytest.raises(CapExceeded, match=r"\|A\|\^18 exceeds cap 65536"):
+        condition4_search(linear_ca(Z2, {0: 1, 3: 1}), m_max=10**9)
+    assert walks == []
+    # reading elements still enumerates
+    assert tower(F_xor, 2).level(2).size == 4
+    assert walks
