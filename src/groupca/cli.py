@@ -69,11 +69,22 @@ def _expect_key(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _is_int(obj) -> bool:
+    """A JSON integer: JSON's true and false are not integers."""
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
+def _expect_list(obj, path: str, what: str) -> list:
+    if not isinstance(obj, list):
+        _fail(path, f"expected a list of {what}")
+    return obj
+
+
 def _load_fraction(obj, path: str) -> Fraction:
-    if isinstance(obj, int):
+    if _is_int(obj):
         return Fraction(obj)
     if isinstance(obj, dict) and "num" in obj and "den" in obj:
-        if not all(isinstance(obj[k], int) for k in ("num", "den")):
+        if not all(_is_int(obj[k]) for k in ("num", "den")):
             _fail(path, "num and den must be integers")
         if obj["den"] == 0:
             _fail(path, "zero denominator")
@@ -86,13 +97,13 @@ def _load_group(obj, path: str) -> GroupSpec:
     if not isinstance(moduli, list) or not moduli:
         _fail(f"{path}.moduli", "expected a nonempty list of integers")
     for i, d in enumerate(moduli):
-        if not isinstance(d, int) or d < 2:
+        if not _is_int(d) or d < 2:
             _fail(f"{path}.moduli[{i}]", f"modulus must be an integer >= 2, got {d!r}")
     return GroupSpec(tuple(moduli))
 
 
 def _load_int(obj, path: str, minimum: int | None = None) -> int:
-    if not isinstance(obj, int) or isinstance(obj, bool):
+    if not _is_int(obj):
         _fail(path, f"expected an integer, got {obj!r}")
     if minimum is not None and obj < minimum:
         _fail(path, f"expected an integer >= {minimum}, got {obj}")
@@ -102,7 +113,7 @@ def _load_int(obj, path: str, minimum: int | None = None) -> int:
 def _load_letter(obj, alphabet: GroupSpec, path: str):
     if not isinstance(obj, list) or len(obj) != alphabet.rank:
         _fail(path, f"letter must list {alphabet.rank} residues")
-    if not all(isinstance(e, int) for e in obj):
+    if not all(_is_int(e) for e in obj):
         _fail(path, "letter residues must be integers")
     return alphabet.element(obj)
 
@@ -114,9 +125,10 @@ def _first_listing(seen: dict, key, path: str, what: str) -> None:
     seen[key] = path
 
 
-def _is_int_matrix(obj) -> bool:
-    return isinstance(obj, list) and all(
-        isinstance(row, list) and all(isinstance(m, int) for m in row) for row in obj
+def _is_int_matrix(obj, rank: int) -> bool:
+    return isinstance(obj, list) and len(obj) == rank and all(
+        isinstance(row, list) and len(row) == rank and all(_is_int(m) for m in row)
+        for row in obj
     )
 
 
@@ -126,7 +138,7 @@ def load_ca(obj, path: str = "ca") -> CellularAutomaton:
         obj = _bundled_of_kind(obj, path, "an automaton")
     alphabet = _load_group(_expect_key(obj, "alphabet", path), f"{path}.alphabet")
     nbhd = _expect_key(obj, "neighborhood", path)
-    if not (isinstance(nbhd, list) and len(nbhd) == 2 and all(isinstance(v, int) for v in nbhd)):
+    if not (isinstance(nbhd, list) and len(nbhd) == 2 and all(_is_int(v) for v in nbhd)):
         _fail(f"{path}.neighborhood", "expected [r, s] integers")
     r, s = nbhd
     if r > s:
@@ -145,18 +157,20 @@ def load_ca(obj, path: str = "ca") -> CellularAutomaton:
                 _fail(f"{path}.rule.coeffs.{key}", "offset keys must be integers")
             if not r <= u <= s:
                 _fail(f"{path}.rule.coeffs.{key}", f"offset outside [{r},{s}]")
-            if not (isinstance(value, int) or _is_int_matrix(value)):
-                _fail(f"{path}.rule.coeffs.{key}", "expected an integer or a matrix of integers")
+            if not (_is_int(value) or _is_int_matrix(value, alphabet.rank)):
+                _fail(f"{path}.rule.coeffs.{key}",
+                      f"expected an integer or a {alphabet.rank}x{alphabet.rank} matrix of integers")
             coeffs[u] = value
-        constant = rule.get("constant")
-        if constant is not None:
-            constant = _load_letter(constant, alphabet, f"{path}.rule.constant")
+        constant = None
+        if "constant" in rule:
+            constant = _load_letter(rule["constant"], alphabet, f"{path}.rule.constant")
         try:
             return linear_ca(alphabet, coeffs, constant=constant, neighborhood=(r, s))
         except ValueError as exc:
             _fail(f"{path}.rule", str(exc))
     if kind == "table":
-        entries = _expect_key(rule, "entries", f"{path}.rule")
+        entries = _expect_list(_expect_key(rule, "entries", f"{path}.rule"),
+                               f"{path}.rule.entries", "{window, value} entries")
         width = s - r + 1
         table = {}
         listed: dict = {}
@@ -191,7 +205,8 @@ def load_sigma(obj, path: str = "sigma"):
     if kind == "product":
         alphabet = _load_group(_expect_key(obj, "alphabet", path), f"{path}.alphabet")
         t = _load_int(_expect_key(obj, "grouping", path), f"{path}.grouping", 1)
-        block_obj = _expect_key(obj, "block", path)
+        block_obj = _expect_list(_expect_key(obj, "block", path), f"{path}.block",
+                                 "letters of the grouped alphabet")
         ambient = alphabet.power(t)
         elements = tuple(
             _load_letter(b, ambient, f"{path}.block[{i}]")
@@ -218,11 +233,10 @@ def load_measure(obj, path: str = "measure"):
         alphabet = _load_group(_expect_key(obj, "alphabet", path), f"{path}.alphabet")
         if "weights" not in obj:
             return Bernoulli.uniform(alphabet)
-        if not isinstance(obj["weights"], list):
-            _fail(f"{path}.weights", "expected a list of {letter, num, den} entries")
         weights = {}
         listed: dict = {}
-        for i, entry in enumerate(obj["weights"]):
+        entries = _expect_list(obj["weights"], f"{path}.weights", "{letter, num, den} entries")
+        for i, entry in enumerate(entries):
             letter = _load_letter(
                 _expect_key(entry, "letter", f"{path}.weights[{i}]"),
                 alphabet, f"{path}.weights[{i}].letter",
@@ -243,7 +257,9 @@ def load_measure(obj, path: str = "measure"):
         return PushforwardMeasure(base, ca, f_power, shift)
     if kind == "mixture":
         comps = []
-        for i, entry in enumerate(obj.get("components", [])):
+        entries = _expect_list(obj.get("components", []), f"{path}.components",
+                               "{num, den, measure} entries")
+        for i, entry in enumerate(entries):
             weight = _load_fraction(entry, f"{path}.components[{i}]")
             m = load_measure(
                 _expect_key(entry, "measure", f"{path}.components[{i}]"),
@@ -256,7 +272,8 @@ def load_measure(obj, path: str = "measure"):
             _fail(f"{path}.components", str(exc))
     if kind == "periodic_orbit":
         alphabet = _load_group(_expect_key(obj, "alphabet", path), f"{path}.alphabet")
-        word = _expect_key(obj, "period_word", path)
+        word = _expect_list(_expect_key(obj, "period_word", path), f"{path}.period_word",
+                            "letters")
         letters_ = tuple(
             _load_letter(a, alphabet, f"{path}.period_word[{i}]")
             for i, a in enumerate(word)

@@ -14,7 +14,9 @@ A linear rule over a prime field Z/p, whose polynomial normalized to P(0) != 0
 has degree k, has ker F^n isomorphic to Z/p[x]/(P^n) as a module over the
 shift, which acts as x.  Its sizes, periods and both density criteria then
 follow from the factorization of P, without enumerating a level
-(`_KernelModule`).  Reading a level's elements still enumerates it.
+(`_KernelModule`).  Reading a level's elements still enumerates it.  An
+additive table rule is read as the linear rule it is (`_require_algebraic`),
+so it takes the same paths.
 """
 
 from __future__ import annotations
@@ -26,11 +28,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .automata import CellularAutomaton, as_laurent, compose, letters
+from .automata import CellularAutomaton, as_laurent, compose, letters, linear_ca
 from .configs import PeriodicConfig, Word
 from .groups import (
     CapExceeded,
     Element,
+    Endomorphism,
     GroupSpec,
     Subgroup,
     _gl_order,
@@ -54,10 +57,13 @@ class NotAlgebraicError(ValueError):
 
 
 def _require_algebraic(F: CellularAutomaton) -> CellularAutomaton:
-    """Return an endomorphism form of F, or raise.
+    """Return the linear form of F, or raise.
 
-    Linear rules pass through; affine rules must have zero constant; table
-    rules are verified to be homomorphisms window by window.
+    Linear rules pass through; affine rules must have zero constant.  An
+    additive table rule is a sum of endomorphisms c_u applied at offsets u,
+    so each c_u is read off the images of the generators of A placed alone
+    at u, and the table is compared with that linear rule on each of its
+    |A|^width windows.
     """
     if F.coeffs is not None:
         if F.constant is not None and F.constant != F.alphabet.zero:
@@ -65,21 +71,29 @@ def _require_algebraic(F: CellularAutomaton) -> CellularAutomaton:
                 "affine rule with nonzero constant has no kernel tower"
             )
         return CellularAutomaton(F.alphabet, F.neighborhood, coeffs=F.coeffs)
-    zero = F.alphabet.zero
+    alphabet = F.alphabet
+    zero = alphabet.zero
     width = F.width
-    zero_window = (zero,) * width
-    if F.table[zero_window] != zero:
+    r = F.neighborhood[0]
+    if F.table[(zero,) * width] != zero:
         raise NotAlgebraicError("table rule does not map the zero window to zero")
-    windows = list(F.table)
-    for u in windows:
-        fu = F.table[u]
-        for v in windows:
-            s = tuple(F.alphabet.add(a, b) for a, b in zip(u, v))
-            if F.table[s] != F.alphabet.add(fu, F.table[v]):
-                raise NotAlgebraicError(
-                    f"table rule is not additive at windows {u} + {v}"
-                )
-    return F
+    rank = alphabet.rank
+    generators = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    coeffs = {}
+    for u in range(width):
+        images = [F.table[(zero,) * u + (g,) + (zero,) * (width - 1 - u)]
+                  for g in generators]
+        try:
+            coeffs[r + u] = Endomorphism(alphabet, alphabet, tuple(zip(*images)))
+        except ValueError as exc:
+            raise NotAlgebraicError(
+                f"table rule is not additive at offset {r + u}: {exc}"
+            ) from None
+    linear = linear_ca(alphabet, coeffs, neighborhood=F.neighborhood)
+    for window, value in F.table.items():
+        if linear.local(window) != value:
+            raise NotAlgebraicError(f"table rule is not additive at window {window}")
+    return linear
 
 
 def _strongly_connected_components(graph: dict) -> list[list]:
@@ -304,10 +318,11 @@ class _KernelModule:
 
 
 def _kernel_module(F: CellularAutomaton, cap: int) -> _KernelModule | None:
-    """The closed form of F's kernel tower: F linear over a prime field, with
-    smallest-neighborhood width k in 1..MAX_FACTOR_DEGREE and |A|^k within
-    cap (else level 1 is over the cap anyway).  None for every other rule."""
-    if not F.is_linear or F.alphabet.rank != 1:
+    """The closed form of the kernel tower of the linear rule F: F over a
+    prime field, with smallest-neighborhood width k in 1..MAX_FACTOR_DEGREE
+    and |A|^k within cap (else level 1 is over the cap anyway).  None for
+    every other rule."""
+    if F.alphabet.rank != 1:
         return None
     p = F.alphabet.moduli[0]
     r, s = F.smallest_neighborhood().neighborhood
@@ -321,11 +336,12 @@ class KernelTower:
     """The kernel levels ker F^n of one automaton, n = 0, 1, ...
 
     Level n is enumerated on its first request, from F^n composed as F^(n-1)
-    then F, and kept; so is its window code for the density criteria.  Sizes
-    and periods come from `module` when the rule has a closed form.  `depth`
-    is the deepest level computed so far.  A tower made by `restrict` holds
-    levels filtered by a subgroup shift (`sigma`): it cannot grow, and the
-    density criteria refuse it.
+    then F, and kept; so is its window code for the density criteria.  F is
+    composed in its linear form (`rule`), so a table rule is never composed
+    as a table.  Sizes and periods come from `module` when that form has a
+    closed form.  `depth` is the deepest level computed so far.  A tower
+    made by `restrict` holds levels filtered by a subgroup shift (`sigma`):
+    it cannot grow, and the density criteria refuse it.
     """
 
     def __init__(self, automaton: CellularAutomaton, cap: int = DEFAULT_KERNEL_CAP) -> None:
@@ -335,13 +351,18 @@ class KernelTower:
         self._levels: list[KernelLevel] = []
         self._closed_depth = -1  # deepest level whose size `module` gave
         self._coded: dict[int, _CodedLevel] = {}
-        self._rule: CellularAutomaton | None = None
         self._power: CellularAutomaton | None = None  # F^depth, for depth >= 1
+
+    @cached_property
+    def rule(self) -> CellularAutomaton:
+        """The linear form of the automaton; raises NotAlgebraicError if it
+        has none."""
+        return _require_algebraic(self.automaton)
 
     @cached_property
     def module(self) -> _KernelModule | None:
         """The closed form of the unrestricted levels, if the rule has one."""
-        return None if self.sigma is not None else _kernel_module(self.automaton, self.cap)
+        return None if self.sigma is not None else _kernel_module(self.rule, self.cap)
 
     @property
     def depth(self) -> int:
@@ -353,11 +374,10 @@ class KernelTower:
         while len(self._levels) <= n:
             if self.sigma is not None:
                 raise ValueError(f"a restricted tower holds levels 0..{self.depth} only")
-            if self._rule is None:
-                self._rule = _require_algebraic(self.automaton)
-                elements = [PeriodicConfig.zero(self.automaton.alphabet)]
+            if not self._levels:
+                elements = [PeriodicConfig.zero(self.rule.alphabet)]
             else:
-                Fn = self._rule if self._power is None else compose(self._power, self._rule)
+                Fn = self.rule if self._power is None else compose(self._power, self.rule)
                 elements = _annihilated(Fn, self.cap)
                 self._power = Fn
             self._levels.append(_level(elements))
@@ -411,7 +431,7 @@ def tower(F: CellularAutomaton, N: int, cap: int = DEFAULT_KERNEL_CAP) -> Kernel
     tw = KernelTower(F, cap)
     sizes = [tw.size(n) for n in range(N + 1)]
     periods = [tw.period(n) for n in range(N + 1)]
-    small = F.smallest_neighborhood()
+    small = tw.rule.smallest_neighborhood()
     bipermutative = small.permutativity().bipermutative
     width = small.neighborhood[1] - small.neighborhood[0]
     prev: set[PeriodicConfig] = set()

@@ -1,13 +1,18 @@
 """Exit-code contracts, spec loading and report determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 import groupca
-from groupca.cli import build_parser, bundled_spec, load_sigma, main
+from groupca.cli import build_parser, bundled_spec, load_ca, load_measure, load_sigma, main
 
 
 def run(argv):
@@ -557,3 +562,126 @@ def test_letter_arguments_name_the_flag(tmp_path, capsys):
     assert run(["measure", "char", "--measure", str(path), "--character", '{"0":[1,1]}']) == 2
     assert "spec error: --character.0: letter must list 1 residues" in capsys.readouterr().err
     assert run(["measure", "char", "--measure", str(path), "--character", '{"0":[1]}']) == 0
+
+
+# -- fuzzing the spec loaders: one field of a valid spec given the wrong type ------
+
+
+_Z2 = {"moduli": [2]}
+_FUZZ_SPECS = {
+    "ca": [
+        {"alphabet": _Z2, "neighborhood": [0, 1],
+         "rule": {"type": "linear", "coeffs": {"0": 1, "1": 1}, "constant": [1]}},
+        {"alphabet": {"moduli": [2, 2]}, "neighborhood": [-1, 0],
+         "rule": {"type": "linear", "coeffs": {"-1": [[1, 0], [1, 1]], "0": 1}}},
+        {"alphabet": _Z2, "neighborhood": [0, 0], "rule": {"type": "table", "entries": [
+            {"window": [[0]], "value": [0]}, {"window": [[1]], "value": [1]}]}},
+    ],
+    "sigma": [
+        {"type": "full", "alphabet": _Z2},
+        {"type": "product", "alphabet": _Z2, "grouping": 2,
+         "block": [[0, 0], [1, 1]], "phase": 1},
+        {"type": "kernel", "ca": bundled_spec("ledrappier_kernel_sigma")["ca"]},
+    ],
+    "measure": [
+        {"type": "bernoulli", "alphabet": _Z2, "weights": [
+            {"letter": [0], "num": 1, "den": 3}, {"letter": [1], "num": 2, "den": 3}]},
+        {"type": "haar", "sigma": {"type": "product", "alphabet": _Z2, "grouping": 1,
+                                   "block": [[0], [1]]}},
+        {"type": "pushforward", "base": {"type": "bernoulli", "alphabet": _Z2},
+         "ca": "id_plus_sigma_z2", "f_power": 1, "shift": 1},
+        {"type": "mixture", "components": [
+            {"num": 1, "den": 2, "measure": {"type": "bernoulli", "alphabet": _Z2}},
+            {"num": 1, "den": 2, "measure": {
+                "type": "periodic_orbit", "alphabet": _Z2, "period_word": [[0], [1]],
+                "ca": "id_plus_sigma_z2"}},
+        ]},
+    ],
+}
+_FUZZ_ARGV = {
+    "ca": lambda path: ["kernel", "--ca", path, "--levels", "1"],
+    "sigma": lambda path: ["kernel", "--ca", "id_plus_sigma_z2", "--levels", "1",
+                           "--sigma", path],
+    "measure": lambda path: ["measure", "prob", "--measure", path, "--word", "[[0]]"],
+}
+# one value of each JSON type, integers and other numbers told apart
+_WRONG_VALUES = [None, True, 0, 2.5, "x", [], {}]
+
+
+def _json_type(value) -> str:
+    if isinstance(value, bool) or value is None:
+        return repr(value is None)
+    return type(value).__name__
+
+
+def _fields(obj, keys=()):
+    """Every field of a spec, the spec itself included, as its key path."""
+    yield keys
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from _fields(value, keys + (key,))
+
+
+def _field_path(root, keys):
+    return root + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+
+
+def _replaced(obj, keys, value):
+    if not keys:
+        return value
+    copy = dict(obj) if isinstance(obj, dict) else list(obj)
+    copy[keys[0]] = _replaced(obj[keys[0]], keys[1:], value)
+    return copy
+
+
+@st.composite
+def _malformed_specs(draw):
+    root = draw(st.sampled_from(sorted(_FUZZ_SPECS)))
+    spec = draw(st.sampled_from(_FUZZ_SPECS[root]))
+    keys = draw(st.sampled_from(list(_fields(spec))))
+    old = spec
+    for k in keys:
+        old = old[k]
+    accepted = {_json_type(old)}
+    if keys[-2:-1] == ("coeffs",):
+        accepted |= {"int", "list"}  # a coefficient is an integer or a matrix
+    value = draw(st.sampled_from([v for v in _WRONG_VALUES
+                                  if _json_type(v) not in accepted]))
+    return root, _replaced(spec, keys, value), _field_path(root, keys)
+
+
+def _on_one_path(a: str, b: str) -> bool:
+    """Whether one field path lies inside the other."""
+    short, long = sorted((a, b), key=len)
+    return long == short or long.startswith((short + ".", short + "["))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_malformed_specs())
+@example(("ca", _replaced(_FUZZ_SPECS["ca"][2], ("rule", "entries"), 5), "ca.rule.entries"))
+@example(("sigma", _replaced(_FUZZ_SPECS["sigma"][1], ("block",), 5), "sigma.block"))
+@example(("measure", _replaced(_FUZZ_SPECS["measure"][3], ("components",), 5),
+          "measure.components"))
+@example(("measure", _replaced(_FUZZ_SPECS["measure"][3],
+                               ("components", 1, "measure", "period_word"), 5),
+          "measure.components[1].measure.period_word"))
+def test_a_field_of_the_wrong_type_is_a_spec_error(tmp_path_factory, case):
+    root, spec, field = case
+    path = tmp_path_factory.mktemp("spec") / "spec.json"
+    path.write_text(json.dumps(spec))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(_FUZZ_ARGV[root](str(path)))
+    assert code == 2
+    message = err.getvalue().strip().splitlines()[-1]
+    assert message.startswith("spec error: "), message
+    named = message[len("spec error: "):].split(": ")[0]
+    assert _on_one_path(named, field), (field, message)
+
+
+def test_the_fuzzed_specs_are_valid():
+    for root, specs in _FUZZ_SPECS.items():
+        load = {"ca": load_ca, "sigma": load_sigma, "measure": load_measure}[root]
+        for spec in specs:
+            load(spec)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +27,7 @@ from groupca.kernels import (
     LinearKernelShift,
     NotAlgebraicError,
     ProductSubgroup,
+    _require_algebraic,
     _strongly_connected_components,
     boundary,
     condition4_search,
@@ -663,9 +665,9 @@ def test_coding_a_level_evaluates_the_rule_once_per_element(monkeypatch):
 
 
 Z7 = GroupSpec((7,))
-# the widest rule drawn per field: a table rule is checked for additivity over
-# all pairs of windows, |A|^(2k+2) sums
-_MAX_CLOSED_WIDTH = {Z2: 4, Z3: 3, Z5: 2, Z7: 1}
+# the widest rule drawn per field: the table form of a width-k rule has
+# |A|^(k+1) windows, each checked against its linear form
+_MAX_CLOSED_WIDTH = {Z2: 4, Z3: 3, Z5: 3, Z7: 2}
 
 
 @st.composite
@@ -690,6 +692,21 @@ def _tower_values(F, N, cap):
     return [tw.size(n) for n in range(N + 1)], [tw.period(n) for n in range(N + 1)]
 
 
+def _closed_form_outcomes(F, N, m_max, cap):
+    """The tower and both criteria of F, on new towers and on shared ones."""
+    tw, wide = KernelTower(F, cap), KernelTower(F, 1 << 9)
+    return (
+        _tower_values(F, N, cap),
+        _outcome(condition4_search, F, None, m_max, cap),
+        _outcome(corollary_ker_check, F, FullShift(F.alphabet), cap),
+        _outcome(condition4_search, tw, None, m_max, cap),
+        _outcome(corollary_ker_check, tw, None, cap),
+        # towers under a larger cap than the criteria's closures
+        _outcome(condition4_search, wide, None, m_max, cap),
+        _outcome(corollary_ker_check, wide, None, cap),
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(_closed_form_cases())
 # repeated factors: (1+x)^2 and (1+x)^4 over Z/2, (1+x)^3 over Z/3
@@ -705,23 +722,21 @@ def _tower_values(F, N, cap):
 # the cap admits level 1 only
 @example((linear_ca(Z3, {0: 1, 2: 2}), 3, 2, 9))
 def test_closed_form_matches_enumeration_of_the_table_form(case):
+    import groupca.kernels as kernels
+
     F, N, m_max, cap = case
     T = table_from_rule(F.alphabet, F.neighborhood, F.local)
+    module = KernelTower(F, cap).module
     if F.alphabet.order ** (F.width - 1) <= cap:
-        assert KernelTower(F, cap).module is not None
-    assert KernelTower(T, cap).module is None
-    assert _tower_values(F, N, cap) == _tower_values(T, N, cap)
-    table_tower = KernelTower(T, cap)
-    assert (_outcome(condition4_search, F, None, m_max, cap)
-            == _outcome(condition4_search, table_tower, None, m_max, cap))
-    assert (_outcome(corollary_ker_check, F, FullShift(F.alphabet), cap)
-            == _outcome(corollary_ker_check, table_tower, None, cap))
-    # towers under a larger cap than the criteria's closures
-    wide, wide_table = KernelTower(F, 1 << 9), KernelTower(T, 1 << 9)
-    assert (_outcome(condition4_search, wide, None, m_max, cap)
-            == _outcome(condition4_search, wide_table, None, m_max, cap))
-    assert (_outcome(corollary_ker_check, wide, None, cap)
-            == _outcome(corollary_ker_check, wide_table, None, cap))
+        assert module is not None
+    # the table form is read as the linear rule, closed form included
+    assert KernelTower(T, cap).module == module
+    # the oracle: the table form with no closed form, so every level enumerates
+    with mock.patch.object(kernels, "_kernel_module", return_value=None):
+        assert KernelTower(T, cap).module is None
+        enumerated = _closed_form_outcomes(T, N, m_max, cap)
+    assert _closed_form_outcomes(F, N, m_max, cap) == enumerated
+    assert _closed_form_outcomes(T, N, m_max, cap) == enumerated
 
 
 def test_closed_form_walks_no_level(monkeypatch):
@@ -755,3 +770,113 @@ def test_closed_form_walks_no_level(monkeypatch):
     # reading elements still enumerates
     assert tower(F_xor, 2).level(2).size == 4
     assert walks
+
+
+def test_table_towers_walk_nothing_the_closed_form_gives(monkeypatch):
+    import groupca.kernels as kernels
+
+    walks, composed = [], []
+    scc, compose = kernels._strongly_connected_components, kernels.compose
+
+    def spy_walk(graph):
+        walks.append(len(graph))
+        return scc(graph)
+
+    def spy_compose(F, G, *args):
+        composed.append((F, G))
+        return compose(F, G, *args)
+
+    monkeypatch.setattr(kernels, "_strongly_connected_components", spy_walk)
+    monkeypatch.setattr(kernels, "compose", spy_compose)
+    for F in (DUAL_F1, F_dist2, linear_ca(Z5, {0: 1, 1: 2})):
+        T = table_from_rule(F.alphabet, F.neighborhood, F.local)
+        tw = tower(T, 3)
+        assert [tw.size(n) for n in range(4)] == [tower(F, 3).size(n) for n in range(4)]
+        assert condition4_search(T).found
+    assert walks == []
+    # a Z/4 table has no closed form: its levels are walked, from powers of
+    # its linear form
+    F = linear_ca(Z4, {0: 1, 1: 1, 2: 2})
+    want = KernelTower(F).level(3)
+    walks.clear()
+    composed.clear()
+    T = table_from_rule(Z4, F.neighborhood, F.local)
+    assert KernelTower(T).level(3) == want
+    assert len(walks) == 3 and len(composed) == 2
+    assert all(F.coeffs is not None and G.coeffs is not None for F, G in composed)
+    # twelve levels of a width-3 table: composed as a table, F^10 had 2^21
+    # entries, over the table cap, and raised CapExceeded; the closed form
+    # gives them all
+    T = DUAL_TABLES[0]
+    tw = tower(T, 12, cap=2**30)
+    assert [tw.size(n) for n in range(13)] == [4**n for n in range(13)]
+    # 1+x+x^2 is irreducible with x-order 3: p_n = 3 * 2^t with 2^t >= n
+    assert [tw.period(n) for n in range(13)] == [1, 3, 6, 12, 12] + [24] * 4 + [48] * 4
+    assert len(walks) == 3
+
+
+def _additive_oracle(F):
+    """The additivity check over every pair of windows, kept as the oracle
+    for the check against the linear form."""
+    zero = F.alphabet.zero
+    if F.table[(zero,) * F.width] != zero:
+        raise NotAlgebraicError("table rule does not map the zero window to zero")
+    for u in F.table:
+        for v in F.table:
+            s = tuple(F.alphabet.add(a, b) for a, b in zip(u, v))
+            if F.table[s] != F.alphabet.add(F.table[u], F.table[v]):
+                raise NotAlgebraicError(f"table rule is not additive at windows {u} + {v}")
+    return F
+
+
+Z2xZ4 = GroupSpec((2, 4))
+
+
+def _endomorphisms(group):
+    """Matrices of endomorphisms: entry (j, i) maps Z/d_i into Z/d_j."""
+    d = group.moduli
+    return st.tuples(*(
+        st.tuples(*(st.sampled_from([m for m in range(d[j]) if m * d[i] % d[j] == 0])
+                    for i in range(group.rank)))
+        for j in range(group.rank)
+    ))
+
+
+@st.composite
+def _table_forms(draw):
+    group = draw(st.sampled_from([Z2, Z3, Z4, Z2xZ2, Z2xZ4]))
+    widest = max(w for w in range(3) if group.order ** (w + 1) <= 64)
+    w = draw(st.integers(0, widest))
+    r = draw(st.integers(-1, 0))
+    coeffs = draw(st.lists(_endomorphisms(group), min_size=w + 1, max_size=w + 1))
+    F = linear_ca(group, {r + i: c for i, c in enumerate(coeffs)}, neighborhood=(r, r + w))
+    T = table_from_rule(group, F.neighborhood, F.local)
+    window = draw(st.sampled_from(sorted(T.table)))
+    value = draw(st.sampled_from(letters(group)))
+    return F, T, CellularAutomaton(group, T.neighborhood, table={**T.table, window: value})
+
+
+def _rejects(check, F):
+    try:
+        check(F)
+    except NotAlgebraicError:
+        return True
+    return False
+
+
+@settings(max_examples=80, deadline=None)
+@given(_table_forms())
+def test_additive_tables_read_as_their_linear_rule(case):
+    F, T, changed = case
+    assert _require_algebraic(T) == _require_algebraic(F)
+    assert _rejects(_require_algebraic, changed) == _rejects(_additive_oracle, changed)
+
+
+def test_a_column_that_is_no_homomorphism_is_not_algebraic():
+    # column 0 sends (1,0), of order 2, to (0,1), of order 4
+    T = table_from_rule(Z2xZ4, (0, 1), lambda w: (w[1][0], (w[0][0] + w[1][1]) % 4))
+    assert _rejects(_additive_oracle, T)
+    with pytest.raises(NotAlgebraicError, match="offset 0: entry 1: not a homomorphism"):
+        _require_algebraic(T)
+    with pytest.raises(NotAlgebraicError):
+        tower(T, 1)
