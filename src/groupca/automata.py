@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -33,6 +34,38 @@ def _coerce_endo(alphabet: GroupSpec, value) -> Endomorphism:
     if isinstance(value, int):
         return Endomorphism.scalar(alphabet, value)
     return Endomorphism(alphabet, alphabet, tuple(tuple(row) for row in value))
+
+
+def _product_terms(group: GroupSpec, f_terms: Mapping[int, Endomorphism],
+                   g_terms: Mapping[int, Endomorphism]) -> dict[int, Endomorphism]:
+    """Nonzero terms, by offset, of (sum_u f_u s^u)(sum_v g_v s^v).
+
+    Matrix entry (j, i) of each side is an integer polynomial in the shift;
+    the product's entry sums their products over k with plain integers, and
+    each surviving offset is reduced once.  Equal reduced matrices share one
+    Endomorphism."""
+    rank = group.rank
+
+    def entries(terms: Mapping[int, Endomorphism]) -> list[list[dict[int, int]]]:
+        return [[{u: f.matrix[j][i] for u, f in terms.items() if f.matrix[j][i]}
+                 for i in range(rank)] for j in range(rank)]
+
+    P, Q = entries(f_terms), entries(g_terms)
+    prod = [[defaultdict(int) for _ in range(rank)] for _ in range(rank)]
+    for j, i, k in itertools.product(range(rank), repeat=3):
+        acc = prod[j][i]
+        for u, a in P[j][k].items():
+            for v, b in Q[k][i].items():
+                acc[u + v] += a * b
+    made: dict[tuple, Endomorphism] = {}
+    terms = {}
+    for w in sorted(set().union(*(e for row in prod for e in row))):
+        rows = tuple(tuple(e.get(w, 0) % d for e in row) for row, d in zip(prod, group.moduli))
+        if any(map(any, rows)):
+            if rows not in made:
+                made[rows] = Endomorphism(group, group, rows)
+            terms[w] = made[rows]
+    return terms
 
 
 @dataclass(frozen=True)
@@ -69,12 +102,7 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if other.group != self.group:
             raise ValueError("alphabet mismatch")
-        acc: dict[int, Endomorphism] = {}
-        for u, f in self.terms.items():
-            for v, g in other.terms.items():
-                fg = f.compose(g)
-                acc[u + v] = acc[u + v] + fg if u + v in acc else fg
-        return LaurentPoly(self.group, acc)
+        return LaurentPoly(self.group, _product_terms(self.group, self.terms, other.terms))
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -367,16 +395,6 @@ def identity_ca(alphabet: GroupSpec) -> CellularAutomaton:
 # -- composition --------------------------------------------------------------
 
 
-def _constant_image(F: CellularAutomaton, c: Element) -> Element:
-    """Image letter of the constant configuration c under an affine CA."""
-    acc = F.alphabet.zero
-    for f in F.coeffs.values():
-        acc = F.alphabet.add(acc, f(c))
-    if F.constant is not None:
-        acc = F.alphabet.add(acc, F.constant)
-    return acc
-
-
 def compose(F: CellularAutomaton, G: CellularAutomaton,
             cap: int = DEFAULT_TABLE_CAP) -> CellularAutomaton:
     """The CA x -> F(G(x)); linear rules compose through their polynomials."""
@@ -385,18 +403,17 @@ def compose(F: CellularAutomaton, G: CellularAutomaton,
     rF, sF = F.neighborhood
     rG, sG = G.neighborhood
     if F.coeffs is not None and G.coeffs is not None:
-        poly = LaurentPoly(F.alphabet, F.coeffs) * LaurentPoly(G.alphabet, G.coeffs)
-        const = None
+        A = F.alphabet
+        # F applied to the constant configuration G.constant, plus F.constant
+        const = A.zero
         if G.constant is not None:
-            const = _constant_image(
-                CellularAutomaton(F.alphabet, F.neighborhood, coeffs=F.coeffs),
-                G.constant,
-            )
+            for f in F.coeffs.values():
+                const = A.add(const, f(G.constant))
         if F.constant is not None:
-            const = F.constant if const is None else F.alphabet.add(const, F.constant)
-        return linear_ca(
-            F.alphabet, poly.terms, constant=const, neighborhood=(rF + rG, sF + sG)
-        )
+            const = A.add(const, F.constant)
+        coeffs = _product_terms(A, F.coeffs, G.coeffs) or {rF + rG: Endomorphism.zero_map(A)}
+        return CellularAutomaton(A, (rF + rG, sF + sG), coeffs=coeffs,
+                                 constant=None if const == A.zero else const)
     width = (sF - rF) + (sG - rG) + 1
     if F.alphabet.order ** width > cap:
         raise CapExceeded(f"composite table of width {width} exceeds cap")
@@ -470,13 +487,17 @@ def is_surjective(F: CellularAutomaton, l_max: int | None = None) -> Surjectivit
     """Balance check: every length-L word must have exactly |A|^(s-r) preimage
     words of length L+(s-r).  Counts are propagated along the overlap graph:
     states are (s-r)-letter windows, and a letter of output advances every
-    count vector by one transfer step.
+    count vector by one transfer step.  More than DEFAULT_TABLE_CAP overlap
+    states raise CapExceeded before anything is allocated.
     """
     small = F.smallest_neighborhood()
     r, s = small.neighborhood
     k = s - r
     abc = letters(small.alphabet)
     n = len(abc)
+    if n**k > DEFAULT_TABLE_CAP:
+        raise CapExceeded(f"surjectivity overlap graph of |A|^{k} = {n**k} states "
+                          f"exceeds cap {DEFAULT_TABLE_CAP}")
     if l_max is None:
         l_max = 2 * (k + 1) * max(1, math.ceil(math.log2(n))) + 4
     states = list(itertools.product(abc, repeat=k))

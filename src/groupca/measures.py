@@ -9,6 +9,7 @@ with floating point confined to final complex character values.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -106,62 +107,71 @@ def _sweep(
     """Block distribution on [lo, lo + length) of the image of independent
     pieces under the affine rule y_t = sum_u c_u(x_(t+u)) + constant.
 
-    The pieces are swept once, left to right.  The state is the word of
-    partial output sums, so the cost is (number of pieces) * |A|^length * |A|,
-    polynomial in the rule width.  Weights stay integers over the product of
-    the piece denominators, with one Fraction per final word.  A window of
-    more than MAX_EXACT_WORDS possible words raises CapExceeded up front.
+    A piece adds a word of deltas to the output sums.  The law of that word
+    depends only on the piece's kind: its column (which of its positions
+    reach which outputs, through which letter maps), its run law and its
+    denominator.  Pieces are counted per kind; each kind's delta law is built
+    once and raised to its count n by repeated squaring, and the state, the
+    law of the word of partial output sums, takes one move per kind.  A
+    delta law and its convolution powers live in the subgroup its deltas
+    generate, the image of A (of the block group B for a product-Haar
+    block), so a kind costs |A|^length * |A| for its move and log(n) * |A|^2
+    for its power.  Sorting the pieces into kinds reads each input position
+    once.  Weights stay integers over the product of the piece denominators,
+    with one Fraction per final word.  A window of more than MAX_EXACT_WORDS
+    possible words raises CapExceeded up front.
     """
     _check_window(alphabet, length, None)
     abc = letters(alphabet)
-    n = len(abc)
     index = {a: i for i, a in enumerate(abc)}
     zero = index[alphabet.zero]
     plus = [[index[alphabet.add(a, b)] for b in abc] for a in abc]
+    maps: dict[tuple, tuple[int, ...]] = {}  # coefficient matrix -> letter map
     touch: defaultdict = defaultdict(list)  # input position -> [(output, letter map)]
     for u, f in coeffs.items():
-        image = [index[f(a)] for a in abc]
+        image = maps.get(f.matrix)
+        if image is None:
+            image = maps[f.matrix] = tuple(index[f(a)] for a in abc)
         if any(x != zero for x in image):
             for t in range(length):
                 touch[lo + t + u].append((t, image))
-    # a state is the word of partial sums, coded in base |A| over letter
-    # indices; each translation is cached per state as the sweep meets it
-    place = [n**t for t in range(length)]
-    tables: dict[tuple, dict[int, int]] = {}
-
-    def translate(code: int, delta: tuple) -> int:
-        return sum(plus[code // q % n][d] * q for d, q in zip(delta, place))
-
-    start = zero if constant is None else index[constant]
-    states = {start * sum(place): 1}
-    den = 1
+    kinds: Counter = Counter()
     for first, runs, run_den in pieces:
-        hits = [(k, touch[p]) for k, p in enumerate(range(first, first + len(runs[0][0])))
-                if p in touch]
-        if not hits:
-            continue
-        weights: dict[tuple, int] = {}
+        column = tuple(tuple(touch.get(p, ())) for p in range(first, first + len(runs[0][0])))
+        if any(column):
+            kinds[column, tuple(runs), run_den] += 1
+
+    def convolve(a: dict, b: dict) -> dict:
+        out: dict[tuple, int] = {}
+        for d, v in a.items():
+            for e, x in b.items():
+                key = tuple(plus[p][q] for p, q in zip(d, e))
+                out[key] = out.get(key, 0) + v * x
+        return out
+
+    # the state is the law of the word of partial sums, over letter indices
+    states = {(zero if constant is None else index[constant],) * length: 1}
+    den = 1
+    for (column, runs, run_den), copies in kinds.items():
+        law: dict[tuple, int] = {}
         for run, weight in runs:
             delta = [zero] * length
-            for k, outputs in hits:
-                i = index[run[k]]
+            for letter, outputs in zip(run, column):
+                i = index[letter]
                 for t, image in outputs:
                     delta[t] = plus[delta[t]][image[i]]
             delta = tuple(delta)
-            weights[delta] = weights.get(delta, 0) + weight
-        moves = [(delta, tables.setdefault(delta, {}), w) for delta, w in weights.items()]
-        den *= run_den
-        nxt: defaultdict = defaultdict(int)
-        for s, c in states.items():
-            for delta, table, weight in moves:
-                s2 = table.get(s)
-                if s2 is None:
-                    s2 = table[s] = translate(s, delta)
-                nxt[s2] += c * weight
-        states = nxt
-    return {
-        tuple(abc[s // q % n] for q in place): Fraction(c, den) for s, c in states.items()
-    }
+            law[delta] = law.get(delta, 0) + weight
+        den *= run_den**copies
+        total = None  # the law convolved `copies` times, by repeated squaring
+        while copies:
+            if copies & 1:
+                total = law if total is None else convolve(total, law)
+            copies >>= 1
+            if copies:
+                law = convolve(law, law)
+        states = convolve(states, total)
+    return {tuple(abc[i] for i in s): Fraction(c, den) for s, c in states.items()}
 
 
 def _identity_sweep(mu: "MeasureSpec", offset: int, length: int) -> dict[Word, Fraction]:
@@ -197,26 +207,24 @@ def _image_distribution(
 ) -> dict[Word, Fraction]:
     """Block distribution on [offset, offset + length) of F^j pushing `base`.
 
-    A linear or affine F^j is composed first and applied as one step.  An
-    i.i.d.-letter or i.i.d.-block base under it takes one sweep over the
-    input letters.  A mixture is pushed component by component.  Any other
-    base or rule has its distribution on the widened window pushed through
-    F one step at a time, merging equal words after each step.  `cap`
-    bounds the widened words per target word, |A|^(j * (width - 1)), as it
-    bounds the preimage cylinders per target word of
-    `PushforwardMeasure.preimage`; it is checked before anything is
-    enumerated.
+    A linear or affine F^j comes composed, as F with j = 1
+    (`PushforwardMeasure._step`).  An i.i.d.-letter or i.i.d.-block base
+    under it takes one sweep, at one move per distinct input column.  A
+    mixture is pushed component by component.  Any other base or rule has
+    its distribution on the widened window pushed through F one step at a
+    time, merging equal words after each step.  `cap` bounds the widened
+    words per target word, |A|^(j * (width - 1)), as it bounds the preimage
+    cylinders per target word of `PushforwardMeasure.preimage`; it is
+    checked before anything is enumerated.
     """
     if j == 0:
         return base.block_distribution(offset, length)
-    if j > 1 and F.is_affine:
-        return _image_distribution(base, power(F, j), 1, offset, length, cap)
     if isinstance(base, MixtureMeasure):
         return _mix(
             (c, _image_distribution(m, F, j, offset, length, cap))
             for c, m in base.components if c
         )
-    if F.is_affine:
+    if j == 1 and F.is_affine:
         lo, hi = offset + min(F.coeffs), offset + length - 1 + max(F.coeffs)
         pieces = _independent_pieces(base, lo, hi)
         if pieces is not None:
@@ -388,17 +396,17 @@ class HaarMeasure:
 class PushforwardMeasure:
     """Image of a base measure under automaton and shift powers.
 
-    Probabilities come from `block_distribution`: one sweep over the input
-    letters for an i.i.d. base (Bernoulli, Haar on the full shift or on a
-    product subgroup) under a linear or affine rule, at a cost polynomial in
-    the automaton power; component by component for a mixture; otherwise the
-    base's distribution on the widened window is pushed through the rule
-    step by step.  `cap` bounds the widened words per target word, as it
-    bounds the preimage cylinders per target word of `preimage`, so both
-    raise CapExceeded at the same power of a surjective rule; the sweep
-    enumerates at most one state per target word.  `preimage` expands
-    cylinder preimages instead; it is kept as an independent reference for
-    tests.
+    Probabilities come from `block_distribution`: one sweep for an i.i.d.
+    base (Bernoulli, Haar on the full shift or on a product subgroup) under
+    a linear or affine rule, at one move per distinct input column, with an
+    affine F^j composed once per measure; component by component for a
+    mixture; otherwise the base's distribution on the widened window is
+    pushed through the rule step by step.  `cap` bounds the widened words
+    per target word, as it bounds the preimage cylinders per target word of
+    `preimage`, so both raise CapExceeded at the same power of a surjective
+    rule; the sweep enumerates at most one state per target word.
+    `preimage` expands cylinder preimages instead; it is kept as an
+    independent reference for tests.
     """
 
     base: "MeasureSpec"
@@ -432,9 +440,18 @@ class PushforwardMeasure:
     def cylinder_prob(self, cyl: Cylinder) -> Fraction:
         return self.block_distribution(cyl.offset, len(cyl.word)).get(cyl.word, Fraction(0))
 
+    @functools.cached_property
+    def _step(self) -> tuple[CellularAutomaton | None, int]:
+        """The rule and power each block distribution pushes through: a
+        linear or affine F^j is composed once, on first use, and applied as
+        one step."""
+        if self.f_power > 1 and self.automaton.is_affine:
+            return power(self.automaton, self.f_power), 1
+        return self.automaton, self.f_power
+
     def block_distribution(self, offset: int, length: int) -> dict[Word, Fraction]:
-        return _image_distribution(self.base, self.automaton, self.f_power,
-                                   offset + self.shift, length, self.cap)
+        return _image_distribution(self.base, *self._step, offset + self.shift, length,
+                                   self.cap)
 
     def sample_word(self, lo: int, hi: int, rng: random.Random) -> Word:
         r, s = (0, 0)
@@ -625,8 +642,10 @@ def invariance_check(
         for i in offsets:
             image = push.block_distribution(i, length)
             own = mu.block_distribution(i, length)
-            for ell in range(1, length + 1):
-                marginals[i, ell] = (_restrict(image, 0, ell), _restrict(own, 0, ell))
+            marginals[i, length] = image, own
+            for ell in range(length - 1, 0, -1):  # each from the one a letter longer
+                image, own = _restrict(image, 0, ell), _restrict(own, 0, ell)
+                marginals[i, ell] = image, own
         best = Fraction(0)
         witness = None
         for cyl in cylinders:
@@ -800,9 +819,11 @@ def cesaro_sequence(
     distances to the uniform block distribution.
 
     Each F^j mu0 is a `PushforwardMeasure` block distribution.  A linear or
-    affine F^j is built incrementally as F^(j-1) F and pushed as one step, so
-    an i.i.d. base costs one sweep per step, polynomial in j, on every
-    alphabet.  `cap` is the pushforwards' cap.
+    affine F^j is built incrementally as F^(j-1) F, on integer matrices, and
+    pushed as one step, so an i.i.d. base costs per step one composition
+    (the product of the two term counts, in integer products) and one sweep
+    at one move per distinct input column, on every alphabet.  `cap` is the
+    pushforwards' cap.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupca import automata
 from groupca.automata import (
     LaurentPoly,
     as_laurent,
@@ -24,7 +25,7 @@ from groupca.automata import (
     with_shift,
 )
 from groupca.configs import Cylinder, PeriodicConfig
-from groupca.groups import GroupSpec
+from groupca.groups import CapExceeded, Endomorphism, GroupSpec
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
@@ -185,6 +186,16 @@ def test_surjectivity_examples():
     assert is_surjective(F_z4).surjective  # surjective though not bipermutative
 
 
+def test_surjectivity_refuses_overlap_graphs_over_the_cap(monkeypatch):
+    # x_0 + x_2 declared on [0, 5]: the overlap graph has |A|^2 = 4 states
+    F = linear_ca(Z2, {0: 1, 2: 1}, neighborhood=(0, 5))
+    monkeypatch.setattr(automata, "DEFAULT_TABLE_CAP", 4)
+    assert is_surjective(F).surjective
+    monkeypatch.setattr(automata, "DEFAULT_TABLE_CAP", 3)
+    with pytest.raises(CapExceeded, match=r"\|A\|\^2 = 4 states exceeds cap 3"):
+        is_surjective(F)
+
+
 def test_balance_property_for_bipermutative():
     for F in [F_xor, linear_ca(Z3, {0: 1, 1: 1}), linear_ca(Z2, {0: 1, 1: 1, 2: 1})]:
         small = F.smallest_neighborhood()
@@ -228,3 +239,110 @@ def test_compose_with_shift_is_shift_of_compose(m, n):
     rhs = compose(power(with_shift(F, 0), n), shift_ca(Z4, m))
     x = cfg(Z4, 1, 2, 0)
     assert lhs.apply_periodic(x) == rhs.apply_periodic(x)
+
+
+# -- polynomial products against a naive product of endomorphisms ---------------------
+
+Z9 = GroupSpec((9,))
+Z2xZ4 = GroupSpec((2, 4))
+
+
+def valid_matrices(group):
+    """Every integer matrix that is an endomorphism of the group."""
+    d = group.moduli
+    entries = [[m for m in range(d[j]) if m * d[i] % d[j] == 0]
+               for j in range(len(d)) for i in range(len(d))]
+    return [tuple(zip(*[iter(e)] * len(d))) for e in itertools.product(*entries)]
+
+
+def naive_product(P, Q):
+    """P * Q with one Endomorphism per product pair and per partial sum."""
+    acc = {}
+    for u, f in P.terms.items():
+        for v, g in Q.terms.items():
+            fg = f.compose(g)
+            acc[u + v] = acc[u + v] + fg if u + v in acc else fg
+    return LaurentPoly(P.group, acc)
+
+
+def compose_oracle(F, G):
+    """The composition of two affine rules through `naive_product`, coerced by
+    `linear_ca`."""
+    poly = naive_product(LaurentPoly(F.alphabet, F.coeffs), LaurentPoly(G.alphabet, G.coeffs))
+    const = None
+    if G.constant is not None:
+        const = F.alphabet.zero
+        for f in F.coeffs.values():
+            const = F.alphabet.add(const, f(G.constant))
+    if F.constant is not None:
+        const = F.constant if const is None else F.alphabet.add(const, F.constant)
+    (rF, sF), (rG, sG) = F.neighborhood, G.neighborhood
+    return linear_ca(F.alphabet, poly.terms, constant=const, neighborhood=(rF + rG, sF + sG))
+
+
+def coefficients(group):
+    """Residues on a cyclic alphabet, endomorphism matrices otherwise."""
+    if group.rank == 1:
+        return st.integers(0, group.moduli[0] - 1)
+    return st.sampled_from(valid_matrices(group))
+
+
+def polys(group):
+    return st.builds(LaurentPoly, st.just(group),
+                     st.dictionaries(st.integers(-3, 3), coefficients(group), max_size=5))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_polynomial_product_matches_the_naive_product(data):
+    group = data.draw(st.sampled_from((Z4, Z9, Z2xZ4)))
+    P, Q = data.draw(polys(group)), data.draw(polys(group))
+    product = P * Q
+    assert product == naive_product(P, Q)
+    assert all(not f.is_zero for f in product.terms.values())
+
+
+def test_product_terms_that_cancel_are_absent():
+    # (1 + x)(1 - x) has no x term, mod 4 and mod 9
+    for group in (Z4, Z9):
+        d = group.moduli[0]
+        product = LaurentPoly(group, {0: 1, 1: 1}) * LaurentPoly(group, {0: 1, 1: d - 1})
+        assert product.support == (0, 2)
+        assert product == naive_product(LaurentPoly(group, {0: 1, 1: 1}),
+                                        LaurentPoly(group, {0: 1, 1: d - 1}))
+    one, minus = ((1, 0), (0, 1)), ((1, 0), (0, 3))
+    product = LaurentPoly(Z2xZ4, {0: one, 1: one}) * LaurentPoly(Z2xZ4, {0: one, 1: minus})
+    assert product.terms == {0: Endomorphism(Z2xZ4, Z2xZ4, one),
+                             2: Endomorphism(Z2xZ4, Z2xZ4, minus)}
+    F = compose(linear_ca(Z4, {0: 1, 1: 1}), linear_ca(Z4, {0: 1, 1: 3}))
+    assert sorted(F.coeffs) == [0, 2] and F.neighborhood == (0, 2)
+    # a product that cancels everywhere is the zero rule on the joined neighborhood
+    G = linear_ca(Z4, {0: 2})
+    FG = compose(G, G)
+    assert FG == compose_oracle(G, G)
+    assert FG.neighborhood == (0, 0) and FG.coeffs[0].is_zero
+
+
+AFFINE_ALPHABETS = (Z2, Z3, Z4, GroupSpec((2, 2)))
+
+
+@st.composite
+def affine_rules(draw, group):
+    r = draw(st.integers(-1, 1))
+    width = draw(st.integers(1, 2))
+    terms = {r + u: draw(coefficients(group)) for u in range(width)}
+    constant = draw(st.none() | st.sampled_from(letters(group)))
+    return linear_ca(group, terms, constant=constant, neighborhood=(r, r + width - 1))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_compose_of_affine_rules_matches_the_table_composition(data):
+    group = data.draw(st.sampled_from(AFFINE_ALPHABETS))
+    F, G = data.draw(affine_rules(group)), data.draw(affine_rules(group))
+    FG = compose(F, G)
+    assert FG == compose_oracle(F, G)
+    as_table = compose(table_ca(group, F.neighborhood, table_of(F)),
+                       table_ca(group, G.neighborhood, table_of(G)))
+    assert FG.neighborhood == as_table.neighborhood
+    assert table_of(FG) == as_table.table

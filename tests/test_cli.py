@@ -288,6 +288,19 @@ def test_pushforward_over_cap_is_usage_error(tmp_path, capsys):
     assert "over cap 65536" in capsys.readouterr().err
 
 
+def test_surjectivity_over_cap_is_usage_error(tmp_path, capsys):
+    # 1 + x^30 over Z/2 is a valid rule whose overlap graph has 2^30 states
+    ca_file = tmp_path / "one_plus_x30.json"
+    ca_file.write_text(json.dumps({
+        "alphabet": {"moduli": [2]}, "neighborhood": [0, 30],
+        "rule": {"type": "linear", "coeffs": {"0": 1, "30": 1}},
+    }))
+    assert run(["analyze", "--ca", str(ca_file)]) == 2
+    captured = capsys.readouterr()
+    assert "|A|^30 = 1073741824 states exceeds cap 1048576" in captured.err
+    assert captured.out == ""
+
+
 def test_linear_coeffs_list_is_spec_error(tmp_path, capsys):
     bad = tmp_path / "coeff_list.json"
     bad.write_text(json.dumps({

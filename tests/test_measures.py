@@ -5,13 +5,14 @@ import itertools
 import math
 import random
 import time
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupca.automata import compose, letters, linear_ca, shift_ca, table_ca
+from groupca.automata import compose, letters, linear_ca, power, shift_ca, table_ca
 from groupca.configs import Cylinder, PeriodicConfig
 from groupca.groups import CapExceeded, Character, GroupSpec, Subgroup, subgroup_closure
 from groupca.kernels import FullShift, LinearKernelShift, ProductSubgroup
@@ -28,6 +29,8 @@ from groupca.measures import (
     counterexample_suite,
     haar_test,
     invariance_check,
+    _independent_pieces,
+    _sweep,
     sigma_entropy_exact,
 )
 
@@ -388,6 +391,95 @@ def test_block_distributions_match_preimage_oracle(data):
         cyl = Cylinder(offset, word)
         oracle = sum((base.cylinder_prob(c) for c in push.preimage(cyl)), Fraction(0))
         assert dist.get(word, 0) == oracle
+
+
+def _sweep_oracle(alphabet, pieces, coeffs, constant, lo, length):
+    """The sweep that moved the state once per piece, kept as the oracle for
+    the sweep that moves once per kind of piece."""
+    abc = letters(alphabet)
+    n = len(abc)
+    index = {a: i for i, a in enumerate(abc)}
+    zero = index[alphabet.zero]
+    plus = [[index[alphabet.add(a, b)] for b in abc] for a in abc]
+    touch = defaultdict(list)  # input position -> [(output, letter map)]
+    for u, f in coeffs.items():
+        image = [index[f(a)] for a in abc]
+        if any(x != zero for x in image):
+            for t in range(length):
+                touch[lo + t + u].append((t, image))
+    place = [n**t for t in range(length)]
+    tables = {}
+
+    def translate(code, delta):
+        return sum(plus[code // q % n][d] * q for d, q in zip(delta, place))
+
+    start = zero if constant is None else index[constant]
+    states = {start * sum(place): 1}
+    den = 1
+    for first, runs, run_den in pieces:
+        hits = [(k, touch[p]) for k, p in enumerate(range(first, first + len(runs[0][0])))
+                if p in touch]
+        if not hits:
+            continue
+        weights = {}
+        for run, weight in runs:
+            delta = [zero] * length
+            for k, outputs in hits:
+                i = index[run[k]]
+                for t, image in outputs:
+                    delta[t] = plus[delta[t]][image[i]]
+            delta = tuple(delta)
+            weights[delta] = weights.get(delta, 0) + weight
+        moves = [(delta, tables.setdefault(delta, {}), w) for delta, w in weights.items()]
+        den *= run_den
+        nxt = defaultdict(int)
+        for s, c in states.items():
+            for delta, table, weight in moves:
+                s2 = table.get(s)
+                if s2 is None:
+                    s2 = table[s] = translate(s, delta)
+                nxt[s2] += c * weight
+        states = nxt
+    return {
+        tuple(abc[s // q % n] for q in place): Fraction(c, den) for s, c in states.items()
+    }
+
+
+@st.composite
+def iid_bases(draw, group):
+    """Bernoulli, full-shift Haar, or Haar on a product subgroup (either phase)."""
+    abc = letters(group)
+    kind = draw(st.sampled_from(("bernoulli", "full", "product")))
+    if kind == "bernoulli":
+        nums = draw(st.lists(st.integers(0, 3), min_size=len(abc), max_size=len(abc))
+                    .filter(any))
+        return Bernoulli(group, {a: Fraction(n, sum(nums)) for a, n in zip(abc, nums)})
+    if kind == "full":
+        return HaarMeasure(FullShift(group))
+    pair = group.power(2)
+    seeds = draw(st.lists(st.sampled_from(list(pair.elements())), min_size=1, max_size=2))
+    block = subgroup_closure(pair, seeds)
+    return HaarMeasure(ProductSubgroup(group, 2, block, phase=draw(st.integers(0, 1))))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_grouped_sweep_matches_the_per_piece_sweep(data):
+    group = data.draw(st.sampled_from(ALPHABETS))
+    width = data.draw(st.integers(2, 3))
+    r = data.draw(st.integers(-1, 1))
+    F = linear_ca(group, {r + u: data.draw(coefficients(group)) for u in range(width)},
+                  constant=data.draw(st.none() | st.sampled_from(letters(group))),
+                  neighborhood=(r, r + width - 1))
+    Fj = power(F, data.draw(st.integers(1, 40)))
+    base = data.draw(iid_bases(group))
+    offset = data.draw(st.integers(-2, 3))
+    length = data.draw(st.integers(1, 4))
+    lo = offset + min(Fj.coeffs)
+    hi = offset + length - 1 + max(Fj.coeffs)
+    pieces = _independent_pieces(base, lo, hi)
+    args = (group, pieces, Fj.coeffs, Fj.constant, offset, length)
+    assert _sweep(*args) == _sweep_oracle(*args)
 
 
 def test_nested_pushforward_is_pushforward_by_composite():
