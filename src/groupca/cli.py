@@ -1,13 +1,15 @@
 """Command line entry point: spec ingestion, analysis reports, bundled examples.
 
 Exit codes: 0 all asserted checks hold, 1 a mathematical check failed (a
-witness is printed), 2 usage or spec-file errors.
+witness is printed), 2 usage or spec-file errors, or standard output closed
+by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -914,7 +916,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left: the interpreter's final flush goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2

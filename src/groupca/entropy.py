@@ -270,6 +270,8 @@ def entropy_report(
     Uses the vectorized path when the alphabet is cyclic, the rule is linear
     and the sampler supports arrays; falls back to object sampling otherwise.
     """
+    if samples < 1 or k < 1:
+        raise ValueError(f"samples and block length k must be >= 1, got {samples} and {k}")
     small = F.smallest_neighborhood()
     if width is None:
         width = max(conjugacy_width(small), 1)

@@ -41,9 +41,15 @@ def _is_prime(n: int) -> bool:
     return _prime_factors(n) == [n]
 
 
-def _gl_order(p: int, r: int) -> int:
-    """|GL_r(F_p)|, the count of invertible r x r matrices over F_p."""
-    return math.prod(p**r - p**i for i in range(r))
+def _gl_order(m: int, r: int) -> int:
+    """|GL_r(Z/m)|, the count of invertible r x r matrices over Z/m: the
+    product over the prime powers p^j exactly dividing m of
+    p^((j-1) r^2) |GL_r(F_p)|."""
+    out = 1
+    for p in _prime_factors(m):
+        pj = math.gcd(m, p ** m.bit_length())  # the power of p exactly dividing m
+        out *= (pj // p) ** (r * r) * math.prod(p**r - p**i for i in range(r))
+    return out
 
 
 @dataclass(frozen=True)

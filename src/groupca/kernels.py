@@ -38,11 +38,10 @@ from .groups import (
     Subgroup,
     _gl_order,
     _is_prime,
-    _prime_factors,
     closure_set,
     enumerate_subgroups,
 )
-from .modular import MAX_FACTOR_DEGREE, _x_order, factor_mod_p
+from .modular import MAX_FACTOR_DEGREE, _dense_pow, _x_order, factor_mod_p
 
 DEFAULT_KERNEL_CAP = 1 << 16
 DEFAULT_M_MAX = 4
@@ -278,7 +277,8 @@ class _KernelModule:
     def order(self) -> int:
         """The x-order of P's squarefree part: the lcm of the orders of x
         modulo each f_i (Lidl & Niederreiter, Finite Fields, Thm 3.8-3.9)."""
-        return math.lcm(*(_x_order(f, self.p) for f, _ in self.factors))
+        return math.lcm(*(_x_order(f, self.p, self.p ** (len(f) - 1) - 1)
+                          for f, _ in self.factors))
 
     def size(self, n: int) -> int:
         return self.p ** (self.k * n)
@@ -737,11 +737,13 @@ def condition4_search(
     the search fails at every m up to m_max, and only m = m_max, where the
     failures are taken, is enumerated.  Where a closure could exceed `cap`,
     every m is enumerated as on any other tower."""
+    if m_max < 0:
+        raise ValueError(f"m_max must be >= 0, got {m_max}")
     tw = _unrestricted(F, cap)
     sigma = subgroup_shift_on(sigma, tw.automaton.alphabet)
     module = tw.module if isinstance(sigma, FullShift) else None
     start = 0
-    if module is not None and m_max >= 0:
+    if module is not None:
         m = module.condition4_m
         found = m is not None and m <= m_max
         last = m + 1 if found else m_max + 1  # the deepest level the search reads
@@ -807,26 +809,6 @@ def corollary_ker_check(
 # -- the companion recurrence ---------------------------------------------------
 
 
-def _matmul(a, b, mod: int):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % mod for j in range(n))
-        for i in range(n)
-    )
-
-
-def _matpow(a, e: int, mod: int):
-    n = len(a)
-    result = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    base = a
-    while e:
-        if e & 1:
-            result = _matmul(result, base, mod)
-        base = _matmul(base, base, mod)
-        e >>= 1
-    return result
-
-
 @dataclass(frozen=True)
 class KernelRecurrence:
     """Companion matrix driving state vectors of first-level kernel elements.
@@ -849,33 +831,20 @@ class KernelRecurrence:
             for row in self.matrix
         )
 
-    def matrix_order(self, cap: int = 10_000_000) -> int:
+    def matrix_order(self) -> int:
         """Multiplicative order of the companion matrix.
 
-        For a prime modulus the order divides the count of invertible
-        matrices, so it is found by dividing out prime factors of that bound;
-        otherwise plain iteration with a cap.
+        The matrix is multiplication by x on the free module Z/m[x]/(P), for
+        the monic P = x^k - sum_j matrix[0][j] x^(k-1-j) whose constant term
+        is a unit, so its order is the order of x modulo P.  That order
+        divides |GL_k(Z/m)|, whose prime factors `_x_order` divides out.
         """
-        n = self.width
-        identity = tuple(
-            tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-        )
-        if _is_prime(self.modulus):
-            p = self.modulus
-            bound = _gl_order(p, n)
-            order = bound
-            for ell in _prime_factors(bound):
-                while order % ell == 0 and _matpow(self.matrix, order // ell, p) == identity:
-                    order //= ell
-            if _matpow(self.matrix, order, p) != identity:
-                raise AssertionError("order reduction failed")
-            return order
-        acc = self.matrix
-        for t in range(1, cap + 1):
-            if acc == identity:
-                return t
-            acc = _matmul(acc, self.matrix, self.modulus)
-        raise CapExceeded(f"matrix order exceeds iteration cap {cap}")
+        m, k = self.modulus, self.width
+        f = tuple(-c % m for c in reversed(self.matrix[0])) + (1,)
+        order = _x_order(f, m, _gl_order(m, k))
+        if _dense_pow((0, 1), order, m, f) != (1,):
+            raise AssertionError("order reduction failed")
+        return order
 
     def orbit_period(self, state: tuple[int, ...]) -> int:
         """Period of a state under the recurrence (orbits are purely periodic

@@ -204,6 +204,7 @@ def _image_distribution(
     offset: int,
     length: int,
     cap: int,
+    power: int,
 ) -> dict[Word, Fraction]:
     """Block distribution on [offset, offset + length) of F^j pushing `base`.
 
@@ -215,13 +216,14 @@ def _image_distribution(
     time, merging equal words after each step.  `cap` bounds the widened
     words per target word, |A|^(j * (width - 1)), as it bounds the preimage
     cylinders per target word of `PushforwardMeasure.preimage`; it is
-    checked before anything is enumerated.
+    checked before anything is enumerated, and its message names F^power,
+    the power of the original rule.
     """
     if j == 0:
         return base.block_distribution(offset, length)
     if isinstance(base, MixtureMeasure):
         return _mix(
-            (c, _image_distribution(m, F, j, offset, length, cap))
+            (c, _image_distribution(m, F, j, offset, length, cap, power))
             for c, m in base.components if c
         )
     if j == 1 and F.is_affine:
@@ -234,7 +236,7 @@ def _image_distribution(
     per_target = base.alphabet.order ** (j * (s - r))
     if per_target > cap:
         raise CapExceeded(
-            f"pushforward by F^{j} needs {per_target} words per target word, "
+            f"pushforward by F^{power} needs {per_target} words per target word, "
             f"over cap {cap}"
         )
     dist = base.block_distribution(offset + j * r, length + j * (s - r))
@@ -451,7 +453,7 @@ class PushforwardMeasure:
 
     def block_distribution(self, offset: int, length: int) -> dict[Word, Fraction]:
         return _image_distribution(self.base, *self._step, offset + self.shift, length,
-                                   self.cap)
+                                   self.cap, self.f_power)
 
     def sample_word(self, lo: int, hi: int, rng: random.Random) -> Word:
         r, s = (0, 0)
@@ -657,6 +659,8 @@ def invariance_check(
         return InvarianceResult(best, witness, len(cylinders))
     if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}")
+    if mc_samples < 1:
+        raise ValueError(f"mc_samples must be >= 1 in mc mode, got {mc_samples}")
     rng = random.Random(seed)
     r, s = automaton.neighborhood if automaton is not None else (0, 0)
     lo = min(c.offset for c in cylinders)
@@ -759,6 +763,8 @@ def haar_test(
 
     One block distribution of mu on [0, budget) serves every character,
     through its marginal on the character's support window."""
+    if support_budget < 1:
+        raise ValueError(f"support budget must be >= 1, got {support_budget}")
     alphabet = mu.alphabet
     sigma = subgroup_shift_on(sigma, alphabet)
     _check_window(alphabet, support_budget)
@@ -838,10 +844,10 @@ def cesaro_sequence(
         j = n - 1
         if j and F.is_affine:
             Fj = F if Fj is None else compose(Fj, F)
-            push = PushforwardMeasure(mu0, Fj, 1, 0, cap)
+            dist = _image_distribution(mu0, Fj, 1, 0, length, cap, j)
         else:
-            push = PushforwardMeasure(mu0, F, j, 0, cap)
-        for w, p in push.block_distribution(0, length).items():
+            dist = _image_distribution(mu0, F, j, 0, length, cap, j)
+        for w, p in dist.items():
             running[w] += p
         avg = {w: p / n for w, p in running.items()}
         averages.append(avg)
@@ -1008,6 +1014,8 @@ def check_hypotheses(
 
     F may be a kernel tower: p1 and both density criteria read its levels
     and extend it, under its own cap."""
+    if m_max < 0:  # refused here: the criteria's ValueErrors become criteria_skipped
+        raise ValueError(f"m_max must be >= 0, got {m_max}")
     tw = _unrestricted(F)
     F = tw.automaton
     sigma = subgroup_shift_on(sigma, F.alphabet)

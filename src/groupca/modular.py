@@ -1,8 +1,10 @@
 """Structure lemmas for linear rules over prime-power cyclic alphabets.
 
 Covers the unit-coefficient support, the bipermutative power, the Frobenius
-congruence for polynomial powers, the invertible-matrix period bound, and
-polynomial factorization over prime fields with the kernel direct sum check.
+congruence for polynomial powers, the invertible-matrix period bound, the
+order of x modulo a monic polynomial over Z/m that gives every kernel shift
+period, and polynomial factorization over prime fields with the kernel
+direct sum check.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def divisor_bound(p: int, r: int) -> int:
     return _gl_order(p, r)
 
 
-# -- factorization over prime fields -------------------------------------------
+# -- dense polynomials over Z/m, factorization over prime fields ----------------
 
 
 def _dense_trim(c: list[int]) -> tuple[int, ...]:
@@ -115,61 +117,65 @@ def _dense_trim(c: list[int]) -> tuple[int, ...]:
     return tuple(c)
 
 
-def _dense_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+def _dense_mul(a: tuple[int, ...], b: tuple[int, ...], m: int) -> tuple[int, ...]:
     out = [0] * (len(a) + len(b) - 1)
     for i, c in enumerate(a):
         for j, d in enumerate(b):
-            out[i + j] = (out[i + j] + c * d) % p
+            out[i + j] = (out[i + j] + c * d) % m
     return _dense_trim(out)
 
 
 def _dense_divmod(
-    num: tuple[int, ...], den: tuple[int, ...], p: int
+    num: tuple[int, ...], den: tuple[int, ...], m: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Quotient and remainder over Z/m, for a divisor whose leading
+    coefficient is a unit mod m."""
     num_l = list(num)
     deg_d = len(den) - 1
-    inv_lead = pow(den[-1], -1, p)
+    inv_lead = pow(den[-1], -1, m)
     quot = [0] * max(0, len(num) - deg_d)
     for i in range(len(num) - 1, deg_d - 1, -1):
         c = num_l[i]
         if c == 0:
             continue
-        q = (c * inv_lead) % p
+        q = (c * inv_lead) % m
         quot[i - deg_d] = q
         for j, d in enumerate(den):
-            num_l[i - deg_d + j] = (num_l[i - deg_d + j] - q * d) % p
+            num_l[i - deg_d + j] = (num_l[i - deg_d + j] - q * d) % m
     return _dense_trim(quot), _dense_trim(num_l)
 
 
-def _dense_pow(f: tuple[int, ...], m: int, p: int) -> tuple[int, ...]:
-    acc = (1,)
-    for _ in range(m):
-        acc = _dense_mul(acc, f, p)
-    return acc
+def _dense_pow(
+    f: tuple[int, ...], e: int, m: int, mod: tuple[int, ...] | None = None
+) -> tuple[int, ...]:
+    """f^e over Z/m by repeated squaring, reduced modulo `mod` (whose
+    leading coefficient is a unit) when it is given."""
+    def reduce(g: tuple[int, ...]) -> tuple[int, ...]:
+        return g if mod is None else _dense_divmod(g, mod, m)[1]
 
-
-def _x_power_mod(e: int, f: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """x^e mod f, by repeated squaring."""
-    acc = (1,)
-    base = _dense_divmod((0, 1), f, p)[1]
+    acc, base = reduce((1,)), reduce(f)
     while e:
         if e & 1:
-            acc = _dense_divmod(_dense_mul(acc, base, p), f, p)[1]
-        base = _dense_divmod(_dense_mul(base, base, p), f, p)[1]
+            acc = reduce(_dense_mul(acc, base, m))
+        base = reduce(_dense_mul(base, base, m))
         e >>= 1
     return acc
 
 
-def _x_order(f: tuple[int, ...], p: int) -> int:
-    """Multiplicative order of x modulo a monic irreducible f with f(0) != 0.
-
-    It divides p^deg(f) - 1, the unit count of the field Z/p[x]/(f), so it
-    is found by dividing out prime factors of that bound.
-    """
-    order = p ** (len(f) - 1) - 1
-    for ell in _prime_factors(order):
-        while order % ell == 0 and _x_power_mod(order // ell, f, p) == (1,):
-            order //= ell
+def _x_order(f: tuple[int, ...], m: int, bound: int) -> int:
+    """Multiplicative order of x modulo a monic f over Z/m with f(0) a unit,
+    found from `bound`, a multiple of it: for instance |GL_deg(f)(Z/m)|, as
+    x acts invertibly on the free module Z/m[x]/(f), or p^deg(f) - 1 for an
+    irreducible f over a prime field.  Each prime of `bound` costs one full
+    exponentiation and one raising to that prime per power the order keeps."""
+    order = bound
+    for ell in _prime_factors(bound):
+        v = 0  # strip ell from the multiple, then restore the powers x needs
+        while order % ell == 0:
+            order, v = order // ell, v + 1
+        y = _dense_pow((0, 1), order, m, f)
+        while y != (1,) and v:
+            y, order, v = _dense_pow(y, ell, m, f), order * ell, v - 1
     return order
 
 

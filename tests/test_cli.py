@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -698,3 +699,39 @@ def test_the_fuzzed_specs_are_valid():
         load = {"ca": load_ca, "sigma": load_sigma, "measure": load_measure}[root]
         for spec in specs:
             load(spec)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--ca", "id_plus_sigma_z2", "--m-max", "-5"], "m_max must be >= 0, got -5"),
+    (["hypotheses", "--ca", "id_plus_sigma_z2", "--m-max", "-1"],
+     "m_max must be >= 0, got -1"),
+    (["measure", "haar-test", "--measure", "MU", "--budget", "0"],
+     "support budget must be >= 1, got 0"),
+    (["measure", "invariance", "--measure", "MU", "--ca", "id_plus_sigma_z2",
+      "--mode", "mc", "--mc-samples", "0"], "mc_samples must be >= 1 in mc mode, got 0"),
+    (["entropy", "--ca", "id_plus_sigma_z2", "--samples", "0"], "must be >= 1, got 0 and 4"),
+    (["entropy", "--ca", "id_plus_sigma_z2", "--block", "0", "--samples", "10"],
+     "must be >= 1, got 10 and 0"),
+])
+def test_out_of_range_arguments_are_usage_errors(tmp_path, capsys, argv, message):
+    mu = tmp_path / "uniform.json"
+    mu.write_text(json.dumps({"type": "bernoulli", "alphabet": {"moduli": [2]}}))
+    assert run([str(mu) if a == "MU" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_closed_output_pipe_is_exit_2_without_traceback():
+    # far more output than a pipe holds, so the command is still writing
+    # when the reader leaves after the first line
+    argv = ["kernel", "--ca", "id_plus_sigma_z2", "--levels", "1000", "--cap", str(10**400)]
+    src = str(Path(groupca.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen([sys.executable, "-m", "groupca.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"level 0: size 1, p_0 = 1\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert "Traceback" not in err and "Exception ignored" not in err, err

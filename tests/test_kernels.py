@@ -381,6 +381,55 @@ def test_recurrence_orbit_period_agrees_with_configs():
         assert rec.orbit_period(state) == x.period
 
 
+# -- the order of x modulo P against matrix powers of the companion matrix -------
+
+
+def _matrix_order_oracle(rec):
+    """The companion matrix's order by plain iteration of its powers until
+    the identity, kept as the oracle for the order of x modulo P."""
+    n, m, a = rec.width, rec.modulus, rec.matrix
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    acc, order = a, 1
+    while acc != identity:
+        acc = tuple(
+            tuple(sum(row[k] * a[k][j] for k in range(n)) % m for j in range(n))
+            for row in acc
+        )
+        order += 1
+    return order
+
+
+@st.composite
+def _unit_ended_rules(draw):
+    """Scalar rules over Z/2..Z/12, Z/25 and Z/27 of width 1-3 whose extreme
+    coefficients are units."""
+    m = draw(st.sampled_from(tuple(range(2, 13)) + (25, 27)))
+    width = draw(st.integers(1, 3))
+    units = [c for c in range(1, m) if math.gcd(c, m) == 1]
+    coeffs = {0: draw(st.sampled_from(units)), width: draw(st.sampled_from(units))}
+    for u in range(1, width):
+        coeffs[u] = draw(st.integers(0, m - 1))
+    return linear_ca(GroupSpec((m,)), coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unit_ended_rules())
+@example(linear_ca(GroupSpec((8,)), {0: 1, 1: 1, 2: 1, 3: 1}))
+@example(linear_ca(GroupSpec((27,)), {0: 1, 1: 3, 2: 2, 3: 1}))
+def test_matrix_order_matches_matrix_powers_and_the_tower(F):
+    rec = recurrence_matrix(F)
+    order = rec.matrix_order()
+    assert order == _matrix_order_oracle(rec)
+    if F.alphabet.order**rec.width <= 4096:
+        assert order == tower(F, 1).period(1)
+
+
+def test_matrix_order_of_a_composite_modulus_rule_with_a_long_orbit():
+    # matrix powers reach the identity only after 96,844 steps here
+    F = linear_ca(GroupSpec((10,)), {0: 1, 1: 9, 2: 8, 3: 9, 4: 9, 5: 7})
+    assert recurrence_matrix(F).matrix_order() == 96_844
+
+
 # -- the density criteria against closures of PeriodicConfig sums ----------------
 
 

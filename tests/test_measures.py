@@ -539,3 +539,13 @@ def test_oversized_enumerations_raise_before_enumerating():
     with pytest.raises(CapExceeded, match="too large"):
         PushforwardMeasure(mu, F_xor_table, 4).cylinder_prob(Cylinder(0, w(*[0] * 20)))
     assert time.perf_counter() - start < 5.0
+
+
+def test_cap_message_names_the_composed_power():
+    # an affine F^17 is composed and pushed as one step; the message names F^17
+    base = HaarMeasure(LinearKernelShift(linear_ca(Z2, {0: 1, 1: 1, 2: 1})))
+    message = r"pushforward by F\^17 needs 131072 words per target word"
+    with pytest.raises(CapExceeded, match=message):
+        PushforwardMeasure(base, F_xor, 17).block_distribution(0, 3)
+    with pytest.raises(CapExceeded, match=message):
+        cesaro_sequence(base, F_xor, 18, 3)
