@@ -26,6 +26,22 @@ def letters(alphabet: GroupSpec) -> tuple[Element, ...]:
     return tuple(alphabet.elements())
 
 
+def letter_arithmetic(alphabet: GroupSpec, coeffs: Mapping[int, Endomorphism]) -> tuple:
+    """Letter indices in `letters` order, the addition table over them
+    (plus[i][j] indexes letter i + letter j) and, by offset, each coefficient
+    of a linear rule as a map of letter indices, one per distinct matrix."""
+    abc = letters(alphabet)
+    index = {a: i for i, a in enumerate(abc)}
+    plus = tuple(tuple(index[alphabet.add(a, b)] for b in abc) for a in abc)
+    made: dict[tuple, tuple[int, ...]] = {}  # coefficient matrix -> letter map
+    maps = {}
+    for u, f in coeffs.items():
+        if f.matrix not in made:
+            made[f.matrix] = tuple(index[f(a)] for a in abc)
+        maps[u] = made[f.matrix]
+    return index, plus, maps
+
+
 def _coerce_endo(alphabet: GroupSpec, value) -> Endomorphism:
     if isinstance(value, Endomorphism):
         if value.source != alphabet or value.target != alphabet:
@@ -548,9 +564,9 @@ def cylinder_preimage(F: CellularAutomaton, cyl: Cylinder,
     abc = letters(small.alphabet)
     out: list[Cylinder] = []
     target = cyl.word
-    stack: list[Word] = [w for w in (itertools.product(abc, repeat=k))]
-    # depth-first extension: each new letter must complete a window mapping
-    # onto the next target letter.
+
+    # depth-first extension of each seed of k letters: each new letter must
+    # complete a window mapping onto the next target letter.
     def extend(prefix: Word) -> None:
         t = len(prefix) - k
         if t == len(target):
@@ -562,9 +578,6 @@ def cylinder_preimage(F: CellularAutomaton, cyl: Cylinder,
             if small.local(prefix[t:] + (a,)) == target[t]:
                 extend(prefix + (a,))
 
-    if k == 0:
-        extend(())
-    else:
-        for seed in stack:
-            extend(seed)
+    for seed in itertools.product(abc, repeat=k):
+        extend(seed)
     return out

@@ -2,12 +2,15 @@
 
 Exit codes: 0 all asserted checks hold, 1 a mathematical check failed (a
 witness is printed), 2 usage or spec-file errors, or standard output closed
-by its reader.
+by its reader.  A subcommand's standard output is held until it returns, so
+an error that ends in exit 2 leaves standard output empty.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -525,16 +528,14 @@ def cmd_entropy(args) -> int:
     F = _load_ca_arg(args.ca)
     mu = load_measure(_read_json(args.measure)) if args.measure else Bernoulli.uniform(F.alphabet)
     rep = entropy_report(F, mu, samples=args.samples, k=args.block, seed=args.seed)
-    report = rep.as_dict()
     print(f"shift entropy estimate: {rep.h_sigma_estimate:.6f} nats")
-    if rep.h_f_estimate is not None:
-        print(f"automaton entropy estimate: {rep.h_f_estimate:.6f} nats")
+    print(f"automaton entropy estimate: {rep.h_f_estimate:.6f} nats")
     if rep.h_f_formula is not None:
         print(f"closed form: {rep.h_f_formula:.6f} nats ({rep.formula_case} case)")
     print(f"upper bound ok: {rep.bounds.upper_ok}")
-    _print(report, args.out)
+    _print(rep.as_dict(), args.out)
     ok = rep.bounds.upper_ok and (rep.bounds.lower_ok is not False)
-    if rep.h_f_formula is not None and rep.h_f_estimate is not None:
+    if rep.h_f_formula is not None:
         ok = ok and abs(rep.h_f_formula - rep.h_f_estimate) < 0.1
     return 0 if ok else 1
 
@@ -915,8 +916,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    held = io.StringIO()  # written only when the subcommand returns
     try:
-        code = args.func(args)
+        with contextlib.redirect_stdout(held):
+            code = args.func(args)
+        # line by line: an unbuffered stream may drop the tail of one large
+        # write cut short by a closed pipe, where the next write raises
+        sys.stdout.writelines(held.getvalue().splitlines(keepends=True))
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -3,18 +3,24 @@
 Measure entropy of the automaton is estimated through the column process:
 successive images of a sampled window are read off at a fixed block of
 positions, turning automaton entropy into shift entropy of the column
-sequence.  Exact closed forms cover the bipermutative case.
+sequence.  Exact closed forms cover the bipermutative case.  One column
+process serves every rule, alphabet and measure: numpy rows of letter
+indices (`letters` order, smallest unsigned dtype) that the rule moves all
+at once, with blocks counted by their distinct codes, so memory follows the
+sample count.  numpy is imported only when a sample is drawn.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .automata import CellularAutomaton
+from .automata import CellularAutomaton, letter_arithmetic, letters
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,11 +46,7 @@ def formula_entropy(F: CellularAutomaton, h_sigma: float) -> float:
     """Closed-form automaton entropy from shift entropy, by neighborhood sign."""
     small = _require_bipermutative(F)
     r, s = small.neighborhood
-    if r >= 0:
-        return s * h_sigma
-    if s <= 0:
-        return -r * h_sigma
-    return (s - r) * h_sigma
+    return {"right": s, "left": -r, "straddling": s - r}[formula_case(small)] * h_sigma
 
 
 def conjugacy_width(F: CellularAutomaton) -> int:
@@ -95,43 +97,25 @@ def block_entropy_estimate(samples: Iterable[Sequence], k: int) -> float:
     return max(0.0, h_k - _entropy_from_counts(marginal.values()))
 
 
-def column_factor_samples(
-    F: CellularAutomaton,
-    measure,
-    width: int | None = None,
-    depth: int = 4,
-    count: int = 1000,
-    seed: int = 0,
-) -> list[tuple]:
+def column_factor_samples(F: CellularAutomaton, measure, width: int | None = None,
+                          depth: int = 4, count: int = 1000, seed: int = 0) -> list[tuple]:
     """Sampled column sequences (F^n(x) read at a fixed block, n < depth).
 
-    `measure` must provide sample_word(lo, hi, rng); each returned sample is
-    a depth-long word over the width-block column alphabet.
+    Each returned sample is a depth-long word over the width-block column
+    alphabet, decoded from the column process that `entropy_report` counts,
+    drawn as its shift sample is drawn from `seed`.
     """
     small = F.smallest_neighborhood()
-    r, s = small.neighborhood
     if width is None:
         width = max(conjugacy_width(small), 1)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    lo = min(0, (depth - 1) * r)
-    hi = (width - 1) + max(0, (depth - 1) * s)
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        cur = tuple(measure.sample_word(lo, hi, rng))
-        if len(cur) != hi - lo + 1:
-            raise ValueError("sampler returned a window of the wrong length")
-        cur_lo = lo
-        cols = []
-        for n in range(depth):
-            idx = -cur_lo
-            cols.append(tuple(cur[idx : idx + width]))
-            if n < depth - 1:
-                cur = small.apply_window(cur)
-                cur_lo -= r
-        out.append(tuple(cols))
-    return out
+    rows = _column_process(small, measure, width, depth, count, _rngs(measure, seed)[0])
+    abc = letters(small.alphabet)
+    return [
+        tuple(tuple(abc[i] for i in row[c * width : (c + 1) * width]) for c in range(depth))
+        for row in rows.tolist()
+    ]
 
 
 @dataclass(frozen=True)
@@ -163,7 +147,7 @@ def bounds_check(
 @dataclass(frozen=True)
 class EntropyReport:
     h_sigma_estimate: float
-    h_f_estimate: float | None
+    h_f_estimate: float
     h_f_formula: float | None
     formula_case: str | None
     bounds: BoundsCheck
@@ -191,124 +175,151 @@ class EntropyReport:
         }
 
 
-def _encode_columns(arr: np.ndarray, base: int) -> np.ndarray:
+# -- the column process over letter indices ------------------------------------
+
+
+def _rngs(measure, seed: int) -> tuple:
+    """Generators of the shift and the column samples: one numpy stream for a
+    measure i.i.d. over letters or blocks, else random.Random(seed) and
+    random.Random(seed + 1)."""
+    from .measures import _independent_pieces
+
+    if _independent_pieces(measure, 0, 0) is None:
+        return random.Random(seed), random.Random(seed + 1)
     import numpy as np
 
-    code = np.zeros(arr.shape[0], dtype=np.int64)
-    for j in range(arr.shape[1]):
-        code = code * base + arr[:, j]
-    return code
+    return (np.random.default_rng(seed),) * 2
 
 
-def _counts_entropy(code: np.ndarray) -> float:
+def _draw_rows(measure, lo: int, hi: int, count: int, rng) -> np.ndarray:
+    """`count` samples of [lo, hi] as rows of letter indices.  Each kind of
+    i.i.d. piece (`measures._independent_pieces`) takes one rng.integers(0,
+    den) call, mapped through its cumulative integer run weights; any other
+    measure gives rows of its sample_word."""
     import numpy as np
 
-    counts = np.bincount(code)
-    counts = counts[counts > 0]
-    total = int(counts.sum())
-    return math.log(total) - float((counts * np.log(counts)).sum()) / total
+    from .measures import _independent_pieces
+
+    index = letter_arithmetic(measure.alphabet, {})[0]
+    out = np.empty((count, hi - lo + 1), np.min_scalar_type(len(index) - 1))
+    pieces = _independent_pieces(measure, lo, hi)
+    if pieces is None:
+        words = [measure.sample_word(lo, hi, rng) for _ in range(count)]
+        if any(len(w) != hi - lo + 1 for w in words):
+            raise ValueError("sampler returned a window of the wrong length")
+        out[:] = np.array([[index[a] for a in w] for w in words]).reshape(out.shape)
+        return out
+    kinds: dict[tuple, list[int]] = {}
+    for first, runs, den in pieces:
+        kinds.setdefault((tuple(runs), den), []).append(first - lo)
+    for (runs, den), starts in kinds.items():
+        if den >= 1 << 63:
+            raise ValueError(f"run weights over {den} pass the 64-bit draw limit 2^63")
+        values = np.array([[index[a] for a in run] for run, _ in runs], out.dtype)
+        pick = np.searchsorted(np.cumsum([w for _, w in runs]),
+                               rng.integers(0, den, size=(count, len(starts))), side="right")
+        out[:, np.add.outer(starts, range(values.shape[1]))] = values[pick]
+    return out
 
 
-def _fast_column_entropy(
-    F: CellularAutomaton, measure, width: int, k: int, count: int, rng
-) -> float:
-    """Vectorized column-process entropy for scalar linear rules on cyclic
-    alphabets and array-capable samplers."""
+def _rule_on_rows(small: CellularAutomaton):
+    """The rule slid over all rows of a letter-index array, each shrinking by
+    the width less one as under apply_window.  Each offset maps its letters
+    to a term: an affine rule adds the terms with the addition table, a
+    table rule sums them into window codes and looks each window up."""
     import numpy as np
 
-    small = F.smallest_neighborhood()
+    n, w = small.alphabet.order, small.width
+    dtype = np.min_scalar_type(n - 1)
+    index, plus, maps = letter_arithmetic(small.alphabet, small.coeffs or {})
+    lookup, add = None, np.add
+    if small.table is not None:
+        words = itertools.product(letters(small.alphabet), repeat=w)
+        lookup = np.array([index[small.table[word]] for word in words], dtype)
+        images = [(j, np.arange(n, dtype=np.int64) * n ** (w - 1 - j)) for j in range(w)]
+    else:
+        r, plus = small.neighborhood[0], np.array(plus, dtype)
+        images = [(u - r, np.array(image, dtype)) for u, image in maps.items()]
+        if small.constant is not None:  # a letter map onto the constant
+            images.append((0, np.full(n, index[small.constant], dtype)))
+
+        def add(acc: np.ndarray, term: np.ndarray) -> np.ndarray:
+            return plus[acc, term]
+
+    def apply(rows: np.ndarray) -> np.ndarray:
+        m = rows.shape[1] - w + 1
+        out = functools.reduce(add, (image[rows[:, j : j + m]] for j, image in images))
+        return out if lookup is None else lookup[out]
+
+    return apply
+
+
+def _column_process(small: CellularAutomaton, measure, width: int, depth: int,
+                    count: int, rng) -> np.ndarray:
+    """Rows of `depth` columns of `width` letter indices: F^n(x) on
+    [0, width) for n < depth, with x drawn on the window that fixes them."""
+    import numpy as np
+
     r, s = small.neighborhood
-    d = small.alphabet.moduli[0]
-    coeffs = {u: f.matrix[0][0] for u, f in small.coeffs.items()}
-    lo = min(0, (k - 1) * r)
-    hi = (width - 1) + max(0, (k - 1) * s)
-    cur = measure.sample_array(lo, hi, count, rng).astype(np.int64)
-    cur_lo = lo
-    col_codes = np.zeros((count, k), dtype=np.int64)
-    for n in range(k):
-        idx = -cur_lo
-        col_codes[:, n] = _encode_columns(cur[:, idx : idx + width], d)
-        if n < k - 1:
-            new_len = cur.shape[1] - (s - r)
-            nxt = np.zeros((count, new_len), dtype=np.int64)
-            for u, c in coeffs.items():
-                nxt += c * cur[:, u - r : u - r + new_len]
-            if small.constant is not None:
-                nxt += small.constant[0]
-            cur = nxt % d
-            cur_lo -= r
-    base = d**width
-    h_k = _counts_entropy(_encode_columns(col_codes, base))
-    if k == 1:
-        return h_k
-    h_km1 = _counts_entropy(_encode_columns(col_codes[:, : k - 1], base))
-    return max(0.0, h_k - h_km1)
+    lo = min(0, (depth - 1) * r)
+    cur = _draw_rows(measure, lo, width - 1 + max(0, (depth - 1) * s), count, rng)
+    step = _rule_on_rows(small)
+    cols = [cur[:, -lo : width - lo]]
+    for n in range(1, depth):
+        cur = step(cur)
+        cols.append(cur[:, n * r - lo : n * r - lo + width])
+    return np.concatenate(cols, axis=1)
 
 
-def _fast_shift_entropy(measure, k: int, d: int, count: int, rng) -> float:
+def _code_entropy(code: np.ndarray) -> float:
     import numpy as np
 
-    arr = measure.sample_array(0, k - 1, count, rng).astype(np.int64)
-    h_k = _counts_entropy(_encode_columns(arr, d))
-    if k == 1:
-        return h_k
-    h_km1 = _counts_entropy(_encode_columns(arr[:, : k - 1], d))
-    return max(0.0, h_k - h_km1)
+    counts = np.unique(code, return_counts=True)[1]
+    return math.log(len(code)) - float((counts * np.log(counts)).sum()) / len(code)
 
 
-def entropy_report(
-    F: CellularAutomaton,
-    measure,
-    samples: int = 1_000_000,
-    k: int = 4,
-    seed: int = 0,
-    width: int | None = None,
-    expansivity_radius: int | None = None,
-) -> EntropyReport:
+def _rows_entropy(rows: np.ndarray, n: int, width: int) -> float:
+    """H_k - H_(k-1) of rows of k symbols of `width` letter indices, one
+    block per row, counted by its code."""
+    import numpy as np
+
+    code = np.zeros(len(rows), np.int64)
+    for column in rows.T:
+        code = code * n + column
+    if rows.shape[1] == width:
+        return _code_entropy(code)
+    return max(0.0, _code_entropy(code) - _code_entropy(code // n**width))
+
+
+def entropy_report(F: CellularAutomaton, measure, samples: int = 1_000_000, k: int = 4,
+                   seed: int = 0, width: int | None = None,
+                   expansivity_radius: int | None = None) -> EntropyReport:
     """Estimate shift and automaton entropies and cross-check the formulas.
 
-    Uses the vectorized path when the alphabet is cyclic, the rule is linear
-    and the sampler supports arrays; falls back to object sampling otherwise.
+    Both estimates count blocks of the column process: the shift's from
+    k-letter windows of the measure, the automaton's from k columns of
+    `width` letters.  A block code must stay below 2^63, so
+    |A|^(width * k) >= 2^63 raises ValueError.
     """
     if samples < 1 or k < 1:
         raise ValueError(f"samples and block length k must be >= 1, got {samples} and {k}")
     small = F.smallest_neighborhood()
+    if measure.alphabet != small.alphabet:
+        raise ValueError(f"alphabet mismatch: the measure is over {measure.alphabet}, "
+                         f"not over {small.alphabet}")
     if width is None:
         width = max(conjugacy_width(small), 1)
-    fast = (
-        small.alphabet.rank == 1
-        and small.coeffs is not None
-        and hasattr(measure, "sample_array")
-    )
-    if fast:
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
-        d = small.alphabet.moduli[0]
-        h_sigma = _fast_shift_entropy(measure, k, d, samples, rng)
-        h_f = _fast_column_entropy(F, measure, width, k, samples, rng)
-    else:
-        rng = random.Random(seed)
-        words = [tuple(measure.sample_word(0, k - 1, rng)) for _ in range(samples)]
-        h_sigma = block_entropy_estimate(words, k)
-        cols = column_factor_samples(F, measure, width, k, samples, seed + 1)
-        h_f = block_entropy_estimate(cols, k)
-    perm = small.permutativity()
-    if perm.bipermutative and not small.is_trivial:
-        case = formula_case(small)
-        h_formula = formula_entropy(small, h_sigma)
-    else:
-        case = None
-        h_formula = None
-    bc = bounds_check(small, h_sigma, h_f, expansivity_radius)
+    n = small.alphabet.order
+    if n ** (width * k) >= 1 << 63:
+        raise ValueError(f"block codes of |A|^(width * k) = {n}^{width * k} values "
+                         f"pass the 64-bit limit 2^63")
+    shift_rng, column_rng = _rngs(measure, seed)
+    h_sigma = _rows_entropy(_draw_rows(measure, 0, k - 1, samples, shift_rng), n, 1)
+    h_f = _rows_entropy(_column_process(small, measure, width, k, samples, column_rng),
+                        n, width)
+    formula = small.permutativity().bipermutative and not small.is_trivial
     return EntropyReport(
-        h_sigma_estimate=h_sigma,
-        h_f_estimate=h_f,
-        h_f_formula=h_formula,
-        formula_case=case,
-        bounds=bc,
-        sample_count=samples,
-        block_length=k,
-        column_width=width,
-        seed=seed,
+        h_sigma, h_f, formula_entropy(small, h_sigma) if formula else None,
+        formula_case(small) if formula else None,
+        bounds_check(small, h_sigma, h_f, expansivity_radius), samples, k, width, seed,
     )

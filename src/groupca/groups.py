@@ -52,6 +52,18 @@ def _gl_order(m: int, r: int) -> int:
     return out
 
 
+def _gl_primes(m: int, r: int) -> list[int]:
+    """The distinct primes of |GL_r(Z/m)|, factoring each p^i - 1 (i <= r) of
+    the product on its own rather than the product's second-largest prime."""
+    primes = set()
+    for p in _prime_factors(m):
+        if r > 1 or m % (p * p) == 0:
+            primes.add(p)
+        for i in range(1, r + 1):
+            primes.update(_prime_factors(p**i - 1))
+    return sorted(primes)
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """A finite abelian group given in product form Z/d_1 x ... x Z/d_k."""

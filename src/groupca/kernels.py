@@ -28,8 +28,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .automata import CellularAutomaton, as_laurent, compose, letters, linear_ca
-from .configs import PeriodicConfig, Word
+from .automata import (CellularAutomaton, as_laurent, compose, cylinder_preimage, letters,
+                       linear_ca)
+from .configs import Cylinder, PeriodicConfig, Word
 from .groups import (
     CapExceeded,
     Element,
@@ -37,6 +38,7 @@ from .groups import (
     GroupSpec,
     Subgroup,
     _gl_order,
+    _gl_primes,
     _is_prime,
     closure_set,
     enumerate_subgroups,
@@ -472,9 +474,6 @@ class FullShift:
     def contains(self, x: PeriodicConfig) -> bool:
         return x.alphabet == self.alphabet
 
-    def admissible_words(self, offset: int, length: int) -> set[Word]:
-        return set(itertools.product(letters(self.alphabet), repeat=length))
-
     def describe(self) -> str:
         return f"full shift over {self.alphabet}"
 
@@ -509,22 +508,6 @@ class ProductSubgroup:
                 return False
         return True
 
-    def admissible_words(self, offset: int, length: int) -> set[Word]:
-        t = self.grouping
-        first = math.floor((offset - self.phase) / t)
-        last = math.floor((offset + length - 1 - self.phase) / t)
-        blocks = range(first, last + 1)
-        words: set[Word] = set()
-        for choice in itertools.product(self.block.elements, repeat=len(blocks)):
-            word = []
-            for pos in range(offset, offset + length):
-                b = (pos - self.phase) // t - first
-                j = (pos - self.phase) % t
-                k = self.alphabet.rank
-                word.append(tuple(choice[b][j * k : (j + 1) * k]))
-            words.add(tuple(word))
-        return words
-
     def shifted(self, m: int) -> "ProductSubgroup":
         """The image under the m-th shift power (blocks move back by m)."""
         return ProductSubgroup(self.alphabet, self.grouping, self.block,
@@ -554,35 +537,19 @@ class LinearKernelShift:
     def contains(self, x: PeriodicConfig) -> bool:
         return self.automaton.apply_periodic(x).is_zero
 
-    def admissible_words(self, offset: int, length: int) -> set[Word]:
-        return set(self.window_counts(length))
-
     def window_counts(self, length: int) -> Counter:
-        """Solutions of the kernel equations on a window padded by the rule
-        width on both sides, counted by their middle word of `length` letters.
-
-        The padded window is enumerated once; the counts do not depend on the
-        window's position, since the kernel is shift invariant.
+        """Solutions of the kernel equations on a window padded by pad =
+        width - 1 on both sides, counted by their middle word of `length`
+        letters: the preimages of the zero word of length `length` + pad,
+        capped at every padded word, so no kernel is refused.  The counts do
+        not depend on the window's position (the kernel is shift invariant).
         """
         small = self.automaton.smallest_neighborhood()
         pad = small.width - 1
-        window = length + 2 * pad
-        zero = self.alphabet.zero
-        abc = letters(self.alphabet)
-        counts: Counter = Counter()
-
-        def extend(prefix: Word) -> None:
-            if len(prefix) >= small.width:
-                if small.local(prefix[-small.width:]) != zero:
-                    return
-            if len(prefix) == window:
-                counts[prefix[pad : pad + length]] += 1
-                return
-            for a in abc:
-                extend(prefix + (a,))
-
-        extend(())
-        return counts
+        zero = Cylinder(0, (self.alphabet.zero,) * (length + pad))
+        cap = self.alphabet.order ** (length + 2 * pad)
+        return Counter(c.word[pad : pad + length]
+                       for c in cylinder_preimage(small, zero, cap))
 
     def describe(self) -> str:
         return f"kernel of {self.automaton.describe()}"
@@ -837,11 +804,12 @@ class KernelRecurrence:
         The matrix is multiplication by x on the free module Z/m[x]/(P), for
         the monic P = x^k - sum_j matrix[0][j] x^(k-1-j) whose constant term
         is a unit, so its order is the order of x modulo P.  That order
-        divides |GL_k(Z/m)|, whose prime factors `_x_order` divides out.
+        divides |GL_k(Z/m)|, whose prime factors `_x_order` divides out;
+        they come from the factors p^i - 1 of that product, one at a time.
         """
         m, k = self.modulus, self.width
         f = tuple(-c % m for c in reversed(self.matrix[0])) + (1,)
-        order = _x_order(f, m, _gl_order(m, k))
+        order = _x_order(f, m, _gl_order(m, k), _gl_primes(m, k))
         if _dense_pow((0, 1), order, m, f) != (1,):
             raise AssertionError("order reduction failed")
         return order

@@ -16,12 +16,13 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .automata import (
     CellularAutomaton,
     compose,
     cylinder_preimage,
+    letter_arithmetic,
     letters,
     linear_ca,
     power,
@@ -42,9 +43,6 @@ from .kernels import (
     corollary_ker_check,
     subgroup_shift_on,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_EXPANSION_CAP = 1 << 16
 DEFAULT_WINDOW_CAP = 10  # maximal exactly-enumerated window length
@@ -123,15 +121,10 @@ def _sweep(
     """
     _check_window(alphabet, length, None)
     abc = letters(alphabet)
-    index = {a: i for i, a in enumerate(abc)}
+    index, plus, maps = letter_arithmetic(alphabet, coeffs)
     zero = index[alphabet.zero]
-    plus = [[index[alphabet.add(a, b)] for b in abc] for a in abc]
-    maps: dict[tuple, tuple[int, ...]] = {}  # coefficient matrix -> letter map
     touch: defaultdict = defaultdict(list)  # input position -> [(output, letter map)]
-    for u, f in coeffs.items():
-        image = maps.get(f.matrix)
-        if image is None:
-            image = maps[f.matrix] = tuple(index[f(a)] for a in abc)
+    for u, image in maps.items():
         if any(x != zero for x in image):
             for t in range(length):
                 touch[lo + t + u].append((t, image))
@@ -290,18 +283,6 @@ class Bernoulli:
     def sample_word(self, lo: int, hi: int, rng: random.Random) -> Word:
         return tuple(rng.choices(self._letters, cum_weights=self._cum_weights, k=hi - lo + 1))
 
-    def sample_array(self, lo: int, hi: int, count: int, rng) -> np.ndarray:
-        import numpy as np
-
-        if self.alphabet.rank != 1:
-            raise ValueError("array sampling needs a cyclic alphabet")
-        d = self.alphabet.moduli[0]
-        if len(set(self.weights.values())) == 1:
-            return rng.integers(0, d, size=(count, hi - lo + 1))
-        p = np.array([float(self.weights[(a,)]) for a in range(d)])
-        p /= p.sum()
-        return rng.choice(d, size=(count, hi - lo + 1), p=p)
-
     def describe(self) -> str:
         return f"Bernoulli on {self.alphabet}"
 
@@ -317,12 +298,16 @@ class HaarMeasure:
         return self.sigma.alphabet
 
     def cylinder_prob(self, cyl: Cylinder) -> Fraction:
-        sig = self.sigma
-        if isinstance(sig, FullShift):
-            return Fraction(1, self.alphabet.order ** len(cyl.word))
-        if isinstance(sig, ProductSubgroup):
-            return self._product_prob(sig, cyl)
-        return self.block_distribution(cyl.offset, len(cyl.word)).get(cyl.word, Fraction(0))
+        """A product of run weights for the full shift and product subgroups
+        (i.i.d. over letters or blocks), any cylinder length; a kernel
+        shift reads its block distribution."""
+        if isinstance(self.sigma, LinearKernelShift):
+            return self.block_distribution(cyl.offset, len(cyl.word)).get(cyl.word, Fraction(0))
+        p = Fraction(1)
+        for first, runs, den in _independent_pieces(self, cyl.offset, cyl.end - 1):
+            i = first - cyl.offset
+            p *= Fraction(dict(runs).get(cyl.word[i : i + len(runs[0][0])], 0), den)
+        return p
 
     def block_distribution(self, offset: int, length: int) -> dict[Word, Fraction]:
         """Full shift and product subgroups are i.i.d. over letters or blocks;
@@ -332,27 +317,6 @@ class HaarMeasure:
         counts = self.sigma.window_counts(length)
         total = sum(counts.values())
         return {word: Fraction(c, total) for word, c in counts.items()}
-
-    @staticmethod
-    def _product_prob(sig: ProductSubgroup, cyl: Cylinder) -> Fraction:
-        t, k = sig.grouping, sig.alphabet.rank
-        first = math.floor((cyl.offset - sig.phase) / t)
-        last = math.floor((cyl.end - 1 - sig.phase) / t)
-        p = Fraction(1)
-        for n in range(first, last + 1):
-            constraints = {}
-            for j in range(t):
-                pos = n * t + sig.phase + j
-                if cyl.offset <= pos < cyl.end:
-                    constraints[j] = cyl.word[pos - cyl.offset]
-            count = 0
-            for b in sig.block.elements:
-                if all(b[j * k : (j + 1) * k] == a for j, a in constraints.items()):
-                    count += 1
-            if count == 0:
-                return Fraction(0)
-            p *= Fraction(count, len(sig.block))
-        return p
 
     def sample_word(self, lo: int, hi: int, rng: random.Random) -> Word:
         sig = self.sigma
@@ -384,14 +348,19 @@ class HaarMeasure:
             word.append(nxt[0] if len(nxt) == 1 else rng.choice(nxt))
         return tuple(word)
 
-    def sample_array(self, lo: int, hi: int, count: int, rng) -> np.ndarray:
-        if isinstance(self.sigma, FullShift) and self.alphabet.rank == 1:
-            d = self.alphabet.moduli[0]
-            return rng.integers(0, d, size=(count, hi - lo + 1))
-        raise ValueError("array sampling only for full shifts on cyclic alphabets")
-
     def describe(self) -> str:
         return f"Haar on {self.sigma.describe()}"
+
+
+def _language(sigma: SubgroupShiftSpec, offset: int, length: int) -> set[Word]:
+    """The words of a subgroup shift on [offset, offset + length): the
+    kernel-shift window words, or every concatenation of the runs of the
+    i.i.d. pieces of its Haar measure."""
+    if isinstance(sigma, LinearKernelShift):
+        return set(sigma.window_counts(length))
+    pieces = _independent_pieces(HaarMeasure(sigma), offset, offset + length - 1)
+    choices = ([run for run, _ in runs] for _, runs, _ in pieces)
+    return {sum(word, ()) for word in itertools.product(*choices)}
 
 
 @dataclass(frozen=True)
@@ -768,7 +737,7 @@ def haar_test(
     alphabet = mu.alphabet
     sigma = subgroup_shift_on(sigma, alphabet)
     _check_window(alphabet, support_budget)
-    admissible = sorted(sigma.admissible_words(0, support_budget))
+    admissible = sorted(_language(sigma, 0, support_budget))
     abc = letters(alphabet)
     full = mu.block_distribution(0, support_budget)
     marginals: dict[tuple[int, int], dict[Word, Fraction]] = {}
@@ -879,16 +848,15 @@ class CounterexampleSuite:
         checks["sigma2_preimage_of_x1_is_x1"] = self.x1.shifted(-2) == self.x1
         lang_ok = True
         for ell in range(1, length + 1):
-            img = {F.apply_window(w) for w in self.x1.admissible_words(0, ell + 1)}
-            if img != self.x3.admissible_words(0, ell):
+            img = {F.apply_window(w) for w in _language(self.x1, 0, ell + 1)}
+            if img != _language(self.x3, 0, ell):
                 lang_ok = False
-            img2 = {F.apply_window(w) for w in self.x2.admissible_words(0, ell + 1)}
-            if img2 != self.x4.admissible_words(0, ell):
+            img2 = {F.apply_window(w) for w in _language(self.x2, 0, ell + 1)}
+            if img2 != _language(self.x4, 0, ell):
                 lang_ok = False
         checks["rule_image_languages_match"] = lang_ok
         shifted_lang_ok = all(
-            self.x1.shifted(1).admissible_words(i, ell)
-            == self.x2.admissible_words(i, ell)
+            _language(self.x1.shifted(1), i, ell) == _language(self.x2, i, ell)
             for i in (0, 1)
             for ell in range(1, length + 1)
         )

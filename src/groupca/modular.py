@@ -162,14 +162,16 @@ def _dense_pow(
     return acc
 
 
-def _x_order(f: tuple[int, ...], m: int, bound: int) -> int:
+def _x_order(f: tuple[int, ...], m: int, bound: int,
+             primes: list[int] | None = None) -> int:
     """Multiplicative order of x modulo a monic f over Z/m with f(0) a unit,
     found from `bound`, a multiple of it: for instance |GL_deg(f)(Z/m)|, as
     x acts invertibly on the free module Z/m[x]/(f), or p^deg(f) - 1 for an
-    irreducible f over a prime field.  Each prime of `bound` costs one full
-    exponentiation and one raising to that prime per power the order keeps."""
+    irreducible f over a prime field.  Each of `primes` (by default those of
+    `bound`) costs one full exponentiation and one raising to that prime per
+    power the order keeps."""
     order = bound
-    for ell in _prime_factors(bound):
+    for ell in _prime_factors(bound) if primes is None else primes:
         v = 0  # strip ell from the multiple, then restore the powers x needs
         while order % ell == 0:
             order, v = order // ell, v + 1

@@ -444,7 +444,7 @@ def test_hypotheses_measure_over_another_alphabet_is_usage_error(tmp_path, capsy
 
 
 def test_import_and_examples_leave_numpy_unloaded():
-    # numpy is imported only by the vectorized entropy and array-sampling paths
+    # numpy is imported only by the entropy column process
     script = (
         "import sys\n"
         "import groupca\n"
@@ -719,6 +719,42 @@ def test_out_of_range_arguments_are_usage_errors(tmp_path, capsys, argv, message
     assert run([str(mu) if a == "MU" else a for a in argv]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--ca", "id_plus_sigma_z2", "--m-max", "-5"], "m_max must be >= 0, got -5"),
+    (["analyze", "--ca", "classA_F1", "--conjugacy-width", "1"],
+     "conjugacy check needs depth >= 1 and width >= 2, got depth 2 and width 1"),
+    (["dual", "--ca", "classA_F1", "--depth", "0"],
+     "conjugacy check needs depth >= 1 and width >= 2, got depth 0 and width 8"),
+])
+def test_a_late_usage_error_leaves_stdout_empty(capsys, argv, message):
+    # each command has report lines ready before its argument is refused
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_entropy_refuses_a_measure_over_another_alphabet(tmp_path, capsys):
+    mu = tmp_path / "z3.json"
+    mu.write_text(json.dumps({"type": "bernoulli", "alphabet": {"moduli": [3]}}))
+    assert run(["entropy", "--ca", "id_plus_sigma_z2", "--measure", str(mu),
+                "--samples", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "alphabet mismatch: the measure is over Z/3, not over Z/2" in captured.err
+
+
+def test_entropy_of_a_product_haar_measure(tmp_path, capsys):
+    mu = tmp_path / "haar.json"
+    mu.write_text(json.dumps({"type": "haar", "sigma": {
+        "type": "product", "alphabet": {"moduli": [2]}, "grouping": 2,
+        "block": [[0, 0], [1, 1]]}}))
+    argv = ["entropy", "--ca", "id_plus_sigma_z2", "--measure", str(mu),
+            "--samples", "20000", "--block", "3"]
+    assert run(argv) == 0
+    assert "automaton entropy estimate" in capsys.readouterr().out
 
 
 def test_closed_output_pipe_is_exit_2_without_traceback():

@@ -1,12 +1,22 @@
 """Entropy formulas, block estimators and the column process."""
 
+import collections
+import itertools
 import math
 import random
+import tracemalloc
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from groupca.automata import linear_ca, shift_ca
+from groupca.automata import letters, linear_ca, shift_ca, table_ca
 from groupca.entropy import (
+    _draw_rows,
+    _rngs,
+    _rule_on_rows,
     block_entropy_estimate,
     bounds_check,
     column_factor_samples,
@@ -16,11 +26,14 @@ from groupca.entropy import (
     formula_entropy,
     topological_entropy,
 )
-from groupca.groups import GroupSpec
-from groupca.measures import Bernoulli
+from groupca.groups import GroupSpec, subgroup_closure
+from groupca.kernels import ProductSubgroup
+from groupca.measures import Bernoulli, HaarMeasure
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
+Z2xZ2 = GroupSpec((2, 2))
+Z2xZ4 = GroupSpec((2, 4))
 
 F_xor = linear_ca(Z2, {0: 1, 1: 1})
 LOG2 = math.log(2)
@@ -103,13 +116,10 @@ def test_entropy_report_fast_path_matches_formula():
     assert rep.formula_case == "right"
 
 
-def test_entropy_report_object_path():
+def test_entropy_report_on_a_table_rule():
     mu = Bernoulli.uniform(Z3)
     F = linear_ca(Z3, {0: 1, 1: 1})
-    # table rules force the object path
-    from groupca.automata import table_ca, letters
-    import itertools
-
+    # the table form of the rule moves the column process by window lookup
     table = {w: F.local(w) for w in itertools.product(letters(Z3), repeat=2)}
     T = table_ca(Z3, (0, 1), table)
     rep = entropy_report(T, mu, samples=20_000, k=3, seed=4)
@@ -127,8 +137,6 @@ def test_bounds_check():
 
 
 def test_biased_bernoulli_entropy():
-    from fractions import Fraction
-
     mu = Bernoulli(Z2, {(0,): Fraction(3, 4), (1,): Fraction(1, 4)})
     rep = entropy_report(F_xor, mu, samples=200_000, k=4, seed=6)
     h = -(0.75 * math.log(0.75) + 0.25 * math.log(0.25))
@@ -145,3 +153,101 @@ def test_topological_equals_formula_at_uniform_entropy():
         assert topological_entropy(F) == pytest.approx(
             formula_entropy(F, math.log(2))
         )
+
+
+# -- the column process over letter indices ----------------------------------------
+
+
+def _endomorphisms(group):
+    """Matrices of endomorphisms: entry (j, i) maps Z/d_i into Z/d_j."""
+    d = group.moduli
+    return st.tuples(*(
+        st.tuples(*(st.sampled_from([m for m in range(d[j]) if m * d[i] % d[j] == 0])
+                    for i in range(group.rank)))
+        for j in range(group.rank)
+    ))
+
+
+@st.composite
+def _rules(draw):
+    """Linear, affine and table rules on neighborhoods from [-2, -2] to [1, 3]."""
+    group = draw(st.sampled_from([Z2, Z3, Z2xZ2, Z2xZ4]))
+    r, w = draw(st.integers(-2, 1)), draw(st.integers(0, 2))
+    abc = letters(group)
+    if group.order ** (w + 1) <= 64 and draw(st.booleans()):
+        values = draw(st.lists(st.sampled_from(abc), min_size=group.order ** (w + 1),
+                               max_size=group.order ** (w + 1)))
+        return table_ca(group, (r, r + w), dict(zip(itertools.product(abc, repeat=w + 1), values)))
+    coeffs = {r + i: draw(_endomorphisms(group)) for i in range(w + 1)}
+    constant = draw(st.sampled_from(abc)) if draw(st.booleans()) else None
+    return linear_ca(group, coeffs, constant=constant, neighborhood=(r, r + w))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rules(), st.data())
+@example(linear_ca(Z2, {-2: 1, -1: 1}), None)
+@example(linear_ca(Z2xZ4, {1: [[1, 0], [2, 1]], 3: [[1, 0], [0, 3]]}, constant=(1, 2)), None)
+@example(table_ca(Z3, (1, 3), {w: ((w[0][0] * w[2][0] + w[1][0]) % 3,)
+                               for w in itertools.product(letters(Z3), repeat=3)}), None)
+def test_rule_on_rows_equals_apply_window_row_by_row(F, data):
+    abc = letters(F.alphabet)
+    if data is None:
+        rows = [[(i + 2 * j) % len(abc) for j in range(F.width + 4)] for i in range(len(abc))]
+    else:
+        length = data.draw(st.integers(F.width, F.width + 5))
+        rows = data.draw(st.lists(st.lists(st.integers(0, len(abc) - 1), min_size=length,
+                                           max_size=length), min_size=1, max_size=6))
+    out = _rule_on_rows(F)(np.array(rows, np.min_scalar_type(len(abc) - 1)))
+    expected = [[abc.index(b) for b in F.apply_window([abc[i] for i in row])] for row in rows]
+    assert out.tolist() == expected
+
+
+def test_uniform_letters_take_one_integers_call():
+    # so uniform-Bernoulli estimates keep the draws of a plain integers call
+    rows = _draw_rows(Bernoulli.uniform(Z3), -2, 2, 1000, np.random.default_rng(7))
+    assert rows.dtype == np.uint8
+    assert rows.tolist() == np.random.default_rng(7).integers(0, 3, size=(1000, 5)).tolist()
+
+
+_BLOCK = subgroup_closure(Z3.power(2), [(1, 2)])
+
+
+@pytest.mark.parametrize("mu", [
+    Bernoulli(Z3, {(0,): Fraction(1, 2), (1,): Fraction(1, 3), (2,): Fraction(1, 6)}),
+    Bernoulli(Z2xZ2, {(0, 0): Fraction(1, 8), (0, 1): Fraction(1, 8),
+                      (1, 0): Fraction(1, 4), (1, 1): Fraction(1, 2)}),
+    HaarMeasure(ProductSubgroup(Z3, 2, _BLOCK, phase=1)),
+])
+def test_index_sampler_matches_the_exact_block_distribution(mu):
+    n = 20_000
+    abc = letters(mu.alphabet)
+    rows = _draw_rows(mu, 0, 2, n, _rngs(mu, 3)[0])
+    seen = collections.Counter(tuple(abc[i] for i in row) for row in rows.tolist())
+    exact = mu.block_distribution(0, 3)
+    assert set(seen) <= set(exact)
+    for word, p in exact.items():
+        p = float(p)
+        assert abs(seen[word] / n - p) <= 5 * math.sqrt(p * (1 - p) / n), word
+
+
+def test_wide_blocks_count_in_memory_that_follows_the_samples():
+    F = linear_ca(Z2, {0: 1, 6: 1})  # columns of 6 letters: 2^24 block codes at k = 4
+    tracemalloc.start()
+    try:
+        entropy_report(F, Bernoulli.uniform(Z2), samples=1000, k=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_block_codes_past_64_bits_are_refused():
+    F = linear_ca(Z2, {0: 1, 15: 1})  # 2^(15 * 5) block codes
+    with pytest.raises(ValueError, match=r"2\^75 values pass the 64-bit limit 2\^63"):
+        entropy_report(F, Bernoulli.uniform(Z2), samples=10, k=5)
+
+
+def test_weights_past_64_bit_draws_are_refused():
+    mu = Bernoulli(Z2, {(0,): Fraction(1, 2**64), (1,): 1 - Fraction(1, 2**64)})
+    with pytest.raises(ValueError, match=r"pass the 64-bit draw limit 2\^63"):
+        entropy_report(F_xor, mu, samples=10, k=1)

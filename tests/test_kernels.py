@@ -2,12 +2,18 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import groupca
 from groupca.automata import (
     CellularAutomaton,
     letters,
@@ -17,7 +23,16 @@ from groupca.automata import (
     table_from_rule,
 )
 from groupca.configs import PeriodicConfig
-from groupca.groups import CapExceeded, GroupSpec, Subgroup, closure_set, subgroup_closure
+from groupca.groups import (
+    CapExceeded,
+    GroupSpec,
+    Subgroup,
+    _gl_order,
+    _gl_primes,
+    _prime_factors,
+    closure_set,
+    subgroup_closure,
+)
 from groupca.kernels import (
     Condition4Result,
     CorollaryKerResult,
@@ -929,3 +944,69 @@ def test_a_column_that_is_no_homomorphism_is_not_algebraic():
         _require_algebraic(T)
     with pytest.raises(NotAlgebraicError):
         tower(T, 1)
+
+
+# -- kernel-shift window counts against the plain depth-first walk ----------------
+
+
+def _window_counts_oracle(sigma, length):
+    """The kernel solutions on a window padded by width - 1 on both sides,
+    walked letter by letter and counted by their middle word; kept as the
+    oracle for `LinearKernelShift.window_counts`."""
+    small = sigma.automaton.smallest_neighborhood()
+    pad = small.width - 1
+    window = length + 2 * pad
+    zero = sigma.alphabet.zero
+    abc = letters(sigma.alphabet)
+    counts = Counter()
+
+    def extend(prefix):
+        if len(prefix) >= small.width:
+            if small.local(prefix[-small.width:]) != zero:
+                return
+        if len(prefix) == window:
+            counts[prefix[pad : pad + length]] += 1
+            return
+        for a in abc:
+            extend(prefix + (a,))
+
+    extend(())
+    return counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([Z2, Z3, Z4, Z2xZ2]).flatmap(_linear_rules), st.integers(1, 3))
+@example(linear_ca(Z4, {0: 2}), 3)  # the infinite kernel of 2x: letters 0 and 2
+@example(linear_ca(Z2, {-1: 1, 0: 1, 1: 1}), 3)
+@example(linear_ca(Z3, {0: 1, 1: 2, 2: 1}), 3)
+def test_window_counts_match_the_depth_first_walk(F, length):
+    sigma = LinearKernelShift(F)
+    assert sigma.window_counts(length) == _window_counts_oracle(sigma, length)
+
+
+def test_gl_primes_are_the_primes_of_the_gl_order():
+    for m, r in itertools.product(range(2, 41), range(1, 5)):
+        assert _gl_primes(m, r) == _prime_factors(_gl_order(m, r)), (m, r)
+
+
+def test_matrix_order_past_width_37_returns():
+    # |GL_37(F_2)| has the factor 2^37 - 1 = 223 * 616318177; trial division
+    # of the whole product would run to 616318177, so run it with a timeout
+    script = (
+        "from groupca.automata import linear_ca\n"
+        "from groupca.groups import GroupSpec, _prime_factors\n"
+        "from groupca.kernels import recurrence_matrix\n"
+        "from groupca.modular import _dense_pow\n"
+        "rec = recurrence_matrix(linear_ca(GroupSpec((2,)), {0: 1, 1: 1, 37: 1}))\n"
+        "order = rec.matrix_order()\n"
+        "f = tuple(-c % 2 for c in reversed(rec.matrix[0])) + (1,)\n"
+        "assert _dense_pow((0, 1), order, 2, f) == (1,)\n"
+        "assert all(_dense_pow((0, 1), order // ell, 2, f) != (1,)\n"
+        "           for ell in _prime_factors(order))\n"
+        "print(order)\n"
+    )
+    src = str(Path(groupca.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == 137_438_167_041

@@ -30,6 +30,7 @@ from groupca.measures import (
     haar_test,
     invariance_check,
     _independent_pieces,
+    _language,
     _sweep,
     sigma_entropy_exact,
 )
@@ -64,6 +65,22 @@ def test_haar_product_subgroup_probabilities():
     assert mu.cylinder_prob(Cylinder(0, w(2))) == Fraction(1, 2)
     assert mu.cylinder_prob(Cylinder(0, w(1))) == 0
     assert mu.cylinder_prob(Cylinder(-3, w(0, 2, 0))) == Fraction(1, 8)
+
+
+def test_haar_cylinders_and_languages_match_the_block_distribution():
+    # run weights and runs of the i.i.d. pieces against the exact sweep,
+    # across block boundaries and phases
+    Z3, Z2xZ2 = GroupSpec((3,)), GroupSpec((2, 2))
+    for sigma in (ProductSubgroup(Z3, 2, subgroup_closure(Z3.power(2), [(1, 2)]), phase=1),
+                  ProductSubgroup(Z2xZ2, 2, subgroup_closure(Z2xZ2.power(2), [(1, 0, 1, 1)])),
+                  ProductSubgroup(Z2, 3, subgroup_closure(Z2.power(3), [(1, 1, 0)]), phase=2),
+                  FullShift(Z3), LinearKernelShift(linear_ca(Z3, {0: 1, 1: 1, 2: 1}))):
+        mu = HaarMeasure(sigma)
+        for offset, length in itertools.product(range(3), range(1, 4)):
+            exact = mu.block_distribution(offset, length)
+            assert _language(sigma, offset, length) == set(exact)
+            for word in itertools.product(letters(sigma.alphabet), repeat=length):
+                assert mu.cylinder_prob(Cylinder(offset, word)) == exact.get(word, 0)
 
 
 def test_haar_paired_blocks_phase():
