@@ -26,13 +26,12 @@ from .configs import (
 )
 from .automata import (
     CellularAutomaton,
-    LaurentPoly,
+    NotAlgebraicError,
     Permutativity,
     SurjectivityResult,
     as_laurent,
     compose,
     cylinder_preimage,
-    from_laurent,
     identity_ca,
     is_surjective,
     linear_ca,
@@ -50,7 +49,6 @@ from .kernels import (
     KernelRecurrence,
     KernelTower,
     LinearKernelShift,
-    NotAlgebraicError,
     ProductSubgroup,
     SubgroupShiftSpec,
     boundary,

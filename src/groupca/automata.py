@@ -84,61 +84,6 @@ def _product_terms(group: GroupSpec, f_terms: Mapping[int, Endomorphism],
     return terms
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
-    """A Laurent polynomial in the shift with endomorphism coefficients."""
-
-    group: GroupSpec
-    terms: Mapping[int, Endomorphism]
-
-    def __post_init__(self) -> None:
-        coerced = ((int(u), _coerce_endo(self.group, f)) for u, f in self.terms.items())
-        clean = {u: f for u, f in coerced if not f.is_zero}
-        object.__setattr__(self, "terms", clean)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LaurentPoly)
-            and self.group == other.group
-            and self.terms == other.terms
-        )
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.terms))
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if other.group != self.group:
-            raise ValueError("alphabet mismatch")
-        acc = dict(self.terms)
-        for u, f in other.terms.items():
-            acc[u] = acc[u] + f if u in acc else f
-        return LaurentPoly(self.group, acc)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if other.group != self.group:
-            raise ValueError("alphabet mismatch")
-        return LaurentPoly(self.group, _product_terms(self.group, self.terms, other.terms))
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = LaurentPoly(self.group, {0: Endomorphism.identity(self.group)})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def scalar_coeffs(self) -> dict[int, int]:
-        """Coefficients as plain residues; only valid on a cyclic alphabet."""
-        if self.group.rank != 1:
-            raise ValueError("scalar coefficients need a cyclic alphabet")
-        return {u: f.matrix[0][0] for u, f in self.terms.items()}
-
-
 class Permutativity(NamedTuple):
     left: bool
     right: bool
@@ -464,18 +409,47 @@ def with_shift(F: CellularAutomaton, m: int) -> CellularAutomaton:
     return CellularAutomaton(F.alphabet, (r + m, s + m), table=dict(F.table))
 
 
-def as_laurent(F: CellularAutomaton) -> LaurentPoly:
-    """Polynomial representation of a linear CA."""
-    if not F.is_linear:
-        raise ValueError("only linear rules have a polynomial form")
-    return LaurentPoly(F.alphabet, dict(F.coeffs))
+class NotAlgebraicError(ValueError):
+    """The rule is not a group endomorphism, so it has no linear form."""
 
 
-def from_laurent(poly: LaurentPoly, alphabet: GroupSpec | None = None) -> CellularAutomaton:
-    group = alphabet if alphabet is not None else poly.group
-    if group != poly.group:
-        raise ValueError("alphabet does not match polynomial group")
-    return linear_ca(group, dict(poly.terms))
+def as_laurent(F: CellularAutomaton) -> CellularAutomaton:
+    """The linear form of F, which is its Laurent polynomial sum_u c_u s^u in
+    the shift; raises NotAlgebraicError if F has none.
+
+    Linear rules pass through; affine rules must have zero constant.  An
+    additive table rule is a sum of endomorphisms c_u applied at offsets u,
+    so each c_u is read off the images of the generators of A placed alone
+    at u, and the table is compared with that linear rule on each of its
+    |A|^width windows.
+    """
+    if F.coeffs is not None:
+        if not F.is_linear:
+            raise NotAlgebraicError("affine rule with nonzero constant has no kernel tower")
+        return CellularAutomaton(F.alphabet, F.neighborhood, coeffs=F.coeffs)
+    alphabet = F.alphabet
+    zero = alphabet.zero
+    width = F.width
+    r = F.neighborhood[0]
+    if F.table[(zero,) * width] != zero:
+        raise NotAlgebraicError("table rule does not map the zero window to zero")
+    rank = alphabet.rank
+    generators = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    coeffs = {}
+    for u in range(width):
+        images = [F.table[(zero,) * u + (g,) + (zero,) * (width - 1 - u)]
+                  for g in generators]
+        try:
+            coeffs[r + u] = Endomorphism(alphabet, alphabet, tuple(zip(*images)))
+        except ValueError as exc:
+            raise NotAlgebraicError(
+                f"table rule is not additive at offset {r + u}: {exc}"
+            ) from None
+    linear = linear_ca(alphabet, coeffs, neighborhood=F.neighborhood)
+    for window, value in F.table.items():
+        if linear.local(window) != value:
+            raise NotAlgebraicError(f"table rule is not additive at window {window}")
+    return linear
 
 
 # -- surjectivity -------------------------------------------------------------

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from importlib import resources
 
-from .automata import CellularAutomaton, as_laurent, is_surjective, linear_ca, table_ca
+from .automata import CellularAutomaton, is_surjective, linear_ca, table_ca
 from .class_a import analyze_radius1, dual_ca, verify_conjugacy
 from .configs import Cylinder, PeriodicConfig
 from .entropy import entropy_report, formula_case, topological_entropy
@@ -232,6 +232,15 @@ def load_sigma(obj, path: str = "sigma"):
     _fail(f"{path}.type", f"unknown subgroup shift type {kind!r}")
 
 
+def _load_ca_over(obj: dict, alphabet: GroupSpec, path: str) -> CellularAutomaton | None:
+    """The rule at the optional field `ca` of a measure over alphabet."""
+    ca = load_ca(obj["ca"], f"{path}.ca") if "ca" in obj else None
+    if ca is not None and ca.alphabet != alphabet:
+        _fail(f"{path}.ca",
+              f"alphabet mismatch: the measure is over {alphabet}, not over {ca.alphabet}")
+    return ca
+
+
 def load_measure(obj, path: str = "measure"):
     kind = _expect_key(obj, "type", path)
     if kind == "bernoulli":
@@ -256,7 +265,7 @@ def load_measure(obj, path: str = "measure"):
         return HaarMeasure(load_sigma(_expect_key(obj, "sigma", path), f"{path}.sigma"))
     if kind == "pushforward":
         base = load_measure(_expect_key(obj, "base", path), f"{path}.base")
-        ca = load_ca(obj["ca"], f"{path}.ca") if "ca" in obj else None
+        ca = _load_ca_over(obj, base.alphabet, path)
         f_power = _load_int(obj.get("f_power", 1 if ca else 0), f"{path}.f_power", 0)
         shift = _load_int(obj.get("shift", 0), f"{path}.shift")
         return PushforwardMeasure(base, ca, f_power, shift)
@@ -279,11 +288,13 @@ def load_measure(obj, path: str = "measure"):
         alphabet = _load_group(_expect_key(obj, "alphabet", path), f"{path}.alphabet")
         word = _expect_list(_expect_key(obj, "period_word", path), f"{path}.period_word",
                             "letters")
+        if not word:
+            _fail(f"{path}.period_word", "period word must be nonempty")
         letters_ = tuple(
             _load_letter(a, alphabet, f"{path}.period_word[{i}]")
             for i, a in enumerate(word)
         )
-        ca = load_ca(obj["ca"], f"{path}.ca") if "ca" in obj else None
+        ca = _load_ca_over(obj, alphabet, path)
         return PeriodicOrbitMeasure.from_orbit(PeriodicConfig(alphabet, letters_), ca)
     _fail(f"{path}.type", f"unknown measure type {kind!r}")
 
@@ -345,6 +356,15 @@ def _config_json(c: PeriodicConfig) -> dict:
 
 def _word_key(word) -> str:
     return "|".join(",".join(map(str, a)) for a in word)
+
+
+def _polynomial_json(F: CellularAutomaton) -> dict:
+    """The coefficients of a linear or affine rule by offset: residues on a
+    cyclic alphabet, matrices otherwise."""
+    return {
+        str(u): f.matrix[0][0] if F.alphabet.rank == 1 else [list(r) for r in f.matrix]
+        for u, f in sorted(F.coeffs.items())
+    }
 
 
 def _tower_json(tw, small) -> dict:
@@ -428,11 +448,7 @@ def cmd_analyze(args) -> int:
     print(f"permutative: left={perm.left} right={perm.right}")
     print(f"surjective: {surj.surjective} (decided exactly: {surj.decided}, depth {surj.depth})")
     if small.coeffs is not None:
-        poly = {
-            str(u): (f.matrix[0][0] if F.alphabet.rank == 1 else [list(r) for r in f.matrix])
-            for u, f in sorted(small.coeffs.items())
-        }
-        report["polynomial"] = poly
+        report["polynomial"] = _polynomial_json(small)
     if perm.bipermutative and not report["trivial"]:
         h_top = topological_entropy(small)
         report["entropy"] = {
@@ -478,9 +494,7 @@ def cmd_analyze(args) -> int:
             section["conjugacy_verified"] = conj.ok
             section["conjugacy_windows"] = conj.windows_checked
             if dual.linear_form is not None:
-                section["dual_polynomial"] = {
-                    str(u): f.matrix[0][0] for u, f in sorted(dual.linear_form.coeffs.items())
-                }
+                section["dual_polynomial"] = _polynomial_json(dual.linear_form)
             print(f"dual rule: provenance={dual.provenance}, conjugacy verified={conj.ok}")
             if not conj.ok:
                 failures.append("dual conjugacy verification failed")
@@ -556,12 +570,10 @@ def cmd_modular(args) -> int:
         q = sup.p ** (sup.k - 1)
         report["power"] = q
         report["power_neighborhood"] = list(Fq.neighborhood)
-        report["power_polynomial"] = {
-            str(u): f.matrix[0][0] for u, f in sorted(Fq.coeffs.items())
-        }
+        report["power_polynomial"] = _polynomial_json(Fq)
         print(f"power {q}: neighborhood {Fq.neighborhood}, bipermutative")
     if sup.k == 1:
-        fact = factor_mod_p(as_laurent(F))
+        fact = factor_mod_p(F)
         report["factorization"] = {
             "shift_power": fact.shift_power,
             "unit": fact.unit,
@@ -612,10 +624,7 @@ def cmd_dual(args) -> int:
                 _word_key(k): list(v) for k, v in sorted(dual.rule_table().items())
             }
             if dual.linear_form is not None:
-                poly = {
-                    str(u): f.matrix[0][0]
-                    for u, f in sorted(dual.linear_form.coeffs.items())
-                }
+                poly = _polynomial_json(dual.linear_form)
                 section["dual_polynomial"] = poly
                 print(f"dual rule polynomial (offsets -1,0,1): {poly}")
             section["dual_bipermutative"] = dual.automaton.permutativity().bipermutative

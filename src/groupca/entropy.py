@@ -191,6 +191,18 @@ def _rngs(measure, seed: int) -> tuple:
     return (np.random.default_rng(seed),) * 2
 
 
+def _pooled_rows(measure, lo: int, hi: int, count: int, rng) -> np.ndarray:
+    """`_draw_rows` split evenly over the t phases of Haar measure on a product
+    subgroup of grouping t, which sigma^t fixes and sigma need not: phase i
+    reads [lo + i, hi + i], so the rows come from (1/t) sum_(i<t) sigma^i mu."""
+    import numpy as np
+
+    t = getattr(getattr(measure, "sigma", None), "grouping", 1)
+    parts = [_draw_rows(measure, lo + i, hi + i, count // t + (i < count % t), rng)
+             for i in range(t)]
+    return parts[0] if t == 1 else np.concatenate(parts)
+
+
 def _draw_rows(measure, lo: int, hi: int, count: int, rng) -> np.ndarray:
     """`count` samples of [lo, hi] as rows of letter indices.  Each kind of
     i.i.d. piece (`measures._independent_pieces`) takes one rng.integers(0,
@@ -262,7 +274,7 @@ def _column_process(small: CellularAutomaton, measure, width: int, depth: int,
 
     r, s = small.neighborhood
     lo = min(0, (depth - 1) * r)
-    cur = _draw_rows(measure, lo, width - 1 + max(0, (depth - 1) * s), count, rng)
+    cur = _pooled_rows(measure, lo, width - 1 + max(0, (depth - 1) * s), count, rng)
     step = _rule_on_rows(small)
     cols = [cur[:, -lo : width - lo]]
     for n in range(1, depth):
@@ -298,15 +310,16 @@ def entropy_report(F: CellularAutomaton, measure, samples: int = 1_000_000, k: i
 
     Both estimates count blocks of the column process: the shift's from
     k-letter windows of the measure, the automaton's from k columns of
-    `width` letters.  A block code must stay below 2^63, so
-    |A|^(width * k) >= 2^63 raises ValueError.
+    `width` letters.  Both pool the t phases of Haar measure on a product
+    subgroup of grouping t (`_pooled_rows`).  A block code must stay below
+    2^63, so |A|^(width * k) >= 2^63 raises ValueError.
     """
     if samples < 1 or k < 1:
         raise ValueError(f"samples and block length k must be >= 1, got {samples} and {k}")
+    from .measures import _same_alphabet
+
     small = F.smallest_neighborhood()
-    if measure.alphabet != small.alphabet:
-        raise ValueError(f"alphabet mismatch: the measure is over {measure.alphabet}, "
-                         f"not over {small.alphabet}")
+    _same_alphabet(measure, small)
     if width is None:
         width = max(conjugacy_width(small), 1)
     n = small.alphabet.order
@@ -314,7 +327,7 @@ def entropy_report(F: CellularAutomaton, measure, samples: int = 1_000_000, k: i
         raise ValueError(f"block codes of |A|^(width * k) = {n}^{width * k} values "
                          f"pass the 64-bit limit 2^63")
     shift_rng, column_rng = _rngs(measure, seed)
-    h_sigma = _rows_entropy(_draw_rows(measure, 0, k - 1, samples, shift_rng), n, 1)
+    h_sigma = _rows_entropy(_pooled_rows(measure, 0, k - 1, samples, shift_rng), n, 1)
     h_f = _rows_entropy(_column_process(small, measure, width, k, samples, column_rng),
                         n, width)
     formula = small.permutativity().bipermutative and not small.is_trivial

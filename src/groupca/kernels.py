@@ -15,7 +15,7 @@ has degree k, has ker F^n isomorphic to Z/p[x]/(P^n) as a module over the
 shift, which acts as x.  Its sizes, periods and both density criteria then
 follow from the factorization of P, without enumerating a level
 (`_KernelModule`).  Reading a level's elements still enumerates it.  An
-additive table rule is read as the linear rule it is (`_require_algebraic`),
+additive table rule is read as the linear rule it is (`automata.as_laurent`),
 so it takes the same paths.
 """
 
@@ -28,13 +28,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .automata import (CellularAutomaton, as_laurent, compose, cylinder_preimage, letters,
-                       linear_ca)
+from .automata import CellularAutomaton, as_laurent, compose, cylinder_preimage, letters
+from .automata import NotAlgebraicError  # noqa: F401  (importable from here too)
 from .configs import Cylinder, PeriodicConfig, Word
 from .groups import (
     CapExceeded,
     Element,
-    Endomorphism,
     GroupSpec,
     Subgroup,
     _gl_order,
@@ -43,7 +42,7 @@ from .groups import (
     closure_set,
     enumerate_subgroups,
 )
-from .modular import MAX_FACTOR_DEGREE, _dense_pow, _x_order, factor_mod_p
+from .modular import MAX_FACTOR_DEGREE, _dense_pow, _scalar_coeffs, _x_order, factor_mod_p
 
 DEFAULT_KERNEL_CAP = 1 << 16
 DEFAULT_M_MAX = 4
@@ -51,50 +50,6 @@ DEFAULT_M_MAX = 4
 
 class InfiniteKernelError(ValueError):
     """The kernel has infinitely many periodic points and cannot be listed."""
-
-
-class NotAlgebraicError(ValueError):
-    """Kernel computations need a rule that is a group endomorphism."""
-
-
-def _require_algebraic(F: CellularAutomaton) -> CellularAutomaton:
-    """Return the linear form of F, or raise.
-
-    Linear rules pass through; affine rules must have zero constant.  An
-    additive table rule is a sum of endomorphisms c_u applied at offsets u,
-    so each c_u is read off the images of the generators of A placed alone
-    at u, and the table is compared with that linear rule on each of its
-    |A|^width windows.
-    """
-    if F.coeffs is not None:
-        if F.constant is not None and F.constant != F.alphabet.zero:
-            raise NotAlgebraicError(
-                "affine rule with nonzero constant has no kernel tower"
-            )
-        return CellularAutomaton(F.alphabet, F.neighborhood, coeffs=F.coeffs)
-    alphabet = F.alphabet
-    zero = alphabet.zero
-    width = F.width
-    r = F.neighborhood[0]
-    if F.table[(zero,) * width] != zero:
-        raise NotAlgebraicError("table rule does not map the zero window to zero")
-    rank = alphabet.rank
-    generators = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    coeffs = {}
-    for u in range(width):
-        images = [F.table[(zero,) * u + (g,) + (zero,) * (width - 1 - u)]
-                  for g in generators]
-        try:
-            coeffs[r + u] = Endomorphism(alphabet, alphabet, tuple(zip(*images)))
-        except ValueError as exc:
-            raise NotAlgebraicError(
-                f"table rule is not additive at offset {r + u}: {exc}"
-            ) from None
-    linear = linear_ca(alphabet, coeffs, neighborhood=F.neighborhood)
-    for window, value in F.table.items():
-        if linear.local(window) != value:
-            raise NotAlgebraicError(f"table rule is not additive at window {window}")
-    return linear
 
 
 def _strongly_connected_components(graph: dict) -> list[list]:
@@ -331,7 +286,7 @@ def _kernel_module(F: CellularAutomaton, cap: int) -> _KernelModule | None:
     k = s - r
     if not (1 <= k <= MAX_FACTOR_DEGREE and p**k <= cap and _is_prime(p)):
         return None
-    return _KernelModule(p, k, factor_mod_p(as_laurent(F)).factors)
+    return _KernelModule(p, k, factor_mod_p(F).factors)
 
 
 class KernelTower:
@@ -359,7 +314,7 @@ class KernelTower:
     def rule(self) -> CellularAutomaton:
         """The linear form of the automaton; raises NotAlgebraicError if it
         has none."""
-        return _require_algebraic(self.automaton)
+        return as_laurent(self.automaton)
 
     @cached_property
     def module(self) -> _KernelModule | None:
@@ -832,16 +787,13 @@ def recurrence_matrix(F: CellularAutomaton) -> KernelRecurrence:
     invertible (bipermutativity on cyclic alphabets).
     """
     small = F.smallest_neighborhood()
-    if not small.is_linear:
-        raise ValueError("recurrence matrix needs a linear rule")
-    if small.alphabet.rank != 1:
-        raise ValueError("recurrence matrix needs a cyclic alphabet")
+    scalars = _scalar_coeffs(small)
     d = small.alphabet.moduli[0]
     r, s = small.neighborhood
     w = s - r
     if w < 1:
         raise ValueError("trivial rule has no kernel recurrence")
-    coeffs = [small.coeff(r + i).matrix[0][0] for i in range(w + 1)]
+    coeffs = [scalars.get(r + i, 0) for i in range(w + 1)]
     if math.gcd(coeffs[0], d) != 1 or math.gcd(coeffs[-1], d) != 1:
         raise ValueError("extreme coefficients must be invertible")
     inv_top = pow(coeffs[-1], -1, d)

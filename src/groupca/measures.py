@@ -49,6 +49,13 @@ DEFAULT_WINDOW_CAP = 10  # maximal exactly-enumerated window length
 MAX_EXACT_WORDS = 1 << 22  # most words of one exactly enumerated window
 
 
+def _same_alphabet(mu: "MeasureSpec", F: CellularAutomaton | None) -> None:
+    if F is not None and F.alphabet != mu.alphabet:
+        raise ValueError(
+            f"alphabet mismatch: the measure is over {mu.alphabet}, not over {F.alphabet}"
+        )
+
+
 def _check_window(alphabet: GroupSpec, length: int,
                   cap: int | None = DEFAULT_WINDOW_CAP) -> None:
     if (cap is not None and length > cap) or alphabet.order**length > MAX_EXACT_WORDS:
@@ -391,6 +398,7 @@ class PushforwardMeasure:
             raise ValueError("automaton power must be >= 0")
         if self.f_power > 0 and self.automaton is None:
             raise ValueError("automaton pushforward needs the automaton")
+        _same_alphabet(self.base, self.automaton)
 
     @property
     def alphabet(self) -> GroupSpec:
@@ -595,6 +603,7 @@ def invariance_check(
     """
     if f_power and automaton is None:
         raise ValueError("automaton power needs the automaton")
+    _same_alphabet(mu, automaton)
     if length < 1:
         raise ValueError("cylinder length must be >= 1")
     if not offsets:
@@ -802,6 +811,7 @@ def cesaro_sequence(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    _same_alphabet(mu0, F)
     _check_window(mu0.alphabet, length)
     words = list(itertools.product(letters(mu0.alphabet), repeat=length))
     uniform = Fraction(1, len(words))
@@ -987,10 +997,8 @@ def check_hypotheses(
     tw = _unrestricted(F)
     F = tw.automaton
     sigma = subgroup_shift_on(sigma, F.alphabet)
-    if not isinstance(mu, str) and mu.alphabet != F.alphabet:
-        raise ValueError(
-            f"alphabet mismatch: the measure is over {mu.alphabet}, not over {F.alphabet}"
-        )
+    if not isinstance(mu, str):
+        _same_alphabet(mu, F)
     small = F.smallest_neighborhood()
     nontrivial = not small.is_trivial
     perm = small.permutativity()

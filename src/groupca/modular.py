@@ -12,13 +12,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from .automata import CellularAutomaton, LaurentPoly, as_laurent, linear_ca, power
+from .automata import CellularAutomaton, linear_ca, power
 from .groups import CapExceeded, GroupSpec, _gl_order, _is_prime, _prime_factors
 
 MAX_FACTOR_DEGREE = 8
 
 
-def _scalar_coeffs(F: CellularAutomaton) -> dict[int, int]:
+def _scalar_coeffs(F: CellularAutomaton | dict) -> dict[int, int]:
+    """Residues by offset of a linear rule on a cyclic alphabet, or of a dict."""
+    if isinstance(F, dict):
+        return dict(F)
     if not F.is_linear or F.alphabet.rank != 1:
         raise ValueError("needs a linear rule on a cyclic alphabet")
     return {u: f.matrix[0][0] for u, f in F.coeffs.items()}
@@ -83,19 +86,18 @@ def bipermutative_power(F: CellularAutomaton) -> CellularAutomaton:
 
 
 def frobenius_congruence_check(
-    P1: LaurentPoly | dict, P2: LaurentPoly | dict, p: int, j: int
+    P1: CellularAutomaton | dict, P2: CellularAutomaton | dict, p: int, j: int
 ) -> bool:
-    """Verify (P1 + p*P2)^(p^j) = P1^(p^j) mod p^(j+1) by exact expansion."""
+    """Verify (P1 + p*P2)^(p^j) = P1^(p^j) mod p^(j+1) by exact expansion.
+    Both sides are first multiplied by x^(-v), v their lowest offset, which
+    multiplies both powers by x^(-v p^j)."""
     if j < 0:
         raise ValueError("power index must be >= 0")
-    ring = GroupSpec((p ** (j + 1),))
-
-    def over_ring(poly: LaurentPoly | dict, scale: int = 1) -> LaurentPoly:
-        coeffs = poly.scalar_coeffs() if isinstance(poly, LaurentPoly) else poly
-        return LaurentPoly(ring, {u: scale * c for u, c in coeffs.items()})
-
-    a = over_ring(P1)
-    return (a + over_ring(P2, p)) ** p**j == a ** p**j
+    m, e = p ** (j + 1), p**j
+    a, b = _scalar_coeffs(P1), _scalar_coeffs(P2)
+    low = min([*a, *b], default=0)
+    whole = {u: a.get(u, 0) + p * b.get(u, 0) for u in {*a, *b}}
+    return _dense_pow(_dense(whole, low, m), e, m) == _dense_pow(_dense(a, low, m), e, m)
 
 
 def divisor_bound(p: int, r: int) -> int:
@@ -115,6 +117,14 @@ def _dense_trim(c: list[int]) -> tuple[int, ...]:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
+
+
+def _dense(coeffs: dict[int, int], low: int, m: int) -> tuple[int, ...]:
+    """sum_u c_u x^(u - low) over Z/m, lowest power first."""
+    out = [0] * (max(coeffs, default=low) - low + 1)
+    for u, c in coeffs.items():
+        out[u - low] = c % m
+    return _dense_trim(out)
 
 
 def _dense_mul(a: tuple[int, ...], b: tuple[int, ...], m: int) -> tuple[int, ...]:
@@ -212,20 +222,17 @@ class Factorization:
         ]
 
 
-def factor_mod_p(poly: LaurentPoly | dict, p: int | None = None) -> Factorization:
+def factor_mod_p(poly: CellularAutomaton | dict, p: int | None = None) -> Factorization:
     """Factor into monic irreducibles by trial division of increasing degree.
 
     Degrees are capped at 8: candidates found in increasing degree order are
     automatically irreducible because all smaller factors were removed first.
     """
-    if isinstance(poly, LaurentPoly):
-        if p is None:
-            p = poly.group.moduli[0]
-        coeffs = poly.scalar_coeffs()
-    else:
-        if p is None:
+    if p is None:
+        if isinstance(poly, dict):
             raise ValueError("plain coefficient dicts need an explicit prime")
-        coeffs = dict(poly)
+        p = poly.alphabet.moduli[0]
+    coeffs = _scalar_coeffs(poly)
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     coeffs = {u: c % p for u, c in coeffs.items() if c % p}
@@ -235,10 +242,7 @@ def factor_mod_p(poly: LaurentPoly | dict, p: int | None = None) -> Factorizatio
     deg = max(coeffs) - shift
     if deg > MAX_FACTOR_DEGREE:
         raise ValueError(f"degree {deg} exceeds the factorization cap {MAX_FACTOR_DEGREE}")
-    dense = [0] * (deg + 1)
-    for u, c in coeffs.items():
-        dense[u - shift] = c
-    rem = _dense_trim(dense)
+    rem = _dense(coeffs, shift, p)
     unit = rem[-1]
     inv = pow(unit, -1, p)
     rem = tuple((c * inv) % p for c in rem)
@@ -270,11 +274,7 @@ def kernel_direct_sum_check(F: CellularAutomaton, n: int, cap: int = 1 << 14) ->
     the coprime factor powers: sizes multiply and the sum map is bijective."""
     from .kernels import kernel_elements  # kernels imports this module
 
-    _scalar_coeffs(F)  # shape validation
-    p = F.alphabet.moduli[0]
-    if not _is_prime(p):
-        raise ValueError("direct sum check needs a prime cyclic alphabet")
-    fact = factor_mod_p(as_laurent(F))
+    fact = factor_mod_p(F)  # refuses all but a linear rule over a prime field
     whole = set(kernel_elements(F, n, cap))
     pieces = [kernel_elements(G, n, cap) for G, _ in fact.factor_automata(F.alphabet)]
     if math.prod(len(piece) for piece in pieces) != len(whole):

@@ -6,7 +6,6 @@ import itertools
 import pytest
 
 from groupca.automata import (
-    LaurentPoly,
     as_laurent,
     letters,
     linear_ca,
@@ -136,7 +135,7 @@ def test_dual_f1_rule():
     dual = dual_ca(F1)
     assert dual.provenance == "formula"
     assert dual.linear_form is not None
-    assert as_laurent(dual.linear_form) == LaurentPoly(Z2, {-1: 1, 0: 1, 1: 1})
+    assert as_laurent(dual.linear_form).coeffs == linear_ca(Z2, {-1: 1, 0: 1, 1: 1}).coeffs
     # solved table agrees: alpha + beta + gamma
     for key, value in dual.rule_table().items():
         total = (key[0][0] + key[1][0] + key[2][0]) % 2
@@ -146,7 +145,7 @@ def test_dual_f1_rule():
 
 def test_dual_f2_rule():
     dual = dual_ca(F2)
-    assert as_laurent(dual.linear_form) == LaurentPoly(Z2, {-1: 1, 1: 1})
+    assert as_laurent(dual.linear_form).coeffs == linear_ca(Z2, {-1: 1, 1: 1}).coeffs
     for key, value in dual.rule_table().items():
         assert value == ((key[0][0] + key[2][0]) % 2,)
 

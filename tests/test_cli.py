@@ -694,6 +694,38 @@ def test_a_field_of_the_wrong_type_is_a_spec_error(tmp_path_factory, case):
     assert _on_one_path(named, field), (field, message)
 
 
+_Z3 = {"moduli": [3]}
+
+
+@pytest.mark.parametrize("root, spec, field", [
+    ("ca", _replaced(_FUZZ_SPECS["ca"][0], ("alphabet", "moduli"), [1]), "ca.alphabet.moduli[0]"),
+    ("sigma", _replaced(_FUZZ_SPECS["sigma"][1], ("grouping",), 0), "sigma.grouping"),
+    ("measure", _replaced(_FUZZ_SPECS["measure"][2], ("f_power",), -1), "measure.f_power"),
+    ("measure", {"type": "periodic_orbit", "alphabet": _Z2, "period_word": []},
+     "measure.period_word"),
+    ("ca", _replaced(_FUZZ_SPECS["ca"][0], ("neighborhood",), [1, 0]), "ca.neighborhood"),
+    ("ca", _replaced(_FUZZ_SPECS["ca"][0], ("rule", "coeffs"), {"0": 1, "2": 1}),
+     "ca.rule.coeffs.2"),
+    ("measure", _replaced(_FUZZ_SPECS["measure"][0], ("weights", 0, "den"), 0),
+     "measure.weights[0]"),
+    ("measure", _replaced(_FUZZ_SPECS["measure"][0], ("weights", 0, "num"), -1),
+     "measure.weights"),
+    ("measure", _replaced(_FUZZ_SPECS["measure"][3], ("components", 0, "num"), -1),
+     "measure.components"),
+    ("measure", {"type": "periodic_orbit", "alphabet": _Z3, "period_word": [[0], [1]],
+                 "ca": "id_plus_sigma_z2"}, "measure.ca"),
+    ("measure", _replaced(_FUZZ_SPECS["measure"][2], ("base", "alphabet"), _Z3), "measure.ca"),
+])
+def test_a_field_out_of_range_is_a_spec_error(tmp_path, capsys, root, spec, field):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run(_FUZZ_ARGV[root](str(path))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    message = captured.err.strip().splitlines()[-1]
+    assert message.startswith(f"spec error: {field}: "), message
+
+
 def test_the_fuzzed_specs_are_valid():
     for root, specs in _FUZZ_SPECS.items():
         load = {"ca": load_ca, "sigma": load_sigma, "measure": load_measure}[root]
@@ -741,6 +773,19 @@ def test_entropy_refuses_a_measure_over_another_alphabet(tmp_path, capsys):
     mu.write_text(json.dumps({"type": "bernoulli", "alphabet": {"moduli": [3]}}))
     assert run(["entropy", "--ca", "id_plus_sigma_z2", "--measure", str(mu),
                 "--samples", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "alphabet mismatch: the measure is over Z/3, not over Z/2" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "invariance", "--f-power", "1", "--length", "2"],
+    ["measure", "cesaro", "--steps", "3"],
+])
+def test_measure_diagnostics_refuse_a_rule_over_another_alphabet(tmp_path, capsys, argv):
+    mu = tmp_path / "z3.json"
+    mu.write_text(json.dumps({"type": "bernoulli", "alphabet": {"moduli": [3]}}))
+    assert run(argv + ["--measure", str(mu), "--ca", "id_plus_sigma_z2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "alphabet mismatch: the measure is over Z/3, not over Z/2" in captured.err

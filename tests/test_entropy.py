@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from groupca.automata import letters, linear_ca, shift_ca, table_ca
 from groupca.entropy import (
     _draw_rows,
+    _pooled_rows,
     _rngs,
     _rule_on_rows,
     block_entropy_estimate,
@@ -26,8 +27,8 @@ from groupca.entropy import (
     formula_entropy,
     topological_entropy,
 )
-from groupca.groups import GroupSpec, subgroup_closure
-from groupca.kernels import ProductSubgroup
+from groupca.groups import GroupSpec, Subgroup, subgroup_closure
+from groupca.kernels import FullShift, ProductSubgroup
 from groupca.measures import Bernoulli, HaarMeasure
 
 Z2 = GroupSpec((2,))
@@ -251,3 +252,42 @@ def test_weights_past_64_bit_draws_are_refused():
     mu = Bernoulli(Z2, {(0,): Fraction(1, 2**64), (1,): 1 - Fraction(1, 2**64)})
     with pytest.raises(ValueError, match=r"pass the 64-bit draw limit 2\^63"):
         entropy_report(F_xor, mu, samples=10, k=1)
+
+
+def _pooled_conditional_entropy(mu, t, k):
+    """Exact H_k - H_(k-1) on [0, k) of (1/t) sum_(i<t) sigma^i mu, from the
+    block distributions of mu at offsets 0..t-1."""
+    words = collections.Counter()
+    for i in range(t):
+        for word, p in mu.block_distribution(i, k).items():
+            words[word] += p / t
+    prefixes = collections.Counter()
+    for word, p in words.items():
+        prefixes[word[:-1]] += p
+    h = lambda dist: -sum(float(p) * math.log(p) for p in dist.values() if p)
+    return h(words) - h(prefixes)
+
+
+_PAIRED = HaarMeasure(ProductSubgroup(Z2, 2, Subgroup(Z2.power(2), ((0, 0), (1, 1)))))
+
+
+@pytest.mark.parametrize("F, mu, t", [
+    (F_xor, _PAIRED, 2),
+    (linear_ca(Z3, {0: 1, 1: 2}), HaarMeasure(ProductSubgroup(Z3, 2, _BLOCK, phase=1)), 2),
+])
+def test_entropy_pools_the_phases_of_a_product_haar_measure(F, mu, t):
+    exact = _pooled_conditional_entropy(mu, t, 3)
+    rep = entropy_report(F, mu, samples=20_000, k=3, seed=5)
+    assert abs(rep.h_sigma_estimate - exact) < 0.02, (rep.h_sigma_estimate, exact)
+    if mu is _PAIRED:  # phase 0 alone gives log 2, the k -> oo limit log 2 / 2
+        assert exact == pytest.approx(0.4774, abs=1e-4)
+
+
+@pytest.mark.parametrize("mu", [
+    Bernoulli(Z3, {(0,): Fraction(1, 2), (1,): Fraction(1, 3), (2,): Fraction(1, 6)}),
+    HaarMeasure(FullShift(Z2xZ2)),
+    HaarMeasure(ProductSubgroup(Z2, 1, Subgroup(Z2, ((0,), (1,))))),
+])
+def test_measures_without_phases_keep_their_draws(mu):
+    pooled = _pooled_rows(mu, -1, 2, 1000, np.random.default_rng(9))
+    assert pooled.tolist() == _draw_rows(mu, -1, 2, 1000, np.random.default_rng(9)).tolist()

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import groupca
 from groupca.automata import (
     CellularAutomaton,
+    as_laurent,
     letters,
     linear_ca,
     power,
@@ -42,7 +43,6 @@ from groupca.kernels import (
     LinearKernelShift,
     NotAlgebraicError,
     ProductSubgroup,
-    _require_algebraic,
     _strongly_connected_components,
     boundary,
     condition4_search,
@@ -932,8 +932,8 @@ def _rejects(check, F):
 @given(_table_forms())
 def test_additive_tables_read_as_their_linear_rule(case):
     F, T, changed = case
-    assert _require_algebraic(T) == _require_algebraic(F)
-    assert _rejects(_require_algebraic, changed) == _rejects(_additive_oracle, changed)
+    assert as_laurent(T) == as_laurent(F)
+    assert _rejects(as_laurent, changed) == _rejects(_additive_oracle, changed)
 
 
 def test_a_column_that_is_no_homomorphism_is_not_algebraic():
@@ -941,7 +941,7 @@ def test_a_column_that_is_no_homomorphism_is_not_algebraic():
     T = table_from_rule(Z2xZ4, (0, 1), lambda w: (w[1][0], (w[0][0] + w[1][1]) % 4))
     assert _rejects(_additive_oracle, T)
     with pytest.raises(NotAlgebraicError, match="offset 0: entry 1: not a homomorphism"):
-        _require_algebraic(T)
+        as_laurent(T)
     with pytest.raises(NotAlgebraicError):
         tower(T, 1)
 

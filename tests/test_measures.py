@@ -322,6 +322,18 @@ def test_invariance_mc_mode():
     assert res_bad.max_discrepancy > 0.2
 
 
+def test_a_rule_over_another_alphabet_is_refused():
+    mu = Bernoulli.uniform(GroupSpec((3,)))
+    message = "alphabet mismatch: the measure is over Z/3, not over Z/2"
+    with pytest.raises(ValueError, match=message):
+        PushforwardMeasure(mu, F_xor, 1)
+    with pytest.raises(ValueError, match=message):
+        cesaro_sequence(mu, F_xor, 3, 1)
+    for mode in ("exact", "mc"):
+        with pytest.raises(ValueError, match=message):
+            invariance_check(mu, F_xor, f_power=1, length=2, mode=mode, mc_samples=10)
+
+
 def test_degenerate_windows_are_rejected():
     mu = Bernoulli.uniform(Z2)
     with pytest.raises(ValueError, match="steps must be >= 1"):
