@@ -417,15 +417,17 @@ def as_laurent(F: CellularAutomaton) -> CellularAutomaton:
     """The linear form of F, which is its Laurent polynomial sum_u c_u s^u in
     the shift; raises NotAlgebraicError if F has none.
 
-    Linear rules pass through; affine rules must have zero constant.  An
-    additive table rule is a sum of endomorphisms c_u applied at offsets u,
-    so each c_u is read off the images of the generators of A placed alone
-    at u, and the table is compared with that linear rule on each of its
-    |A|^width windows.
+    A linear rule without a constant is returned as it is, so reading costs
+    nothing; an affine rule must have a zero constant.  An additive table
+    rule is a sum of endomorphisms c_u applied at offsets u, so each c_u is
+    read off the images of the generators of A placed alone at u, and the
+    table is compared with that linear rule on each of its |A|^width windows.
     """
     if F.coeffs is not None:
         if not F.is_linear:
             raise NotAlgebraicError("affine rule with nonzero constant has no kernel tower")
+        if F.constant is None:
+            return F
         return CellularAutomaton(F.alphabet, F.neighborhood, coeffs=F.coeffs)
     alphabet = F.alphabet
     zero = alphabet.zero

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .automata import CellularAutomaton, letters, linear_ca, table_ca
+from .automata import CellularAutomaton, NotAlgebraicError, as_laurent, letters, table_ca
 from .groups import Element, Endomorphism, GroupSpec
 
 
@@ -108,25 +108,12 @@ def _verify_inverse(F: CellularAutomaton, inv: CellularAutomaton) -> None:
 def invert_radius1(F: CellularAutomaton) -> CellularAutomaton:
     """The radius-1 inverse of an invertible one-sided rule.
 
-    Linear rules with vanishing f1 f0^-1 f1 invert in closed form; otherwise
-    the inverse table is read off all window triples and checked for
-    consistency.  Both paths verify the round trip exhaustively.
+    The inverse table is read off all window triples, checked for
+    consistency, and the round trip is verified exhaustively.
     """
     analysis = analyze_radius1(F)
     if not analysis.invertible_r1:
         raise ValueError("rule is not invertible with a radius-1 inverse")
-    if F.coeffs is not None and F.constant is None:
-        f0, f1 = F.coeff(0), F.coeff(1)
-        if f0.is_automorphism():
-            f0inv = f0.inverse()
-            if f1.compose(f0inv).compose(f1).is_zero:
-                inv = linear_ca(
-                    F.alphabet,
-                    {0: f0inv, 1: -(f0inv.compose(f1).compose(f0inv))},
-                    neighborhood=(0, 1),
-                )
-                _verify_inverse(F, inv)
-                return inv
     abc = letters(F.alphabet)
     table: dict = {}
     for a, b, c in itertools.product(abc, repeat=3):
@@ -145,8 +132,7 @@ class DualCA:
     """The induced rule on class labels, acting on the two-sided window [-1,1].
 
     `automaton` is the solved table form on the index alphabet; `linear_form`
-    is the closed-form linear rule when the coefficients split along the
-    image/kernel coordinates.
+    is the linear rule it equals, when the table is additive.
     """
 
     automaton: CellularAutomaton
@@ -187,40 +173,11 @@ def _solve_dual_table(
     return table
 
 
-def _linear_dual(F: CellularAutomaton, analysis: ClassAAnalysis) -> CellularAutomaton | None:
-    """Closed-form dual for linear rules whose alphabet splits as two equal
-    cyclic factors with the image of f1 the first and its kernel the second."""
-    if F.coeffs is None or F.constant is not None:
-        return None
-    moduli = F.alphabet.moduli
-    if len(moduli) != 2 or moduli[0] != moduli[1]:
-        return None
-    m = moduli[0]
-    f0, f1 = F.coeff(0), F.coeff(1)
-    first = frozenset((x, 0) for x in range(m))
-    second = frozenset((0, y) for y in range(m))
-    if f1.image() != first or f1.kernel() != second:
-        return None
-    f011, f012 = f0.matrix[0]
-    f021 = f0.matrix[1][0]
-    f111 = f1.matrix[0][0]
-    try:
-        inv = pow(f111, -1, m)
-    except ValueError:
-        return None
-    quotient = GroupSpec((m,))
-    return linear_ca(
-        quotient,
-        {-1: (-inv * f012 * f021) % m, 0: (-inv * f011) % m, 1: inv},
-        neighborhood=(-1, 1),
-    )
-
-
 def dual_ca(F: CellularAutomaton) -> DualCA:
     """Dual rule of a Class (A) automaton on the quotient alphabet.
 
-    Always solves the table from the commuting orbit constraints; when the
-    closed linear form exists the two are cross-checked entry by entry.
+    The table is solved from the commuting orbit constraints; its linear
+    form, when it has one (`as_laurent`), gives provenance "formula".
     """
     analysis = analyze_radius1(F)
     if not analysis.class_a:
@@ -231,14 +188,11 @@ def dual_ca(F: CellularAutomaton) -> DualCA:
     solved = table_ca(quotient, (-1, 1), table)
     if not solved.permutativity().bipermutative:
         raise AssertionError("dual rule is not bipermutative")
-    linear_form = _linear_dual(F, analysis)
-    provenance = "solved"
-    if linear_form is not None:
-        for key, value in table.items():
-            if linear_form.local(key) != value:
-                raise AssertionError("closed-form dual disagrees with solved table")
-        provenance = "formula"
-    return DualCA(solved, provenance, analysis, linear_form)
+    try:
+        linear_form = as_laurent(solved)
+    except NotAlgebraicError:
+        return DualCA(solved, "solved", analysis)
+    return DualCA(solved, "formula", analysis, linear_form)
 
 
 @dataclass(frozen=True)

@@ -191,13 +191,26 @@ def _rngs(measure, seed: int) -> tuple:
     return (np.random.default_rng(seed),) * 2
 
 
+def _phases(measure) -> int:
+    """A t for which sigma^t fixes the measure: the grouping of Haar measure
+    on a product subgroup, the base's for a pushforward (F commutes with
+    sigma), the lcm over the components of a mixture, else 1."""
+    from .measures import MixtureMeasure, PushforwardMeasure
+
+    if isinstance(measure, PushforwardMeasure):
+        return _phases(measure.base)
+    if isinstance(measure, MixtureMeasure):
+        return math.lcm(*(_phases(m) for _, m in measure.components))
+    return getattr(getattr(measure, "sigma", None), "grouping", 1)
+
+
 def _pooled_rows(measure, lo: int, hi: int, count: int, rng) -> np.ndarray:
-    """`_draw_rows` split evenly over the t phases of Haar measure on a product
-    subgroup of grouping t, which sigma^t fixes and sigma need not: phase i
-    reads [lo + i, hi + i], so the rows come from (1/t) sum_(i<t) sigma^i mu."""
+    """`_draw_rows` split evenly over the t phases of the measure (`_phases`),
+    which sigma^t fixes and sigma need not: phase i reads [lo + i, hi + i], so
+    the rows come from (1/t) sum_(i<t) sigma^i mu."""
     import numpy as np
 
-    t = getattr(getattr(measure, "sigma", None), "grouping", 1)
+    t = _phases(measure)
     parts = [_draw_rows(measure, lo + i, hi + i, count // t + (i < count % t), rng)
              for i in range(t)]
     return parts[0] if t == 1 else np.concatenate(parts)
@@ -310,8 +323,8 @@ def entropy_report(F: CellularAutomaton, measure, samples: int = 1_000_000, k: i
 
     Both estimates count blocks of the column process: the shift's from
     k-letter windows of the measure, the automaton's from k columns of
-    `width` letters.  Both pool the t phases of Haar measure on a product
-    subgroup of grouping t (`_pooled_rows`).  A block code must stay below
+    `width` letters.  Both pool the t phases of a measure that sigma^t fixes
+    and sigma need not (`_pooled_rows`).  A block code must stay below
     2^63, so |A|^(width * k) >= 2^63 raises ValueError.
     """
     if samples < 1 or k < 1:

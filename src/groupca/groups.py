@@ -299,14 +299,13 @@ Operator = Callable[[Element], Element]
 def closure_set(
     seeds: Iterable,
     add: Callable,
-    neg: Callable,
     zero,
     operators: Iterable[Callable] = (),
     cap: int = DEFAULT_CLOSURE_CAP,
     additive_operators: bool = False,
 ):
-    """Smallest set containing zero and the seeds, closed under add, neg and
-    each operator.  Generic over the element type: used both for group
+    """Smallest set containing zero and the seeds, closed under add, negation
+    and each operator.  Generic over the element type: used both for group
     elements and for periodic configurations.
 
     Generators are absorbed by coset accumulation (the subgroup grows as a
@@ -314,10 +313,9 @@ def closure_set(
     result, not quadratic).  With `additive_operators` the operators are
     promised to be group homomorphisms; then it is enough to close the
     generator set under them before generating, instead of feeding every
-    element back through the operators.  `neg` is implied by finiteness but
-    kept in the signature for symmetry.
+    element back through the operators.  Negatives need no map of their own:
+    they arise from the finite coset cycle.
     """
-    del neg  # inverses arise from the finite coset cycle
     ops = list(operators)
     members = {zero}
     order = [zero]
@@ -426,7 +424,7 @@ def subgroup_closure(
     for s in seeds:
         if not ambient.contains(s):
             raise ValueError(f"seed {s} is not an ambient element")
-    elems = closure_set(seeds, ambient.add, ambient.neg, ambient.zero, operators, cap)
+    elems = closure_set(seeds, ambient.add, ambient.zero, operators, cap)
     return Subgroup(ambient, tuple(elems))
 
 
@@ -451,7 +449,7 @@ def enumerate_subgroups(
     ops = list(operators)
 
     def close(seed: list[Element]) -> frozenset[Element]:
-        return closure_set(seed, ambient.add, ambient.neg, ambient.zero, ops, cap=len(universe) + 1)
+        return closure_set(seed, ambient.add, ambient.zero, ops, cap=len(universe) + 1)
 
     trivial = close([])
     seen = {trivial}

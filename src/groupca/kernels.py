@@ -589,7 +589,7 @@ class _CodedLevel:
         """
         group = self.group
         return closure_set(
-            [seed], group.add, group.neg, group.zero,
+            [seed], group.add, group.zero,
             operators=[self.shift.__getitem__, self.rule.__getitem__],
             cap=cap,
             additive_operators=True,
@@ -783,8 +783,8 @@ class KernelRecurrence:
 def recurrence_matrix(F: CellularAutomaton) -> KernelRecurrence:
     """Companion matrix of the first-level kernel recurrence.
 
-    Needs a linear rule on a cyclic alphabet whose extreme coefficients are
-    invertible (bipermutativity on cyclic alphabets).
+    Needs a rule on a cyclic alphabet whose linear form (`as_laurent`) has
+    invertible extreme coefficients (bipermutativity on cyclic alphabets).
     """
     small = F.smallest_neighborhood()
     scalars = _scalar_coeffs(small)

@@ -616,8 +616,8 @@ def invariance_check(
         for word in itertools.product(abc, repeat=ell)
         for i in offsets
     ]
+    push = PushforwardMeasure(mu, automaton, f_power, shift, cap)
     if mode == "exact":
-        push = PushforwardMeasure(mu, automaton, f_power, shift, cap)
         marginals = {}
         for i in offsets:
             image = push.block_distribution(i, length)
@@ -640,18 +640,13 @@ def invariance_check(
     if mc_samples < 1:
         raise ValueError(f"mc_samples must be >= 1 in mc mode, got {mc_samples}")
     rng = random.Random(seed)
-    r, s = automaton.neighborhood if automaton is not None else (0, 0)
     lo = min(c.offset for c in cylinders)
     hi = max(c.end for c in cylinders) - 1
     direct: Counter = Counter()
     mapped: Counter = Counter()
     for _ in range(mc_samples):
         word = mu.sample_word(lo, hi, rng)
-        image = mu.sample_word(
-            lo + shift + f_power * r, hi + shift + f_power * s, rng
-        )
-        for _ in range(f_power):
-            image = automaton.apply_window(image)
+        image = push.sample_word(lo, hi, rng)
         for cyl in cylinders:
             a, b = cyl.offset - lo, cyl.end - lo
             if word[a:b] == cyl.word:

@@ -4,7 +4,9 @@ Covers the unit-coefficient support, the bipermutative power, the Frobenius
 congruence for polynomial powers, the invertible-matrix period bound, the
 order of x modulo a monic polynomial over Z/m that gives every kernel shift
 period, and polynomial factorization over prime fields with the kernel
-direct sum check.
+direct sum check.  Each rule is read through its linear form
+(`automata.as_laurent`), so an additive table counts as the linear rule it
+equals.
 """
 
 from __future__ import annotations
@@ -12,19 +14,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from .automata import CellularAutomaton, linear_ca, power
+from .automata import CellularAutomaton, as_laurent, linear_ca, power
 from .groups import CapExceeded, GroupSpec, _gl_order, _is_prime, _prime_factors
 
 MAX_FACTOR_DEGREE = 8
 
 
 def _scalar_coeffs(F: CellularAutomaton | dict) -> dict[int, int]:
-    """Residues by offset of a linear rule on a cyclic alphabet, or of a dict."""
+    """Residues by offset of the linear form (`as_laurent`) of a rule on a
+    cyclic alphabet, or of a dict."""
     if isinstance(F, dict):
         return dict(F)
-    if not F.is_linear or F.alphabet.rank != 1:
-        raise ValueError("needs a linear rule on a cyclic alphabet")
-    return {u: f.matrix[0][0] for u, f in F.coeffs.items()}
+    if F.alphabet.rank != 1:
+        raise ValueError("needs a rule on a cyclic alphabet")
+    return {u: f.matrix[0][0] for u, f in as_laurent(F).coeffs.items()}
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,7 @@ def bipermutative_power(F: CellularAutomaton) -> CellularAutomaton:
     if sup.r_hat >= sup.s_hat:
         raise ValueError("unit support must contain two distinct offsets")
     q = sup.p ** (sup.k - 1)
-    Fq = power(F, q).smallest_neighborhood()
+    Fq = power(as_laurent(F), q).smallest_neighborhood()
     if Fq.neighborhood != (q * sup.r_hat, q * sup.s_hat):
         raise AssertionError(
             f"power neighborhood {Fq.neighborhood} differs from "

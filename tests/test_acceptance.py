@@ -103,7 +103,6 @@ def test_criterion_2_dual_kernels_exact():
     closed = closure_set(
         d1_f2 | generators,
         add=lambda a, b: a + b,
-        neg=lambda a: -a,
         zero=PeriodicConfig.zero(Z2),
         operators=[lambda c: c.shift(1)],
         cap=1 << 10,

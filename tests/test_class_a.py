@@ -97,13 +97,88 @@ def test_invert_f2_matches_closed_form():
         assert inv.local(((x0, y0), (x1, y1))) == (y0, (y1 + x0) % 2)
 
 
+def _closed_form_inverse(F):
+    """Oracle: f0^-1 - f0^-1 f1 f0^-1 s inverts f0 + f1 s when f1 f0^-1 f1 = 0,
+    which every linear Class (A) rule meets."""
+    f0, f1 = F.coeff(0), F.coeff(1)
+    f0inv = f0.inverse()
+    assert f1.compose(f0inv).compose(f1).is_zero
+    return linear_ca(F.alphabet, {0: f0inv, 1: -(f0inv.compose(f1).compose(f0inv))},
+                     neighborhood=(0, 1))
+
+
+def _closed_form_dual(F):
+    """Oracle: the dual of f0 + f1 s over (Z/m)^2 when f1 has the first
+    coordinate as image and the second as kernel, (-u f0_12 f0_21, -u f0_11, u)
+    at offsets (-1, 0, 1) with u = f1_11^-1; None for any other split."""
+    m = F.alphabet.moduli[0]
+    f0, f1 = F.coeff(0), F.coeff(1)
+    if (f1.image() != frozenset((x, 0) for x in range(m))
+            or f1.kernel() != frozenset((0, y) for y in range(m))):
+        return None
+    (f011, f012), (f021, _) = f0.matrix
+    u = pow(f1.matrix[0][0], -1, m)
+    return linear_ca(GroupSpec((m,)),
+                     {-1: (-u * f012 * f021) % m, 0: (-u * f011) % m, 1: u},
+                     neighborhood=(-1, 1))
+
+
+def _matches_the_oracles(F) -> bool:
+    """Compare the solved inverse and dual of a linear Class (A) rule with the
+    closed forms; True when the dual's closed form applies."""
+    inv, want_inv = invert_radius1(F), _closed_form_inverse(F)
+    for win in itertools.product(letters(F.alphabet), repeat=2):
+        assert inv.local(win) == want_inv.local(win), win
+    dual = dual_ca(F)
+    assert dual.provenance == "formula"
+    for key, value in dual.rule_table().items():
+        assert dual.linear_form.local(key) == value
+    want = _closed_form_dual(F)
+    if want is not None:
+        assert dual.linear_form.coeffs == want.coeffs
+    return want is not None
+
+
+def _linear_class_a_rules(m):
+    W = GroupSpec((m, m))
+    mats = [((a, b), (c, d)) for a, b, c, d in itertools.product(range(m), repeat=4)]
+    for m0, m1 in itertools.product(mats, repeat=2):
+        f0, f1 = Endomorphism(W, W, m0), Endomorphism(W, W, m1)
+        if check_linear_classA(f0, f1):
+            yield linear_ca(W, {0: f0, 1: f1}, neighborhood=(0, 1))
+
+
+def test_every_linear_class_a_rule_over_klein_four_matches_the_oracles():
+    rules = list(_linear_class_a_rules(2))
+    assert len(rules) == 12
+    assert sum(map(_matches_the_oracles, rules)) == 2  # F2 and F1 are the aligned ones
+
+
+# (f0, f1) over (Z/3)^2: three coordinate-aligned splits, three others
+PINNED_Z3 = [
+    (((0, 1), (1, 0)), ((1, 0), (0, 0))),
+    (((1, 2), (1, 0)), ((2, 0), (0, 0))),
+    (((2, 1), (2, 0)), ((1, 0), (0, 0))),
+    (((0, 1), (1, 0)), ((0, 0), (0, 2))),
+    (((0, 1), (1, 1)), ((1, 1), (0, 0))),
+    (((0, 1), (1, 1)), ((1, 2), (2, 1))),
+]
+
+
+def test_pinned_linear_class_a_rules_over_z3_squared_match_the_oracles():
+    W = GroupSpec((3, 3))
+    rules = [linear_ca(W, {0: m0, 1: m1}, neighborhood=(0, 1)) for m0, m1 in PINNED_Z3]
+    assert all(analyze_radius1(F).class_a for F in rules)
+    assert [_matches_the_oracles(F) for F in rules] == [True] * 3 + [False] * 3
+
+
 def test_invert_table_path_agrees_with_formula_path():
-    # feed the same rule through the table route
+    # the table form of F1 against the closed-form oracle
     T = table_from_rule(V, (0, 1), F1.local)
-    inv_t = invert_radius1(T)
-    inv_f = invert_radius1(F1)
+    inv = invert_radius1(T)
+    want = _closed_form_inverse(F1)
     for win in itertools.product(letters(V), repeat=2):
-        assert inv_t.local(win) == inv_f.local(win)
+        assert inv.local(win) == want.local(win)
 
 
 def test_invert_rejects_noninvertible():

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -99,6 +100,43 @@ def test_modular_command(tmp_path, capsys):
     assert report["unit_offsets"] == [0, 1]
     assert report["power"] == 2
     assert report["power_polynomial"] == {"0": 1, "1": 2, "2": 1}
+
+
+def _table_spec(name):
+    """The bundled linear rule `name` written out as a table spec."""
+    spec = bundled_spec(name)
+    F = load_ca(spec)
+    abc = [list(a) for a in F.alphabet.elements()]
+    windows = itertools.product(abc, repeat=F.width)
+    entries = [{"window": list(w), "value": list(F.local(tuple(map(tuple, w))))}
+               for w in windows]
+    return {**spec, "rule": {"type": "table", "entries": entries}}
+
+
+@pytest.mark.parametrize("name", ["id_plus_sigma_z2", "id_sigma_2sigma2_z4"])
+def test_additive_table_reports_match_the_linear_spec(tmp_path, name):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(_table_spec(name)))
+    for argv in (["modular"], ["kernel", "--levels", "3"], ["hypotheses"]):
+        reports = []
+        for ca in (name, str(table)):
+            out = tmp_path / "out.json"
+            assert run(argv + ["--ca", ca, "--out", str(out)]) == 0, argv
+            report = json.loads(out.read_text())
+            report.pop("automaton", None)
+            reports.append(report)
+        assert reports[0] == reports[1], argv
+
+
+def test_modular_refuses_a_non_additive_table(tmp_path, capsys):
+    entries = [{"window": [[a], [b]], "value": [a * b]} for a in (0, 1) for b in (0, 1)]
+    ca = tmp_path / "and.json"
+    ca.write_text(json.dumps({"alphabet": {"moduli": [2]}, "neighborhood": [0, 1],
+                              "rule": {"type": "table", "entries": entries}}))
+    assert run(["modular", "--ca", str(ca)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: table rule is not additive")
 
 
 def test_measure_counterexample_command(tmp_path):

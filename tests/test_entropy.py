@@ -29,7 +29,7 @@ from groupca.entropy import (
 )
 from groupca.groups import GroupSpec, Subgroup, subgroup_closure
 from groupca.kernels import FullShift, ProductSubgroup
-from groupca.measures import Bernoulli, HaarMeasure
+from groupca.measures import Bernoulli, HaarMeasure, MixtureMeasure, PushforwardMeasure
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
@@ -271,9 +271,14 @@ def _pooled_conditional_entropy(mu, t, k):
 _PAIRED = HaarMeasure(ProductSubgroup(Z2, 2, Subgroup(Z2.power(2), ((0, 0), (1, 1)))))
 
 
+# a pushforward or a mixture of product Haar measure keeps its phases; at phase
+# 0 alone both of these read log 2 = 0.6931
 @pytest.mark.parametrize("F, mu, t", [
     (F_xor, _PAIRED, 2),
     (linear_ca(Z3, {0: 1, 1: 2}), HaarMeasure(ProductSubgroup(Z3, 2, _BLOCK, phase=1)), 2),
+    (F_xor, PushforwardMeasure(_PAIRED, F_xor, 1, shift=1), 2),  # exact 0.4545
+    (F_xor, MixtureMeasure(((Fraction(1, 2), _PAIRED), (Fraction(1, 2), Bernoulli.uniform(Z2)))),
+     2),  # exact 0.6593
 ])
 def test_entropy_pools_the_phases_of_a_product_haar_measure(F, mu, t):
     exact = _pooled_conditional_entropy(mu, t, 3)

@@ -203,7 +203,7 @@ def test_closure_additive_operator_path_matches_generic():
     swap = Endomorphism(Z2Z2, Z2Z2, ((0, 1), (1, 0)))
     for seeds in ([(1, 0)], [(1, 1)], [(0, 1), (1, 0)]):
         fast = closure_set(
-            seeds, Z2Z2.add, Z2Z2.neg, Z2Z2.zero, [swap], additive_operators=True
+            seeds, Z2Z2.add, Z2Z2.zero, [swap], additive_operators=True
         )
-        slow = closure_set(seeds, Z2Z2.add, Z2Z2.neg, Z2Z2.zero, [swap])
+        slow = closure_set(seeds, Z2Z2.add, Z2Z2.zero, [swap])
         assert fast == slow

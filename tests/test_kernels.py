@@ -231,7 +231,6 @@ def test_dual_f2_second_level_matches_generator_description():
     closed = closure_set(
         gens,
         add=lambda a, b: a + b,
-        neg=lambda a: -a,
         zero=PeriodicConfig.zero(Z2),
         operators=[lambda c: c.shift(1)],
         cap=64,
@@ -326,8 +325,7 @@ def _condition4_at_exact_level(F, m):
         gen = closure_set(
             [d],
             add=lambda a, b: a + b,
-            neg=lambda a: -a,
-            zero=PeriodicConfig.zero(F.alphabet),
+                zero=PeriodicConfig.zero(F.alphabet),
             operators=[lambda c: c.shift(1), F.apply_periodic],
             cap=1 << 12,
         )
@@ -452,7 +450,6 @@ def _config_closure(seeds, F, operators, cap):
     return closure_set(
         seeds,
         add=lambda a, b: a + b,
-        neg=lambda a: -a,
         zero=PeriodicConfig.zero(F.alphabet),
         operators=operators,
         cap=cap,

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from groupca.automata import as_laurent, linear_ca
+from groupca.automata import NotAlgebraicError, as_laurent, linear_ca, table_from_rule
 from groupca.groups import GroupSpec
 from groupca.kernels import kernel_elements, recurrence_matrix
 from groupca.modular import (
@@ -183,3 +183,31 @@ def test_matrix_order_divides_bound_for_random_bipermutative():
         assert divisor_bound(p, width) % order == 0
         p1 = math.lcm(*(x.period for x in kernel_elements(F, 1)))
         assert order % p1 == 0
+
+
+@pytest.mark.parametrize("F", [
+    linear_ca(Z4, {0: 3, 1: 2, 2: 1}),
+    linear_ca(Z2, {0: 1, 3: 1}),
+    linear_ca(GroupSpec((5,)), {-1: 1, 0: 2, 1: 1}),
+    linear_ca(Z9, {0: 1, 1: 3, 2: 1}),
+])
+def test_additive_tables_read_as_their_linear_rule(F):
+    T = table_from_rule(F.alphabet, F.neighborhood, F.local)
+    sup = permutative_support(T)
+    assert sup == permutative_support(F)
+    assert bipermutative_power(T) == bipermutative_power(F)
+    assert recurrence_matrix(T) == recurrence_matrix(F)
+    p = sup.p
+    assert frobenius_congruence_check(T, T, p, sup.k - 1) == frobenius_congruence_check(
+        F, F, p, sup.k - 1)
+    if sup.k == 1:
+        assert factor_mod_p(T) == factor_mod_p(F)
+        assert kernel_direct_sum_check(T, 1) and kernel_direct_sum_check(F, 1)
+
+
+def test_non_additive_tables_are_refused():
+    T = table_from_rule(Z2, (0, 1), lambda w: (w[0][0] * w[1][0],))
+    for lemma in (permutative_support, bipermutative_power, factor_mod_p,
+                  recurrence_matrix):
+        with pytest.raises(NotAlgebraicError, match="table rule is not additive"):
+            lemma(T)
