@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import types
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
@@ -29,17 +30,27 @@ def letters(alphabet: GroupSpec) -> tuple[Element, ...]:
 def letter_arithmetic(alphabet: GroupSpec, coeffs: Mapping[int, Endomorphism]) -> tuple:
     """Letter indices in `letters` order, the addition table over them
     (plus[i][j] indexes letter i + letter j) and, by offset, each coefficient
-    of a linear rule as a map of letter indices, one per distinct matrix."""
+    of a linear rule as a map of letter indices.  The index (read-only) and
+    the table are built once per alphabet and each letter map once per
+    matrix, in bounded caches shared by every caller."""
+    index, plus = _letter_table(alphabet)
+    maps = {u: _letter_map(alphabet, f.matrix) for u, f in coeffs.items()}
+    return index, plus, maps
+
+
+@functools.lru_cache(maxsize=64)
+def _letter_table(alphabet: GroupSpec) -> tuple[Mapping[Element, int], tuple]:
     abc = letters(alphabet)
     index = {a: i for i, a in enumerate(abc)}
     plus = tuple(tuple(index[alphabet.add(a, b)] for b in abc) for a in abc)
-    made: dict[tuple, tuple[int, ...]] = {}  # coefficient matrix -> letter map
-    maps = {}
-    for u, f in coeffs.items():
-        if f.matrix not in made:
-            made[f.matrix] = tuple(index[f(a)] for a in abc)
-        maps[u] = made[f.matrix]
-    return index, plus, maps
+    return types.MappingProxyType(index), plus
+
+
+@functools.lru_cache(maxsize=1024)
+def _letter_map(alphabet: GroupSpec, matrix: tuple) -> tuple[int, ...]:
+    f = Endomorphism(alphabet, alphabet, matrix)
+    index = _letter_table(alphabet)[0]
+    return tuple(index[f(a)] for a in letters(alphabet))
 
 
 def _coerce_endo(alphabet: GroupSpec, value) -> Endomorphism:

@@ -219,8 +219,10 @@ def _pooled_rows(measure, lo: int, hi: int, count: int, rng) -> np.ndarray:
 def _draw_rows(measure, lo: int, hi: int, count: int, rng) -> np.ndarray:
     """`count` samples of [lo, hi] as rows of letter indices.  Each kind of
     i.i.d. piece (`measures._independent_pieces`) takes one rng.integers(0,
-    den) call, mapped through its cumulative integer run weights; any other
-    measure gives rows of its sample_word."""
+    den) call, mapped through its cumulative integer run weights: by a table
+    of the run each of the den values picks when there are at least den
+    draws, else by a search per draw.  Any other measure gives rows of its
+    sample_word."""
     import numpy as np
 
     from .measures import _independent_pieces
@@ -241,8 +243,13 @@ def _draw_rows(measure, lo: int, hi: int, count: int, rng) -> np.ndarray:
         if den >= 1 << 63:
             raise ValueError(f"run weights over {den} pass the 64-bit draw limit 2^63")
         values = np.array([[index[a] for a in run] for run, _ in runs], out.dtype)
-        pick = np.searchsorted(np.cumsum([w for _, w in runs]),
-                               rng.integers(0, den, size=(count, len(starts))), side="right")
+        cum = np.cumsum([w for _, w in runs])
+        pick = rng.integers(0, den, size=(count, len(starts)))
+        if den <= pick.size:
+            table = np.searchsorted(cum, np.arange(den), side="right")
+            pick = table.astype(np.min_scalar_type(len(runs) - 1))[pick]
+        else:
+            pick = np.searchsorted(cum, pick, side="right")
         out[:, np.add.outer(starts, range(values.shape[1]))] = values[pick]
     return out
 

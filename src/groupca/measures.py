@@ -1,10 +1,11 @@
 """Constructible shift measures with exact cylinder probabilities.
 
-Every variant carries an exact rational cylinder function, an exact block
-distribution (all word probabilities on a window at once) and a sampler;
-invariance checks, character integrals, Haar tests and Cesaro averages read
-the block distributions, so they are rational or integer-phase computations,
-with floating point confined to final complex character values.
+Every variant carries an exact rational cylinder function, exact block
+weights (all word probabilities on a window at once, as integers over one
+denominator) and a sampler; invariance checks, character integrals, Haar
+tests and Cesaro averages read the block weights, so they are integer or
+integer-phase computations, with floating point confined to final complex
+character values.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem
 from typing import Iterable, Mapping, Sequence
 
 from .automata import (
@@ -66,7 +68,16 @@ def _check_window(alphabet: GroupSpec, length: int,
 #
 # A block distribution maps every word of positive probability on the window
 # [offset, offset + length) to its exact probability; words outside the
-# support are absent.
+# support are absent.  Inside this module it travels as block weights
+# (weights, den): a positive integer weight per word over one denominator.
+# `block_distribution` turns them into one Fraction per word at the edge.
+
+Weights = tuple[dict[Word, int], int]
+
+
+def _fractions(block: Weights) -> dict[Word, Fraction]:
+    weights, den = block
+    return {word: Fraction(c, den) for word, c in weights.items()}
 
 
 def _independent_pieces(mu: "MeasureSpec", lo: int, hi: int) -> list | None:
@@ -108,9 +119,10 @@ def _sweep(
     constant: Element | None,
     lo: int,
     length: int,
-) -> dict[Word, Fraction]:
-    """Block distribution on [lo, lo + length) of the image of independent
-    pieces under the affine rule y_t = sum_u c_u(x_(t+u)) + constant.
+    laws: dict | None = None,
+) -> Weights:
+    """Block weights on [lo, lo + length) of the image of independent pieces
+    under the affine rule y_t = sum_u c_u(x_(t+u)) + constant.
 
     A piece adds a word of deltas to the output sums.  The law of that word
     depends only on the piece's kind: its column (which of its positions
@@ -122,82 +134,101 @@ def _sweep(
     generate, the image of A (of the block group B for a product-Haar
     block), so a kind costs |A|^length * |A| for its move and log(n) * |A|^2
     for its power.  Sorting the pieces into kinds reads each input position
-    once.  Weights stay integers over the product of the piece denominators,
-    with one Fraction per final word.  A window of more than MAX_EXACT_WORDS
-    possible words raises CapExceeded up front.
+    once.  Weights are integers over the product of the piece denominators.
+    `laws` memoizes the delta laws and their powers by (kind, length, count)
+    across the sweeps of one call that shares it.  A window of more than
+    MAX_EXACT_WORDS possible words raises CapExceeded up front.
     """
     _check_window(alphabet, length, None)
     abc = letters(alphabet)
     index, plus, maps = letter_arithmetic(alphabet, coeffs)
     zero = index[alphabet.zero]
+    vanishing = (zero,) * len(abc)  # the letter map of the zero matrix
     touch: defaultdict = defaultdict(list)  # input position -> [(output, letter map)]
     for u, image in maps.items():
-        if any(x != zero for x in image):
+        if image != vanishing:
             for t in range(length):
                 touch[lo + t + u].append((t, image))
+    touch = {p: tuple(outputs) for p, outputs in touch.items()}
     kinds: Counter = Counter()
     for first, runs, run_den in pieces:
-        column = tuple(tuple(touch.get(p, ())) for p in range(first, first + len(runs[0][0])))
+        column = tuple(touch.get(p, ()) for p in range(first, first + len(runs[0][0])))
         if any(column):
-            kinds[column, tuple(runs), run_den] += 1
+            kinds[column, tuple(runs), run_den, length] += 1
+    if laws is None:
+        laws = {}
 
     def convolve(a: dict, b: dict) -> dict:
         out: dict[tuple, int] = {}
-        for d, v in a.items():
-            for e, x in b.items():
-                key = tuple(plus[p][q] for p, q in zip(d, e))
+        for e, x in b.items():
+            rows = [plus[q] for q in e]
+            for d, v in a.items():
+                key = tuple(map(getitem, rows, d))
                 out[key] = out.get(key, 0) + v * x
         return out
+
+    def law_power(kind: tuple, n: int) -> dict:
+        """The kind's delta law convolved n times, halving n."""
+        law = laws.get((kind, n))
+        if law is None:
+            if n == 1:
+                column, runs = kind[:2]
+                law = {}
+                for run, weight in runs:
+                    delta = [zero] * length
+                    for letter, outputs in zip(run, column):
+                        i = index[letter]
+                        for t, image in outputs:
+                            delta[t] = plus[delta[t]][image[i]]
+                    delta = tuple(delta)
+                    law[delta] = law.get(delta, 0) + weight
+            else:
+                half = law_power(kind, n >> 1)
+                law = convolve(half, half)
+                if n & 1:
+                    law = convolve(law, law_power(kind, 1))
+            laws[kind, n] = law
+        return law
 
     # the state is the law of the word of partial sums, over letter indices
     states = {(zero if constant is None else index[constant],) * length: 1}
     den = 1
-    for (column, runs, run_den), copies in kinds.items():
-        law: dict[tuple, int] = {}
-        for run, weight in runs:
-            delta = [zero] * length
-            for letter, outputs in zip(run, column):
-                i = index[letter]
-                for t, image in outputs:
-                    delta[t] = plus[delta[t]][image[i]]
-            delta = tuple(delta)
-            law[delta] = law.get(delta, 0) + weight
-        den *= run_den**copies
-        total = None  # the law convolved `copies` times, by repeated squaring
-        while copies:
-            if copies & 1:
-                total = law if total is None else convolve(total, law)
-            copies >>= 1
-            if copies:
-                law = convolve(law, law)
-        states = convolve(states, total)
-    return {tuple(abc[i] for i in s): Fraction(c, den) for s, c in states.items()}
+    for kind, copies in kinds.items():
+        den *= kind[2] ** copies
+        states = convolve(states, law_power(kind, copies))
+    return {tuple(abc[i] for i in s): c for s, c in states.items()}, den
 
 
-def _identity_sweep(mu: "MeasureSpec", offset: int, length: int) -> dict[Word, Fraction]:
-    """Block distribution of an i.i.d.-letter or i.i.d.-block measure."""
+def _identity_sweep(mu: "MeasureSpec", offset: int, length: int,
+                    laws: dict | None = None) -> Weights:
+    """Block weights of an i.i.d.-letter or i.i.d.-block measure."""
     pieces = _independent_pieces(mu, offset, offset + length - 1)
     return _sweep(mu.alphabet, pieces, {0: Endomorphism.identity(mu.alphabet)}, None,
-                  offset, length)
+                  offset, length, laws)
 
 
-def _mix(parts: Iterable[tuple[Fraction, dict[Word, Fraction]]]) -> dict[Word, Fraction]:
-    out: defaultdict = defaultdict(Fraction)
-    for c, dist in parts:
-        for word, p in dist.items():
-            out[word] += c * p
-    return {word: p for word, p in out.items() if p}
+def _mix(parts: Iterable[tuple[Fraction, Weights]]) -> Weights:
+    """Block weights of sum_i c_i p_i, over the lcm of the c_i p_i denominators."""
+    parts = [(c.numerator, c.denominator * den, weights) for c, (weights, den) in parts]
+    den = math.lcm(*(d for _, d, _ in parts))
+    out: defaultdict = defaultdict(int)
+    for num, d, weights in parts:
+        scale = num * (den // d)
+        for word, c in weights.items():
+            out[word] += scale * c
+    return dict(out), den
 
 
-def _restrict(dist: Mapping[Word, Fraction], start: int, length: int) -> dict[Word, Fraction]:
-    """Marginal of a block distribution on `length` letters from `start`."""
-    out: defaultdict = defaultdict(Fraction)
-    for word, p in dist.items():
-        out[word[start : start + length]] += p
-    return dict(out)
+def _restrict(block: Weights, start: int, length: int) -> Weights:
+    """Marginal block weights on `length` letters from `start`."""
+    weights, den = block
+    out: defaultdict = defaultdict(int)
+    for word, c in weights.items():
+        out[word[start : start + length]] += c
+    return dict(out), den
 
 
-def _image_distribution(
+def _image_weights(
     base: "MeasureSpec",
     F: CellularAutomaton | None,
     j: int,
@@ -205,32 +236,33 @@ def _image_distribution(
     length: int,
     cap: int,
     power: int,
-) -> dict[Word, Fraction]:
-    """Block distribution on [offset, offset + length) of F^j pushing `base`.
+    laws: dict | None = None,
+) -> Weights:
+    """Block weights on [offset, offset + length) of F^j pushing `base`.
 
     A linear or affine F^j comes composed, as F with j = 1
     (`PushforwardMeasure._step`).  An i.i.d.-letter or i.i.d.-block base
     under it takes one sweep, at one move per distinct input column.  A
     mixture is pushed component by component.  Any other base or rule has
-    its distribution on the widened window pushed through F one step at a
-    time, merging equal words after each step.  `cap` bounds the widened
-    words per target word, |A|^(j * (width - 1)), as it bounds the preimage
+    its weights on the widened window pushed through F one step at a time,
+    merging equal words after each step.  `cap` bounds the widened words
+    per target word, |A|^(j * (width - 1)), as it bounds the preimage
     cylinders per target word of `PushforwardMeasure.preimage`; it is
     checked before anything is enumerated, and its message names F^power,
-    the power of the original rule.
+    the power of the original rule.  `laws` is the sweeps' memo (`_sweep`).
     """
     if j == 0:
-        return base.block_distribution(offset, length)
+        return base.block_weights(offset, length, laws)
     if isinstance(base, MixtureMeasure):
         return _mix(
-            (c, _image_distribution(m, F, j, offset, length, cap, power))
+            (c, _image_weights(m, F, j, offset, length, cap, power, laws))
             for c, m in base.components if c
         )
     if j == 1 and F.is_affine:
         lo, hi = offset + min(F.coeffs), offset + length - 1 + max(F.coeffs)
         pieces = _independent_pieces(base, lo, hi)
         if pieces is not None:
-            return _sweep(base.alphabet, pieces, F.coeffs, F.constant, offset, length)
+            return _sweep(base.alphabet, pieces, F.coeffs, F.constant, offset, length, laws)
     small = F.smallest_neighborhood()
     r, s = small.neighborhood
     per_target = base.alphabet.order ** (j * (s - r))
@@ -239,20 +271,28 @@ def _image_distribution(
             f"pushforward by F^{power} needs {per_target} words per target word, "
             f"over cap {cap}"
         )
-    dist = base.block_distribution(offset + j * r, length + j * (s - r))
+    weights, den = base.block_weights(offset + j * r, length + j * (s - r), laws)
     for _ in range(j):
-        image: defaultdict = defaultdict(Fraction)
-        for word, p in dist.items():
-            image[small.apply_window(word)] += p
-        dist = image
-    return dict(dist)
+        image: defaultdict = defaultdict(int)
+        for word, c in weights.items():
+            image[small.apply_window(word)] += c
+        weights = image
+    return dict(weights), den
 
 
 # -- measure variants -----------------------------------------------------------
 
 
+class _BlockWeighted:
+    """A measure whose `block_weights(offset, length, laws=None)` gives its
+    block weights; `block_distribution` is their one conversion to Fractions."""
+
+    def block_distribution(self, offset: int, length: int) -> dict[Word, Fraction]:
+        return _fractions(self.block_weights(offset, length))
+
+
 @dataclass(frozen=True)
-class Bernoulli:
+class Bernoulli(_BlockWeighted):
     """Product measure with one rational weight per letter."""
 
     alphabet: GroupSpec
@@ -284,8 +324,8 @@ class Bernoulli:
             p *= self.weights[a]
         return p
 
-    def block_distribution(self, offset: int, length: int) -> dict[Word, Fraction]:
-        return _identity_sweep(self, offset, length)
+    def block_weights(self, offset: int, length: int, laws: dict | None = None) -> Weights:
+        return _identity_sweep(self, offset, length, laws)
 
     def sample_word(self, lo: int, hi: int, rng: random.Random) -> Word:
         return tuple(rng.choices(self._letters, cum_weights=self._cum_weights, k=hi - lo + 1))
@@ -295,7 +335,7 @@ class Bernoulli:
 
 
 @dataclass(frozen=True)
-class HaarMeasure:
+class HaarMeasure(_BlockWeighted):
     """Haar (uniform) measure on a subgroup shift."""
 
     sigma: SubgroupShiftSpec
@@ -307,23 +347,23 @@ class HaarMeasure:
     def cylinder_prob(self, cyl: Cylinder) -> Fraction:
         """A product of run weights for the full shift and product subgroups
         (i.i.d. over letters or blocks), any cylinder length; a kernel
-        shift reads its block distribution."""
+        shift reads its block weights."""
         if isinstance(self.sigma, LinearKernelShift):
-            return self.block_distribution(cyl.offset, len(cyl.word)).get(cyl.word, Fraction(0))
+            weights, den = self.block_weights(cyl.offset, len(cyl.word))
+            return Fraction(weights.get(cyl.word, 0), den)
         p = Fraction(1)
         for first, runs, den in _independent_pieces(self, cyl.offset, cyl.end - 1):
             i = first - cyl.offset
             p *= Fraction(dict(runs).get(cyl.word[i : i + len(runs[0][0])], 0), den)
         return p
 
-    def block_distribution(self, offset: int, length: int) -> dict[Word, Fraction]:
+    def block_weights(self, offset: int, length: int, laws: dict | None = None) -> Weights:
         """Full shift and product subgroups are i.i.d. over letters or blocks;
         a kernel shift buckets the solutions on its padded window once."""
         if not isinstance(self.sigma, LinearKernelShift):
-            return _identity_sweep(self, offset, length)
+            return _identity_sweep(self, offset, length, laws)
         counts = self.sigma.window_counts(length)
-        total = sum(counts.values())
-        return {word: Fraction(c, total) for word, c in counts.items()}
+        return dict(counts), sum(counts.values())
 
     def sample_word(self, lo: int, hi: int, rng: random.Random) -> Word:
         sig = self.sigma
@@ -371,15 +411,15 @@ def _language(sigma: SubgroupShiftSpec, offset: int, length: int) -> set[Word]:
 
 
 @dataclass(frozen=True)
-class PushforwardMeasure:
+class PushforwardMeasure(_BlockWeighted):
     """Image of a base measure under automaton and shift powers.
 
-    Probabilities come from `block_distribution`: one sweep for an i.i.d.
+    Probabilities come from `block_weights`: one sweep for an i.i.d.
     base (Bernoulli, Haar on the full shift or on a product subgroup) under
     a linear or affine rule, at one move per distinct input column, with an
     affine F^j composed once per measure; component by component for a
-    mixture; otherwise the base's distribution on the widened window is
-    pushed through the rule step by step.  `cap` bounds the widened words
+    mixture; otherwise the base's weights on the widened window are pushed
+    through the rule step by step.  `cap` bounds the widened words
     per target word, as it bounds the preimage cylinders per target word of
     `preimage`, so both raise CapExceeded at the same power of a surjective
     rule; the sweep enumerates at most one state per target word.
@@ -417,7 +457,8 @@ class PushforwardMeasure:
         return [c.shifted(self.shift) for c in cyls]
 
     def cylinder_prob(self, cyl: Cylinder) -> Fraction:
-        return self.block_distribution(cyl.offset, len(cyl.word)).get(cyl.word, Fraction(0))
+        weights, den = self.block_weights(cyl.offset, len(cyl.word))
+        return Fraction(weights.get(cyl.word, 0), den)
 
     @functools.cached_property
     def _step(self) -> tuple[CellularAutomaton | None, int]:
@@ -428,9 +469,9 @@ class PushforwardMeasure:
             return power(self.automaton, self.f_power), 1
         return self.automaton, self.f_power
 
-    def block_distribution(self, offset: int, length: int) -> dict[Word, Fraction]:
-        return _image_distribution(self.base, *self._step, offset + self.shift, length,
-                                   self.cap, self.f_power)
+    def block_weights(self, offset: int, length: int, laws: dict | None = None) -> Weights:
+        return _image_weights(self.base, *self._step, offset + self.shift, length,
+                              self.cap, self.f_power, laws)
 
     def sample_word(self, lo: int, hi: int, rng: random.Random) -> Word:
         r, s = (0, 0)
@@ -453,7 +494,7 @@ class PushforwardMeasure:
 
 
 @dataclass(frozen=True)
-class MixtureMeasure:
+class MixtureMeasure(_BlockWeighted):
     """Rational convex combination of measures on one alphabet."""
 
     components: tuple[tuple[Fraction, "MeasureSpec"], ...]
@@ -478,8 +519,9 @@ class MixtureMeasure:
     def cylinder_prob(self, cyl: Cylinder) -> Fraction:
         return sum((c * m.cylinder_prob(cyl) for c, m in self.components), Fraction(0))
 
-    def block_distribution(self, offset: int, length: int) -> dict[Word, Fraction]:
-        return _mix((c, m.block_distribution(offset, length)) for c, m in self.components if c)
+    def block_weights(self, offset: int, length: int, laws: dict | None = None) -> Weights:
+        return _mix((c, m.block_weights(offset, length, laws))
+                    for c, m in self.components if c)
 
     def sample_word(self, lo: int, hi: int, rng: random.Random) -> Word:
         u = rng.random()
@@ -495,7 +537,7 @@ class MixtureMeasure:
 
 
 @dataclass(frozen=True)
-class PeriodicOrbitMeasure:
+class PeriodicOrbitMeasure(_BlockWeighted):
     """Uniform measure on a finite set of periodic configurations."""
 
     configs: tuple[PeriodicConfig, ...]
@@ -538,9 +580,8 @@ class PeriodicOrbitMeasure:
         hits = sum(1 for x in self.configs if cyl.contains_config(x))
         return Fraction(hits, len(self.configs))
 
-    def block_distribution(self, offset: int, length: int) -> dict[Word, Fraction]:
-        counts = Counter(x.window(offset, length) for x in self.configs)
-        return {word: Fraction(c, len(self.configs)) for word, c in counts.items()}
+    def block_weights(self, offset: int, length: int, laws: dict | None = None) -> Weights:
+        return dict(Counter(x.window(offset, length) for x in self.configs)), len(self.configs)
 
     def sample_word(self, lo: int, hi: int, rng: random.Random) -> Word:
         x = rng.choice(self.configs)
@@ -596,10 +637,14 @@ def invariance_check(
     given by automaton and shift powers; exact rationals, or empirical
     frequencies at a four-sigma threshold in mc mode.
 
-    Exact mode reads one block distribution of mu and one of its image per
-    offset, and takes every shorter cylinder as a marginal of them.  The
-    witness is the first cylinder, in (length, word, offset) order, that
-    attains the sup.
+    Exact mode reads the block weights of mu and of its image on each
+    offset's window; mc mode counts each sampled word and each sampled image
+    once, on the window that spans every offset, and reads each offset's
+    window as a marginal of those counts.  Every shorter cylinder is a
+    marginal of its offset's window, so exact discrepancies are integer
+    numerators compared by cross-multiplication, with one Fraction for the
+    sup.  The witness is the first cylinder, in (length, word, offset)
+    order, that attains the sup.
     """
     if f_power and automaton is None:
         raise ValueError("automaton power needs the automaton")
@@ -609,92 +654,87 @@ def invariance_check(
     if not offsets:
         raise ValueError("at least one cylinder offset is needed")
     _check_window(mu.alphabet, length)
-    abc = letters(mu.alphabet)
-    cylinders = [
-        Cylinder(i, word)
-        for ell in range(1, length + 1)
-        for word in itertools.product(abc, repeat=ell)
-        for i in offsets
-    ]
     push = PushforwardMeasure(mu, automaton, f_power, shift, cap)
     if mode == "exact":
-        marginals = {}
-        for i in offsets:
-            image = push.block_distribution(i, length)
-            own = mu.block_distribution(i, length)
-            marginals[i, length] = image, own
-            for ell in range(length - 1, 0, -1):  # each from the one a letter longer
-                image, own = _restrict(image, 0, ell), _restrict(own, 0, ell)
-                marginals[i, ell] = image, own
-        best = Fraction(0)
-        witness = None
-        for cyl in cylinders:
-            image, own = marginals[cyl.offset, cyl.length]
-            delta = abs(image.get(cyl.word, 0) - own.get(cyl.word, 0))
-            if delta > best:
-                best = delta
-                witness = cyl
-        return InvarianceResult(best, witness, len(cylinders))
-    if mode != "mc":
+        laws: dict = {}
+        windows = {i: (push.block_weights(i, length, laws), mu.block_weights(i, length, laws))
+                   for i in offsets}
+    elif mode == "mc":
+        if mc_samples < 1:
+            raise ValueError(f"mc_samples must be >= 1 in mc mode, got {mc_samples}")
+        rng = random.Random(seed)
+        lo, hi = min(offsets), max(offsets) + length - 1
+        direct: Counter = Counter()
+        mapped: Counter = Counter()
+        for _ in range(mc_samples):
+            direct[mu.sample_word(lo, hi, rng)] += 1
+            mapped[push.sample_word(lo, hi, rng)] += 1
+        windows = {i: (_restrict((mapped, mc_samples), i - lo, length),
+                       _restrict((direct, mc_samples), i - lo, length)) for i in offsets}
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    if mc_samples < 1:
-        raise ValueError(f"mc_samples must be >= 1 in mc mode, got {mc_samples}")
-    rng = random.Random(seed)
-    lo = min(c.offset for c in cylinders)
-    hi = max(c.end for c in cylinders) - 1
-    direct: Counter = Counter()
-    mapped: Counter = Counter()
-    for _ in range(mc_samples):
-        word = mu.sample_word(lo, hi, rng)
-        image = push.sample_word(lo, hi, rng)
-        for cyl in cylinders:
-            a, b = cyl.offset - lo, cyl.end - lo
-            if word[a:b] == cyl.word:
-                direct[cyl] += 1
-            if image[a:b] == cyl.word:
-                mapped[cyl] += 1
-    best_f = 0.0
+    marginals = {}
+    for i, (image, own) in windows.items():
+        marginals[i, length] = image, own
+        for ell in range(length - 1, 0, -1):  # each from the one a letter longer
+            image, own = _restrict(image, 0, ell), _restrict(own, 0, ell)
+            marginals[i, ell] = image, own
+    abc = letters(mu.alphabet)
+    checked = len(offsets) * sum(len(abc) ** ell for ell in range(1, length + 1))
+    cylinders = ((i, word) for ell in range(1, length + 1)
+                 for word in itertools.product(abc, repeat=ell) for i in offsets)
     witness = None
+    if mode == "exact":
+        best, best_den = 0, 1
+        for i, word in cylinders:
+            (image, di), (own, do) = marginals[i, len(word)]
+            num = abs(image.get(word, 0) * do - own.get(word, 0) * di)
+            if num * best_den > best * di * do:
+                best, best_den, witness = num, di * do, Cylinder(i, word)
+        return InvarianceResult(Fraction(best, best_den), witness, checked)
+    best_f = 0.0
     threshold = 0.0
-    for cyl in cylinders:
-        p = direct[cyl] / mc_samples
-        q = mapped[cyl] / mc_samples
+    for i, word in cylinders:
+        (image, _), (own, _) = marginals[i, len(word)]
+        p = own.get(word, 0) / mc_samples
+        q = image.get(word, 0) / mc_samples
         sigma = math.sqrt(max(p * (1 - p), q * (1 - q), 1e-12) / mc_samples)
         if abs(p - q) > best_f:
             best_f = abs(p - q)
-            witness = cyl
+            witness = Cylinder(i, word)
             threshold = 4 * sigma
-    return InvarianceResult(best_f, witness, len(cylinders), exact=False,
+    return InvarianceResult(best_f, witness, checked, exact=False,
                             threshold=max(threshold, 4e-2 / math.sqrt(mc_samples)))
 
 
 # -- characters and the Haar criterion -------------------------------------------
 
 
-def _integrate(chi: Mapping[int, Character], lo: int, dist: Mapping[Word, Fraction],
+def _integrate(chi: Mapping[int, Character], lo: int, block: Weights,
                abc: tuple[Element, ...]) -> complex:
-    """Sum of character values weighted by a block distribution on the
-    character's support window, words taken in lexicographic order."""
+    """Sum of character values weighted by block weights on the character's
+    support window, words taken in lexicographic order."""
+    weights, den = block
     total = complex(0)
     for word in itertools.product(abc, repeat=max(chi) - lo + 1):
-        p = dist.get(word)
-        if not p:
+        c = weights.get(word)
+        if not c:
             continue
         value = complex(1)
         for pos, ch in chi.items():
             value *= ch(word[pos - lo])
-        total += float(p) * value
+        total += c / den * value  # correctly rounded, as float(Fraction(c, den))
     return total
 
 
 def character_integral(mu: MeasureSpec, chi: Mapping[int, Character]) -> complex:
     """Exact integral of a finite-support character: sum of character values
-    weighted by the rational block distribution on the support window."""
+    weighted by the rational block weights on the support window."""
     if not chi:
         return complex(1)
     lo, hi = min(chi), max(chi)
     _check_window(mu.alphabet, hi - lo + 1)
-    return _integrate(chi, lo, mu.block_distribution(lo, hi - lo + 1), letters(mu.alphabet))
+    return _integrate(chi, lo, mu.block_weights(lo, hi - lo + 1), letters(mu.alphabet))
 
 
 def _character_trivial_on(chi: Mapping[int, Character], words: Iterable[Word],
@@ -734,7 +774,7 @@ def haar_test(
     """Integrate every character supported on [0, budget) that is nontrivial
     on the subgroup shift; all must vanish if mu is the Haar measure.
 
-    One block distribution of mu on [0, budget) serves every character,
+    One block weighting of mu on [0, budget) serves every character,
     through its marginal on the character's support window."""
     if support_budget < 1:
         raise ValueError(f"support budget must be >= 1, got {support_budget}")
@@ -743,8 +783,8 @@ def haar_test(
     _check_window(alphabet, support_budget)
     admissible = sorted(_language(sigma, 0, support_budget))
     abc = letters(alphabet)
-    full = mu.block_distribution(0, support_budget)
-    marginals: dict[tuple[int, int], dict[Word, Fraction]] = {}
+    full = mu.block_weights(0, support_budget)
+    marginals: dict[tuple[int, int], Weights] = {}
     max_abs = 0.0
     witness = None
     checked = 0
@@ -797,11 +837,14 @@ def cesaro_sequence(
     (1/n) sum_(j<n) F^j mu0 for n = 1..steps, with their total-variation
     distances to the uniform block distribution.
 
-    Each F^j mu0 is a `PushforwardMeasure` block distribution.  A linear or
+    Each F^j mu0 gives `PushforwardMeasure` block weights.  A linear or
     affine F^j is built incrementally as F^(j-1) F, on integer matrices, and
     pushed as one step, so an i.i.d. base costs per step one composition
     (the product of the two term counts, in integer products) and one sweep
-    at one move per distinct input column, on every alphabet.  `cap` is the
+    at one move per distinct input column, on every alphabet; the sweeps
+    share one memo of delta-law powers.  The running sum is kept as integer
+    numerators over one denominator, so each distance is one integer sum;
+    Fractions are built only for the averages reported.  `cap` is the
     pushforwards' cap.
     """
     if steps < 1:
@@ -809,8 +852,9 @@ def cesaro_sequence(
     _same_alphabet(mu0, F)
     _check_window(mu0.alphabet, length)
     words = list(itertools.product(letters(mu0.alphabet), repeat=length))
-    uniform = Fraction(1, len(words))
-    running = dict.fromkeys(words, Fraction(0))
+    running = dict.fromkeys(words, 0)  # numerators of sum_(j<n) F^j mu0 over den
+    den = 1
+    laws: dict = {}
     Fj = None  # F^j for an affine F, composed incrementally
     averages = []
     distances = []
@@ -818,14 +862,21 @@ def cesaro_sequence(
         j = n - 1
         if j and F.is_affine:
             Fj = F if Fj is None else compose(Fj, F)
-            dist = _image_distribution(mu0, Fj, 1, 0, length, cap, j)
+            weights, d = _image_weights(mu0, Fj, 1, 0, length, cap, j, laws)
         else:
-            dist = _image_distribution(mu0, F, j, 0, length, cap, j)
-        for w, p in dist.items():
-            running[w] += p
-        avg = {w: p / n for w, p in running.items()}
-        averages.append(avg)
-        distances.append(sum((abs(p - uniform) for p in avg.values()), Fraction(0)) / 2)
+            weights, d = _image_weights(mu0, F, j, 0, length, cap, j, laws)
+        if den % d:
+            scale = math.lcm(den, d) // den
+            running = {w: c * scale for w, c in running.items()}
+            den *= scale
+        scale = den // d
+        for w, c in weights.items():
+            running[w] += c * scale
+        total = n * den  # the average is running / total
+        averages.append({w: Fraction(c, total) for w, c in running.items()})
+        # sum_w |running_w / total - 1 / |words|| / 2, over one denominator
+        gap = sum(abs(c * len(words) - total) for c in running.values())
+        distances.append(Fraction(gap, 2 * total * len(words)))
     return CesaroResult(tuple(averages), tuple(distances), length)
 
 

@@ -3,6 +3,7 @@ cylinder preimages."""
 
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -129,6 +130,34 @@ def test_power_affine():
     F2 = power(F, 2)
     for word in itertools.product(Z2.elements(), repeat=4):
         assert F2.apply_window(word) == F.apply_window(F.apply_window(word))
+
+
+@pytest.mark.parametrize("F", [
+    linear_ca(Z4, {0: 1, 1: 2, 2: 3}),
+    linear_ca(GroupSpec((2, 2)), {0: [[1, 1], [0, 1]], 1: [[0, 1], [1, 0]]}),
+    linear_ca(Z3, {-1: 2, 1: 1}, constant=(2,), neighborhood=(-1, 1)),
+    table_from_rule(Z2, (0, 1), lambda win: (win[0][0] * win[1][0],)),
+], ids=["linear", "matrix", "affine", "table"])
+def test_power_matches_iterated_application(F):
+    rng = random.Random(5)
+    abc = letters(F.alphabet)
+    assert power(F, 0) == identity_ca(F.alphabet)
+    for n in range(1, 8):
+        Fn = power(F, n)
+        for _ in range(5):
+            word = tuple(rng.choice(abc) for _ in range(Fn.width + 2))
+            image = word
+            for _ in range(n):
+                image = F.apply_window(image)
+            assert Fn.apply_window(word) == image
+
+
+def test_power_cap_refuses_powers_wider_than_the_cap():
+    T = table_from_rule(Z2, (0, 1), lambda win: (win[0][0] * win[1][0],))
+    assert power(T, 5, cap=2**6).width == 6
+    for n in (6, 7, 12):
+        with pytest.raises(CapExceeded, match="exceeds cap"):
+            power(T, n, cap=2**6)
 
 
 def test_with_shift():

@@ -210,6 +210,15 @@ def test_uniform_letters_take_one_integers_call():
     assert rows.tolist() == np.random.default_rng(7).integers(0, 3, size=(1000, 5)).tolist()
 
 
+@pytest.mark.parametrize("count", [1, 2, 1000])
+def test_run_lookup_table_keeps_the_draws_of_the_search(count):
+    # den = 6 over 5 positions: the table serves 2 or more rows, the search 1
+    mu = Bernoulli(Z3, {(0,): Fraction(1, 2), (1,): Fraction(1, 3), (2,): Fraction(1, 6)})
+    rows = _draw_rows(mu, -2, 2, count, np.random.default_rng(3))
+    draws = np.random.default_rng(3).integers(0, 6, size=(count, 5))
+    assert rows.tolist() == np.searchsorted([3, 5, 6], draws, side="right").tolist()
+
+
 _BLOCK = subgroup_closure(Z3.power(2), [(1, 2)])
 
 

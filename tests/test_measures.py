@@ -29,6 +29,7 @@ from groupca.measures import (
     counterexample_suite,
     haar_test,
     invariance_check,
+    _fractions,
     _independent_pieces,
     _language,
     _sweep,
@@ -222,6 +223,35 @@ def test_cesaro_uniform_is_fixed():
     assert all(dist == 0 for dist in res.distances_to_uniform)
 
 
+def _naive_cesaro(mu, F, steps, length):
+    """Running averages and distances to uniform, one Fraction per word."""
+    words = list(itertools.product(letters(mu.alphabet), repeat=length))
+    running = dict.fromkeys(words, Fraction(0))
+    averages, distances = [], []
+    for n in range(1, steps + 1):
+        for word, p in PushforwardMeasure(mu, F, n - 1).block_distribution(0, length).items():
+            running[word] += p
+        avg = {word: p / n for word, p in running.items()}
+        averages.append(avg)
+        distances.append(sum(abs(p - Fraction(1, len(words))) for p in avg.values()) / 2)
+    return tuple(averages), tuple(distances)
+
+
+@pytest.mark.parametrize("mu, F, steps, length", [
+    (Bernoulli(Z2, {(0,): Fraction(1, 3), (1,): Fraction(2, 3)}),
+     linear_ca(Z2, {0: 1, 1: 1, 2: 1}), 12, 3),
+    (Bernoulli(GroupSpec((3,)), {(0,): Fraction(1, 2), (1,): Fraction(1, 3), (2,): Fraction(1, 6)}),
+     linear_ca(GroupSpec((3,)), {0: 1, 1: 2}, constant=(1,)), 8, 2),
+    (HaarMeasure(ProductSubgroup(Z2, 2, Subgroup(Z2.power(2), ((0, 0), (1, 1))), phase=1)),
+     F_xor, 10, 3),
+])
+def test_cesaro_matches_a_naive_fraction_recomputation(mu, F, steps, length):
+    res = cesaro_sequence(mu, F, steps, length)
+    assert (res.distributions, res.distances_to_uniform) == _naive_cesaro(mu, F, steps, length)
+    assert list(res.distributions[-1]) == list(itertools.product(letters(mu.alphabet),
+                                                                 repeat=length))
+
+
 def test_cesaro_point_mass_at_zero():
     zero = PeriodicOrbitMeasure.from_orbit(PeriodicConfig.zero(Z2))
     res = cesaro_sequence(zero, F_xor, 4, 1)
@@ -322,6 +352,28 @@ def test_invariance_mc_mode():
     assert res_bad.max_discrepancy > 0.2
 
 
+@pytest.mark.parametrize("d, seed, discrepancy, offset, word, threshold", [
+    (2, 0, 0.01849999999999999, 2, (0, 0), 0.0385998704661039),
+    (2, 1, 0.027999999999999997, 2, (1, 0), 0.03928144600189764),
+    (3, 0, 0.01599999999999996, 0, (1,), 0.04268948348246907),
+    (3, 1, 0.03200000000000003, 3, (1,), 0.042429800847988905),
+])
+def test_mc_reports_are_pinned(d, seed, discrepancy, offset, word, threshold):
+    # one random stream and one witness order: the same floats, bit for bit
+    G = GroupSpec((d,))
+    res = invariance_check(Bernoulli.uniform(G), linear_ca(G, {0: 1, 1: 1}), f_power=1,
+                           length=2, mode="mc", mc_samples=2000, seed=seed)
+    assert res.max_discrepancy == discrepancy and res.threshold == threshold
+    assert res.witness == Cylinder(offset, w(*word))
+    assert res.cylinders_checked == 4 * (d + d * d) and res.invariant
+    mu = Bernoulli(GroupSpec((3,)), {(0,): Fraction(1, 2), (1,): Fraction(1, 3),
+                                     (2,): Fraction(1, 6)})
+    res = invariance_check(mu, linear_ca(GroupSpec((3,)), {0: 1, 1: 2}), f_power=2, shift=1,
+                           length=3, offsets=(-1, 2), mode="mc", mc_samples=1500, seed=4)
+    assert (res.max_discrepancy, res.threshold) == (0.16266666666666663, 0.051636840136275376)
+    assert res.witness == Cylinder(2, w(0)) and res.cylinders_checked == 78
+
+
 def test_a_rule_over_another_alphabet_is_refused():
     mu = Bernoulli.uniform(GroupSpec((3,)))
     message = "alphabet mismatch: the measure is over Z/3, not over Z/2"
@@ -401,25 +453,88 @@ def base_measures(draw, group, mixtures=True):
     return MixtureMeasure(((c, first), (1 - c, second)))
 
 
+@st.composite
+def weighted_measures(draw, group):
+    """A base measure, a pushforward of one, or a mixture of a pushforward
+    with a base measure, with the depth of pushforwards under it."""
+    kind = draw(st.sampled_from(("base", "pushforward", "mixture")))
+    if kind == "base":
+        return draw(base_measures(group)), 0
+    j = draw(st.integers(0, 1))
+    push = PushforwardMeasure(draw(base_measures(group, mixtures=False)), draw(rules(group)),
+                              j, draw(st.integers(-1, 1)))
+    if kind == "pushforward":
+        return push, j
+    c = Fraction(draw(st.integers(1, 3)), 4)
+    return MixtureMeasure(((c, push), (1 - c, draw(base_measures(group, mixtures=False))))), j
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_block_distributions_match_preimage_oracle(data):
     group = data.draw(st.sampled_from(ALPHABETS))
     F = data.draw(rules(group))
-    base = data.draw(base_measures(group))
+    base, depth = data.draw(weighted_measures(group))
     length = data.draw(st.integers(1, 3))
-    # keep the oracle's |A|^(length + j) preimage cylinders small
-    j_max = max(j for j in range(4) if group.order ** (length + j) <= 512)
+    # keep the oracle's |A|^(length + depth + j) preimage cylinders small
+    j_max = max(j for j in range(4) if j == 0 or group.order ** (length + depth + j) <= 512)
     j = data.draw(st.integers(0, j_max))
     shift = data.draw(st.integers(-2, 2))
     offset = data.draw(st.integers(-2, 3))
     push = PushforwardMeasure(base, F, j, shift)
+    weights, den = push.block_weights(offset, length)
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c > 0 for c in weights.values())
     dist = push.block_distribution(offset, length)
-    assert all(p > 0 for p in dist.values())
+    assert dist == _fractions((weights, den))
     for word in itertools.product(letters(group), repeat=length):
-        cyl = Cylinder(offset, word)
-        oracle = sum((base.cylinder_prob(c) for c in push.preimage(cyl)), Fraction(0))
-        assert dist.get(word, 0) == oracle
+        assert dist.get(word, 0) == _preimage_prob(push, Cylinder(offset, word))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_exact_invariance_matches_a_per_cylinder_fraction_sup(data):
+    group = data.draw(st.sampled_from(ALPHABETS[:3]))
+    F = data.draw(rules(group))
+    mu = data.draw(weighted_measures(group))[0]
+    j, shift = data.draw(st.integers(0, 1)), data.draw(st.integers(-1, 1))
+    length = data.draw(st.integers(1, 2))
+    offsets = data.draw(st.lists(st.integers(-1, 2), min_size=1, max_size=3))
+    res = invariance_check(mu, F if j else None, j, shift, length, offsets)
+    push = PushforwardMeasure(mu, F if j else None, j, shift)
+    best, witness, checked = Fraction(0), None, 0
+    for ell in range(1, length + 1):
+        for word in itertools.product(letters(group), repeat=ell):
+            for i in offsets:
+                cyl = Cylinder(i, word)
+                delta = abs(push.cylinder_prob(cyl) - mu.cylinder_prob(cyl))
+                checked += 1
+                if delta > best:
+                    best, witness = delta, cyl
+    assert (res.max_discrepancy, res.witness, res.cylinders_checked) == (best, witness, checked)
+
+
+def test_exact_invariance_compares_discrepancies_over_different_denominators():
+    # offsets 0 and 1 of a product Haar measure have different denominators;
+    # the sup 1/6 is first attained at [0]_0, and later at [00]_1 with a
+    # larger numerator over a larger denominator
+    half = HaarMeasure(ProductSubgroup(Z2, 2, Subgroup(Z2.power(2), ((0, 0), (1, 0)))))
+    mu = MixtureMeasure(((Fraction(1, 4), half),
+                         (Fraction(3, 4), Bernoulli(Z2, {(0,): Fraction(1, 3),
+                                                         (1,): Fraction(2, 3)}))))
+    res = invariance_check(mu, F_xor, 1, length=2, offsets=(0, 1))
+    assert (res.max_discrepancy, res.witness) == (Fraction(1, 6), Cylinder(0, w(0)))
+
+
+def _preimage_prob(mu, cyl):
+    """A cylinder's probability by preimage expansion through every
+    pushforward and by component through every mixture, down to the base
+    measures' own cylinder functions."""
+    if isinstance(mu, PushforwardMeasure):
+        return sum((_preimage_prob(mu.base, c) for c in mu.preimage(cyl)), Fraction(0))
+    if isinstance(mu, MixtureMeasure):
+        return sum((c * _preimage_prob(m, cyl) for c, m in mu.components), Fraction(0))
+    return mu.cylinder_prob(cyl)
 
 
 def _sweep_oracle(alphabet, pieces, coeffs, constant, lo, length):
@@ -508,7 +623,7 @@ def test_grouped_sweep_matches_the_per_piece_sweep(data):
     hi = offset + length - 1 + max(Fj.coeffs)
     pieces = _independent_pieces(base, lo, hi)
     args = (group, pieces, Fj.coeffs, Fj.constant, offset, length)
-    assert _sweep(*args) == _sweep_oracle(*args)
+    assert _fractions(_sweep(*args)) == _sweep_oracle(*args)
 
 
 def test_nested_pushforward_is_pushforward_by_composite():
