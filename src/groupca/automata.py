@@ -27,14 +27,14 @@ def letters(alphabet: GroupSpec) -> tuple[Element, ...]:
     return tuple(alphabet.elements())
 
 
-def letter_arithmetic(alphabet: GroupSpec, coeffs: Mapping[int, Endomorphism]) -> tuple:
+def letter_arithmetic(alphabet: GroupSpec, terms: Mapping[int, tuple]) -> tuple:
     """Letter indices in `letters` order, the addition table over them
-    (plus[i][j] indexes letter i + letter j) and, by offset, each coefficient
-    of a linear rule as a map of letter indices.  The index (read-only) and
+    (plus[i][j] indexes letter i + letter j) and, by offset, each matrix term
+    (`matrix_terms`) as a map of letter indices.  The index (read-only) and
     the table are built once per alphabet and each letter map once per
     matrix, in bounded caches shared by every caller."""
     index, plus = _letter_table(alphabet)
-    maps = {u: _letter_map(alphabet, f.matrix) for u, f in coeffs.items()}
+    maps = {u: _letter_map(alphabet, m) for u, m in terms.items()}
     return index, plus, maps
 
 
@@ -63,18 +63,23 @@ def _coerce_endo(alphabet: GroupSpec, value) -> Endomorphism:
     return Endomorphism(alphabet, alphabet, tuple(tuple(row) for row in value))
 
 
-def _product_terms(group: GroupSpec, f_terms: Mapping[int, Endomorphism],
-                   g_terms: Mapping[int, Endomorphism]) -> dict[int, Endomorphism]:
-    """Nonzero terms, by offset, of (sum_u f_u s^u)(sum_v g_v s^v).
+def matrix_terms(F: CellularAutomaton) -> dict[int, tuple]:
+    """F's coefficients as integer matrices by offset; none for a table rule."""
+    return {u: f.matrix for u, f in (F.coeffs or {}).items()}
+
+
+def _product_terms(group: GroupSpec, f_terms: Mapping[int, tuple],
+                   g_terms: Mapping[int, tuple]) -> dict[int, tuple]:
+    """Nonzero integer matrix terms, by offset, of (sum_u f_u s^u)(sum_v g_v s^v)
+    for matrix terms f and g (`matrix_terms`).
 
     Matrix entry (j, i) of each side is an integer polynomial in the shift;
     the product's entry sums their products over k with plain integers, and
-    each surviving offset is reduced once.  Equal reduced matrices share one
-    Endomorphism."""
+    each surviving offset is reduced once, row j modulo d_j."""
     rank = group.rank
 
-    def entries(terms: Mapping[int, Endomorphism]) -> list[list[dict[int, int]]]:
-        return [[{u: f.matrix[j][i] for u, f in terms.items() if f.matrix[j][i]}
+    def entries(terms: Mapping[int, tuple]) -> list[list[dict[int, int]]]:
+        return [[{u: m[j][i] for u, m in terms.items() if m[j][i]}
                  for i in range(rank)] for j in range(rank)]
 
     P, Q = entries(f_terms), entries(g_terms)
@@ -84,15 +89,11 @@ def _product_terms(group: GroupSpec, f_terms: Mapping[int, Endomorphism],
         for u, a in P[j][k].items():
             for v, b in Q[k][i].items():
                 acc[u + v] += a * b
-    made: dict[tuple, Endomorphism] = {}
-    terms = {}
-    for w in sorted(set().union(*(e for row in prod for e in row))):
-        rows = tuple(tuple(e.get(w, 0) % d for e in row) for row, d in zip(prod, group.moduli))
-        if any(map(any, rows)):
-            if rows not in made:
-                made[rows] = Endomorphism(group, group, rows)
-            terms[w] = made[rows]
-    return terms
+    offsets = sorted(set().union(*(e for row in prod for e in row)))
+    # per offset, the tuple of reduced rows: entries by offset, zipped twice
+    matrices = zip(*(zip(*([e.get(w, 0) % d for w in offsets] for e in row))
+                     for row, d in zip(prod, group.moduli)))
+    return {w: m for w, m in zip(offsets, matrices) if any(map(any, m))}
 
 
 class Permutativity(NamedTuple):
@@ -383,7 +384,9 @@ def compose(F: CellularAutomaton, G: CellularAutomaton,
                 const = A.add(const, f(G.constant))
         if F.constant is not None:
             const = A.add(const, F.constant)
-        coeffs = _product_terms(A, F.coeffs, G.coeffs) or {rF + rG: Endomorphism.zero_map(A)}
+        terms = _product_terms(A, matrix_terms(F), matrix_terms(G))
+        made = {m: Endomorphism(A, A, m) for m in set(terms.values())}  # one per matrix
+        coeffs = {u: made[m] for u, m in terms.items()} or {rF + rG: Endomorphism.zero_map(A)}
         return CellularAutomaton(A, (rF + rG, sF + sG), coeffs=coeffs,
                                  constant=None if const == A.zero else const)
     width = (sF - rF) + (sG - rG) + 1

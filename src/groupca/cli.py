@@ -784,7 +784,7 @@ def cmd_hypotheses(args) -> int:
         print(f"  - {item}")
     print(f"all checkable premises hold: {rep.all_checkable_hold}")
     _print(report, args.out)
-    return 0
+    return 1 if rep.premise_failed else 0
 
 
 def cmd_examples(args) -> int:

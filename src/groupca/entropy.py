@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .automata import CellularAutomaton, letter_arithmetic, letters
+from .automata import CellularAutomaton, letter_arithmetic, letters, matrix_terms
 
 if TYPE_CHECKING:
     import numpy as np
@@ -180,10 +180,12 @@ class EntropyReport:
 
 def _rngs(measure, seed: int) -> tuple:
     """Generators of the shift and the column samples: one numpy stream for a
-    measure i.i.d. over letters or blocks, else random.Random(seed) and
-    random.Random(seed + 1)."""
-    from .measures import _independent_pieces
+    measure i.i.d. over letters or blocks, or a pushforward of one, else
+    random.Random(seed) and random.Random(seed + 1)."""
+    from .measures import PushforwardMeasure, _independent_pieces
 
+    while isinstance(measure, PushforwardMeasure):
+        measure = measure.base
     if _independent_pieces(measure, 0, 0) is None:
         return random.Random(seed), random.Random(seed + 1)
     import numpy as np
@@ -217,16 +219,26 @@ def _pooled_rows(measure, lo: int, hi: int, count: int, rng) -> np.ndarray:
 
 
 def _draw_rows(measure, lo: int, hi: int, count: int, rng) -> np.ndarray:
-    """`count` samples of [lo, hi] as rows of letter indices.  Each kind of
-    i.i.d. piece (`measures._independent_pieces`) takes one rng.integers(0,
-    den) call, mapped through its cumulative integer run weights: by a table
-    of the run each of the den values picks when there are at least den
-    draws, else by a search per draw.  Any other measure gives rows of its
-    sample_word."""
+    """`count` samples of [lo, hi] as rows of letter indices.  Each group of
+    i.i.d. runs with one run law (`measures._independent_pieces`) takes one
+    rng.integers(0, den) call, mapped through its cumulative integer run
+    weights: by a table of the run each of the den values picks when there
+    are at least den draws, else by a search per draw.  A pushforward draws
+    its base's rows on the widened window and moves them through the rule
+    f_power times (`_rule_on_rows`), as its sample_word moves a word.  Any
+    other measure gives rows of its sample_word."""
     import numpy as np
 
-    from .measures import _independent_pieces
+    from .measures import PushforwardMeasure, _independent_pieces
 
+    if isinstance(measure, PushforwardMeasure):
+        k, shift = measure.f_power, measure.shift
+        r, s = measure.automaton.neighborhood if k else (0, 0)
+        rows = _draw_rows(measure.base, lo + shift + k * r, hi + shift + k * s, count, rng)
+        step = _rule_on_rows(measure.automaton) if k else None
+        for _ in range(k):
+            rows = step(rows)
+        return rows
     index = letter_arithmetic(measure.alphabet, {})[0]
     out = np.empty((count, hi - lo + 1), np.min_scalar_type(len(index) - 1))
     pieces = _independent_pieces(measure, lo, hi)
@@ -236,10 +248,7 @@ def _draw_rows(measure, lo: int, hi: int, count: int, rng) -> np.ndarray:
             raise ValueError("sampler returned a window of the wrong length")
         out[:] = np.array([[index[a] for a in w] for w in words]).reshape(out.shape)
         return out
-    kinds: dict[tuple, list[int]] = {}
-    for first, runs, den in pieces:
-        kinds.setdefault((tuple(runs), den), []).append(first - lo)
-    for (runs, den), starts in kinds.items():
+    for runs, den, starts in pieces:
         if den >= 1 << 63:
             raise ValueError(f"run weights over {den} pass the 64-bit draw limit 2^63")
         values = np.array([[index[a] for a in run] for run, _ in runs], out.dtype)
@@ -250,7 +259,7 @@ def _draw_rows(measure, lo: int, hi: int, count: int, rng) -> np.ndarray:
             pick = table.astype(np.min_scalar_type(len(runs) - 1))[pick]
         else:
             pick = np.searchsorted(cum, pick, side="right")
-        out[:, np.add.outer(starts, range(values.shape[1]))] = values[pick]
+        out[:, np.add.outer(np.subtract(starts, lo), range(values.shape[1]))] = values[pick]
     return out
 
 
@@ -263,7 +272,7 @@ def _rule_on_rows(small: CellularAutomaton):
 
     n, w = small.alphabet.order, small.width
     dtype = np.min_scalar_type(n - 1)
-    index, plus, maps = letter_arithmetic(small.alphabet, small.coeffs or {})
+    index, plus, maps = letter_arithmetic(small.alphabet, matrix_terms(small))
     lookup, add = None, np.add
     if small.table is not None:
         words = itertools.product(letters(small.alphabet), repeat=w)

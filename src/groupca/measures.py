@@ -22,11 +22,12 @@ from typing import Iterable, Mapping, Sequence
 
 from .automata import (
     CellularAutomaton,
-    compose,
+    _product_terms,
     cylinder_preimage,
     letter_arithmetic,
     letters,
     linear_ca,
+    matrix_terms,
     power,
 )
 from .configs import Cylinder, PeriodicConfig, Word
@@ -81,80 +82,88 @@ def _fractions(block: Weights) -> dict[Word, Fraction]:
 
 
 def _independent_pieces(mu: "MeasureSpec", lo: int, hi: int) -> list | None:
-    """The positions [lo, hi] cut into independent runs, for a measure that is
-    i.i.d. over letters (Bernoulli, Haar on the full shift) or over aligned
-    blocks (Haar on a product subgroup); None for any other measure.
+    """The positions [lo, hi] cut into independent runs and grouped by run
+    law, for a measure that is i.i.d. over letters (Bernoulli, Haar on the
+    full shift) or over aligned blocks (Haar on a product subgroup); None
+    for any other measure.
 
-    A piece is (first position, [(run of letters, integer weight), ...],
-    denominator): the run starting at the first position takes each listed
-    value with probability weight / denominator.
+    A group is (runs, denominator, starts): the run of letters from each
+    position in the range `starts` takes each value of runs = ((run, integer
+    weight), ...) with probability weight / denominator.  Groups come in the
+    order of their first starts: whole blocks of grouping t have stride t.
     """
     if isinstance(mu, Bernoulli):
-        den = math.lcm(*(w.denominator for w in mu.weights.values()))
-        runs = [((a,), int(w * den)) for a, w in mu.weights.items() if w]
-        return [(p, runs, den) for p in range(lo, hi + 1)]
+        return [(*mu._runs, range(lo, hi + 1))]
     if not isinstance(mu, HaarMeasure) or isinstance(mu.sigma, LinearKernelShift):
         return None
     sig = mu.sigma
     if isinstance(sig, FullShift):
-        runs = [((a,), 1) for a in letters(sig.alphabet)]
-        return [(p, runs, len(runs)) for p in range(lo, hi + 1)]
+        runs = tuple(((a,), 1) for a in letters(sig.alphabet))
+        return [(runs, len(runs), range(lo, hi + 1))]
     t, k = sig.grouping, sig.alphabet.rank
-    pieces = []
+    cuts: dict[tuple[int, int], list[int]] = {}  # (first, last) letter of a block -> starts
     for n in range((lo - sig.phase) // t, (hi - sig.phase) // t + 1):
         start = n * t + sig.phase
         first, last = max(lo, start), min(hi, start + t - 1)
-        runs = Counter(
-            tuple(b[j * k : (j + 1) * k] for j in range(first - start, last - start + 1))
-            for b in sig.block.elements
-        )
-        pieces.append((first, list(runs.items()), len(sig.block)))
-    return pieces
+        cuts.setdefault((first - start, last - start), []).append(first)
+    groups: dict[tuple, list[int]] = {}
+    for (first, last), starts in cuts.items():
+        groups.setdefault(_block_runs(sig.block, k, first, last), []).extend(starts)
+    return [(runs, len(sig.block), range(s[0], s[-1] + 1, s[1] - s[0] if len(s) > 1 else 1))
+            for runs, s in groups.items()]
+
+
+@functools.lru_cache(maxsize=256)
+def _block_runs(block: Subgroup, k: int, first: int, last: int) -> tuple:
+    """The (run, count) law of letters first..last of the blocks, k coordinates each."""
+    return tuple(Counter(
+        tuple(b[j * k : (j + 1) * k] for j in range(first, last + 1)) for b in block.elements
+    ).items())
 
 
 def _sweep(
-    alphabet: GroupSpec,
-    pieces: list,
-    coeffs: Mapping[int, Endomorphism],
+    base: "MeasureSpec",
+    terms: Mapping[int, tuple],
     constant: Element | None,
     lo: int,
     length: int,
     laws: dict | None = None,
-) -> Weights:
-    """Block weights on [lo, lo + length) of the image of independent pieces
-    under the affine rule y_t = sum_u c_u(x_(t+u)) + constant.
+) -> Weights | None:
+    """Block weights on [lo, lo + length) of the image of an i.i.d. base
+    (`_independent_pieces`) under the affine rule y_t = sum_u m_u(x_(t+u)) +
+    constant, with integer matrix terms m_u (`automata.matrix_terms`); None
+    for a base that is not i.i.d.
 
-    A piece adds a word of deltas to the output sums.  The law of that word
-    depends only on the piece's kind: its column (which of its positions
-    reach which outputs, through which letter maps), its run law and its
-    denominator.  Pieces are counted per kind; each kind's delta law is built
-    once and raised to its count n by repeated squaring, and the state, the
-    law of the word of partial output sums, takes one move per kind.  A
-    delta law and its convolution powers live in the subgroup its deltas
-    generate, the image of A (of the block group B for a product-Haar
-    block), so a kind costs |A|^length * |A| for its move and log(n) * |A|^2
-    for its power.  Sorting the pieces into kinds reads each input position
-    once.  Weights are integers over the product of the piece denominators.
-    `laws` memoizes the delta laws and their powers by (kind, length, count)
-    across the sweeps of one call that shares it.  A window of more than
-    MAX_EXACT_WORDS possible words raises CapExceeded up front.
+    The letter maps of the m_u lie in one dense array over offsets, so the
+    column of a run of k letters (the maps through which it reaches each
+    output) is a window of length + k - 1 of that array, and a group of
+    runs counts its columns as the windows at its stride.  A run adds a
+    word of deltas to the output sums, a homomorphic image of the run; so
+    n runs of one column add that column's image of the run law's n-fold
+    convolution on A (on the block group B for a product-Haar block).  The
+    state, the law of the word of partial output sums, takes one move per
+    distinct column: |A|^length * |A| for the move, and log(n) * |A|^2 for
+    the power.  Weights are integers over the product of the denominators
+    of the runs that reach an output.  `laws` memoizes the run laws' powers
+    by (runs, n) and their images by (column, runs, n), across the sweeps
+    of one call that shares it.  A window of more than MAX_EXACT_WORDS
+    possible words raises CapExceeded up front.
     """
+    pieces = _independent_pieces(base, lo + min(terms, default=0),
+                                 lo + length - 1 + max(terms, default=0))
+    if pieces is None:
+        return None
+    alphabet = base.alphabet
     _check_window(alphabet, length, None)
     abc = letters(alphabet)
-    index, plus, maps = letter_arithmetic(alphabet, coeffs)
+    index, plus, maps = letter_arithmetic(alphabet, terms)
     zero = index[alphabet.zero]
     vanishing = (zero,) * len(abc)  # the letter map of the zero matrix
-    touch: defaultdict = defaultdict(list)  # input position -> [(output, letter map)]
-    for u, image in maps.items():
-        if image != vanishing:
-            for t in range(length):
-                touch[lo + t + u].append((t, image))
-    touch = {p: tuple(outputs) for p, outputs in touch.items()}
-    kinds: Counter = Counter()
-    for first, runs, run_den in pieces:
-        column = tuple(touch.get(p, ()) for p in range(first, first + len(runs[0][0])))
-        if any(column):
-            kinds[column, tuple(runs), run_den, length] += 1
+    first = min(starts[0] for _, _, starts in pieces)
+    end = max(starts[-1] + len(runs[0][0]) for runs, _, starts in pieces)
+    # lane[i] maps through offset end - 1 - lo - i: position p reaches output t
+    # through lane[end - 1 - p + t], so a run of k from p sees lane[end - p - k:]
+    lane = [maps.get(end - 1 - lo - i, vanishing) for i in range(end - first + length - 1)]
     if laws is None:
         laws = {}
 
@@ -167,44 +176,48 @@ def _sweep(
                 out[key] = out.get(key, 0) + v * x
         return out
 
-    def law_power(kind: tuple, n: int) -> dict:
-        """The kind's delta law convolved n times, halving n."""
-        law = laws.get((kind, n))
+    def run_power(runs: tuple, n: int) -> dict:
+        """The run law, over letter indices, convolved n times, halving n."""
+        law = laws.get((runs, n))
         if law is None:
             if n == 1:
-                column, runs = kind[:2]
-                law = {}
-                for run, weight in runs:
-                    delta = [zero] * length
-                    for letter, outputs in zip(run, column):
-                        i = index[letter]
-                        for t, image in outputs:
-                            delta[t] = plus[delta[t]][image[i]]
-                    delta = tuple(delta)
-                    law[delta] = law.get(delta, 0) + weight
+                law = {tuple(index[a] for a in run): weight for run, weight in runs}
             else:
-                half = law_power(kind, n >> 1)
+                half = run_power(runs, n >> 1)
                 law = convolve(half, half)
                 if n & 1:
-                    law = convolve(law, law_power(kind, 1))
-            laws[kind, n] = law
+                    law = convolve(law, run_power(runs, 1))
+            laws[runs, n] = law
+        return law
+
+    def image(column: tuple, runs: tuple, n: int) -> dict:
+        """The law of the delta word of n runs through a column: the image of
+        the run law's n-fold convolution, memoized with it in `laws`."""
+        law = laws.get((column, runs, n))
+        if law is None:
+            k = len(column) - length + 1
+            law = {}
+            for run, weight in run_power(runs, n).items():
+                delta = tuple(m[run[-1]] for m in column[:length])
+                for j, a in enumerate(run[:-1]):
+                    delta = tuple(plus[d][m[a]] for d, m in zip(delta, column[k - 1 - j :]))
+                law[delta] = law.get(delta, 0) + weight
+            laws[column, runs, n] = law
         return law
 
     # the state is the law of the word of partial sums, over letter indices
     states = {(zero if constant is None else index[constant],) * length: 1}
     den = 1
-    for kind, copies in kinds.items():
-        den *= kind[2] ** copies
-        states = convolve(states, law_power(kind, copies))
+    for runs, run_den, starts in pieces:
+        k, step = len(runs[0][0]), starts.step
+        width, i = length + k - 1, end - starts[-1] - k  # the last run's window comes first
+        columns = Counter(zip(*(lane[i + x : i + x + step * len(starts) : step]
+                                for x in range(width))))
+        columns.pop((vanishing,) * width, None)
+        for column, copies in columns.items():
+            den *= run_den ** copies
+            states = convolve(states, image(column, runs, copies))
     return {tuple(abc[i] for i in s): c for s, c in states.items()}, den
-
-
-def _identity_sweep(mu: "MeasureSpec", offset: int, length: int,
-                    laws: dict | None = None) -> Weights:
-    """Block weights of an i.i.d.-letter or i.i.d.-block measure."""
-    pieces = _independent_pieces(mu, offset, offset + length - 1)
-    return _sweep(mu.alphabet, pieces, {0: Endomorphism.identity(mu.alphabet)}, None,
-                  offset, length, laws)
 
 
 def _mix(parts: Iterable[tuple[Fraction, Weights]]) -> Weights:
@@ -242,9 +255,9 @@ def _image_weights(
 
     A linear or affine F^j comes composed, as F with j = 1
     (`PushforwardMeasure._step`).  An i.i.d.-letter or i.i.d.-block base
-    under it takes one sweep, at one move per distinct input column.  A
-    mixture is pushed component by component.  Any other base or rule has
-    its weights on the widened window pushed through F one step at a time,
+    under it takes one sweep of F's matrix terms (`_sweep`).  A mixture is
+    pushed component by component.  Any other base or rule has its weights
+    on the widened window pushed through F one step at a time (apply_window),
     merging equal words after each step.  `cap` bounds the widened words
     per target word, |A|^(j * (width - 1)), as it bounds the preimage
     cylinders per target word of `PushforwardMeasure.preimage`; it is
@@ -259,10 +272,9 @@ def _image_weights(
             for c, m in base.components if c
         )
     if j == 1 and F.is_affine:
-        lo, hi = offset + min(F.coeffs), offset + length - 1 + max(F.coeffs)
-        pieces = _independent_pieces(base, lo, hi)
-        if pieces is not None:
-            return _sweep(base.alphabet, pieces, F.coeffs, F.constant, offset, length, laws)
+        weights = _sweep(base, matrix_terms(F), F.constant, offset, length, laws)
+        if weights is not None:
+            return weights
     small = F.smallest_neighborhood()
     r, s = small.neighborhood
     per_target = base.alphabet.order ** (j * (s - r))
@@ -308,10 +320,13 @@ class Bernoulli(_BlockWeighted):
         if sum(table.values()) != 1:
             raise ValueError("letter weights must sum to 1")
         object.__setattr__(self, "weights", table)
-        # sample_word's letters and cumulative float weights, made once
+        # sample_word's letters and cumulative float weights, and its run law, made once
         object.__setattr__(self, "_letters", tuple(table))
         cum = list(itertools.accumulate(float(w) for w in table.values()))
         object.__setattr__(self, "_cum_weights", cum)
+        den = math.lcm(*(w.denominator for w in table.values()))
+        runs = tuple(((a,), int(w * den)) for a, w in table.items() if w)
+        object.__setattr__(self, "_runs", (runs, den))
 
     @classmethod
     def uniform(cls, alphabet: GroupSpec) -> "Bernoulli":
@@ -325,7 +340,8 @@ class Bernoulli(_BlockWeighted):
         return p
 
     def block_weights(self, offset: int, length: int, laws: dict | None = None) -> Weights:
-        return _identity_sweep(self, offset, length, laws)
+        identity = {0: Endomorphism.identity(self.alphabet).matrix}
+        return _sweep(self, identity, None, offset, length, laws)
 
     def sample_word(self, lo: int, hi: int, rng: random.Random) -> Word:
         return tuple(rng.choices(self._letters, cum_weights=self._cum_weights, k=hi - lo + 1))
@@ -352,16 +368,18 @@ class HaarMeasure(_BlockWeighted):
             weights, den = self.block_weights(cyl.offset, len(cyl.word))
             return Fraction(weights.get(cyl.word, 0), den)
         p = Fraction(1)
-        for first, runs, den in _independent_pieces(self, cyl.offset, cyl.end - 1):
-            i = first - cyl.offset
-            p *= Fraction(dict(runs).get(cyl.word[i : i + len(runs[0][0])], 0), den)
+        for runs, den, starts in _independent_pieces(self, cyl.offset, cyl.end - 1):
+            weights, k = dict(runs), len(runs[0][0])
+            for i in starts:
+                p *= Fraction(weights.get(cyl.word[i - cyl.offset : i - cyl.offset + k], 0), den)
         return p
 
     def block_weights(self, offset: int, length: int, laws: dict | None = None) -> Weights:
         """Full shift and product subgroups are i.i.d. over letters or blocks;
         a kernel shift buckets the solutions on its padded window once."""
         if not isinstance(self.sigma, LinearKernelShift):
-            return _identity_sweep(self, offset, length, laws)
+            identity = {0: Endomorphism.identity(self.alphabet).matrix}
+            return _sweep(self, identity, None, offset, length, laws)
         counts = self.sigma.window_counts(length)
         return dict(counts), sum(counts.values())
 
@@ -406,8 +424,9 @@ def _language(sigma: SubgroupShiftSpec, offset: int, length: int) -> set[Word]:
     if isinstance(sigma, LinearKernelShift):
         return set(sigma.window_counts(length))
     pieces = _independent_pieces(HaarMeasure(sigma), offset, offset + length - 1)
-    choices = ([run for run, _ in runs] for _, runs, _ in pieces)
-    return {sum(word, ()) for word in itertools.product(*choices)}
+    choices = sorted((first, [run for run, _ in runs]) for runs, _, starts in pieces
+                     for first in starts)
+    return {sum(word, ()) for word in itertools.product(*(c for _, c in choices))}
 
 
 @dataclass(frozen=True)
@@ -416,8 +435,8 @@ class PushforwardMeasure(_BlockWeighted):
 
     Probabilities come from `block_weights`: one sweep for an i.i.d.
     base (Bernoulli, Haar on the full shift or on a product subgroup) under
-    a linear or affine rule, at one move per distinct input column, with an
-    affine F^j composed once per measure; component by component for a
+    a linear or affine rule, one move per distinct column of its terms, with
+    an affine F^j composed once per measure; component by component for a
     mixture; otherwise the base's weights on the widened window are pushed
     through the rule step by step.  `cap` bounds the widened words
     per target word, as it bounds the preimage cylinders per target word of
@@ -838,33 +857,41 @@ def cesaro_sequence(
     distances to the uniform block distribution.
 
     Each F^j mu0 gives `PushforwardMeasure` block weights.  A linear or
-    affine F^j is built incrementally as F^(j-1) F, on integer matrices, and
-    pushed as one step, so an i.i.d. base costs per step one composition
-    (the product of the two term counts, in integer products) and one sweep
-    at one move per distinct input column, on every alphabet; the sweeps
-    share one memo of delta-law powers.  The running sum is kept as integer
-    numerators over one denominator, so each distance is one integer sum;
-    Fractions are built only for the averages reported.  `cap` is the
-    pushforwards' cap.
+    affine F^j is carried as integer matrix terms and a constant, F times
+    F^(j-1), and handed to one sweep for an i.i.d. base; a rule is built
+    from them only for a base the sweep cannot take.  A step costs the
+    product of the two term counts in integer products and one move per
+    distinct column, and the sweeps share one memo of run-law powers.  The
+    running sum is kept as integer numerators over one denominator, so each
+    distance is one integer sum; Fractions are built only for the averages
+    reported.  `cap` is the pushforwards' cap.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     _same_alphabet(mu0, F)
     _check_window(mu0.alphabet, length)
-    words = list(itertools.product(letters(mu0.alphabet), repeat=length))
+    A = mu0.alphabet
+    words = list(itertools.product(letters(A), repeat=length))
     running = dict.fromkeys(words, 0)  # numerators of sum_(j<n) F^j mu0 over den
     den = 1
     laws: dict = {}
-    Fj = None  # F^j for an affine F, composed incrementally
+    terms, constant = {}, A.zero  # F^j for an affine F, as matrix terms and constant
     averages = []
     distances = []
     for n in range(1, steps + 1):
         j = n - 1
         if j and F.is_affine:
-            Fj = F if Fj is None else compose(Fj, F)
-            weights, d = _image_weights(mu0, Fj, 1, 0, length, cap, j, laws)
+            terms = _product_terms(A, matrix_terms(F), terms) if j > 1 else matrix_terms(F)
+            if F.constant is not None:  # F^j of the zero configuration
+                constant = F.local((constant,) * F.width)
+            block = _sweep(mu0, terms, constant, 0, length, laws)
+            if block is None:  # a base that is not i.i.d. needs F^j as a rule
+                r, s = F.neighborhood
+                Fj = linear_ca(A, terms, constant, (j * r, j * s))
+                block = _image_weights(mu0, Fj, 1, 0, length, cap, j, laws)
         else:
-            weights, d = _image_weights(mu0, F, j, 0, length, cap, j, laws)
+            block = _image_weights(mu0, F, j, 0, length, cap, j, laws)
+        weights, d = block
         if den % d:
             scale = math.lcm(den, d) // den
             running = {w: c * scale for w, c in running.items()}
@@ -1014,14 +1041,15 @@ class HypothesisReport:
     criteria_skipped: str | None = None
 
     @property
+    def premise_failed(self) -> bool:
+        """A checked premise is False; a skipped criterion or an unchecked
+        premise is a gap, not a failure."""
+        return (not self.nontrivial or not self.bipermutative or self.entropy_positive is False
+                or (self.condition4 is not None and not self.condition4.found))
+
+    @property
     def all_checkable_hold(self) -> bool:
-        return (
-            self.nontrivial
-            and self.bipermutative
-            and self.condition4 is not None
-            and self.condition4.found
-            and self.entropy_positive is not False
-        )
+        return not self.premise_failed and self.condition4 is not None
 
 
 def check_hypotheses(

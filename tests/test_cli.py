@@ -118,10 +118,12 @@ def test_additive_table_reports_match_the_linear_spec(tmp_path, name):
     table = tmp_path / "table.json"
     table.write_text(json.dumps(_table_spec(name)))
     for argv in (["modular"], ["kernel", "--levels", "3"], ["hypotheses"]):
+        # x_0 + x_1 + 2 x_2 over Z/4 is not bipermutative, a failed premise
+        code = int(argv == ["hypotheses"] and name == "id_sigma_2sigma2_z4")
         reports = []
         for ca in (name, str(table)):
             out = tmp_path / "out.json"
-            assert run(argv + ["--ca", ca, "--out", str(out)]) == 0, argv
+            assert run(argv + ["--ca", ca, "--out", str(out)]) == code, argv
             report = json.loads(out.read_text())
             report.pop("automaton", None)
             reports.append(report)
@@ -202,6 +204,31 @@ def test_hypotheses_command(tmp_path):
     assert report["k"] == 2 and report["p1"] == 1
     assert report["condition4"]["m"] == 0
     assert len(report["unchecked"]) == 2
+
+
+@pytest.mark.parametrize("ca, premise", [
+    ("classA_F1", "bipermutative: False"),
+    ("id_sigma_2sigma2_z4", "boundary generation criterion: found=False"),
+    # 1 + x^3 over Z/2 is bipermutative: the boundary search is the one failure
+    ({"alphabet": {"moduli": [2]}, "neighborhood": [0, 3],
+      "rule": {"type": "linear", "coeffs": {"0": 1, "3": 1}}},
+     "bipermutative: True"),
+])
+def test_hypotheses_exits_1_when_a_checked_premise_is_false(ca, premise, tmp_path, capsys):
+    if isinstance(ca, dict):
+        (tmp_path / "ca.json").write_text(json.dumps(ca))
+        ca = str(tmp_path / "ca.json")
+    assert run(["hypotheses", "--ca", ca]) == 1
+    out = capsys.readouterr().out
+    assert premise in out and "all checkable premises hold: False" in out
+
+
+def test_hypotheses_exits_1_when_the_measure_has_no_entropy(tmp_path, capsys):
+    mu = tmp_path / "point.json"
+    mu.write_text(json.dumps({"type": "bernoulli", "alphabet": {"moduli": [2]},
+                              "weights": [{"letter": [0], "num": 1, "den": 1}]}))
+    assert run(["hypotheses", "--ca", "id_plus_sigma_z2", "--measure", str(mu)]) == 1
+    assert "entropy positive: False" in capsys.readouterr().out
 
 
 def test_ledrappier_sigma_spec_loads():
@@ -440,9 +467,10 @@ def test_haar_test_sigma_over_another_alphabet_is_usage_error(tmp_path, capsys):
     assert "consistent" not in captured.out
 
 
-def _graphs_walked(monkeypatch, argv):
-    """Zero-window graphs of the kernel levels enumerated while running argv:
-    every enumeration of a level n >= 1 walks its graph once."""
+def _graphs_walked(monkeypatch, argv, code):
+    """Zero-window graphs of the kernel levels enumerated while running argv,
+    which exits with `code`: every enumeration of a level n >= 1 walks its
+    graph once."""
     from groupca import kernels
 
     walk = kernels._strongly_connected_components
@@ -453,15 +481,16 @@ def _graphs_walked(monkeypatch, argv):
         return walk(graph)
 
     monkeypatch.setattr(kernels, "_strongly_connected_components", spy)
-    assert run(argv) == 0
+    assert run(argv) == code
     return graphs
 
 
 def test_analyze_and_hypotheses_enumerate_each_level_once(monkeypatch):
     # levels 1..3: the tower's 0..2, then level 3 for the boundary search at m = 2
-    for argv in (["analyze", "--ca", "id_sigma_2sigma2_z4", "--levels", "2"],
-                 ["hypotheses", "--ca", "id_sigma_2sigma2_z4"]):
-        graphs = _graphs_walked(monkeypatch, argv)
+    # hypotheses exits 1: the rule is not bipermutative
+    for argv, code in ((["analyze", "--ca", "id_sigma_2sigma2_z4", "--levels", "2"], 0),
+                       (["hypotheses", "--ca", "id_sigma_2sigma2_z4"], 1)):
+        graphs = _graphs_walked(monkeypatch, argv, code)
         assert len(graphs) == len(set(graphs)) == 3, argv
 
 

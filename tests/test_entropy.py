@@ -28,7 +28,7 @@ from groupca.entropy import (
     topological_entropy,
 )
 from groupca.groups import GroupSpec, Subgroup, subgroup_closure
-from groupca.kernels import FullShift, ProductSubgroup
+from groupca.kernels import FullShift, LinearKernelShift, ProductSubgroup
 from groupca.measures import Bernoulli, HaarMeasure, MixtureMeasure, PushforwardMeasure
 
 Z2 = GroupSpec((2,))
@@ -227,6 +227,10 @@ _BLOCK = subgroup_closure(Z3.power(2), [(1, 2)])
     Bernoulli(Z2xZ2, {(0, 0): Fraction(1, 8), (0, 1): Fraction(1, 8),
                       (1, 0): Fraction(1, 4), (1, 1): Fraction(1, 2)}),
     HaarMeasure(ProductSubgroup(Z3, 2, _BLOCK, phase=1)),
+    # the base's rows moved through F^2 by the rule on rows: pairs at phase 1
+    PushforwardMeasure(
+        HaarMeasure(ProductSubgroup(Z2, 2, Subgroup(Z2.power(2), ((0, 0), (1, 1))))),
+        F_xor, 2, shift=1),
 ])
 def test_index_sampler_matches_the_exact_block_distribution(mu):
     n = 20_000
@@ -238,6 +242,17 @@ def test_index_sampler_matches_the_exact_block_distribution(mu):
     for word, p in exact.items():
         p = float(p)
         assert abs(seen[word] / n - p) <= 5 * math.sqrt(p * (1 - p) / n), word
+
+
+def test_a_pushforward_of_a_sampled_base_keeps_the_draws_of_sample_word():
+    # the kernel shift's Haar measure is drawn word by word, so the rows moved
+    # by the rule on rows are the words that sample_word moves by apply_window
+    push = PushforwardMeasure(HaarMeasure(LinearKernelShift(linear_ca(Z3, {0: 1, 1: 1}))),
+                              linear_ca(Z3, {-1: 1, 0: 2}), 2, shift=1)
+    rows = _draw_rows(push, -1, 2, 50, random.Random(4))
+    rng, abc = random.Random(4), letters(Z3)
+    assert rows.tolist() == [[abc.index(a) for a in push.sample_word(-1, 2, rng)]
+                             for _ in range(50)]
 
 
 def test_wide_blocks_count_in_memory_that_follows_the_samples():

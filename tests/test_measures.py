@@ -5,14 +5,22 @@ import itertools
 import math
 import random
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupca.automata import compose, letters, linear_ca, power, shift_ca, table_ca
+from groupca.automata import (
+    compose,
+    letters,
+    linear_ca,
+    matrix_terms,
+    power,
+    shift_ca,
+    table_ca,
+)
 from groupca.configs import Cylinder, PeriodicConfig
 from groupca.groups import CapExceeded, Character, GroupSpec, Subgroup, subgroup_closure
 from groupca.kernels import FullShift, LinearKernelShift, ProductSubgroup
@@ -30,7 +38,6 @@ from groupca.measures import (
     haar_test,
     invariance_check,
     _fractions,
-    _independent_pieces,
     _language,
     _sweep,
     sigma_entropy_exact,
@@ -537,6 +544,31 @@ def _preimage_prob(mu, cyl):
     return mu.cylinder_prob(cyl)
 
 
+def _per_position_pieces(mu, lo, hi):
+    """The positions [lo, hi] cut into independent runs one piece per letter
+    or block, as (first position, [(run, integer weight), ...], denominator),
+    kept to feed `_sweep_oracle`."""
+    if isinstance(mu, Bernoulli):
+        den = math.lcm(*(w.denominator for w in mu.weights.values()))
+        runs = [((a,), int(w * den)) for a, w in mu.weights.items() if w]
+        return [(p, runs, den) for p in range(lo, hi + 1)]
+    sig = mu.sigma
+    if isinstance(sig, FullShift):
+        runs = [((a,), 1) for a in letters(sig.alphabet)]
+        return [(p, runs, len(runs)) for p in range(lo, hi + 1)]
+    t, k = sig.grouping, sig.alphabet.rank
+    pieces = []
+    for n in range((lo - sig.phase) // t, (hi - sig.phase) // t + 1):
+        start = n * t + sig.phase
+        first, last = max(lo, start), min(hi, start + t - 1)
+        runs = Counter(
+            tuple(b[j * k : (j + 1) * k] for j in range(first - start, last - start + 1))
+            for b in sig.block.elements
+        )
+        pieces.append((first, list(runs.items()), len(sig.block)))
+    return pieces
+
+
 def _sweep_oracle(alphabet, pieces, coeffs, constant, lo, length):
     """The sweep that moved the state once per piece, kept as the oracle for
     the sweep that moves once per kind of piece."""
@@ -621,9 +653,55 @@ def test_grouped_sweep_matches_the_per_piece_sweep(data):
     length = data.draw(st.integers(1, 4))
     lo = offset + min(Fj.coeffs)
     hi = offset + length - 1 + max(Fj.coeffs)
-    pieces = _independent_pieces(base, lo, hi)
-    args = (group, pieces, Fj.coeffs, Fj.constant, offset, length)
-    assert _fractions(_sweep(*args)) == _sweep_oracle(*args)
+    swept = _sweep(base, matrix_terms(Fj), Fj.constant, offset, length)
+    assert _fractions(swept) == _sweep_oracle(group, _per_position_pieces(base, lo, hi),
+                                              Fj.coeffs, Fj.constant, offset, length)
+
+
+def _oracle_distribution(mu, Fj, length):
+    """Block distribution on [0, length) of the image of an i.i.d. base, or of
+    a mixture of them, under the composed rule Fj, by the per-piece sweep."""
+    if isinstance(mu, MixtureMeasure):
+        out = defaultdict(Fraction)
+        for c, m in mu.components:
+            for word, p in _oracle_distribution(m, Fj, length).items():
+                out[word] += c * p
+        return dict(out)
+    lo, hi = min(Fj.coeffs), length - 1 + max(Fj.coeffs)
+    return _sweep_oracle(mu.alphabet, _per_position_pieces(mu, lo, hi), Fj.coeffs,
+                         Fj.constant, 0, length)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_cesaro_matches_the_composed_pushforwards_step_by_step(data):
+    # Cesaro carries F^j as integer matrix terms and a constant into the sweep
+    # (product Haar) or into a composed rule (a mixture); the reference is F^j
+    # composed by `power`, as PushforwardMeasure composes it, pushed by the
+    # per-piece sweep
+    group = GroupSpec((2, 2))
+    r = data.draw(st.integers(-1, 1))
+    F = linear_ca(group, {r: data.draw(coefficients(group)), r + 1: data.draw(coefficients(group))},
+                  constant=data.draw(st.none() | st.sampled_from(letters(group))),
+                  neighborhood=(r, r + 1))
+    pair = group.power(2)
+    seeds = data.draw(st.lists(st.sampled_from(list(pair.elements())), min_size=1, max_size=2))
+    mu = HaarMeasure(ProductSubgroup(group, 2, subgroup_closure(pair, seeds),
+                                     phase=data.draw(st.integers(0, 1))))
+    if data.draw(st.booleans()):
+        mu = MixtureMeasure(((Fraction(1, 3), mu), (Fraction(2, 3), data.draw(iid_bases(group)))))
+    steps, length = data.draw(st.integers(1, 41)), data.draw(st.integers(1, 2))
+    res = cesaro_sequence(mu, F, steps, length)
+    words = list(itertools.product(letters(group), repeat=length))
+    running = dict.fromkeys(words, Fraction(0))
+    for n in range(1, steps + 1):
+        step = _oracle_distribution(mu, power(F, n - 1), length)
+        assert PushforwardMeasure(mu, F, n - 1).block_distribution(0, length) == step
+        for word, p in step.items():
+            running[word] += p
+        assert res.distributions[n - 1] == {word: p / n for word, p in running.items()}
+        assert res.distances_to_uniform[n - 1] == sum(
+            abs(p / n - Fraction(1, len(words))) for p in running.values()) / 2
 
 
 def test_nested_pushforward_is_pushforward_by_composite():
