@@ -132,12 +132,15 @@ class DualCA:
     """The induced rule on class labels, acting on the two-sided window [-1,1].
 
     `automaton` is the solved table form on the index alphabet; `linear_form`
-    is the linear rule it equals, when the table is additive.
+    is the linear rule it equals, when the table is additive; `inverse` is
+    the verified radius-1 inverse of the rule it was solved from
+    (`invert_radius1`), which `verify_conjugacy` reads.
     """
 
     automaton: CellularAutomaton
     provenance: str
     analysis: ClassAAnalysis
+    inverse: CellularAutomaton
     linear_form: CellularAutomaton | None = None
 
     @property
@@ -191,8 +194,8 @@ def dual_ca(F: CellularAutomaton) -> DualCA:
     try:
         linear_form = as_laurent(solved)
     except NotAlgebraicError:
-        return DualCA(solved, "solved", analysis)
-    return DualCA(solved, "formula", analysis, linear_form)
+        return DualCA(solved, "solved", analysis, inv)
+    return DualCA(solved, "formula", analysis, inv, linear_form)
 
 
 @dataclass(frozen=True)
@@ -220,7 +223,8 @@ def verify_conjugacy(
     of every wider walk.  A pass counts the positions the full walk covers;
     a failure walks the full seeds for the first witness and the count up to
     it.  A depth below 1 or a width below 2 would check no position, so it
-    is refused.
+    is refused.  The backward rows use the inverse kept on the dual when
+    the dual was solved from F, and invert F otherwise.
     """
     if depth < 1 or width < 2:
         raise ValueError(
@@ -228,7 +232,7 @@ def verify_conjugacy(
             f" and width {width}"
         )
     cls = dual.analysis.class_of
-    inv = invert_radius1(F)
+    inv = dual.inverse if dual.analysis.automaton == F else invert_radius1(F)
     abc = letters(F.alphabet)
     # flat lookup tables keep the seed loop tight
     ftab = {(a, b): F.local((a, b)) for a in abc for b in abc}

@@ -7,7 +7,11 @@ sequence.  Exact closed forms cover the bipermutative case.  One column
 process serves every rule, alphabet and measure: numpy rows of letter
 indices (`letters` order, smallest unsigned dtype) that the rule moves all
 at once, with blocks counted by their distinct codes, so memory follows the
-sample count.  numpy is imported only when a sample is drawn.
+sample count.  Every row comes from one stream, np.random.default_rng(seed),
+drawn from the measure's independent pieces (`measures._independent_pieces`),
+a mixture's component per row and a pushforward's base moved by its rule;
+no word is drawn one at a time.  numpy is imported only when a sample is
+drawn.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -110,7 +113,9 @@ def column_factor_samples(F: CellularAutomaton, measure, width: int | None = Non
         width = max(conjugacy_width(small), 1)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    rows = _column_process(small, measure, width, depth, count, _rngs(measure, seed)[0])
+    import numpy as np
+
+    rows = _column_process(small, measure, width, depth, count, np.random.default_rng(seed))
     abc = letters(small.alphabet)
     return [
         tuple(tuple(abc[i] for i in row[c * width : (c + 1) * width]) for c in range(depth))
@@ -178,21 +183,6 @@ class EntropyReport:
 # -- the column process over letter indices ------------------------------------
 
 
-def _rngs(measure, seed: int) -> tuple:
-    """Generators of the shift and the column samples: one numpy stream for a
-    measure i.i.d. over letters or blocks, or a pushforward of one, else
-    random.Random(seed) and random.Random(seed + 1)."""
-    from .measures import PushforwardMeasure, _independent_pieces
-
-    while isinstance(measure, PushforwardMeasure):
-        measure = measure.base
-    if _independent_pieces(measure, 0, 0) is None:
-        return random.Random(seed), random.Random(seed + 1)
-    import numpy as np
-
-    return (np.random.default_rng(seed),) * 2
-
-
 def _phases(measure) -> int:
     """A t for which sigma^t fixes the measure: the grouping of Haar measure
     on a product subgroup, the base's for a pushforward (F commutes with
@@ -220,16 +210,18 @@ def _pooled_rows(measure, lo: int, hi: int, count: int, rng) -> np.ndarray:
 
 def _draw_rows(measure, lo: int, hi: int, count: int, rng) -> np.ndarray:
     """`count` samples of [lo, hi] as rows of letter indices.  Each group of
-    i.i.d. runs with one run law (`measures._independent_pieces`) takes one
-    rng.integers(0, den) call, mapped through its cumulative integer run
-    weights: by a table of the run each of the den values picks when there
-    are at least den draws, else by a search per draw.  A pushforward draws
-    its base's rows on the widened window and moves them through the rule
-    f_power times (`_rule_on_rows`), as its sample_word moves a word.  Any
-    other measure gives rows of its sample_word."""
+    runs with one run law (`measures._independent_pieces`: the run laws of a
+    measure i.i.d. over letters or blocks, else one piece, its exact window
+    law) takes one rng.integers(0, den) call, mapped through its cumulative
+    integer run weights: by a table of the run each of the den values picks
+    when there are at least den draws, else by a search per draw.  A
+    mixture draws each row's component with one integers call, then the
+    rows of each component.  A pushforward draws its base's rows on the
+    widened window and moves them through the rule f_power times
+    (`_rule_on_rows`), as its sample_word moves a word."""
     import numpy as np
 
-    from .measures import PushforwardMeasure, _independent_pieces
+    from .measures import MixtureMeasure, PushforwardMeasure, _independent_pieces
 
     if isinstance(measure, PushforwardMeasure):
         k, shift = measure.f_power, measure.shift
@@ -241,14 +233,15 @@ def _draw_rows(measure, lo: int, hi: int, count: int, rng) -> np.ndarray:
         return rows
     index = letter_arithmetic(measure.alphabet, {})[0]
     out = np.empty((count, hi - lo + 1), np.min_scalar_type(len(index) - 1))
-    pieces = _independent_pieces(measure, lo, hi)
-    if pieces is None:
-        words = [measure.sample_word(lo, hi, rng) for _ in range(count)]
-        if any(len(w) != hi - lo + 1 for w in words):
-            raise ValueError("sampler returned a window of the wrong length")
-        out[:] = np.array([[index[a] for a in w] for w in words]).reshape(out.shape)
+    if isinstance(measure, MixtureMeasure):
+        den = math.lcm(*(c.denominator for c, _ in measure.components))
+        cum = np.cumsum([c.numerator * (den // c.denominator) for c, _ in measure.components])
+        which = np.searchsorted(cum, rng.integers(0, den, size=count), side="right")
+        for i, (_, m) in enumerate(measure.components):
+            rows = which == i
+            out[rows] = _draw_rows(m, lo, hi, int(rows.sum()), rng)
         return out
-    for runs, den, starts in pieces:
+    for runs, den, starts in _independent_pieces(measure, lo, hi):
         if den >= 1 << 63:
             raise ValueError(f"run weights over {den} pass the 64-bit draw limit 2^63")
         values = np.array([[index[a] for a in run] for run, _ in runs], out.dtype)
@@ -332,6 +325,13 @@ def _rows_entropy(rows: np.ndarray, n: int, width: int) -> float:
     return max(0.0, _code_entropy(code) - _code_entropy(code // n**width))
 
 
+def _shift_entropy(measure, samples: int, k: int, rng) -> float:
+    """The h_sigma estimate: H_k - H_(k-1) of `samples` k-letter windows of
+    the measure, pooled over its phases (`_pooled_rows`)."""
+    rows = _pooled_rows(measure, 0, k - 1, samples, rng)
+    return _rows_entropy(rows, measure.alphabet.order, 1)
+
+
 def entropy_report(F: CellularAutomaton, measure, samples: int = 1_000_000, k: int = 4,
                    seed: int = 0, width: int | None = None,
                    expansivity_radius: int | None = None) -> EntropyReport:
@@ -355,10 +355,11 @@ def entropy_report(F: CellularAutomaton, measure, samples: int = 1_000_000, k: i
     if n ** (width * k) >= 1 << 63:
         raise ValueError(f"block codes of |A|^(width * k) = {n}^{width * k} values "
                          f"pass the 64-bit limit 2^63")
-    shift_rng, column_rng = _rngs(measure, seed)
-    h_sigma = _rows_entropy(_pooled_rows(measure, 0, k - 1, samples, shift_rng), n, 1)
-    h_f = _rows_entropy(_column_process(small, measure, width, k, samples, column_rng),
-                        n, width)
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    h_sigma = _shift_entropy(measure, samples, k, rng)
+    h_f = _rows_entropy(_column_process(small, measure, width, k, samples, rng), n, width)
     formula = small.permutativity().bipermutative and not small.is_trivial
     return EntropyReport(
         h_sigma, h_f, formula_entropy(small, h_sigma) if formula else None,

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .automata import CellularAutomaton, as_laurent, compose, cylinder_preimage, letters
+from .automata import CellularAutomaton, as_laurent, compose, letters
 from .automata import NotAlgebraicError  # noqa: F401  (importable from here too)
-from .configs import Cylinder, PeriodicConfig, Word
+from .configs import PeriodicConfig, Word
 from .groups import (
     CapExceeded,
     Element,
@@ -111,9 +110,10 @@ def kernel_elements(
     return list(KernelTower(F, cap).level(n).elements)
 
 
-def _annihilated(G: CellularAutomaton, cap: int) -> list[PeriodicConfig]:
-    """The periodic kernel of the endomorphism G, walked on the de Bruijn
-    graph of its zero-windows.
+def _zero_windows(G: CellularAutomaton) -> dict[Word, list[Element]]:
+    """The de Bruijn graph of the zero-windows of the endomorphism G, given
+    on its smallest neighborhood of width k+1: for each vertex u of A^k, the
+    letters a (in alphabet order) with G(u a) = 0, each an edge to (u a)[1:].
 
     G is additive, so G(w) is the sum over positions i of G applied to the
     window holding w_i at i and zero elsewhere.  Each of the k+1 columns is
@@ -122,26 +122,14 @@ def _annihilated(G: CellularAutomaton, cap: int) -> list[PeriodicConfig]:
     letters a extending a vertex u are those whose last column cancels that
     sum.
     """
-    G = G.smallest_neighborhood()
     alphabet = G.alphabet
     k = G.width - 1
     abc = letters(alphabet)
-    if len(abc) ** k > cap:
-        raise CapExceeded(f"kernel seed space |A|^{k} exceeds cap {cap}")
     zero = alphabet.zero
     columns = [
         [G.local((zero,) * i + (a,) + (zero,) * (k - i)) for a in abc]
         for i in range(k + 1)
     ]
-
-    if k == 0:
-        roots = [a for a, image in zip(abc, columns[0]) if image == zero]
-        if roots != [zero]:
-            raise InfiniteKernelError(
-                "pointwise rule with nontrivial letter kernel: kernel is a full shift"
-            )
-        return [PeriodicConfig.zero(alphabet)]
-
     # cancels[g]: the letters a with G(0...0, a) = -g, in alphabet order
     cancels: dict[Element, list[Element]] = {}
     for a, image in zip(abc, columns[k]):
@@ -154,10 +142,25 @@ def _annihilated(G: CellularAutomaton, cap: int) -> list[PeriodicConfig]:
             for u, total in sums.items()
             for a, image in zip(abc, column)
         }
-    graph: dict[Word, list[Word]] = {
-        u: [u[1:] + (a,) for a in cancels.get(total, ())]
-        for u, total in sums.items()
-    }
+    return {u: cancels.get(total, []) for u, total in sums.items()}
+
+
+def _annihilated(G: CellularAutomaton, cap: int) -> list[PeriodicConfig]:
+    """The periodic kernel of the endomorphism G: the cycles of the graph of
+    its zero-windows (`_zero_windows`)."""
+    G = G.smallest_neighborhood()
+    alphabet = G.alphabet
+    k = G.width - 1
+    if alphabet.order ** k > cap:
+        raise CapExceeded(f"kernel seed space |A|^{k} exceeds cap {cap}")
+    follow = _zero_windows(G)
+    if k == 0:
+        if follow[()] != [alphabet.zero]:
+            raise InfiniteKernelError(
+                "pointwise rule with nontrivial letter kernel: kernel is a full shift"
+            )
+        return [PeriodicConfig.zero(alphabet)]
+    graph = {u: [u[1:] + (a,) for a in nxt] for u, nxt in follow.items()}
 
     out: list[PeriodicConfig] = []
     for comp in _strongly_connected_components(graph):
@@ -492,19 +495,33 @@ class LinearKernelShift:
     def contains(self, x: PeriodicConfig) -> bool:
         return self.automaton.apply_periodic(x).is_zero
 
-    def window_counts(self, length: int) -> Counter:
-        """Solutions of the kernel equations on a window padded by pad =
-        width - 1 on both sides, counted by their middle word of `length`
-        letters: the preimages of the zero word of length `length` + pad,
-        capped at every padded word, so no kernel is refused.  The counts do
-        not depend on the window's position (the kernel is shift invariant).
-        """
-        small = self.automaton.smallest_neighborhood()
-        pad = small.width - 1
-        zero = Cylinder(0, (self.alphabet.zero,) * (length + pad))
-        cap = self.alphabet.order ** (length + 2 * pad)
-        return Counter(c.word[pad : pad + length]
-                       for c in cylinder_preimage(small, zero, cap))
+    @cached_property
+    def core(self) -> dict[Word, list[Element]]:
+        """The rule's zero-window graph (`_zero_windows`) trimmed to its core
+        (dropping vertices with no successor or no predecessor left until
+        none remain), each vertex with its letters into the core.  The kernel
+        is the set of the core's bi-infinite paths; it is a group, so every
+        core vertex has as many letters as the zero vertex."""
+        follow = _zero_windows(self.automaton.smallest_neighborhood())
+        succ = {u: [(u + (a,))[1:] for a in nxt] for u, nxt in follow.items()}
+        live, kept = None, set(follow)
+        while kept != live:
+            live = kept
+            entered = {v for u in live for v in succ[u]} & live
+            kept = {u for u in entered if not live.isdisjoint(succ[u])}
+        return {u: [a for a, v in zip(follow[u], succ[u]) if v in live]
+                for u in follow if u in live}
+
+    def language(self, length: int) -> list[Word]:
+        """The words of `length` letters of the kernel, each once: the
+        windows of the core's paths.  Haar measure is uniform on them, as
+        on the image of the kernel under restriction to a window."""
+        core = self.core
+        k = len(next(iter(core)))
+        words = list(core) if length >= k else list(dict.fromkeys(u[:length] for u in core))
+        for _ in range(length - k):
+            words = [w + (a,) for w in words for a in core[w[len(w) - k:]]]
+        return words
 
     def describe(self) -> str:
         return f"kernel of {self.automaton.describe()}"

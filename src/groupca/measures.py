@@ -31,14 +31,13 @@ from .automata import (
     power,
 )
 from .configs import Cylinder, PeriodicConfig, Word
-from .entropy import block_entropy_estimate
+from .entropy import _shift_entropy
 from .groups import CapExceeded, Character, Element, Endomorphism, GroupSpec, Subgroup
 from .kernels import (
     Condition4Result,
     CorollaryKerResult,
     FullShift,
     KernelTower,
-    LinearKernelShift,
     ProductSubgroup,
     SubgroupShiftSpec,
     _unrestricted,
@@ -81,11 +80,19 @@ def _fractions(block: Weights) -> dict[Word, Fraction]:
     return {word: Fraction(c, den) for word, c in weights.items()}
 
 
-def _independent_pieces(mu: "MeasureSpec", lo: int, hi: int) -> list | None:
+def _iid(mu: "MeasureSpec") -> bool:
+    """Bernoulli, or Haar measure on the full shift or a product subgroup:
+    i.i.d. over letters or aligned blocks."""
+    return isinstance(mu, Bernoulli) or isinstance(
+        getattr(mu, "sigma", None), (FullShift, ProductSubgroup))
+
+
+def _independent_pieces(mu: "MeasureSpec", lo: int, hi: int, laws: dict | None = None) -> list:
     """The positions [lo, hi] cut into independent runs and grouped by run
-    law, for a measure that is i.i.d. over letters (Bernoulli, Haar on the
-    full shift) or over aligned blocks (Haar on a product subgroup); None
-    for any other measure.
+    law.  A measure i.i.d. over letters or blocks (`_iid`) gives its run
+    laws; any other measure but a mixture, which every caller takes
+    component by component, is one piece: its exact window law, with
+    `laws` passed on to its block weights.
 
     A group is (runs, denominator, starts): the run of letters from each
     position in the range `starts` takes each value of runs = ((run, integer
@@ -94,12 +101,18 @@ def _independent_pieces(mu: "MeasureSpec", lo: int, hi: int) -> list | None:
     """
     if isinstance(mu, Bernoulli):
         return [(*mu._runs, range(lo, hi + 1))]
-    if not isinstance(mu, HaarMeasure) or isinstance(mu.sigma, LinearKernelShift):
-        return None
-    sig = mu.sigma
-    if isinstance(sig, FullShift):
-        runs = tuple(((a,), 1) for a in letters(sig.alphabet))
+    if not _iid(mu):
+        weights, den = mu.block_weights(lo, hi - lo + 1, laws)
+        return [(tuple(weights.items()), den, range(lo, lo + 1))]
+    if isinstance(mu.sigma, FullShift):
+        runs = tuple(((a,), 1) for a in letters(mu.alphabet))
         return [(runs, len(runs), range(lo, hi + 1))]
+    return _block_pieces(mu.sigma, lo, hi)
+
+
+@functools.lru_cache(maxsize=256)
+def _block_pieces(sig: ProductSubgroup, lo: int, hi: int) -> tuple:
+    """`_independent_pieces` of Haar measure on a product subgroup."""
     t, k = sig.grouping, sig.alphabet.rank
     cuts: dict[tuple[int, int], list[int]] = {}  # (first, last) letter of a block -> starts
     for n in range((lo - sig.phase) // t, (hi - sig.phase) // t + 1):
@@ -109,8 +122,42 @@ def _independent_pieces(mu: "MeasureSpec", lo: int, hi: int) -> list | None:
     groups: dict[tuple, list[int]] = {}
     for (first, last), starts in cuts.items():
         groups.setdefault(_block_runs(sig.block, k, first, last), []).extend(starts)
-    return [(runs, len(sig.block), range(s[0], s[-1] + 1, s[1] - s[0] if len(s) > 1 else 1))
-            for runs, s in groups.items()]
+    return tuple((runs, len(sig.block), range(s[0], s[-1] + 1, s[1] - s[0] if len(s) > 1 else 1))
+                 for runs, s in groups.items())
+
+
+def _piece_prob(mu: "MeasureSpec", cyl: Cylinder) -> Fraction:
+    """A cylinder's probability: the product over its pieces of their run
+    weights (`_independent_pieces`)."""
+    p = Fraction(1)
+    for runs, den, starts in _independent_pieces(mu, cyl.offset, cyl.end - 1):
+        weights, k = dict(runs), len(runs[0][0])
+        for i in starts:
+            p *= Fraction(weights.get(cyl.word[i - cyl.offset : i - cyl.offset + k], 0), den)
+    return p
+
+
+def _sample_pieces(mu: "MeasureSpec", lo: int, hi: int, rng: random.Random) -> Word:
+    """A word on [lo, hi] drawn piece by piece: one rng.choices call per
+    group of runs, by the float cumulative weights c / den in run order."""
+    word: list = [None] * (hi - lo + 1)
+    for runs, den, starts in _independent_pieces(mu, lo, hi):
+        population, cum = _choice_table(runs, den)
+        drawn = rng.choices(population, cum_weights=cum, k=len(starts))
+        if len(runs[0][0]) == 1:
+            word[starts.start - lo : starts.stop - lo : starts.step] = drawn
+        else:
+            for i, run in zip(starts, drawn):
+                word[i - lo : i - lo + len(run)] = run
+    return tuple(word)
+
+
+@functools.lru_cache(maxsize=64)
+def _choice_table(runs: tuple, den: int) -> tuple[tuple, tuple[float, ...]]:
+    """The runs, as bare letters when they have one letter, and their float
+    cumulative weights c / den."""
+    population = tuple(run[0] if len(run) == 1 else run for run, _ in runs)
+    return population, tuple(itertools.accumulate(c / den for _, c in runs))
 
 
 @functools.lru_cache(maxsize=256)
@@ -128,11 +175,11 @@ def _sweep(
     lo: int,
     length: int,
     laws: dict | None = None,
-) -> Weights | None:
-    """Block weights on [lo, lo + length) of the image of an i.i.d. base
-    (`_independent_pieces`) under the affine rule y_t = sum_u m_u(x_(t+u)) +
-    constant, with integer matrix terms m_u (`automata.matrix_terms`); None
-    for a base that is not i.i.d.
+) -> Weights:
+    """Block weights on [lo, lo + length) of the image of a base that is not
+    a mixture, cut into its independent pieces (`_independent_pieces`),
+    under the affine rule y_t = sum_u m_u(x_(t+u)) + constant, with integer
+    matrix terms m_u (`automata.matrix_terms`).
 
     The letter maps of the m_u lie in one dense array over offsets, so the
     column of a run of k letters (the maps through which it reaches each
@@ -146,15 +193,15 @@ def _sweep(
     the power.  Weights are integers over the product of the denominators
     of the runs that reach an output.  `laws` memoizes the run laws' powers
     by (runs, n) and their images by (column, runs, n), across the sweeps
-    of one call that shares it.  A window of more than MAX_EXACT_WORDS
-    possible words raises CapExceeded up front.
+    of one call that shares it.  A base that is not i.i.d. is one piece,
+    its law on the widened window.  Over an i.i.d. base, a window of more
+    than MAX_EXACT_WORDS possible words raises CapExceeded up front.
     """
-    pieces = _independent_pieces(base, lo + min(terms, default=0),
-                                 lo + length - 1 + max(terms, default=0))
-    if pieces is None:
-        return None
     alphabet = base.alphabet
-    _check_window(alphabet, length, None)
+    if _iid(base):
+        _check_window(alphabet, length, None)
+    pieces = _independent_pieces(base, lo + min(terms, default=0),
+                                 lo + length - 1 + max(terms, default=0), laws)
     abc = letters(alphabet)
     index, plus, maps = letter_arithmetic(alphabet, terms)
     zero = index[alphabet.zero]
@@ -241,55 +288,36 @@ def _restrict(block: Weights, start: int, length: int) -> Weights:
     return dict(out), den
 
 
-def _image_weights(
+def _push(
     base: "MeasureSpec",
-    F: CellularAutomaton | None,
-    j: int,
+    terms: Mapping[int, tuple],
+    constant: Element | None,
     offset: int,
     length: int,
     cap: int,
     power: int,
     laws: dict | None = None,
 ) -> Weights:
-    """Block weights on [offset, offset + length) of F^j pushing `base`.
-
-    A linear or affine F^j comes composed, as F with j = 1
-    (`PushforwardMeasure._step`).  An i.i.d.-letter or i.i.d.-block base
-    under it takes one sweep of F's matrix terms (`_sweep`).  A mixture is
-    pushed component by component.  Any other base or rule has its weights
-    on the widened window pushed through F one step at a time (apply_window),
-    merging equal words after each step.  `cap` bounds the widened words
-    per target word, |A|^(j * (width - 1)), as it bounds the preimage
-    cylinders per target word of `PushforwardMeasure.preimage`; it is
-    checked before anything is enumerated, and its message names F^power,
-    the power of the original rule.  `laws` is the sweeps' memo (`_sweep`).
+    """Block weights on [offset, offset + length) of `base` pushed by the
+    affine rule with integer matrix terms and `constant` (`_sweep`), a
+    mixture component by component.  A base that is not i.i.d. enumerates
+    its law on the widened window, so its |A|^(span of the terms) words per
+    target word are checked against `cap` first, in a message naming F^power.
     """
-    if j == 0:
-        return base.block_weights(offset, length, laws)
     if isinstance(base, MixtureMeasure):
-        return _mix(
-            (c, _image_weights(m, F, j, offset, length, cap, power, laws))
-            for c, m in base.components if c
-        )
-    if j == 1 and F.is_affine:
-        weights = _sweep(base, matrix_terms(F), F.constant, offset, length, laws)
-        if weights is not None:
-            return weights
-    small = F.smallest_neighborhood()
-    r, s = small.neighborhood
-    per_target = base.alphabet.order ** (j * (s - r))
-    if per_target > cap:
-        raise CapExceeded(
-            f"pushforward by F^{power} needs {per_target} words per target word, "
-            f"over cap {cap}"
-        )
-    weights, den = base.block_weights(offset + j * r, length + j * (s - r), laws)
-    for _ in range(j):
-        image: defaultdict = defaultdict(int)
-        for word, c in weights.items():
-            image[small.apply_window(word)] += c
-        weights = image
-    return dict(weights), den
+        return _mix((c, _push(m, terms, constant, offset, length, cap, power, laws))
+                    for c, m in base.components if c)
+    terms = {u: m for u, m in terms.items() if any(map(any, m))}  # no zero matrix widens
+    if not _iid(base):
+        _check_per_target(base.alphabet, max(terms, default=0) - min(terms, default=0),
+                          cap, power)
+    return _sweep(base, terms, constant, offset, length, laws)
+
+
+def _check_per_target(alphabet: GroupSpec, span: int, cap: int, power: int) -> None:
+    if alphabet.order ** span > cap:
+        raise CapExceeded(f"pushforward by F^{power} needs {alphabet.order ** span} words "
+                          f"per target word, over cap {cap}")
 
 
 # -- measure variants -----------------------------------------------------------
@@ -320,10 +348,7 @@ class Bernoulli(_BlockWeighted):
         if sum(table.values()) != 1:
             raise ValueError("letter weights must sum to 1")
         object.__setattr__(self, "weights", table)
-        # sample_word's letters and cumulative float weights, and its run law, made once
-        object.__setattr__(self, "_letters", tuple(table))
-        cum = list(itertools.accumulate(float(w) for w in table.values()))
-        object.__setattr__(self, "_cum_weights", cum)
+        # the run law of every letter, made once
         den = math.lcm(*(w.denominator for w in table.values()))
         runs = tuple(((a,), int(w * den)) for a, w in table.items() if w)
         object.__setattr__(self, "_runs", (runs, den))
@@ -333,18 +358,12 @@ class Bernoulli(_BlockWeighted):
         n = alphabet.order
         return cls(alphabet, {a: Fraction(1, n) for a in alphabet.elements()})
 
-    def cylinder_prob(self, cyl: Cylinder) -> Fraction:
-        p = Fraction(1)
-        for a in cyl.word:
-            p *= self.weights[a]
-        return p
+    cylinder_prob = _piece_prob
+    sample_word = _sample_pieces
 
     def block_weights(self, offset: int, length: int, laws: dict | None = None) -> Weights:
         identity = {0: Endomorphism.identity(self.alphabet).matrix}
         return _sweep(self, identity, None, offset, length, laws)
-
-    def sample_word(self, lo: int, hi: int, rng: random.Random) -> Word:
-        return tuple(rng.choices(self._letters, cum_weights=self._cum_weights, k=hi - lo + 1))
 
     def describe(self) -> str:
         return f"Bernoulli on {self.alphabet}"
@@ -360,88 +379,37 @@ class HaarMeasure(_BlockWeighted):
     def alphabet(self) -> GroupSpec:
         return self.sigma.alphabet
 
-    def cylinder_prob(self, cyl: Cylinder) -> Fraction:
-        """A product of run weights for the full shift and product subgroups
-        (i.i.d. over letters or blocks), any cylinder length; a kernel
-        shift reads its block weights."""
-        if isinstance(self.sigma, LinearKernelShift):
-            weights, den = self.block_weights(cyl.offset, len(cyl.word))
-            return Fraction(weights.get(cyl.word, 0), den)
-        p = Fraction(1)
-        for runs, den, starts in _independent_pieces(self, cyl.offset, cyl.end - 1):
-            weights, k = dict(runs), len(runs[0][0])
-            for i in starts:
-                p *= Fraction(weights.get(cyl.word[i - cyl.offset : i - cyl.offset + k], 0), den)
-        return p
+    cylinder_prob = _piece_prob
+    sample_word = _sample_pieces
 
     def block_weights(self, offset: int, length: int, laws: dict | None = None) -> Weights:
         """Full shift and product subgroups are i.i.d. over letters or blocks;
-        a kernel shift buckets the solutions on its padded window once."""
-        if not isinstance(self.sigma, LinearKernelShift):
+        a kernel shift is uniform on its words (`LinearKernelShift.language`)."""
+        if _iid(self):
             identity = {0: Endomorphism.identity(self.alphabet).matrix}
             return _sweep(self, identity, None, offset, length, laws)
-        counts = self.sigma.window_counts(length)
-        return dict(counts), sum(counts.values())
-
-    def sample_word(self, lo: int, hi: int, rng: random.Random) -> Word:
-        sig = self.sigma
-        length = hi - lo + 1
-        if isinstance(sig, FullShift):
-            abc = letters(self.alphabet)
-            return tuple(rng.choice(abc) for _ in range(length))
-        if isinstance(sig, ProductSubgroup):
-            t, k = sig.grouping, self.alphabet.rank
-            first = math.floor((lo - sig.phase) / t)
-            last = math.floor((hi - sig.phase) / t)
-            blocks = {n: rng.choice(sig.block.elements) for n in range(first, last + 1)}
-            out = []
-            for pos in range(lo, hi + 1):
-                n = (pos - sig.phase) // t
-                j = (pos - sig.phase) % t
-                out.append(blocks[n][j * k : (j + 1) * k])
-            return tuple(out)
-        small = sig.automaton.smallest_neighborhood()
-        if not small.permutativity().right:
-            raise ValueError("kernel-shift sampling needs a right-permutative rule")
-        k = small.width - 1
-        abc = letters(self.alphabet)
-        word = [rng.choice(abc) for _ in range(min(k, hi - lo + 1))]
-        zero = self.alphabet.zero
-        while len(word) < hi - lo + 1:
-            prefix = tuple(word[-k:]) if k else ()
-            nxt = [a for a in abc if small.local(prefix + (a,)) == zero]
-            word.append(nxt[0] if len(nxt) == 1 else rng.choice(nxt))
-        return tuple(word)
+        words = self.sigma.language(length)
+        return dict.fromkeys(words, 1), len(words)
 
     def describe(self) -> str:
         return f"Haar on {self.sigma.describe()}"
-
-
-def _language(sigma: SubgroupShiftSpec, offset: int, length: int) -> set[Word]:
-    """The words of a subgroup shift on [offset, offset + length): the
-    kernel-shift window words, or every concatenation of the runs of the
-    i.i.d. pieces of its Haar measure."""
-    if isinstance(sigma, LinearKernelShift):
-        return set(sigma.window_counts(length))
-    pieces = _independent_pieces(HaarMeasure(sigma), offset, offset + length - 1)
-    choices = sorted((first, [run for run, _ in runs]) for runs, _, starts in pieces
-                     for first in starts)
-    return {sum(word, ()) for word in itertools.product(*(c for _, c in choices))}
 
 
 @dataclass(frozen=True)
 class PushforwardMeasure(_BlockWeighted):
     """Image of a base measure under automaton and shift powers.
 
-    Probabilities come from `block_weights`: one sweep for an i.i.d.
-    base (Bernoulli, Haar on the full shift or on a product subgroup) under
-    a linear or affine rule, one move per distinct column of its terms, with
-    an affine F^j composed once per measure; component by component for a
-    mixture; otherwise the base's weights on the widened window are pushed
-    through the rule step by step.  `cap` bounds the widened words
-    per target word, as it bounds the preimage cylinders per target word of
-    `preimage`, so both raise CapExceeded at the same power of a surjective
-    rule; the sweep enumerates at most one state per target word.
+    Probabilities come from `block_weights`: under a linear or affine rule,
+    one sweep of the base's independent pieces, one move per distinct
+    column of its terms, with F^j composed once per measure and a mixture
+    pushed component by component; under a table rule, the base's weights
+    on the widened window are pushed through the rule step by step.  `cap`
+    bounds the widened words per target word wherever the base's widened
+    window law is enumerated (every base under a table rule, a base that is
+    not i.i.d. under an affine one), as it bounds the preimage cylinders per
+    target word of `preimage`, so both raise CapExceeded at the same power
+    of a surjective rule; the sweep of an i.i.d. base enumerates at most
+    one state per target word.
     `preimage` expands cylinder preimages instead; it is kept as an
     independent reference for tests.
     """
@@ -475,9 +443,7 @@ class PushforwardMeasure(_BlockWeighted):
             cyls = nxt
         return [c.shifted(self.shift) for c in cyls]
 
-    def cylinder_prob(self, cyl: Cylinder) -> Fraction:
-        weights, den = self.block_weights(cyl.offset, len(cyl.word))
-        return Fraction(weights.get(cyl.word, 0), den)
+    cylinder_prob = _piece_prob
 
     @functools.cached_property
     def _step(self) -> tuple[CellularAutomaton | None, int]:
@@ -489,14 +455,30 @@ class PushforwardMeasure(_BlockWeighted):
         return self.automaton, self.f_power
 
     def block_weights(self, offset: int, length: int, laws: dict | None = None) -> Weights:
-        return _image_weights(self.base, *self._step, offset + self.shift, length,
-                              self.cap, self.f_power, laws)
+        """An affine F^j is pushed by `_push`; under a table rule, the base's
+        weights on the widened window go through F step by step, merging
+        equal words.  `laws` is the sweeps' memo (`_sweep`)."""
+        F, j = self._step
+        offset += self.shift
+        if j == 0:
+            return self.base.block_weights(offset, length, laws)
+        if F.is_affine:
+            return _push(self.base, matrix_terms(F), F.constant, offset, length, self.cap,
+                         self.f_power, laws)
+        small = F.smallest_neighborhood()
+        r, s = small.neighborhood
+        _check_per_target(self.alphabet, j * (s - r), self.cap, self.f_power)
+        weights, den = self.base.block_weights(offset + j * r, length + j * (s - r), laws)
+        for _ in range(j):
+            image: defaultdict = defaultdict(int)
+            for word, c in weights.items():
+                image[small.apply_window(word)] += c
+            weights = image
+        return dict(weights), den
 
     def sample_word(self, lo: int, hi: int, rng: random.Random) -> Word:
-        r, s = (0, 0)
-        if self.automaton is not None:
-            r, s = self.automaton.neighborhood
         k = self.f_power
+        r, s = self.automaton.neighborhood if k else (0, 0)
         word = self.base.sample_word(lo + self.shift + k * r, hi + self.shift + k * s, rng)
         for _ in range(k):
             word = self.automaton.apply_window(word)
@@ -595,9 +577,7 @@ class PeriodicOrbitMeasure(_BlockWeighted):
     def alphabet(self) -> GroupSpec:
         return self.configs[0].alphabet
 
-    def cylinder_prob(self, cyl: Cylinder) -> Fraction:
-        hits = sum(1 for x in self.configs if cyl.contains_config(x))
-        return Fraction(hits, len(self.configs))
+    cylinder_prob = _piece_prob
 
     def block_weights(self, offset: int, length: int, laws: dict | None = None) -> Weights:
         return dict(Counter(x.window(offset, length) for x in self.configs)), len(self.configs)
@@ -662,8 +642,10 @@ def invariance_check(
     window as a marginal of those counts.  Every shorter cylinder is a
     marginal of its offset's window, so exact discrepancies are integer
     numerators compared by cross-multiplication, with one Fraction for the
-    sup.  The witness is the first cylinder, in (length, word, offset)
-    order, that attains the sup.
+    sup.  Only the words in some marginal's support are walked.  The
+    witness is the first cylinder, in (length, word, offset) order, that
+    attains the sup; `cylinders_checked` counts every cylinder of the
+    window, |offsets| * sum_ell |A|^ell.
     """
     if f_power and automaton is None:
         raise ValueError("automaton power needs the automaton")
@@ -698,10 +680,12 @@ def invariance_check(
         for ell in range(length - 1, 0, -1):  # each from the one a letter longer
             image, own = _restrict(image, 0, ell), _restrict(own, 0, ell)
             marginals[i, ell] = image, own
-    abc = letters(mu.alphabet)
-    checked = len(offsets) * sum(len(abc) ** ell for ell in range(1, length + 1))
+    checked = len(offsets) * sum(mu.alphabet.order ** ell for ell in range(1, length + 1))
+    # a word outside every support has discrepancy 0 and cannot be the witness
     cylinders = ((i, word) for ell in range(1, length + 1)
-                 for word in itertools.product(abc, repeat=ell) for i in offsets)
+                 for word in sorted({w for i in offsets for block, _ in marginals[i, ell]
+                                     for w in block})
+                 for i in offsets)
     witness = None
     if mode == "exact":
         best, best_den = 0, 1
@@ -800,7 +784,7 @@ def haar_test(
     alphabet = mu.alphabet
     sigma = subgroup_shift_on(sigma, alphabet)
     _check_window(alphabet, support_budget)
-    admissible = sorted(_language(sigma, 0, support_budget))
+    admissible = sorted(HaarMeasure(sigma).block_weights(0, support_budget)[0])
     abc = letters(alphabet)
     full = mu.block_weights(0, support_budget)
     marginals: dict[tuple[int, int], Weights] = {}
@@ -858,10 +842,9 @@ def cesaro_sequence(
 
     Each F^j mu0 gives `PushforwardMeasure` block weights.  A linear or
     affine F^j is carried as integer matrix terms and a constant, F times
-    F^(j-1), and handed to one sweep for an i.i.d. base; a rule is built
-    from them only for a base the sweep cannot take.  A step costs the
-    product of the two term counts in integer products and one move per
-    distinct column, and the sweeps share one memo of run-law powers.  The
+    F^(j-1), and pushed as they are (`_push`).  A step costs the product of
+    the two term counts in integer products and one move per distinct
+    column, and the sweeps share one memo of run-law powers.  The
     running sum is kept as integer numerators over one denominator, so each
     distance is one integer sum; Fractions are built only for the averages
     reported.  `cap` is the pushforwards' cap.
@@ -884,13 +867,9 @@ def cesaro_sequence(
             terms = _product_terms(A, matrix_terms(F), terms) if j > 1 else matrix_terms(F)
             if F.constant is not None:  # F^j of the zero configuration
                 constant = F.local((constant,) * F.width)
-            block = _sweep(mu0, terms, constant, 0, length, laws)
-            if block is None:  # a base that is not i.i.d. needs F^j as a rule
-                r, s = F.neighborhood
-                Fj = linear_ca(A, terms, constant, (j * r, j * s))
-                block = _image_weights(mu0, Fj, 1, 0, length, cap, j, laws)
+            block = _push(mu0, terms, constant, 0, length, cap, j, laws)
         else:
-            block = _image_weights(mu0, F, j, 0, length, cap, j, laws)
+            block = PushforwardMeasure(mu0, F, j, cap=cap).block_weights(0, length, laws)
         weights, d = block
         if den % d:
             scale = math.lcm(den, d) // den
@@ -929,21 +908,21 @@ class CounterexampleSuite:
         checks["sigma_image_of_x1_is_x2"] = self.x1.shifted(1) == self.x2
         checks["sigma_preimage_of_x1_is_x2"] = self.x1.shifted(-1) == self.x2
         checks["sigma2_preimage_of_x1_is_x1"] = self.x1.shifted(-2) == self.x1
-        lang_ok = True
-        for ell in range(1, length + 1):
-            img = {F.apply_window(w) for w in _language(self.x1, 0, ell + 1)}
-            if img != _language(self.x3, 0, ell):
-                lang_ok = False
-            img2 = {F.apply_window(w) for w in _language(self.x2, 0, ell + 1)}
-            if img2 != _language(self.x4, 0, ell):
-                lang_ok = False
-        checks["rule_image_languages_match"] = lang_ok
-        shifted_lang_ok = all(
-            _language(self.x1.shifted(1), i, ell) == _language(self.x2, i, ell)
+
+        def support(mu: MeasureSpec, i: int, ell: int) -> set[Word]:
+            return set(mu.block_weights(i, ell)[0])
+
+        checks["rule_image_languages_match"] = all(
+            support(PushforwardMeasure(HaarMeasure(x), F, 1), 0, ell)
+            == support(HaarMeasure(y), 0, ell)
+            for x, y in ((self.x1, self.x3), (self.x2, self.x4))
+            for ell in range(1, length + 1)
+        )
+        checks["shifted_languages_match"] = all(
+            support(HaarMeasure(self.x1.shifted(1)), i, ell) == support(HaarMeasure(self.x2), i, ell)
             for i in (0, 1)
             for ell in range(1, length + 1)
         )
-        checks["shifted_languages_match"] = shifted_lang_ok
         checks["mu_sigma_invariance"] = invariance_check(
             self.mu, shift=1, length=length
         )
@@ -999,7 +978,8 @@ def sigma_entropy_exact(mu: MeasureSpec) -> float | None:
             return math.log(sig.alphabet.order)
         if isinstance(sig, ProductSubgroup):
             return math.log(len(sig.block)) / sig.grouping
-        return 0.0  # kernel shifts are finite
+        # |L_(n+1)| = d |L_n| for long words: every core vertex has the zero vertex's d letters
+        return math.log(len(next(iter(sig.core.values()))))
     if isinstance(mu, PeriodicOrbitMeasure):
         return 0.0
     if isinstance(mu, MixtureMeasure):
@@ -1008,14 +988,8 @@ def sigma_entropy_exact(mu: MeasureSpec) -> float | None:
             return None
         return sum(float(c) * p for (c, _), p in zip(mu.components, parts))
     if isinstance(mu, PushforwardMeasure):
-        base = sigma_entropy_exact(mu.base)
-        if base is None:
-            return None
-        if mu.f_power == 0:
-            return base
-        if mu.automaton.permutativity().bipermutative:
-            return base
-        return None
+        if mu.f_power == 0 or mu.automaton.permutativity().bipermutative:
+            return sigma_entropy_exact(mu.base)
     return None
 
 
@@ -1098,11 +1072,12 @@ def check_hypotheses(
             entropy_positive = h > 0
             method = f"exact shift entropy {h:.6f} nats"
         else:
-            rng = random.Random(seed)
-            words = [mu.sample_word(0, 4, rng) for _ in range(entropy_samples)]
-            est = block_entropy_estimate(words, 4)
+            import numpy as np
+
+            est = _shift_entropy(mu, entropy_samples, 4, np.random.default_rng(seed))
             entropy_positive = est > 0.02
-            method = f"estimated shift entropy {est:.4f} nats ({entropy_samples} samples, seed {seed})"
+            method = (f"estimated shift entropy {est:.4f} nats ({entropy_samples} samples, "
+                      f"seed {seed}; positive above 0.02 nats)")
     unchecked = (
         "measure ergodicity for the joint rule/shift action",
         "equality of the shift-invariant sets with those of shift power "

@@ -12,6 +12,7 @@ from groupca.automata import (
     table_ca,
     table_from_rule,
 )
+from groupca import class_a
 from groupca.class_a import (
     ConjugacyResult,
     analyze_radius1,
@@ -247,6 +248,19 @@ def test_verify_conjugacy_f1_f2():
     assert res.ok and res.windows_checked > 0
     dual2 = dual_ca(F2)
     assert verify_conjugacy(F2, dual2, depth=2, width=6).ok
+
+
+def test_the_dual_keeps_the_inverse_it_verified(monkeypatch):
+    dual1 = dual_ca(F1)
+    assert dual1.inverse == invert_radius1(F1)
+
+    def refuse(F):
+        raise AssertionError("inverted again")
+
+    monkeypatch.setattr(class_a, "invert_radius1", refuse)
+    assert verify_conjugacy(F1, dual1, depth=2, width=6).ok
+    with pytest.raises(AssertionError, match="inverted again"):
+        verify_conjugacy(F2, dual1, depth=2, width=6)  # F2's own inverse is needed
 
 
 def test_verify_conjugacy_mismatch_produces_witness():

@@ -231,6 +231,16 @@ def test_hypotheses_exits_1_when_the_measure_has_no_entropy(tmp_path, capsys):
     assert "entropy positive: False" in capsys.readouterr().out
 
 
+def test_hypotheses_reads_the_entropy_of_a_kernel_that_is_not_finite(tmp_path, capsys):
+    # 2 x_0 over Z/4 has the kernel {0, 2}^Z, of shift entropy log 2
+    mu = tmp_path / "evens.json"
+    mu.write_text(json.dumps({"type": "haar", "sigma": {"type": "kernel", "ca": {
+        "alphabet": {"moduli": [4]}, "neighborhood": [0, 0],
+        "rule": {"type": "linear", "coeffs": {"0": 2}}}}}))
+    run(["hypotheses", "--ca", "id_sigma_2sigma2_z4", "--measure", str(mu)])
+    assert "entropy positive: True (exact shift entropy 0.693147 nats)" in capsys.readouterr().out
+
+
 def test_ledrappier_sigma_spec_loads():
     sigma = load_sigma(bundled_spec("ledrappier_kernel_sigma"))
     from groupca.kernels import LinearKernelShift
@@ -510,8 +520,12 @@ def test_hypotheses_measure_over_another_alphabet_is_usage_error(tmp_path, capsy
     assert "all checkable premises hold" not in captured.out
 
 
-def test_import_and_examples_leave_numpy_unloaded():
-    # numpy is imported only by the entropy column process
+def test_import_and_examples_leave_numpy_unloaded(tmp_path):
+    # numpy is imported only by the entropy column process: mc invariance
+    # samples word by word, and an exact shift entropy samples nothing
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps({"type": "bernoulli", "alphabet": {"moduli": [2]}, "weights": [
+        {"letter": [0], "num": 1, "den": 3}, {"letter": [1], "num": 2, "den": 3}]}))
     script = (
         "import sys\n"
         "import groupca\n"
@@ -520,6 +534,11 @@ def test_import_and_examples_leave_numpy_unloaded():
         "assert 'numpy' not in sys.modules, 'import groupca.cli'\n"
         "assert main(['examples']) == 0\n"
         "assert 'numpy' not in sys.modules, 'groupca examples'\n"
+        f"main(['measure', 'invariance', '--measure', {str(mu)!r}, '--ca', 'id_plus_sigma_z2',\n"
+        "      '--f-power', '1', '--length', '2', '--mode', 'mc', '--mc-samples', '200'])\n"
+        "assert 'numpy' not in sys.modules, 'measure invariance --mode mc'\n"
+        f"main(['hypotheses', '--ca', 'id_plus_sigma_z2', '--measure', {str(mu)!r}])\n"
+        "assert 'numpy' not in sys.modules, 'hypotheses'\n"
     )
     src = str(Path(groupca.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}

@@ -16,7 +16,6 @@ from groupca.automata import letters, linear_ca, shift_ca, table_ca
 from groupca.entropy import (
     _draw_rows,
     _pooled_rows,
-    _rngs,
     _rule_on_rows,
     block_entropy_estimate,
     bounds_check,
@@ -29,7 +28,14 @@ from groupca.entropy import (
 )
 from groupca.groups import GroupSpec, Subgroup, subgroup_closure
 from groupca.kernels import FullShift, LinearKernelShift, ProductSubgroup
-from groupca.measures import Bernoulli, HaarMeasure, MixtureMeasure, PushforwardMeasure
+from groupca.configs import PeriodicConfig
+from groupca.measures import (
+    Bernoulli,
+    HaarMeasure,
+    MixtureMeasure,
+    PeriodicOrbitMeasure,
+    PushforwardMeasure,
+)
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
@@ -220,9 +226,11 @@ def test_run_lookup_table_keeps_the_draws_of_the_search(count):
 
 
 _BLOCK = subgroup_closure(Z3.power(2), [(1, 2)])
-
-
-@pytest.mark.parametrize("mu", [
+Z4 = GroupSpec((4,))
+# 2 x_0 + 2 x_1 over Z/4 is not right permutative; its kernel holds the
+# configurations of one parity throughout
+_PARITY = HaarMeasure(LinearKernelShift(linear_ca(Z4, {0: 2, 1: 2})))
+_SAMPLED = [
     Bernoulli(Z3, {(0,): Fraction(1, 2), (1,): Fraction(1, 3), (2,): Fraction(1, 6)}),
     Bernoulli(Z2xZ2, {(0, 0): Fraction(1, 8), (0, 1): Fraction(1, 8),
                       (1, 0): Fraction(1, 4), (1, 1): Fraction(1, 2)}),
@@ -231,11 +239,19 @@ _BLOCK = subgroup_closure(Z3.power(2), [(1, 2)])
     PushforwardMeasure(
         HaarMeasure(ProductSubgroup(Z2, 2, Subgroup(Z2.power(2), ((0, 0), (1, 1))))),
         F_xor, 2, shift=1),
-])
+    _PARITY,
+    PeriodicOrbitMeasure.from_orbit(PeriodicConfig(Z3, ((0,), (1,), (2,), (2,)))),
+    MixtureMeasure(((Fraction(1, 3), _PARITY),
+                    (Fraction(2, 3), PushforwardMeasure(Bernoulli.uniform(Z4),
+                                                        linear_ca(Z4, {0: 1, 1: 2}), 1)))),
+]
+
+
+@pytest.mark.parametrize("mu", _SAMPLED)
 def test_index_sampler_matches_the_exact_block_distribution(mu):
     n = 20_000
     abc = letters(mu.alphabet)
-    rows = _draw_rows(mu, 0, 2, n, _rngs(mu, 3)[0])
+    rows = _draw_rows(mu, 0, 2, n, np.random.default_rng(3))
     seen = collections.Counter(tuple(abc[i] for i in row) for row in rows.tolist())
     exact = mu.block_distribution(0, 3)
     assert set(seen) <= set(exact)
@@ -244,15 +260,29 @@ def test_index_sampler_matches_the_exact_block_distribution(mu):
         assert abs(seen[word] / n - p) <= 5 * math.sqrt(p * (1 - p) / n), word
 
 
-def test_a_pushforward_of_a_sampled_base_keeps_the_draws_of_sample_word():
-    # the kernel shift's Haar measure is drawn word by word, so the rows moved
-    # by the rule on rows are the words that sample_word moves by apply_window
-    push = PushforwardMeasure(HaarMeasure(LinearKernelShift(linear_ca(Z3, {0: 1, 1: 1}))),
-                              linear_ca(Z3, {-1: 1, 0: 2}), 2, shift=1)
-    rows = _draw_rows(push, -1, 2, 50, random.Random(4))
-    rng, abc = random.Random(4), letters(Z3)
-    assert rows.tolist() == [[abc.index(a) for a in push.sample_word(-1, 2, rng)]
-                             for _ in range(50)]
+def test_entropy_reports_draw_no_word_by_word_sample(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sample_word called")
+
+    for cls in (Bernoulli, HaarMeasure, MixtureMeasure, PeriodicOrbitMeasure,
+                PushforwardMeasure):
+        monkeypatch.setattr(cls, "sample_word", refuse)
+    for mu in _SAMPLED:
+        F = linear_ca(mu.alphabet, {0: 1, 1: 1})
+        rep = entropy_report(F, mu, samples=500, k=2, seed=1)
+        assert rep.sample_count == 500
+        assert len(column_factor_samples(F, mu, count=10)) == 10
+
+
+def test_a_pushforward_of_a_kernel_haar_base_moves_the_base_rows():
+    # the kernel shift's Haar measure is one piece, its window law; the
+    # pushforward moves the base's rows on the widened window by the rule
+    base = HaarMeasure(LinearKernelShift(linear_ca(Z3, {0: 1, 1: 1})))
+    G = linear_ca(Z3, {-1: 1, 0: 2})
+    push = PushforwardMeasure(base, G, 2, shift=1)
+    rows = _draw_rows(push, -1, 2, 50, np.random.default_rng(4))
+    moved = _draw_rows(base, -2, 3, 50, np.random.default_rng(4))
+    assert rows.tolist() == _rule_on_rows(G)(_rule_on_rows(G)(moved)).tolist()
 
 
 def test_wide_blocks_count_in_memory_that_follows_the_samples():

@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -943,42 +942,46 @@ def test_a_column_that_is_no_homomorphism_is_not_algebraic():
         tower(T, 1)
 
 
-# -- kernel-shift window counts against the plain depth-first walk ----------------
+# -- kernel-shift languages against the plain depth-first walk -------------------
 
 
-def _window_counts_oracle(sigma, length):
-    """The kernel solutions on a window padded by width - 1 on both sides,
-    walked letter by letter and counted by their middle word; kept as the
-    oracle for `LinearKernelShift.window_counts`."""
+def _padded_words(sigma, length, pad):
+    """The middle words of the kernel solutions on a window padded by `pad`
+    letters on both sides: the depth-first walk letter by letter, with the
+    walks that reach one state merged, a state being the last k letters (k
+    the width less one) and the middle word read so far."""
     small = sigma.automaton.smallest_neighborhood()
-    pad = small.width - 1
-    window = length + 2 * pad
-    zero = sigma.alphabet.zero
+    k, zero = small.width - 1, sigma.alphabet.zero
     abc = letters(sigma.alphabet)
-    counts = Counter()
-
-    def extend(prefix):
-        if len(prefix) >= small.width:
-            if small.local(prefix[-small.width:]) != zero:
-                return
-        if len(prefix) == window:
-            counts[prefix[pad : pad + length]] += 1
-            return
-        for a in abc:
-            extend(prefix + (a,))
-
-    extend(())
-    return counts
+    states = {((), ())}
+    for i in range(length + 2 * pad):
+        middle = pad <= i < pad + length
+        nxt = set()
+        for tail, word in states:
+            for a in abc:
+                window = tail + (a,)
+                if len(window) == small.width and small.local(window) != zero:
+                    continue
+                nxt.add((window[len(window) - k:], word + (a,) if middle else word))
+        states = nxt
+    return {word for _, word in states}
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([Z2, Z3, Z4, Z2xZ2]).flatmap(_linear_rules), st.integers(1, 3))
 @example(linear_ca(Z4, {0: 2}), 3)  # the infinite kernel of 2x: letters 0 and 2
+@example(linear_ca(Z4, {0: 1, 1: 2}), 2)  # padding by one letter still admits a 2
 @example(linear_ca(Z2, {-1: 1, 0: 1, 1: 1}), 3)
 @example(linear_ca(Z3, {0: 1, 1: 2, 2: 1}), 3)
-def test_window_counts_match_the_depth_first_walk(F, length):
+def test_kernel_language_matches_the_padded_depth_first_walk(F, length):
+    # a word that extends |A|^k letters both ways, k the width less one,
+    # walks through a repeated vertex on each side, so it lies on a
+    # bi-infinite path of the core
     sigma = LinearKernelShift(F)
-    assert sigma.window_counts(length) == _window_counts_oracle(sigma, length)
+    k = F.smallest_neighborhood().width - 1
+    words = sigma.language(length)
+    assert len(words) == len(set(words))
+    assert set(words) == _padded_words(sigma, length, F.alphabet.order ** k)
 
 
 def test_gl_primes_are_the_primes_of_the_gl_order():

@@ -38,7 +38,7 @@ from groupca.measures import (
     haar_test,
     invariance_check,
     _fractions,
-    _language,
+    _independent_pieces,
     _sweep,
     sigma_entropy_exact,
 )
@@ -75,6 +75,18 @@ def test_haar_product_subgroup_probabilities():
     assert mu.cylinder_prob(Cylinder(-3, w(0, 2, 0))) == Fraction(1, 8)
 
 
+def _language(sigma, offset, length):
+    """The words of a subgroup shift on [offset, offset + length): the kernel
+    shift's own language, or every concatenation of the runs of the i.i.d.
+    pieces of its Haar measure."""
+    if isinstance(sigma, LinearKernelShift):
+        return set(sigma.language(length))
+    pieces = _independent_pieces(HaarMeasure(sigma), offset, offset + length - 1)
+    choices = sorted((first, [run for run, _ in runs]) for runs, _, starts in pieces
+                     for first in starts)
+    return {sum(word, ()) for word in itertools.product(*(c for _, c in choices))}
+
+
 def test_haar_cylinders_and_languages_match_the_block_distribution():
     # run weights and runs of the i.i.d. pieces against the exact sweep,
     # across block boundaries and phases
@@ -82,7 +94,8 @@ def test_haar_cylinders_and_languages_match_the_block_distribution():
     for sigma in (ProductSubgroup(Z3, 2, subgroup_closure(Z3.power(2), [(1, 2)]), phase=1),
                   ProductSubgroup(Z2xZ2, 2, subgroup_closure(Z2xZ2.power(2), [(1, 0, 1, 1)])),
                   ProductSubgroup(Z2, 3, subgroup_closure(Z2.power(3), [(1, 1, 0)]), phase=2),
-                  FullShift(Z3), LinearKernelShift(linear_ca(Z3, {0: 1, 1: 1, 2: 1}))):
+                  FullShift(Z3), LinearKernelShift(linear_ca(Z3, {0: 1, 1: 1, 2: 1})),
+                  LinearKernelShift(linear_ca(Z4, {0: 1, 1: 2}))):
         mu = HaarMeasure(sigma)
         for offset, length in itertools.product(range(3), range(1, 4)):
             exact = mu.block_distribution(offset, length)
@@ -771,3 +784,109 @@ def test_cap_message_names_the_composed_power():
         PushforwardMeasure(base, F_xor, 17).block_distribution(0, 3)
     with pytest.raises(CapExceeded, match=message):
         cesaro_sequence(base, F_xor, 18, 3)
+
+
+# -- bases that are one piece against the widened-window loop ---------------------
+
+
+def _widened_loop(base, F, j, offset, length):
+    """The base's weights on the widened window pushed through F one step at
+    a time by apply_window, merging equal words after each step: the path
+    that served every base that is not i.i.d. under an affine rule before
+    such a base became one piece of the sweep, kept as its oracle."""
+    small = F.smallest_neighborhood()
+    r, s = small.neighborhood
+    weights, den = base.block_weights(offset + j * r, length + j * (s - r))
+    for _ in range(j):
+        image = defaultdict(int)
+        for word, c in weights.items():
+            image[small.apply_window(word)] += c
+        weights = image
+    return _fractions((dict(weights), den))
+
+
+@st.composite
+def affine_rules(draw, group):
+    """Linear or affine rules of width 1 to 3: residues on a cyclic
+    alphabet, 0/1 matrices on Z/2 x Z/2."""
+    r, width = draw(st.integers(-1, 1)), draw(st.integers(1, 3))
+    coeffs = {r + u: draw(coefficients(group)) for u in range(width)}
+    constant = draw(st.none() | st.sampled_from(letters(group)))
+    return linear_ca(group, coeffs, constant=constant, neighborhood=(r, r + width - 1))
+
+
+@st.composite
+def one_piece_bases(draw, group):
+    """Kernel-shift Haar (any linear rule, so not only bipermutative ones),
+    a point mass on one periodic configuration, or a nested pushforward."""
+    kind = draw(st.sampled_from(("kernel", "orbit", "nested")))
+    if kind == "kernel":
+        rule = draw(affine_rules(group))
+        return HaarMeasure(LinearKernelShift(linear_ca(group, rule.coeffs,
+                                                       neighborhood=rule.neighborhood)))
+    if kind == "orbit":
+        word = draw(st.lists(st.sampled_from(letters(group)), min_size=1, max_size=4))
+        return PeriodicOrbitMeasure((PeriodicConfig(group, tuple(word)),))
+    inner = PushforwardMeasure(draw(base_measures(group, mixtures=False)),
+                               draw(rules(group)), draw(st.integers(0, 1)),
+                               draw(st.integers(-1, 1)))
+    return PushforwardMeasure(inner, draw(rules(group)), draw(st.integers(0, 1)))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_piece_sweep_matches_the_widened_window_loop(data):
+    group = data.draw(st.sampled_from(ALPHABETS))
+    base = data.draw(one_piece_bases(group))
+    F = data.draw(affine_rules(group))
+    j = data.draw(st.integers(1, 2))
+    offset, length = data.draw(st.integers(-2, 2)), data.draw(st.integers(1, 3))
+    Fj = power(F, j)
+    swept = _sweep(base, matrix_terms(Fj), Fj.constant, offset, length)
+    assert _fractions(swept) == _widened_loop(base, F, j, offset, length)
+    assert PushforwardMeasure(base, F, j).block_distribution(offset, length) == _fractions(swept)
+
+
+def test_bernoulli_draws_are_the_cumulative_float_weight_draws():
+    # the draws of rng.choices over every letter with cum_weights the running
+    # float sums of the letter weights, draw for draw
+    Z3 = GroupSpec((3,))
+    for mu in (Bernoulli(Z3, {(0,): Fraction(1, 2), (1,): Fraction(0), (2,): Fraction(1, 2)}),
+               Bernoulli(Z3, {(0,): Fraction(1, 7), (1,): Fraction(2, 7), (2,): Fraction(4, 7)}),
+               Bernoulli.uniform(GroupSpec((2, 2))), Bernoulli.uniform(Z2)):
+        abc = list(mu.weights)
+        cum = list(itertools.accumulate(float(p) for p in mu.weights.values()))
+        rng, ref = random.Random(11), random.Random(11)
+        for lo, hi in ((0, 0), (-3, 4), (2, 9), (0, 99)):
+            want = tuple(ref.choices(abc, cum_weights=cum, k=hi - lo + 1))
+            assert mu.sample_word(lo, hi, rng) == want
+
+
+def test_kernel_haar_off_the_bipermutative_case():
+    # 1 + 2x over Z/4: the kernel is {0}, so Haar measure is the point mass
+    point = HaarMeasure(LinearKernelShift(linear_ca(Z4, {0: 1, 1: 2})))
+    assert point.block_distribution(0, 1) == {w(0): 1}
+    assert point.block_distribution(3, 2) == {w(0, 0): 1}
+    assert point.sample_word(0, 3, random.Random(1)) == w(0, 0, 0, 0)
+    assert sigma_entropy_exact(point) == 0.0
+    # 2 x_0 over Z/4: the kernel is {0, 2}^Z, of shift entropy log 2
+    evens = HaarMeasure(LinearKernelShift(linear_ca(Z4, {0: 2})))
+    assert evens.block_distribution(0, 2) == {w(a, b): Fraction(1, 4)
+                                              for a in (0, 2) for b in (0, 2)}
+    assert sigma_entropy_exact(evens) == pytest.approx(math.log(2))
+    rep = check_hypotheses(linear_ca(Z4, {0: 1, 1: 1}), mu=evens)
+    assert rep.entropy_positive and rep.entropy_method.startswith("exact shift entropy 0.693147")
+    # a right-permutative refusal no longer stands in the way of sampling
+    parity = HaarMeasure(LinearKernelShift(linear_ca(Z4, {0: 2, 1: 2})))
+    word = parity.sample_word(0, 5, random.Random(2))
+    assert len({a[0] % 2 for a in word}) == 1
+
+
+def test_estimated_shift_entropy_names_its_threshold():
+    # a pushforward by a rule that is not bipermutative has no closed form
+    F = linear_ca(Z4, {0: 1, 1: 2})
+    mu = PushforwardMeasure(Bernoulli.uniform(Z4), F, 1)
+    assert sigma_entropy_exact(mu) is None
+    rep = check_hypotheses(linear_ca(Z4, {0: 1, 1: 1}), mu=mu, entropy_samples=5000, seed=3)
+    assert rep.entropy_positive
+    assert rep.entropy_method.endswith("(5000 samples, seed 3; positive above 0.02 nats)")
