@@ -699,15 +699,19 @@ def cmd_measure(args) -> int:
                 "f_power": args.f_power, "shift": args.shift, "length": args.length,
             },
         }
-        if res.witness is not None:
+        sampled = ""
+        if not res.exact:
+            report["threshold"] = res.threshold
+            sampled = f" (sampled, threshold {res.threshold})"
+        if not res.invariant:
             report["witness"] = {
                 "offset": res.witness.offset,
                 "word": [list(a) for a in res.witness.word],
             }
             print(f"not invariant: discrepancy {res.max_discrepancy} at "
-                  f"[{res.witness.word}]_{res.witness.offset}")
+                  f"[{res.witness.word}]_{res.witness.offset}{sampled}")
         else:
-            print(f"invariant on all cylinders of length <= {args.length}")
+            print(f"invariant on all cylinders of length <= {args.length}{sampled}")
         _print(report, args.out)
         return 0 if res.invariant else 1
     if args.measure_cmd == "char":

@@ -218,7 +218,9 @@ def _draw_rows(measure, lo: int, hi: int, count: int, rng) -> np.ndarray:
     mixture draws each row's component with one integers call, then the
     rows of each component.  A pushforward draws its base's rows on the
     widened window and moves them through the rule f_power times
-    (`_rule_on_rows`), as its sample_word moves a word."""
+    (`_rule_on_rows`).  This is the one sampler of every measure: the
+    entropy estimates and mc invariance (`measures.invariance_check`) draw
+    through it."""
     import numpy as np
 
     from .measures import MixtureMeasure, PushforwardMeasure, _independent_pieces

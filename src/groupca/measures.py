@@ -1,11 +1,12 @@
 """Constructible shift measures with exact cylinder probabilities.
 
-Every variant carries an exact rational cylinder function, exact block
+Every variant carries an exact rational cylinder function and exact block
 weights (all word probabilities on a window at once, as integers over one
-denominator) and a sampler; invariance checks, character integrals, Haar
-tests and Cesaro averages read the block weights, so they are integer or
-integer-phase computations, with floating point confined to final complex
-character values.
+denominator); invariance checks, character integrals, Haar tests and Cesaro
+averages read the block weights, so they are integer or integer-phase
+computations, with floating point confined to final complex character
+values.  Sampled invariance and entropy draw numpy rows from one sampler,
+`entropy._draw_rows`, which reads each variant's independent pieces.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +31,7 @@ from .automata import (
     power,
 )
 from .configs import Cylinder, PeriodicConfig, Word
-from .entropy import _shift_entropy
+from .entropy import _draw_rows, _shift_entropy
 from .groups import CapExceeded, Character, Element, Endomorphism, GroupSpec, Subgroup
 from .kernels import (
     Condition4Result,
@@ -135,29 +135,6 @@ def _piece_prob(mu: "MeasureSpec", cyl: Cylinder) -> Fraction:
         for i in starts:
             p *= Fraction(weights.get(cyl.word[i - cyl.offset : i - cyl.offset + k], 0), den)
     return p
-
-
-def _sample_pieces(mu: "MeasureSpec", lo: int, hi: int, rng: random.Random) -> Word:
-    """A word on [lo, hi] drawn piece by piece: one rng.choices call per
-    group of runs, by the float cumulative weights c / den in run order."""
-    word: list = [None] * (hi - lo + 1)
-    for runs, den, starts in _independent_pieces(mu, lo, hi):
-        population, cum = _choice_table(runs, den)
-        drawn = rng.choices(population, cum_weights=cum, k=len(starts))
-        if len(runs[0][0]) == 1:
-            word[starts.start - lo : starts.stop - lo : starts.step] = drawn
-        else:
-            for i, run in zip(starts, drawn):
-                word[i - lo : i - lo + len(run)] = run
-    return tuple(word)
-
-
-@functools.lru_cache(maxsize=64)
-def _choice_table(runs: tuple, den: int) -> tuple[tuple, tuple[float, ...]]:
-    """The runs, as bare letters when they have one letter, and their float
-    cumulative weights c / den."""
-    population = tuple(run[0] if len(run) == 1 else run for run, _ in runs)
-    return population, tuple(itertools.accumulate(c / den for _, c in runs))
 
 
 @functools.lru_cache(maxsize=256)
@@ -359,7 +336,6 @@ class Bernoulli(_BlockWeighted):
         return cls(alphabet, {a: Fraction(1, n) for a in alphabet.elements()})
 
     cylinder_prob = _piece_prob
-    sample_word = _sample_pieces
 
     def block_weights(self, offset: int, length: int, laws: dict | None = None) -> Weights:
         identity = {0: Endomorphism.identity(self.alphabet).matrix}
@@ -380,7 +356,6 @@ class HaarMeasure(_BlockWeighted):
         return self.sigma.alphabet
 
     cylinder_prob = _piece_prob
-    sample_word = _sample_pieces
 
     def block_weights(self, offset: int, length: int, laws: dict | None = None) -> Weights:
         """Full shift and product subgroups are i.i.d. over letters or blocks;
@@ -476,14 +451,6 @@ class PushforwardMeasure(_BlockWeighted):
             weights = image
         return dict(weights), den
 
-    def sample_word(self, lo: int, hi: int, rng: random.Random) -> Word:
-        k = self.f_power
-        r, s = self.automaton.neighborhood if k else (0, 0)
-        word = self.base.sample_word(lo + self.shift + k * r, hi + self.shift + k * s, rng)
-        for _ in range(k):
-            word = self.automaton.apply_window(word)
-        return word
-
     def describe(self) -> str:
         parts = []
         if self.f_power:
@@ -523,15 +490,6 @@ class MixtureMeasure(_BlockWeighted):
     def block_weights(self, offset: int, length: int, laws: dict | None = None) -> Weights:
         return _mix((c, m.block_weights(offset, length, laws))
                     for c, m in self.components if c)
-
-    def sample_word(self, lo: int, hi: int, rng: random.Random) -> Word:
-        u = rng.random()
-        acc = 0.0
-        for c, m in self.components:
-            acc += float(c)
-            if u < acc:
-                return m.sample_word(lo, hi, rng)
-        return self.components[-1][1].sample_word(lo, hi, rng)
 
     def describe(self) -> str:
         return " + ".join(f"{c}*({m.describe()})" for c, m in self.components)
@@ -582,10 +540,6 @@ class PeriodicOrbitMeasure(_BlockWeighted):
     def block_weights(self, offset: int, length: int, laws: dict | None = None) -> Weights:
         return dict(Counter(x.window(offset, length) for x in self.configs)), len(self.configs)
 
-    def sample_word(self, lo: int, hi: int, rng: random.Random) -> Word:
-        x = rng.choice(self.configs)
-        return x.window(lo, hi - lo + 1)
-
     def describe(self) -> str:
         return f"uniform on {len(self.configs)} periodic configurations"
 
@@ -634,18 +588,24 @@ def invariance_check(
 ) -> InvarianceResult:
     """Sup over short cylinders of |mu(T^-1 [w]_i) - mu([w]_i)| for the map T
     given by automaton and shift powers; exact rationals, or empirical
-    frequencies at a four-sigma threshold in mc mode.
+    frequencies in mc mode.
 
     Exact mode reads the block weights of mu and of its image on each
-    offset's window; mc mode counts each sampled word and each sampled image
-    once, on the window that spans every offset, and reads each offset's
-    window as a marginal of those counts.  Every shorter cylinder is a
-    marginal of its offset's window, so exact discrepancies are integer
-    numerators compared by cross-multiplication, with one Fraction for the
-    sup.  Only the words in some marginal's support are walked.  The
-    witness is the first cylinder, in (length, word, offset) order, that
-    attains the sup; `cylinders_checked` counts every cylinder of the
-    window, |offsets| * sum_ell |A|^ell.
+    offset's window.  Mc mode draws mc_samples rows of mu, then of its
+    image, on the window that spans every offset (`entropy._draw_rows`, one
+    stream np.random.default_rng(seed)), counts each distinct row once and
+    reads each offset's window as a marginal of those counts.  Its verdict
+    holds when the sup is at most the threshold: four standard deviations
+    of the witness's difference of two independent frequencies p and q,
+    sqrt((p(1 - p) + q(1 - q)) / n), and never below 4e-2 / sqrt(n).  The
+    draws refuse run weights over a denominator of 2^63 or more (ValueError,
+    the 64-bit draw limit).  Every shorter cylinder is a marginal of its
+    offset's window, so exact discrepancies are integer numerators compared
+    by cross-multiplication, with one Fraction for the sup.  Only the words
+    in some marginal's support are walked.  The witness is the first
+    cylinder, in (length, word, offset) order, that attains the sup;
+    `cylinders_checked` counts every cylinder of the window,
+    |offsets| * sum_ell |A|^ell.
     """
     if f_power and automaton is None:
         raise ValueError("automaton power needs the automaton")
@@ -663,15 +623,21 @@ def invariance_check(
     elif mode == "mc":
         if mc_samples < 1:
             raise ValueError(f"mc_samples must be >= 1 in mc mode, got {mc_samples}")
-        rng = random.Random(seed)
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
         lo, hi = min(offsets), max(offsets) + length - 1
-        direct: Counter = Counter()
-        mapped: Counter = Counter()
-        for _ in range(mc_samples):
-            direct[mu.sample_word(lo, hi, rng)] += 1
-            mapped[push.sample_word(lo, hi, rng)] += 1
-        windows = {i: (_restrict((mapped, mc_samples), i - lo, length),
-                       _restrict((direct, mc_samples), i - lo, length)) for i in offsets}
+        abc = letters(mu.alphabet)
+
+        def counts(m: MeasureSpec) -> Weights:
+            rows, n = np.unique(_draw_rows(m, lo, hi, mc_samples, rng), axis=0,
+                                return_counts=True)
+            return ({tuple(abc[a] for a in row): c for row, c in zip(rows.tolist(), n.tolist())},
+                    mc_samples)
+
+        own, image = counts(mu), counts(push)
+        windows = {i: (_restrict(image, i - lo, length), _restrict(own, i - lo, length))
+                   for i in offsets}
     else:
         raise ValueError(f"unknown mode {mode!r}")
     marginals = {}
@@ -701,7 +667,7 @@ def invariance_check(
         (image, _), (own, _) = marginals[i, len(word)]
         p = own.get(word, 0) / mc_samples
         q = image.get(word, 0) / mc_samples
-        sigma = math.sqrt(max(p * (1 - p), q * (1 - q), 1e-12) / mc_samples)
+        sigma = math.sqrt((p * (1 - p) + q * (1 - q)) / mc_samples)  # of p - q
         if abs(p - q) > best_f:
             best_f = abs(p - q)
             witness = Cylinder(i, word)

