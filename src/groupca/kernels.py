@@ -3,12 +3,13 @@
 The n-th level is the set of periodic configurations annihilated by the n-th
 iterate.  Elements are enumerated as cycles of the overlap (de Bruijn) graph
 whose edges are the zero-windows of the iterated rule: for a bipermutative
-rule that graph is a permutation, and in general the recurrent part must
-decompose into disjoint cycles for the kernel to be finite.  The rule is
-additive, so the graph is built from one table per window column and one
-group addition per vertex.  The density criteria work on a level coded by
+rule that graph is a permutation, and in general its core must decompose
+into disjoint cycles for the kernel to be finite.  The rule is additive, so
+the graph is built on letter indices from the letter map of each window
+column and one table addition per vertex (`automata.letter_arithmetic`, as
+in `measures` and `entropy`).  The density criteria work on a level coded by
 short windows of its elements, with the shift and the rule tabulated on the
-codes from windows too.
+codes, the rule applied by the same letter maps.
 
 A linear rule over a prime field Z/p, whose polynomial normalized to P(0) != 0
 has degree k, has ker F^n isomorphic to Z/p[x]/(P^n) as a module over the
@@ -25,9 +26,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .automata import CellularAutomaton, as_laurent, compose, letters
+from .automata import letter_arithmetic, matrix_terms
 from .automata import NotAlgebraicError  # noqa: F401  (importable from here too)
 from .configs import PeriodicConfig, Word
 from .groups import (
@@ -51,52 +53,6 @@ class InfiniteKernelError(ValueError):
     """The kernel has infinitely many periodic points and cannot be listed."""
 
 
-def _strongly_connected_components(graph: dict) -> list[list]:
-    """Tarjan's algorithm, iterative to cope with long cycles."""
-    index: dict = {}
-    low: dict = {}
-    onstack: set = set()
-    stack: list = []
-    components: list[list] = []
-    counter = itertools.count()
-    for root in graph:
-        if root in index:
-            continue
-        index[root] = low[root] = next(counter)
-        stack.append(root)
-        onstack.add(root)
-        work = [(root, iter(graph[root]))]
-        while work:
-            v, children = work[-1]
-            descended = False
-            for w in children:
-                if w not in index:
-                    index[w] = low[w] = next(counter)
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(graph[w])))
-                    descended = True
-                    break
-                if w in onstack:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(comp)
-    return components
-
-
 def kernel_elements(
     F: CellularAutomaton, n: int, cap: int = DEFAULT_KERNEL_CAP
 ) -> list[PeriodicConfig]:
@@ -110,79 +66,82 @@ def kernel_elements(
     return list(KernelTower(F, cap).level(n).elements)
 
 
-def _zero_windows(G: CellularAutomaton) -> dict[Word, list[Element]]:
-    """The de Bruijn graph of the zero-windows of the endomorphism G, given
-    on its smallest neighborhood of width k+1: for each vertex u of A^k, the
-    letters a (in alphabet order) with G(u a) = 0, each an edge to (u a)[1:].
+def _zero_windows(G: CellularAutomaton) -> list[list[int]]:
+    """The de Bruijn graph of the zero-windows of the linear rule G, given on
+    its smallest neighborhood of width k+1, over letter indices
+    (`automata.letter_arithmetic`): for the vertex u of A^k with base-|A|
+    code v (first letter most significant), the letters a in index order with
+    G(u a) = 0, each an edge to (u a)[1:], the vertex with code v|A| + a
+    modulo |A|^k.
 
-    G is additive, so G(w) is the sum over positions i of G applied to the
-    window holding w_i at i and zero elsewhere.  Each of the k+1 columns is
-    tabulated once; the sum of the first k columns is built for every vertex
-    of A^k by a prefix sweep, one group addition per new prefix; and the
-    letters a extending a vertex u are those whose last column cancels that
-    sum.
+    G is additive, so G(w) is the sum over positions i of the letter map of
+    G's matrix term at offset r + i applied to w_i.  The sum of the first k
+    columns is built for every vertex by a prefix sweep, one table addition
+    per new prefix; the letters a extending a vertex are those whose last
+    column cancels that sum.
     """
-    alphabet = G.alphabet
-    k = G.width - 1
-    abc = letters(alphabet)
-    zero = alphabet.zero
-    columns = [
-        [G.local((zero,) * i + (a,) + (zero,) * (k - i)) for a in abc]
-        for i in range(k + 1)
-    ]
-    # cancels[g]: the letters a with G(0...0, a) = -g, in alphabet order
-    cancels: dict[Element, list[Element]] = {}
-    for a, image in zip(abc, columns[k]):
-        cancels.setdefault(alphabet.neg(image), []).append(a)
-    add = alphabet.add
-    sums: dict[Word, Element] = {(): zero}
-    for column in columns[:k]:
-        sums = {
-            u + (a,): add(total, image)
-            for u, total in sums.items()
-            for a, image in zip(abc, column)
-        }
-    return {u: cancels.get(total, []) for u, total in sums.items()}
+    r, s = G.neighborhood
+    index, plus, maps = letter_arithmetic(G.alphabet, matrix_terms(G))
+    zero = index[G.alphabet.zero]
+    vanishing = (zero,) * len(plus)
+    columns = [maps.get(u, vanishing) for u in range(r, s + 1)]
+    # cancels[g]: the letters a whose last-column image is -g
+    cancels: list[list[int]] = [[] for _ in plus]
+    for a, image in enumerate(columns[-1]):
+        cancels[plus[image].index(zero)].append(a)
+    sums = [zero]
+    for column in columns[:-1]:
+        sums = [row[image] for row in map(plus.__getitem__, sums) for image in column]
+    return [cancels[total] for total in sums]
+
+
+def _core(G: CellularAutomaton) -> dict[int, list[int]]:
+    """The core of the zero-window graph of the linear rule G on its
+    smallest neighborhood (`_zero_windows`): the vertices left after
+    dropping, until none remain, those with no successor or no predecessor
+    left, each with its letters into the core.  The kernel of G is the set
+    of the core's bi-infinite paths."""
+    follow = _zero_windows(G)
+    q, vertices = G.alphabet.order, len(follow)
+    succ = [[(u * q + a) % vertices for a in nxt] for u, nxt in enumerate(follow)]
+    live, kept = None, set(range(vertices))
+    while kept != live:
+        live = kept
+        entered = {v for u in live for v in succ[u]} & live
+        kept = {u for u in entered if not live.isdisjoint(succ[u])}
+    return {u: [a for a, v in zip(follow[u], succ[u]) if v in live]
+            for u in range(vertices) if u in live}
 
 
 def _annihilated(G: CellularAutomaton, cap: int) -> list[PeriodicConfig]:
-    """The periodic kernel of the endomorphism G: the cycles of the graph of
-    its zero-windows (`_zero_windows`)."""
+    """The periodic kernel of the linear rule G: the cycles of the core of
+    its zero-window graph (`_core`).  The kernel is a group shift, so it is
+    finite exactly when the core is a union of disjoint cycles.  A core
+    vertex with two letters gives two kernel points that agree on a left
+    half-line, so the kernel is infinite, and an infinite group shift has a
+    full shift factor (Kitchens 1987): infinitely many periodic points."""
     G = G.smallest_neighborhood()
     alphabet = G.alphabet
-    k = G.width - 1
-    if alphabet.order ** k > cap:
+    q, k = alphabet.order, G.width - 1
+    vertices = q**k
+    if vertices > cap:
         raise CapExceeded(f"kernel seed space |A|^{k} exceeds cap {cap}")
-    follow = _zero_windows(G)
-    if k == 0:
-        if follow[()] != [alphabet.zero]:
-            raise InfiniteKernelError(
-                "pointwise rule with nontrivial letter kernel: kernel is a full shift"
-            )
-        return [PeriodicConfig.zero(alphabet)]
-    graph = {u: [u[1:] + (a,) for a in nxt] for u, nxt in follow.items()}
-
+    core = _core(G)
+    if any(len(nxt) != 1 for nxt in core.values()):
+        raise InfiniteKernelError(
+            "pointwise rule with nontrivial letter kernel: kernel is a full shift" if k == 0
+            else "zero-window graph has a branching recurrent component; the kernel is infinite"
+        )
+    abc = letters(alphabet)
     out: list[PeriodicConfig] = []
-    for comp in _strongly_connected_components(graph):
-        members = set(comp)
-        internal = {u: [v for v in graph[u] if v in members] for u in comp}
-        if len(comp) == 1:
-            u = comp[0]
-            if u not in internal[u]:
-                continue  # transient vertex
-        if any(len(vs) != 1 for vs in internal.values()):
-            raise InfiniteKernelError(
-                "zero-window graph has a branching recurrent component; "
-                "the kernel is infinite"
-            )
-        start = comp[0]
+    while core:
+        u = start = next(iter(core))
         cycle_letters = []
-        v = start
         while True:
-            nxt = internal[v][0]
-            cycle_letters.append(nxt[-1])
-            v = nxt
-            if v == start:
+            (a,) = core.pop(u)
+            cycle_letters.append(abc[a])
+            u = (u * q + a) % vertices
+            if u == start:
                 break
         L = len(cycle_letters)
         # letter t of the configuration sits at absolute position k + t along
@@ -371,12 +330,14 @@ class KernelTower:
     def restricted_level(self, n: int, sigma: SubgroupShiftSpec | None) -> KernelLevel:
         """The elements of level n that lie in sigma (None: the full shift)."""
         sigma = subgroup_shift_on(sigma, self.automaton.alphabet)
+        if isinstance(sigma, FullShift):
+            return self.level(n)
         return _level(x for x in self.level(n).elements if sigma.contains(x))
 
     def coded(self, n: int) -> _CodedLevel:
         """Level n with its window code, made once."""
         if n not in self._coded:
-            self._coded[n] = _CodedLevel(self.automaton, self.level(n).elements)
+            self._coded[n] = _CodedLevel(self.rule, self.level(n).elements)
         return self._coded[n]
 
 
@@ -493,24 +454,22 @@ class LinearKernelShift:
         return self.automaton.alphabet
 
     def contains(self, x: PeriodicConfig) -> bool:
-        return self.automaton.apply_periodic(x).is_zero
+        return x.alphabet == self.alphabet and set(self._rule(x.word)) == {self.alphabet.zero}
+
+    @cached_property
+    def _rule(self) -> Callable[[Word], Word]:
+        return _periodic_rule(self.automaton)
 
     @cached_property
     def core(self) -> dict[Word, list[Element]]:
-        """The rule's zero-window graph (`_zero_windows`) trimmed to its core
-        (dropping vertices with no successor or no predecessor left until
-        none remain), each vertex with its letters into the core.  The kernel
-        is the set of the core's bi-infinite paths; it is a group, so every
-        core vertex has as many letters as the zero vertex."""
-        follow = _zero_windows(self.automaton.smallest_neighborhood())
-        succ = {u: [(u + (a,))[1:] for a in nxt] for u, nxt in follow.items()}
-        live, kept = None, set(follow)
-        while kept != live:
-            live = kept
-            entered = {v for u in live for v in succ[u]} & live
-            kept = {u for u in entered if not live.isdisjoint(succ[u])}
-        return {u: [a for a, v in zip(follow[u], succ[u]) if v in live]
-                for u in follow if u in live}
+        """The core of the rule's zero-window graph (`_core`), each vertex
+        word with its letters into the core.  The kernel is the set of the
+        core's bi-infinite paths; it is a group, so every core vertex has as
+        many letters as the zero vertex."""
+        small = self.automaton.smallest_neighborhood()
+        abc = letters(self.alphabet)
+        words = list(itertools.product(abc, repeat=small.width - 1))
+        return {words[u]: [abc[a] for a in nxt] for u, nxt in _core(small).items()}
 
     def language(self, length: int) -> list[Word]:
         """The words of `length` letters of the kernel, each once: the
@@ -568,35 +527,33 @@ class _CodedLevel:
     x -> x.window(0, l) is a homomorphism.  At the smallest l where the
     windows are distinct it is an isomorphism onto its image in A^l, so
     subgroups are closed over short residue tuples, with the shift and the
-    rule tabulated on the codes.  Both tables are read off windows: the
-    shift's code of x is x.window(1, l).  A level is a union of whole shift
-    orbits and the rule commutes with the shift, so the rule is applied once
-    per orbit, to one element x, and F(shift^t x) is coded by the window of
-    F(x) at t: one local evaluation per element.
+    rule tabulated on the codes.  Codes are slices of the elements' repeating
+    words: the shift's code of x is x's window at 1.  A level is a union of
+    whole shift orbits and the rule commutes with the shift, so the rule
+    (`_periodic_rule` of F's linear form) is applied once per orbit, to one
+    element x, and F(shift^t x) is coded by the window of F(x) at t.
     """
 
     def __init__(self, F: CellularAutomaton, elements: tuple[PeriodicConfig, ...]) -> None:
         size = len(elements)
         ell = 1
         while F.alphabet.order**ell < size or len(
-            {_window_code(x, ell) for x in elements}
+            {_windows(x.word, ell)[0] for x in elements}
         ) < size:
             ell += 1
         self.ell = ell
         self.group = F.alphabet.power(ell)
-        self.shift = {self.code(x): _flat(x.window(1, ell)) for x in elements}
+        self.shift: dict[Element, Element] = {}
         self.rule: dict[Element, Element] = {}
+        rule = _periodic_rule(F)
         for x in elements:
-            c = self.code(x)
-            if c in self.rule:
-                continue
-            image = F.apply_periodic(x)
-            for t in range(x.period):
-                self.rule[c] = _flat(image.window(t, ell))
-                c = self.shift[c]
+            if self.code(x) not in self.rule:
+                codes = _windows(x.word, ell, x.period)
+                self.shift.update(zip(codes, codes[1:] + codes[:1]))
+                self.rule.update(zip(codes, _windows(rule(x.word), ell, x.period)))
 
     def code(self, x: PeriodicConfig) -> Element:
-        return _window_code(x, self.ell)
+        return _windows(x.word, self.ell)[0]
 
     def generated(self, seed: Element, cap: int) -> frozenset[Element]:
         """Codes of the subgroup that seed generates under shift and rule.
@@ -628,11 +585,34 @@ class _CodedLevel:
 
 
 def _flat(word: Word) -> Element:
-    return tuple(c for letter in word for c in letter)
+    return tuple(itertools.chain.from_iterable(word))
 
 
-def _window_code(x: PeriodicConfig, ell: int) -> Element:
-    return _flat(x.window(0, ell))
+def _windows(word: Word, ell: int, count: int = 1) -> list[Element]:
+    """The flat windows of length ell at 0, ..., count - 1 of the periodic
+    configuration with this repeating word."""
+    rank, span = len(word[0]), count + ell - 1
+    flat = _flat((word * -(-span // len(word)))[:span])
+    return [flat[t * rank:(t + ell) * rank] for t in range(count)]
+
+
+def _periodic_rule(F: CellularAutomaton) -> Callable[[Word], Word]:
+    """The linear rule F on periodic configurations, by repeating words: the
+    word of F(x) over one period of x, summed from the letter maps of F's
+    matrix terms (`automata.letter_arithmetic`) on rotations of x's word."""
+    index, plus, maps = letter_arithmetic(F.alphabet, matrix_terms(F))
+    abc = letters(F.alphabet)
+    zero = index[F.alphabet.zero]
+
+    def apply(word: Word) -> Word:
+        x = [index[a] for a in word]
+        out = [zero] * len(x)
+        for u, m in maps.items():
+            u %= len(x)
+            out = [plus[a][m[b]] for a, b in zip(out, x[u:] + x[:u])]
+        return tuple(map(abc.__getitem__, out))
+
+    return apply
 
 
 @dataclass(frozen=True)

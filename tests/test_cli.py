@@ -508,17 +508,18 @@ def test_haar_test_sigma_over_another_alphabet_is_usage_error(tmp_path, capsys):
 def _graphs_walked(monkeypatch, argv, code):
     """Zero-window graphs of the kernel levels enumerated while running argv,
     which exits with `code`: every enumeration of a level n >= 1 walks its
-    graph once."""
+    graph once, the graph of F^n, known by its neighborhood and matrix terms."""
     from groupca import kernels
+    from groupca.automata import matrix_terms
 
-    walk = kernels._strongly_connected_components
+    walk = kernels._annihilated
     graphs = []
 
-    def spy(graph):
-        graphs.append(frozenset((u, tuple(vs)) for u, vs in graph.items()))
-        return walk(graph)
+    def spy(G, cap):
+        graphs.append((G.neighborhood, tuple(sorted(matrix_terms(G).items()))))
+        return walk(G, cap)
 
-    monkeypatch.setattr(kernels, "_strongly_connected_components", spy)
+    monkeypatch.setattr(kernels, "_annihilated", spy)
     assert run(argv) == code
     return graphs
 

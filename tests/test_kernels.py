@@ -42,7 +42,6 @@ from groupca.kernels import (
     LinearKernelShift,
     NotAlgebraicError,
     ProductSubgroup,
-    _strongly_connected_components,
     boundary,
     condition4_search,
     corollary_ker_check,
@@ -257,6 +256,22 @@ def test_restrict_kernel_shift_keeps_level_one():
     sigma = LinearKernelShift(F_xor)
     tw = restrict(tower(F_xor, 2), sigma)
     assert set(tw.level(1).elements) == set(tower(F_xor, 1).level(1).elements)
+
+
+def test_kernel_shift_over_another_alphabet_contains_nothing():
+    # as for the full shift and product subgroups: a configuration over
+    # another alphabet is not a member, whatever its word
+    for sigma in (LinearKernelShift(F_xor), FullShift(Z2),
+                  ProductSubgroup(Z2, 1, Subgroup(Z2, ((0,), (1,))))):
+        assert sigma.contains(PeriodicConfig.zero(Z2))
+        assert not sigma.contains(PeriodicConfig.zero(Z3))
+        assert not sigma.contains(cfg(Z4, 0, 2))
+
+
+def test_full_shift_restricted_level_is_the_level_itself():
+    tw = tower(F_xor, 1)
+    assert tw.restricted_level(1, None) is tw.level(1)
+    assert tw.restricted_level(1, FullShift(Z2)) is tw.level(1)
 
 
 def test_tower_grows_on_request_and_keeps_its_levels():
@@ -514,10 +529,18 @@ DUAL_TABLES = [
 
 
 def _coefficient(group):
+    """An endomorphism of the group: entry (j, i) maps Z/d_i to Z/d_j, so it
+    is a multiple of d_j / gcd(d_i, d_j)."""
+    d = group.moduli
     if group.rank == 1:
-        return st.integers(0, group.moduli[0] - 1)
-    row = st.lists(st.integers(0, 1), min_size=2, max_size=2)
-    return st.lists(row, min_size=2, max_size=2)
+        return st.integers(0, d[0] - 1)
+
+    def entry(j, i):
+        g = math.gcd(d[i], d[j])
+        return st.integers(0, g - 1).map(lambda c: c * (d[j] // g))
+
+    return st.tuples(*(st.tuples(*(entry(j, i) for i in range(group.rank)))
+                       for j in range(group.rank)))
 
 
 @st.composite
@@ -582,6 +605,53 @@ def test_density_criteria_small_cap_names_it():
 # -- the additive walk against the per-letter walk --------------------------------
 
 
+def _strongly_connected_components(graph: dict) -> list[list]:
+    """Tarjan's algorithm, iterative to cope with long cycles: the oracle's
+    walk, kept apart from the core trimming of the fast walk."""
+    index: dict = {}
+    low: dict = {}
+    onstack: set = set()
+    stack: list = []
+    components: list[list] = []
+    counter = itertools.count()
+    for root in graph:
+        if root in index:
+            continue
+        index[root] = low[root] = next(counter)
+        stack.append(root)
+        onstack.add(root)
+        work = [(root, iter(graph[root]))]
+        while work:
+            v, children = work[-1]
+            descended = False
+            for w in children:
+                if w not in index:
+                    index[w] = low[w] = next(counter)
+                    stack.append(w)
+                    onstack.add(w)
+                    work.append((w, iter(graph[w])))
+                    descended = True
+                    break
+                if w in onstack:
+                    low[v] = min(low[v], index[w])
+            if descended:
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    onstack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                components.append(comp)
+    return components
+
+
 def _annihilated_oracle(G, cap):
     """The de Bruijn walk that evaluated the rule on every window of every
     vertex, kept as the oracle for the additive walk."""
@@ -627,7 +697,7 @@ def _annihilated_oracle(G, cap):
 
 @st.composite
 def _walk_cases(draw):
-    group = draw(st.sampled_from([Z2, Z3, Z4, Z2xZ2]))
+    group = draw(st.sampled_from([Z2, Z3, Z4, Z9, Z2xZ2, Z2xZ4]))
     kind = draw(st.sampled_from(["linear", "table", "dual"] if group == Z2
                                 else ["linear", "table"]))
     if kind == "dual":
@@ -648,8 +718,21 @@ def _elements(fn, *args):
         return type(exc)
 
 
+Z9 = GroupSpec((9,))
+# mixed moduli: the entry from Z/2 into Z/4 must be even
+Z2xZ4 = GroupSpec((2, 4))
+
+
 @settings(max_examples=60, deadline=None)
 @given(_walk_cases())
+# a Z/9 rule whose extreme coefficients are units, and one that is not
+# bipermutative
+@example((linear_ca(Z9, {0: 1, 1: 4}), 3, 1 << 12))
+@example((linear_ca(Z9, {0: 3, 1: 1, 2: 6}), 2, 1 << 12))
+# a Z/2 x Z/4 rule mixing the two factors both ways, and its table form
+@example((linear_ca(Z2xZ4, {0: [[1, 1], [2, 1]], 1: [[1, 0], [0, 3]]}), 2, 1 << 12))
+@example((table_from_rule(Z2xZ4, (0, 1), linear_ca(
+    Z2xZ4, {0: [[1, 1], [2, 1]], 1: [[1, 0], [0, 3]]}).local), 2, 1 << 12))
 # not bipermutative: the kernel is the four constants at every level
 @example((linear_ca(Z4, {0: 1, 1: 1, 2: 2}), 2, 1 << 12))
 # every vertex has two successors: a branching, infinite kernel
@@ -664,10 +747,22 @@ def test_kernel_levels_match_the_per_letter_walk(case):
         assert _elements(lambda: tw.level(n).elements) == want, n
         if not isinstance(want, tuple):
             break
-        # the coded tables agree with the shift and the rule on configurations
+        # the coded tables agree with the shift and the rule on configurations,
+        # with codes read by `PeriodicConfig.window` and the rule applied by
+        # one local evaluation per letter (`apply_periodic`)
         lvl = tw.coded(n)
-        assert lvl.shift == {lvl.code(x): lvl.code(x.shift(1)) for x in want}
-        assert lvl.rule == {lvl.code(x): lvl.code(F.apply_periodic(x)) for x in want}
+
+        def code(x):
+            return tuple(c for a in x.window(0, lvl.ell) for c in a)
+
+        assert [lvl.code(x) for x in want] == [code(x) for x in want]
+        assert lvl.shift == {code(x): code(x.shift(1)) for x in want}
+        assert lvl.rule == {code(x): code(F.apply_periodic(x)) for x in want}
+        # kernel-shift membership agrees with the per-letter rule too
+        if F.is_linear:
+            sigma = LinearKernelShift(F)
+            assert [sigma.contains(x) for x in want] == [
+                F.apply_periodic(x).is_zero for x in want]
 
 
 BIPERMUTATIVE = {
@@ -677,48 +772,52 @@ BIPERMUTATIVE = {
 }
 
 
+def _spy_local(monkeypatch):
+    """Record every window the local rule is evaluated on from here on."""
+    calls = []
+    local = CellularAutomaton.local
+
+    def spy(self, window):
+        calls.append(window)
+        return local(self, window)
+
+    monkeypatch.setattr(CellularAutomaton, "local", spy)
+    return calls
+
+
 @pytest.mark.parametrize("name", sorted(BIPERMUTATIVE))
 def test_walking_a_level_evaluates_each_column_once(monkeypatch, name):
-    # level n of a width-(w+1) bipermutative rule walks a width-(wn+1) rule:
-    # one local evaluation per letter and column, not per letter and vertex
+    # level n of a width-(w+1) rule walks a width-(wn+1) rule whose columns
+    # are the letter maps of its matrix terms (`letter_arithmetic`), each
+    # built once: the local rule is never evaluated, per vertex or per column
     F = BIPERMUTATIVE[name]
-    w = F.neighborhood[1] - F.neighborhood[0]
-    local = CellularAutomaton.local
     for n in (1, 2, 3):
         tw = KernelTower(F)
         tw.level(n - 1)
-        calls = []
-
-        def spy(self, window):
-            calls.append(window)
-            return local(self, window)
-
-        monkeypatch.setattr(CellularAutomaton, "local", spy)
+        calls = _spy_local(monkeypatch)
         tw.level(n)
         monkeypatch.undo()
-        assert len(calls) == F.alphabet.order * (w * n + 1), n
+        assert calls == [], n
 
 
-def test_coding_a_level_evaluates_the_rule_once_per_element(monkeypatch):
-    # the rule is applied once per shift orbit and read at each rotation, so a
-    # coded level costs one local evaluation per element, not one per letter
-    # of the window code
+def test_coding_a_level_and_kernel_shift_membership_call_no_local_rule(monkeypatch):
+    # the rule is applied once per shift orbit by the letter maps of the
+    # tower's linear form, so a coded level, of a table rule too, and
+    # membership in a kernel shift never evaluate the local rule
     for F in BIPERMUTATIVE.values():
-        for n in (1, 2, 3):
-            tw = KernelTower(F)
-            tw.level(n)
-            calls = []
-            local = CellularAutomaton.local
-
-            def spy(self, window):
-                calls.append(window)
-                return local(self, window)
-
-            monkeypatch.setattr(CellularAutomaton, "local", spy)
-            lvl = tw.coded(n)
-            monkeypatch.undo()
-            assert lvl.ell >= 2 or n == 1
-            assert len(calls) == tw.level(n).size, (F, n)
+        table = table_from_rule(F.alphabet, F.neighborhood, F.local)
+        sigma = LinearKernelShift(F)
+        for G in (F, table):
+            for n in (1, 2, 3):
+                tw = KernelTower(G)
+                elements = tw.level(n).elements
+                calls = _spy_local(monkeypatch)
+                lvl = tw.coded(n)
+                members = [sigma.contains(x) for x in elements]
+                monkeypatch.undo()
+                assert lvl.ell >= 2 or n == 1
+                assert calls == [], (G, n)
+                assert all(members) == (n == 1)
 
 
 # -- the closed form over prime fields against enumeration --------------------
@@ -803,13 +902,13 @@ def test_closed_form_walks_no_level(monkeypatch):
     import groupca.kernels as kernels
 
     walks = []
-    scc = kernels._strongly_connected_components
+    annihilated = kernels._annihilated
 
-    def spy(graph):
-        walks.append(len(graph))
-        return scc(graph)
+    def spy(G, cap):
+        walks.append(G)
+        return annihilated(G, cap)
 
-    monkeypatch.setattr(kernels, "_strongly_connected_components", spy)
+    monkeypatch.setattr(kernels, "_annihilated", spy)
     for F, m in ((F_xor, 0), (F_dist2, 1), (linear_ca(Z3, {-1: 1, 1: 1}), 0),
                  (linear_ca(Z5, {0: 1, 1: 2}), 0)):
         tw = tower(F, 2)
@@ -836,17 +935,17 @@ def test_table_towers_walk_nothing_the_closed_form_gives(monkeypatch):
     import groupca.kernels as kernels
 
     walks, composed = [], []
-    scc, compose = kernels._strongly_connected_components, kernels.compose
+    annihilated, compose = kernels._annihilated, kernels.compose
 
-    def spy_walk(graph):
-        walks.append(len(graph))
-        return scc(graph)
+    def spy_walk(G, cap):
+        walks.append(G)
+        return annihilated(G, cap)
 
     def spy_compose(F, G, *args):
         composed.append((F, G))
         return compose(F, G, *args)
 
-    monkeypatch.setattr(kernels, "_strongly_connected_components", spy_walk)
+    monkeypatch.setattr(kernels, "_annihilated", spy_walk)
     monkeypatch.setattr(kernels, "compose", spy_compose)
     for F in (DUAL_F1, F_dist2, linear_ca(Z5, {0: 1, 1: 2})):
         T = table_from_rule(F.alphabet, F.neighborhood, F.local)
