@@ -39,6 +39,15 @@ class PeriodicConfig:
         object.__setattr__(self, "word", _minimal_word(word))
 
     @classmethod
+    def _unchecked(cls, alphabet: GroupSpec, word: Word) -> "PeriodicConfig":
+        """The configuration of a word already of reduced letters and minimal,
+        stored without checking it again."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "alphabet", alphabet)
+        object.__setattr__(out, "word", word)
+        return out
+
+    @classmethod
     def zero(cls, alphabet: GroupSpec) -> "PeriodicConfig":
         return cls(alphabet, (alphabet.zero,))
 
@@ -69,10 +78,7 @@ class PeriodicConfig:
         m %= len(self.word)
         if m == 0:
             return self
-        out = object.__new__(PeriodicConfig)
-        object.__setattr__(out, "alphabet", self.alphabet)
-        object.__setattr__(out, "word", self.word[m:] + self.word[:m])
-        return out
+        return PeriodicConfig._unchecked(self.alphabet, self.word[m:] + self.word[:m])
 
     def __add__(self, other: "PeriodicConfig") -> "PeriodicConfig":
         if other.alphabet != self.alphabet:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .automata import CellularAutomaton, letter_arithmetic, letters, matrix_terms
+from .measures import MixtureMeasure, PushforwardMeasure, _independent_pieces, _same_alphabet
 
 if TYPE_CHECKING:
     import numpy as np
@@ -187,8 +188,6 @@ def _phases(measure) -> int:
     """A t for which sigma^t fixes the measure: the grouping of Haar measure
     on a product subgroup, the base's for a pushforward (F commutes with
     sigma), the lcm over the components of a mixture, else 1."""
-    from .measures import MixtureMeasure, PushforwardMeasure
-
     if isinstance(measure, PushforwardMeasure):
         return _phases(measure.base)
     if isinstance(measure, MixtureMeasure):
@@ -222,8 +221,6 @@ def _draw_rows(measure, lo: int, hi: int, count: int, rng) -> np.ndarray:
     entropy estimates and mc invariance (`measures.invariance_check`) draw
     through it."""
     import numpy as np
-
-    from .measures import MixtureMeasure, PushforwardMeasure, _independent_pieces
 
     if isinstance(measure, PushforwardMeasure):
         k, shift = measure.f_power, measure.shift
@@ -347,8 +344,6 @@ def entropy_report(F: CellularAutomaton, measure, samples: int = 1_000_000, k: i
     """
     if samples < 1 or k < 1:
         raise ValueError(f"samples and block length k must be >= 1, got {samples} and {k}")
-    from .measures import _same_alphabet
-
     small = F.smallest_neighborhood()
     _same_alphabet(measure, small)
     if width is None:

@@ -7,6 +7,11 @@ averages read the block weights, so they are integer or integer-phase
 computations, with floating point confined to final complex character
 values.  Sampled invariance and entropy draw numpy rows from one sampler,
 `entropy._draw_rows`, which reads each variant's independent pieces.
+
+The module needs `shifts` for the subgroup shifts Haar measure lives on.
+`entropy` imports this module, and `kernels` serves only the density
+criteria of `check_hypotheses`, so both are imported inside the functions
+that use them: building and checking a measure loads neither.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import getitem
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .automata import (
     CellularAutomaton,
@@ -31,20 +36,11 @@ from .automata import (
     power,
 )
 from .configs import Cylinder, PeriodicConfig, Word
-from .entropy import _draw_rows, _shift_entropy
 from .groups import CapExceeded, Character, Element, Endomorphism, GroupSpec, Subgroup
-from .kernels import (
-    Condition4Result,
-    CorollaryKerResult,
-    FullShift,
-    KernelTower,
-    ProductSubgroup,
-    SubgroupShiftSpec,
-    _unrestricted,
-    condition4_search,
-    corollary_ker_check,
-    subgroup_shift_on,
-)
+from .shifts import FullShift, ProductSubgroup, SubgroupShiftSpec, subgroup_shift_on
+
+if TYPE_CHECKING:
+    from .kernels import Condition4Result, CorollaryKerResult, KernelTower
 
 DEFAULT_EXPANSION_CAP = 1 << 16
 DEFAULT_WINDOW_CAP = 10  # maximal exactly-enumerated window length
@@ -625,6 +621,8 @@ def invariance_check(
             raise ValueError(f"mc_samples must be >= 1 in mc mode, got {mc_samples}")
         import numpy as np
 
+        from .entropy import _draw_rows
+
         rng = np.random.default_rng(seed)
         lo, hi = min(offsets), max(offsets) + length - 1
         abc = letters(mu.alphabet)
@@ -1006,6 +1004,8 @@ def check_hypotheses(
 
     F may be a kernel tower: p1 and both density criteria read its levels
     and extend it, under its own cap."""
+    from .kernels import _unrestricted, condition4_search, corollary_ker_check
+
     if m_max < 0:  # refused here: the criteria's ValueErrors become criteria_skipped
         raise ValueError(f"m_max must be >= 0, got {m_max}")
     tw = _unrestricted(F)
@@ -1039,6 +1039,8 @@ def check_hypotheses(
             method = f"exact shift entropy {h:.6f} nats"
         else:
             import numpy as np
+
+            from .entropy import _shift_entropy
 
             est = _shift_entropy(mu, entropy_samples, 4, np.random.default_rng(seed))
             entropy_positive = est > 0.02

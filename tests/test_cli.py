@@ -576,6 +576,46 @@ def test_import_and_examples_leave_numpy_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+RULES = {"groups", "configs", "automata"}
+# the measure names the benchmark's inputs are built from, then exact
+# invariance and Cesaro on a kernel-Haar measure and a pushforward
+MEASURES = (
+    "from fractions import Fraction\n"
+    "from groupca import (Bernoulli, GroupSpec, HaarMeasure, LinearKernelShift,\n"
+    "    MixtureMeasure, ProductSubgroup, PushforwardMeasure, Subgroup, cesaro_sequence,\n"
+    "    invariance_check, linear_ca, table_ca)\n"
+    "Z2 = GroupSpec((2,))\n"
+    "F = linear_ca(Z2, {0: 1, 1: 1})\n"
+    "haar = HaarMeasure(LinearKernelShift(linear_ca(Z2, {0: 1, 1: 1, 2: 1})))\n"
+    "mu = MixtureMeasure(((Fraction(1, 2), haar), (Fraction(1, 2), PushforwardMeasure(\n"
+    "    Bernoulli(Z2, {(0,): Fraction(1, 3), (1,): Fraction(2, 3)}), F, f_power=1))))\n"
+    "assert invariance_check(mu, F, f_power=1, length=3).cylinders_checked\n"
+    "assert cesaro_sequence(mu, F, 4, 2).distances_to_uniform\n"
+)
+
+
+@pytest.mark.parametrize("code, loaded", [
+    ("import groupca", set()),
+    ("from groupca import GroupSpec, linear_ca, table_ca", RULES),
+    (MEASURES, RULES | {"shifts", "measures"}),
+    ("from groupca import tower", RULES | {"shifts", "modular", "kernels"}),
+    ("import groupca.cli", {p.stem for p in Path(groupca.__file__).parent.glob("*.py")
+                            if p.stem != "__init__"}),
+], ids=["package", "rules", "measures", "tower", "cli"])
+def test_each_import_loads_only_the_modules_it_uses(code, loaded):
+    # a fresh interpreter compiling every module it loads, as the CLI runs
+    script = code + (
+        "\nimport sys\n"
+        "print(*sorted(m.split('.')[1] for m in sys.modules if m.startswith('groupca.')))\n"
+    )
+    src = str(Path(groupca.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) == loaded
+
+
 def test_dual_depth_zero_is_usage_error(capsys):
     assert run(["dual", "--ca", "classA_F1", "--depth", "0"]) == 2
     captured = capsys.readouterr()

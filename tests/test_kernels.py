@@ -765,6 +765,27 @@ def test_kernel_levels_match_the_per_letter_walk(case):
                 F.apply_periodic(x).is_zero for x in want]
 
 
+@settings(max_examples=40, deadline=None)
+@given(_walk_cases())
+def test_kernel_levels_sorted_on_letter_indices_are_in_period_then_word_order(case):
+    # a level is sorted on its elements' letter-index words, before any
+    # configuration is built; `letters` order is the letters' own order, so
+    # that is the (period, word) order, with each word reduced and minimal
+    F, depth, cap = case
+    tw = KernelTower(F, cap)
+    index = {a: i for i, a in enumerate(letters(F.alphabet))}
+    for n in range(1, depth + 1):
+        elements = _elements(lambda: tw.level(n).elements)
+        if not isinstance(elements, tuple):
+            break
+        assert list(elements) == sorted(elements, key=lambda c: (c.period, c.word))
+        assert list(elements) == sorted(
+            elements, key=lambda c: (c.period, [index[a] for a in c.word]))
+        assert [PeriodicConfig(F.alphabet, x.word).word for x in elements] == [
+            x.word for x in elements]
+        assert len(set(elements)) == len(elements)
+
+
 BIPERMUTATIVE = {
     "z3": linear_ca(Z3, {0: 1, 1: 2}),
     "dual_f1": DUAL_F1,
