@@ -208,7 +208,8 @@ class CellularAutomaton:
     # -- normalization -----------------------------------------------------
 
     def smallest_neighborhood(self) -> "CellularAutomaton":
-        """Equivalent CA whose rule depends on both neighborhood endpoints.
+        """Equivalent CA whose rule depends on both neighborhood endpoints;
+        this automaton itself when nothing trims.
 
         A rule depending on no coordinate at all collapses to a single-point
         neighborhood; such automata are flagged trivial.  For affine rules
@@ -217,6 +218,9 @@ class CellularAutomaton:
         r, s = self.neighborhood
         if self.coeffs is not None:
             support = sorted(u for u, f in self.coeffs.items() if not f.is_zero)
+            # every coefficient nonzero, with the outermost at the ends
+            if support and (support[0], support[-1], len(support)) == (r, s, len(self.coeffs)):
+                return self
             if not support:
                 return CellularAutomaton(
                     self.alphabet, (0, 0),
@@ -228,7 +232,7 @@ class CellularAutomaton:
                 self.alphabet, (support[0], support[-1]), coeffs=coeffs,
                 constant=self.constant,
             )
-        table = dict(self.table)
+        table = self.table
         abc = letters(self.alphabet)
         while s - r >= 1:
             if _table_ignores(table, 0, abc):
@@ -239,6 +243,8 @@ class CellularAutomaton:
                 s -= 1
             else:
                 break
+        if (r, s) == self.neighborhood:
+            return self
         return CellularAutomaton(self.alphabet, (r, s), table=table)
 
     @property

@@ -566,12 +566,6 @@ class KernelRecurrence:
     def width(self) -> int:
         return len(self.matrix)
 
-    def step(self, state: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(
-            sum(m * x for m, x in zip(row, state)) % self.modulus
-            for row in self.matrix
-        )
-
     def matrix_order(self) -> int:
         """Multiplicative order of the companion matrix.
 
@@ -587,16 +581,6 @@ class KernelRecurrence:
         if _dense_pow((0, 1), order, m, f) != (1,):
             raise AssertionError("order reduction failed")
         return order
-
-    def orbit_period(self, state: tuple[int, ...]) -> int:
-        """Period of a state under the recurrence (orbits are purely periodic
-        because the matrix is invertible)."""
-        cur = self.step(state)
-        t = 1
-        while cur != state:
-            cur = self.step(cur)
-            t += 1
-        return t
 
 
 def recurrence_matrix(F: CellularAutomaton) -> KernelRecurrence:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from groupca import automata
 from groupca.automata import (
+    CellularAutomaton,
     NotAlgebraicError,
     as_laurent,
     compose,
@@ -86,6 +87,22 @@ def test_smallest_neighborhood_drops_dummy_offsets():
     assert G.is_trivial
     assert identity_ca(Z2).is_trivial
     assert not F_xor.is_trivial
+
+
+def test_smallest_neighborhood_of_a_smallest_rule_is_itself():
+    # nothing trims, so no automaton is rebuilt and re-validated
+    F = linear_ca(Z4, {-1: 1, 0: 2, 1: 3})
+    A = linear_ca(Z2, {0: 1, 1: 1}, constant=(1,))
+    T = table_from_rule(Z2, (0, 2), lambda win: (win[0][0] * win[2][0],))
+    for G in (F, A, T, identity_ca(Z2)):
+        assert G.smallest_neighborhood() is G
+    # a zero coefficient inside the support trims nothing
+    G = linear_ca(Z2, {0: 1, 1: 0, 2: 1})
+    assert G.smallest_neighborhood() is G
+    # a zero coefficient kept at an end is trimmed away
+    one, zero = Endomorphism.identity(Z2), Endomorphism.zero_map(Z2)
+    H = CellularAutomaton(Z2, (0, 2), coeffs={0: one, 1: one, 2: zero})
+    assert H.smallest_neighborhood() == linear_ca(Z2, {0: 1, 1: 1})
 
 
 def test_permutativity_examples():

@@ -576,6 +576,9 @@ def test_import_and_examples_leave_numpy_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+UNIFORM_Z2 = {"type": "bernoulli", "alphabet": {"moduli": [2]}}
+
+
 RULES = {"groups", "configs", "automata"}
 # the measure names the benchmark's inputs are built from, then exact
 # invariance and Cesaro on a kernel-Haar measure and a pushforward
@@ -594,26 +597,58 @@ MEASURES = (
 )
 
 
+def _cli(*argv: str) -> str:
+    """One CLI call through `main`, in a directory holding mu.json."""
+    return f"from groupca.cli import main\nassert main({list(argv)!r}) == 0\n"
+
+
+KERNEL = RULES | {"cli", "data", "shifts", "modular", "kernels"}
+MEASURE = RULES | {"cli", "shifts", "measures"}
+ANALYZE = KERNEL | {"measures"}
+
+
 @pytest.mark.parametrize("code, loaded", [
     ("import groupca", set()),
     ("from groupca import GroupSpec, linear_ca, table_ca", RULES),
     (MEASURES, RULES | {"shifts", "measures"}),
     ("from groupca import tower", RULES | {"shifts", "modular", "kernels"}),
-    ("import groupca.cli", {p.stem for p in Path(groupca.__file__).parent.glob("*.py")
-                            if p.stem != "__init__"}),
-], ids=["package", "rules", "measures", "tower", "cli"])
-def test_each_import_loads_only_the_modules_it_uses(code, loaded):
-    # a fresh interpreter compiling every module it loads, as the CLI runs
+    ("import groupca.cli", {"cli"}),
+    (_cli("examples"), {"cli", "data"}),
+    (_cli("dual", "--bundled-examples"), RULES | {"cli", "data", "class_a"}),
+    (_cli("modular", "--ca", "id_plus_sigma_z2"), RULES | {"cli", "data", "modular"}),
+    (_cli("kernel", "--ca", "id_plus_sigma_z2", "--sigma", "ledrappier_kernel_sigma"), KERNEL),
+    (_cli("measure", "cesaro", "--measure", "mu.json", "--ca", "id_plus_sigma_z2",
+          "--steps", "2"), MEASURE | {"data"}),
+    (_cli("measure", "counterexample", "--length", "3"), MEASURE),
+    (_cli("measure", "invariance", "--measure", "mu.json", "--ca", "id_plus_sigma_z2",
+          "--f-power", "1", "--mode", "mc", "--mc-samples", "100"),
+     MEASURE | {"data", "entropy"}),
+    (_cli("entropy", "--ca", "id_plus_sigma_z2", "--samples", "1000"),
+     MEASURE | {"data", "entropy"}),
+    # a mod-4 rule neither on the window [0,1] nor bipermutative
+    (_cli("analyze", "--ca", "id_sigma_2sigma2_z4"), ANALYZE),
+    # on the window [0,1] and bipermutative: class (A) analysis and entropy
+    (_cli("analyze", "--ca", "id_plus_sigma_z2"), ANALYZE | {"class_a", "entropy"}),
+    (_cli("hypotheses", "--ca", "id_plus_sigma_z2", "--measure", "mu.json"), ANALYZE),
+], ids=["package", "rules", "measures", "tower", "cli", "cli-examples", "cli-dual",
+        "cli-modular", "cli-kernel", "cli-cesaro", "cli-counterexample", "cli-mc-invariance",
+        "cli-entropy", "cli-analyze", "cli-analyze-class-a", "cli-hypotheses"])
+def test_each_import_loads_only_the_modules_it_uses(code, loaded, tmp_path):
+    # a fresh interpreter compiling every module it executes, as the CLI
+    # runs; `cli` lists modules it has not executed yet, so those are left out
+    (tmp_path / "mu.json").write_text(json.dumps(UNIFORM_Z2))
     script = code + (
-        "\nimport sys\n"
-        "print(*sorted(m.split('.')[1] for m in sys.modules if m.startswith('groupca.')))\n"
+        "\nimport importlib.util, sys\n"
+        "lazy = importlib.util._LazyModule\n"
+        "print(*sorted(n.split('.')[1] for n, m in sys.modules.items()\n"
+        "              if n.startswith('groupca.') and type(m) is not lazy))\n"
     )
     src = str(Path(groupca.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert set(proc.stdout.split()) == loaded
+    assert set(proc.stdout.splitlines()[-1].split()) == loaded
 
 
 def test_dual_depth_zero_is_usage_error(capsys):
@@ -635,9 +670,6 @@ def test_analyze_conjugacy_width_one_is_usage_error(capsys):
     captured = capsys.readouterr()
     assert "depth >= 1 and width >= 2, got depth 2 and width 1" in captured.err
     assert "conjugacy verified" not in captured.out
-
-
-UNIFORM_Z2 = {"type": "bernoulli", "alphabet": {"moduli": [2]}}
 
 
 def _prob_output(tmp_path, capsys, measure, word="[[0],[1],[1]]"):

@@ -400,12 +400,26 @@ def test_matrix_order_bounds_element_periods():
             assert order % x.period == 0
 
 
+def _step(rec, state):
+    """One step of the recurrence on a state vector."""
+    return tuple(sum(m * x for m, x in zip(row, state)) % rec.modulus for row in rec.matrix)
+
+
+def _orbit_period(rec, state):
+    """Period of a state under the recurrence (orbits are purely periodic
+    because the matrix is invertible)."""
+    cur, t = _step(rec, state), 1
+    while cur != state:
+        cur, t = _step(rec, cur), t + 1
+    return t
+
+
 def test_recurrence_orbit_period_agrees_with_configs():
     F = linear_ca(Z3, {0: 1, 1: 1})
     rec = recurrence_matrix(F)
     for x in kernel_elements(F, 1):
         state = tuple(a[0] for a in x.window(0, rec.width))[::-1]
-        assert rec.orbit_period(state) == x.period
+        assert _orbit_period(rec, state) == x.period
 
 
 # -- the order of x modulo P against matrix powers of the companion matrix -------
