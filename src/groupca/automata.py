@@ -74,8 +74,8 @@ def _product_terms(group: GroupSpec, f_terms: Mapping[int, tuple],
     for matrix terms f and g (`matrix_terms`).
 
     Matrix entry (j, i) of each side is an integer polynomial in the shift;
-    the product's entry sums their products over k with plain integers, and
-    each surviving offset is reduced once, row j modulo d_j."""
+    the product's entry sums their products (`_poly_mul`) over k, and each
+    surviving offset is reduced once more, row j modulo d_j."""
     rank = group.rank
 
     def entries(terms: Mapping[int, tuple]) -> list[list[dict[int, int]]]:
@@ -86,9 +86,8 @@ def _product_terms(group: GroupSpec, f_terms: Mapping[int, tuple],
     prod = [[defaultdict(int) for _ in range(rank)] for _ in range(rank)]
     for j, i, k in itertools.product(range(rank), repeat=3):
         acc = prod[j][i]
-        for u, a in P[j][k].items():
-            for v, b in Q[k][i].items():
-                acc[u + v] += a * b
+        for w, c in _poly_mul(P[j][k], Q[k][i], group.moduli[j]).items():
+            acc[w] += c
     offsets = sorted(set().union(*(e for row in prod for e in row)))
     # per offset, the tuple of reduced rows: entries by offset, zipped twice
     matrices = zip(*(zip(*([e.get(w, 0) % d for w in offsets] for e in row))
@@ -376,12 +375,18 @@ def identity_ca(alphabet: GroupSpec) -> CellularAutomaton:
 
 def compose(F: CellularAutomaton, G: CellularAutomaton,
             cap: int = DEFAULT_TABLE_CAP) -> CellularAutomaton:
-    """The CA x -> F(G(x)); linear rules compose through their polynomials."""
+    """The CA x -> F(G(x)); linear rules compose through their polynomials.
+
+    `cap` bounds the work: the composite table's entries, or for two rules
+    with coefficients the product of their term counts."""
     if F.alphabet != G.alphabet:
         raise ValueError("alphabet mismatch")
     rF, sF = F.neighborhood
     rG, sG = G.neighborhood
     if F.coeffs is not None and G.coeffs is not None:
+        if len(F.coeffs) * len(G.coeffs) > cap:
+            raise CapExceeded(f"composing rules of {len(F.coeffs)} and {len(G.coeffs)} "
+                              f"terms exceeds cap {cap} on their product")
         A = F.alphabet
         # F applied to the constant configuration G.constant, plus F.constant
         const = A.zero
@@ -407,14 +412,23 @@ def compose(F: CellularAutomaton, G: CellularAutomaton,
 
 
 def power(F: CellularAutomaton, n: int, cap: int = DEFAULT_TABLE_CAP) -> CellularAutomaton:
-    """The n-th iterate of F (n >= 0), composed one step at a time."""
+    """The n-th iterate of F (n >= 0).  A rule with coefficients is squared
+    through `compose`, reading n's bits from the top; a table rule is
+    composed one step at a time, since squaring a table costs more than
+    widening it by F."""
     if n < 0:
         raise ValueError("negative CA power")
     if n == 0:
         return identity_ca(F.alphabet)
     result = F
-    for _ in range(n - 1):
-        result = compose(F, result, cap)
+    if F.coeffs is None:
+        for _ in range(n - 1):
+            result = compose(F, result, cap)
+        return result
+    for bit in bin(n)[3:]:
+        result = compose(result, result, cap)
+        if bit == "1":
+            result = compose(F, result, cap)
     return result
 
 
@@ -472,6 +486,53 @@ def as_laurent(F: CellularAutomaton) -> CellularAutomaton:
         if linear.local(window) != value:
             raise NotAlgebraicError(f"table rule is not additive at window {window}")
     return linear
+
+
+# -- Laurent polynomials over Z/m, as dicts {offset: coefficient} ---------------
+
+
+def _poly_mul(a: Mapping[int, int], b: Mapping[int, int], m: int) -> dict[int, int]:
+    """The product of two polynomials over Z/m: nonzero residues by offset."""
+    acc: defaultdict = defaultdict(int)
+    for u, c in a.items():
+        for v, d in b.items():
+            acc[u + v] += c * d
+    return {w: r for w, c in acc.items() if (r := c % m)}
+
+
+def _poly_divmod(num: Mapping[int, int], den: Mapping[int, int],
+                 m: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Quotient and remainder over Z/m, for a divisor whose leading (highest
+    offset) coefficient is a unit mod m: the remainder's offsets lie below
+    the divisor's top offset."""
+    top = max(den)
+    inv_lead = pow(den[top], -1, m)
+    rem = dict(num)
+    quot = {}
+    for i in range(max(rem, default=top), top - 1, -1):
+        q = rem.get(i, 0) * inv_lead % m
+        if q:
+            shift = i - top
+            quot[shift] = q
+            for v, d in den.items():
+                rem[shift + v] = rem.get(shift + v, 0) - q * d
+    return quot, {u: r for u, c in rem.items() if (r := c % m)}
+
+
+def _poly_pow(f: Mapping[int, int], e: int, m: int,
+              mod: Mapping[int, int] | None = None) -> dict[int, int]:
+    """f^e over Z/m by squaring, reading e's bits from the top so that every
+    product but a square is by f itself; reduced modulo `mod` (whose leading
+    coefficient is a unit) when it is given."""
+    def reduce(g: dict[int, int]) -> dict[int, int]:
+        return g if mod is None else _poly_divmod(g, mod, m)[1]
+
+    acc = reduce({0: 1})
+    for bit in bin(e)[2:]:
+        acc = reduce(_poly_mul(acc, acc, m))
+        if bit == "1":
+            acc = reduce(_poly_mul(acc, f, m))
+    return acc
 
 
 # -- surjectivity -------------------------------------------------------------

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .automata import CellularAutomaton, as_laurent, compose, letters
+from .automata import CellularAutomaton, _poly_pow, as_laurent, compose, letters
 from .automata import NotAlgebraicError  # noqa: F401  (importable from here too)
 from .configs import PeriodicConfig, Word
 from .groups import (
@@ -41,7 +41,7 @@ from .groups import (
     closure_set,
     enumerate_subgroups,
 )
-from .modular import MAX_FACTOR_DEGREE, _dense_pow, _scalar_coeffs, _x_order, factor_mod_p
+from .modular import MAX_FACTOR_DEGREE, _scalar_coeffs, _x_order, factor_mod_p
 from .shifts import (  # noqa: F401  (the subgroup shifts are importable from here too)
     FullShift,
     LinearKernelShift,
@@ -163,7 +163,7 @@ class _KernelModule:
     def order(self) -> int:
         """The x-order of P's squarefree part: the lcm of the orders of x
         modulo each f_i (Lidl & Niederreiter, Finite Fields, Thm 3.8-3.9)."""
-        return math.lcm(*(_x_order(f, self.p, self.p ** (len(f) - 1) - 1)
+        return math.lcm(*(_x_order(dict(enumerate(f)), self.p, self.p ** (len(f) - 1) - 1)
                           for f, _ in self.factors))
 
     def size(self, n: int) -> int:
@@ -576,9 +576,9 @@ class KernelRecurrence:
         they come from the factors p^i - 1 of that product, one at a time.
         """
         m, k = self.modulus, self.width
-        f = tuple(-c % m for c in reversed(self.matrix[0])) + (1,)
+        f = {i: -c % m for i, c in enumerate(reversed(self.matrix[0]))} | {k: 1}
         order = _x_order(f, m, _gl_order(m, k), _gl_primes(m, k))
-        if _dense_pow((0, 1), order, m, f) != (1,):
+        if _poly_pow({1: 1}, order, m, f) != {0: 1}:
             raise AssertionError("order reduction failed")
         return order
 

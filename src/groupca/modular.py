@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from .automata import CellularAutomaton, as_laurent, linear_ca, power
+from .automata import (CellularAutomaton, _poly_divmod, _poly_mul, _poly_pow, as_laurent,
+                       linear_ca, power)
 from .groups import CapExceeded, GroupSpec, _gl_order, _is_prime, _prime_factors
 
 MAX_FACTOR_DEGREE = 8
@@ -91,16 +92,13 @@ def bipermutative_power(F: CellularAutomaton) -> CellularAutomaton:
 def frobenius_congruence_check(
     P1: CellularAutomaton | dict, P2: CellularAutomaton | dict, p: int, j: int
 ) -> bool:
-    """Verify (P1 + p*P2)^(p^j) = P1^(p^j) mod p^(j+1) by exact expansion.
-    Both sides are first multiplied by x^(-v), v their lowest offset, which
-    multiplies both powers by x^(-v p^j)."""
+    """Verify (P1 + p*P2)^(p^j) = P1^(p^j) mod p^(j+1) by exact expansion."""
     if j < 0:
         raise ValueError("power index must be >= 0")
     m, e = p ** (j + 1), p**j
     a, b = _scalar_coeffs(P1), _scalar_coeffs(P2)
-    low = min([*a, *b], default=0)
     whole = {u: a.get(u, 0) + p * b.get(u, 0) for u in {*a, *b}}
-    return _dense_pow(_dense(whole, low, m), e, m) == _dense_pow(_dense(a, low, m), e, m)
+    return _poly_pow(whole, e, m) == _poly_pow(a, e, m)
 
 
 def divisor_bound(p: int, r: int) -> int:
@@ -113,69 +111,10 @@ def divisor_bound(p: int, r: int) -> int:
     return _gl_order(p, r)
 
 
-# -- dense polynomials over Z/m, factorization over prime fields ----------------
+# -- the order of x, factorization over prime fields ----------------------------
 
 
-def _dense_trim(c: list[int]) -> tuple[int, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _dense(coeffs: dict[int, int], low: int, m: int) -> tuple[int, ...]:
-    """sum_u c_u x^(u - low) over Z/m, lowest power first."""
-    out = [0] * (max(coeffs, default=low) - low + 1)
-    for u, c in coeffs.items():
-        out[u - low] = c % m
-    return _dense_trim(out)
-
-
-def _dense_mul(a: tuple[int, ...], b: tuple[int, ...], m: int) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        for j, d in enumerate(b):
-            out[i + j] = (out[i + j] + c * d) % m
-    return _dense_trim(out)
-
-
-def _dense_divmod(
-    num: tuple[int, ...], den: tuple[int, ...], m: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Quotient and remainder over Z/m, for a divisor whose leading
-    coefficient is a unit mod m."""
-    num_l = list(num)
-    deg_d = len(den) - 1
-    inv_lead = pow(den[-1], -1, m)
-    quot = [0] * max(0, len(num) - deg_d)
-    for i in range(len(num) - 1, deg_d - 1, -1):
-        c = num_l[i]
-        if c == 0:
-            continue
-        q = (c * inv_lead) % m
-        quot[i - deg_d] = q
-        for j, d in enumerate(den):
-            num_l[i - deg_d + j] = (num_l[i - deg_d + j] - q * d) % m
-    return _dense_trim(quot), _dense_trim(num_l)
-
-
-def _dense_pow(
-    f: tuple[int, ...], e: int, m: int, mod: tuple[int, ...] | None = None
-) -> tuple[int, ...]:
-    """f^e over Z/m by repeated squaring, reduced modulo `mod` (whose
-    leading coefficient is a unit) when it is given."""
-    def reduce(g: tuple[int, ...]) -> tuple[int, ...]:
-        return g if mod is None else _dense_divmod(g, mod, m)[1]
-
-    acc, base = reduce((1,)), reduce(f)
-    while e:
-        if e & 1:
-            acc = reduce(_dense_mul(acc, base, m))
-        base = reduce(_dense_mul(base, base, m))
-        e >>= 1
-    return acc
-
-
-def _x_order(f: tuple[int, ...], m: int, bound: int,
+def _x_order(f: dict[int, int], m: int, bound: int,
              primes: list[int] | None = None) -> int:
     """Multiplicative order of x modulo a monic f over Z/m with f(0) a unit,
     found from `bound`, a multiple of it: for instance |GL_deg(f)(Z/m)|, as
@@ -188,9 +127,9 @@ def _x_order(f: tuple[int, ...], m: int, bound: int,
         v = 0  # strip ell from the multiple, then restore the powers x needs
         while order % ell == 0:
             order, v = order // ell, v + 1
-        y = _dense_pow((0, 1), order, m, f)
-        while y != (1,) and v:
-            y, order, v = _dense_pow(y, ell, m, f), order * ell, v - 1
+        y = _poly_pow({1: 1}, order, m, f)
+        while y != {0: 1} and v:
+            y, order, v = _poly_pow(y, ell, m, f), order * ell, v - 1
     return order
 
 
@@ -199,7 +138,8 @@ class Factorization:
     """Factorization of a Laurent polynomial over a prime field.
 
     The original polynomial equals unit * X^shift_power * prod(f^m) for the
-    monic irreducible factors f with multiplicities m.
+    monic irreducible factors f, as coefficient tuples lowest power first,
+    with multiplicities m.
     """
 
     p: int
@@ -212,17 +152,15 @@ class Factorization:
         return len(self.factors) == 1 and self.factors[0][1] == 1
 
     def reassemble(self) -> dict[int, int]:
-        acc = (self.unit,)
+        acc = {self.shift_power: self.unit}
         for f, m in self.factors:
-            acc = _dense_mul(acc, _dense_pow(f, m, self.p), self.p)
-        return {i + self.shift_power: c for i, c in enumerate(acc) if c}
+            acc = _poly_mul(acc, _poly_pow(dict(enumerate(f)), m, self.p), self.p)
+        return acc
 
     def factor_automata(self, alphabet: GroupSpec) -> list[tuple[CellularAutomaton, int]]:
         """One CA per irreducible factor raised to its multiplicity."""
-        return [
-            (linear_ca(alphabet, dict(enumerate(_dense_pow(f, m, self.p)))), m)
-            for f, m in self.factors
-        ]
+        return [(linear_ca(alphabet, _poly_pow(dict(enumerate(f)), m, self.p)), m)
+                for f, m in self.factors]
 
 
 def factor_mod_p(poly: CellularAutomaton | dict, p: int | None = None) -> Factorization:
@@ -241,32 +179,32 @@ def factor_mod_p(poly: CellularAutomaton | dict, p: int | None = None) -> Factor
     coeffs = {u: c % p for u, c in coeffs.items() if c % p}
     if not coeffs:
         raise ValueError("zero polynomial")
-    shift = min(coeffs)
-    deg = max(coeffs) - shift
-    if deg > MAX_FACTOR_DEGREE:
-        raise ValueError(f"degree {deg} exceeds the factorization cap {MAX_FACTOR_DEGREE}")
-    rem = _dense(coeffs, shift, p)
-    unit = rem[-1]
+    shift, top = min(coeffs), max(coeffs)
+    if top - shift > MAX_FACTOR_DEGREE:
+        raise ValueError(f"degree {top - shift} exceeds the factorization cap {MAX_FACTOR_DEGREE}")
+    unit = coeffs[top]
     inv = pow(unit, -1, p)
-    rem = tuple((c * inv) % p for c in rem)
+    rem = {u - shift: c * inv % p for u, c in coeffs.items()}
     factors: list[tuple[tuple[int, ...], int]] = []
     d = 1
-    while len(rem) - 1 > 0:
-        if 2 * d > len(rem) - 1:
-            factors.append((rem, 1))
+    while max(rem) > 0:
+        if 2 * d > max(rem):
+            factors.append((tuple(rem.get(i, 0) for i in range(max(rem) + 1)), 1))
             break
-        for low in itertools.product(range(p), repeat=d):
+        # rem(0) != 0, so a candidate with a zero constant term cannot divide
+        for low in itertools.product(range(1, p), *[range(p)] * (d - 1)):
             cand = low + (1,)
+            den = dict(enumerate(cand))
             mult = 0
-            while len(rem) - 1 >= d:
-                quot, r = _dense_divmod(rem, cand, p)
+            while max(rem) >= d:
+                quot, r = _poly_divmod(rem, den, p)
                 if r:
                     break
                 rem = quot
                 mult += 1
             if mult:
                 factors.append((cand, mult))
-            if len(rem) - 1 < 2 * d:
+            if max(rem) < 2 * d:
                 break
         d += 1
     return Factorization(p, shift, unit, tuple(factors))

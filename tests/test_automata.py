@@ -159,14 +159,31 @@ def test_power_matches_iterated_application(F):
     rng = random.Random(5)
     abc = letters(F.alphabet)
     assert power(F, 0) == identity_ca(F.alphabet)
-    for n in range(1, 8):
+    stepped = F  # F^n composed one step at a time, the oracle for squaring
+    # a table power of width 8 already has 2^8 windows; linear rules go on
+    for n in range(1, 41 if F.coeffs is not None else 8):
         Fn = power(F, n)
+        assert Fn == stepped
+        stepped = compose(F, stepped)
+        if n >= 8:
+            continue
         for _ in range(5):
             word = tuple(rng.choice(abc) for _ in range(Fn.width + 2))
             image = word
             for _ in range(n):
                 image = F.apply_window(image)
             assert Fn.apply_window(word) == image
+
+
+def test_linear_compose_cap_names_both_term_counts():
+    F = linear_ca(Z3, {0: 1, 1: 1})
+    F8 = power(F, 8)  # (1 + x)^8 = (1 + x^3)^2 (1 + x)^2 over Z/3: 9 terms
+    assert len(F8.coeffs) == 9
+    assert compose(F8, F8, cap=81) == power(F, 16)
+    with pytest.raises(CapExceeded, match="rules of 9 and 9 terms exceeds cap 80"):
+        compose(F8, F8, cap=80)
+    with pytest.raises(CapExceeded, match="exceeds cap 80"):
+        power(F, 16, cap=80)
 
 
 def test_power_cap_refuses_powers_wider_than_the_cap():

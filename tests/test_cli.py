@@ -392,6 +392,27 @@ def test_pushforward_over_cap_is_usage_error(tmp_path, capsys):
     assert "over cap 65536" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("f_power, code", [(10**6, 0), (10**9, 2)])
+def test_large_linear_pushforward_power_answers_or_names_the_cap(tmp_path, f_power, code):
+    # x_0 + x_1 over Z/2 to the power 10^6 has 2^7 terms, one per set bit of
+    # the power; squaring toward 10^9 meets a product of 2^11 by 2^11 terms
+    mu_file = tmp_path / "push.json"
+    mu_file.write_text(json.dumps({
+        "type": "pushforward", "base": {"type": "bernoulli", "alphabet": {"moduli": [2]}},
+        "ca": "id_plus_sigma_z2", "f_power": f_power}))
+    argv = ["measure", "prob", "--measure", str(mu_file), "--word", "[[0],[1]]"]
+    src = str(Path(groupca.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "groupca.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=30)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stdout.split() == ["P([[[0],[1]]]_0)", "=", "1/4"]
+    else:
+        assert proc.stdout == ""
+        assert "terms exceeds cap 1048576" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_surjectivity_over_cap_is_usage_error(tmp_path, capsys):
     # 1 + x^30 over Z/2 is a valid rule whose overlap graph has 2^30 states
     ca_file = tmp_path / "one_plus_x30.json"

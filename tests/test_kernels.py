@@ -1127,15 +1127,14 @@ def test_matrix_order_past_width_37_returns():
     # |GL_37(F_2)| has the factor 2^37 - 1 = 223 * 616318177; trial division
     # of the whole product would run to 616318177, so run it with a timeout
     script = (
-        "from groupca.automata import linear_ca\n"
+        "from groupca.automata import _poly_pow, linear_ca\n"
         "from groupca.groups import GroupSpec, _prime_factors\n"
         "from groupca.kernels import recurrence_matrix\n"
-        "from groupca.modular import _dense_pow\n"
         "rec = recurrence_matrix(linear_ca(GroupSpec((2,)), {0: 1, 1: 1, 37: 1}))\n"
         "order = rec.matrix_order()\n"
-        "f = tuple(-c % 2 for c in reversed(rec.matrix[0])) + (1,)\n"
-        "assert _dense_pow((0, 1), order, 2, f) == (1,)\n"
-        "assert all(_dense_pow((0, 1), order // ell, 2, f) != (1,)\n"
+        "f = dict(enumerate(-c % 2 for c in reversed(rec.matrix[0]))) | {37: 1}\n"
+        "assert _poly_pow({1: 1}, order, 2, f) == {0: 1}\n"
+        "assert all(_poly_pow({1: 1}, order // ell, 2, f) != {0: 1}\n"
         "           for ell in _prime_factors(order))\n"
         "print(order)\n"
     )

@@ -4,8 +4,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from groupca.automata import NotAlgebraicError, as_laurent, linear_ca, table_from_rule
+from groupca.automata import (NotAlgebraicError, _poly_divmod, _poly_mul, _poly_pow, as_laurent,
+                              linear_ca, table_from_rule)
 from groupca.groups import GroupSpec
 from groupca.kernels import kernel_elements, recurrence_matrix
 from groupca.modular import (
@@ -35,6 +38,99 @@ def expand_poly_mod(coeffs, e, mod):
                 out[u + v] = (out.get(u + v, 0) + c * d) % mod
         acc = {u: c for u, c in out.items() if c}
     return acc
+
+
+# -- dense polynomials over Z/m, lowest power first: the oracle for the
+# {offset: coefficient} arithmetic in `automata`
+
+
+def _dense_trim(c: list[int]) -> tuple[int, ...]:
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _dense(coeffs: dict[int, int], low: int, m: int) -> tuple[int, ...]:
+    """sum_u c_u x^(u - low) over Z/m, lowest power first."""
+    out = [0] * (max(coeffs, default=low) - low + 1)
+    for u, c in coeffs.items():
+        out[u - low] = c % m
+    return _dense_trim(out)
+
+
+def _dense_mul(a: tuple[int, ...], b: tuple[int, ...], m: int) -> tuple[int, ...]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] = (out[i + j] + c * d) % m
+    return _dense_trim(out)
+
+
+def _dense_divmod(
+    num: tuple[int, ...], den: tuple[int, ...], m: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Quotient and remainder over Z/m, for a divisor whose leading
+    coefficient is a unit mod m."""
+    num_l = list(num)
+    deg_d = len(den) - 1
+    inv_lead = pow(den[-1], -1, m)
+    quot = [0] * max(0, len(num) - deg_d)
+    for i in range(len(num) - 1, deg_d - 1, -1):
+        c = num_l[i]
+        if c == 0:
+            continue
+        q = (c * inv_lead) % m
+        quot[i - deg_d] = q
+        for j, d in enumerate(den):
+            num_l[i - deg_d + j] = (num_l[i - deg_d + j] - q * d) % m
+    return _dense_trim(quot), _dense_trim(num_l)
+
+
+def _dense_pow(
+    f: tuple[int, ...], e: int, m: int, mod: tuple[int, ...] | None = None
+) -> tuple[int, ...]:
+    """f^e over Z/m by repeated squaring, reduced modulo `mod` (whose
+    leading coefficient is a unit) when it is given."""
+    def reduce(g: tuple[int, ...]) -> tuple[int, ...]:
+        return g if mod is None else _dense_divmod(g, mod, m)[1]
+
+    acc, base = reduce((1,)), reduce(f)
+    while e:
+        if e & 1:
+            acc = reduce(_dense_mul(acc, base, m))
+        base = reduce(_dense_mul(base, base, m))
+        e >>= 1
+    return acc
+
+
+@st.composite
+def _polys_over(draw, m):
+    """A polynomial over Z/m as a dense tuple and as a sparse dict."""
+    dense = _dense_trim(draw(st.lists(st.integers(0, m - 1), max_size=7)))
+    return dense, {u: c for u, c in enumerate(dense) if c}
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_polynomial_arithmetic_matches_the_dense_oracle(data):
+    m = data.draw(st.integers(2, 12))
+    (a, a_sparse), (b, b_sparse) = data.draw(_polys_over(m)), data.draw(_polys_over(m))
+    # a divisor of degree >= 1 whose leading coefficient is a unit mod m
+    low = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=5))
+    lead = data.draw(st.sampled_from([c for c in range(1, m) if math.gcd(c, m) == 1]))
+    f = tuple(low) + (lead,)
+    f_sparse = dict(enumerate(f))
+    e = data.draw(st.integers(0, 300))
+
+    def dense(poly: dict) -> tuple[int, ...]:
+        return _dense(poly, 0, m)
+
+    assert dense(_poly_mul(a_sparse, b_sparse, m)) == _dense_mul(a, b, m)
+    quot, rem = _poly_divmod(a_sparse, f_sparse, m)
+    assert (dense(quot), dense(rem)) == _dense_divmod(a, f, m)
+    assert all(c for c in (*quot.values(), *rem.values()))
+    assert dense(_poly_pow(a_sparse, e % 20, m)) == _dense_pow(a, e % 20, m)
+    assert dense(_poly_pow(a_sparse, e, m, f_sparse)) == _dense_pow(a, e, m, f)
 
 
 def test_permutative_support_examples():
