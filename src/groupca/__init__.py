@@ -8,7 +8,7 @@ dual rules, and rational-arithmetic measure diagnostics.
 `import groupca` loads no submodule.  Each public name is imported from its
 home module on first use and then bound here (PEP 562), so a caller pays
 only for the modules it uses: `linear_ca` loads `groups`, `configs` and
-`automata`, and the measures add `shifts` and `measures`.
+`automata`, and the measures add `shifts`, `hypotheses` and `measures`.
 """
 
 import importlib
@@ -31,15 +31,15 @@ _HOME = {
         ("modular", "Factorization PermutativeSupport bipermutative_power divisor_bound "
                     "factor_mod_p frobenius_congruence_check kernel_direct_sum_check "
                     "permutative_support"),
+        ("hypotheses", "HypothesisReport check_hypotheses formula_entropy "
+                       "topological_entropy"),
         ("entropy", "EntropyReport block_entropy_estimate bounds_check "
-                    "column_factor_samples entropy_report formula_entropy "
-                    "topological_entropy"),
+                    "column_factor_samples entropy_report"),
         ("class_a", "ClassAAnalysis DualCA analyze_radius1 check_linear_classA dual_ca "
                     "invert_radius1 verify_conjugacy"),
-        ("measures", "Bernoulli HaarMeasure HypothesisReport MixtureMeasure "
-                     "PeriodicOrbitMeasure PushforwardMeasure cesaro_sequence "
-                     "character_integral check_hypotheses counterexample_suite haar_test "
-                     "invariance_check"),
+        ("measures", "Bernoulli HaarMeasure MixtureMeasure PeriodicOrbitMeasure "
+                     "PushforwardMeasure cesaro_sequence character_integral "
+                     "counterexample_suite haar_test invariance_check"),
     )
     for name in names.split()
 }

@@ -415,7 +415,8 @@ def power(F: CellularAutomaton, n: int, cap: int = DEFAULT_TABLE_CAP) -> Cellula
     """The n-th iterate of F (n >= 0).  A rule with coefficients is squared
     through `compose`, reading n's bits from the top; a table rule is
     composed one step at a time, since squaring a table costs more than
-    widening it by F."""
+    widening it by F.  `cap` bounds each table, and for coefficients the
+    products of term counts summed over the whole chain."""
     if n < 0:
         raise ValueError("negative CA power")
     if n == 0:
@@ -425,10 +426,14 @@ def power(F: CellularAutomaton, n: int, cap: int = DEFAULT_TABLE_CAP) -> Cellula
         for _ in range(n - 1):
             result = compose(F, result, cap)
         return result
+    spent = 0
     for bit in bin(n)[3:]:
-        result = compose(result, result, cap)
-        if bit == "1":
-            result = compose(F, result, cap)
+        for G in (result, F) if bit == "1" else (result,):
+            spent += len(G.coeffs) * len(result.coeffs)
+            if spent > cap:
+                raise CapExceeded(f"power {n} by squaring: a running total of {spent} "
+                                  f"products of terms exceeds cap {cap}")
+            result = compose(G, result, cap)
     return result
 
 

@@ -46,6 +46,7 @@ class_a = _lazy("class_a")
 configs = _lazy("configs")
 entropy = _lazy("entropy")
 groups = _lazy("groups")
+hypotheses = _lazy("hypotheses")
 kernels = _lazy("kernels")
 measures = _lazy("measures")
 modular = _lazy("modular")
@@ -453,13 +454,13 @@ def cmd_analyze(args) -> int:
     if small.coeffs is not None:
         report["polynomial"] = _polynomial_json(small)
     if perm.bipermutative and not report["trivial"]:
-        h_top = entropy.topological_entropy(small)
+        h_top = hypotheses.topological_entropy(small)
         report["entropy"] = {
             "topological_nats": h_top,
-            "formula_case": entropy.formula_case(small),
+            "formula_case": hypotheses.formula_case(small),
             "formula_at_uniform": h_top,
         }
-        print(f"topological entropy: {h_top:.6f} nats ({entropy.formula_case(small)} case)")
+        print(f"topological entropy: {h_top:.6f} nats ({hypotheses.formula_case(small)} case)")
     tw = None
     try:
         tw = kernels.tower(F, args.levels, cap=args.cap)
@@ -475,7 +476,7 @@ def cmd_analyze(args) -> int:
             groups.CapExceeded) as exc:
         report["kernel_tower"] = {"error": str(exc)}
         print(f"kernel tower unavailable: {exc}")
-    hyp = measures.check_hypotheses(tw if tw is not None else F, m_max=args.m_max)
+    hyp = hypotheses.check_hypotheses(tw if tw is not None else F, m_max=args.m_max)
     if tw is not None:
         report.update(_criteria_section(hyp))
         c4, ck = hyp.condition4, hyp.corollary_ker
@@ -770,7 +771,7 @@ def cmd_hypotheses(args) -> int:
     F = _load_ca_arg(args.ca)
     sigma = _load_sigma_arg(args.sigma) if args.sigma else None
     mu = load_measure(_read_json(args.measure)) if args.measure else "abstract"
-    rep = measures.check_hypotheses(F, sigma, mu, m_max=args.m_max, seed=args.seed)
+    rep = hypotheses.check_hypotheses(F, sigma, mu, m_max=args.m_max, seed=args.seed)
     print(f"automaton: {rep.automaton}")
     print(f"nontrivial: {rep.nontrivial}, bipermutative: {rep.bipermutative}")
     print(f"k = {rep.k}, p1 = {rep.p1}, k*p1 = {rep.k_p1}")

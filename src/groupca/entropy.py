@@ -1,17 +1,17 @@
-"""Entropy formulas for permutative automata and empirical block estimators.
+"""Entropy estimators for permutative automata, checked against closed forms.
 
 Measure entropy of the automaton is estimated through the column process:
 successive images of a sampled window are read off at a fixed block of
 positions, turning automaton entropy into shift entropy of the column
-sequence.  Exact closed forms cover the bipermutative case.  One column
-process serves every rule, alphabet and measure: numpy rows of letter
-indices (`letters` order, smallest unsigned dtype) that the rule moves all
-at once, with blocks counted by their distinct codes, so memory follows the
-sample count.  Every row comes from one stream, np.random.default_rng(seed),
-drawn from the measure's independent pieces (`measures._independent_pieces`),
-a mixture's component per row and a pushforward's base moved by its rule;
-no word is drawn one at a time.  numpy is imported only when a sample is
-drawn.
+sequence.  The closed forms for the bipermutative case live in `hypotheses`
+and are imported back here.  One column process serves every rule, alphabet
+and measure: numpy rows of letter indices (`letters` order, smallest
+unsigned dtype) that the rule moves all at once, with blocks counted by
+their distinct codes, so memory follows the sample count.  Every row comes
+from one stream, np.random.default_rng(seed), drawn from the measure's
+independent pieces (`measures._independent_pieces`), a mixture's component
+per row and a pushforward's base moved by its rule; no word is drawn one at
+a time.  numpy is imported only when a sample is drawn.
 """
 
 from __future__ import annotations
@@ -24,45 +24,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .automata import CellularAutomaton, letter_arithmetic, letters, matrix_terms
+from .hypotheses import (  # noqa: F401  (importable here too)
+    conjugacy_width, formula_case, formula_entropy, topological_entropy)
 from .measures import MixtureMeasure, PushforwardMeasure, _independent_pieces, _same_alphabet
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-def _require_bipermutative(F: CellularAutomaton) -> CellularAutomaton:
-    small = F.smallest_neighborhood()
-    if not small.permutativity().bipermutative:
-        raise ValueError("entropy formula needs a bipermutative rule")
-    return small
-
-
-def formula_case(F: CellularAutomaton) -> str:
-    r, s = F.smallest_neighborhood().neighborhood
-    if r >= 0:
-        return "right"
-    if s <= 0:
-        return "left"
-    return "straddling"
-
-
-def formula_entropy(F: CellularAutomaton, h_sigma: float) -> float:
-    """Closed-form automaton entropy from shift entropy, by neighborhood sign."""
-    small = _require_bipermutative(F)
-    r, s = small.neighborhood
-    return {"right": s, "left": -r, "straddling": s - r}[formula_case(small)] * h_sigma
-
-
-def conjugacy_width(F: CellularAutomaton) -> int:
-    """Width of the column alphabet conjugating the automaton to a full shift."""
-    r, s = F.smallest_neighborhood().neighborhood
-    return max(s, 0) - min(r, 0)
-
-
-def topological_entropy(F: CellularAutomaton) -> float:
-    """Topological entropy of a bipermutative automaton, in nats."""
-    small = _require_bipermutative(F)
-    return conjugacy_width(small) * math.log(small.alphabet.order)
 
 
 def _entropy_from_counts(counts: Iterable[int]) -> float:

@@ -8,10 +8,10 @@ computations, with floating point confined to final complex character
 values.  Sampled invariance and entropy draw numpy rows from one sampler,
 `entropy._draw_rows`, which reads each variant's independent pieces.
 
-The module needs `shifts` for the subgroup shifts Haar measure lives on.
-`entropy` imports this module, and `kernels` serves only the density
-criteria of `check_hypotheses`, so both are imported inside the functions
-that use them: building and checking a measure loads neither.
+The module needs `shifts` for the subgroup shifts Haar measure lives on;
+`entropy` imports this module, so it is imported inside the functions that
+use it.  `check_hypotheses` and `HypothesisReport` live in `hypotheses` and
+are imported back here.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import getitem
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .automata import (
     CellularAutomaton,
@@ -37,10 +37,8 @@ from .automata import (
 )
 from .configs import Cylinder, PeriodicConfig, Word
 from .groups import CapExceeded, Character, Element, Endomorphism, GroupSpec, Subgroup
+from .hypotheses import HypothesisReport, check_hypotheses  # noqa: F401  (importable here too)
 from .shifts import FullShift, ProductSubgroup, SubgroupShiftSpec, subgroup_shift_on
-
-if TYPE_CHECKING:
-    from .kernels import Condition4Result, CorollaryKerResult, KernelTower
 
 DEFAULT_EXPANSION_CAP = 1 << 16
 DEFAULT_WINDOW_CAP = 10  # maximal exactly-enumerated window length
@@ -924,7 +922,7 @@ def counterexample_suite() -> CounterexampleSuite:
     return CounterexampleSuite(F, x1, x2, x3, x4, nu, mu)
 
 
-# -- hypothesis reports -------------------------------------------------------------
+# -- shift entropy ---------------------------------------------------------------
 
 
 def sigma_entropy_exact(mu: MeasureSpec) -> float | None:
@@ -955,116 +953,3 @@ def sigma_entropy_exact(mu: MeasureSpec) -> float | None:
         if mu.f_power == 0 or mu.automaton.permutativity().bipermutative:
             return sigma_entropy_exact(mu.base)
     return None
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Checkable and uncheckable premises of the rigidity statement for one
-    automaton, subgroup shift and measure."""
-
-    automaton: str
-    sigma: str
-    measure: str
-    nontrivial: bool
-    bipermutative: bool
-    k: int
-    p1: int | None
-    k_p1: int | None
-    condition4: Condition4Result | None
-    corollary_ker: CorollaryKerResult | None
-    entropy_positive: bool | None
-    entropy_method: str
-    unchecked: tuple[str, ...]
-    notes: tuple[str, ...] = ()
-    criteria_skipped: str | None = None
-
-    @property
-    def premise_failed(self) -> bool:
-        """A checked premise is False; a skipped criterion or an unchecked
-        premise is a gap, not a failure."""
-        return (not self.nontrivial or not self.bipermutative or self.entropy_positive is False
-                or (self.condition4 is not None and not self.condition4.found))
-
-    @property
-    def all_checkable_hold(self) -> bool:
-        return not self.premise_failed and self.condition4 is not None
-
-
-def check_hypotheses(
-    F: CellularAutomaton | KernelTower,
-    sigma: SubgroupShiftSpec | None = None,
-    mu: MeasureSpec | str = "abstract",
-    m_max: int = 4,
-    entropy_samples: int = 20_000,
-    seed: int = 0,
-    notes: Sequence[str] = (),
-) -> HypothesisReport:
-    """Populate every checkable premise; ergodicity and invariant-set algebra
-    equalities stay explicitly unchecked.
-
-    F may be a kernel tower: p1 and both density criteria read its levels
-    and extend it, under its own cap."""
-    from .kernels import _unrestricted, condition4_search, corollary_ker_check
-
-    if m_max < 0:  # refused here: the criteria's ValueErrors become criteria_skipped
-        raise ValueError(f"m_max must be >= 0, got {m_max}")
-    tw = _unrestricted(F)
-    F = tw.automaton
-    sigma = subgroup_shift_on(sigma, F.alphabet)
-    if not isinstance(mu, str):
-        _same_alphabet(mu, F)
-    small = F.smallest_neighborhood()
-    nontrivial = not small.is_trivial
-    perm = small.permutativity()
-    k = F.alphabet.radical
-    p1 = kp1 = None
-    cond4 = corker = None
-    skipped = None
-    if not nontrivial:
-        skipped = "trivial rule: no kernel tower to check"
-    else:
-        try:
-            p1 = tw.restricted_level(1, sigma).period
-            kp1 = k * p1
-            cond4 = condition4_search(tw, sigma, m_max=m_max, cap=tw.cap)
-            corker = corollary_ker_check(tw, sigma, cap=tw.cap)
-        except ValueError as exc:
-            skipped = f"{type(exc).__name__}: {exc}"
-    entropy_positive: bool | None = None
-    method = "unchecked (abstract measure)"
-    if not isinstance(mu, str):
-        h = sigma_entropy_exact(mu)
-        if h is not None:
-            entropy_positive = h > 0
-            method = f"exact shift entropy {h:.6f} nats"
-        else:
-            import numpy as np
-
-            from .entropy import _shift_entropy
-
-            est = _shift_entropy(mu, entropy_samples, 4, np.random.default_rng(seed))
-            entropy_positive = est > 0.02
-            method = (f"estimated shift entropy {est:.4f} nats ({entropy_samples} samples, "
-                      f"seed {seed}; positive above 0.02 nats)")
-    unchecked = (
-        "measure ergodicity for the joint rule/shift action",
-        "equality of the shift-invariant sets with those of shift power "
-        f"{kp1 if kp1 else 'k*p1'} (mod the measure)",
-    )
-    return HypothesisReport(
-        automaton=F.describe(),
-        sigma=sigma.describe(),
-        measure=mu if isinstance(mu, str) else mu.describe(),
-        nontrivial=nontrivial,
-        bipermutative=perm.bipermutative,
-        k=k,
-        p1=p1,
-        k_p1=kp1,
-        condition4=cond4,
-        corollary_ker=corker,
-        entropy_positive=entropy_positive,
-        entropy_method=method,
-        unchecked=unchecked,
-        notes=tuple(notes),
-        criteria_skipped=skipped,
-    )

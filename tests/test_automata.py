@@ -186,6 +186,22 @@ def test_linear_compose_cap_names_both_term_counts():
         power(F, 16, cap=80)
 
 
+def test_power_cap_bounds_the_whole_squaring_chain():
+    F = linear_ca(Z2, {0: 1, 1: 1})
+    # (1 + x)^1023 over Z/2: at t = 2, 4, ..., 512 terms, a squaring (t * t
+    # products of terms) and a product by F (2t), 351,568 in all
+    assert sum(t * t + 2 * t for t in (2**i for i in range(1, 10))) == 351_568
+    assert len(power(F, 1023, cap=351_568).coeffs) == 1024
+    with pytest.raises(CapExceeded, match="power 1023 by squaring: a running total of "
+                                          "351568 products of terms exceeds cap 351567"):
+        power(F, 1023, cap=351_567)
+    # each further squaring of 1,024 terms is one product of exactly the
+    # default cap, 2^20: only the budget for the whole chain refuses
+    for k in (1, 4, 40):
+        with pytest.raises(CapExceeded, match="running total of 1400144 products of terms"):
+            power(F, 1023 * 2**k)
+
+
 def test_power_cap_refuses_powers_wider_than_the_cap():
     T = table_from_rule(Z2, (0, 1), lambda win: (win[0][0] * win[1][0],))
     assert power(T, 5, cap=2**6).width == 6

@@ -72,3 +72,27 @@ def test_cli_import_keeps_a_module_already_imported():
         "assert executed() == before | {'groupca.cli'}, executed()\n"
         "assert groupca.cli.shifts.FullShift is kernels.FullShift\n"
     ))
+
+
+def test_tracer_sees_the_hypotheses_names_the_cli_calls():
+    # the tracer patches check_hypotheses and topological_entropy under their
+    # old homes, `measures` and `entropy`; `cli` calls them from `hypotheses`,
+    # so each must be one object across the modules for its span to be recorded
+    _fresh(
+        "import contextlib, importlib.util, io\n"
+        "from groupca import entropy, hypotheses, measures\n"
+        "assert measures.check_hypotheses is hypotheses.check_hypotheses\n"
+        "assert measures.HypothesisReport is hypotheses.HypothesisReport\n"
+        "assert entropy.topological_entropy is hypotheses.topological_entropy\n"
+        f"spec = importlib.util.spec_from_file_location('bench_spans', {str(SPANS)!r})\n"
+        "spans = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(spans)\n"
+        "tracer = spans.Tracer()\n"
+        "tracer.install()\n"
+        "from groupca import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['analyze', '--ca', 'id_plus_sigma_z2']) == 0\n"
+        "recorded = {span[0] for span in tracer.spans()}\n"
+        "for name in ('measures.check_hypotheses', 'entropy.topological_entropy'):\n"
+        "    assert name in recorded, (name, sorted(recorded))\n"
+    )

@@ -392,10 +392,12 @@ def test_pushforward_over_cap_is_usage_error(tmp_path, capsys):
     assert "over cap 65536" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("f_power, code", [(10**6, 0), (10**9, 2)])
+@pytest.mark.parametrize("f_power, code", [(10**6, 0), (10**9, 2), (1023 * 2**40, 2)])
 def test_large_linear_pushforward_power_answers_or_names_the_cap(tmp_path, f_power, code):
     # x_0 + x_1 over Z/2 to the power 10^6 has 2^7 terms, one per set bit of
-    # the power; squaring toward 10^9 meets a product of 2^11 by 2^11 terms
+    # the power; squaring toward 10^9 passes the cap on the products of terms
+    # summed over the chain before it meets one of 2^11 by 2^11 terms, and
+    # toward 1023 * 2^40 at its first squaring of 2^10 terms
     mu_file = tmp_path / "push.json"
     mu_file.write_text(json.dumps({
         "type": "pushforward", "base": {"type": "bernoulli", "alphabet": {"moduli": [2]}},
@@ -624,14 +626,16 @@ def _cli(*argv: str) -> str:
 
 
 KERNEL = RULES | {"cli", "data", "shifts", "modular", "kernels"}
-MEASURE = RULES | {"cli", "shifts", "measures"}
-ANALYZE = KERNEL | {"measures"}
+# `measures` imports the hypothesis report and `entropy` the closed forms
+# from `hypotheses`
+MEASURE = RULES | {"cli", "shifts", "hypotheses", "measures"}
+ANALYZE = KERNEL | {"hypotheses"}
 
 
 @pytest.mark.parametrize("code, loaded", [
     ("import groupca", set()),
     ("from groupca import GroupSpec, linear_ca, table_ca", RULES),
-    (MEASURES, RULES | {"shifts", "measures"}),
+    (MEASURES, RULES | {"shifts", "hypotheses", "measures"}),
     ("from groupca import tower", RULES | {"shifts", "modular", "kernels"}),
     ("import groupca.cli", {"cli"}),
     (_cli("examples"), {"cli", "data"}),
@@ -648,12 +652,17 @@ ANALYZE = KERNEL | {"measures"}
      MEASURE | {"data", "entropy"}),
     # a mod-4 rule neither on the window [0,1] nor bipermutative
     (_cli("analyze", "--ca", "id_sigma_2sigma2_z4"), ANALYZE),
-    # on the window [0,1] and bipermutative: class (A) analysis and entropy
-    (_cli("analyze", "--ca", "id_plus_sigma_z2"), ANALYZE | {"class_a", "entropy"}),
-    (_cli("hypotheses", "--ca", "id_plus_sigma_z2", "--measure", "mu.json"), ANALYZE),
+    # on the window [0,1] and bipermutative: class (A) analysis and the
+    # entropy closed form, which `hypotheses` holds
+    (_cli("analyze", "--ca", "id_plus_sigma_z2"), ANALYZE | {"class_a"}),
+    (_cli("hypotheses", "--ca", "id_plus_sigma_z2", "--measure", "mu.json"),
+     ANALYZE | {"measures"}),
+    # an abstract measure: neither `measures` nor `entropy`
+    (_cli("hypotheses", "--ca", "id_plus_sigma_z2"), ANALYZE),
 ], ids=["package", "rules", "measures", "tower", "cli", "cli-examples", "cli-dual",
         "cli-modular", "cli-kernel", "cli-cesaro", "cli-counterexample", "cli-mc-invariance",
-        "cli-entropy", "cli-analyze", "cli-analyze-class-a", "cli-hypotheses"])
+        "cli-entropy", "cli-analyze", "cli-analyze-class-a", "cli-hypotheses",
+        "cli-hypotheses-abstract"])
 def test_each_import_loads_only_the_modules_it_uses(code, loaded, tmp_path):
     # a fresh interpreter compiling every module it executes, as the CLI
     # runs; `cli` lists modules it has not executed yet, so those are left out
