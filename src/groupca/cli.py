@@ -476,12 +476,13 @@ def cmd_analyze(args) -> int:
             groups.CapExceeded) as exc:
         report["kernel_tower"] = {"error": str(exc)}
         print(f"kernel tower unavailable: {exc}")
-    hyp = hypotheses.check_hypotheses(tw if tw is not None else F, m_max=args.m_max)
-    if tw is not None:
-        report.update(_criteria_section(hyp))
-        c4, ck = hyp.condition4, hyp.corollary_ker
-        if ck is not None and ck.holds and not c4.found:
-            failures.append("subgroup criterion holds but generation search failed")
+    if tw is None:  # the criteria still read their levels under --cap
+        tw = kernels.KernelTower(F, args.cap)
+    hyp = hypotheses.check_hypotheses(tw, m_max=args.m_max)
+    report.update(_criteria_section(hyp))
+    c4, ck = hyp.condition4, hyp.corollary_ker
+    if ck is not None and ck.holds and not c4.found:
+        failures.append("subgroup criterion holds but generation search failed")
     if F.neighborhood == (0, 1):
         analysis = class_a.analyze_radius1(F)
         section = {

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .automata import CellularAutomaton
-from .shifts import SubgroupShiftSpec, subgroup_shift_on
+from .shifts import FullShift, SubgroupShiftSpec, subgroup_shift_on
 
 if TYPE_CHECKING:
     from .kernels import Condition4Result, CorollaryKerResult, KernelTower
@@ -125,7 +125,8 @@ def check_hypotheses(
         skipped = "trivial rule: no kernel tower to check"
     else:
         try:
-            p1 = tw.restricted_level(1, sigma).period
+            p1 = (tw.period(1) if isinstance(sigma, FullShift)
+                  else tw.restricted_level(1, sigma).period)
             kp1 = k * p1
             cond4 = condition4_search(tw, sigma, m_max=m_max, cap=tw.cap)
             corker = corollary_ker_check(tw, sigma, cap=tw.cap)

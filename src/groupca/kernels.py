@@ -400,29 +400,19 @@ class _CodedLevel:
     def code(self, x: PeriodicConfig) -> Element:
         return _windows(x.word, self.ell)[0]
 
-    def generated(self, seed: Element, cap: int) -> frozenset[Element]:
-        """Codes of the subgroup that seed generates under shift and rule.
-
-        Both operators are homomorphisms, so closing the generators under
-        them suffices (`additive_operators`).
-        """
-        group = self.group
-        return closure_set(
-            [seed], group.add, group.zero,
-            operators=[self.shift.__getitem__, self.rule.__getitem__],
-            cap=cap,
-            additive_operators=True,
-        )
-
     def generates(self, target: set[Element], seeds: Iterable[Element],
                   cap: int) -> dict[Element, bool]:
-        """Whether each seed generates a subgroup containing target.  Every
-        shift of a seed generates the same subgroup, so a shift orbit shares
-        one closure; the verdicts of the whole orbit are returned too."""
+        """Whether each seed generates a subgroup containing target under the
+        shift and the rule.  Both are homomorphisms, so closing the generator
+        under them suffices (`additive_operators`).  Every shift of a seed
+        generates the same subgroup, so a shift orbit shares one closure; the
+        verdicts of the whole orbit are returned too."""
+        group, ops = self.group, [self.shift.__getitem__, self.rule.__getitem__]
         verdicts: dict[Element, bool] = {}
         for c in seeds:
             if c not in verdicts:
-                ok = target <= self.generated(c, cap)
+                ok = target <= closure_set([c], group.add, group.zero, ops, cap,
+                                           additive_operators=True)
                 while c not in verdicts:
                     verdicts[c] = ok
                     c = self.shift[c]
@@ -511,11 +501,12 @@ def condition4_search(
 @dataclass(frozen=True)
 class CorollaryKerResult:
     """Whether the first restricted kernel level has no proper nontrivial
-    shift-invariant subgroup, plus per-boundary-element generation data."""
+    shift-invariant subgroup, and how many such subgroups it has.  The rule
+    kills level 1, so it holds exactly when every nonzero element of the
+    level generates it under the shift and the rule."""
 
     holds: bool
     proper_invariant_subgroups: int
-    boundary_generates: tuple[tuple[PeriodicConfig, bool], ...]
 
     def __bool__(self) -> bool:
         return self.holds
@@ -528,23 +519,22 @@ def corollary_ker_check(
 ) -> CorollaryKerResult:
     """F may be a kernel tower, as in `condition4_search`.  On a tower with a
     closed form and the full shift, the invariant subgroups are counted from
-    the factorization instead of enumerated."""
+    the factorization, and no level is enumerated; otherwise the coded first
+    level's shift-closed subgroups are enumerated."""
     tw = _unrestricted(F, cap)
     sigma = subgroup_shift_on(sigma, tw.automaton.alphabet)
-    d1 = tw.restricted_level(1, sigma).elements
-    lvl = tw.coded(1)
-    codes = [lvl.code(x) for x in d1]
-    if isinstance(sigma, FullShift) and tw.module is not None and len(d1) <= cap:
-        proper = tw.module.proper_ideals
+    module = tw.module if isinstance(sigma, FullShift) else None
+    if module is not None and module.size(1) <= cap:
+        tw.size(1)  # the cap checks of level 1
+        proper = module.proper_ideals
     else:
+        d1 = tw.restricted_level(1, sigma).elements
+        lvl = tw.coded(1)
         subs = enumerate_subgroups(
-            Subgroup(lvl.group, tuple(codes)), [lvl.shift.__getitem__], cap=cap
+            Subgroup(lvl.group, tuple(map(lvl.code, d1))), [lvl.shift.__getitem__], cap=cap
         )
         proper = sum(1 for s in subs if 1 < len(s) < len(d1))
-    nonzero = [(d, c) for d, c in zip(d1, codes) if not d.is_zero]
-    verdicts = lvl.generates(set(codes), (c for _, c in nonzero), cap)
-    gen_data = tuple((d, verdicts[c]) for d, c in nonzero)
-    return CorollaryKerResult(proper == 0, proper, gen_data)
+    return CorollaryKerResult(proper == 0, proper)
 
 
 # -- the companion recurrence ---------------------------------------------------

@@ -483,6 +483,30 @@ def test_hypotheses_reports_why_criteria_are_missing(tmp_path, capsys):
     assert "criteria_skipped" not in json.loads(out_ok.read_text())
 
 
+def test_analyze_reports_the_criteria_under_its_cap(tmp_path, capsys):
+    # level 2 of 1 + x + x^9 is past the default cap, level 1 is not
+    ca = tmp_path / "x9.json"
+    ca.write_text(json.dumps({
+        "alphabet": {"moduli": [2]},
+        "neighborhood": [0, 9],
+        "rule": {"type": "linear", "coeffs": {"0": 1, "1": 1, "9": 1}},
+    }))
+    out = tmp_path / "x9_report.json"
+    assert run(["analyze", "--ca", str(ca), "--levels", "2", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["kernel_tower"] == {"error": "kernel seed space |A|^18 exceeds cap 65536"}
+    assert report["condition4"] == {"found": True, "m": 0, "m_max": 2}
+    assert report["corollary_ker"] == {"holds": True, "proper_invariant_subgroups": 0}
+    assert report["hypotheses"]["p1"] == 73
+    assert "criteria_skipped" not in report
+    assert "first-level subgroup criterion: True" in capsys.readouterr().out
+    # the criteria read level 1 under --cap too, so a cap below it is refused
+    assert run(["analyze", "--ca", "id_plus_sigma_z2", "--cap", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: kernel seed space |A|^1 exceeds cap 1\n"
+
+
 def _z3_files(tmp_path):
     sigma = tmp_path / "product_z3.json"
     sigma.write_text(json.dumps({

@@ -33,6 +33,7 @@ from groupca.groups import (
     closure_set,
     subgroup_closure,
 )
+from groupca.hypotheses import check_hypotheses
 from groupca.kernels import (
     Condition4Result,
     CorollaryKerResult,
@@ -362,7 +363,9 @@ def test_corollary_ker_examples():
 def test_corollary_ker_dual_f1():
     res = corollary_ker_check(DUAL_F1)
     assert res.holds
-    assert all(gen for _, gen in res.boundary_generates)
+    full, cap = FullShift(DUAL_F1.alphabet), 1 << 12
+    assert res == _corollary_oracle(DUAL_F1, full, cap)
+    assert _every_element_generates(DUAL_F1, full, cap)
 
 
 def test_corollary_ker_implies_condition4():
@@ -521,11 +524,15 @@ def _corollary_oracle(F, sigma, cap):
         frontier = bigger - seen
         seen |= bigger
     proper = sum(1 for sub in seen if 1 < len(sub) < len(d1))
-    ops = shift + [F.apply_periodic]
-    gens = tuple(
-        (d, set(d1) <= _config_closure([d], F, ops, cap)) for d in d1 if not d.is_zero
-    )
-    return CorollaryKerResult(proper == 0, proper, gens)
+    return CorollaryKerResult(proper == 0, proper)
+
+
+def _every_element_generates(F, sigma, cap):
+    """Whether every nonzero element of the first level, filtered by sigma,
+    generates that filtered level under the shift and the rule."""
+    d1 = {x for x in kernel_elements(F, 1, cap) if sigma.contains(x)}
+    ops = [lambda c: c.shift(1), F.apply_periodic]
+    return all(d1 <= _config_closure([d], F, ops, cap) for d in d1 if not d.is_zero)
 
 
 def _outcome(fn, *args):
@@ -603,6 +610,9 @@ def test_density_criteria_match_config_closure_oracle(case):
     corker = _outcome(_corollary_oracle, F, sigma, cap)
     assert _outcome(condition4_search, F, sigma, m_max, cap) == cond4
     assert _outcome(corollary_ker_check, F, sigma, cap) == corker
+    if isinstance(corker, CorollaryKerResult):
+        # the rule kills level 1, so an invariant subgroup is one under both
+        assert corker.holds == _every_element_generates(F, sigma, cap)
     # one tower shared by both criteria, in the order `analyze` runs them
     tw = KernelTower(F, cap)
     assert _outcome(condition4_search, tw, sigma, m_max, cap) == cond4
@@ -950,6 +960,10 @@ def test_closed_form_walks_no_level(monkeypatch):
         assert walks == []
         res = condition4_search(F, m_max=3)
         assert res.found and res.m == m
+        # one factor: repeated, (1 + x)^2, exactly when m = 1, with one proper ideal
+        assert corollary_ker_check(F) == CorollaryKerResult(m == 0, m)
+        hyp = check_hypotheses(F, m_max=3)
+        assert hyp.p1 == tw.period(1) and hyp.condition4 == res
         assert walks == []
         # depths far beyond what enumeration reaches, under a cap that admits them
         tw = tower(F, 12, cap=10**40)
