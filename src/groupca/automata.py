@@ -95,6 +95,24 @@ def _product_terms(group: GroupSpec, f_terms: Mapping[int, tuple],
     return {w: m for w, m in zip(offsets, matrices) if any(map(any, m))}
 
 
+def _memoized(derive):
+    """Memoize `derive(F, ...)`, a pure derivation from an automaton F, on F:
+    in the frozen instance's `__dict__`, outside its fields (as
+    `functools.cached_property` keeps a value), so `==`, `repr` and
+    `dataclasses.replace` ignore it.  An error is not kept; any other first
+    argument is passed through."""
+    @functools.wraps(derive)
+    def get(F, *args, **kwargs):
+        if not isinstance(F, CellularAutomaton):
+            return derive(F, *args, **kwargs)
+        memo = F.__dict__.setdefault("_derived", {})
+        key = (derive.__name__, args, tuple(kwargs.items()))
+        if key not in memo:
+            memo[key] = derive(F, *args, **kwargs)
+        return memo[key]
+    return get
+
+
 class Permutativity(NamedTuple):
     left: bool
     right: bool
@@ -111,6 +129,10 @@ class CellularAutomaton:
     Exactly one of `table` and `coeffs` is set.  `constant`, when present,
     makes a linear rule affine; it is a single letter, interpreted as the
     shift-invariant constant configuration.
+
+    Its smallest neighborhood, permutativity, linear form and factorization
+    are derived once and kept on it (`_memoized`), so `table` and `coeffs`
+    must not be mutated after construction.
     """
 
     alphabet: GroupSpec
@@ -206,6 +228,7 @@ class CellularAutomaton:
 
     # -- normalization -----------------------------------------------------
 
+    @_memoized
     def smallest_neighborhood(self) -> "CellularAutomaton":
         """Equivalent CA whose rule depends on both neighborhood endpoints;
         this automaton itself when nothing trims.
@@ -254,6 +277,7 @@ class CellularAutomaton:
 
     # -- permutativity -----------------------------------------------------
 
+    @_memoized
     def permutativity(self) -> Permutativity:
         """Left/right permutativity, decided on the smallest neighborhood.
 
@@ -452,6 +476,7 @@ class NotAlgebraicError(ValueError):
     """The rule is not a group endomorphism, so it has no linear form."""
 
 
+@_memoized
 def as_laurent(F: CellularAutomaton) -> CellularAutomaton:
     """The linear form of F, which is its Laurent polynomial sum_u c_u s^u in
     the shift; raises NotAlgebraicError if F has none.
@@ -460,7 +485,8 @@ def as_laurent(F: CellularAutomaton) -> CellularAutomaton:
     nothing; an affine rule must have a zero constant.  An additive table
     rule is a sum of endomorphisms c_u applied at offsets u, so each c_u is
     read off the images of the generators of A placed alone at u, and the
-    table is compared with that linear rule on each of its |A|^width windows.
+    table is compared with that linear rule on each of its |A|^width windows,
+    once per automaton: every caller gets the same form (`_memoized`).
     """
     if F.coeffs is not None:
         if not F.is_linear:

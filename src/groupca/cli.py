@@ -418,6 +418,13 @@ def _criteria_section(rep) -> dict:
     return out
 
 
+def _radius1_form(F: automata.CellularAutomaton) -> automata.CellularAutomaton:
+    """The rule the Class (A) analysis reads: F declared on [0, 1], or else
+    its smallest form when that is on [0, 1]; otherwise F as declared."""
+    small = F.smallest_neighborhood()
+    return small if F.neighborhood != (0, 1) and small.neighborhood == (0, 1) else F
+
+
 def _print(report: dict, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -483,6 +490,7 @@ def cmd_analyze(args) -> int:
     c4, ck = hyp.condition4, hyp.corollary_ker
     if ck is not None and ck.holds and not c4.found:
         failures.append("subgroup criterion holds but generation search failed")
+    F = _radius1_form(F)
     if F.neighborhood == (0, 1):
         analysis = class_a.analyze_radius1(F)
         section = {
@@ -604,7 +612,7 @@ def cmd_dual(args) -> int:
     report = {}
     ok = True
     for name in names:
-        F = _load_ca_arg(name)
+        F = _radius1_form(_load_ca_arg(name))
         analysis = class_a.analyze_radius1(F)
         section: dict = {
             "classes": [[list(a) for a in block] for block in analysis.classes],

@@ -14,8 +14,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from .automata import (CellularAutomaton, _poly_divmod, _poly_mul, _poly_pow, as_laurent,
-                       linear_ca, power)
+from .automata import (CellularAutomaton, _memoized, _poly_divmod, _poly_mul, _poly_pow,
+                       as_laurent, linear_ca, power)
 from .groups import CapExceeded, GroupSpec, _gl_order, _is_prime, _prime_factors
 
 MAX_FACTOR_DEGREE = 8
@@ -163,11 +163,13 @@ class Factorization:
                 for f, m in self.factors]
 
 
+@_memoized
 def factor_mod_p(poly: CellularAutomaton | dict, p: int | None = None) -> Factorization:
     """Factor into monic irreducibles by trial division of increasing degree.
 
     Degrees are capped at 8: candidates found in increasing degree order are
     automatically irreducible because all smaller factors were removed first.
+    An automaton's factorization is kept on it (`_memoized`); a dict's is not.
     """
     if p is None:
         if isinstance(poly, dict):

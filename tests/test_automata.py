@@ -1,6 +1,7 @@
 """Local rules, permutativity, composition, polynomials, surjectivity and
 cylinder preimages."""
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -28,6 +29,7 @@ from groupca.automata import (
 )
 from groupca.configs import Cylinder, PeriodicConfig
 from groupca.groups import CapExceeded, Endomorphism, GroupSpec
+from groupca.modular import factor_mod_p
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
@@ -237,6 +239,35 @@ def test_laurent_errors_on_nonlinear():
     A = linear_ca(Z2, {0: 1}, constant=(1,))
     with pytest.raises(NotAlgebraicError):
         as_laurent(A)
+
+
+def test_derived_structure_is_kept_out_of_equality_repr_and_replace():
+    def build():
+        return linear_ca(Z2, {0: 1, 1: 1, 2: 0}, neighborhood=(-1, 2))
+
+    F = build()
+    assert F.permutativity() == (True, True) and as_laurent(F) is F and not F.is_trivial
+    assert F == build() and repr(F) == repr(build())
+    assert F.smallest_neighborhood().neighborhood == (0, 1)
+    # `replace` builds a new instance, which derives its own structure
+    G = dataclasses.replace(F, coeffs={-1: Endomorphism.identity(Z2)})
+    assert G.smallest_neighborhood() == linear_ca(Z2, {-1: 1})
+    assert G.permutativity() == (True, True)
+
+
+def test_a_refused_derivation_is_refused_again():
+    T = table_from_rule(Z2, (0, 1), lambda win: (win[0][0] * win[1][0],))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(NotAlgebraicError) as exc:
+            as_laurent(T)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    for F, message in ((linear_ca(Z2, {0: 1, 9: 1}), "exceeds the factorization cap"),
+                       (linear_ca(Z3, {0: 3}, neighborhood=(0, 1)), "zero polynomial")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                factor_mod_p(F)
 
 
 def count_preimages(F, word):

@@ -1057,3 +1057,25 @@ def test_closed_output_pipe_is_exit_2_without_traceback():
     proc.stderr.close()
     assert proc.wait() == 2
     assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+@pytest.mark.parametrize("name", ["id_plus_sigma_z2", "classA_F1"])
+def test_a_rule_padded_past_its_window_gets_the_class_a_analysis(tmp_path, capsys, name):
+    # declared on [0, 2] with a zero coefficient at 2: the smallest form is
+    # the bundled rule on [0, 1], and both subcommands analyse that
+    spec = bundled_spec(name)
+    rank = len(spec["alphabet"]["moduli"])
+    zero = 0 if rank == 1 else [[0] * rank for _ in range(rank)]
+    padded = tmp_path / "padded.json"
+    padded.write_text(json.dumps({**spec, "neighborhood": [0, 2], "rule": {
+        **spec["rule"], "coeffs": {**spec["rule"]["coeffs"], "2": zero}}}))
+    reports = {}
+    for ca in (name, str(padded)):
+        for command in ("dual", "analyze"):
+            out = tmp_path / f"{command}.json"
+            assert run([command, "--ca", ca, "--out", str(out)]) == 0, (command, ca)
+            reports[command, ca] = json.loads(out.read_text())
+    capsys.readouterr()
+    assert reports["dual", str(padded)][str(padded)] == reports["dual", name][name]
+    assert reports["analyze", str(padded)]["class_a"] == reports["analyze", name]["class_a"]
+    assert reports["analyze", str(padded)]["declared_neighborhood"] == [0, 2]

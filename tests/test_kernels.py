@@ -51,6 +51,7 @@ from groupca.kernels import (
     restrict,
     tower,
 )
+from groupca.modular import factor_mod_p
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
@@ -1157,3 +1158,63 @@ def test_matrix_order_past_width_37_returns():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) == 137_438_167_041
+
+
+def _derivations_run(calls) -> dict:
+    """Run calls(); count each derivation memoized on an automaton that
+    actually ran (a call of the function `_memoized` wraps), by its name and
+    the automaton it ran on."""
+    wrapped = (CellularAutomaton.smallest_neighborhood, CellularAutomaton.permutativity,
+               as_laurent, factor_mod_p)
+    codes = {f.__wrapped__.__code__: f.__name__ for f in wrapped}
+    runs: dict = {}
+    kept = []  # each automaton stays alive, so its id names it alone
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            F = frame.f_locals[frame.f_code.co_varnames[0]]
+            kept.append(F)
+            key = (codes[frame.f_code], id(F))
+            runs[key] = runs.get(key, 0) + 1
+
+    before = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        calls()
+    finally:
+        sys.setprofile(before)
+    return runs
+
+
+@pytest.mark.parametrize("F", [
+    linear_ca(Z5, {0: 2, 1: 1, 2: 3}),
+    linear_ca(Z4, {-1: 3, 0: 2, 1: 1}),
+    table_from_rule(Z3, (-1, 1), lambda win: ((win[0][0] + 2 * win[2][0]) % 3,)),
+    linear_ca(GroupSpec((2, 2)), {0: [[1, 1], [0, 1]], 1: [[1, 0], [1, 1]]}),
+], ids=["Z5_linear", "Z4_linear", "Z3_additive_table", "Z2xZ2_matrix"])
+def test_one_kernel_job_derives_each_rule_structure_once(F):
+    # the three towers of a kernel job and the premises share the rule's
+    # smallest neighborhood, permutativity, linear form and factorization
+    prime_field = F.alphabet.moduli in ((3,), (5,))
+
+    def job():
+        tower(F, 2)
+        condition4_search(F, m_max=1)
+        corollary_ker_check(F)
+        check_hypotheses(F, m_max=1)
+        if prime_field:
+            factor_mod_p(as_laurent(F))
+
+    runs = _derivations_run(job)
+    assert runs and max(runs.values()) == 1, runs
+    names = {name for name, _ in runs}
+    assert {"smallest_neighborhood", "permutativity", "as_laurent"} <= names
+    assert ("factor_mod_p" in names) == prime_field
+    # what is kept on the rule is its derivations, never a level or a verdict
+    for G in (F, as_laurent(F)):
+        kept = {key[0] for key in G.__dict__["_derived"]}
+        assert kept <= {"smallest_neighborhood", "permutativity", "as_laurent", "factor_mod_p"}
+    # the same job again derives nothing on the rule; only the powers F^n
+    # that each tower composes for its levels are new automata
+    ids = {id(F), id(as_laurent(F))}
+    assert not [key for key in _derivations_run(job) if key[1] in ids]
