@@ -26,7 +26,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from .automata import CellularAutomaton, letter_arithmetic, letters, matrix_terms
 from .hypotheses import (  # noqa: F401  (importable here too)
     conjugacy_width, formula_case, formula_entropy, topological_entropy)
-from .measures import MixtureMeasure, PushforwardMeasure, _independent_pieces, _same_alphabet
+from .measures import (
+    MixtureMeasure, PushforwardMeasure, _independent_pieces, _phases, _same_alphabet)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -151,21 +152,10 @@ class EntropyReport:
 # -- the column process over letter indices ------------------------------------
 
 
-def _phases(measure) -> int:
-    """A t for which sigma^t fixes the measure: the grouping of Haar measure
-    on a product subgroup, the base's for a pushforward (F commutes with
-    sigma), the lcm over the components of a mixture, else 1."""
-    if isinstance(measure, PushforwardMeasure):
-        return _phases(measure.base)
-    if isinstance(measure, MixtureMeasure):
-        return math.lcm(*(_phases(m) for _, m in measure.components))
-    return getattr(getattr(measure, "sigma", None), "grouping", 1)
-
-
 def _pooled_rows(measure, lo: int, hi: int, count: int, rng) -> np.ndarray:
-    """`_draw_rows` split evenly over the t phases of the measure (`_phases`),
-    which sigma^t fixes and sigma need not: phase i reads [lo + i, hi + i], so
-    the rows come from (1/t) sum_(i<t) sigma^i mu."""
+    """`_draw_rows` split evenly over the t phases of the measure
+    (`measures._phases`), which sigma^t fixes and sigma need not: phase i
+    reads [lo + i, hi + i], so the rows come from (1/t) sum_(i<t) sigma^i mu."""
     import numpy as np
 
     t = _phases(measure)

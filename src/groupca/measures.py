@@ -7,6 +7,10 @@ averages read the block weights, so they are integer or integer-phase
 computations, with floating point confined to final complex character
 values.  Sampled invariance and entropy draw numpy rows from one sampler,
 `entropy._draw_rows`, which reads each variant's independent pieces.
+`_phases` is the one phase count: a t for which sigma^t fixes a measure, so
+its window laws at offsets i and i + t agree.  Exact invariance reads one
+law per phase class of its offsets, and the entropy samples pool the t
+phases.
 
 The module needs `shifts` for the subgroup shifts Haar measure lives on;
 `entropy` imports this module, so it is imported inside the functions that
@@ -546,6 +550,25 @@ MeasureSpec = (
 # -- invariance ------------------------------------------------------------------
 
 
+def _phases(mu: MeasureSpec) -> int:
+    """A t for which sigma^t fixes the measure, so that its window laws at
+    offsets i and i + t agree: the grouping of Haar measure on a product
+    subgroup, the base's for a pushforward (F commutes with sigma), the lcm
+    over the components of a mixture, for a periodic orbit measure 1 when its
+    configurations are closed under sigma (as `from_orbit` builds them) and
+    else the lcm of their periods, and 1 for every other measure."""
+    if isinstance(mu, PushforwardMeasure):
+        return _phases(mu.base)
+    if isinstance(mu, MixtureMeasure):
+        return math.lcm(*(_phases(m) for _, m in mu.components))
+    if isinstance(mu, PeriodicOrbitMeasure):
+        configs = set(mu.configs)
+        if all(x.shift(1) in configs for x in configs):
+            return 1
+        return math.lcm(*(x.period for x in configs))
+    return getattr(getattr(mu, "sigma", None), "grouping", 1)
+
+
 @dataclass(frozen=True)
 class InvarianceResult:
     """Largest cylinder discrepancy between a measure and its pushforward.
@@ -574,7 +597,7 @@ def invariance_check(
     f_power: int = 0,
     shift: int = 0,
     length: int = 4,
-    offsets: Sequence[int] = (0, 1, 2, 3),
+    offsets: Sequence[int] | None = None,
     cap: int = DEFAULT_EXPANSION_CAP,
     mode: str = "exact",
     mc_samples: int = 50_000,
@@ -582,38 +605,50 @@ def invariance_check(
 ) -> InvarianceResult:
     """Sup over short cylinders of |mu(T^-1 [w]_i) - mu([w]_i)| for the map T
     given by automaton and shift powers; exact rationals, or empirical
-    frequencies in mc mode.
+    frequencies in mc mode.  The offsets default to 0, 1, 2, 3, extended to
+    0..t-1 when sigma^t fixes mu for a phase count t > 4 (`_phases`), so the
+    verdict covers every phase.
 
-    Exact mode reads the block weights of mu and of its image on each
-    offset's window.  Mc mode draws mc_samples rows of mu, then of its
-    image, on the window that spans every offset (`entropy._draw_rows`, one
-    stream np.random.default_rng(seed)), counts each distinct row once and
-    reads each offset's window as a marginal of those counts.  Its verdict
-    holds when the sup is at most the threshold: four standard deviations
-    of the witness's difference of two independent frequencies p and q,
+    Exact mode reads the block weights of mu and of its image once per phase
+    class i mod t of the offsets: T commutes with sigma, so sigma^t fixes
+    the image too, and both laws at offset i + t are those at i.  Every
+    offset of a class shares its pair of laws and their marginals.  Mc mode
+    draws mc_samples rows of mu, then of its image, on the window that spans
+    every offset (`entropy._draw_rows`, one stream
+    np.random.default_rng(seed)), counts each distinct row once and reads
+    each offset's window as a marginal of those counts.  Its verdict holds
+    when the sup is at most the threshold: four standard deviations of the
+    witness's difference of two independent frequencies p and q,
     sqrt((p(1 - p) + q(1 - q)) / n), and never below 4e-2 / sqrt(n).  The
     draws refuse run weights over a denominator of 2^63 or more (ValueError,
     the 64-bit draw limit).  Every shorter cylinder is a marginal of its
     offset's window, so exact discrepancies are integer numerators compared
     by cross-multiplication, with one Fraction for the sup.  Only the words
-    in some marginal's support are walked.  The witness is the first
-    cylinder, in (length, word, offset) order, that attains the sup;
-    `cylinders_checked` counts every cylinder of the window,
-    |offsets| * sum_ell |A|^ell.
+    in some marginal's support are walked, each at the first offset of each
+    distinct law, since a later offset with the same law ties and a tie
+    never moves the witness.  The witness is the first cylinder, in
+    (length, word, offset) order, that attains the sup; `cylinders_checked`
+    counts every cylinder of the window, |offsets| * sum_ell |A|^ell.
     """
     if f_power and automaton is None:
         raise ValueError("automaton power needs the automaton")
     _same_alphabet(mu, automaton)
     if length < 1:
         raise ValueError("cylinder length must be >= 1")
+    t = _phases(mu)
+    if offsets is None:
+        offsets = range(max(4, t))
     if not offsets:
         raise ValueError("at least one cylinder offset is needed")
     _check_window(mu.alphabet, length)
     push = PushforwardMeasure(mu, automaton, f_power, shift, cap)
     if mode == "exact":
         laws: dict = {}
+        first: dict[int, int] = {}  # phase -> its first offset
+        for i in offsets:
+            first.setdefault(i % t, i)
         windows = {i: (push.block_weights(i, length, laws), mu.block_weights(i, length, laws))
-                   for i in offsets}
+                   for i in first.values()}
     elif mode == "mc":
         if mc_samples < 1:
             raise ValueError(f"mc_samples must be >= 1 in mc mode, got {mc_samples}")
@@ -645,9 +680,9 @@ def invariance_check(
     checked = len(offsets) * sum(mu.alphabet.order ** ell for ell in range(1, length + 1))
     # a word outside every support has discrepancy 0 and cannot be the witness
     cylinders = ((i, word) for ell in range(1, length + 1)
-                 for word in sorted({w for i in offsets for block, _ in marginals[i, ell]
+                 for word in sorted({w for i in windows for block, _ in marginals[i, ell]
                                      for w in block})
-                 for i in offsets)
+                 for i in windows)
     witness = None
     if mode == "exact":
         best, best_den = 0, 1
@@ -865,25 +900,27 @@ class CounterexampleSuite:
     mu: MixtureMeasure
 
     def verify(self, length: int = 6) -> dict[str, object]:
+        if length < 1:
+            raise ValueError("cylinder length must be >= 1")
         F = self.automaton
         checks: dict[str, object] = {}
         checks["sigma_image_of_x1_is_x2"] = self.x1.shifted(1) == self.x2
         checks["sigma_preimage_of_x1_is_x2"] = self.x1.shifted(-1) == self.x2
         checks["sigma2_preimage_of_x1_is_x1"] = self.x1.shifted(-2) == self.x1
 
-        def support(mu: MeasureSpec, i: int, ell: int) -> set[Word]:
-            return set(mu.block_weights(i, ell)[0])
+        def language(mu: MeasureSpec, i: int) -> set[Word]:
+            """The support at `length` from offset i.  The shorter languages
+            are its prefixes, so two measures whose languages match here
+            match at every length."""
+            return set(mu.block_weights(i, length)[0])
 
         checks["rule_image_languages_match"] = all(
-            support(PushforwardMeasure(HaarMeasure(x), F, 1), 0, ell)
-            == support(HaarMeasure(y), 0, ell)
+            language(PushforwardMeasure(HaarMeasure(x), F, 1), 0) == language(HaarMeasure(y), 0)
             for x, y in ((self.x1, self.x3), (self.x2, self.x4))
-            for ell in range(1, length + 1)
         )
         checks["shifted_languages_match"] = all(
-            support(HaarMeasure(self.x1.shifted(1)), i, ell) == support(HaarMeasure(self.x2), i, ell)
+            language(HaarMeasure(self.x1.shifted(1)), i) == language(HaarMeasure(self.x2), i)
             for i in (0, 1)
-            for ell in range(1, length + 1)
         )
         checks["mu_sigma_invariance"] = invariance_check(
             self.mu, shift=1, length=length

@@ -173,6 +173,23 @@ def test_measure_invariance_and_prob(tmp_path):
     assert rc == 1
 
 
+def test_default_offsets_cover_every_phase(tmp_path):
+    # Haar measure on blocks of six letters whose last letter is 0: offsets
+    # 0..3 see free letters only, and offset 4 is the first whose shift is pinned
+    mu_file = tmp_path / "mu6.json"
+    mu_file.write_text(json.dumps({"type": "haar", "sigma": {
+        "type": "product", "alphabet": {"moduli": [2]}, "grouping": 6,
+        "block": [[*b, 0] for b in itertools.product((0, 1), repeat=5)]}}))
+    out = tmp_path / "r.json"
+    args = ["measure", "invariance", "--measure", str(mu_file), "--shift", "1", "--length", "1"]
+    assert run([*args, "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["witness"] == {"offset": 4, "word": [[0]]}
+    assert report["max_discrepancy"] == {"num": 1, "den": 2}
+    assert report["cylinders_checked"] == 6 * 2
+    assert run([*args, "--mode", "mc", "--mc-samples", "2000"]) == 1
+
+
 @pytest.mark.parametrize("weights, invariant", [((1, 1), True), ((1, 2), False)])
 def test_mc_invariance_output_agrees_with_its_verdict(tmp_path, capsys, weights, invariant):
     # a sampled check almost always has a largest discrepancy; it is a witness

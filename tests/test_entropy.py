@@ -17,6 +17,7 @@ from groupca.entropy import (
     _draw_rows,
     _pooled_rows,
     _rule_on_rows,
+    _shift_entropy,
     block_entropy_estimate,
     bounds_check,
     column_factor_samples,
@@ -343,3 +344,11 @@ def test_entropy_pools_the_phases_of_a_product_haar_measure(F, mu, t):
 def test_measures_without_phases_keep_their_draws(mu):
     pooled = _pooled_rows(mu, -1, 2, 1000, np.random.default_rng(9))
     assert pooled.tolist() == _draw_rows(mu, -1, 2, 1000, np.random.default_rng(9)).tolist()
+
+
+def test_an_anchored_orbit_pools_the_phases_of_its_period():
+    # a point mass on one configuration of period 3 is fixed by sigma^3, not
+    # by sigma: its draws pool the three shifts, one letter in three a 1
+    mu = PeriodicOrbitMeasure((PeriodicConfig(Z2, ((0,), (0,), (1,))),))
+    h = _shift_entropy(mu, 3000, 1, np.random.default_rng(0))
+    assert h == pytest.approx(math.log(3) - 2 / 3 * LOG2)

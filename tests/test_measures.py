@@ -1,6 +1,7 @@
 """Exact cylinder probabilities, invariance, characters, Haar tests, Cesaro
 averages, the counterexample bundle and hypothesis reports."""
 
+import dataclasses
 import itertools
 import math
 import time
@@ -40,6 +41,8 @@ from groupca.measures import (
     invariance_check,
     _fractions,
     _independent_pieces,
+    _phases,
+    _restrict,
     _sweep,
     sigma_entropy_exact,
 )
@@ -557,6 +560,115 @@ def test_exact_invariance_compares_discrepancies_over_different_denominators():
                                                          (1,): Fraction(2, 3)}))))
     res = invariance_check(mu, F_xor, 1, length=2, offsets=(0, 1))
     assert (res.max_discrepancy, res.witness) == (Fraction(1, 6), Cylinder(0, w(0)))
+
+
+# -- one window law per phase ------------------------------------------------------
+
+
+def _every_offset_invariance(mu, F, j, shift, length, offsets):
+    """Exact invariance as it read the laws of mu and its image at every
+    offset, kept as the oracle of the sweep once per phase: (max_discrepancy,
+    witness, cylinders_checked)."""
+    push = PushforwardMeasure(mu, F, j, shift)
+    marginals = {}
+    for i in offsets:
+        image, own = push.block_weights(i, length), mu.block_weights(i, length)
+        for ell in range(length, 0, -1):
+            image, own = _restrict(image, 0, ell), _restrict(own, 0, ell)
+            marginals[i, ell] = image, own
+    best, best_den, witness = 0, 1, None
+    for ell in range(1, length + 1):
+        words = {w for i in offsets for block, _ in marginals[i, ell] for w in block}
+        for word in sorted(words):
+            for i in offsets:
+                (image, di), (own, do) = marginals[i, ell]
+                num = abs(image.get(word, 0) * do - own.get(word, 0) * di)
+                if num * best_den > best * di * do:
+                    best, best_den, witness = num, di * do, Cylinder(i, word)
+    checked = len(offsets) * sum(mu.alphabet.order ** ell for ell in range(1, length + 1))
+    return Fraction(best, best_den), witness, checked
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_per_phase_invariance_matches_the_every_offset_oracle(data):
+    # offsets negative, non-contiguous, repeated and more than t of them; None
+    # is the default, 0..3 widened to every phase
+    group = data.draw(st.sampled_from(ALPHABETS[:3]))
+    F = data.draw(rules(group))
+    mu = data.draw(weighted_measures(group))[0]
+    j, shift = data.draw(st.integers(0, 2)), data.draw(st.integers(-2, 2))
+    length = data.draw(st.integers(1, 2))
+    offsets = data.draw(st.none() | st.lists(st.integers(-5, 6), min_size=1, max_size=8))
+    res = invariance_check(mu, F if j else None, j, shift, length, offsets)
+    every = range(max(4, _phases(mu))) if offsets is None else offsets
+    assert ((res.max_discrepancy, res.witness, res.cylinders_checked)
+            == _every_offset_invariance(mu, F if j else None, j, shift, length, every))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_the_phase_count_is_a_period_of_every_window_law(data):
+    group = data.draw(st.sampled_from(ALPHABETS))
+    mu = data.draw(weighted_measures(group))[0]
+    t, i, length = _phases(mu), data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3))
+    assert mu.block_distribution(i, length) == mu.block_distribution(i + t, length)
+
+
+def test_orbit_phases_are_one_when_closed_under_the_shift_else_the_periods():
+    x, y = PeriodicConfig(Z2, w(0, 0, 1)), PeriodicConfig(Z2, w(0, 1))
+    assert _phases(PeriodicOrbitMeasure((x,))) == 3
+    assert _phases(PeriodicOrbitMeasure((x, y))) == 6
+    assert _phases(PeriodicOrbitMeasure.from_orbit(x)) == 1
+    assert _phases(PeriodicOrbitMeasure.from_orbit(x, F_xor)) == 1
+    paired = HaarMeasure(ProductSubgroup(Z2, 2, Subgroup(Z2.power(2), ((0, 0), (1, 1)))))
+    mixed = MixtureMeasure(((Fraction(1, 2), PeriodicOrbitMeasure((x,))),
+                            (Fraction(1, 2), PushforwardMeasure(paired, F_xor, 1, 1))))
+    assert _phases(mixed) == 6
+
+
+@pytest.mark.parametrize("mu, sweeps", [
+    (Bernoulli(Z2, {(0,): Fraction(1, 3), (1,): Fraction(2, 3)}), 2),
+    (HaarMeasure(ProductSubgroup(Z2, 2, Subgroup(Z2.power(2), ((0, 0), (1, 1))))), 4),
+])
+def test_exact_invariance_sweeps_each_side_once_per_phase(monkeypatch, mu, sweeps):
+    calls = []
+    monkeypatch.setattr("groupca.measures._sweep",
+                        lambda *args: calls.append(args[3]) or _sweep(*args))
+    res = invariance_check(mu, F_xor, 1, length=3, offsets=(0, 1, 2, 3))
+    assert len(calls) == sweeps and res.cylinders_checked == 4 * (2 + 4 + 8)
+
+
+def _per_length_languages(suite, length):
+    """The counterexample's two language checks, one support per length."""
+    F = suite.automaton
+
+    def support(mu, i, ell):
+        return set(mu.block_weights(i, ell)[0])
+
+    rule = all(support(PushforwardMeasure(HaarMeasure(x), F, 1), 0, ell)
+               == support(HaarMeasure(y), 0, ell)
+               for x, y in ((suite.x1, suite.x3), (suite.x2, suite.x4))
+               for ell in range(1, length + 1))
+    shifted = all(support(HaarMeasure(suite.x1.shifted(1)), i, ell)
+                  == support(HaarMeasure(suite.x2), i, ell)
+                  for i in (0, 1) for ell in range(1, length + 1))
+    return rule, shifted
+
+
+@pytest.mark.parametrize("length", range(1, 7))
+def test_counterexample_languages_match_the_per_length_supports(length):
+    suite = counterexample_suite()
+    swapped = dataclasses.replace(suite, x3=suite.x4, x4=suite.x3)
+    moved = dataclasses.replace(suite, x2=suite.x1)
+    for s in (suite, swapped, moved):
+        checks = s.verify(length)
+        assert ((checks["rule_image_languages_match"], checks["shifted_languages_match"])
+                == _per_length_languages(s, length))
+    assert _per_length_languages(suite, length) == (True, True)
+    assert _per_length_languages(swapped, length)[0] is False
+    # every letter is free at length 1
+    assert _per_length_languages(moved, length)[1] is (length == 1)
 
 
 def _preimage_prob(mu, cyl):
