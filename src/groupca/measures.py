@@ -27,20 +27,19 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import getitem
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .automata import (
     CellularAutomaton,
-    _product_terms,
+    matrix_terms,
     cylinder_preimage,
     letter_arithmetic,
     letters,
     linear_ca,
-    matrix_terms,
     power,
 )
 from .configs import Cylinder, PeriodicConfig, Word
-from .groups import CapExceeded, Character, Element, Endomorphism, GroupSpec, Subgroup
+from .groups import CapExceeded, Character, Element, GroupSpec, Subgroup
 from .hypotheses import HypothesisReport, check_hypotheses  # noqa: F401  (importable here too)
 from .shifts import FullShift, ProductSubgroup, SubgroupShiftSpec, subgroup_shift_on
 
@@ -71,6 +70,7 @@ def _check_window(alphabet: GroupSpec, length: int,
 # `block_distribution` turns them into one Fraction per word at the edge.
 
 Weights = tuple[dict[Word, int], int]
+Lane = Mapping[int, tuple[int, ...]]  # a rule's nonzero letter maps by offset (`_lane`)
 
 
 def _fractions(block: Weights) -> dict[Word, Fraction]:
@@ -143,9 +143,21 @@ def _block_runs(block: Subgroup, k: int, first: int, last: int) -> tuple:
     ).items())
 
 
+def _lane(F: CellularAutomaton) -> Lane:
+    """The lane of a rule with coefficients: each coefficient's letter map
+    by offset (`automata.letter_arithmetic`), the zero map (every letter to
+    letter 0, the zero) left out."""
+    return {u: m for u, m in letter_arithmetic(F.alphabet, matrix_terms(F))[2].items() if any(m)}
+
+
+def _identity_lane(alphabet: GroupSpec) -> Lane:
+    """The identity rule's lane: every letter to itself at offset 0."""
+    return {0: tuple(range(alphabet.order))}
+
+
 def _sweep(
     base: "MeasureSpec",
-    terms: Mapping[int, tuple],
+    lane: Lane,
     constant: Element | None,
     lo: int,
     length: int,
@@ -153,10 +165,10 @@ def _sweep(
 ) -> Weights:
     """Block weights on [lo, lo + length) of the image of a base that is not
     a mixture, cut into its independent pieces (`_independent_pieces`),
-    under the affine rule y_t = sum_u m_u(x_(t+u)) + constant, with integer
-    matrix terms m_u (`automata.matrix_terms`).
+    under the affine rule y_t = sum_u m_u(x_(t+u)) + constant, whose lane
+    (`_lane`) holds the letter maps m_u.
 
-    The letter maps of the m_u lie in one dense array over offsets, so the
+    The m_u lie in one dense array over offsets, so the
     column of a run of k letters (the maps through which it reaches each
     output) is a window of length + k - 1 of that array, and a group of
     runs counts its columns as the windows at its stride.  A run adds a
@@ -175,17 +187,19 @@ def _sweep(
     alphabet = base.alphabet
     if _iid(base):
         _check_window(alphabet, length, None)
-    pieces = _independent_pieces(base, lo + min(terms, default=0),
-                                 lo + length - 1 + max(terms, default=0), laws)
+    pieces = _independent_pieces(base, lo + min(lane, default=0),
+                                 lo + length - 1 + max(lane, default=0), laws)
     abc = letters(alphabet)
-    index, plus, maps = letter_arithmetic(alphabet, terms)
+    index, plus, _ = letter_arithmetic(alphabet, {})
     zero = index[alphabet.zero]
-    vanishing = (zero,) * len(abc)  # the letter map of the zero matrix
+    vanishing = (zero,) * len(abc)  # the zero map
     first = min(starts[0] for _, _, starts in pieces)
     end = max(starts[-1] + len(runs[0][0]) for runs, _, starts in pieces)
-    # lane[i] maps through offset end - 1 - lo - i: position p reaches output t
-    # through lane[end - 1 - p + t], so a run of k from p sees lane[end - p - k:]
-    lane = [maps.get(end - 1 - lo - i, vanishing) for i in range(end - first + length - 1)]
+    # dense[i] maps through offset end - 1 - lo - i: position p reaches output t
+    # through dense[end - 1 - p + t], so a run of k from p sees dense[end - p - k:]
+    dense = [vanishing] * (end - first + length - 1)
+    for u, m in lane.items():
+        dense[end - 1 - lo - u] = m
     if laws is None:
         laws = {}
 
@@ -233,7 +247,7 @@ def _sweep(
     for runs, run_den, starts in pieces:
         k, step = len(runs[0][0]), starts.step
         width, i = length + k - 1, end - starts[-1] - k  # the last run's window comes first
-        columns = Counter(zip(*(lane[i + x : i + x + step * len(starts) : step]
+        columns = Counter(zip(*(dense[i + x : i + x + step * len(starts) : step]
                                 for x in range(width))))
         columns.pop((vanishing,) * width, None)
         for column, copies in columns.items():
@@ -265,7 +279,7 @@ def _restrict(block: Weights, start: int, length: int) -> Weights:
 
 def _push(
     base: "MeasureSpec",
-    terms: Mapping[int, tuple],
+    lane: Lane,
     constant: Element | None,
     offset: int,
     length: int,
@@ -274,19 +288,18 @@ def _push(
     laws: dict | None = None,
 ) -> Weights:
     """Block weights on [offset, offset + length) of `base` pushed by the
-    affine rule with integer matrix terms and `constant` (`_sweep`), a
-    mixture component by component.  A base that is not i.i.d. enumerates
-    its law on the widened window, so its |A|^(span of the terms) words per
-    target word are checked against `cap` first, in a message naming F^power.
+    affine rule with this lane and `constant` (`_sweep`), a mixture
+    component by component.  A base that is not i.i.d. enumerates its law
+    on the widened window, so its |A|^(span of the lane) words per target
+    word are checked against `cap` first, in a message naming F^power.
     """
     if isinstance(base, MixtureMeasure):
-        return _mix((c, _push(m, terms, constant, offset, length, cap, power, laws))
+        return _mix((c, _push(m, lane, constant, offset, length, cap, power, laws))
                     for c, m in base.components if c)
-    terms = {u: m for u, m in terms.items() if any(map(any, m))}  # no zero matrix widens
     if not _iid(base):
-        _check_per_target(base.alphabet, max(terms, default=0) - min(terms, default=0),
+        _check_per_target(base.alphabet, max(lane, default=0) - min(lane, default=0),
                           cap, power)
-    return _sweep(base, terms, constant, offset, length, laws)
+    return _sweep(base, lane, constant, offset, length, laws)
 
 
 def _check_per_target(alphabet: GroupSpec, span: int, cap: int, power: int) -> None:
@@ -336,8 +349,7 @@ class Bernoulli(_BlockWeighted):
     cylinder_prob = _piece_prob
 
     def block_weights(self, offset: int, length: int, laws: dict | None = None) -> Weights:
-        identity = {0: Endomorphism.identity(self.alphabet).matrix}
-        return _sweep(self, identity, None, offset, length, laws)
+        return _sweep(self, _identity_lane(self.alphabet), None, offset, length, laws)
 
     def describe(self) -> str:
         return f"Bernoulli on {self.alphabet}"
@@ -359,8 +371,7 @@ class HaarMeasure(_BlockWeighted):
         """Full shift and product subgroups are i.i.d. over letters or blocks;
         a kernel shift is uniform on its words (`LinearKernelShift.language`)."""
         if _iid(self):
-            identity = {0: Endomorphism.identity(self.alphabet).matrix}
-            return _sweep(self, identity, None, offset, length, laws)
+            return _sweep(self, _identity_lane(self.alphabet), None, offset, length, laws)
         words = self.sigma.language(length)
         return dict.fromkeys(words, 1), len(words)
 
@@ -436,7 +447,7 @@ class PushforwardMeasure(_BlockWeighted):
         if j == 0:
             return self.base.block_weights(offset, length, laws)
         if F.is_affine:
-            return _push(self.base, matrix_terms(F), F.constant, offset, length, self.cap,
+            return _push(self.base, _lane(F), F.constant, offset, length, self.cap,
                          self.f_power, laws)
         small = F.smallest_neighborhood()
         r, s = small.neighborhood
@@ -533,7 +544,9 @@ class PeriodicOrbitMeasure(_BlockWeighted):
     def alphabet(self) -> GroupSpec:
         return self.configs[0].alphabet
 
-    cylinder_prob = _piece_prob
+    def cylinder_prob(self, cyl: Cylinder) -> Fraction:
+        hits = sum(x.window(cyl.offset, len(cyl.word)) == cyl.word for x in self.configs)
+        return Fraction(hits, len(self.configs))
 
     def block_weights(self, offset: int, length: int, laws: dict | None = None) -> Weights:
         return dict(Counter(x.window(offset, length) for x in self.configs)), len(self.configs)
@@ -552,11 +565,11 @@ MeasureSpec = (
 
 def _phases(mu: MeasureSpec) -> int:
     """A t for which sigma^t fixes the measure, so that its window laws at
-    offsets i and i + t agree: the grouping of Haar measure on a product
-    subgroup, the base's for a pushforward (F commutes with sigma), the lcm
-    over the components of a mixture, for a periodic orbit measure 1 when its
-    configurations are closed under sigma (as `from_orbit` builds them) and
-    else the lcm of their periods, and 1 for every other measure."""
+    offsets i and i + t agree: the `shift_period` of Haar measure on a
+    product subgroup, the base's for a pushforward (F commutes with sigma),
+    the lcm over the components of a mixture, for a periodic orbit measure 1
+    when its configurations are closed under sigma (as `from_orbit` builds
+    them) and else the lcm of their periods, and 1 for every other measure."""
     if isinstance(mu, PushforwardMeasure):
         return _phases(mu.base)
     if isinstance(mu, MixtureMeasure):
@@ -566,7 +579,7 @@ def _phases(mu: MeasureSpec) -> int:
         if all(x.shift(1) in configs for x in configs):
             return 1
         return math.lcm(*(x.period for x in configs))
-    return getattr(getattr(mu, "sigma", None), "grouping", 1)
+    return getattr(getattr(mu, "sigma", None), "shift_period", 1)
 
 
 @dataclass(frozen=True)
@@ -816,14 +829,64 @@ def haar_test(
 # -- Cesaro iteration -------------------------------------------------------------
 
 
+def _power_lanes(F: CellularAutomaton) -> Iterator[Lane]:
+    """The lanes of F, F^2, F^3, ... for a rule F with coefficients, each
+    from the one before: lane_j[w] = sum_u m_u o lane_(j-1)[w - u] over F's
+    letter maps m_u.  Letter maps are numbered as they first appear (0 is
+    the zero map, which no lane holds), and each composition m o g (m[g[a]])
+    and each sum g + h (plus[g[a]][h[a]]) of numbered maps is computed once
+    per generator."""
+    alphabet = F.alphabet
+    plus = letter_arithmetic(alphabet, {})[1]
+    maps: list[tuple[int, ...]] = []
+    numbers: dict[tuple[int, ...], int] = {}
+
+    def number(m: tuple[int, ...]) -> int:
+        if m not in numbers:
+            numbers[m] = len(maps)
+            maps.append(m)
+        return numbers[m]
+
+    number((0,) * alphabet.order)
+    f = [(u, number(m)) for u, m in _lane(F).items()]
+    composed: defaultdict[int, dict[int, int]] = defaultdict(dict)  # m -> {g: m o g}
+    summed: defaultdict[int, dict[int, int]] = defaultdict(dict)  # h -> {g: h + g}
+    lane = {u: number(m) for u, m in _identity_lane(alphabet).items()}
+    while True:
+        nxt: dict[int, int] = {}
+        for u, m in f:
+            after = composed[m]
+            for v, g in lane.items():
+                mg = after.get(g)
+                if mg is None:
+                    mg = after[g] = number(tuple(maps[m][a] for a in maps[g]))
+                h = nxt.get(u + v)
+                if h is not None:
+                    plus_h = summed[h]
+                    if mg not in plus_h:
+                        plus_h[mg] = number(tuple(plus[a][b] for a, b in zip(maps[h], maps[mg])))
+                    mg = plus_h[mg]
+                nxt[u + v] = mg
+        lane = {w: h for w, h in nxt.items() if h}
+        yield {w: maps[h] for w, h in lane.items()}
+
+
 @dataclass(frozen=True)
 class CesaroResult:
-    """Cesaro averages of iterated pushforwards, as exact block distributions."""
+    """Cesaro averages of iterated pushforwards: distances to uniform, and
+    block distributions built on first read from `sums`, each average's
+    numerators (in `words` order) over its denominator."""
 
-    distributions: tuple[dict[Word, Fraction], ...]
     distances_to_uniform: tuple[Fraction, ...]
     length: int
+    words: tuple[Word, ...]
+    sums: tuple[tuple[tuple[int, ...], int], ...]
     exact: bool = True
+
+    @functools.cached_property
+    def distributions(self) -> tuple[dict[Word, Fraction], ...]:
+        return tuple({w: Fraction(c, total) for w, c in zip(self.words, numerators)}
+                     for numerators, total in self.sums)
 
 
 def cesaro_sequence(
@@ -838,33 +901,32 @@ def cesaro_sequence(
     distances to the uniform block distribution.
 
     Each F^j mu0 gives `PushforwardMeasure` block weights.  A linear or
-    affine F^j is carried as integer matrix terms and a constant, F times
-    F^(j-1), and pushed as they are (`_push`).  A step costs the product of
-    the two term counts in integer products and one move per distinct
-    column, and the sweeps share one memo of run-law powers.  The
-    running sum is kept as integer numerators over one denominator, so each
-    distance is one integer sum; Fractions are built only for the averages
-    reported.  `cap` is the pushforwards' cap.
+    affine F^j is carried as its lane, advanced by F once per step
+    (`_power_lanes`), and a constant, F^j of the zero
+    configuration, and pushed as they are (`_push`); the sweeps share one
+    memo of run-law powers.  The running sum is kept as integer numerators
+    over one denominator, so each distance is one integer sum; Fractions are
+    built only when `distributions` is read.  `cap` is the pushforwards' cap.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     _same_alphabet(mu0, F)
     _check_window(mu0.alphabet, length)
     A = mu0.alphabet
-    words = list(itertools.product(letters(A), repeat=length))
+    words = tuple(itertools.product(letters(A), repeat=length))
     running = dict.fromkeys(words, 0)  # numerators of sum_(j<n) F^j mu0 over den
     den = 1
     laws: dict = {}
-    terms, constant = {}, A.zero  # F^j for an affine F, as matrix terms and constant
-    averages = []
+    lanes = _power_lanes(F) if F.is_affine else None
+    constant = A.zero  # F^j of the zero configuration, for an affine F
+    sums = []
     distances = []
     for n in range(1, steps + 1):
         j = n - 1
-        if j and F.is_affine:
-            terms = _product_terms(A, matrix_terms(F), terms) if j > 1 else matrix_terms(F)
+        if j and lanes is not None:
             if F.constant is not None:  # F^j of the zero configuration
                 constant = F.local((constant,) * F.width)
-            block = _push(mu0, terms, constant, 0, length, cap, j, laws)
+            block = _push(mu0, next(lanes), constant, 0, length, cap, j, laws)
         else:
             block = PushforwardMeasure(mu0, F, j, cap=cap).block_weights(0, length, laws)
         weights, d = block
@@ -876,11 +938,11 @@ def cesaro_sequence(
         for w, c in weights.items():
             running[w] += c * scale
         total = n * den  # the average is running / total
-        averages.append({w: Fraction(c, total) for w, c in running.items()})
+        sums.append((tuple(running.values()), total))
         # sum_w |running_w / total - 1 / |words|| / 2, over one denominator
         gap = sum(abs(c * len(words) - total) for c in running.values())
         distances.append(Fraction(gap, 2 * total * len(words)))
-    return CesaroResult(tuple(averages), tuple(distances), length)
+    return CesaroResult(tuple(distances), length, words, tuple(sums))
 
 
 # -- the invariance counterexample bundle ------------------------------------------

@@ -135,6 +135,23 @@ class ProductSubgroup:
                 return False
         return True
 
+    @cached_property
+    def shift_period(self) -> int:
+        """The least d dividing the grouping t for which the block is the
+        (t/d)-fold product of its projection P onto its first d letters:
+        |P|^(t/d) elements, every d-letter chunk in P.  This is then the
+        product subgroup of grouping d with block P, so sigma^d fixes it and
+        its Haar measure."""
+        t, k, elements = self.grouping, self.alphabet.rank, self.block.elements
+        for d in range(1, t):
+            if t % d == 0:
+                size = d * k
+                head = {b[:size] for b in elements}
+                if len(head) ** (t // d) == len(elements) and all(
+                        b[i : i + size] in head for b in elements for i in range(size, t * k, size)):
+                    return d
+        return t
+
     def shifted(self, m: int) -> "ProductSubgroup":
         """The image under the m-th shift power (blocks move back by m)."""
         return ProductSubgroup(self.alphabet, self.grouping, self.block,

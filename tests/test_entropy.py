@@ -340,6 +340,8 @@ def test_entropy_pools_the_phases_of_a_product_haar_measure(F, mu, t):
     Bernoulli(Z3, {(0,): Fraction(1, 2), (1,): Fraction(1, 3), (2,): Fraction(1, 6)}),
     HaarMeasure(FullShift(Z2xZ2)),
     HaarMeasure(ProductSubgroup(Z2, 1, Subgroup(Z2, ((0,), (1,))))),
+    # the uniform block of grouping 2 is a product of one-letter blocks
+    HaarMeasure(ProductSubgroup(Z2, 2, Subgroup(Z2.power(2), tuple(Z2.power(2).elements())))),
 ])
 def test_measures_without_phases_keep_their_draws(mu):
     pooled = _pooled_rows(mu, -1, 2, 1000, np.random.default_rng(9))

@@ -17,7 +17,6 @@ from groupca.automata import (
     compose,
     letters,
     linear_ca,
-    matrix_terms,
     power,
     shift_ca,
     table_ca,
@@ -41,7 +40,10 @@ from groupca.measures import (
     invariance_check,
     _fractions,
     _independent_pieces,
+    _lane,
     _phases,
+    _piece_prob,
+    _power_lanes,
     _restrict,
     _sweep,
     sigma_entropy_exact,
@@ -562,6 +564,38 @@ def test_exact_invariance_compares_discrepancies_over_different_denominators():
     assert (res.max_discrepancy, res.witness) == (Fraction(1, 6), Cylinder(0, w(0)))
 
 
+# the orbit words of the benchmark's measure_exact pool: (modulus, word, rule coefficients)
+BENCH_ORBITS = [(2, (0, 0, 1), {0: 1, 1: 1}), (2, (0, 1, 1, 0, 1), {0: 1, 1: 1}),
+                (3, (0, 1, 2, 2), {0: 1, 1: 1}), (3, (1, 0, 0), {0: 1, 1: 2})]
+
+
+@pytest.mark.parametrize("d, word, coeffs", BENCH_ORBITS)
+def test_orbit_cylinders_count_the_configurations_on_the_bench_words(d, word, coeffs):
+    group = GroupSpec((d,))
+    mu = PeriodicOrbitMeasure.from_orbit(PeriodicConfig(group, w(*word)), linear_ca(group, coeffs))
+    for ell in range(1, 4):
+        for cyl_word in itertools.product(letters(group), repeat=ell):
+            for offset in (-1, 0, 1, 2):
+                cyl = Cylinder(offset, cyl_word)
+                assert mu.cylinder_prob(cyl) == _piece_prob(mu, cyl)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_orbit_cylinders_count_the_configurations(data):
+    group = data.draw(st.sampled_from(ALPHABETS))
+    abc = letters(group)
+    words = data.draw(st.lists(st.lists(st.sampled_from(abc), min_size=1, max_size=5),
+                               min_size=1, max_size=3))
+    mu = PeriodicOrbitMeasure(tuple(PeriodicConfig(group, tuple(word)) for word in words))
+    offset, length = data.draw(st.integers(-4, 4)), data.draw(st.integers(1, 4))
+    word = data.draw(st.sampled_from(mu.configs)).window(offset, length)
+    if data.draw(st.booleans()):  # a word that some configuration may not read
+        word = tuple(data.draw(st.lists(st.sampled_from(abc), min_size=length, max_size=length)))
+    cyl = Cylinder(offset, word)
+    assert mu.cylinder_prob(cyl) == _piece_prob(mu, cyl)
+
+
 # -- one window law per phase ------------------------------------------------------
 
 
@@ -637,6 +671,47 @@ def test_exact_invariance_sweeps_each_side_once_per_phase(monkeypatch, mu, sweep
                         lambda *args: calls.append(args[3]) or _sweep(*args))
     res = invariance_check(mu, F_xor, 1, length=3, offsets=(0, 1, 2, 3))
     assert len(calls) == sweeps and res.cylinders_checked == 4 * (2 + 4 + 8)
+
+
+def test_a_uniform_block_sweeps_once_per_side(monkeypatch):
+    # the uniform block of grouping 2 is (Z/2)^2, a product of one-letter
+    # blocks: its Haar measure is uniform Bernoulli, fixed by sigma itself
+    uniform = HaarMeasure(ProductSubgroup(Z2, 2, Subgroup(Z2.power(2), tuple(Z2.power(2).elements()))))
+    assert _phases(uniform) == 1
+    calls = []
+    monkeypatch.setattr("groupca.measures._sweep",
+                        lambda *args: calls.append(args[3]) or _sweep(*args))
+    res = invariance_check(uniform, shift=1, length=3)
+    assert len(calls) == 2 and res.invariant and res.cylinders_checked == 4 * (2 + 4 + 8)
+
+
+def _tiled(group, t, d, seeds):
+    """Each d-letter seed placed at every d-letter chunk of a t-letter block."""
+    k = group.rank
+    return [(0,) * (k * i) + seed + (0,) * (k * (t - d) - k * i)
+            for seed in seeds for i in range(0, t, d)]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_product_haar_phases_are_its_least_period_dividing_the_grouping(data):
+    # blocks drawn as products of d-letter blocks, with at most one more
+    # generator that may break the product
+    group = data.draw(st.sampled_from(ALPHABETS))
+    t = data.draw(st.integers(1, 4))
+    d = data.draw(st.sampled_from([d for d in range(1, t + 1) if t % d == 0]))
+    seeds = data.draw(st.lists(st.sampled_from(list(group.power(d).elements())), max_size=2))
+    extra = data.draw(st.lists(st.sampled_from(list(group.power(t).elements())), max_size=1))
+    block = subgroup_closure(group.power(t), _tiled(group, t, d, seeds) + extra)
+    sig = ProductSubgroup(group, t, block, phase=data.draw(st.integers(0, t - 1)))
+    mu, phases = HaarMeasure(sig), _phases(HaarMeasure(sig))
+    assert t % phases == 0 and (extra or d % phases == 0)
+    for i, length in itertools.product(range(t), range(1, t + 2)):
+        assert mu.block_distribution(i, length) == mu.block_distribution(i + phases, length)
+    # no shorter divisor of t fixes the law of a block
+    for e in range(1, phases):
+        if t % e == 0:
+            assert mu.block_distribution(sig.phase, t) != mu.block_distribution(sig.phase + e, t)
 
 
 def _per_length_languages(suite, length):
@@ -791,7 +866,7 @@ def test_grouped_sweep_matches_the_per_piece_sweep(data):
     length = data.draw(st.integers(1, 4))
     lo = offset + min(Fj.coeffs)
     hi = offset + length - 1 + max(Fj.coeffs)
-    swept = _sweep(base, matrix_terms(Fj), Fj.constant, offset, length)
+    swept = _sweep(base, _lane(Fj), Fj.constant, offset, length)
     assert _fractions(swept) == _sweep_oracle(group, _per_position_pieces(base, lo, hi),
                                               Fj.coeffs, Fj.constant, offset, length)
 
@@ -813,8 +888,8 @@ def _oracle_distribution(mu, Fj, length):
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_cesaro_matches_the_composed_pushforwards_step_by_step(data):
-    # Cesaro carries F^j as integer matrix terms and a constant into the sweep
-    # (product Haar) or into a composed rule (a mixture); the reference is F^j
+    # Cesaro carries F^j as a lane of letter maps and a constant into the
+    # sweep, a mixture component by component; the reference is F^j
     # composed by `power`, as PushforwardMeasure composes it, pushed by the
     # per-piece sweep
     group = GroupSpec((2, 2))
@@ -840,6 +915,46 @@ def test_cesaro_matches_the_composed_pushforwards_step_by_step(data):
         assert res.distributions[n - 1] == {word: p / n for word, p in running.items()}
         assert res.distances_to_uniform[n - 1] == sum(
             abs(p / n - Fraction(1, len(words))) for p in running.values()) / 2
+
+
+LANE_ALPHABETS = (GroupSpec((2,)), GroupSpec((4,)), GroupSpec((6,)), GroupSpec((2, 2)))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_power_lanes_match_the_composed_matrix_terms(data):
+    # the lane advanced by F once per step against F^j composed by `power`
+    # (`automata._product_terms`), converted by `_lane`
+    group = data.draw(st.sampled_from(LANE_ALPHABETS))
+    F = data.draw(affine_rules(group))
+    lanes = _power_lanes(F)
+    for j in range(1, 41):
+        assert next(lanes) == _lane(power(F, j))
+
+
+def test_cesaro_advances_the_lane_and_composes_no_matrices(monkeypatch):
+    import groupca.automata
+    import groupca.measures
+
+    assert not hasattr(groupca.measures, "_product_terms")
+    F = linear_ca(Z2, {0: 1, 1: 1, 2: 1}, constant=(1,))
+    steps = 9
+    expected = [_lane(power(F, j)) for j in range(steps) for _ in range(2)]
+    paired = HaarMeasure(ProductSubgroup(Z2, 2, Subgroup(Z2.power(2), ((0, 0), (1, 1)))))
+    mu = MixtureMeasure(((Fraction(1, 3), Bernoulli(Z2, {(0,): Fraction(1, 4), (1,): Fraction(3, 4)})),
+                         (Fraction(2, 3), paired)))
+    products, lanes = [], []
+    product_terms = groupca.automata._product_terms
+    monkeypatch.setattr(groupca.automata, "_product_terms",
+                        lambda *args: products.append(args) or product_terms(*args))
+    monkeypatch.setattr(groupca.measures, "_sweep",
+                        lambda *args: lanes.append(args[1]) or _sweep(*args))
+    res = cesaro_sequence(mu, F, steps, 2)
+    # one sweep per step and per component, the step's lane; F^0 is the identity
+    assert products == [] and lanes == expected
+    assert "distributions" not in vars(res)
+    assert res.distributions is res.distributions
+    assert res.distributions == _naive_cesaro(mu, F, steps, 2)[0]
 
 
 def test_nested_pushforward_is_pushforward_by_composite():
@@ -967,7 +1082,7 @@ def test_one_piece_sweep_matches_the_widened_window_loop(data):
     j = data.draw(st.integers(1, 2))
     offset, length = data.draw(st.integers(-2, 2)), data.draw(st.integers(1, 3))
     Fj = power(F, j)
-    swept = _sweep(base, matrix_terms(Fj), Fj.constant, offset, length)
+    swept = _sweep(base, _lane(Fj), Fj.constant, offset, length)
     assert _fractions(swept) == _widened_loop(base, F, j, offset, length)
     assert PushforwardMeasure(base, F, j).block_distribution(offset, length) == _fractions(swept)
 
