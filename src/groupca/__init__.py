@@ -19,24 +19,22 @@ _HOME = {
     for module, names in (
         ("groups", "CapExceeded Character Endomorphism GroupSpec Subgroup closure_set "
                    "enumerate_subgroups subgroup_closure"),
-        ("configs", "Cylinder PeriodicConfig group_blocks group_word ungroup_blocks "
-                    "ungroup_word"),
+        ("configs", "Cylinder PeriodicConfig"),
         ("automata", "CellularAutomaton NotAlgebraicError Permutativity SurjectivityResult "
                      "as_laurent compose cylinder_preimage identity_ca is_surjective "
-                     "linear_ca power shift_ca table_ca table_from_rule with_shift"),
+                     "linear_ca power shift_ca table_ca table_from_rule"),
         ("shifts", "FullShift LinearKernelShift ProductSubgroup SubgroupShiftSpec"),
         ("kernels", "Condition4Result CorollaryKerResult InfiniteKernelError "
                     "KernelRecurrence KernelTower boundary condition4_search "
                     "corollary_ker_check kernel_elements recurrence_matrix restrict tower"),
-        ("modular", "Factorization PermutativeSupport bipermutative_power divisor_bound "
-                    "factor_mod_p frobenius_congruence_check kernel_direct_sum_check "
-                    "permutative_support"),
+        ("modular", "Factorization PermutativeSupport bipermutative_power factor_mod_p "
+                    "frobenius_congruence_check kernel_direct_sum_check permutative_support"),
         ("hypotheses", "HypothesisReport check_hypotheses formula_entropy "
                        "topological_entropy"),
         ("entropy", "EntropyReport block_entropy_estimate bounds_check "
                     "column_factor_samples entropy_report"),
-        ("class_a", "ClassAAnalysis DualCA analyze_radius1 check_linear_classA dual_ca "
-                    "invert_radius1 verify_conjugacy"),
+        ("class_a", "ClassAAnalysis DualCA analyze_radius1 dual_ca invert_radius1 "
+                    "verify_conjugacy"),
         ("measures", "Bernoulli HaarMeasure MixtureMeasure PeriodicOrbitMeasure "
                      "PushforwardMeasure cesaro_sequence character_integral "
                      "counterexample_suite haar_test invariance_check"),

@@ -378,7 +378,9 @@ def table_from_rule(
     neighborhood: tuple[int, int],
     rule,
 ) -> CellularAutomaton:
-    """Materialize a callable local rule into a table CA."""
+    """Materialize a callable local rule into a table CA: the table
+    counterpart of `linear_ca`, with which the tests build the table form of
+    a rule."""
     r, s = neighborhood
     width = s - r + 1
     abc = letters(alphabet)
@@ -459,17 +461,6 @@ def power(F: CellularAutomaton, n: int, cap: int = DEFAULT_TABLE_CAP) -> Cellula
                                   f"products of terms exceeds cap {cap}")
             result = compose(G, result, cap)
     return result
-
-
-def with_shift(F: CellularAutomaton, m: int) -> CellularAutomaton:
-    """The CA sigma^m after F."""
-    r, s = F.neighborhood
-    if F.coeffs is not None:
-        coeffs = {u + m: f for u, f in F.coeffs.items()}
-        return CellularAutomaton(
-            F.alphabet, (r + m, s + m), coeffs=coeffs, constant=F.constant
-        )
-    return CellularAutomaton(F.alphabet, (r + m, s + m), table=dict(F.table))
 
 
 class NotAlgebraicError(ValueError):
@@ -587,12 +578,13 @@ class SurjectivityResult:
         return self.surjective
 
 
-def is_surjective(F: CellularAutomaton, l_max: int | None = None) -> SurjectivityResult:
+def is_surjective(F: CellularAutomaton) -> SurjectivityResult:
     """Balance check: every length-L word must have exactly |A|^(s-r) preimage
     words of length L+(s-r).  Counts are propagated along the overlap graph:
     states are (s-r)-letter windows, and a letter of output advances every
-    count vector by one transfer step.  More than DEFAULT_TABLE_CAP overlap
-    states raise CapExceeded before anything is allocated.
+    count vector by one transfer step, to the depth 2(k+1)ceil(log2 |A|) + 4
+    for k = s-r.  More than DEFAULT_TABLE_CAP overlap states raise
+    CapExceeded before anything is allocated.
     """
     small = F.smallest_neighborhood()
     r, s = small.neighborhood
@@ -602,8 +594,7 @@ def is_surjective(F: CellularAutomaton, l_max: int | None = None) -> Surjectivit
     if n**k > DEFAULT_TABLE_CAP:
         raise CapExceeded(f"surjectivity overlap graph of |A|^{k} = {n**k} states "
                           f"exceeds cap {DEFAULT_TABLE_CAP}")
-    if l_max is None:
-        l_max = 2 * (k + 1) * max(1, math.ceil(math.log2(n))) + 4
+    l_max = 2 * (k + 1) * max(1, math.ceil(math.log2(n))) + 4
     states = list(itertools.product(abc, repeat=k))
     index = {u: i for i, u in enumerate(states)}
     edges_by_letter: dict[Element, list[tuple[int, int]]] = {b: [] for b in abc}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .automata import CellularAutomaton, NotAlgebraicError, as_laurent, letters, table_ca
-from .groups import Element, Endomorphism, GroupSpec
+from .groups import Element, GroupSpec
 
 
 @dataclass(frozen=True)
@@ -78,20 +78,6 @@ def analyze_radius1(F: CellularAutomaton) -> ClassAAnalysis:
     return ClassAAnalysis(
         F, classes, class_of, pi, succ, left, pi_perm, succ_in, inter, succ_eq
     )
-
-
-def check_linear_classA(f0: Endomorphism, f1: Endomorphism) -> bool:
-    """Membership test for linear rules f0 + f1 sigma by exhaustive image and
-    kernel computation."""
-    if f0.source != f1.source or not f0.is_square or not f1.is_square:
-        raise ValueError("coefficients must be endomorphisms of one group")
-    if not f0.is_automorphism():
-        return False
-    im1 = f1.image()
-    ker1 = f1.kernel()
-    if im1 != frozenset(f0(x) for x in ker1):
-        return False
-    return im1 & ker1 == frozenset({f0.source.zero})
 
 
 def _verify_inverse(F: CellularAutomaton, inv: CellularAutomaton) -> None:

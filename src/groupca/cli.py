@@ -564,7 +564,7 @@ def cmd_entropy(args) -> int:
         print(f"closed form: {rep.h_f_formula:.6f} nats ({rep.formula_case} case)")
     print(f"upper bound ok: {rep.bounds.upper_ok}")
     _print(rep.as_dict(), args.out)
-    ok = rep.bounds.upper_ok and (rep.bounds.lower_ok is not False)
+    ok = rep.bounds.upper_ok
     if rep.h_f_formula is not None:
         ok = ok and abs(rep.h_f_formula - rep.h_f_estimate) < 0.1
     return 0 if ok else 1

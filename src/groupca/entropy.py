@@ -95,27 +95,15 @@ def column_factor_samples(F: CellularAutomaton, measure, width: int | None = Non
 @dataclass(frozen=True)
 class BoundsCheck:
     upper: float
-    lower: float | None
     upper_ok: bool
-    lower_ok: bool | None
 
 
-def bounds_check(
-    F: CellularAutomaton,
-    h_sigma: float,
-    h_f: float,
-    expansivity_radius: int | None = None,
-    tol: float = 0.05,
-) -> BoundsCheck:
-    """Width upper bound, and the expansive lower bound when a radius is given."""
+def bounds_check(F: CellularAutomaton, h_sigma: float, h_f: float) -> BoundsCheck:
+    """The width upper bound (s - r) h_sigma on the automaton entropy, held
+    up to 0.05 nats of sampling error."""
     r, s = F.smallest_neighborhood().neighborhood
     upper = (s - r) * h_sigma
-    upper_ok = h_f <= upper + tol
-    lower = lower_ok = None
-    if expansivity_radius is not None:
-        lower = h_sigma / expansivity_radius
-        lower_ok = h_f >= lower - tol
-    return BoundsCheck(upper, lower, upper_ok, lower_ok)
+    return BoundsCheck(upper, h_f <= upper + 0.05)
 
 
 @dataclass(frozen=True)
@@ -140,8 +128,6 @@ class EntropyReport:
             "formula_case": self.formula_case,
             "upper_bound_nats": self.bounds.upper,
             "upper_bound_ok": self.bounds.upper_ok,
-            "lower_bound_nats": self.bounds.lower,
-            "lower_bound_ok": self.bounds.lower_ok,
             "samples": self.sample_count,
             "block_length": self.block_length,
             "column_width": self.column_width,
@@ -289,22 +275,21 @@ def _shift_entropy(measure, samples: int, k: int, rng) -> float:
 
 
 def entropy_report(F: CellularAutomaton, measure, samples: int = 1_000_000, k: int = 4,
-                   seed: int = 0, width: int | None = None,
-                   expansivity_radius: int | None = None) -> EntropyReport:
+                   seed: int = 0) -> EntropyReport:
     """Estimate shift and automaton entropies and cross-check the formulas.
 
     Both estimates count blocks of the column process: the shift's from
     k-letter windows of the measure, the automaton's from k columns of
     `width` letters.  Both pool the t phases of a measure that sigma^t fixes
-    and sigma need not (`_pooled_rows`).  A block code must stay below
-    2^63, so |A|^(width * k) >= 2^63 raises ValueError.
+    and sigma need not (`_pooled_rows`).  The width is the rule's
+    `conjugacy_width`, at least 1.  A block code must stay below 2^63, so
+    |A|^(width * k) >= 2^63 raises ValueError.
     """
     if samples < 1 or k < 1:
         raise ValueError(f"samples and block length k must be >= 1, got {samples} and {k}")
     small = F.smallest_neighborhood()
     _same_alphabet(measure, small)
-    if width is None:
-        width = max(conjugacy_width(small), 1)
+    width = max(conjugacy_width(small), 1)
     n = small.alphabet.order
     if n ** (width * k) >= 1 << 63:
         raise ValueError(f"block codes of |A|^(width * k) = {n}^{width * k} values "
@@ -318,5 +303,5 @@ def entropy_report(F: CellularAutomaton, measure, samples: int = 1_000_000, k: i
     return EntropyReport(
         h_sigma, h_f, formula_entropy(small, h_sigma) if formula else None,
         formula_case(small) if formula else None,
-        bounds_check(small, h_sigma, h_f, expansivity_radius), samples, k, width, seed,
+        bounds_check(small, h_sigma, h_f), samples, k, width, seed,
     )

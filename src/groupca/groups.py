@@ -10,6 +10,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 Element = tuple[int, ...]
@@ -114,9 +115,6 @@ class GroupSpec:
     def neg(self, x: Element) -> Element:
         return tuple((-a) % d for a, d in zip(x, self.moduli))
 
-    def sub(self, x: Element, y: Element) -> Element:
-        return tuple((a - b) % d for a, b, d in zip(x, y, self.moduli))
-
     def scale(self, n: int, x: Element) -> Element:
         return tuple((n * a) % d for a, d in zip(x, self.moduli))
 
@@ -194,7 +192,8 @@ class Endomorphism:
         )
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
-        """self after other."""
+        """self after other.  The tests build their reference rules with it,
+        with `inverse` and with negation."""
         if other.target != self.source:
             raise ValueError("composition shape mismatch")
         rows = tuple(
@@ -207,16 +206,8 @@ class Endomorphism:
         )
         return Endomorphism(other.source, self.target, rows)
 
-    def __add__(self, other: "Endomorphism") -> "Endomorphism":
-        if (other.source, other.target) != (self.source, self.target):
-            raise ValueError("addition shape mismatch")
-        rows = tuple(
-            tuple((a + b) % dj for a, b in zip(ra, rb))
-            for ra, rb, dj in zip(self.matrix, other.matrix, self.target.moduli)
-        )
-        return Endomorphism(self.source, self.target, rows)
-
     def __neg__(self) -> "Endomorphism":
+        """The pointwise negative (for the tests' reference rules, as `compose`)."""
         rows = tuple(
             tuple((-a) % dj for a in row)
             for row, dj in zip(self.matrix, self.target.moduli)
@@ -230,20 +221,19 @@ class Endomorphism:
     def image(self) -> frozenset[Element]:
         return frozenset(self(x) for x in self.source.elements())
 
-    def kernel(self) -> frozenset[Element]:
-        zero = self.target.zero
-        return frozenset(x for x in self.source.elements() if self(x) == zero)
-
-    def is_automorphism(self, cap: int = DEFAULT_CLOSURE_CAP) -> bool:
-        """Bijectivity by exhaustive image enumeration (alphabets are tiny)."""
+    def is_automorphism(self) -> bool:
+        """Bijectivity by exhaustive image enumeration (alphabets are tiny),
+        refused past DEFAULT_CLOSURE_CAP elements."""
         if not self.is_square:
             return False
-        if self.source.order > cap:
-            raise CapExceeded(f"group order {self.source.order} exceeds cap {cap}")
+        if self.source.order > DEFAULT_CLOSURE_CAP:
+            raise CapExceeded(f"group order {self.source.order} exceeds cap "
+                              f"{DEFAULT_CLOSURE_CAP}")
         return len(self.image()) == self.source.order
 
     def inverse(self) -> "Endomorphism":
-        """Inverse of an automorphism, found by solving on the standard generators."""
+        """Inverse of an automorphism, found by solving on the standard
+        generators (for the tests' reference rules, as `compose`)."""
         if not self.is_automorphism():
             raise ValueError("endomorphism is not an automorphism")
         preimage = {self(x): x for x in self.source.elements()}
@@ -289,9 +279,6 @@ class Character:
         num, lcm = self.phase(x)
         return cmath.exp(2j * cmath.pi * num / lcm)
 
-    def is_one_at(self, x: Element) -> bool:
-        return self.phase(x)[0] == 0
-
 
 Operator = Callable[[Element], Element]
 
@@ -302,27 +289,28 @@ def closure_set(
     zero,
     operators: Iterable[Callable] = (),
     cap: int = DEFAULT_CLOSURE_CAP,
-    additive_operators: bool = False,
 ):
     """Smallest set containing zero and the seeds, closed under add, negation
     and each operator.  Generic over the element type: used both for group
     elements and for periodic configurations.
 
-    Generators are absorbed by coset accumulation (the subgroup grows as a
-    union of cosets of the previous stage, so the cost is linear in the
-    result, not quadratic).  With `additive_operators` the operators are
-    promised to be group homomorphisms; then it is enough to close the
-    generator set under them before generating, instead of feeding every
-    element back through the operators.  Negatives need no map of their own:
-    they arise from the finite coset cycle.
+    Every operator must be a group homomorphism.  Then only the generators
+    need mapping: a generator already inside the subgroup built so far is a
+    sum of earlier ones, whose images are queued, so its images lie in the
+    closure anyway.  Each new generator is absorbed by coset accumulation
+    (the subgroup grows as a union of cosets of the previous stage, so the
+    cost is linear in the result, not quadratic) and at least doubles it.
+    Negatives need no map of their own: they arise from the finite coset
+    cycle.  The result is refused past `cap` elements.
     """
     ops = list(operators)
     members = {zero}
     order = [zero]
-
-    def absorb(g) -> None:
+    queue = list(seeds)
+    while queue:
+        g = queue.pop()
         if g in members:
-            return
+            continue
         reps = []
         kg = g
         while kg not in members:
@@ -337,38 +325,7 @@ def closure_set(
                         raise CapExceeded(f"closure exceeded cap {cap}")
                     members.add(y)
                     order.append(y)
-
-    if additive_operators and ops:
-        orbit: list = []
-        seen: set = set()
-        queue = list(seeds)
-        while queue:
-            x = queue.pop()
-            if x in seen:
-                continue
-            if len(seen) >= cap:
-                raise CapExceeded(f"operator orbit exceeded cap {cap}")
-            seen.add(x)
-            orbit.append(x)
-            queue.extend(op(x) for op in ops)
-        for g in orbit:
-            absorb(g)
-        return frozenset(members)
-
-    for s in seeds:
-        absorb(s)
-    applied = 0
-    while applied < len(order):
-        pending = []
-        snapshot = len(order)
-        for x in order[applied:]:
-            for op in ops:
-                y = op(x)
-                if y not in members:
-                    pending.append(y)
-        applied = snapshot
-        for g in pending:
-            absorb(g)
+        queue.extend(op(g) for op in ops)
     return frozenset(members)
 
 
@@ -387,7 +344,7 @@ class Subgroup:
 
     def validate(self) -> None:
         """Check closure under addition and negation (quadratic, desk scale)."""
-        members = set(self.elements)
+        members = self._members
         for x in self.elements:
             if self.ambient.neg(x) not in members:
                 raise ValueError(f"not closed under negation at {x}")
@@ -399,8 +356,14 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def _members(self) -> frozenset[Element]:
+        """The elements as one set, built on first use and kept outside the
+        fields, so equality, hashing and repr read `elements` alone."""
+        return frozenset(self.elements)
+
     def __contains__(self, x: Element) -> bool:
-        return x in set(self.elements)
+        return x in self._members
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -414,17 +377,18 @@ def subgroup_closure(
     ambient: GroupSpec,
     seeds: Iterable[Element],
     operators: Iterable[Operator | Endomorphism] = (),
-    cap: int = DEFAULT_CLOSURE_CAP,
 ) -> Subgroup:
     """Smallest subgroup of the ambient group containing the seeds and closed
-    under every operator (endomorphisms or arbitrary element maps)."""
-    if ambient.order > cap:
-        raise CapExceeded(f"ambient order {ambient.order} exceeds cap {cap}")
+    under every operator, each a homomorphism of the ambient group
+    (`closure_set`).  An ambient group of more than DEFAULT_CLOSURE_CAP
+    elements is refused."""
+    if ambient.order > DEFAULT_CLOSURE_CAP:
+        raise CapExceeded(f"ambient order {ambient.order} exceeds cap {DEFAULT_CLOSURE_CAP}")
     seeds = list(seeds)
     for s in seeds:
         if not ambient.contains(s):
             raise ValueError(f"seed {s} is not an ambient element")
-    elems = closure_set(seeds, ambient.add, ambient.zero, operators, cap)
+    elems = closure_set(seeds, ambient.add, ambient.zero, operators)
     return Subgroup(ambient, tuple(elems))
 
 
@@ -433,7 +397,8 @@ def enumerate_subgroups(
     operators: Iterable[Operator | Endomorphism] = (),
     cap: int = DEFAULT_SUBGROUP_CAP,
 ) -> list[Subgroup]:
-    """Complete list of subgroups (closed under the operators, if any).
+    """Complete list of subgroups (closed under the operators, if any, each a
+    homomorphism of the ambient group, as `closure_set` requires).
 
     Breadth-first over generator extensions: every closed subgroup arises by
     adding its generators one at a time, so the walk is exhaustive.

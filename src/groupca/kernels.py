@@ -403,16 +403,14 @@ class _CodedLevel:
     def generates(self, target: set[Element], seeds: Iterable[Element],
                   cap: int) -> dict[Element, bool]:
         """Whether each seed generates a subgroup containing target under the
-        shift and the rule.  Both are homomorphisms, so closing the generator
-        under them suffices (`additive_operators`).  Every shift of a seed
-        generates the same subgroup, so a shift orbit shares one closure; the
-        verdicts of the whole orbit are returned too."""
+        shift and the rule, both homomorphisms (`closure_set`).  Every shift
+        of a seed generates the same subgroup, so a shift orbit shares one
+        closure; the verdicts of the whole orbit are returned too."""
         group, ops = self.group, [self.shift.__getitem__, self.rule.__getitem__]
         verdicts: dict[Element, bool] = {}
         for c in seeds:
             if c not in verdicts:
-                ok = target <= closure_set([c], group.add, group.zero, ops, cap,
-                                           additive_operators=True)
+                ok = target <= closure_set([c], group.add, group.zero, ops, cap)
                 while c not in verdicts:
                     verdicts[c] = ok
                     c = self.shift[c]

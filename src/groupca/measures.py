@@ -57,6 +57,9 @@ def _same_alphabet(mu: "MeasureSpec", F: CellularAutomaton | None) -> None:
 
 def _check_window(alphabet: GroupSpec, length: int,
                   cap: int | None = DEFAULT_WINDOW_CAP) -> None:
+    """Refuse a window of no letter, or over `cap` letters or MAX_EXACT_WORDS words."""
+    if length < 1:
+        raise ValueError(f"window length must be >= 1, got {length}")
     if (cap is not None and length > cap) or alphabet.order**length > MAX_EXACT_WORDS:
         raise CapExceeded(f"window of length {length} too large for exact enumeration")
 
@@ -181,11 +184,11 @@ def _sweep(
     of the runs that reach an output.  `laws` memoizes the run laws' powers
     by (runs, n) and their images by (column, runs, n), across the sweeps
     of one call that shares it.  A base that is not i.i.d. is one piece,
-    its law on the widened window.  Over an i.i.d. base, a window of more
-    than MAX_EXACT_WORDS possible words raises CapExceeded up front.
+    its law on the widened window.  `_check_window` refuses a window of no
+    letter, and over an i.i.d. base one of over MAX_EXACT_WORDS words.
     """
     alphabet = base.alphabet
-    if _iid(base):
+    if length < 1 or _iid(base):
         _check_window(alphabet, length, None)
     pieces = _independent_pieces(base, lo + min(lane, default=0),
                                  lo + length - 1 + max(lane, default=0), laws)
@@ -369,9 +372,17 @@ class HaarMeasure(_BlockWeighted):
 
     def block_weights(self, offset: int, length: int, laws: dict | None = None) -> Weights:
         """Full shift and product subgroups are i.i.d. over letters or blocks;
-        a kernel shift is uniform on its words (`LinearKernelShift.language`)."""
+        a kernel shift is uniform on its words (`LinearKernelShift.language`),
+        counted first: its |core| vertices of k letters have d letters each,
+        so L >= k letters make |core| d^(L - k) words."""
         if _iid(self):
             return _sweep(self, _identity_lane(self.alphabet), None, offset, length, laws)
+        core = self.sigma.core
+        k, d = len(next(iter(core))), len(next(iter(core.values())))
+        count = len(core) * d ** max(length - k, 0)
+        if count > MAX_EXACT_WORDS:
+            raise CapExceeded(f"{count} kernel words of length {length} exceed the cap "
+                              f"MAX_EXACT_WORDS = {MAX_EXACT_WORDS}")
         words = self.sigma.language(length)
         return dict.fromkeys(words, 1), len(words)
 
@@ -522,9 +533,9 @@ class PeriodicOrbitMeasure(_BlockWeighted):
         cls,
         x: PeriodicConfig,
         automaton: CellularAutomaton | None = None,
-        cap: int = 1 << 12,
     ) -> "PeriodicOrbitMeasure":
-        """Close a configuration under the shift (and optionally the rule)."""
+        """Close a configuration under the shift (and optionally the rule),
+        refused past 2^12 configurations."""
         seen = {x}
         queue = [x]
         while queue:
@@ -534,7 +545,7 @@ class PeriodicOrbitMeasure(_BlockWeighted):
                 images.append(automaton.apply_periodic(y))
             for z in images:
                 if z not in seen:
-                    if len(seen) >= cap:
+                    if len(seen) >= 1 << 12:
                         raise CapExceeded("orbit closure exceeds cap")
                     seen.add(z)
                     queue.append(z)
@@ -611,7 +622,6 @@ def invariance_check(
     shift: int = 0,
     length: int = 4,
     offsets: Sequence[int] | None = None,
-    cap: int = DEFAULT_EXPANSION_CAP,
     mode: str = "exact",
     mc_samples: int = 50_000,
     seed: int = 0,
@@ -654,7 +664,7 @@ def invariance_check(
     if not offsets:
         raise ValueError("at least one cylinder offset is needed")
     _check_window(mu.alphabet, length)
-    push = PushforwardMeasure(mu, automaton, f_power, shift, cap)
+    push = PushforwardMeasure(mu, automaton, f_power, shift)
     if mode == "exact":
         laws: dict = {}
         first: dict[int, int] = {}  # phase -> its first offset
@@ -772,7 +782,6 @@ class HaarTestReport:
     witness: tuple[tuple[int, tuple[int, ...]], ...] | None
     characters_checked: int
     support_budget: int
-    tolerance: float
 
     def __bool__(self) -> bool:
         return self.consistent
@@ -782,10 +791,9 @@ def haar_test(
     mu: MeasureSpec,
     sigma: SubgroupShiftSpec,
     support_budget: int = 3,
-    tol: float = 1e-9,
 ) -> HaarTestReport:
     """Integrate every character supported on [0, budget) that is nontrivial
-    on the subgroup shift; all must vanish if mu is the Haar measure.
+    on the subgroup shift; all must vanish (to 1e-9) if mu is the Haar measure.
 
     One block weighting of mu on [0, budget) serves every character,
     through its marginal on the character's support window."""
@@ -819,10 +827,9 @@ def haar_test(
         if value > max_abs:
             max_abs = value
             witness = tuple((pos, chi[pos].residues) for pos in sorted(chi))
-    consistent = max_abs <= tol
+    consistent = max_abs <= 1e-9
     return HaarTestReport(
-        consistent, max_abs, None if consistent else witness, checked,
-        support_budget, tol,
+        consistent, max_abs, None if consistent else witness, checked, support_budget,
     )
 
 

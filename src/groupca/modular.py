@@ -1,12 +1,11 @@
 """Structure lemmas for linear rules over prime-power cyclic alphabets.
 
 Covers the unit-coefficient support, the bipermutative power, the Frobenius
-congruence for polynomial powers, the invertible-matrix period bound, the
-order of x modulo a monic polynomial over Z/m that gives every kernel shift
-period, and polynomial factorization over prime fields with the kernel
-direct sum check.  Each rule is read through its linear form
-(`automata.as_laurent`), so an additive table counts as the linear rule it
-equals.
+congruence for polynomial powers, the order of x modulo a monic polynomial
+over Z/m that gives every kernel shift period, and polynomial factorization
+over prime fields with the kernel direct sum check.  Each rule is read
+through its linear form (`automata.as_laurent`), so an additive table counts
+as the linear rule it equals.
 """
 
 from __future__ import annotations
@@ -14,9 +13,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from .automata import (CellularAutomaton, _memoized, _poly_divmod, _poly_mul, _poly_pow,
-                       as_laurent, linear_ca, power)
-from .groups import CapExceeded, GroupSpec, _gl_order, _is_prime, _prime_factors
+from .automata import (CellularAutomaton, _memoized, _poly_divmod, _poly_pow, as_laurent,
+                       linear_ca, power)
+from .groups import CapExceeded, GroupSpec, _is_prime, _prime_factors
 
 MAX_FACTOR_DEGREE = 8
 
@@ -101,16 +100,6 @@ def frobenius_congruence_check(
     return _poly_pow(whole, e, m) == _poly_pow(a, e, m)
 
 
-def divisor_bound(p: int, r: int) -> int:
-    """Count of invertible r x r matrices over the prime field: the universal
-    divisor of first-level kernel periods."""
-    if r < 1:
-        raise ValueError("width must be >= 1")
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return _gl_order(p, r)
-
-
 # -- the order of x, factorization over prime fields ----------------------------
 
 
@@ -146,16 +135,6 @@ class Factorization:
     shift_power: int
     unit: int
     factors: tuple[tuple[tuple[int, ...], int], ...]
-
-    @property
-    def is_irreducible(self) -> bool:
-        return len(self.factors) == 1 and self.factors[0][1] == 1
-
-    def reassemble(self) -> dict[int, int]:
-        acc = {self.shift_power: self.unit}
-        for f, m in self.factors:
-            acc = _poly_mul(acc, _poly_pow(dict(enumerate(f)), m, self.p), self.p)
-        return acc
 
     def factor_automata(self, alphabet: GroupSpec) -> list[tuple[CellularAutomaton, int]]:
         """One CA per irreducible factor raised to its multiplicity."""
@@ -212,9 +191,11 @@ def factor_mod_p(poly: CellularAutomaton | dict, p: int | None = None) -> Factor
     return Factorization(p, shift, unit, tuple(factors))
 
 
-def kernel_direct_sum_check(F: CellularAutomaton, n: int, cap: int = 1 << 14) -> bool:
+def kernel_direct_sum_check(F: CellularAutomaton, n: int) -> bool:
     """Check that the n-th kernel splits as the direct sum of the kernels of
-    the coprime factor powers: sizes multiply and the sum map is bijective."""
+    the coprime factor powers: sizes multiply and the sum map is bijective.
+    Each kernel, and the set of sums, is refused past 2^14 elements."""
+    cap = 1 << 14
     from .kernels import kernel_elements  # kernels imports this module
 
     fact = factor_mod_p(F)  # refuses all but a linear rule over a prime field

@@ -18,7 +18,7 @@ from groupca.class_a import dual_ca, verify_conjugacy
 from groupca.cli import bundled_spec, load_ca
 from groupca.configs import PeriodicConfig
 from groupca.entropy import entropy_report
-from groupca.groups import Character, GroupSpec, Subgroup, closure_set
+from groupca.groups import Character, GroupSpec, Subgroup, _gl_order, closure_set
 from groupca.kernels import (
     FullShift,
     ProductSubgroup,
@@ -37,7 +37,7 @@ from groupca.measures import (
     haar_test,
     invariance_check,
 )
-from groupca.modular import bipermutative_power, divisor_bound, permutative_support
+from groupca.modular import bipermutative_power, permutative_support
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
@@ -166,7 +166,7 @@ def test_criterion_5_period_divisor_bound():
         assert F.permutativity().bipermutative
         elems = kernel_elements(F, 1)
         p1 = math.lcm(*(x.period for x in elems))
-        bound = divisor_bound(p, width)
+        bound = _gl_order(p, width)  # |GL_width(F_p)|
         assert bound % p1 == 0, (p, width, coeffs, p1, bound)
         order = recurrence_matrix(F).matrix_order()
         for x in elems:

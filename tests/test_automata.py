@@ -25,7 +25,6 @@ from groupca.automata import (
     shift_ca,
     table_ca,
     table_from_rule,
-    with_shift,
 )
 from groupca.configs import Cylinder, PeriodicConfig
 from groupca.groups import CapExceeded, Endomorphism, GroupSpec
@@ -212,15 +211,6 @@ def test_power_cap_refuses_powers_wider_than_the_cap():
             power(T, n, cap=2**6)
 
 
-def test_with_shift():
-    Fs = with_shift(F_xor, 0)
-    assert Fs.coeffs == F_xor.coeffs
-    Fm = with_shift(F_xor, -1)
-    assert Fm.neighborhood == (-1, 0)
-    x = cfg(Z2, 0, 1, 1)
-    assert Fm.apply_periodic(x) == F_xor.apply_periodic(x).shift(-1)
-
-
 def test_laurent_round_trip_and_product():
     # a linear rule is its own polynomial; an additive table reads back as it
     assert as_laurent(F_xor) is F_xor
@@ -343,8 +333,8 @@ def test_cylinder_preimage_partition_and_offset():
 @settings(max_examples=20)
 def test_compose_with_shift_is_shift_of_compose(m, n):
     F = linear_ca(Z4, {0: 1, 1: 3})
-    lhs = with_shift(power(F, n), m)
-    rhs = compose(power(with_shift(F, 0), n), shift_ca(Z4, m))
+    lhs = compose(shift_ca(Z4, m), power(F, n))
+    rhs = compose(power(F, n), shift_ca(Z4, m))
     x = cfg(Z4, 1, 2, 0)
     assert lhs.apply_periodic(x) == rhs.apply_periodic(x)
 
@@ -363,6 +353,13 @@ def valid_matrices(group):
     return [tuple(zip(*[iter(e)] * len(d))) for e in itertools.product(*entries)]
 
 
+def endomorphism_sum(f, g):
+    """The pointwise sum of two endomorphisms of one group."""
+    rows = tuple(tuple((a + b) % d for a, b in zip(ra, rb))
+                 for ra, rb, d in zip(f.matrix, g.matrix, f.target.moduli))
+    return Endomorphism(f.source, f.target, rows)
+
+
 def naive_product(F, G):
     """The terms of the product of two linear forms, with one Endomorphism
     per product pair and per partial sum."""
@@ -370,7 +367,7 @@ def naive_product(F, G):
     for u, f in F.coeffs.items():
         for v, g in G.coeffs.items():
             fg = f.compose(g)
-            acc[u + v] = acc[u + v] + fg if u + v in acc else fg
+            acc[u + v] = endomorphism_sum(acc[u + v], fg) if u + v in acc else fg
     return acc
 
 

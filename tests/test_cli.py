@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -278,6 +279,24 @@ def test_hypotheses_reads_the_entropy_of_a_kernel_that_is_not_finite(tmp_path, c
     assert "entropy positive: True (exact shift entropy 0.693147 nats)" in capsys.readouterr().out
 
 
+def test_haar_on_an_infinite_kernel_counts_its_words_before_listing_them(tmp_path, capsys):
+    # 2 x_0 + 2 x_1 over Z/4: every letter has two successors, so 2^(L+1) words of length L
+    mu = tmp_path / "kernel.json"
+    mu.write_text(json.dumps({"type": "haar", "sigma": {"type": "kernel", "ca": {
+        "alphabet": {"moduli": [4]}, "neighborhood": [0, 1],
+        "rule": {"type": "linear", "coeffs": {"0": 2, "1": 2}}}}}))
+    word = json.dumps([[0]] * 12)
+    assert run(["measure", "prob", "--measure", str(mu), "--word", word]) == 0
+    assert capsys.readouterr().out == f"P([{word}]_0) = 1/8192\n"
+    start = time.perf_counter()
+    assert run(["measure", "prob", "--measure", str(mu), "--word", json.dumps([[0]] * 22)]) == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err == ("error: 8388608 kernel words of length 22 exceed the cap "
+                       "MAX_EXACT_WORDS = 4194304\n")
+
+
 def test_ledrappier_sigma_spec_loads():
     sigma = load_sigma(bundled_spec("ledrappier_kernel_sigma"))
     from groupca.kernels import LinearKernelShift
@@ -393,6 +412,12 @@ def test_degenerate_measure_windows_are_usage_errors(tmp_path, capsys):
     err = capsys.readouterr()
     assert "cylinder length must be >= 1" in err.err
     assert "invariant on all cylinders" not in err.out
+    for length in ("0", "-1"):  # refused before any sweep, which once indexed an empty range
+        assert run(["measure", "cesaro", "--measure", str(mu_file),
+                    "--ca", "id_plus_sigma_z2", "--length", length]) == 2
+        err = capsys.readouterr()
+        assert err.out == ""
+        assert err.err == f"error: window length must be >= 1, got {length}\n"
 
 
 def test_pushforward_over_cap_is_usage_error(tmp_path, capsys):

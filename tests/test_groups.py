@@ -1,7 +1,7 @@
 """Group arithmetic, characters, closures and subgroup enumeration."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupca.groups import (
@@ -10,6 +10,7 @@ from groupca.groups import (
     Endomorphism,
     GroupSpec,
     Subgroup,
+    closure_set,
     enumerate_subgroups,
     subgroup_closure,
 )
@@ -145,7 +146,7 @@ def test_character_orthogonality_over_subgroups(group):
         for res in group.elements():
             chi = Character(group, res)
             total = sum(chi(x) for x in sub.elements)
-            trivial_on_sub = all(chi.is_one_at(x) for x in sub.elements)
+            trivial_on_sub = all(chi.phase(x)[0] == 0 for x in sub.elements)
             if trivial_on_sub:
                 assert abs(total - len(sub)) < 1e-9
             else:
@@ -155,6 +156,10 @@ def test_character_orthogonality_over_subgroups(group):
 def test_subgroup_closure_examples():
     s = subgroup_closure(Z4, [(2,)])
     assert s.elements == ((0,), (2,))
+    # membership reads a set kept outside the fields
+    assert (2,) in s and (1,) not in s
+    assert s == Subgroup(Z4, ((2,), (0,))) and hash(s) == hash(Subgroup(Z4, ((0,), (2,))))
+    assert repr(s) == "Subgroup(ambient=GroupSpec(moduli=(4,)), elements=((0,), (2,)))"
     assert subgroup_closure(Z4, []).elements == ((0,),)
     swap = Endomorphism(Z2Z2, Z2Z2, ((0, 1), (1, 0)))
     s = subgroup_closure(Z2Z2, [(1, 0)], operators=[swap])
@@ -197,13 +202,44 @@ def test_subgroup_validate():
         Subgroup(Z4, ((0,), (1,))).validate()
 
 
-def test_closure_additive_operator_path_matches_generic():
-    from groupca.groups import closure_set
+def feed_back_closure(group, seeds, operators):
+    """Oracle: add sums and operator images of the members until none is
+    new, feeding every member back through the operators."""
+    members = {group.zero, *seeds}
+    while True:
+        new = {group.add(x, y) for x in members for y in members}
+        new |= {op(x) for x in members for op in operators}
+        if new <= members:
+            return frozenset(members)
+        members |= new
 
-    swap = Endomorphism(Z2Z2, Z2Z2, ((0, 1), (1, 0)))
-    for seeds in ([(1, 0)], [(1, 1)], [(0, 1), (1, 0)]):
-        fast = closure_set(
-            seeds, Z2Z2.add, Z2Z2.zero, [swap], additive_operators=True
-        )
-        slow = closure_set(seeds, Z2Z2.add, Z2Z2.zero, [swap])
-        assert fast == slow
+
+@st.composite
+def closure_inputs(draw):
+    """A group of rank <= 2 with moduli <= 6, zero to two endomorphisms of
+    it and one to three seeds."""
+    d = tuple(draw(st.lists(st.integers(2, 6), min_size=1, max_size=2)))
+    group = GroupSpec(d)
+    entries = [[[m for m in range(d[j]) if m * d[i] % d[j] == 0] for i in range(len(d))]
+               for j in range(len(d))]
+    operators = [
+        Endomorphism(group, group, tuple(tuple(draw(st.sampled_from(e)) for e in row)
+                                         for row in entries))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    seeds = draw(st.lists(st.sampled_from(list(group.elements())), min_size=1, max_size=3))
+    return group, operators, seeds
+
+
+SWAP = Endomorphism(Z2Z2, Z2Z2, ((0, 1), (1, 0)))
+
+
+@given(closure_inputs())
+@example((Z2Z2, [SWAP], [(1, 0)]))
+@example((Z2Z2, [SWAP], [(1, 1)]))
+@example((Z2Z2, [SWAP], [(0, 1), (1, 0)]))
+@settings(max_examples=60, deadline=None)
+def test_closure_set_matches_the_feed_back_oracle(inputs):
+    group, operators, seeds = inputs
+    got = closure_set(seeds, group.add, group.zero, operators)
+    assert got == feed_back_closure(group, seeds, operators)

@@ -485,7 +485,6 @@ def _config_closure(seeds, F, operators, cap):
         zero=PeriodicConfig.zero(F.alphabet),
         operators=operators,
         cap=cap,
-        additive_operators=True,
     )
 
 

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from groupca.automata import (NotAlgebraicError, _poly_divmod, _poly_mul, _poly_pow, as_laurent,
                               linear_ca, table_from_rule)
-from groupca.groups import GroupSpec
+from groupca.groups import GroupSpec, _gl_order
 from groupca.kernels import kernel_elements, recurrence_matrix
 from groupca.modular import (
     bipermutative_power,
-    divisor_bound,
     factor_mod_p,
     frobenius_congruence_check,
     kernel_direct_sum_check,
@@ -187,19 +186,26 @@ def test_frobenius_congruence_oracle_agreement():
 
 
 def test_divisor_bound_values():
-    assert divisor_bound(2, 1) == 1
-    assert divisor_bound(2, 2) == 6
-    assert divisor_bound(3, 1) == 2
-    assert divisor_bound(5, 3) == (125 - 1) * (125 - 5) * (125 - 25)
-    with pytest.raises(ValueError):
-        divisor_bound(4, 1)
+    # |GL_r(F_p)|, the universal divisor of first-level kernel periods
+    assert _gl_order(2, 1) == 1
+    assert _gl_order(2, 2) == 6
+    assert _gl_order(3, 1) == 2
+    assert _gl_order(5, 3) == (125 - 1) * (125 - 5) * (125 - 25)
 
 
 def test_factor_examples():
-    assert factor_mod_p({0: 1, 1: 1}, p=2).is_irreducible
+    assert factor_mod_p({0: 1, 1: 1}, p=2).factors == (((1, 1), 1),)
     f = factor_mod_p({0: 1, 2: 1}, p=2)
     assert f.factors == (((1, 1), 2),)
-    assert factor_mod_p({0: 1, 1: 1, 2: 1}, p=2).is_irreducible
+    assert factor_mod_p({0: 1, 1: 1, 2: 1}, p=2).factors == (((1, 1, 1), 1),)
+
+
+def reassemble(f):
+    """Oracle: the product unit * X^shift_power * prod(factor^multiplicity)."""
+    acc = {f.shift_power: f.unit}
+    for factor, m in f.factors:
+        acc = _poly_mul(acc, _poly_pow(dict(enumerate(factor)), m, f.p), f.p)
+    return acc
 
 
 def test_factor_reassembles_input():
@@ -212,7 +218,7 @@ def test_factor_reassembles_input():
             shift = rng.randint(-2, 2)
             poly = {u + shift: c for u, c in coeffs.items() if c}
             f = factor_mod_p(poly, p=p)
-            assert f.reassemble() == poly
+            assert reassemble(f) == poly
 
 
 def test_factor_multiplicity_structure():
@@ -236,8 +242,6 @@ def test_factor_degree_cap():
 def test_prime_checks_reject_small_composite_and_prime_power_moduli():
     for bad in (-3, 0, 1, 4, 6):
         with pytest.raises(ValueError):
-            divisor_bound(bad, 1)
-        with pytest.raises(ValueError):
             factor_mod_p({0: 1, 1: 1}, p=bad)
     with pytest.raises(ValueError):
         permutative_support(linear_ca(GroupSpec((12,)), {0: 1, 1: 1}))
@@ -245,7 +249,7 @@ def test_prime_checks_reject_small_composite_and_prime_power_moduli():
         kernel_direct_sum_check(linear_ca(Z4, {0: 1, 1: 1}), 1)
     sup = permutative_support(linear_ca(Z8, {0: 1, 1: 2, 2: 3}))
     assert (sup.p, sup.k, sup.offsets) == (2, 3, (0, 2))
-    assert divisor_bound(3, 2) == 48
+    assert _gl_order(3, 2) == 48
 
 
 def test_kernel_direct_sum_examples():
@@ -276,7 +280,7 @@ def test_matrix_order_divides_bound_for_random_bipermutative():
         small = F.smallest_neighborhood()
         width = small.neighborhood[1] - small.neighborhood[0]
         order = recurrence_matrix(F).matrix_order()
-        assert divisor_bound(p, width) % order == 0
+        assert _gl_order(p, width) % order == 0
         p1 = math.lcm(*(x.period for x in kernel_elements(F, 1)))
         assert order % p1 == 0
 

@@ -35,17 +35,17 @@ def test_all_is_the_published_names():
         "PushforwardMeasure", "Subgroup", "SubgroupShiftSpec", "SurjectivityResult",
         "analyze_radius1", "as_laurent", "automata", "bipermutative_power",
         "block_entropy_estimate", "boundary", "bounds_check", "cesaro_sequence",
-        "character_integral", "check_hypotheses", "check_linear_classA", "class_a",
+        "character_integral", "check_hypotheses", "class_a",
         "closure_set", "column_factor_samples", "compose", "condition4_search", "configs",
-        "corollary_ker_check", "counterexample_suite", "cylinder_preimage", "divisor_bound",
+        "corollary_ker_check", "counterexample_suite", "cylinder_preimage",
         "dual_ca", "entropy", "entropy_report", "enumerate_subgroups", "factor_mod_p",
-        "formula_entropy", "frobenius_congruence_check", "group_blocks", "group_word",
+        "formula_entropy", "frobenius_congruence_check",
         "groups", "haar_test", "identity_ca", "invariance_check", "invert_radius1",
         "is_surjective", "kernel_direct_sum_check", "kernel_elements", "kernels",
         "linear_ca", "measures", "modular", "permutative_support", "power",
         "recurrence_matrix", "restrict", "shift_ca", "subgroup_closure", "table_ca",
-        "table_from_rule", "topological_entropy", "tower", "ungroup_blocks", "ungroup_word",
-        "verify_conjugacy", "with_shift",
+        "table_from_rule", "topological_entropy", "tower",
+        "verify_conjugacy",
     ]
     assert sorted(dir(groupca)) == groupca.__all__
 
