@@ -12,11 +12,10 @@ import itertools
 import math
 import types
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 from .configs import Cylinder, PeriodicConfig, Word
-from .groups import CapExceeded, Element, Endomorphism, GroupSpec
+from .groups import CapExceeded, Element, Endomorphism, GroupSpec, _setfield, record
 
 DEFAULT_TABLE_CAP = 1 << 20
 DEFAULT_PREIMAGE_CAP = 1 << 16
@@ -98,9 +97,9 @@ def _product_terms(group: GroupSpec, f_terms: Mapping[int, tuple],
 def _memoized(derive):
     """Memoize `derive(F, ...)`, a pure derivation from an automaton F, on F:
     in the frozen instance's `__dict__`, outside its fields (as
-    `functools.cached_property` keeps a value), so `==`, `repr` and
-    `dataclasses.replace` ignore it.  An error is not kept; any other first
-    argument is passed through."""
+    `functools.cached_property` keeps a value), so `==` and `repr` ignore it
+    and an automaton built from F's fields starts without it.  An error is
+    not kept; any other first argument is passed through."""
     @functools.wraps(derive)
     def get(F, *args, **kwargs):
         if not isinstance(F, CellularAutomaton):
@@ -122,7 +121,7 @@ class Permutativity(NamedTuple):
         return self.left and self.right
 
 
-@dataclass(frozen=True, eq=True)
+@record
 class CellularAutomaton:
     """A CA given by its alphabet, neighborhood interval and local rule.
 
@@ -137,38 +136,46 @@ class CellularAutomaton:
 
     alphabet: GroupSpec
     neighborhood: tuple[int, int]
-    table: Mapping[Word, Element] | None = None
-    coeffs: Mapping[int, Endomorphism] | None = None
-    constant: Element | None = None
+    table: Mapping[Word, Element] | None
+    coeffs: Mapping[int, Endomorphism] | None
+    constant: Element | None
 
-    def __post_init__(self) -> None:
-        r, s = self.neighborhood
+    def __init__(self, alphabet: GroupSpec, neighborhood: tuple[int, int],
+                 table: Mapping[Word, Element] | None = None,
+                 coeffs: Mapping[int, Endomorphism] | None = None,
+                 constant: Element | None = None) -> None:
+        r, s = neighborhood
         if r > s:
             raise ValueError(f"empty neighborhood [{r},{s}]")
-        if (self.table is None) == (self.coeffs is None):
+        if (table is None) == (coeffs is None):
             raise ValueError("exactly one of table and coeffs must be given")
-        if self.table is not None:
-            if self.constant is not None:
+        if table is not None:
+            if constant is not None:
                 raise ValueError("constants only apply to linear rules")
             width = s - r + 1
-            expected = self.alphabet.order ** width
-            if len(self.table) != expected:
+            expected = alphabet.order ** width
+            if len(table) != expected:
                 raise ValueError(
-                    f"table has {len(self.table)} entries, expected {expected}"
+                    f"table has {len(table)} entries, expected {expected}"
                 )
-            for w, a in self.table.items():
+            for w, a in table.items():
                 if len(w) != width:
                     raise ValueError(f"table key {w} has wrong width")
-                if not self.alphabet.contains(a):
+                if not alphabet.contains(a):
                     raise ValueError(f"table value {a} outside alphabet")
         else:
-            for u, f in self.coeffs.items():
+            for u, f in coeffs.items():
                 if not (r <= u <= s):
                     raise ValueError(f"coefficient offset {u} outside [{r},{s}]")
-                if f.source != self.alphabet or f.target != self.alphabet:
+                if f.source != alphabet or f.target != alphabet:
                     raise ValueError("coefficient endomorphism not on alphabet")
-            if self.constant is not None and not self.alphabet.contains(self.constant):
+            if constant is not None and not alphabet.contains(constant):
                 raise ValueError("affine constant outside alphabet")
+        _setfield(self, "alphabet", alphabet)
+        _setfield(self, "neighborhood", neighborhood)
+        _setfield(self, "table", table)
+        _setfield(self, "coeffs", coeffs)
+        _setfield(self, "constant", constant)
 
     # -- structure ---------------------------------------------------------
 
@@ -560,7 +567,7 @@ def _poly_pow(f: Mapping[int, int], e: int, m: int,
 # -- surjectivity -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SurjectivityResult:
     """Outcome of the word-count balance check on the transition graph.
 

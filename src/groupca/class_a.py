@@ -10,14 +10,13 @@ the quotient alphabet, bipermutative on the two-sided window [-1, 1].
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Mapping
 
 from .automata import CellularAutomaton, NotAlgebraicError, as_laurent, letters, table_ca
-from .groups import Element, GroupSpec
+from .groups import Element, GroupSpec, record
 
 
-@dataclass(frozen=True)
+@record
 class ClassAAnalysis:
     """Partition data of a one-sided radius-1 rule and the derived verdicts."""
 
@@ -113,7 +112,7 @@ def invert_radius1(F: CellularAutomaton) -> CellularAutomaton:
     return inv
 
 
-@dataclass(frozen=True)
+@record
 class DualCA:
     """The induced rule on class labels, acting on the two-sided window [-1,1].
 
@@ -184,7 +183,7 @@ def dual_ca(F: CellularAutomaton) -> DualCA:
     return DualCA(solved, "formula", analysis, inv, linear_form)
 
 
-@dataclass(frozen=True)
+@record
 class ConjugacyResult:
     ok: bool
     windows_checked: int

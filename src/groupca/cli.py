@@ -23,7 +23,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from importlib import resources
 
 
 def _lazy(name: str):
@@ -326,8 +325,9 @@ def bundled_spec(name: str, path: str | None = None):
     if name not in BUNDLED:
         message = f"unknown bundled example {name!r}; choose from {', '.join(BUNDLED)}"
         raise SpecError(f"{path}: {message}" if path else message)
-    text = resources.files("groupca.data").joinpath(f"{name}.json").read_text()
-    return json.loads(text)
+    with open(os.path.join(os.path.dirname(__file__), "data", f"{name}.json"),
+              encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _bundled_of_kind(name: str, path: str, kind: str):
@@ -819,6 +819,18 @@ def cmd_examples(args) -> int:
     return 0
 
 
+def _cap(text: str) -> int:
+    """A --cap value: an integer of at least 1, refused as a usage error
+    otherwise."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupca",
@@ -831,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the JSON report to this path")
 
     # only the subcommands that read them take --cap and --seed
-    cap = dict(type=int, default=1 << 16, help="size cap for the kernel levels")
+    cap = dict(type=_cap, default=1 << 16, help="size cap for the kernel levels")
     seed = dict(type=int, default=0, help="seed of the sampled estimates")
 
     p = sub.add_parser("analyze", help="full report for one automaton")

@@ -8,9 +8,9 @@ moves points).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Iterable
 
-from .groups import Element, GroupSpec
+from .groups import Element, GroupSpec, _setfield, record
 
 Word = tuple[Element, ...]
 
@@ -24,26 +24,36 @@ def _minimal_word(word: Word) -> Word:
     return word
 
 
-@dataclass(frozen=True)
+@record
 class PeriodicConfig:
     """A periodic point of the full group shift, stored by its repeating word."""
 
     alphabet: GroupSpec
     word: Word
 
-    def __post_init__(self) -> None:
-        if not self.word:
+    def __init__(self, alphabet: GroupSpec, word: Iterable[Iterable[int]]) -> None:
+        if not word:
             raise ValueError("period word must be nonempty")
-        word = tuple(self.alphabet.element(letter) for letter in self.word)
-        object.__setattr__(self, "word", _minimal_word(word))
+        word = tuple(alphabet.element(letter) for letter in word)
+        _setfield(self, "alphabet", alphabet)
+        _setfield(self, "word", _minimal_word(word))
+
+    # written out: configurations are hashed in every kernel closure
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.alphabet, self.word) == (other.alphabet, other.word)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.word))
 
     @classmethod
     def _unchecked(cls, alphabet: GroupSpec, word: Word) -> "PeriodicConfig":
         """The configuration of a word already of reduced letters and minimal,
         stored without checking it again."""
         out = object.__new__(cls)
-        object.__setattr__(out, "alphabet", alphabet)
-        object.__setattr__(out, "word", word)
+        _setfield(out, "alphabet", alphabet)
+        _setfield(out, "word", word)
         return out
 
     @classmethod
@@ -94,17 +104,18 @@ class PeriodicConfig:
         return f"inf({letters})inf"
 
 
-@dataclass(frozen=True)
+@record
 class Cylinder:
     """The set of configurations matching a word starting at a coordinate."""
 
     offset: int
     word: Word
 
-    def __post_init__(self) -> None:
-        if not self.word:
+    def __init__(self, offset: int, word: Iterable[Iterable[int]]) -> None:
+        if not word:
             raise ValueError("cylinder word must be nonempty")
-        object.__setattr__(self, "word", tuple(tuple(a) for a in self.word))
+        _setfield(self, "offset", offset)
+        _setfield(self, "word", tuple(tuple(a) for a in word))
 
     @property
     def length(self) -> int:

@@ -20,10 +20,10 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .automata import CellularAutomaton, letter_arithmetic, letters, matrix_terms
+from .groups import record
 from .hypotheses import (  # noqa: F401  (importable here too)
     conjugacy_width, formula_case, formula_entropy, topological_entropy)
 from .measures import (
@@ -92,7 +92,7 @@ def column_factor_samples(F: CellularAutomaton, measure, width: int | None = Non
     ]
 
 
-@dataclass(frozen=True)
+@record
 class BoundsCheck:
     upper: float
     upper_ok: bool
@@ -106,7 +106,7 @@ def bounds_check(F: CellularAutomaton, h_sigma: float, h_f: float) -> BoundsChec
     return BoundsCheck(upper, h_f <= upper + 0.05)
 
 
-@dataclass(frozen=True)
+@record
 class EntropyReport:
     h_sigma_estimate: float
     h_f_estimate: float

@@ -9,7 +9,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+import operator
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
@@ -65,18 +65,119 @@ def _gl_primes(m: int, r: int) -> list[int]:
     return sorted(primes)
 
 
-@dataclass(frozen=True)
+# -- frozen records ----------------------------------------------------------
+
+_setfield = object.__setattr__  # how a record's own __init__ stores each field
+
+
+def _refuse_assignment(self, name: str, value) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name: str) -> None:
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _bind(cls: type, names: tuple[str, ...], defaults: tuple, args: tuple,
+          kwargs: dict) -> tuple:
+    """The field values of a generic record constructor call, in field order;
+    the last len(defaults) fields may be left out."""
+    given = dict(zip(names, args))
+    clashes = [name for name in kwargs if name not in names or name in given]
+    missing = [name for name in names[:len(names) - len(defaults)]
+               if name not in given and name not in kwargs]
+    if len(args) > len(names) or clashes or missing:
+        raise TypeError(f"{cls.__qualname__}() takes the fields {', '.join(names)}, got "
+                        f"{len(args)} positional arguments and the keywords {sorted(kwargs)}")
+    values = {**dict(zip(names[len(names) - len(defaults):], defaults)), **given, **kwargs}
+    return tuple(values[name] for name in names)
+
+
+def record(cls: type) -> type:
+    """Make cls an immutable record of the fields its body annotates, in order.
+
+    The fields live in the instance `__dict__`, where `cached_property` and
+    `automata._memoized` keep derived values too; equality, hashing and repr
+    read the fields alone.  `==` holds for two instances of the same class
+    with equal field tuples (NotImplemented against any other class), the
+    hash is the hash of the field tuple, repr is `Name(field=value, ...)`, and
+    assignment and deletion raise AttributeError.
+
+    The generic `__init__` takes each field positionally or by keyword; a
+    field given a value in the class body defaults to it, and, as in a
+    dataclass, no field without a default may follow one with a default.  An
+    `__init__`, `__eq__`, `__hash__` or `__repr__` the class defines itself
+    is kept: a constructor that validates or is called often is written out,
+    storing each field with `_setfield`.  No code is generated, so making a
+    record costs a few closures.
+    """
+    own = cls.__dict__
+    names = tuple(own.get("__annotations__", {}))
+    defaults = tuple(own[name] for name in names if name in own)
+    if any(name not in own for name in names[len(names) - len(defaults):]):
+        raise TypeError(f"{cls.__qualname__}: a field without a default follows one with a default")
+    if len(names) == 1:
+        one = operator.attrgetter(names[0])
+
+        def values(self) -> tuple:
+            return (one(self),)
+    elif names:
+        values = operator.attrgetter(*names)
+    else:
+        def values(self) -> tuple:
+            return ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or not len(names) - len(defaults) <= len(args) <= len(names):
+            args = _bind(cls, names, defaults, args, kwargs)
+        elif len(args) < len(names):
+            args += defaults[len(args) - len(names):]
+        for name, value in zip(names, args):
+            _setfield(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(values(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(names, values(self)))
+        return f"{self.__class__.__qualname__}({body})"
+
+    for method in (__init__, __eq__, __repr__):
+        if method.__name__ not in own:
+            setattr(cls, method.__name__, method)
+    if own.get("__hash__") is None:  # a class body defining __eq__ sets it to None
+        cls.__hash__ = __hash__
+    cls.__setattr__ = _refuse_assignment
+    cls.__delattr__ = _refuse_deletion
+    return cls
+
+
+@record
 class GroupSpec:
     """A finite abelian group given in product form Z/d_1 x ... x Z/d_k."""
 
     moduli: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.moduli:
+    def __init__(self, moduli: Iterable[int]) -> None:
+        if not moduli:
             raise ValueError("group needs at least one cyclic factor")
-        if any(d < 2 for d in self.moduli):
-            raise ValueError(f"moduli must all be >= 2, got {self.moduli}")
-        object.__setattr__(self, "moduli", tuple(int(d) for d in self.moduli))
+        if any(d < 2 for d in moduli):
+            raise ValueError(f"moduli must all be >= 2, got {moduli}")
+        _setfield(self, "moduli", tuple(int(d) for d in moduli))
+
+    # written out: groups are compared and hashed on every hot path
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.moduli == other.moduli
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.moduli,))
 
     @property
     def rank(self) -> int:
@@ -131,7 +232,7 @@ class GroupSpec:
         return " x ".join(f"Z/{d}" for d in self.moduli)
 
 
-@dataclass(frozen=True)
+@record
 class Endomorphism:
     """A homomorphism between product groups, as an integer matrix.
 
@@ -144,20 +245,23 @@ class Endomorphism:
     target: GroupSpec
     matrix: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, source: GroupSpec, target: GroupSpec,
+                 matrix: Iterable[Iterable[int]]) -> None:
         rows = tuple(
             tuple(int(m) % dj for m in row)
-            for row, dj in zip(self.matrix, self.target.moduli, strict=True)
+            for row, dj in zip(matrix, target.moduli, strict=True)
         )
-        for row, dj in zip(rows, self.target.moduli):
-            if len(row) != self.source.rank:
+        for row, dj in zip(rows, target.moduli):
+            if len(row) != source.rank:
                 raise ValueError("matrix shape does not match source rank")
-            for m, di in zip(row, self.source.moduli):
+            for m, di in zip(row, source.moduli):
                 if (m * di) % dj != 0:
                     raise ValueError(
                         f"entry {m}: not a homomorphism Z/{di} -> Z/{dj}"
                     )
-        object.__setattr__(self, "matrix", rows)
+        _setfield(self, "source", source)
+        _setfield(self, "target", target)
+        _setfield(self, "matrix", rows)
 
     @classmethod
     def identity(cls, group: GroupSpec) -> "Endomorphism":
@@ -246,7 +350,7 @@ class Endomorphism:
         return Endomorphism(self.target, self.source, rows)
 
 
-@dataclass(frozen=True)
+@record
 class Character:
     """A character of a product group, x -> exp(2 pi i sum c_j x_j / d_j).
 
@@ -257,11 +361,11 @@ class Character:
     group: GroupSpec
     residues: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        res = tuple(
-            int(c) % d for c, d in zip(self.residues, self.group.moduli, strict=True)
-        )
-        object.__setattr__(self, "residues", res)
+    def __init__(self, group: GroupSpec, residues: Iterable[int]) -> None:
+        _setfield(self, "group", group)
+        _setfield(self, "residues", tuple(
+            int(c) % d for c, d in zip(residues, group.moduli, strict=True)
+        ))
 
     @property
     def is_trivial(self) -> bool:
@@ -329,18 +433,19 @@ def closure_set(
     return frozenset(members)
 
 
-@dataclass(frozen=True)
+@record
 class Subgroup:
     """A subgroup of a product group, as an explicit sorted element list."""
 
     ambient: GroupSpec
     elements: tuple[Element, ...]
 
-    def __post_init__(self) -> None:
-        elems = tuple(sorted(set(self.elements)))
-        if self.ambient.zero not in elems:
+    def __init__(self, ambient: GroupSpec, elements: Iterable[Element]) -> None:
+        elems = tuple(sorted(set(elements)))
+        if ambient.zero not in elems:
             raise ValueError("subgroup must contain zero")
-        object.__setattr__(self, "elements", elems)
+        _setfield(self, "ambient", ambient)
+        _setfield(self, "elements", elems)
 
     def validate(self) -> None:
         """Check closure under addition and negation (quadratic, desk scale)."""

@@ -10,10 +10,10 @@ which import these names back.  `kernels` is imported inside
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .automata import CellularAutomaton
+from .groups import record
 from .shifts import FullShift, SubgroupShiftSpec, subgroup_shift_on
 
 if TYPE_CHECKING:
@@ -56,7 +56,7 @@ def topological_entropy(F: CellularAutomaton) -> float:
     return conjugacy_width(small) * math.log(small.alphabet.order)
 
 
-@dataclass(frozen=True)
+@record
 class HypothesisReport:
     """Checkable and uncheckable premises of the rigidity statement for one
     automaton, subgroup shift and measure."""

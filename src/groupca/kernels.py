@@ -24,7 +24,6 @@ so it takes the same paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -38,8 +37,10 @@ from .groups import (
     _gl_order,
     _gl_primes,
     _is_prime,
+    _setfield,
     closure_set,
     enumerate_subgroups,
+    record,
 )
 from .modular import MAX_FACTOR_DEGREE, _scalar_coeffs, _x_order, factor_mod_p
 from .shifts import (  # noqa: F401  (the subgroup shifts are importable from here too)
@@ -128,10 +129,14 @@ def _annihilated(G: CellularAutomaton, cap: int) -> list[PeriodicConfig]:
 # -- towers -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class KernelLevel:
     elements: tuple[PeriodicConfig, ...]
     period: int
+
+    def __init__(self, elements: tuple[PeriodicConfig, ...], period: int) -> None:
+        _setfield(self, "elements", elements)
+        _setfield(self, "period", period)
 
     @property
     def size(self) -> int:
@@ -144,7 +149,7 @@ def _level(elements: Iterable[PeriodicConfig]) -> KernelLevel:
     return KernelLevel(elements, period)
 
 
-@dataclass(frozen=True)
+@record
 class _KernelModule:
     """The kernel levels of a linear rule over Z/p as the modules
     Z/p[x]/(P^n), with P = prod f_i^(e_i) over monic irreducibles f_i
@@ -154,6 +159,11 @@ class _KernelModule:
     p: int
     k: int
     factors: tuple[tuple[tuple[int, ...], int], ...]
+
+    def __init__(self, p: int, k: int, factors: tuple[tuple[tuple[int, ...], int], ...]) -> None:
+        _setfield(self, "p", p)
+        _setfield(self, "k", k)
+        _setfield(self, "factors", factors)
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
@@ -425,7 +435,7 @@ def _windows(word: Word, ell: int, count: int = 1) -> list[Element]:
     return [flat[t * rank:(t + ell) * rank] for t in range(count)]
 
 
-@dataclass(frozen=True)
+@record
 class Condition4Result:
     """Smallest level offset m at which every fresh boundary element generates
     the first kernel level under the rule and the shift."""
@@ -496,7 +506,7 @@ def condition4_search(
     return Condition4Result(False, None, m_max, tuple(failures))
 
 
-@dataclass(frozen=True)
+@record
 class CorollaryKerResult:
     """Whether the first restricted kernel level has no proper nontrivial
     shift-invariant subgroup, and how many such subgroups it has.  The rule
@@ -538,7 +548,7 @@ def corollary_ker_check(
 # -- the companion recurrence ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class KernelRecurrence:
     """Companion matrix driving state vectors of first-level kernel elements.
 

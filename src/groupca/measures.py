@@ -24,7 +24,6 @@ import functools
 import itertools
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import getitem
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -39,7 +38,7 @@ from .automata import (
     power,
 )
 from .configs import Cylinder, PeriodicConfig, Word
-from .groups import CapExceeded, Character, Element, GroupSpec, Subgroup
+from .groups import CapExceeded, Character, Element, GroupSpec, Subgroup, _setfield, record
 from .hypotheses import HypothesisReport, check_hypotheses  # noqa: F401  (importable here too)
 from .shifts import FullShift, ProductSubgroup, SubgroupShiftSpec, subgroup_shift_on
 
@@ -322,27 +321,28 @@ class _BlockWeighted:
         return _fractions(self.block_weights(offset, length))
 
 
-@dataclass(frozen=True)
+@record
 class Bernoulli(_BlockWeighted):
     """Product measure with one rational weight per letter."""
 
     alphabet: GroupSpec
     weights: Mapping[Element, Fraction]
 
-    def __post_init__(self) -> None:
+    def __init__(self, alphabet: GroupSpec, weights: Mapping[Element, Fraction]) -> None:
         table = {}
-        for a in self.alphabet.elements():
-            w = Fraction(self.weights.get(a, 0))
+        for a in alphabet.elements():
+            w = Fraction(weights.get(a, 0))
             if w < 0:
                 raise ValueError(f"negative weight at {a}")
             table[a] = w
         if sum(table.values()) != 1:
             raise ValueError("letter weights must sum to 1")
-        object.__setattr__(self, "weights", table)
+        _setfield(self, "alphabet", alphabet)
+        _setfield(self, "weights", table)
         # the run law of every letter, made once
         den = math.lcm(*(w.denominator for w in table.values()))
         runs = tuple(((a,), int(w * den)) for a, w in table.items() if w)
-        object.__setattr__(self, "_runs", (runs, den))
+        _setfield(self, "_runs", (runs, den))
 
     @classmethod
     def uniform(cls, alphabet: GroupSpec) -> "Bernoulli":
@@ -358,7 +358,7 @@ class Bernoulli(_BlockWeighted):
         return f"Bernoulli on {self.alphabet}"
 
 
-@dataclass(frozen=True)
+@record
 class HaarMeasure(_BlockWeighted):
     """Haar (uniform) measure on a subgroup shift."""
 
@@ -390,7 +390,7 @@ class HaarMeasure(_BlockWeighted):
         return f"Haar on {self.sigma.describe()}"
 
 
-@dataclass(frozen=True)
+@record
 class PushforwardMeasure(_BlockWeighted):
     """Image of a base measure under automaton and shift powers.
 
@@ -410,17 +410,23 @@ class PushforwardMeasure(_BlockWeighted):
     """
 
     base: "MeasureSpec"
-    automaton: CellularAutomaton | None = None
-    f_power: int = 0
-    shift: int = 0
-    cap: int = DEFAULT_EXPANSION_CAP
+    automaton: CellularAutomaton | None
+    f_power: int
+    shift: int
+    cap: int
 
-    def __post_init__(self) -> None:
-        if self.f_power < 0:
+    def __init__(self, base: "MeasureSpec", automaton: CellularAutomaton | None = None,
+                 f_power: int = 0, shift: int = 0, cap: int = DEFAULT_EXPANSION_CAP) -> None:
+        if f_power < 0:
             raise ValueError("automaton power must be >= 0")
-        if self.f_power > 0 and self.automaton is None:
+        if f_power > 0 and automaton is None:
             raise ValueError("automaton pushforward needs the automaton")
-        _same_alphabet(self.base, self.automaton)
+        _same_alphabet(base, automaton)
+        _setfield(self, "base", base)
+        _setfield(self, "automaton", automaton)
+        _setfield(self, "f_power", f_power)
+        _setfield(self, "shift", shift)
+        _setfield(self, "cap", cap)
 
     @property
     def alphabet(self) -> GroupSpec:
@@ -481,14 +487,14 @@ class PushforwardMeasure(_BlockWeighted):
         return f"{head} pushforward of {self.base.describe()}"
 
 
-@dataclass(frozen=True)
+@record
 class MixtureMeasure(_BlockWeighted):
     """Rational convex combination of measures on one alphabet."""
 
     components: tuple[tuple[Fraction, "MeasureSpec"], ...]
 
-    def __post_init__(self) -> None:
-        comps = tuple((Fraction(c), m) for c, m in self.components)
+    def __init__(self, components: Iterable[tuple[Fraction, "MeasureSpec"]]) -> None:
+        comps = tuple((Fraction(c), m) for c, m in components)
         if not comps:
             raise ValueError("empty mixture")
         if any(c < 0 for c, _ in comps):
@@ -498,7 +504,7 @@ class MixtureMeasure(_BlockWeighted):
         alphabets = {m.alphabet for _, m in comps}
         if len(alphabets) != 1:
             raise ValueError("mixture components must share the alphabet")
-        object.__setattr__(self, "components", comps)
+        _setfield(self, "components", comps)
 
     @property
     def alphabet(self) -> GroupSpec:
@@ -515,17 +521,17 @@ class MixtureMeasure(_BlockWeighted):
         return " + ".join(f"{c}*({m.describe()})" for c, m in self.components)
 
 
-@dataclass(frozen=True)
+@record
 class PeriodicOrbitMeasure(_BlockWeighted):
     """Uniform measure on a finite set of periodic configurations."""
 
     configs: tuple[PeriodicConfig, ...]
 
-    def __post_init__(self) -> None:
-        if not self.configs:
+    def __init__(self, configs: Iterable[PeriodicConfig]) -> None:
+        if not configs:
             raise ValueError("empty orbit")
-        object.__setattr__(self, "configs", tuple(sorted(
-            set(self.configs), key=lambda c: (c.period, c.word)
+        _setfield(self, "configs", tuple(sorted(
+            set(configs), key=lambda c: (c.period, c.word)
         )))
 
     @classmethod
@@ -593,7 +599,7 @@ def _phases(mu: MeasureSpec) -> int:
     return getattr(getattr(mu, "sigma", None), "shift_period", 1)
 
 
-@dataclass(frozen=True)
+@record
 class InvarianceResult:
     """Largest cylinder discrepancy between a measure and its pushforward.
 
@@ -775,7 +781,7 @@ def _character_trivial_on(chi: Mapping[int, Character], words: Iterable[Word],
     return True
 
 
-@dataclass(frozen=True)
+@record
 class HaarTestReport:
     consistent: bool
     max_abs_integral: float
@@ -878,7 +884,7 @@ def _power_lanes(F: CellularAutomaton) -> Iterator[Lane]:
         yield {w: maps[h] for w, h in lane.items()}
 
 
-@dataclass(frozen=True)
+@record
 class CesaroResult:
     """Cesaro averages of iterated pushforwards: distances to uniform, and
     block distributions built on first read from `sums`, each average's
@@ -955,7 +961,7 @@ def cesaro_sequence(
 # -- the invariance counterexample bundle ------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CounterexampleSuite:
     """The additive rule and the four even/odd coupling subgroups, with the
     quarter mixture of Haar images that is jointly invariant yet non-Haar."""

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from .automata import (CellularAutomaton, _memoized, _poly_divmod, _poly_pow, as_laurent,
                        linear_ca, power)
-from .groups import CapExceeded, GroupSpec, _is_prime, _prime_factors
+from .groups import CapExceeded, GroupSpec, _is_prime, _prime_factors, _setfield, record
 
 MAX_FACTOR_DEGREE = 8
 
@@ -30,13 +29,18 @@ def _scalar_coeffs(F: CellularAutomaton | dict) -> dict[int, int]:
     return {u: f.matrix[0][0] for u, f in as_laurent(F).coeffs.items()}
 
 
-@dataclass(frozen=True)
+@record
 class PermutativeSupport:
     """Offsets whose coefficient is a unit mod p, with its extremes."""
 
     p: int
     k: int
     offsets: tuple[int, ...]
+
+    def __init__(self, p: int, k: int, offsets: tuple[int, ...]) -> None:
+        _setfield(self, "p", p)
+        _setfield(self, "k", k)
+        _setfield(self, "offsets", offsets)
 
     @property
     def is_empty(self) -> bool:
@@ -122,7 +126,7 @@ def _x_order(f: dict[int, int], m: int, bound: int,
     return order
 
 
-@dataclass(frozen=True)
+@record
 class Factorization:
     """Factorization of a Laurent polynomial over a prime field.
 

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 from .automata import CellularAutomaton, letter_arithmetic, letters, matrix_terms
 from .configs import PeriodicConfig, Word
-from .groups import Element, GroupSpec, Subgroup
+from .groups import Element, GroupSpec, Subgroup, _setfield, record
 
 
 def _zero_windows(G: CellularAutomaton) -> list[list[int]]:
@@ -92,11 +91,14 @@ def _flat(word: Word) -> Element:
     return tuple(itertools.chain.from_iterable(word))
 
 
-@dataclass(frozen=True)
+@record
 class FullShift:
     """The whole configuration space, as a trivial subgroup-shift filter."""
 
     alphabet: GroupSpec
+
+    def __init__(self, alphabet: GroupSpec) -> None:
+        _setfield(self, "alphabet", alphabet)
 
     def contains(self, x: PeriodicConfig) -> bool:
         return x.alphabet == self.alphabet
@@ -105,7 +107,7 @@ class FullShift:
         return f"full shift over {self.alphabet}"
 
 
-@dataclass(frozen=True)
+@record
 class ProductSubgroup:
     """Configurations whose aligned t-blocks all lie in a fixed block subgroup.
 
@@ -116,14 +118,18 @@ class ProductSubgroup:
     alphabet: GroupSpec
     grouping: int
     block: Subgroup
-    phase: int = 0
+    phase: int
 
-    def __post_init__(self) -> None:
-        if self.grouping < 1:
+    def __init__(self, alphabet: GroupSpec, grouping: int, block: Subgroup,
+                 phase: int = 0) -> None:
+        if grouping < 1:
             raise ValueError("grouping length must be >= 1")
-        if self.block.ambient != self.alphabet.power(self.grouping):
+        if block.ambient != alphabet.power(grouping):
             raise ValueError("block subgroup must live in the grouped alphabet")
-        object.__setattr__(self, "phase", self.phase % self.grouping)
+        _setfield(self, "alphabet", alphabet)
+        _setfield(self, "grouping", grouping)
+        _setfield(self, "block", block)
+        _setfield(self, "phase", phase % grouping)
 
     def contains(self, x: PeriodicConfig) -> bool:
         if x.alphabet != self.alphabet:
@@ -164,15 +170,16 @@ class ProductSubgroup:
         )
 
 
-@dataclass(frozen=True)
+@record
 class LinearKernelShift:
     """The kernel of a linear CA, as a closed shift-invariant subgroup."""
 
     automaton: CellularAutomaton
 
-    def __post_init__(self) -> None:
-        if not self.automaton.is_linear:
+    def __init__(self, automaton: CellularAutomaton) -> None:
+        if not automaton.is_linear:
             raise ValueError("kernel shift needs a linear rule")
+        _setfield(self, "automaton", automaton)
 
     @property
     def alphabet(self) -> GroupSpec:

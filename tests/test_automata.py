@@ -1,7 +1,6 @@
 """Local rules, permutativity, composition, polynomials, surjectivity and
 cylinder preimages."""
 
-import dataclasses
 import functools
 import itertools
 import random
@@ -239,8 +238,8 @@ def test_derived_structure_is_kept_out_of_equality_repr_and_replace():
     assert F.permutativity() == (True, True) and as_laurent(F) is F and not F.is_trivial
     assert F == build() and repr(F) == repr(build())
     assert F.smallest_neighborhood().neighborhood == (0, 1)
-    # `replace` builds a new instance, which derives its own structure
-    G = dataclasses.replace(F, coeffs={-1: Endomorphism.identity(Z2)})
+    # a new instance built from F's fields derives its own structure
+    G = CellularAutomaton(F.alphabet, F.neighborhood, coeffs={-1: Endomorphism.identity(Z2)})
     assert G.smallest_neighborhood() == linear_ca(Z2, {-1: 1})
     assert G.permutativity() == (True, True)
 

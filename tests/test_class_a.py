@@ -1,6 +1,5 @@
 """Partition analysis, inversion, dual rules and conjugacy verification."""
 
-import dataclasses
 import itertools
 
 import pytest
@@ -15,6 +14,7 @@ from groupca.automata import (
 from groupca import class_a
 from groupca.class_a import (
     ConjugacyResult,
+    DualCA,
     analyze_radius1,
     dual_ca,
     invert_radius1,
@@ -331,7 +331,7 @@ def _single_entry_mutations(dual):
         for other in letters(dual.alphabet):
             if other != value:
                 rule = table_ca(dual.alphabet, (-1, 1), {**table, key: other})
-                yield dataclasses.replace(dual, automaton=rule, linear_form=None)
+                yield DualCA(rule, dual.provenance, dual.analysis, dual.inverse)
 
 
 def test_verify_conjugacy_matches_the_seed_walk():

@@ -691,7 +691,7 @@ def _cli(*argv: str) -> str:
     return f"from groupca.cli import main\nassert main({list(argv)!r}) == 0\n"
 
 
-KERNEL = RULES | {"cli", "data", "shifts", "modular", "kernels"}
+KERNEL = RULES | {"cli", "shifts", "modular", "kernels"}
 # `measures` imports the hypothesis report and `entropy` the closed forms
 # from `hypotheses`
 MEASURE = RULES | {"cli", "shifts", "hypotheses", "measures"}
@@ -704,18 +704,18 @@ ANALYZE = KERNEL | {"hypotheses"}
     (MEASURES, RULES | {"shifts", "hypotheses", "measures"}),
     ("from groupca import tower", RULES | {"shifts", "modular", "kernels"}),
     ("import groupca.cli", {"cli"}),
-    (_cli("examples"), {"cli", "data"}),
-    (_cli("dual", "--bundled-examples"), RULES | {"cli", "data", "class_a"}),
-    (_cli("modular", "--ca", "id_plus_sigma_z2"), RULES | {"cli", "data", "modular"}),
+    (_cli("examples"), {"cli"}),
+    (_cli("dual", "--bundled-examples"), RULES | {"cli", "class_a"}),
+    (_cli("modular", "--ca", "id_plus_sigma_z2"), RULES | {"cli", "modular"}),
     (_cli("kernel", "--ca", "id_plus_sigma_z2", "--sigma", "ledrappier_kernel_sigma"), KERNEL),
     (_cli("measure", "cesaro", "--measure", "mu.json", "--ca", "id_plus_sigma_z2",
-          "--steps", "2"), MEASURE | {"data"}),
+          "--steps", "2"), MEASURE),
     (_cli("measure", "counterexample", "--length", "3"), MEASURE),
     (_cli("measure", "invariance", "--measure", "mu.json", "--ca", "id_plus_sigma_z2",
           "--f-power", "1", "--mode", "mc", "--mc-samples", "100"),
-     MEASURE | {"data", "entropy"}),
+     MEASURE | {"entropy"}),
     (_cli("entropy", "--ca", "id_plus_sigma_z2", "--samples", "1000"),
-     MEASURE | {"data", "entropy"}),
+     MEASURE | {"entropy"}),
     # a mod-4 rule neither on the window [0,1] nor bipermutative
     (_cli("analyze", "--ca", "id_sigma_2sigma2_z4"), ANALYZE),
     # on the window [0,1] and bipermutative: class (A) analysis and the
@@ -729,13 +729,16 @@ ANALYZE = KERNEL | {"hypotheses"}
         "cli-modular", "cli-kernel", "cli-cesaro", "cli-counterexample", "cli-mc-invariance",
         "cli-entropy", "cli-analyze", "cli-analyze-class-a", "cli-hypotheses",
         "cli-hypotheses-abstract"])
-def test_each_import_loads_only_the_modules_it_uses(code, loaded, tmp_path):
+def test_each_import_loads_only_the_modules_it_uses(code, loaded, tmp_path, request):
     # a fresh interpreter compiling every module it executes, as the CLI
-    # runs; `cli` lists modules it has not executed yet, so those are left out
+    # runs; `cli` lists modules it has not executed yet, so those are left out.
+    # No call loads `dataclasses`, and none loads `inspect` but through numpy,
+    # which only the cases that draw samples import.
     (tmp_path / "mu.json").write_text(json.dumps(UNIFORM_Z2))
     script = code + (
         "\nimport importlib.util, sys\n"
         "lazy = importlib.util._LazyModule\n"
+        "print(*sorted(n for n in ('dataclasses', 'inspect', 'numpy') if n in sys.modules))\n"
         "print(*sorted(n.split('.')[1] for n, m in sys.modules.items()\n"
         "              if n.startswith('groupca.') and type(m) is not lazy))\n"
     )
@@ -744,7 +747,10 @@ def test_each_import_loads_only_the_modules_it_uses(code, loaded, tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert set(proc.stdout.splitlines()[-1].split()) == loaded
+    *_, stdlib, groupca_modules = proc.stdout.splitlines()
+    assert set(groupca_modules.split()) == loaded
+    sampled = request.node.callspec.id in {"cli-mc-invariance", "cli-entropy"}
+    assert set(stdlib.split()) == ({"inspect", "numpy"} if sampled else set())
 
 
 def test_dual_depth_zero_is_usage_error(capsys):
@@ -752,6 +758,16 @@ def test_dual_depth_zero_is_usage_error(capsys):
     captured = capsys.readouterr()
     assert "depth >= 1 and width >= 2, got depth 0" in captured.err
     assert "conjugacy verified" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["kernel", "analyze"])
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_cap_below_one_is_usage_error(command, cap, capsys):
+    assert run([command, "--ca", "id_plus_sigma_z2", "--cap", cap]) == 2
+    captured = capsys.readouterr()
+    assert f"argument --cap: must be >= 1, got {cap}" in captured.err
+    assert "exceeds cap" not in captured.err + captured.out
+    assert captured.out == ""
 
 
 def test_dual_width_one_is_usage_error(capsys):

@@ -1,7 +1,6 @@
 """Exact cylinder probabilities, invariance, characters, Haar tests, Cesaro
 averages, the counterexample bundle and hypothesis reports."""
 
-import dataclasses
 import itertools
 import math
 import time
@@ -28,6 +27,7 @@ from groupca.kernels import FullShift, LinearKernelShift, ProductSubgroup
 from groupca.measures import (
     DEFAULT_EXPANSION_CAP,
     Bernoulli,
+    CounterexampleSuite,
     HaarMeasure,
     MixtureMeasure,
     PeriodicOrbitMeasure,
@@ -734,8 +734,12 @@ def _per_length_languages(suite, length):
 @pytest.mark.parametrize("length", range(1, 7))
 def test_counterexample_languages_match_the_per_length_supports(length):
     suite = counterexample_suite()
-    swapped = dataclasses.replace(suite, x3=suite.x4, x4=suite.x3)
-    moved = dataclasses.replace(suite, x2=suite.x1)
+
+    def build(x2=suite.x2, x3=suite.x3, x4=suite.x4):
+        return CounterexampleSuite(suite.automaton, suite.x1, x2, x3, x4, suite.nu, suite.mu)
+
+    swapped = build(x3=suite.x4, x4=suite.x3)
+    moved = build(x2=suite.x1)
     for s in (suite, swapped, moved):
         checks = s.verify(length)
         assert ((checks["rule_image_languages_match"], checks["shifted_languages_match"])
