@@ -32,9 +32,9 @@ class PeriodicConfig:
     word: Word
 
     def __init__(self, alphabet: GroupSpec, word: Iterable[Iterable[int]]) -> None:
+        word = tuple(alphabet.element(letter) for letter in word)  # read once, then checked
         if not word:
             raise ValueError("period word must be nonempty")
-        word = tuple(alphabet.element(letter) for letter in word)
         _setfield(self, "alphabet", alphabet)
         _setfield(self, "word", _minimal_word(word))
 
@@ -112,10 +112,11 @@ class Cylinder:
     word: Word
 
     def __init__(self, offset: int, word: Iterable[Iterable[int]]) -> None:
+        word = tuple(tuple(a) for a in word)  # read once, then checked
         if not word:
             raise ValueError("cylinder word must be nonempty")
         _setfield(self, "offset", offset)
-        _setfield(self, "word", tuple(tuple(a) for a in word))
+        _setfield(self, "word", word)
 
     @property
     def length(self) -> int:

@@ -5,32 +5,31 @@ successive images of a sampled window are read off at a fixed block of
 positions, turning automaton entropy into shift entropy of the column
 sequence.  The closed forms for the bipermutative case live in `hypotheses`
 and are imported back here.  One column process serves every rule, alphabet
-and measure: numpy rows of letter indices (`letters` order, smallest
-unsigned dtype) that the rule moves all at once, with blocks counted by
-their distinct codes, so memory follows the sample count.  Every row comes
-from one stream, np.random.default_rng(seed), drawn from the measure's
-independent pieces (`measures._independent_pieces`), a mixture's component
-per row and a pushforward's base moved by its rule; no word is drawn one at
-a time.  numpy is imported only when a sample is drawn.
+and measure.  A sampled window is an integer code: its letter indices
+(`letters` order) read in base |A|, its first letter lowest.  The rule moves
+each distinct code once, and blocks are counted by their codes, so memory
+follows the distinct codes.  Every code comes from one stream,
+random.Random(seed), by exact integer draws from the measure's independent
+pieces (`measures._independent_pieces`), a mixture's component per row and
+a pushforward's base moved by its rule; no word is drawn one at a time.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+import operator
+import random
+from bisect import bisect_right
 from collections import Counter
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .automata import CellularAutomaton, letter_arithmetic, letters, matrix_terms
+from .automata import CellularAutomaton, letter_arithmetic, letters
 from .groups import record
 from .hypotheses import (  # noqa: F401  (importable here too)
     conjugacy_width, formula_case, formula_entropy, topological_entropy)
 from .measures import (
     MixtureMeasure, PushforwardMeasure, _independent_pieces, _phases, _same_alphabet)
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def _entropy_from_counts(counts: Iterable[int]) -> float:
@@ -60,12 +59,18 @@ def block_entropy_estimate(samples: Iterable[Sequence], k: int) -> float:
             counts[w[i : i + k]] += 1
     if not counts:
         raise ValueError("insufficient data: no window reaches the block length")
+    return _conditional_entropy(counts, (lambda block: block[:-1]) if k > 1 else None)
+
+
+def _conditional_entropy(counts: Counter, prefix: Callable | None) -> float:
+    """H_k - H_(k-1) of counted k-blocks, the (k-1)-block statistics the
+    marginal of their `prefix`es; H_1 alone when k = 1 (prefix None)."""
     h_k = _entropy_from_counts(counts.values())
-    if k == 1:
+    if prefix is None:
         return h_k
     marginal: Counter = Counter()
     for block, c in counts.items():
-        marginal[block[:-1]] += c
+        marginal[prefix(block)] += c
     return max(0.0, h_k - _entropy_from_counts(marginal.values()))
 
 
@@ -74,22 +79,23 @@ def column_factor_samples(F: CellularAutomaton, measure, width: int | None = Non
     """Sampled column sequences (F^n(x) read at a fixed block, n < depth).
 
     Each returned sample is a depth-long word over the width-block column
-    alphabet, decoded from the column process that `entropy_report` counts,
-    drawn as its shift sample is drawn from `seed`.
+    alphabet, from the column process that `entropy_report` counts, drawn
+    from random.Random(seed) as its shift sample is drawn; each distinct
+    window is decoded once, and the samples come in draw order.
     """
     small = F.smallest_neighborhood()
     if width is None:
         width = max(conjugacy_width(small), 1)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    import numpy as np
-
-    rows = _column_process(small, measure, width, depth, count, np.random.default_rng(seed))
+    windows, block = _column_process(small, measure, width, depth, count,
+                                     random.Random(seed))
     abc = letters(small.alphabet)
-    return [
-        tuple(tuple(abc[i] for i in row[c * width : (c + 1) * width]) for c in range(depth))
-        for row in rows.tolist()
-    ]
+    words = {}
+    for x in set(windows):
+        flat = _decode(block(x), width * depth, abc)
+        words[x] = tuple(flat[c * width : (c + 1) * width] for c in range(depth))
+    return [words[x] for x in windows]
 
 
 @record
@@ -135,170 +141,208 @@ class EntropyReport:
         }
 
 
-# -- the column process over letter indices ------------------------------------
+# -- the column process over integer codes -------------------------------------
 
 
-def _pooled_rows(measure, lo: int, hi: int, count: int, rng) -> np.ndarray:
-    """`_draw_rows` split evenly over the t phases of the measure
-    (`measures._phases`), which sigma^t fixes and sigma need not: phase i
-    reads [lo + i, hi + i], so the rows come from (1/t) sum_(i<t) sigma^i mu."""
-    import numpy as np
-
-    t = _phases(measure)
-    parts = [_draw_rows(measure, lo + i, hi + i, count // t + (i < count % t), rng)
-             for i in range(t)]
-    return parts[0] if t == 1 else np.concatenate(parts)
+def _decode(code: int, length: int, abc: Sequence) -> tuple:
+    """The word of `length` letters of `abc` whose indices, read in base
+    |abc| with its first letter lowest, are `code`."""
+    word = []
+    for _ in range(length):
+        code, i = divmod(code, len(abc))
+        word.append(abc[i])
+    return tuple(word)
 
 
-def _draw_rows(measure, lo: int, hi: int, count: int, rng) -> np.ndarray:
-    """`count` samples of [lo, hi] as rows of letter indices.  Each group of
-    runs with one run law (`measures._independent_pieces`: the run laws of a
-    measure i.i.d. over letters or blocks, else one piece, its exact window
-    law) takes one rng.integers(0, den) call, mapped through its cumulative
-    integer run weights: by a table of the run each of the den values picks
-    when there are at least den draws, else by a search per draw.  A
-    mixture draws each row's component with one integers call, then the
-    rows of each component.  A pushforward draws its base's rows on the
-    widened window and moves them through the rule f_power times
-    (`_rule_on_rows`).  This is the one sampler of every measure: the
-    entropy estimates and mc invariance (`measures.invariance_check`) draw
-    through it."""
-    import numpy as np
-
-    if isinstance(measure, PushforwardMeasure):
-        k, shift = measure.f_power, measure.shift
-        r, s = measure.automaton.neighborhood if k else (0, 0)
-        rows = _draw_rows(measure.base, lo + shift + k * r, hi + shift + k * s, count, rng)
-        step = _rule_on_rows(measure.automaton) if k else None
-        for _ in range(k):
-            rows = step(rows)
-        return rows
-    index = letter_arithmetic(measure.alphabet, {})[0]
-    out = np.empty((count, hi - lo + 1), np.min_scalar_type(len(index) - 1))
-    if isinstance(measure, MixtureMeasure):
-        den = math.lcm(*(c.denominator for c, _ in measure.components))
-        cum = np.cumsum([c.numerator * (den // c.denominator) for c, _ in measure.components])
-        which = np.searchsorted(cum, rng.integers(0, den, size=count), side="right")
-        for i, (_, m) in enumerate(measure.components):
-            rows = which == i
-            out[rows] = _draw_rows(m, lo, hi, int(rows.sum()), rng)
-        return out
-    for runs, den, starts in _independent_pieces(measure, lo, hi):
-        if den >= 1 << 63:
-            raise ValueError(f"run weights over {den} pass the 64-bit draw limit 2^63")
-        values = np.array([[index[a] for a in run] for run, _ in runs], out.dtype)
-        cum = np.cumsum([w for _, w in runs])
-        pick = rng.integers(0, den, size=(count, len(starts)))
-        if den <= pick.size:
-            table = np.searchsorted(cum, np.arange(den), side="right")
-            pick = table.astype(np.min_scalar_type(len(runs) - 1))[pick]
-        else:
-            pick = np.searchsorted(cum, pick, side="right")
-        out[:, np.add.outer(np.subtract(starts, lo), range(values.shape[1]))] = values[pick]
+def _uniform(rng: random.Random, size: int, count: int) -> list[int]:
+    """`count` independent draws uniform on range(size): (size - 1).bit_length()
+    random bits each, drawn again while at or above size, the exact
+    rejection of randrange; a power of 2 rejects nothing."""
+    bits, out = (size - 1).bit_length(), []
+    while len(out) < count:
+        draws = map(rng.getrandbits, itertools.repeat(bits, count - len(out)))
+        out += draws if size == 1 << bits else [v for v in draws if v < size]
     return out
 
 
-def _rule_on_rows(small: CellularAutomaton):
-    """The rule slid over all rows of a letter-index array, each shrinking by
-    the width less one as under apply_window.  Each offset maps its letters
-    to a term: an affine rule adds the terms with the addition table, a
-    table rule sums them into window codes and looks each window up."""
-    import numpy as np
-
-    n, w = small.alphabet.order, small.width
-    dtype = np.min_scalar_type(n - 1)
-    index, plus, maps = letter_arithmetic(small.alphabet, matrix_terms(small))
-    lookup, add = None, np.add
-    if small.table is not None:
-        words = itertools.product(letters(small.alphabet), repeat=w)
-        lookup = np.array([index[small.table[word]] for word in words], dtype)
-        images = [(j, np.arange(n, dtype=np.int64) * n ** (w - 1 - j)) for j in range(w)]
-    else:
-        r, plus = small.neighborhood[0], np.array(plus, dtype)
-        images = [(u - r, np.array(image, dtype)) for u, image in maps.items()]
-        if small.constant is not None:  # a letter map onto the constant
-            images.append((0, np.full(n, index[small.constant], dtype)))
-
-        def add(acc: np.ndarray, term: np.ndarray) -> np.ndarray:
-            return plus[acc, term]
-
-    def apply(rows: np.ndarray) -> np.ndarray:
-        m = rows.shape[1] - w + 1
-        out = functools.reduce(add, (image[rows[:, j : j + m]] for j, image in images))
-        return out if lookup is None else lookup[out]
-
-    return apply
+def _picks(rng: random.Random, cum: list[int], values: Sequence[int],
+           places: Sequence[int], count: int) -> list[int]:
+    """`count` sums over `places` of values[j] * place, with j picked
+    independently at each place, j with probability (cum[j] - cum[j - 1]) /
+    den for den = cum[-1].  One draw uniform below den^c serves the c places,
+    its base-den digits their picks: read through a table of the den^c sums
+    when there are at least as many draws, else (one place) by a search of
+    `cum` per draw."""
+    den = cum[-1]
+    size = den ** len(places)
+    if size > count:
+        (place,) = places
+        return [values[bisect_right(cum, v)] * place for v in _uniform(rng, den, count)]
+    picked = [values[bisect_right(cum, v)] for v in range(den)]
+    table = [0]
+    for place in places:  # digit j of a draw picks at places[j]
+        table = [t + x * place for x in picked for t in table]
+    return list(map(table.__getitem__, _uniform(rng, size, count)))
 
 
-def _column_process(small: CellularAutomaton, measure, width: int, depth: int,
-                    count: int, rng) -> np.ndarray:
-    """Rows of `depth` columns of `width` letter indices: F^n(x) on
-    [0, width) for n < depth, with x drawn on the window that fixes them."""
-    import numpy as np
+def _pooled_rows(measure, lo: int, hi: int, count: int, rng: random.Random) -> list[int]:
+    """`_draw_rows` split evenly over the t phases of the measure
+    (`measures._phases`), which sigma^t fixes and sigma need not: phase i
+    reads [lo + i, hi + i], so the codes come from (1/t) sum_(i<t) sigma^i mu."""
+    t = _phases(measure)
+    rows: list[int] = []
+    for i in range(t):
+        rows += _draw_rows(measure, lo + i, hi + i, count // t + (i < count % t), rng)
+    return rows
 
+
+def _draw_rows(measure, lo: int, hi: int, count: int, rng: random.Random) -> list[int]:
+    """`count` samples of [lo, hi] as codes (letter indices in base |A|, lo
+    lowest).  Each group of runs with one run law (`measures._independent_pieces`:
+    the run laws of a measure i.i.d. over letters or blocks, else one piece,
+    its exact window law) draws through its cumulative integer run weights,
+    c consecutive starts to one draw uniform below den^c while den^c is at
+    most `count` (`_picks`).  A mixture draws each row's component, then the
+    rows of each component.  A pushforward draws its base's codes on the
+    widened window and moves each distinct one through the rule f_power
+    times (`_rule_on_codes`).  This is the one sampler of every measure: the
+    entropy estimates and mc invariance (`measures.invariance_check`) draw
+    through it."""
+    if isinstance(measure, PushforwardMeasure):
+        F, k = measure.automaton, measure.f_power
+        r, s = F.neighborhood if k else (0, 0)
+        lo, hi = lo + measure.shift + k * r, hi + measure.shift + k * s
+        codes = _draw_rows(measure.base, lo, hi, count, rng)
+        if not k:
+            return codes
+        move, moved = _rule_on_codes(F), {}
+        for code in set(codes):
+            x = code
+            for j in range(k):
+                x = move(x, hi - lo + 1 - j * (F.width - 1))
+            moved[code] = x
+        return list(map(moved.__getitem__, codes))
+    if isinstance(measure, MixtureMeasure):
+        den = math.lcm(*(c.denominator for c, _ in measure.components))
+        cum = list(itertools.accumulate(c.numerator * (den // c.denominator)
+                                        for c, _ in measure.components))
+        which = _picks(rng, cum, range(len(cum)), (1,), count)
+        codes = [0] * count
+        for i, (_, m) in enumerate(measure.components):
+            rows = [j for j, c in enumerate(which) if c == i]
+            for j, code in zip(rows, _draw_rows(m, lo, hi, len(rows), rng)):
+                codes[j] = code
+        return codes
+    n = measure.alphabet.order
+    index = letter_arithmetic(measure.alphabet, {})[0]
+    codes = None
+    for runs, den, starts in _independent_pieces(measure, lo, hi):
+        values = [sum(index[a] * n**j for j, a in enumerate(run)) for run, _ in runs]
+        cum = list(itertools.accumulate(w for _, w in runs))
+        c = 1  # starts per draw: den^c table entries, no more than the draws
+        while c < len(starts) and den ** (c + 1) <= count:
+            c += 1
+        for i in range(0, len(starts), c):
+            part = _picks(rng, cum, values, [n ** (p - lo) for p in starts[i : i + c]], count)
+            codes = part if codes is None else list(map(operator.add, codes, part))
+    return codes
+
+
+def _rule_on_codes(F: CellularAutomaton) -> Callable[[int, int], int]:
+    """The rule slid over the code of a word of `length` letters, as
+    apply_window slides it over the word: the image's code, F.width - 1
+    letters shorter.  The local rule reads each distinct window once."""
+    abc, w = letters(F.alphabet), F.width
+    n = len(abc)
+    index = letter_arithmetic(F.alphabet, {})[0]
+    local: dict[tuple, int] = {}  # window -> the index of its image letter
+
+    def move(code: int, length: int) -> int:
+        word, out = _decode(code, length, abc), 0
+        for t in range(length - w, -1, -1):
+            window = word[t : t + w]
+            b = local.get(window)
+            if b is None:
+                b = local[window] = index[F.local(window)]
+            out = out * n + b
+        return out
+
+    return move
+
+
+def _column_process(small: CellularAutomaton, measure, width: int, depth: int, count: int,
+                    rng: random.Random) -> tuple[list[int], Callable[[int], int]]:
+    """`count` codes of windows x of the measure, and the map from x to its
+    block code: column n < depth, the n-th `width` letters of the block, is
+    F^n(x) on [0, width).  x lies on the window that fixes every column."""
     r, s = small.neighborhood
     lo = min(0, (depth - 1) * r)
-    cur = _pooled_rows(measure, lo, width - 1 + max(0, (depth - 1) * s), count, rng)
-    step = _rule_on_rows(small)
-    cols = [cur[:, -lo : width - lo]]
-    for n in range(1, depth):
-        cur = step(cur)
-        cols.append(cur[:, n * r - lo : n * r - lo + width])
-    return np.concatenate(cols, axis=1)
+    length = width + max(0, (depth - 1) * s) - lo
+    windows = _pooled_rows(measure, lo, lo + length - 1, count, rng)
+    move, n = _rule_on_codes(small), small.alphabet.order
+    cell = n**width
+
+    def block(x: int) -> int:
+        code, size = 0, length
+        for c in range(depth):
+            if c:
+                x, size = move(x, size), size - small.width + 1
+            code += x // n ** (c * r - lo) % cell * cell**c
+        return code
+
+    return windows, block
 
 
-def _code_entropy(code: np.ndarray) -> float:
-    import numpy as np
-
-    counts = np.unique(code, return_counts=True)[1]
-    return math.log(len(code)) - float((counts * np.log(counts)).sum()) / len(code)
-
-
-def _rows_entropy(rows: np.ndarray, n: int, width: int) -> float:
-    """H_k - H_(k-1) of rows of k symbols of `width` letter indices, one
-    block per row, counted by its code."""
-    import numpy as np
-
-    code = np.zeros(len(rows), np.int64)
-    for column in rows.T:
-        code = code * n + column
-    if rows.shape[1] == width:
-        return _code_entropy(code)
-    return max(0.0, _code_entropy(code) - _code_entropy(code // n**width))
-
-
-def _shift_entropy(measure, samples: int, k: int, rng) -> float:
+def _shift_entropy(measure, samples: int, k: int, rng: random.Random) -> float:
     """The h_sigma estimate: H_k - H_(k-1) of `samples` k-letter windows of
     the measure, pooled over its phases (`_pooled_rows`)."""
-    rows = _pooled_rows(measure, 0, k - 1, samples, rng)
-    return _rows_entropy(rows, measure.alphabet.order, 1)
+    return _code_entropy(Counter(_pooled_rows(measure, 0, k - 1, samples, rng)), k,
+                         measure.alphabet.order)
+
+
+def _code_entropy(counts: Counter, k: int, cell: int) -> float:
+    """H_k - H_(k-1) of blocks of k symbols counted by code, `cell` values
+    a symbol, so that a block's first k - 1 symbols are its code mod
+    cell^(k - 1)."""
+    prefixes = cell ** (k - 1)
+    return _conditional_entropy(counts, (lambda code: code % prefixes) if k > 1 else None)
+
+
+def _sampled_weights(measures: Sequence, lo: int, hi: int, count: int,
+                     seed: int) -> list[tuple[dict, int]]:
+    """Block weights over `count` of [lo, hi] for each measure in turn, from
+    `count` codes drawn from one stream random.Random(seed); each distinct
+    code is counted, then decoded to its word once."""
+    rng = random.Random(seed)
+    abc = letters(measures[0].alphabet)
+    return [({_decode(code, hi - lo + 1, abc): c
+              for code, c in Counter(_draw_rows(m, lo, hi, count, rng)).items()}, count)
+            for m in measures]
 
 
 def entropy_report(F: CellularAutomaton, measure, samples: int = 1_000_000, k: int = 4,
                    seed: int = 0) -> EntropyReport:
     """Estimate shift and automaton entropies and cross-check the formulas.
 
-    Both estimates count blocks of the column process: the shift's from
-    k-letter windows of the measure, the automaton's from k columns of
-    `width` letters.  Both pool the t phases of a measure that sigma^t fixes
-    and sigma need not (`_pooled_rows`).  The width is the rule's
-    `conjugacy_width`, at least 1.  A block code must stay below 2^63, so
-    |A|^(width * k) >= 2^63 raises ValueError.
+    Both estimates count blocks of the column process, drawn from
+    random.Random(seed): the shift's from k-letter windows of the measure,
+    the automaton's from k columns of `width` letters, which it counts by
+    distinct window before moving each window once.  Both pool the t phases
+    of a measure that sigma^t fixes and sigma need not (`_pooled_rows`).
+    The width is the rule's `conjugacy_width`, at least 1.
     """
     if samples < 1 or k < 1:
         raise ValueError(f"samples and block length k must be >= 1, got {samples} and {k}")
     small = F.smallest_neighborhood()
     _same_alphabet(measure, small)
     width = max(conjugacy_width(small), 1)
-    n = small.alphabet.order
-    if n ** (width * k) >= 1 << 63:
-        raise ValueError(f"block codes of |A|^(width * k) = {n}^{width * k} values "
-                         f"pass the 64-bit limit 2^63")
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     h_sigma = _shift_entropy(measure, samples, k, rng)
-    h_f = _rows_entropy(_column_process(small, measure, width, k, samples, rng), n, width)
+    windows, block = _column_process(small, measure, width, k, samples, rng)
+    blocks: Counter = Counter()
+    for x, c in Counter(windows).items():
+        blocks[block(x)] += c
+    h_f = _code_entropy(blocks, k, small.alphabet.order**width)
     formula = small.permutativity().bipermutative and not small.is_trivial
     return EntropyReport(
         h_sigma, h_f, formula_entropy(small, h_sigma) if formula else None,

@@ -164,6 +164,7 @@ class GroupSpec:
     moduli: tuple[int, ...]
 
     def __init__(self, moduli: Iterable[int]) -> None:
+        moduli = tuple(moduli)  # an iterator is read once, before the checks
         if not moduli:
             raise ValueError("group needs at least one cyclic factor")
         if any(d < 2 for d in moduli):

@@ -5,7 +5,7 @@ weights (all word probabilities on a window at once, as integers over one
 denominator); invariance checks, character integrals, Haar tests and Cesaro
 averages read the block weights, so they are integer or integer-phase
 computations, with floating point confined to final complex character
-values.  Sampled invariance and entropy draw numpy rows from one sampler,
+values.  Sampled invariance and entropy draw integer codes from one sampler,
 `entropy._draw_rows`, which reads each variant's independent pieces.
 `_phases` is the one phase count: a t for which sigma^t fixes a measure, so
 its window laws at offsets i and i + t agree.  Exact invariance reads one
@@ -32,6 +32,7 @@ from .automata import (
     CellularAutomaton,
     matrix_terms,
     cylinder_preimage,
+    is_surjective,
     letter_arithmetic,
     letters,
     linear_ca,
@@ -642,15 +643,13 @@ def invariance_check(
     class i mod t of the offsets: T commutes with sigma, so sigma^t fixes
     the image too, and both laws at offset i + t are those at i.  Every
     offset of a class shares its pair of laws and their marginals.  Mc mode
-    draws mc_samples rows of mu, then of its image, on the window that spans
-    every offset (`entropy._draw_rows`, one stream
-    np.random.default_rng(seed)), counts each distinct row once and reads
-    each offset's window as a marginal of those counts.  Its verdict holds
-    when the sup is at most the threshold: four standard deviations of the
-    witness's difference of two independent frequencies p and q,
-    sqrt((p(1 - p) + q(1 - q)) / n), and never below 4e-2 / sqrt(n).  The
-    draws refuse run weights over a denominator of 2^63 or more (ValueError,
-    the 64-bit draw limit).  Every shorter cylinder is a marginal of its
+    counts mc_samples rows of mu, then of its image, on the window spanning
+    every offset, from random.Random(seed) (`entropy._sampled_weights`).  It
+    holds when the sup is at most z standard deviations of the witness's
+    difference of independent frequencies, sqrt((p(1 - p) + q(1 - q)) / n),
+    and 4e-2 / sqrt(n) at least: z = max(4, sqrt(2 ln(2m / alpha))) bounds
+    the Gaussian tails of all m = `cylinders_checked` cylinders at once at
+    family-wise alpha = 1e-3.  Every shorter cylinder is a marginal of its
     offset's window, so exact discrepancies are integer numerators compared
     by cross-multiplication, with one Fraction for the sup.  Only the words
     in some marginal's support are walked, each at the first offset of each
@@ -681,21 +680,11 @@ def invariance_check(
     elif mode == "mc":
         if mc_samples < 1:
             raise ValueError(f"mc_samples must be >= 1 in mc mode, got {mc_samples}")
-        import numpy as np
+        from .entropy import _sampled_weights
 
-        from .entropy import _draw_rows
-
-        rng = np.random.default_rng(seed)
-        lo, hi = min(offsets), max(offsets) + length - 1
-        abc = letters(mu.alphabet)
-
-        def counts(m: MeasureSpec) -> Weights:
-            rows, n = np.unique(_draw_rows(m, lo, hi, mc_samples, rng), axis=0,
-                                return_counts=True)
-            return ({tuple(abc[a] for a in row): c for row, c in zip(rows.tolist(), n.tolist())},
-                    mc_samples)
-
-        own, image = counts(mu), counts(push)
+        lo = min(offsets)
+        own, image = _sampled_weights((mu, push), lo, max(offsets) + length - 1, mc_samples,
+                                      seed)
         windows = {i: (_restrict(image, i - lo, length), _restrict(own, i - lo, length))
                    for i in offsets}
     else:
@@ -721,8 +710,8 @@ def invariance_check(
             if num * best_den > best * di * do:
                 best, best_den, witness = num, di * do, Cylinder(i, word)
         return InvarianceResult(Fraction(best, best_den), witness, checked)
-    best_f = 0.0
-    threshold = 0.0
+    best_f = threshold = 0.0
+    z = max(4, math.sqrt(2 * math.log(2 * checked / 1e-3)))
     for i, word in cylinders:
         (image, _), (own, _) = marginals[i, len(word)]
         p = own.get(word, 0) / mc_samples
@@ -731,7 +720,7 @@ def invariance_check(
         if abs(p - q) > best_f:
             best_f = abs(p - q)
             witness = Cylinder(i, word)
-            threshold = 4 * sigma
+            threshold = z * sigma
     return InvarianceResult(best_f, witness, checked, exact=False,
                             threshold=max(threshold, 4e-2 / math.sqrt(mc_samples)))
 
@@ -1042,7 +1031,8 @@ def sigma_entropy_exact(mu: MeasureSpec) -> float | None:
 
     Mixtures use affinity of entropy over invariant components; pushforwards
     by bipermutative rules and shift powers preserve shift entropy
-    (bounded-to-one block maps).
+    (bounded-to-one block maps), and a surjective rule maps the uniform
+    measure to itself (Hedlund 1969).
     """
     if isinstance(mu, Bernoulli):
         return -sum(float(w) * math.log(float(w)) for w in mu.weights.values() if w)
@@ -1062,6 +1052,14 @@ def sigma_entropy_exact(mu: MeasureSpec) -> float | None:
             return None
         return sum(float(c) * p for (c, _), p in zip(mu.components, parts))
     if isinstance(mu, PushforwardMeasure):
-        if mu.f_power == 0 or mu.automaton.permutativity().bipermutative:
+        F, A = mu.automaton, mu.alphabet
+        if mu.f_power == 0 or F.permutativity().bipermutative:
             return sigma_entropy_exact(mu.base)
+        if mu.base in (Bernoulli.uniform(A), HaarMeasure(FullShift(A))):
+            try:
+                onto = is_surjective(F)
+            except CapExceeded:
+                return None
+            if onto.surjective and onto.decided:
+                return math.log(A.order)
     return None

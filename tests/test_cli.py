@@ -639,24 +639,35 @@ def test_hypotheses_measure_over_another_alphabet_is_usage_error(tmp_path, capsy
 
 
 def test_import_and_examples_leave_numpy_unloaded(tmp_path):
-    # numpy is imported only where a sample is drawn: exact invariance and an
-    # exact shift entropy sample nothing
+    # samples are drawn with the standard library: neither exact nor sampled
+    # invariance, entropy, nor a sampled or exact shift entropy loads numpy
     mu = tmp_path / "mu.json"
     mu.write_text(json.dumps({"type": "bernoulli", "alphabet": {"moduli": [2]}, "weights": [
         {"letter": [0], "num": 1, "den": 3}, {"letter": [1], "num": 2, "den": 3}]}))
+    sampled = tmp_path / "and.json"
+    sampled.write_text(json.dumps(AND_OF_UNIFORM_Z2))
+    invariance = ['measure', 'invariance', '--measure', str(mu), '--ca', 'id_plus_sigma_z2',
+                  '--f-power', '1', '--length', '2']
     script = (
         "import sys\n"
+        "def unloaded(step):\n"
+        "    assert not {'inspect', 'numpy'} & set(sys.modules), step\n"
         "import groupca\n"
-        "assert 'numpy' not in sys.modules, 'import groupca'\n"
+        "unloaded('import groupca')\n"
         "from groupca.cli import main\n"
-        "assert 'numpy' not in sys.modules, 'import groupca.cli'\n"
+        "unloaded('import groupca.cli')\n"
         "assert main(['examples']) == 0\n"
-        "assert 'numpy' not in sys.modules, 'groupca examples'\n"
-        f"main(['measure', 'invariance', '--measure', {str(mu)!r}, '--ca', 'id_plus_sigma_z2',\n"
-        "      '--f-power', '1', '--length', '2'])\n"
-        "assert 'numpy' not in sys.modules, 'measure invariance'\n"
+        "unloaded('groupca examples')\n"
+        f"main({invariance!r})\n"
+        "unloaded('measure invariance')\n"
+        f"main({invariance + ['--mode', 'mc', '--mc-samples', '500']!r})\n"
+        "unloaded('measure invariance --mode mc')\n"
+        "assert main(['entropy', '--ca', 'classA_F1', '--samples', '4000']) == 0\n"
+        "unloaded('entropy')\n"
         f"main(['hypotheses', '--ca', 'id_plus_sigma_z2', '--measure', {str(mu)!r}])\n"
-        "assert 'numpy' not in sys.modules, 'hypotheses'\n"
+        "unloaded('hypotheses')\n"
+        f"main(['hypotheses', '--ca', 'id_plus_sigma_z2', '--measure', {str(sampled)!r}])\n"
+        "unloaded('hypotheses, sampled shift entropy')\n"
     )
     src = str(Path(groupca.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -666,6 +677,11 @@ def test_import_and_examples_leave_numpy_unloaded(tmp_path):
 
 
 UNIFORM_Z2 = {"type": "bernoulli", "alphabet": {"moduli": [2]}}
+# uniform Bernoulli pushed by x_0 x_1, a rule that is not surjective: no
+# closed form gives its shift entropy, so `hypotheses` samples it
+AND_OF_UNIFORM_Z2 = {"type": "pushforward", "base": UNIFORM_Z2, "ca": {
+    "alphabet": {"moduli": [2]}, "neighborhood": [0, 1], "rule": {"type": "table", "entries": [
+        {"window": [[a], [b]], "value": [a * b]} for a in (0, 1) for b in (0, 1)]}}}
 
 
 RULES = {"groups", "configs", "automata"}
@@ -723,18 +739,22 @@ ANALYZE = KERNEL | {"hypotheses"}
     (_cli("analyze", "--ca", "id_plus_sigma_z2"), ANALYZE | {"class_a"}),
     (_cli("hypotheses", "--ca", "id_plus_sigma_z2", "--measure", "mu.json"),
      ANALYZE | {"measures"}),
+    # a measure with no closed-form shift entropy: `entropy` samples it
+    (_cli("hypotheses", "--ca", "id_plus_sigma_z2", "--measure", "and.json"),
+     ANALYZE | {"measures", "entropy"}),
     # an abstract measure: neither `measures` nor `entropy`
     (_cli("hypotheses", "--ca", "id_plus_sigma_z2"), ANALYZE),
 ], ids=["package", "rules", "measures", "tower", "cli", "cli-examples", "cli-dual",
         "cli-modular", "cli-kernel", "cli-cesaro", "cli-counterexample", "cli-mc-invariance",
         "cli-entropy", "cli-analyze", "cli-analyze-class-a", "cli-hypotheses",
-        "cli-hypotheses-abstract"])
-def test_each_import_loads_only_the_modules_it_uses(code, loaded, tmp_path, request):
+        "cli-hypotheses-sampled", "cli-hypotheses-abstract"])
+def test_each_import_loads_only_the_modules_it_uses(code, loaded, tmp_path):
     # a fresh interpreter compiling every module it executes, as the CLI
     # runs; `cli` lists modules it has not executed yet, so those are left out.
-    # No call loads `dataclasses`, and none loads `inspect` but through numpy,
-    # which only the cases that draw samples import.
+    # No call loads `dataclasses`, `inspect` or numpy, not even one that
+    # draws samples.
     (tmp_path / "mu.json").write_text(json.dumps(UNIFORM_Z2))
+    (tmp_path / "and.json").write_text(json.dumps(AND_OF_UNIFORM_Z2))
     script = code + (
         "\nimport importlib.util, sys\n"
         "lazy = importlib.util._LazyModule\n"
@@ -749,8 +769,7 @@ def test_each_import_loads_only_the_modules_it_uses(code, loaded, tmp_path, requ
     assert proc.returncode == 0, proc.stderr
     *_, stdlib, groupca_modules = proc.stdout.splitlines()
     assert set(groupca_modules.split()) == loaded
-    sampled = request.node.callspec.id in {"cli-mc-invariance", "cli-entropy"}
-    assert set(stdlib.split()) == ({"inspect", "numpy"} if sampled else set())
+    assert stdlib == ""
 
 
 def test_dual_depth_zero_is_usage_error(capsys):

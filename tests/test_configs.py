@@ -101,3 +101,15 @@ def test_cylinder_membership():
     assert Cylinder(0, ((0,),)).length == 1
     with pytest.raises(ValueError):
         Cylinder(0, ())
+
+
+def test_periodic_config_reads_an_iterator_once():
+    assert PeriodicConfig(Z2, ((a,) for a in (0, 1, 0, 1))) == cfg(Z2, 0, 1)
+    with pytest.raises(ValueError, match="period word must be nonempty"):
+        PeriodicConfig(Z2, iter(()))
+
+
+def test_cylinder_reads_an_iterator_once():
+    assert Cylinder(2, ((a,) for a in (0, 1))) == Cylinder(2, ((0,), (1,)))
+    with pytest.raises(ValueError, match="cylinder word must be nonempty"):
+        Cylinder(0, iter(()))

@@ -1,5 +1,6 @@
 """Entropy formulas, block estimators and the column process."""
 
+import bisect
 import collections
 import itertools
 import math
@@ -7,16 +8,16 @@ import random
 import tracemalloc
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupca.automata import letters, linear_ca, shift_ca, table_ca
 from groupca.entropy import (
+    _decode,
     _draw_rows,
     _pooled_rows,
-    _rule_on_rows,
+    _rule_on_codes,
     _shift_entropy,
     block_entropy_estimate,
     bounds_check,
@@ -36,6 +37,7 @@ from groupca.measures import (
     MixtureMeasure,
     PeriodicOrbitMeasure,
     PushforwardMeasure,
+    _independent_pieces,
     counterexample_suite,
     invariance_check,
 )
@@ -47,6 +49,20 @@ Z2xZ4 = GroupSpec((2, 4))
 
 F_xor = linear_ca(Z2, {0: 1, 1: 1})
 LOG2 = math.log(2)
+
+
+def _code(indices, n):
+    """The code of a row of letter indices: read in base n, first index lowest."""
+    return sum(i * n**j for j, i in enumerate(indices))
+
+
+def _below(rng, size):
+    """One draw uniform on range(size): (size - 1).bit_length() random bits,
+    drawn again while at or above size."""
+    v = rng.getrandbits((size - 1).bit_length())
+    while v >= size:
+        v = rng.getrandbits((size - 1).bit_length())
+    return v
 
 
 def test_formula_entropy_cases():
@@ -205,25 +221,66 @@ def test_rule_on_rows_equals_apply_window_row_by_row(F, data):
         length = data.draw(st.integers(F.width, F.width + 5))
         rows = data.draw(st.lists(st.lists(st.integers(0, len(abc) - 1), min_size=length,
                                            max_size=length), min_size=1, max_size=6))
-    out = _rule_on_rows(F)(np.array(rows, np.min_scalar_type(len(abc) - 1)))
-    expected = [[abc.index(b) for b in F.apply_window([abc[i] for i in row])] for row in rows]
-    assert out.tolist() == expected
+    move, n = _rule_on_codes(F), len(abc)
+    out = [_decode(move(_code(row, n), len(row)), len(row) - F.width + 1, abc) for row in rows]
+    assert out == [F.apply_window([abc[i] for i in row]) for row in rows]
 
 
 def test_uniform_letters_take_one_integers_call():
-    # so uniform-Bernoulli estimates keep the draws of a plain integers call
-    rows = _draw_rows(Bernoulli.uniform(Z3), -2, 2, 1000, np.random.default_rng(7))
-    assert rows.dtype == np.uint8
-    assert rows.tolist() == np.random.default_rng(7).integers(0, 3, size=(1000, 5)).tolist()
+    # 3^5 <= 1000 draws: the five letters of a row are the base-3 digits of
+    # one draw below 3^5, which is the row's code
+    rows = _draw_rows(Bernoulli.uniform(Z3), -2, 2, 1000, random.Random(7))
+    rng = random.Random(7)
+    assert rows == [_below(rng, 3**5) for _ in range(1000)]
 
 
 @pytest.mark.parametrize("count", [1, 2, 1000])
 def test_run_lookup_table_keeps_the_draws_of_the_search(count):
-    # den = 6 over 5 positions: the table serves 2 or more rows, the search 1
+    # den = 6 over 5 positions: below 6^2 draws each position draws on its
+    # own and searches the cumulative weights; at 1000 draws the positions
+    # -2..0, then 1..2, share one draw below 6^3, then 6^2, read through a
+    # table.  Both pick the runs a search of every base-6 digit picks.
     mu = Bernoulli(Z3, {(0,): Fraction(1, 2), (1,): Fraction(1, 3), (2,): Fraction(1, 6)})
-    rows = _draw_rows(mu, -2, 2, count, np.random.default_rng(3))
-    draws = np.random.default_rng(3).integers(0, 6, size=(count, 5))
-    assert rows.tolist() == np.searchsorted([3, 5, 6], draws, side="right").tolist()
+    rows = _draw_rows(mu, -2, 2, count, random.Random(3))
+    rng, letters_ = random.Random(3), [[0] * 5 for _ in range(count)]
+    for chunk in ([[0], [1], [2], [3], [4]] if count < 36 else [[0, 1, 2], [3, 4]]):
+        for row in letters_:
+            v = _below(rng, 6 ** len(chunk))
+            for p in chunk:
+                v, digit = divmod(v, 6)
+                row[p] = bisect.bisect_right([3, 5, 6], digit)
+    assert rows == [_code(row, 3) for row in letters_]
+
+
+class _Enumerate:
+    """A stand-in rng whose draws count up 0, 1, 2, ..., modulo 2^bits."""
+
+    def __init__(self):
+        self.next = 0
+
+    def getrandbits(self, bits):
+        self.next += 1
+        return (self.next - 1) % (1 << bits)
+
+
+@pytest.mark.parametrize("mu, lo, hi", [
+    (Bernoulli(Z3, {(0,): Fraction(1, 2), (1,): Fraction(1, 3), (2,): Fraction(1, 6)}), 0, 2),
+    (HaarMeasure(FullShift(Z2xZ2)), -1, 1),
+    # two whole blocks of grouping 2, one run law
+    (HaarMeasure(ProductSubgroup(Z3, 2, subgroup_closure(Z3.power(2), [(1, 2)]))), 0, 3),
+    # one piece: the window law of the kernel shift
+    (HaarMeasure(LinearKernelShift(linear_ca(GroupSpec((4,)), {0: 2, 1: 2}))), 0, 2),
+])
+def test_one_grouped_draw_enumerated_is_the_window_law(mu, lo, hi):
+    # one group of runs whose starts share one draw below den^c: each of its
+    # den^c values drawn once gives every word with its exact weight
+    ((runs, den, starts),) = _independent_pieces(mu, lo, hi)
+    size = den ** len(starts)
+    codes = collections.Counter(_draw_rows(mu, lo, hi, size, _Enumerate()))
+    abc = letters(mu.alphabet)
+    weights, total = mu.block_weights(lo, hi - lo + 1)
+    assert {_decode(code, hi - lo + 1, abc): Fraction(c, size) for code, c in codes.items()} \
+        == {word: Fraction(c, total) for word, c in weights.items()}
 
 
 _BLOCK = subgroup_closure(Z3.power(2), [(1, 2)])
@@ -255,8 +312,8 @@ _SAMPLED = [
 def test_index_sampler_matches_the_exact_block_distribution(mu):
     n = 20_000
     abc = letters(mu.alphabet)
-    rows = _draw_rows(mu, 0, 2, n, np.random.default_rng(3))
-    seen = collections.Counter(tuple(abc[i] for i in row) for row in rows.tolist())
+    rows = _draw_rows(mu, 0, 2, n, random.Random(3))
+    seen = collections.Counter(_decode(code, 3, abc) for code in rows)
     exact = mu.block_distribution(0, 3)
     assert set(seen) <= set(exact)
     for word, p in exact.items():
@@ -270,9 +327,11 @@ def test_a_pushforward_of_a_kernel_haar_base_moves_the_base_rows():
     base = HaarMeasure(LinearKernelShift(linear_ca(Z3, {0: 1, 1: 1})))
     G = linear_ca(Z3, {-1: 1, 0: 2})
     push = PushforwardMeasure(base, G, 2, shift=1)
-    rows = _draw_rows(push, -1, 2, 50, np.random.default_rng(4))
-    moved = _draw_rows(base, -2, 3, 50, np.random.default_rng(4))
-    assert rows.tolist() == _rule_on_rows(G)(_rule_on_rows(G)(moved)).tolist()
+    rows = _draw_rows(push, -1, 2, 50, random.Random(4))
+    moved = _draw_rows(base, -2, 3, 50, random.Random(4))
+    abc = letters(Z3)
+    assert [_decode(code, 4, abc) for code in rows] == [
+        G.apply_window(G.apply_window(_decode(code, 6, abc))) for code in moved]
 
 
 def test_wide_blocks_count_in_memory_that_follows_the_samples():
@@ -286,18 +345,28 @@ def test_wide_blocks_count_in_memory_that_follows_the_samples():
     assert peak < 16 * 2**20
 
 
-def test_block_codes_past_64_bits_are_refused():
+def test_block_codes_past_64_bits_are_counted():
     F = linear_ca(Z2, {0: 1, 15: 1})  # 2^(15 * 5) block codes
-    with pytest.raises(ValueError, match=r"2\^75 values pass the 64-bit limit 2\^63"):
-        entropy_report(F, Bernoulli.uniform(Z2), samples=10, k=5)
+    rep = entropy_report(F, Bernoulli.uniform(Z2), samples=10, k=5)
+    # ten blocks of 75 uniform letters, and their prefixes of 60, all differ
+    assert (rep.column_width, rep.h_f_estimate) == (15, 0.0)
+    assert rep.h_f_formula == pytest.approx(15 * rep.h_sigma_estimate)
+    # a point mass counts one block: every code the all-ones word's
+    ones = PeriodicOrbitMeasure((PeriodicConfig(Z2, ((1,),)),))
+    rep = entropy_report(linear_ca(Z2, {0: 1, 15: 1}, constant=(1,)), ones, samples=10, k=5)
+    assert (rep.h_sigma_estimate, rep.h_f_estimate) == (0.0, 0.0)
+    cols = column_factor_samples(F, ones, depth=5, count=3)
+    assert cols == [(((1,),) * 15, ((0,),) * 15, ((0,),) * 15, ((0,),) * 15, ((0,),) * 15)] * 3
 
 
-def test_weights_past_64_bit_draws_are_refused():
+def test_weights_past_64_bits_are_drawn():
+    # a one in 2^64 chance of the zero letter: every draw of ten is the one
     mu = Bernoulli(Z2, {(0,): Fraction(1, 2**64), (1,): 1 - Fraction(1, 2**64)})
-    with pytest.raises(ValueError, match=r"pass the 64-bit draw limit 2\^63"):
-        entropy_report(F_xor, mu, samples=10, k=1)
-    with pytest.raises(ValueError, match=r"pass the 64-bit draw limit 2\^63"):
-        invariance_check(mu, F_xor, 1, length=1, mode="mc", mc_samples=10)
+    rep = entropy_report(F_xor, mu, samples=10, k=1)
+    assert (rep.h_sigma_estimate, rep.h_f_estimate) == (0.0, 0.0)
+    # x_0 + x_1 maps all ones to all zeros
+    res = invariance_check(mu, F_xor, 1, length=1, mode="mc", mc_samples=10)
+    assert (res.max_discrepancy, res.invariant) == (1.0, False)
 
 
 def _pooled_conditional_entropy(mu, t, k):
@@ -342,13 +411,13 @@ def test_entropy_pools_the_phases_of_a_product_haar_measure(F, mu, t):
     HaarMeasure(ProductSubgroup(Z2, 2, Subgroup(Z2.power(2), tuple(Z2.power(2).elements())))),
 ])
 def test_measures_without_phases_keep_their_draws(mu):
-    pooled = _pooled_rows(mu, -1, 2, 1000, np.random.default_rng(9))
-    assert pooled.tolist() == _draw_rows(mu, -1, 2, 1000, np.random.default_rng(9)).tolist()
+    assert _pooled_rows(mu, -1, 2, 1000, random.Random(9)) == _draw_rows(mu, -1, 2, 1000,
+                                                                          random.Random(9))
 
 
 def test_an_anchored_orbit_pools_the_phases_of_its_period():
     # a point mass on one configuration of period 3 is fixed by sigma^3, not
     # by sigma: its draws pool the three shifts, one letter in three a 1
     mu = PeriodicOrbitMeasure((PeriodicConfig(Z2, ((0,), (0,), (1,))),))
-    h = _shift_entropy(mu, 3000, 1, np.random.default_rng(0))
+    h = _shift_entropy(mu, 3000, 1, random.Random(0))
     assert h == pytest.approx(math.log(3) - 2 / 3 * LOG2)

@@ -49,6 +49,14 @@ def test_group_spec_validation():
     assert GroupSpec((8,)).radical == 2
 
 
+def test_group_spec_reads_an_iterator_once():
+    assert GroupSpec(d for d in (2, 3)) == GroupSpec((2, 3))
+    with pytest.raises(ValueError, match="at least one cyclic factor"):
+        GroupSpec(iter(()))
+    with pytest.raises(ValueError, match=r"moduli must all be >= 2, got \(2, 1\)"):
+        GroupSpec(d for d in (2, 1))
+
+
 @given(small_groups, st.data())
 def test_group_laws(group, data):
     elems = list(group.elements())

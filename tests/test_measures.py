@@ -3,11 +3,11 @@ averages, the counterexample bundle and hypothesis reports."""
 
 import itertools
 import math
+import random
 import time
 from collections import Counter, defaultdict
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +21,7 @@ from groupca.automata import (
     table_ca,
 )
 from groupca.configs import Cylinder, PeriodicConfig
-from groupca.entropy import _draw_rows
+from groupca.entropy import _decode, _draw_rows
 from groupca.groups import CapExceeded, Character, GroupSpec, Subgroup, subgroup_closure
 from groupca.kernels import FullShift, LinearKernelShift, ProductSubgroup
 from groupca.measures import (
@@ -62,8 +62,8 @@ def w(*xs):
 def drawn(mu, lo, hi, count, seed):
     """The distinct words of `count` rows drawn on [lo, hi] by the sampler."""
     abc = letters(mu.alphabet)
-    rows = _draw_rows(mu, lo, hi, count, np.random.default_rng(seed))
-    return {tuple(abc[i] for i in row) for row in rows.tolist()}
+    return {_decode(code, hi - lo + 1, abc)
+            for code in _draw_rows(mu, lo, hi, count, random.Random(seed))}
 
 
 def test_bernoulli_cylinder_prob():
@@ -364,10 +364,10 @@ def test_invariance_mc_mode():
 
 
 @pytest.mark.parametrize("d, seed, discrepancy, offset, word, threshold", [
-    (2, 0, 0.02200000000000002, 1, (1, 0), 0.054570724752379826),
-    (2, 1, 0.02200000000000002, 1, (0, 1), 0.0547910576645496),
-    (3, 0, 0.0335, 2, (2, 0), 0.039639147316762505),
-    (3, 1, 0.032999999999999974, 1, (0,), 0.05998953242024812),
+    (2, 0, 0.013999999999999985, 1, (1, 0), 0.0627431795865341),
+    (2, 1, 0.025000000000000022, 0, (0, 1), 0.06380347194725865),
+    (3, 0, 0.03149999999999997, 2, (2,), 0.07117106761666422),
+    (3, 1, 0.02100000000000002, 0, (1,), 0.07123432694246477),
 ], ids=["Z2-seed0", "Z2-seed1", "Z3-seed0", "Z3-seed1"])
 def test_mc_reports_are_pinned(d, seed, discrepancy, offset, word, threshold):
     # one random stream and one witness order: the same floats, bit for bit
@@ -381,13 +381,14 @@ def test_mc_reports_are_pinned(d, seed, discrepancy, offset, word, threshold):
                                      (2,): Fraction(1, 6)})
     res = invariance_check(mu, linear_ca(GroupSpec((3,)), {0: 1, 1: 2}), f_power=2, shift=1,
                            length=3, offsets=(-1, 2), mode="mc", mc_samples=1500, seed=4)
-    assert (res.max_discrepancy, res.threshold) == (0.18466666666666665, 0.07084007235916584)
+    assert (res.max_discrepancy, res.threshold) == (0.18066666666666664, 0.08643024509222537)
     assert res.witness == Cylinder(2, w(0)) and res.cylinders_checked == 78
 
 
 def test_mc_threshold_is_the_spread_of_a_difference():
     # p and q are independent frequencies: p - q has variance
-    # (p(1 - p) + q(1 - q)) / n, so an invariant measure passes on every seed
+    # (p(1 - p) + q(1 - q)) / n, and the threshold's z bounds the sup over
+    # every cylinder checked, so an invariant measure passes on every seed
     for d in (2, 3):
         G = GroupSpec((d,))
         F = linear_ca(G, {0: 1, 1: 1})
@@ -400,6 +401,18 @@ def test_mc_threshold_is_the_spread_of_a_difference():
         res = invariance_check(biased, F_xor, f_power=1, length=2, mode="mc",
                                mc_samples=2000, seed=seed)
         assert not res.invariant, seed
+
+
+def test_mc_threshold_bounds_the_sup_over_its_cylinders():
+    # the witness of uniform Z/3 at seed 9 lies 4.02 of its standard
+    # deviations out: four, the bound for one cylinder, would refute this
+    # invariant measure, z for the 48 cylinders of the sup does not
+    G = GroupSpec((3,))
+    res = invariance_check(Bernoulli.uniform(G), linear_ca(G, {0: 1, 1: 1}), f_power=1,
+                           length=2, mode="mc", mc_samples=2000, seed=9)
+    z = math.sqrt(2 * math.log(2 * 48 / 1e-3))
+    assert res.cylinders_checked == 48 and z == pytest.approx(4.79, abs=0.01)
+    assert 4 * res.threshold / z < res.max_discrepancy <= res.threshold
 
 
 def test_mc_kernel_haar_builds_its_window_law_once_per_measure(monkeypatch):
@@ -1113,10 +1126,33 @@ def test_kernel_haar_off_the_bipermutative_case():
 
 
 def test_estimated_shift_entropy_names_its_threshold():
-    # a pushforward by a rule that is not bipermutative has no closed form
-    F = linear_ca(Z4, {0: 1, 1: 2})
+    # a pushforward by a rule neither bipermutative nor surjective has no
+    # closed form
+    F = linear_ca(Z4, {0: 2, 1: 2})
     mu = PushforwardMeasure(Bernoulli.uniform(Z4), F, 1)
     assert sigma_entropy_exact(mu) is None
     rep = check_hypotheses(linear_ca(Z4, {0: 1, 1: 1}), mu=mu, entropy_samples=5000, seed=3)
     assert rep.entropy_positive
     assert rep.entropy_method.endswith("(5000 samples, seed 3; positive above 0.02 nats)")
+
+
+def test_a_surjective_rule_keeps_the_uniform_measure(monkeypatch):
+    # Hedlund: x_0 + 2 x_1 over Z/4 is surjective, not bipermutative, and
+    # maps the uniform measure to itself, of shift entropy log 4
+    import groupca.entropy
+
+    monkeypatch.setattr(groupca.entropy, "_shift_entropy", None)  # nothing is sampled
+    F = linear_ca(Z4, {0: 1, 1: 2})
+    for base in (Bernoulli.uniform(Z4), HaarMeasure(FullShift(Z4))):
+        mu = PushforwardMeasure(base, F, 2)
+        assert sigma_entropy_exact(mu) == math.log(4)
+        assert mu.block_distribution(0, 2) == {w(a, b): Fraction(1, 16)
+                                               for a in range(4) for b in range(4)}
+        rep = check_hypotheses(linear_ca(Z4, {0: 1, 1: 1}), mu=mu)
+        assert rep.entropy_positive
+        assert rep.entropy_method == "exact shift entropy 1.386294 nats"
+    # a base that is not uniform, or a rule that is not surjective, has none
+    biased = Bernoulli(Z4, {(0,): Fraction(1, 2), (1,): Fraction(1, 2)})
+    assert sigma_entropy_exact(PushforwardMeasure(biased, F, 1)) is None
+    assert sigma_entropy_exact(PushforwardMeasure(Bernoulli.uniform(Z4),
+                                                  linear_ca(Z4, {0: 2, 1: 2}), 1)) is None
