@@ -558,8 +558,17 @@ def cmd_entropy(args) -> int:
     mu = (load_measure(_read_json(args.measure)) if args.measure
           else measures.Bernoulli.uniform(F.alphabet))
     rep = entropy.entropy_report(F, mu, samples=args.samples, k=args.block, seed=args.seed)
-    print(f"shift entropy estimate: {rep.h_sigma_estimate:.6f} nats")
-    print(f"automaton entropy estimate: {rep.h_f_estimate:.6f} nats")
+    if rep.method == "exact":
+        # the automaton's line keeps its name: exact at this k, H_k - H_(k-1)
+        # of the columns still only approaches h_F as k grows
+        k = rep.block_length
+        how = f"exact H_{k} - H_{k - 1}"
+        print(f"shift entropy: {rep.h_sigma_estimate:.6f} nats ({how})")
+        print(f"automaton entropy estimate: {rep.h_f_estimate:.6f} nats ({how} of columns)")
+    else:
+        how = f"{rep.sample_count} samples, seed {rep.seed}"
+        print(f"shift entropy estimate: {rep.h_sigma_estimate:.6f} nats ({how})")
+        print(f"automaton entropy estimate: {rep.h_f_estimate:.6f} nats ({how})")
     if rep.h_f_formula is not None:
         print(f"closed form: {rep.h_f_formula:.6f} nats ({rep.formula_case} case)")
     print(f"upper bound ok: {rep.bounds.upper_ok}")
@@ -864,11 +873,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_kernel)
 
-    p = sub.add_parser("entropy", help="entropy estimates and formulas")
+    p = sub.add_parser("entropy", help="entropies (exact H_k - H_(k-1) under the sample "
+                       "budget, else sampled) and formulas")
     p.add_argument("--ca", required=True)
     p.add_argument("--measure", help="measure spec file (default uniform)")
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--block", type=int, default=4)
+    p.add_argument("--samples", type=int, default=1_000_000,
+                   help="sample budget: exact block laws while each window has at "
+                        "most this many words (and 2^22), else this many samples")
+    p.add_argument("--block", type=int, default=4, help="block length k")
     p.add_argument("--seed", **seed)
     common(p)
     p.set_defaults(func=cmd_entropy)

@@ -1,17 +1,24 @@
-"""Entropy estimators for permutative automata, checked against closed forms.
+"""Entropy of permutative automata, checked against closed forms.
 
-Measure entropy of the automaton is estimated through the column process:
-successive images of a sampled window are read off at a fixed block of
-positions, turning automaton entropy into shift entropy of the column
-sequence.  The closed forms for the bipermutative case live in `hypotheses`
-and are imported back here.  One column process serves every rule, alphabet
-and measure.  A sampled window is an integer code: its letter indices
-(`letters` order) read in base |A|, its first letter lowest.  The rule moves
-each distinct code once, and blocks are counted by their codes, so memory
-follows the distinct codes.  Every code comes from one stream,
-random.Random(seed), by exact integer draws from the measure's independent
-pieces (`measures._independent_pieces`), a mixture's component per row and
-a pushforward's base moved by its rule; no word is drawn one at a time.
+Measure entropy of the automaton is read through the column process:
+successive images of a window are read off at a fixed block of positions,
+turning automaton entropy into shift entropy of the column sequence.  The
+closed forms for the bipermutative case live in `hypotheses` and are
+imported back here.  One column process serves every rule, alphabet and
+measure.  A window is an integer code: its letter indices (`letters`
+order) read in base |A|, its first letter lowest.  The rule moves each
+distinct code once, and blocks are counted by their codes, so memory
+follows the distinct codes.
+
+`entropy_report` reads both figures, H_k - H_(k-1) of the shift and of the
+column process, from the exact block laws (`_pooled_weights`, the integer
+weights of `block_weights` mixed over the phases) whenever both windows
+have at most min(samples, MAX_EXACT_WORDS) words; past that budget, or
+where a measure refuses its exact law (CapExceeded), it counts sampled
+windows.  Every sampled code comes from one stream, random.Random(seed), by
+exact integer draws from the measure's independent pieces
+(`measures._independent_pieces`), a mixture's component per row and a
+pushforward's base moved by its rule; no word is drawn one at a time.
 """
 
 from __future__ import annotations
@@ -22,26 +29,28 @@ import operator
 import random
 from bisect import bisect_right
 from collections import Counter
+from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .automata import CellularAutomaton, letter_arithmetic, letters
-from .groups import record
+from .groups import CapExceeded, record
 from .hypotheses import (  # noqa: F401  (importable here too)
     conjugacy_width, formula_case, formula_entropy, topological_entropy)
 from .measures import (
-    MixtureMeasure, PushforwardMeasure, _independent_pieces, _phases, _same_alphabet)
+    MAX_EXACT_WORDS, MixtureMeasure, PushforwardMeasure, _independent_pieces, _mix, _phases,
+    _same_alphabet)
 
 
 def _entropy_from_counts(counts: Iterable[int]) -> float:
-    total = 0
-    acc = 0.0
-    for c in counts:
-        if c:
-            total += c
-            acc += c * math.log(c)
-    if total == 0:
+    """-sum p log p over the frequencies p = c / total of the counts, summed
+    by math.fsum.  Each p is one correctly rounded division, so exact
+    integer weights past the float range (a pushforward by a high power of
+    F) read as drawn counts do; a p below the float range adds under 1e-300."""
+    counts = [c for c in counts if c]
+    if not counts:
         raise ValueError("insufficient data: no blocks counted")
-    return math.log(total) - acc / total
+    total = sum(counts)
+    return 0.0 - math.fsum(p * math.log(p) for p in (c / total for c in counts) if p)
 
 
 def block_entropy_estimate(samples: Iterable[Sequence], k: int) -> float:
@@ -62,7 +71,7 @@ def block_entropy_estimate(samples: Iterable[Sequence], k: int) -> float:
     return _conditional_entropy(counts, (lambda block: block[:-1]) if k > 1 else None)
 
 
-def _conditional_entropy(counts: Counter, prefix: Callable | None) -> float:
+def _conditional_entropy(counts: dict, prefix: Callable | None) -> float:
     """H_k - H_(k-1) of counted k-blocks, the (k-1)-block statistics the
     marginal of their `prefix`es; H_1 alone when k = 1 (prefix None)."""
     h_k = _entropy_from_counts(counts.values())
@@ -80,7 +89,7 @@ def column_factor_samples(F: CellularAutomaton, measure, width: int | None = Non
 
     Each returned sample is a depth-long word over the width-block column
     alphabet, from the column process that `entropy_report` counts, drawn
-    from random.Random(seed) as its shift sample is drawn; each distinct
+    from random.Random(seed) as its sampled windows are drawn; each distinct
     window is decoded once, and the samples come in draw order.
     """
     small = F.smallest_neighborhood()
@@ -88,8 +97,8 @@ def column_factor_samples(F: CellularAutomaton, measure, width: int | None = Non
         width = max(conjugacy_width(small), 1)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    windows, block = _column_process(small, measure, width, depth, count,
-                                     random.Random(seed))
+    lo, length, block = _column_process(small, width, depth)
+    windows = _pooled_rows(measure, lo, lo + length - 1, count, random.Random(seed))
     abc = letters(small.alphabet)
     words = {}
     for x in set(windows):
@@ -106,7 +115,9 @@ class BoundsCheck:
 
 def bounds_check(F: CellularAutomaton, h_sigma: float, h_f: float) -> BoundsCheck:
     """The width upper bound (s - r) h_sigma on the automaton entropy, held
-    up to 0.05 nats of sampling error."""
+    up to 0.05 nats.  The slack is for the error of sampled figures
+    (`entropy_report`'s method "sampled"); exact figures are held to it
+    alike."""
     r, s = F.smallest_neighborhood().neighborhood
     upper = (s - r) * h_sigma
     return BoundsCheck(upper, h_f <= upper + 0.05)
@@ -114,6 +125,11 @@ def bounds_check(F: CellularAutomaton, h_sigma: float, h_f: float) -> BoundsChec
 
 @record
 class EntropyReport:
+    """`entropy_report`'s figures.  `method` is "exact" when both figures
+    are H_k - H_(k-1) of exact block laws, and then `seed` is None, since
+    nothing is drawn; else "sampled".  `sample_count` is the sample budget
+    either way."""
+
     h_sigma_estimate: float
     h_f_estimate: float
     h_f_formula: float | None
@@ -122,7 +138,8 @@ class EntropyReport:
     sample_count: int
     block_length: int
     column_width: int
-    seed: int
+    seed: int | None
+    method: str
 
     def as_dict(self) -> dict:
         ln2 = math.log(2)
@@ -138,6 +155,7 @@ class EntropyReport:
             "block_length": self.block_length,
             "column_width": self.column_width,
             "seed": self.seed,
+            "method": self.method,
         }
 
 
@@ -146,12 +164,18 @@ class EntropyReport:
 
 def _decode(code: int, length: int, abc: Sequence) -> tuple:
     """The word of `length` letters of `abc` whose indices, read in base
-    |abc| with its first letter lowest, are `code`."""
-    word = []
+    |abc| with its first letter lowest, are `code` (`_digits`)."""
+    return tuple(map(abc.__getitem__, _digits(code, length, len(abc))))
+
+
+def _digits(code: int, length: int, n: int) -> tuple[int, ...]:
+    """The `length` base-n digits of `code`, its lowest first: the letter
+    indices of the word it codes."""
+    out = []
     for _ in range(length):
-        code, i = divmod(code, len(abc))
-        word.append(abc[i])
-    return tuple(word)
+        code, i = divmod(code, n)
+        out.append(i)
+    return tuple(out)
 
 
 def _uniform(rng: random.Random, size: int, count: int) -> list[int]:
@@ -248,49 +272,77 @@ def _draw_rows(measure, lo: int, hi: int, count: int, rng: random.Random) -> lis
     return codes
 
 
-def _rule_on_codes(F: CellularAutomaton) -> Callable[[int, int], int]:
-    """The rule slid over the code of a word of `length` letters, as
-    apply_window slides it over the word: the image's code, F.width - 1
-    letters shorter.  The local rule reads each distinct window once."""
+def _rule_on_digits(F: CellularAutomaton) -> Callable[[tuple], tuple]:
+    """The rule slid over a word of letter indices as apply_window slides it
+    over the letters: the image's indices, F.width - 1 fewer.  The local
+    rule reads each distinct window once."""
     abc, w = letters(F.alphabet), F.width
-    n = len(abc)
     index = letter_arithmetic(F.alphabet, {})[0]
     local: dict[tuple, int] = {}  # window -> the index of its image letter
 
-    def move(code: int, length: int) -> int:
-        word, out = _decode(code, length, abc), 0
-        for t in range(length - w, -1, -1):
+    def step(word: tuple) -> tuple:
+        out = []
+        for t in range(len(word) - w + 1):
             window = word[t : t + w]
             b = local.get(window)
             if b is None:
-                b = local[window] = index[F.local(window)]
+                b = local[window] = index[F.local(tuple(abc[i] for i in window))]
+            out.append(b)
+        return tuple(out)
+
+    return step
+
+
+def _rule_on_codes(F: CellularAutomaton) -> Callable[[int, int], int]:
+    """The rule slid over the code of a word of `length` letters
+    (`_rule_on_digits`): the image's code."""
+    n, step = F.alphabet.order, _rule_on_digits(F)
+
+    def move(code: int, length: int) -> int:
+        out = 0
+        for b in reversed(step(_digits(code, length, n))):
             out = out * n + b
         return out
 
     return move
 
 
-def _column_process(small: CellularAutomaton, measure, width: int, depth: int, count: int,
-                    rng: random.Random) -> tuple[list[int], Callable[[int], int]]:
-    """`count` codes of windows x of the measure, and the map from x to its
-    block code: column n < depth, the n-th `width` letters of the block, is
-    F^n(x) on [0, width).  x lies on the window that fixes every column."""
+def _column_process(small: CellularAutomaton, width: int,
+                    depth: int) -> tuple[int, int, Callable[[int], int]]:
+    """The window [lo, lo + length) that fixes every column, and the map
+    from the code of a window x on it to its block code: column n < depth,
+    the n-th `width` letters of the block, is F^n(x) on [0, width).  Each
+    x is read into its digits once, and its images are slid as digits."""
     r, s = small.neighborhood
     lo = min(0, (depth - 1) * r)
     length = width + max(0, (depth - 1) * s) - lo
-    windows = _pooled_rows(measure, lo, lo + length - 1, count, rng)
-    move, n = _rule_on_codes(small), small.alphabet.order
-    cell = n**width
+    n, step = small.alphabet.order, _rule_on_digits(small)
+    places = [n**j for j in range(width * depth)]  # column c, letter j: place j + c width
 
     def block(x: int) -> int:
-        code, size = 0, length
+        word, code = _digits(x, length, n), 0
         for c in range(depth):
             if c:
-                x, size = move(x, size), size - small.width + 1
-            code += x // n ** (c * r - lo) % cell * cell**c
+                word = step(word)
+            start = c * r - lo  # where position 0 lies in F^c(x)
+            for j, b in enumerate(word[start : start + width], c * width):
+                code += b * places[j]
         return code
 
-    return windows, block
+    return lo, length, block
+
+
+def _pooled_weights(measure, lo: int, hi: int) -> dict[int, int]:
+    """{code: integer weight} of [lo, hi] under (1/t) sum_(i<t) sigma^i mu,
+    the law `_pooled_rows` draws from: the block weights of the t phases
+    (`measures._phases`) mixed by `measures._mix`, each word encoded as
+    `_draw_rows` encodes it.  The phases share one memo of run laws."""
+    t, laws = _phases(measure), {}
+    weights, _ = _mix((Fraction(1, t), measure.block_weights(lo + i, hi - lo + 1, laws))
+                      for i in range(t))
+    n = measure.alphabet.order
+    index = letter_arithmetic(measure.alphabet, {})[0]
+    return {sum(index[a] * n**j for j, a in enumerate(word)): c for word, c in weights.items()}
 
 
 def _shift_entropy(measure, samples: int, k: int, rng: random.Random) -> float:
@@ -300,10 +352,10 @@ def _shift_entropy(measure, samples: int, k: int, rng: random.Random) -> float:
                          measure.alphabet.order)
 
 
-def _code_entropy(counts: Counter, k: int, cell: int) -> float:
-    """H_k - H_(k-1) of blocks of k symbols counted by code, `cell` values
-    a symbol, so that a block's first k - 1 symbols are its code mod
-    cell^(k - 1)."""
+def _code_entropy(counts: dict, k: int, cell: int) -> float:
+    """H_k - H_(k-1) of blocks of k symbols counted, or weighted, by code,
+    `cell` values a symbol, so that a block's first k - 1 symbols are its
+    code mod cell^(k - 1)."""
     prefixes = cell ** (k - 1)
     return _conditional_entropy(counts, (lambda code: code % prefixes) if k > 1 else None)
 
@@ -322,30 +374,52 @@ def _sampled_weights(measures: Sequence, lo: int, hi: int, count: int,
 
 def entropy_report(F: CellularAutomaton, measure, samples: int = 1_000_000, k: int = 4,
                    seed: int = 0) -> EntropyReport:
-    """Estimate shift and automaton entropies and cross-check the formulas.
+    """Shift and automaton entropies, H_k - H_(k-1) of block laws, and the
+    closed forms they are checked against.
 
-    Both estimates count blocks of the column process, drawn from
-    random.Random(seed): the shift's from k-letter windows of the measure,
-    the automaton's from k columns of `width` letters, which it counts by
-    distinct window before moving each window once.  Both pool the t phases
-    of a measure that sigma^t fixes and sigma need not (`_pooled_rows`).
-    The width is the rule's `conjugacy_width`, at least 1.
+    The shift's blocks are k-letter windows of the measure, the automaton's
+    k columns of `width` letters of the column process (`_column_process`),
+    the width the rule's `conjugacy_width`, at least 1.  Both pool the t
+    phases of a measure that sigma^t fixes and sigma need not.  `samples`
+    is the budget: when both windows have at most min(samples,
+    MAX_EXACT_WORDS) words, both laws are read exactly (`_pooled_weights`),
+    so the figures are exact and no seed is used, and the column process
+    moves each window with positive weight once, at most `samples` codes.
+    Past the budget, or where the measure refuses its exact law
+    (CapExceeded: a pushforward's per-target cap, or a kernel shift's word
+    count on a pushforward's widened window), `samples` windows of each are drawn from random.Random(seed),
+    the shift's first, and counted, the column windows by distinct window
+    before each is moved once.  At the budget's edge the exact path can
+    cost more than the sampler, which moves only its distinct draws.
     """
     if samples < 1 or k < 1:
         raise ValueError(f"samples and block length k must be >= 1, got {samples} and {k}")
     small = F.smallest_neighborhood()
     _same_alphabet(measure, small)
     width = max(conjugacy_width(small), 1)
-    rng = random.Random(seed)
-    h_sigma = _shift_entropy(measure, samples, k, rng)
-    windows, block = _column_process(small, measure, width, k, samples, rng)
+    n = small.alphabet.order
+    lo, length, block = _column_process(small, width, k)
+    method = "sampled"
+    if n ** max(k, length) <= min(samples, MAX_EXACT_WORDS):
+        try:
+            shift = _pooled_weights(measure, 0, k - 1)
+            windows = _pooled_weights(measure, lo, lo + length - 1)
+            method = "exact"
+        except CapExceeded:
+            pass
+    if method == "sampled":
+        rng = random.Random(seed)
+        shift = Counter(_pooled_rows(measure, 0, k - 1, samples, rng))
+        windows = Counter(_pooled_rows(measure, lo, lo + length - 1, samples, rng))
+    h_sigma = _code_entropy(shift, k, n)
     blocks: Counter = Counter()
-    for x, c in Counter(windows).items():
+    for x, c in windows.items():
         blocks[block(x)] += c
-    h_f = _code_entropy(blocks, k, small.alphabet.order**width)
+    h_f = _code_entropy(blocks, k, n**width)
     formula = small.permutativity().bipermutative and not small.is_trivial
     return EntropyReport(
         h_sigma, h_f, formula_entropy(small, h_sigma) if formula else None,
         formula_case(small) if formula else None,
-        bounds_check(small, h_sigma, h_f), samples, k, width, seed,
+        bounds_check(small, h_sigma, h_f), samples, k, width,
+        None if method == "exact" else seed, method,
     )

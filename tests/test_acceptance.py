@@ -209,6 +209,31 @@ def test_criterion_7_entropy_consistency():
     budget.done()
 
 
+def test_criterion_7_sampled_entropy_consistency():
+    # the sampled twin of criterion 7: the figures the report samples past
+    # its budget, at the same seeds, counts and tolerances
+    from test_entropy import sampled_figures
+
+    from groupca.entropy import bounds_check, formula_entropy
+
+    budget = Budget("criterion 7: sampled entropy estimates and bounds", 120)
+    F = load_ca(bundled_spec("id_plus_sigma_z2"))
+    h_sigma, h_f = sampled_figures(F, Bernoulli.uniform(Z2), 1_000_000, 4, 0)
+    assert 0.95 * LOG2 <= h_f <= 1.05 * LOG2
+    assert formula_entropy(F, h_sigma) == pytest.approx(1 * h_sigma)
+    assert bounds_check(F, h_sigma, h_f).upper_ok
+    for name, samples in (
+        ("id_plus_sigma_z2", 200_000),
+        ("id_sigma_2sigma2_z4", 200_000),
+        ("classA_F1", 30_000),
+        ("classA_F2", 30_000),
+    ):
+        G = load_ca(bundled_spec(name))
+        h_sigma, h_f = sampled_figures(G, Bernoulli.uniform(G.alphabet), samples, 3, 1)
+        assert bounds_check(G.smallest_neighborhood(), h_sigma, h_f).upper_ok, name
+    budget.done()
+
+
 def test_criterion_8_counterexample_suite():
     budget = Budget("criterion 8: invariant non-Haar mixture", 30)
     suite = counterexample_suite()

@@ -365,6 +365,9 @@ def test_report_determinism(tmp_path):
         ["measure", "invariance", "--measure", str(mu), "--ca", "id_plus_sigma_z2",
          "--f-power", "1", "--length", "2", "--mode", "mc", "--seed", "3"],
         ["entropy", "--ca", "id_plus_sigma_z2", "--samples", "20000", "--seed", "3"],
+        # 20,000 samples are under the 2^16 words of a window: the sampled report
+        ["entropy", "--ca", "id_plus_sigma_z2", "--samples", "20000", "--block", "16",
+         "--seed", "3"],
     ):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
@@ -381,6 +384,41 @@ def test_entropy_command_small(tmp_path):
     report = json.loads(out.read_text())
     assert abs(report["h_sigma_nats"] - 0.693) < 0.05
     assert report["upper_bound_ok"]
+
+
+def test_sampled_entropy_of_the_small_command():
+    # the sampled twin of the command above: same rule, count, block and seed
+    from test_entropy import sampled_figures
+
+    from groupca.entropy import bounds_check
+    from groupca.measures import Bernoulli
+
+    F = load_ca(bundled_spec("id_plus_sigma_z2"))
+    h_sigma, h_f = sampled_figures(F, Bernoulli.uniform(F.alphabet), 20000, 3, 1)
+    assert abs(h_sigma - 0.693) < 0.05
+    assert bounds_check(F, h_sigma, h_f).upper_ok
+
+
+def test_entropy_report_says_how_it_got_its_figures(tmp_path, capsys):
+    # under the budget the report is exact and the same at every seed
+    reports = []
+    for seed in ("0", "5"):
+        out = tmp_path / f"exact{seed}.json"
+        assert run(["entropy", "--ca", "id_plus_sigma_z2", "--samples", "8", "--block", "3",
+                    "--seed", seed, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    report = json.loads(reports[0])
+    assert (report["method"], report["seed"], report["samples"]) == ("exact", None, 8)
+    assert report["h_sigma_nats"] == report["h_f_estimate_nats"] == pytest.approx(0.693147, abs=1e-6)
+    assert "shift entropy: 0.693147 nats (exact H_3 - H_2)" in capsys.readouterr().out
+    # one sample fewer, and it samples
+    out = tmp_path / "sampled.json"
+    run(["entropy", "--ca", "id_plus_sigma_z2", "--samples", "7", "--block", "3",
+         "--seed", "5", "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert (report["method"], report["seed"], report["samples"]) == ("sampled", 5, 7)
+    assert "(7 samples, seed 5)" in capsys.readouterr().out
 
 
 def test_cesaro_command(tmp_path):

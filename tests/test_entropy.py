@@ -6,16 +6,21 @@ import itertools
 import math
 import random
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from groupca.automata import letters, linear_ca, shift_ca, table_ca
+from groupca.cli import bundled_spec, load_ca
 from groupca.entropy import (
+    _code_entropy,
+    _column_process,
     _decode,
     _draw_rows,
+    _entropy_from_counts,
     _pooled_rows,
     _rule_on_codes,
     _shift_entropy,
@@ -28,7 +33,7 @@ from groupca.entropy import (
     formula_entropy,
     topological_entropy,
 )
-from groupca.groups import GroupSpec, Subgroup, subgroup_closure
+from groupca.groups import CapExceeded, GroupSpec, Subgroup, subgroup_closure
 from groupca.kernels import FullShift, LinearKernelShift, ProductSubgroup
 from groupca.configs import PeriodicConfig
 from groupca.measures import (
@@ -38,6 +43,7 @@ from groupca.measures import (
     PeriodicOrbitMeasure,
     PushforwardMeasure,
     _independent_pieces,
+    _phases,
     counterexample_suite,
     invariance_check,
 )
@@ -65,6 +71,22 @@ def _below(rng, size):
     return v
 
 
+def sampled_figures(F, mu, samples, k, seed):
+    """The (h_sigma, h_F) that `entropy_report` samples past its budget,
+    whatever the budget: `_shift_entropy` draws the shift's k-letter
+    windows, then the column windows of `_column_process` come from the same
+    stream random.Random(seed)."""
+    small = F.smallest_neighborhood()
+    width = max(conjugacy_width(small), 1)
+    rng = random.Random(seed)
+    h_sigma = _shift_entropy(mu, samples, k, rng)
+    lo, length, block = _column_process(small, width, k)
+    blocks = collections.Counter()
+    for x, c in collections.Counter(_pooled_rows(mu, lo, lo + length - 1, samples, rng)).items():
+        blocks[block(x)] += c
+    return h_sigma, _code_entropy(blocks, k, small.alphabet.order**width)
+
+
 def test_formula_entropy_cases():
     assert formula_entropy(F_xor, LOG2) == pytest.approx(LOG2)
     F_sym = linear_ca(Z2, {-1: 1, 0: 1, 1: 1})
@@ -83,6 +105,17 @@ def test_topological_entropy():
     assert conjugacy_width(F_off) == 2
     assert topological_entropy(F_off) == pytest.approx(2 * LOG2)
     assert topological_entropy(shift_ca(Z2, 0)) == 0.0
+
+
+@pytest.mark.parametrize("counts", [list(range(1, 2001)), [1] * 2000 + [5] * 300])
+def test_entropy_of_counts_is_summed_to_a_few_ulps(counts):
+    # against 40-digit decimal logs: thousands of terms, summed exactly
+    # (math.fsum), stay within a few units in the last place
+    with localcontext() as ctx:
+        ctx.prec = 40
+        total = Decimal(sum(counts))
+        exact = -sum((Decimal(c) / total) * (Decimal(c) / total).ln() for c in counts)
+        assert abs(Decimal(_entropy_from_counts(counts)) - exact) < Decimal("4e-15")
 
 
 def test_block_entropy_degenerate_inputs():
@@ -142,6 +175,22 @@ def test_entropy_report_fast_path_matches_formula():
     assert rep.formula_case == "right"
 
 
+def test_sampled_figures_match_formula():
+    # the sampled twin of the test above: same seed, count and tolerances
+    h_sigma, h_f = sampled_figures(F_xor, Bernoulli.uniform(Z2), 100_000, 4, 0)
+    assert abs(h_sigma - LOG2) < 0.02
+    assert abs(h_f - LOG2) < 0.02
+    assert formula_entropy(F_xor, h_sigma) == pytest.approx(h_sigma)
+    assert bounds_check(F_xor, h_sigma, h_f).upper_ok
+
+
+def _table_form(F):
+    """The table rule with F's neighborhood and local rule."""
+    abc = letters(F.alphabet)
+    table = {w: F.local(w) for w in itertools.product(abc, repeat=F.width)}
+    return table_ca(F.alphabet, F.neighborhood, table)
+
+
 def test_entropy_report_on_a_table_rule():
     mu = Bernoulli.uniform(Z3)
     F = linear_ca(Z3, {0: 1, 1: 1})
@@ -151,6 +200,14 @@ def test_entropy_report_on_a_table_rule():
     rep = entropy_report(T, mu, samples=20_000, k=3, seed=4)
     assert abs(rep.h_sigma_estimate - math.log(3)) < 0.05
     assert abs(rep.h_f_estimate - math.log(3)) < 0.08
+
+
+def test_sampled_figures_on_a_table_rule():
+    # the table form of the rule moves the sampled column windows by lookup
+    T = _table_form(linear_ca(Z3, {0: 1, 1: 1}))
+    h_sigma, h_f = sampled_figures(T, Bernoulli.uniform(Z3), 20_000, 3, 4)
+    assert abs(h_sigma - math.log(3)) < 0.05
+    assert abs(h_f - math.log(3)) < 0.08
 
 
 def test_bounds_check():
@@ -167,6 +224,14 @@ def test_biased_bernoulli_entropy():
     assert abs(rep.h_sigma_estimate - h) < 0.02
     # the rule is bipermutative, so automaton entropy tracks shift entropy
     assert abs(rep.h_f_estimate - rep.h_f_formula) < 0.05
+
+
+def test_sampled_biased_bernoulli_entropy():
+    mu = Bernoulli(Z2, {(0,): Fraction(3, 4), (1,): Fraction(1, 4)})
+    h_sigma, h_f = sampled_figures(F_xor, mu, 200_000, 4, 6)
+    h = -(0.75 * math.log(0.75) + 0.25 * math.log(0.25))
+    assert abs(h_sigma - h) < 0.02
+    assert abs(h_f - formula_entropy(F_xor, h_sigma)) < 0.05
 
 
 def test_topological_equals_formula_at_uniform_entropy():
@@ -362,25 +427,52 @@ def test_block_codes_past_64_bits_are_counted():
 def test_weights_past_64_bits_are_drawn():
     # a one in 2^64 chance of the zero letter: every draw of ten is the one
     mu = Bernoulli(Z2, {(0,): Fraction(1, 2**64), (1,): 1 - Fraction(1, 2**64)})
+    assert sampled_figures(F_xor, mu, 10, 1, 0) == (0.0, 0.0)
+    # ten samples cover the window's two words, so the report reads the
+    # exact law, whose zero letter the draws miss: about 64 log 2 / 2^64
     rep = entropy_report(F_xor, mu, samples=10, k=1)
-    assert (rep.h_sigma_estimate, rep.h_f_estimate) == (0.0, 0.0)
+    assert rep.method == "exact"
+    assert 0 < rep.h_sigma_estimate == rep.h_f_estimate < 1e-17
+    rep = entropy_report(F_xor, mu, samples=1, k=1)
+    assert (rep.method, rep.h_sigma_estimate, rep.h_f_estimate) == ("sampled", 0.0, 0.0)
     # x_0 + x_1 maps all ones to all zeros
     res = invariance_check(mu, F_xor, 1, length=1, mode="mc", mc_samples=10)
     assert (res.max_discrepancy, res.invariant) == (1.0, False)
 
 
-def _pooled_conditional_entropy(mu, t, k):
-    """Exact H_k - H_(k-1) on [0, k) of (1/t) sum_(i<t) sigma^i mu, from the
-    block distributions of mu at offsets 0..t-1."""
-    words = collections.Counter()
+def _pooled_conditional_entropy(mu, t, k, F=None, width=1):
+    """Exact H_k - H_(k-1) of (1/t) sum_(i<t) sigma^i mu, from the block
+    distributions of mu at offsets i < t: of its k-letter windows on [0, k),
+    or, given a rule F, of k columns of `width` letters, column c being F^c(x)
+    on [0, width), each image taken by apply_window on F's own neighborhood."""
+    if F is None:
+        lo, length = 0, k
+    else:
+        r, s = F.neighborhood
+        lo = min(0, (k - 1) * r)
+        length = width + max(0, (k - 1) * s) - lo
+
+    def block(x):
+        if F is None:
+            return x
+        columns = []
+        for c in range(k):
+            if c:
+                x = F.apply_window(x)
+            columns.append(x[c * r - lo : c * r - lo + width])  # x[0] lies at lo - c r
+        return tuple(columns)
+
+    blocks = collections.Counter()
     for i in range(t):
-        for word, p in mu.block_distribution(i, k).items():
-            words[word] += p / t
+        for word, p in mu.block_distribution(lo + i, length).items():
+            blocks[block(word)] += p / t
     prefixes = collections.Counter()
-    for word, p in words.items():
-        prefixes[word[:-1]] += p
-    h = lambda dist: -sum(float(p) * math.log(p) for p in dist.values() if p)
-    return h(words) - h(prefixes)
+    for b, p in blocks.items():
+        prefixes[b[:-1]] += p
+    # log p as a difference of logs of integers, which no float range bounds
+    h = lambda dist: -sum(float(p) * (math.log(p.numerator) - math.log(p.denominator))
+                          for p in dist.values() if p)
+    return h(blocks) - h(prefixes)
 
 
 _PAIRED = HaarMeasure(ProductSubgroup(Z2, 2, Subgroup(Z2.power(2), ((0, 0), (1, 1)))))
@@ -403,6 +495,19 @@ def test_entropy_pools_the_phases_of_a_product_haar_measure(F, mu, t):
         assert exact == pytest.approx(0.4774, abs=1e-4)
 
 
+@pytest.mark.parametrize("F, mu, t", [
+    (F_xor, _PAIRED, 2),
+    (linear_ca(Z3, {0: 1, 1: 2}), HaarMeasure(ProductSubgroup(Z3, 2, _BLOCK, phase=1)), 2),
+    (F_xor, PushforwardMeasure(_PAIRED, F_xor, 1, shift=1), 2),
+    (F_xor, MixtureMeasure(((Fraction(1, 2), _PAIRED), (Fraction(1, 2), Bernoulli.uniform(Z2)))),
+     2),
+])
+def test_sampled_entropy_pools_the_phases_of_a_product_haar_measure(F, mu, t):
+    exact = _pooled_conditional_entropy(mu, t, 3)
+    h_sigma, _ = sampled_figures(F, mu, 20_000, 3, 5)
+    assert abs(h_sigma - exact) < 0.02, (h_sigma, exact)
+
+
 @pytest.mark.parametrize("mu", [
     Bernoulli(Z3, {(0,): Fraction(1, 2), (1,): Fraction(1, 3), (2,): Fraction(1, 6)}),
     HaarMeasure(FullShift(Z2xZ2)),
@@ -421,3 +526,132 @@ def test_an_anchored_orbit_pools_the_phases_of_its_period():
     mu = PeriodicOrbitMeasure((PeriodicConfig(Z2, ((0,), (0,), (1,))),))
     h = _shift_entropy(mu, 3000, 1, random.Random(0))
     assert h == pytest.approx(math.log(3) - 2 / 3 * LOG2)
+
+
+# -- the exact block laws under the sample budget ---------------------------------
+
+
+@st.composite
+def _oracle_measures(draw, group, depth=0):
+    """Bernoulli, product Haar with phases, kernel Haar and an anchored orbit
+    on `group`; at depth 0 also their linear and table pushforwards and
+    two-part mixtures."""
+    abc = letters(group)
+    kinds = ["bernoulli", "product", "kernel", "orbit"]
+    kind = draw(st.sampled_from(kinds + (["linear", "table", "mixture"] if depth == 0 else [])))
+    if kind == "bernoulli":
+        w = draw(st.lists(st.integers(0, 3), min_size=len(abc), max_size=len(abc)))
+        w[draw(st.integers(0, len(abc) - 1))] += 1  # some letter has weight
+        return Bernoulli(group, {a: Fraction(x, sum(w)) for a, x in zip(abc, w)})
+    if kind == "product":
+        gens = draw(st.lists(st.tuples(st.sampled_from(abc), st.sampled_from(abc)), max_size=2))
+        block = subgroup_closure(group.power(2), [a + b for a, b in gens])
+        return HaarMeasure(ProductSubgroup(group, 2, block, phase=draw(st.integers(0, 1))))
+    if kind == "kernel":
+        coeffs = {0: draw(_endomorphisms(group)), 1: draw(_endomorphisms(group))}
+        return HaarMeasure(LinearKernelShift(linear_ca(group, coeffs)))
+    if kind == "orbit":  # one configuration, not closed under the shift
+        word = draw(st.lists(st.sampled_from(abc), min_size=1, max_size=3))
+        return PeriodicOrbitMeasure((PeriodicConfig(group, tuple(word)),))
+    base = draw(_oracle_measures(group, depth + 1))
+    if kind == "mixture":
+        other = draw(_oracle_measures(group, depth + 1))
+        return MixtureMeasure(((Fraction(1, 3), base), (Fraction(2, 3), other)))
+    if kind == "linear":
+        G = linear_ca(group, {0: draw(_endomorphisms(group)), 1: draw(_endomorphisms(group))})
+    else:
+        values = draw(st.lists(st.sampled_from(abc), min_size=len(abc)**2, max_size=len(abc)**2))
+        G = table_ca(group, (0, 1), dict(zip(itertools.product(abc, repeat=2), values)))
+    return PushforwardMeasure(base, G, draw(st.integers(1, 2)), shift=draw(st.integers(-1, 1)))
+
+
+def _words(F, k):
+    """The words of the larger of the report's two windows: k letters, and
+    the column process's width + (k - 1)(s - r) letters around [0, width)."""
+    small = F.smallest_neighborhood()
+    r, s = small.neighborhood
+    width = max(conjugacy_width(small), 1)
+    return F.alphabet.order ** max(k, width + max(0, (k - 1) * s) - min(0, (k - 1) * r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rules(), st.integers(1, 3), st.data())
+@example(F_xor, 3, None)
+def test_exact_figures_are_the_enumerated_block_entropies(F, k, data):
+    words = _words(F, k)
+    assume(words <= 256)
+    if data is None:  # an anchored orbit of period 3 and product Haar at phase 1
+        mu = MixtureMeasure(((Fraction(1, 2), PeriodicOrbitMeasure(
+            (PeriodicConfig(Z2, ((0,), (0,), (1,))),))), (Fraction(1, 2), _PAIRED)))
+        seed = 0
+    else:
+        mu, seed = data.draw(_oracle_measures(F.alphabet)), data.draw(st.integers(0, 3))
+    rep = entropy_report(F, mu, samples=words, k=k, seed=seed)
+    assert (rep.method, rep.seed, rep.sample_count) == ("exact", None, words)
+    t = _phases(mu)
+    assert rep.h_sigma_estimate == pytest.approx(_pooled_conditional_entropy(mu, t, k), abs=1e-12)
+    assert rep.h_f_estimate == pytest.approx(
+        _pooled_conditional_entropy(mu, t, k, F, rep.column_width), abs=1e-12)
+
+
+@pytest.mark.parametrize("F, samples, k, figures", [
+    # the bench's entropy jobs: x_0 + x_1 over Z/2 and Z/3, and classA_F1
+    (linear_ca(Z2, {0: 1, 1: 1}), 200_000, 3, (LOG2, LOG2)),
+    (linear_ca(Z3, {0: 1, 1: 1}), 200_000, 3, (math.log(3), math.log(3))),
+    (load_ca(bundled_spec("classA_F1")), 4000, 2, (math.log(4), LOG2)),
+])
+def test_the_bench_entropy_jobs_read_their_closed_forms(F, samples, k, figures):
+    reports = [entropy_report(F, Bernoulli.uniform(F.alphabet), samples, k, seed)
+               for seed in (0, 1, 2)]
+    assert reports[0] == reports[1] == reports[2]  # no seed is used
+    rep = reports[0]
+    assert rep.method == "exact"
+    assert rep.h_sigma_estimate == pytest.approx(figures[0], abs=1e-12)
+    assert rep.h_f_estimate == pytest.approx(figures[1], abs=1e-12)
+
+
+_THIRDS = Bernoulli(Z2, {(0,): Fraction(1, 3), (1,): Fraction(2, 3)})
+
+
+@pytest.mark.parametrize("F, k, words, parent", [
+    # 2^3 words on both windows
+    (F_xor, 3, 8, (0.3213343683536046, 0.35743030252727714)),
+    # the shift's 2^2 words fit 15 samples; the column window's 2^4 do not
+    (linear_ca(Z2, {0: 1, 2: 1}), 2, 16, (0.6730116670092563, 0.8317766166719343)),
+])
+def test_the_budget_edge(F, k, words, parent):
+    assert _words(F, k) == words
+    at = entropy_report(F, _THIRDS, samples=words, k=k, seed=2)
+    assert (at.method, at.seed) == ("exact", None)
+    assert at.h_sigma_estimate == pytest.approx(_pooled_conditional_entropy(_THIRDS, 1, k),
+                                                abs=1e-12)
+    below = entropy_report(F, _THIRDS, samples=words - 1, k=k, seed=2)
+    assert (below.method, below.seed, below.sample_count) == ("sampled", 2, words - 1)
+    figures = (below.h_sigma_estimate, below.h_f_estimate)
+    assert figures == sampled_figures(F, _THIRDS, words - 1, k, 2)
+    # the figures the sampler read before the exact path existed
+    assert figures == pytest.approx(parent, abs=1e-12)
+
+
+def test_a_refused_exact_law_is_sampled():
+    # a table rule's pushforward enumerates 2 base words per target word,
+    # over its cap of 1: the exact law is refused, so the report samples
+    mu = PushforwardMeasure(Bernoulli.uniform(Z2), _table_form(F_xor), 1, cap=1)
+    with pytest.raises(CapExceeded):
+        mu.block_weights(0, 2)
+    rep = entropy_report(F_xor, mu, samples=1000, k=2, seed=3)
+    assert (rep.method, rep.seed) == ("sampled", 3)
+    assert (rep.h_sigma_estimate, rep.h_f_estimate) == sampled_figures(F_xor, mu, 1000, 2, 3)
+
+
+def test_exact_weights_past_the_float_range_are_read():
+    # letter weights over 2^400, so three letters weigh up to 2^1200, past
+    # every float; the law is fair within 2^-398
+    mu = Bernoulli(Z2, {(0,): Fraction(2**399 + 1, 2**400), (1,): Fraction(2**399 - 1, 2**400)})
+    rep = entropy_report(F_xor, mu, samples=8, k=3)
+    assert rep.method == "exact"
+    assert rep.h_sigma_estimate == pytest.approx(LOG2, abs=1e-12)
+    assert rep.h_sigma_estimate == pytest.approx(_pooled_conditional_entropy(mu, 1, 3),
+                                                 abs=1e-12)
+    assert rep.h_f_estimate == pytest.approx(_pooled_conditional_entropy(mu, 1, 3, F_xor),
+                                             abs=1e-12)

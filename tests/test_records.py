@@ -206,7 +206,7 @@ def _instances():
         tw.level(1), tw.module, condition4_search(tw), corollary_ker_check(tw),
         recurrence_matrix(F),
         analyze_radius1(F1), dual, verify_conjugacy(F1, dual),
-        bounds, EntropyReport(0.5, 0.5, None, None, bounds, 10, 2, 1, 0),
+        bounds, EntropyReport(0.5, 0.5, None, None, bounds, 10, 2, 1, 0, "sampled"),
     ]
 
 
