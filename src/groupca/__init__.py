@@ -7,11 +7,23 @@ dual rules, and rational-arithmetic measure diagnostics.
 
 `import groupca` loads no submodule.  Each public name is imported from its
 home module on first use and then bound here (PEP 562), so a caller pays
-only for the modules it uses: `linear_ca` loads `groups`, `configs` and
-`automata`, and the measures add `shifts`, `hypotheses` and `measures`.
+only for the modules it uses: `linear_ca` loads `groups` and `automata`,
+a Bernoulli measure adds `measures`, and `tower` adds `shifts` and
+`kernels`.
+
+The lazy-binding contract: a submodule that only names a sibling's classes,
+or re-exports a sibling's functions, binds that sibling with `_lazy`, the
+one lazy binding of the package.  The sibling is listed in `sys.modules` at
+once and executed on its first attribute access, so a call that never uses
+it never compiles it; `configs`, `shifts`, `hypotheses` and `modular` run
+only in calls that call into them.  Names are looked up on the lazy module
+when used, so a function patched in its home module is seen by every
+caller, and a hot loop binds what it reads to a local before the loop.
+`cli` binds every module this way.
 """
 
 import importlib
+import sys
 
 # each public name -> the submodule that defines it
 _HOME = {
@@ -45,6 +57,24 @@ _HOME = {
 __all__ = sorted([*_HOME, "automata", "class_a", "configs", "entropy", "groups", "kernels",
                   "measures", "modular"])
 __version__ = "0.1.0"
+
+
+def _lazy(name: str):
+    """The groupca submodule called name, executed on its first attribute
+    access (`importlib.util.LazyLoader`); a module already imported, or
+    already bound lazily, is returned as it is, so no second copy of it (and
+    of its classes) is ever made."""
+    full = f"{__name__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        import importlib.util
+
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+    return module
 
 
 def __getattr__(name: str):

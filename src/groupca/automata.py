@@ -12,10 +12,15 @@ import itertools
 import math
 import types
 from collections import defaultdict
-from typing import Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .configs import Cylinder, PeriodicConfig, Word
-from .groups import CapExceeded, Element, Endomorphism, GroupSpec, _setfield, record
+from . import _lazy
+from .groups import CapExceeded, Element, Endomorphism, GroupSpec, Word, _setfield, record
+
+if TYPE_CHECKING:
+    from .configs import Cylinder, PeriodicConfig
+
+configs = _lazy("configs")  # executed by the first periodic image or preimage
 
 DEFAULT_TABLE_CAP = 1 << 20
 DEFAULT_PREIMAGE_CAP = 1 << 16
@@ -231,7 +236,7 @@ class CellularAutomaton:
         r, _ = self.neighborhood
         q = x.period
         word = tuple(self.local(x.window(i + r, self.width)) for i in range(q))
-        return PeriodicConfig(self.alphabet, word)
+        return configs.PeriodicConfig(self.alphabet, word)
 
     # -- normalization -----------------------------------------------------
 
@@ -590,17 +595,20 @@ def is_surjective(F: CellularAutomaton) -> SurjectivityResult:
     words of length L+(s-r).  Counts are propagated along the overlap graph:
     states are (s-r)-letter windows, and a letter of output advances every
     count vector by one transfer step, to the depth 2(k+1)ceil(log2 |A|) + 4
-    for k = s-r.  More than DEFAULT_TABLE_CAP overlap states raise
-    CapExceeded before anything is allocated.
+    for k = s-r.  The graph's edges are the |A|^(k+1) windows, each read
+    once by the local rule, so more than DEFAULT_TABLE_CAP windows raise
+    CapExceeded before anything is allocated, naming the |A|^k overlap
+    states when they alone pass the cap.
     """
     small = F.smallest_neighborhood()
     r, s = small.neighborhood
     k = s - r
+    n = small.alphabet.order
+    if n ** (k + 1) > DEFAULT_TABLE_CAP:
+        size = (f"overlap graph of |A|^{k} = {n**k} states" if n**k > DEFAULT_TABLE_CAP
+                else f"rule of |A|^{k + 1} = {n ** (k + 1)} windows")
+        raise CapExceeded(f"surjectivity {size} exceeds cap {DEFAULT_TABLE_CAP}")
     abc = letters(small.alphabet)
-    n = len(abc)
-    if n**k > DEFAULT_TABLE_CAP:
-        raise CapExceeded(f"surjectivity overlap graph of |A|^{k} = {n**k} states "
-                          f"exceeds cap {DEFAULT_TABLE_CAP}")
     l_max = 2 * (k + 1) * max(1, math.ceil(math.log2(n))) + 4
     states = list(itertools.product(abc, repeat=k))
     index = {u: i for i, u in enumerate(states)}
@@ -650,6 +658,7 @@ def cylinder_preimage(F: CellularAutomaton, cyl: Cylinder,
     abc = letters(small.alphabet)
     out: list[Cylinder] = []
     target = cyl.word
+    cylinder = configs.Cylinder
 
     # depth-first extension of each seed of k letters: each new letter must
     # complete a window mapping onto the next target letter.
@@ -658,7 +667,7 @@ def cylinder_preimage(F: CellularAutomaton, cyl: Cylinder,
         if t == len(target):
             if len(out) >= cap:
                 raise CapExceeded(f"preimage cylinder count exceeds cap {cap}")
-            out.append(Cylinder(cyl.offset + r, prefix))
+            out.append(cylinder(cyl.offset + r, prefix))
             return
         for a in abc:
             if small.local(prefix[t:] + (a,)) == target[t]:

@@ -12,8 +12,9 @@ from __future__ import annotations
 import itertools
 from typing import Mapping
 
-from .automata import CellularAutomaton, NotAlgebraicError, as_laurent, letters, table_ca
-from .groups import Element, GroupSpec, record
+from .automata import (DEFAULT_TABLE_CAP, CellularAutomaton, NotAlgebraicError, as_laurent,
+                       letters, table_ca)
+from .groups import CapExceeded, Element, GroupSpec, record
 
 
 @record
@@ -50,9 +51,15 @@ class ClassAAnalysis:
 
 
 def analyze_radius1(F: CellularAutomaton) -> ClassAAnalysis:
-    """Exhaustive partition analysis of a one-sided rule on the window [0, 1]."""
+    """Exhaustive partition analysis of a one-sided rule on the window [0, 1]:
+    the local rule reads each of the |A|^2 windows, refused past
+    DEFAULT_TABLE_CAP before any is read."""
     if F.neighborhood != (0, 1):
         raise ValueError(f"analysis needs the neighborhood [0,1], got {F.neighborhood}")
+    n = F.alphabet.order
+    if n * n > DEFAULT_TABLE_CAP:
+        raise CapExceeded(f"radius-1 analysis of |A|^2 = {n * n} windows "
+                          f"exceeds cap {DEFAULT_TABLE_CAP}")
     abc = letters(F.alphabet)
     by_signature: dict[tuple[Element, ...], list[Element]] = {}
     for a in abc:

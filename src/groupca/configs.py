@@ -10,9 +10,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .groups import Element, GroupSpec, _setfield, record
-
-Word = tuple[Element, ...]
+from .groups import Element, GroupSpec, Word, _setfield, record
 
 
 def _minimal_word(word: Word) -> Word:

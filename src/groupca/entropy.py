@@ -3,12 +3,13 @@
 Measure entropy of the automaton is read through the column process:
 successive images of a window are read off at a fixed block of positions,
 turning automaton entropy into shift entropy of the column sequence.  The
-closed forms for the bipermutative case live in `hypotheses` and are
-imported back here.  One column process serves every rule, alphabet and
-measure.  A window is an integer code: its letter indices (`letters`
-order) read in base |A|, its first letter lowest.  The rule moves each
-distinct code once, and blocks are counted by their codes, so memory
-follows the distinct codes.
+closed forms for the bipermutative case live in `hypotheses`, bound lazily
+(`groupca._lazy`) and importable here too.  One column process serves
+every rule, alphabet and measure.  A window of an exact law is its word of
+letter indices (`letters` order); a drawn window is an integer code, those
+indices read in base |A|, its first letter lowest, read back into its
+indices once.  The rule moves each distinct window once, and blocks are
+counted by their codes, so memory follows the distinct windows.
 
 `entropy_report` reads both figures, H_k - H_(k-1) of the shift and of the
 column process, from the exact block laws (`_pooled_weights`, the integer
@@ -32,13 +33,21 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from . import _lazy
 from .automata import CellularAutomaton, letter_arithmetic, letters
 from .groups import CapExceeded, record
-from .hypotheses import (  # noqa: F401  (importable here too)
-    conjugacy_width, formula_case, formula_entropy, topological_entropy)
 from .measures import (
     MAX_EXACT_WORDS, MixtureMeasure, PushforwardMeasure, _independent_pieces, _mix, _phases,
     _same_alphabet)
+
+hypotheses = _lazy("hypotheses")
+
+
+def __getattr__(name: str):
+    """The closed forms, from `hypotheses`."""
+    if name in ("conjugacy_width", "formula_case", "formula_entropy", "topological_entropy"):
+        return getattr(hypotheses, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _entropy_from_counts(counts: Iterable[int]) -> float:
@@ -94,15 +103,15 @@ def column_factor_samples(F: CellularAutomaton, measure, width: int | None = Non
     """
     small = F.smallest_neighborhood()
     if width is None:
-        width = max(conjugacy_width(small), 1)
+        width = max(hypotheses.conjugacy_width(small), 1)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     lo, length, block = _column_process(small, width, depth)
     windows = _pooled_rows(measure, lo, lo + length - 1, count, random.Random(seed))
-    abc = letters(small.alphabet)
+    abc, n = letters(small.alphabet), small.alphabet.order
     words = {}
     for x in set(windows):
-        flat = _decode(block(x), width * depth, abc)
+        flat = _decode(block(_digits(x, length, n)), width * depth, abc)
         words[x] = tuple(flat[c * width : (c + 1) * width] for c in range(depth))
     return [words[x] for x in windows]
 
@@ -308,19 +317,19 @@ def _rule_on_codes(F: CellularAutomaton) -> Callable[[int, int], int]:
 
 
 def _column_process(small: CellularAutomaton, width: int,
-                    depth: int) -> tuple[int, int, Callable[[int], int]]:
+                    depth: int) -> tuple[int, int, Callable[[tuple], int]]:
     """The window [lo, lo + length) that fixes every column, and the map
-    from the code of a window x on it to its block code: column n < depth,
-    the n-th `width` letters of the block, is F^n(x) on [0, width).  Each
-    x is read into its digits once, and its images are slid as digits."""
+    from a window x on it, as its letter indices (`_digits` of a drawn
+    code), to its block code: column n < depth, the n-th `width` letters of
+    the block, is F^n(x) on [0, width).  The images are slid as indices."""
     r, s = small.neighborhood
     lo = min(0, (depth - 1) * r)
     length = width + max(0, (depth - 1) * s) - lo
     n, step = small.alphabet.order, _rule_on_digits(small)
     places = [n**j for j in range(width * depth)]  # column c, letter j: place j + c width
 
-    def block(x: int) -> int:
-        word, code = _digits(x, length, n), 0
+    def block(word: tuple) -> int:
+        code = 0
         for c in range(depth):
             if c:
                 word = step(word)
@@ -332,17 +341,17 @@ def _column_process(small: CellularAutomaton, width: int,
     return lo, length, block
 
 
-def _pooled_weights(measure, lo: int, hi: int) -> dict[int, int]:
-    """{code: integer weight} of [lo, hi] under (1/t) sum_(i<t) sigma^i mu,
-    the law `_pooled_rows` draws from: the block weights of the t phases
-    (`measures._phases`) mixed by `measures._mix`, each word encoded as
-    `_draw_rows` encodes it.  The phases share one memo of run laws."""
+def _pooled_weights(measure, lo: int, hi: int) -> dict[tuple, int]:
+    """{word: integer weight} of [lo, hi] under (1/t) sum_(i<t) sigma^i mu,
+    the law `_pooled_rows` draws from, each word as its letter indices
+    (`letters` order), which `_column_process` reads: the block weights of
+    the t phases (`measures._phases`) mixed by `measures._mix`, which share
+    one memo of run laws."""
     t, laws = _phases(measure), {}
     weights, _ = _mix((Fraction(1, t), measure.block_weights(lo + i, hi - lo + 1, laws))
                       for i in range(t))
-    n = measure.alphabet.order
-    index = letter_arithmetic(measure.alphabet, {})[0]
-    return {sum(index[a] * n**j for j, a in enumerate(word)): c for word, c in weights.items()}
+    index = letter_arithmetic(measure.alphabet, {})[0].__getitem__
+    return {tuple(map(index, word)): c for word, c in weights.items()}
 
 
 def _shift_entropy(measure, samples: int, k: int, rng: random.Random) -> float:
@@ -384,7 +393,7 @@ def entropy_report(F: CellularAutomaton, measure, samples: int = 1_000_000, k: i
     is the budget: when both windows have at most min(samples,
     MAX_EXACT_WORDS) words, both laws are read exactly (`_pooled_weights`),
     so the figures are exact and no seed is used, and the column process
-    moves each window with positive weight once, at most `samples` codes.
+    moves each window with positive weight once, at most `samples` windows.
     Past the budget, or where the measure refuses its exact law
     (CapExceeded: a pushforward's per-target cap, or a kernel shift's word
     count on a pushforward's widened window), `samples` windows of each are drawn from random.Random(seed),
@@ -396,7 +405,7 @@ def entropy_report(F: CellularAutomaton, measure, samples: int = 1_000_000, k: i
         raise ValueError(f"samples and block length k must be >= 1, got {samples} and {k}")
     small = F.smallest_neighborhood()
     _same_alphabet(measure, small)
-    width = max(conjugacy_width(small), 1)
+    width = max(hypotheses.conjugacy_width(small), 1)
     n = small.alphabet.order
     lo, length, block = _column_process(small, width, k)
     method = "sampled"
@@ -407,19 +416,21 @@ def entropy_report(F: CellularAutomaton, measure, samples: int = 1_000_000, k: i
             method = "exact"
         except CapExceeded:
             pass
-    if method == "sampled":
+    if method == "exact":  # words of letter indices: a word's prefix is its first k - 1
+        h_sigma = _conditional_entropy(shift, (lambda word: word[:-1]) if k > 1 else None)
+    else:
         rng = random.Random(seed)
-        shift = Counter(_pooled_rows(measure, 0, k - 1, samples, rng))
-        windows = Counter(_pooled_rows(measure, lo, lo + length - 1, samples, rng))
-    h_sigma = _code_entropy(shift, k, n)
+        h_sigma = _code_entropy(Counter(_pooled_rows(measure, 0, k - 1, samples, rng)), k, n)
+        windows = {_digits(x, length, n): c for x, c in
+                   Counter(_pooled_rows(measure, lo, lo + length - 1, samples, rng)).items()}
     blocks: Counter = Counter()
     for x, c in windows.items():
         blocks[block(x)] += c
     h_f = _code_entropy(blocks, k, n**width)
     formula = small.permutativity().bipermutative and not small.is_trivial
     return EntropyReport(
-        h_sigma, h_f, formula_entropy(small, h_sigma) if formula else None,
-        formula_case(small) if formula else None,
+        h_sigma, h_f, hypotheses.formula_entropy(small, h_sigma) if formula else None,
+        hypotheses.formula_case(small) if formula else None,
         bounds_check(small, h_sigma, h_f), samples, k, width,
         None if method == "exact" else seed, method,
     )

@@ -14,6 +14,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 Element = tuple[int, ...]
+Word = tuple[Element, ...]
 
 DEFAULT_CLOSURE_CAP = 1 << 20
 DEFAULT_SUBGROUP_CAP = 4096
@@ -327,13 +328,16 @@ class Endomorphism:
         return frozenset(self(x) for x in self.source.elements())
 
     def is_automorphism(self) -> bool:
-        """Bijectivity by exhaustive image enumeration (alphabets are tiny),
-        refused past DEFAULT_CLOSURE_CAP elements."""
+        """Bijectivity, refused past DEFAULT_CLOSURE_CAP elements: on a
+        cyclic group Z/m multiplication by c, bijective exactly when c is a
+        unit mod m; otherwise by exhaustive image enumeration."""
         if not self.is_square:
             return False
         if self.source.order > DEFAULT_CLOSURE_CAP:
             raise CapExceeded(f"group order {self.source.order} exceeds cap "
                               f"{DEFAULT_CLOSURE_CAP}")
+        if self.source.rank == 1:
+            return math.gcd(self.matrix[0][0], self.source.order) == 1
         return len(self.image()) == self.source.order
 
     def inverse(self) -> "Endomorphism":

@@ -1,9 +1,11 @@
 """The rigidity theorem's premises about an automaton, and the entropy
 closed forms for bipermutative rules.
 
-At module level it needs only `automata` and `shifts`, so reporting the
-premises for an abstract measure loads neither `measures` nor `entropy`,
-which import these names back.  `kernels` is imported inside
+At module level it needs only `groups`, so the closed forms that `entropy`
+reads execute nothing else; `shifts` is bound lazily (`groupca._lazy`) and
+runs when `check_hypotheses` reads a subgroup shift.  Reporting the premises
+for an abstract measure loads neither `measures` nor `entropy`, which make
+these names importable there too.  `kernels` is imported inside
 `check_hypotheses`, and `measures` only when a measure object is given.
 """
 
@@ -12,13 +14,16 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Sequence
 
-from .automata import CellularAutomaton
+from . import _lazy
 from .groups import record
-from .shifts import FullShift, SubgroupShiftSpec, subgroup_shift_on
 
 if TYPE_CHECKING:
+    from .automata import CellularAutomaton
     from .kernels import Condition4Result, CorollaryKerResult, KernelTower
     from .measures import MeasureSpec
+    from .shifts import SubgroupShiftSpec
+
+shifts = _lazy("shifts")
 
 
 def _require_bipermutative(F: CellularAutomaton) -> CellularAutomaton:
@@ -109,7 +114,7 @@ def check_hypotheses(
         raise ValueError(f"m_max must be >= 0, got {m_max}")
     tw = _unrestricted(F)
     F = tw.automaton
-    sigma = subgroup_shift_on(sigma, F.alphabet)
+    sigma = shifts.subgroup_shift_on(sigma, F.alphabet)
     if not isinstance(mu, str):  # a measure object: `measures` has run
         from .measures import _same_alphabet, sigma_entropy_exact
 
@@ -125,7 +130,7 @@ def check_hypotheses(
         skipped = "trivial rule: no kernel tower to check"
     else:
         try:
-            p1 = (tw.period(1) if isinstance(sigma, FullShift)
+            p1 = (tw.period(1) if isinstance(sigma, shifts.FullShift)
                   else tw.restricted_level(1, sigma).period)
             kp1 = k * p1
             cond4 = condition4_search(tw, sigma, m_max=m_max, cap=tw.cap)

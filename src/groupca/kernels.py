@@ -25,15 +25,16 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
+from . import _lazy
 from .automata import CellularAutomaton, _poly_pow, as_laurent, compose, letters
 from .automata import NotAlgebraicError  # noqa: F401  (importable from here too)
-from .configs import PeriodicConfig, Word
 from .groups import (
     CapExceeded,
     Element,
     Subgroup,
+    Word,
     _gl_order,
     _gl_primes,
     _is_prime,
@@ -42,7 +43,6 @@ from .groups import (
     enumerate_subgroups,
     record,
 )
-from .modular import MAX_FACTOR_DEGREE, _scalar_coeffs, _x_order, factor_mod_p
 from .shifts import (  # noqa: F401  (the subgroup shifts are importable from here too)
     FullShift,
     LinearKernelShift,
@@ -53,6 +53,14 @@ from .shifts import (  # noqa: F401  (the subgroup shifts are importable from he
     _periodic_rule,
     subgroup_shift_on,
 )
+
+if TYPE_CHECKING:
+    from .configs import PeriodicConfig
+
+# executed by the first configuration made, and by the first closed form
+# or companion matrix order over a prime field
+configs = _lazy("configs")
+modular = _lazy("modular")
 
 DEFAULT_KERNEL_CAP = 1 << 16
 DEFAULT_M_MAX = 4
@@ -95,6 +103,7 @@ def _annihilated(G: CellularAutomaton, cap: int) -> list[PeriodicConfig]:
             else "zero-window graph has a branching recurrent component; the kernel is infinite"
         )
     abc = letters(alphabet)
+    periodic = configs.PeriodicConfig
     # each element keyed by its letter-index word w read in base q after a
     # leading 1, q^L + sum_i w_i q^(L-1-i): sorted keys list the elements by
     # period, then by word, since `letters` lists the letters in order
@@ -115,7 +124,7 @@ def _annihilated(G: CellularAutomaton, cap: int) -> list[PeriodicConfig]:
         # the walk; rotate so position 0 comes first.
         word = cycle[-k % L:] + cycle[:-k % L]
         base = tuple(map(abc.__getitem__, word))
-        if PeriodicConfig(alphabet, base).period != L:
+        if periodic(alphabet, base).period != L:
             raise AssertionError("primitive cycle produced a non-primitive word")
         top, code = q**L, 0
         for a in word:
@@ -123,7 +132,8 @@ def _annihilated(G: CellularAutomaton, cap: int) -> list[PeriodicConfig]:
         for t, a in enumerate(word):
             words[top + code] = base[t:] + base[:t]
             code = code * q - a * (top - 1)  # the word rotated by one letter
-    return [PeriodicConfig._unchecked(alphabet, words[c]) for c in sorted(words)]
+    unchecked = periodic._unchecked
+    return [unchecked(alphabet, words[c]) for c in sorted(words)]
 
 
 # -- towers -------------------------------------------------------------------
@@ -173,7 +183,7 @@ class _KernelModule:
     def order(self) -> int:
         """The x-order of P's squarefree part: the lcm of the orders of x
         modulo each f_i (Lidl & Niederreiter, Finite Fields, Thm 3.8-3.9)."""
-        return math.lcm(*(_x_order(dict(enumerate(f)), self.p, self.p ** (len(f) - 1) - 1)
+        return math.lcm(*(modular._x_order(dict(enumerate(f)), self.p, self.p ** (len(f) - 1) - 1)
                           for f, _ in self.factors))
 
     def size(self, n: int) -> int:
@@ -223,9 +233,9 @@ def _kernel_module(F: CellularAutomaton, cap: int) -> _KernelModule | None:
     p = F.alphabet.moduli[0]
     r, s = F.smallest_neighborhood().neighborhood
     k = s - r
-    if not (1 <= k <= MAX_FACTOR_DEGREE and p**k <= cap and _is_prime(p)):
+    if not (k >= 1 and p**k <= cap and _is_prime(p) and k <= modular.MAX_FACTOR_DEGREE):
         return None
-    return _KernelModule(p, k, factor_mod_p(F).factors)
+    return _KernelModule(p, k, modular.factor_mod_p(F).factors)
 
 
 class KernelTower:
@@ -271,7 +281,7 @@ class KernelTower:
             if self.sigma is not None:
                 raise ValueError(f"a restricted tower holds levels 0..{self.depth} only")
             if not self._levels:
-                elements = [PeriodicConfig.zero(self.rule.alphabet)]
+                elements = [configs.PeriodicConfig.zero(self.rule.alphabet)]
             else:
                 Fn = self.rule if self._power is None else compose(self._power, self.rule)
                 elements = _annihilated(Fn, self.cap)
@@ -575,7 +585,7 @@ class KernelRecurrence:
         """
         m, k = self.modulus, self.width
         f = {i: -c % m for i, c in enumerate(reversed(self.matrix[0]))} | {k: 1}
-        order = _x_order(f, m, _gl_order(m, k), _gl_primes(m, k))
+        order = modular._x_order(f, m, _gl_order(m, k), _gl_primes(m, k))
         if _poly_pow({1: 1}, order, m, f) != {0: 1}:
             raise AssertionError("order reduction failed")
         return order
@@ -588,7 +598,7 @@ def recurrence_matrix(F: CellularAutomaton) -> KernelRecurrence:
     invertible extreme coefficients (bipermutativity on cyclic alphabets).
     """
     small = F.smallest_neighborhood()
-    scalars = _scalar_coeffs(small)
+    scalars = modular._scalar_coeffs(small)
     d = small.alphabet.moduli[0]
     r, s = small.neighborhood
     w = s - r

@@ -12,10 +12,12 @@ its window laws at offsets i and i + t agree.  Exact invariance reads one
 law per phase class of its offsets, and the entropy samples pool the t
 phases.
 
-The module needs `shifts` for the subgroup shifts Haar measure lives on;
-`entropy` imports this module, so it is imported inside the functions that
-use it.  `check_hypotheses` and `HypothesisReport` live in `hypotheses` and
-are imported back here.
+Haar measure lives on the subgroup shifts of `shifts`, which, with
+`configs` and `hypotheses`, is bound lazily (`groupca._lazy`): a Bernoulli
+measure or a pushforward of one never executes it.  `entropy` imports this
+module, so it is imported inside the functions that use it.
+`check_hypotheses` and `HypothesisReport` live in `hypotheses` and are
+importable here too.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ import math
 from collections import Counter, defaultdict
 from fractions import Fraction
 from operator import getitem
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
+from . import _lazy
 from .automata import (
     CellularAutomaton,
     matrix_terms,
@@ -38,14 +41,27 @@ from .automata import (
     linear_ca,
     power,
 )
-from .configs import Cylinder, PeriodicConfig, Word
-from .groups import CapExceeded, Character, Element, GroupSpec, Subgroup, _setfield, record
-from .hypotheses import HypothesisReport, check_hypotheses  # noqa: F401  (importable here too)
-from .shifts import FullShift, ProductSubgroup, SubgroupShiftSpec, subgroup_shift_on
+from .groups import (CapExceeded, Character, Element, GroupSpec, Subgroup, Word, _setfield,
+                     record)
+
+if TYPE_CHECKING:
+    from .configs import Cylinder, PeriodicConfig
+    from .shifts import ProductSubgroup, SubgroupShiftSpec
+
+configs = _lazy("configs")
+hypotheses = _lazy("hypotheses")
+shifts = _lazy("shifts")
 
 DEFAULT_EXPANSION_CAP = 1 << 16
 DEFAULT_WINDOW_CAP = 10  # maximal exactly-enumerated window length
 MAX_EXACT_WORDS = 1 << 22  # most words of one exactly enumerated window
+
+
+def __getattr__(name: str):
+    """`check_hypotheses` and `HypothesisReport`, from `hypotheses`."""
+    if name in ("check_hypotheses", "HypothesisReport"):
+        return getattr(hypotheses, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _same_alphabet(mu: "MeasureSpec", F: CellularAutomaton | None) -> None:
@@ -84,8 +100,10 @@ def _fractions(block: Weights) -> dict[Word, Fraction]:
 def _iid(mu: "MeasureSpec") -> bool:
     """Bernoulli, or Haar measure on the full shift or a product subgroup:
     i.i.d. over letters or aligned blocks."""
-    return isinstance(mu, Bernoulli) or isinstance(
-        getattr(mu, "sigma", None), (FullShift, ProductSubgroup))
+    if isinstance(mu, Bernoulli):
+        return True
+    sigma = getattr(mu, "sigma", None)  # Haar measure's, so `shifts` has run
+    return sigma is not None and isinstance(sigma, (shifts.FullShift, shifts.ProductSubgroup))
 
 
 def _independent_pieces(mu: "MeasureSpec", lo: int, hi: int, laws: dict | None = None) -> list:
@@ -105,7 +123,7 @@ def _independent_pieces(mu: "MeasureSpec", lo: int, hi: int, laws: dict | None =
     if not _iid(mu):
         weights, den = mu.block_weights(lo, hi - lo + 1, laws)
         return [(tuple(weights.items()), den, range(lo, lo + 1))]
-    if isinstance(mu.sigma, FullShift):
+    if isinstance(mu.sigma, shifts.FullShift):
         runs = tuple(((a,), 1) for a in letters(mu.alphabet))
         return [(runs, len(runs), range(lo, hi + 1))]
     return _block_pieces(mu.sigma, lo, hi)
@@ -593,10 +611,10 @@ def _phases(mu: MeasureSpec) -> int:
     if isinstance(mu, MixtureMeasure):
         return math.lcm(*(_phases(m) for _, m in mu.components))
     if isinstance(mu, PeriodicOrbitMeasure):
-        configs = set(mu.configs)
-        if all(x.shift(1) in configs for x in configs):
+        points = set(mu.configs)
+        if all(x.shift(1) in points for x in points):
             return 1
-        return math.lcm(*(x.period for x in configs))
+        return math.lcm(*(x.period for x in points))
     return getattr(getattr(mu, "sigma", None), "shift_period", 1)
 
 
@@ -708,7 +726,7 @@ def invariance_check(
             (image, di), (own, do) = marginals[i, len(word)]
             num = abs(image.get(word, 0) * do - own.get(word, 0) * di)
             if num * best_den > best * di * do:
-                best, best_den, witness = num, di * do, Cylinder(i, word)
+                best, best_den, witness = num, di * do, configs.Cylinder(i, word)
         return InvarianceResult(Fraction(best, best_den), witness, checked)
     best_f = threshold = 0.0
     z = max(4, math.sqrt(2 * math.log(2 * checked / 1e-3)))
@@ -719,7 +737,7 @@ def invariance_check(
         sigma = math.sqrt((p * (1 - p) + q * (1 - q)) / mc_samples)  # of p - q
         if abs(p - q) > best_f:
             best_f = abs(p - q)
-            witness = Cylinder(i, word)
+            witness = configs.Cylinder(i, word)
             threshold = z * sigma
     return InvarianceResult(best_f, witness, checked, exact=False,
                             threshold=max(threshold, 4e-2 / math.sqrt(mc_samples)))
@@ -795,7 +813,7 @@ def haar_test(
     if support_budget < 1:
         raise ValueError(f"support budget must be >= 1, got {support_budget}")
     alphabet = mu.alphabet
-    sigma = subgroup_shift_on(sigma, alphabet)
+    sigma = shifts.subgroup_shift_on(sigma, alphabet)
     _check_window(alphabet, support_budget)
     admissible = sorted(HaarMeasure(sigma).block_weights(0, support_budget)[0])
     abc = letters(alphabet)
@@ -993,7 +1011,7 @@ class CounterexampleSuite:
             self.mu, automaton=F, f_power=1, length=length
         )
         checks["nu_sigma_invariance"] = invariance_check(self.nu, shift=1, length=2)
-        checks["haar_test"] = haar_test(self.mu, FullShift(F.alphabet), 2)
+        checks["haar_test"] = haar_test(self.mu, shifts.FullShift(F.alphabet), 2)
         return checks
 
 
@@ -1006,10 +1024,11 @@ def counterexample_suite() -> CounterexampleSuite:
     diag = Subgroup(pair, ((0, 0), (1, 1)))
     zero_even = Subgroup(pair, ((0, 0), (0, 1)))
     zero_odd = Subgroup(pair, ((0, 0), (1, 0)))
-    x1 = ProductSubgroup(Z2, 2, diag, phase=0)
-    x2 = ProductSubgroup(Z2, 2, diag, phase=1)
-    x3 = ProductSubgroup(Z2, 2, zero_even, phase=0)
-    x4 = ProductSubgroup(Z2, 2, zero_odd, phase=0)
+    product = shifts.ProductSubgroup
+    x1 = product(Z2, 2, diag, phase=0)
+    x2 = product(Z2, 2, diag, phase=1)
+    x3 = product(Z2, 2, zero_even, phase=0)
+    x4 = product(Z2, 2, zero_odd, phase=0)
     nu = HaarMeasure(x1)
     quarter = Fraction(1, 4)
     mu = MixtureMeasure(
@@ -1038,9 +1057,9 @@ def sigma_entropy_exact(mu: MeasureSpec) -> float | None:
         return -sum(float(w) * math.log(float(w)) for w in mu.weights.values() if w)
     if isinstance(mu, HaarMeasure):
         sig = mu.sigma
-        if isinstance(sig, FullShift):
+        if isinstance(sig, shifts.FullShift):
             return math.log(sig.alphabet.order)
-        if isinstance(sig, ProductSubgroup):
+        if isinstance(sig, shifts.ProductSubgroup):
             return math.log(len(sig.block)) / sig.grouping
         # |L_(n+1)| = d |L_n| for long words: every core vertex has the zero vertex's d letters
         return math.log(len(next(iter(sig.core.values()))))
@@ -1055,7 +1074,9 @@ def sigma_entropy_exact(mu: MeasureSpec) -> float | None:
         F, A = mu.automaton, mu.alphabet
         if mu.f_power == 0 or F.permutativity().bipermutative:
             return sigma_entropy_exact(mu.base)
-        if mu.base in (Bernoulli.uniform(A), HaarMeasure(FullShift(A))):
+        base = mu.base  # uniform: Bernoulli, or Haar measure on the full shift
+        if base == Bernoulli.uniform(A) or (isinstance(base, HaarMeasure)
+                                            and base.sigma == shifts.FullShift(A)):
             try:
                 onto = is_surjective(F)
             except CapExceeded:

@@ -6,7 +6,7 @@ Bruijn graph of its rule's zero-windows, built on letter indices from the
 letter map of each window column and one table addition per vertex
 (`automata.letter_arithmetic`, as in `measures` and `entropy`); its core is
 also the graph whose cycles are a kernel level.  The module needs only
-`groups`, `configs` and `automata`, so measures load without `kernels`.
+`groups` and `automata`, so measures load without `kernels`.
 """
 
 from __future__ import annotations
@@ -14,11 +14,13 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .automata import CellularAutomaton, letter_arithmetic, letters, matrix_terms
-from .configs import PeriodicConfig, Word
-from .groups import Element, GroupSpec, Subgroup, _setfield, record
+from .groups import Element, GroupSpec, Subgroup, Word, _setfield, record
+
+if TYPE_CHECKING:
+    from .configs import PeriodicConfig
 
 
 def _zero_windows(G: CellularAutomaton) -> list[list[int]]:

@@ -15,7 +15,7 @@ import pytest
 
 from groupca.automata import as_laurent, linear_ca
 from groupca.class_a import dual_ca, verify_conjugacy
-from groupca.cli import bundled_spec, load_ca
+from groupca.specs import bundled_spec, load_ca
 from groupca.configs import PeriodicConfig
 from groupca.entropy import entropy_report
 from groupca.groups import Character, GroupSpec, Subgroup, _gl_order, closure_set

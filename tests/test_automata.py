@@ -285,11 +285,23 @@ def test_surjectivity_examples():
 
 def test_surjectivity_refuses_overlap_graphs_over_the_cap(monkeypatch):
     # x_0 + x_2 declared on [0, 5]: the overlap graph has |A|^2 = 4 states
+    # and |A|^3 = 8 edges, one window of the rule each
     F = linear_ca(Z2, {0: 1, 2: 1}, neighborhood=(0, 5))
-    monkeypatch.setattr(automata, "DEFAULT_TABLE_CAP", 4)
+    monkeypatch.setattr(automata, "DEFAULT_TABLE_CAP", 8)
     assert is_surjective(F).surjective
+    for cap in (7, 4):
+        monkeypatch.setattr(automata, "DEFAULT_TABLE_CAP", cap)
+        with pytest.raises(CapExceeded, match=rf"\|A\|\^3 = 8 windows exceeds cap {cap}"):
+            is_surjective(F)
     monkeypatch.setattr(automata, "DEFAULT_TABLE_CAP", 3)
     with pytest.raises(CapExceeded, match=r"\|A\|\^2 = 4 states exceeds cap 3"):
+        is_surjective(F)
+
+
+def test_surjectivity_counts_windows_on_a_large_prime_field():
+    # |A| = 1000003 states fit the cap; their 10^12 windows do not
+    F = linear_ca(GroupSpec((1000003,)), {0: 1, 1: 1})
+    with pytest.raises(CapExceeded, match=r"\|A\|\^2 = 1000006000009 windows exceeds cap 1048576"):
         is_surjective(F)
 
 

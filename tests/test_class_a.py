@@ -20,7 +20,7 @@ from groupca.class_a import (
     invert_radius1,
     verify_conjugacy,
 )
-from groupca.groups import Endomorphism, GroupSpec
+from groupca.groups import CapExceeded, Endomorphism, GroupSpec
 from groupca.kernels import kernel_elements
 from groupca.configs import PeriodicConfig
 
@@ -353,3 +353,16 @@ def test_verify_conjugacy_matches_the_seed_walk():
 def test_wrong_arity_rejected():
     with pytest.raises(ValueError):
         analyze_radius1(linear_ca(Z2, {0: 1, 1: 1, 2: 1}))
+
+
+def test_radius1_analysis_refuses_windows_over_the_cap(monkeypatch):
+    # Z/3 has 9 windows on [0, 1]; Z/1000003 has 10^12
+    F = linear_ca(GroupSpec((3,)), {0: 1, 1: 1})
+    monkeypatch.setattr(class_a, "DEFAULT_TABLE_CAP", 9)
+    assert not analyze_radius1(F).class_a
+    monkeypatch.setattr(class_a, "DEFAULT_TABLE_CAP", 8)
+    with pytest.raises(CapExceeded, match=r"\|A\|\^2 = 9 windows exceeds cap 8"):
+        analyze_radius1(F)
+    monkeypatch.undo()
+    with pytest.raises(CapExceeded, match="exceeds cap 1048576"):
+        analyze_radius1(linear_ca(GroupSpec((1000003,)), {0: 1, 1: 1}))

@@ -15,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import groupca
-from groupca.cli import build_parser, bundled_spec, load_ca, load_measure, load_sigma, main
+from groupca.cli import build_parser, main
+from groupca.specs import bundled_spec, load_ca, load_measure, load_sigma
 
 
 def run(argv):
@@ -508,6 +509,23 @@ def test_surjectivity_over_cap_is_usage_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["analyze", "dual"])
+def test_large_prime_field_is_refused_at_once_naming_the_cap(command, tmp_path, capsys):
+    # x_0 + x_1 over Z/1000003: 10^12 windows, which neither the surjectivity
+    # check nor the radius-1 analysis reads
+    ca_file = tmp_path / "zp.json"
+    ca_file.write_text(json.dumps({
+        "alphabet": {"moduli": [1000003]}, "neighborhood": [0, 1],
+        "rule": {"type": "linear", "coeffs": {"0": 1, "1": 1}},
+    }))
+    start = time.perf_counter()
+    assert run([command, "--ca", str(ca_file)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert "|A|^2 = 1000006000009 windows exceeds cap 1048576" in captured.err
+    assert captured.out == ""
+
+
 def test_linear_coeffs_list_is_spec_error(tmp_path, capsys):
     bad = tmp_path / "coeff_list.json"
     bad.write_text(json.dumps({
@@ -722,7 +740,7 @@ AND_OF_UNIFORM_Z2 = {"type": "pushforward", "base": UNIFORM_Z2, "ca": {
         {"window": [[a], [b]], "value": [a * b]} for a in (0, 1) for b in (0, 1)]}}}
 
 
-RULES = {"groups", "configs", "automata"}
+RULES = {"groups", "automata"}
 # the measure names the benchmark's inputs are built from, then exact
 # invariance and Cesaro on a kernel-Haar measure and a pushforward
 MEASURES = (
@@ -738,6 +756,7 @@ MEASURES = (
     "assert invariance_check(mu, F, f_power=1, length=3).cylinders_checked\n"
     "assert cesaro_sequence(mu, F, 4, 2).distances_to_uniform\n"
 )
+HAAR_Z2 = {"type": "haar", "sigma": {"type": "full", "alphabet": {"moduli": [2]}}}
 
 
 def _cli(*argv: str) -> str:
@@ -745,59 +764,76 @@ def _cli(*argv: str) -> str:
     return f"from groupca.cli import main\nassert main({list(argv)!r}) == 0\n"
 
 
-KERNEL = RULES | {"cli", "shifts", "modular", "kernels"}
-# `measures` imports the hypothesis report and `entropy` the closed forms
-# from `hypotheses`
-MEASURE = RULES | {"cli", "shifts", "hypotheses", "measures"}
-ANALYZE = KERNEL | {"hypotheses"}
+def _report(name: str) -> set:
+    """`cli`, the spec readers and one subcommand's report, and no other."""
+    return {"cli", "specs", "reports", f"reports.{name}"}
+
+
+# a level's elements are configurations; `modular` runs for the closed form
+# of a prime-field rule, `class_a` for a rule on the window [0, 1]
+KERNEL = RULES | {"configs", "shifts", "kernels"}
+# the premises with no listed level: no configuration is made
+HYPOTHESES = RULES | {"shifts", "kernels", "modular", "hypotheses"} | _report("hypotheses")
 
 
 @pytest.mark.parametrize("code, loaded", [
     ("import groupca", set()),
     ("from groupca import GroupSpec, linear_ca, table_ca", RULES),
-    (MEASURES, RULES | {"shifts", "hypotheses", "measures"}),
-    ("from groupca import tower", RULES | {"shifts", "modular", "kernels"}),
+    (MEASURES, RULES | {"configs", "shifts", "measures"}),
+    ("from groupca import tower", RULES | {"shifts", "kernels"}),
     ("import groupca.cli", {"cli"}),
-    (_cli("examples"), {"cli"}),
-    (_cli("dual", "--bundled-examples"), RULES | {"cli", "class_a"}),
-    (_cli("modular", "--ca", "id_plus_sigma_z2"), RULES | {"cli", "modular"}),
-    (_cli("kernel", "--ca", "id_plus_sigma_z2", "--sigma", "ledrappier_kernel_sigma"), KERNEL),
+    (_cli("examples"), {"cli", "specs"}),
+    (_cli("dual", "--bundled-examples"), RULES | {"class_a"} | _report("dual")),
+    (_cli("modular", "--ca", "id_plus_sigma_z2"), RULES | {"modular"} | _report("modular")),
+    (_cli("kernel", "--ca", "id_plus_sigma_z2", "--sigma", "ledrappier_kernel_sigma"),
+     KERNEL | {"modular"} | _report("kernel")),
+    # a Bernoulli base: no subgroup shift, no cylinder, no hypothesis report
     (_cli("measure", "cesaro", "--measure", "mu.json", "--ca", "id_plus_sigma_z2",
-          "--steps", "2"), MEASURE),
-    (_cli("measure", "counterexample", "--length", "3"), MEASURE),
+          "--steps", "2"), RULES | {"measures"} | _report("measure")),
+    (_cli("measure", "counterexample", "--length", "3"),
+     RULES | {"configs", "shifts", "measures"} | _report("measure")),
+    # the witness is a cylinder; the sampler is `entropy`'s
     (_cli("measure", "invariance", "--measure", "mu.json", "--ca", "id_plus_sigma_z2",
           "--f-power", "1", "--mode", "mc", "--mc-samples", "100"),
-     MEASURE | {"entropy"}),
+     RULES | {"configs", "measures", "entropy"} | _report("measure")),
+    # the closed forms are `hypotheses`'s
     (_cli("entropy", "--ca", "id_plus_sigma_z2", "--samples", "1000"),
-     MEASURE | {"entropy"}),
+     RULES | {"hypotheses", "measures", "entropy"} | _report("entropy")),
     # a mod-4 rule neither on the window [0,1] nor bipermutative
-    (_cli("analyze", "--ca", "id_sigma_2sigma2_z4"), ANALYZE),
+    (_cli("analyze", "--ca", "id_sigma_2sigma2_z4"), KERNEL | {"hypotheses"} | _report("analyze")),
     # on the window [0,1] and bipermutative: class (A) analysis and the
     # entropy closed form, which `hypotheses` holds
-    (_cli("analyze", "--ca", "id_plus_sigma_z2"), ANALYZE | {"class_a"}),
+    (_cli("analyze", "--ca", "id_plus_sigma_z2"),
+     KERNEL | {"hypotheses", "modular", "class_a"} | _report("analyze")),
     (_cli("hypotheses", "--ca", "id_plus_sigma_z2", "--measure", "mu.json"),
-     ANALYZE | {"measures"}),
+     HYPOTHESES | {"measures"}),
     # a measure with no closed-form shift entropy: `entropy` samples it
     (_cli("hypotheses", "--ca", "id_plus_sigma_z2", "--measure", "and.json"),
-     ANALYZE | {"measures", "entropy"}),
+     HYPOTHESES | {"measures", "entropy"}),
     # an abstract measure: neither `measures` nor `entropy`
-    (_cli("hypotheses", "--ca", "id_plus_sigma_z2"), ANALYZE),
+    (_cli("hypotheses", "--ca", "id_plus_sigma_z2"), HYPOTHESES),
+    # Haar measure lives on a subgroup shift
+    (_cli("measure", "prob", "--measure", "haar.json", "--word", "[[0],[1]]"),
+     RULES | {"configs", "shifts", "measures"} | _report("measure")),
 ], ids=["package", "rules", "measures", "tower", "cli", "cli-examples", "cli-dual",
         "cli-modular", "cli-kernel", "cli-cesaro", "cli-counterexample", "cli-mc-invariance",
         "cli-entropy", "cli-analyze", "cli-analyze-class-a", "cli-hypotheses",
-        "cli-hypotheses-sampled", "cli-hypotheses-abstract"])
+        "cli-hypotheses-sampled", "cli-hypotheses-abstract", "cli-prob-haar"])
 def test_each_import_loads_only_the_modules_it_uses(code, loaded, tmp_path):
     # a fresh interpreter compiling every module it executes, as the CLI
     # runs; `cli` lists modules it has not executed yet, so those are left out.
     # No call loads `dataclasses`, `inspect` or numpy, not even one that
-    # draws samples.
+    # draws samples, and only a call that runs `measures` reads a fraction
+    # (`fractions`, which imports `decimal`).
     (tmp_path / "mu.json").write_text(json.dumps(UNIFORM_Z2))
     (tmp_path / "and.json").write_text(json.dumps(AND_OF_UNIFORM_Z2))
+    (tmp_path / "haar.json").write_text(json.dumps(HAAR_Z2))
     script = code + (
         "\nimport importlib.util, sys\n"
         "lazy = importlib.util._LazyModule\n"
-        "print(*sorted(n for n in ('dataclasses', 'inspect', 'numpy') if n in sys.modules))\n"
-        "print(*sorted(n.split('.')[1] for n, m in sys.modules.items()\n"
+        "print(*sorted(n for n in ('dataclasses', 'decimal', 'fractions', 'inspect', 'numpy')\n"
+        "              if n in sys.modules))\n"
+        "print(*sorted(n.removeprefix('groupca.') for n, m in sys.modules.items()\n"
         "              if n.startswith('groupca.') and type(m) is not lazy))\n"
     )
     src = str(Path(groupca.__file__).resolve().parents[1])
@@ -807,7 +843,7 @@ def test_each_import_loads_only_the_modules_it_uses(code, loaded, tmp_path):
     assert proc.returncode == 0, proc.stderr
     *_, stdlib, groupca_modules = proc.stdout.splitlines()
     assert set(groupca_modules.split()) == loaded
-    assert stdlib == ""
+    assert set(stdlib.split()) <= ({"decimal", "fractions"} if "measures" in loaded else set())
 
 
 def test_dual_depth_zero_is_usage_error(capsys):

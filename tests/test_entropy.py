@@ -14,11 +14,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from groupca.automata import letters, linear_ca, shift_ca, table_ca
-from groupca.cli import bundled_spec, load_ca
+from groupca.specs import bundled_spec, load_ca
 from groupca.entropy import (
     _code_entropy,
     _column_process,
     _decode,
+    _digits,
     _draw_rows,
     _entropy_from_counts,
     _pooled_rows,
@@ -83,7 +84,7 @@ def sampled_figures(F, mu, samples, k, seed):
     lo, length, block = _column_process(small, width, k)
     blocks = collections.Counter()
     for x, c in collections.Counter(_pooled_rows(mu, lo, lo + length - 1, samples, rng)).items():
-        blocks[block(x)] += c
+        blocks[block(_digits(x, length, small.alphabet.order))] += c
     return h_sigma, _code_entropy(blocks, k, small.alphabet.order**width)
 
 
