@@ -37,7 +37,7 @@ _HOME = {
                      "linear_ca power shift_ca table_ca table_from_rule"),
         ("shifts", "FullShift LinearKernelShift ProductSubgroup SubgroupShiftSpec"),
         ("kernels", "Condition4Result CorollaryKerResult InfiniteKernelError "
-                    "KernelRecurrence KernelTower boundary condition4_search "
+                    "KernelRecurrence KernelTower condition4_search "
                     "corollary_ker_check kernel_elements recurrence_matrix restrict tower"),
         ("modular", "Factorization PermutativeSupport bipermutative_power factor_mod_p "
                     "frobenius_congruence_check kernel_direct_sum_check permutative_support"),

@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 from typing import Mapping
 
-from .automata import (DEFAULT_TABLE_CAP, CellularAutomaton, NotAlgebraicError, as_laurent,
-                       letters, table_ca)
+from .automata import (DEFAULT_TABLE_CAP, CellularAutomaton, NotAlgebraicError, _memoized,
+                       as_laurent, letters, table_ca)
 from .groups import CapExceeded, Element, GroupSpec, record
 
 
@@ -50,10 +50,12 @@ class ClassAAnalysis:
         return len(self.classes)
 
 
+@_memoized
 def analyze_radius1(F: CellularAutomaton) -> ClassAAnalysis:
     """Exhaustive partition analysis of a one-sided rule on the window [0, 1]:
     the local rule reads each of the |A|^2 windows, refused past
-    DEFAULT_TABLE_CAP before any is read."""
+    DEFAULT_TABLE_CAP before any is read.  It is made once per automaton
+    (`_memoized`) and shared by `invert_radius1`, `dual_ca` and the reports."""
     if F.neighborhood != (0, 1):
         raise ValueError(f"analysis needs the neighborhood [0,1], got {F.neighborhood}")
     n = F.alphabet.order
@@ -97,8 +99,10 @@ def _verify_inverse(F: CellularAutomaton, inv: CellularAutomaton) -> None:
             raise ValueError("inverse candidate fails on the backward composite")
 
 
+@_memoized
 def invert_radius1(F: CellularAutomaton) -> CellularAutomaton:
-    """The radius-1 inverse of an invertible one-sided rule.
+    """The radius-1 inverse of an invertible one-sided rule, made once per
+    automaton (`_memoized`).
 
     The inverse table is read off all window triples, checked for
     consistency, and the round trip is verified exhaustively.
@@ -124,15 +128,12 @@ class DualCA:
     """The induced rule on class labels, acting on the two-sided window [-1,1].
 
     `automaton` is the solved table form on the index alphabet; `linear_form`
-    is the linear rule it equals, when the table is additive; `inverse` is
-    the verified radius-1 inverse of the rule it was solved from
-    (`invert_radius1`), which `verify_conjugacy` reads.
+    is the linear rule it equals, when the table is additive.
     """
 
     automaton: CellularAutomaton
     provenance: str
     analysis: ClassAAnalysis
-    inverse: CellularAutomaton
     linear_form: CellularAutomaton | None = None
 
     @property
@@ -186,8 +187,8 @@ def dual_ca(F: CellularAutomaton) -> DualCA:
     try:
         linear_form = as_laurent(solved)
     except NotAlgebraicError:
-        return DualCA(solved, "solved", analysis, inv)
-    return DualCA(solved, "formula", analysis, inv, linear_form)
+        return DualCA(solved, "solved", analysis)
+    return DualCA(solved, "formula", analysis, linear_form)
 
 
 @record
@@ -215,8 +216,8 @@ def verify_conjugacy(
     of every wider walk.  A pass counts the positions the full walk covers;
     a failure walks the full seeds for the first witness and the count up to
     it.  A depth below 1 or a width below 2 would check no position, so it
-    is refused.  The backward rows use the inverse kept on the dual when
-    the dual was solved from F, and invert F otherwise.
+    is refused.  The backward rows use F's radius-1 inverse, which
+    `dual_ca(F)` has already made (`invert_radius1`).
     """
     if depth < 1 or width < 2:
         raise ValueError(
@@ -224,7 +225,7 @@ def verify_conjugacy(
             f" and width {width}"
         )
     cls = dual.analysis.class_of
-    inv = dual.inverse if dual.analysis.automaton == F else invert_radius1(F)
+    inv = invert_radius1(F)
     abc = letters(F.alphabet)
     # flat lookup tables keep the seed loop tight
     ftab = {(a, b): F.local((a, b)) for a in abc for b in abc}

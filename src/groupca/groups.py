@@ -108,9 +108,9 @@ def record(cls: type) -> type:
     field given a value in the class body defaults to it, and, as in a
     dataclass, no field without a default may follow one with a default.  An
     `__init__`, `__eq__`, `__hash__` or `__repr__` the class defines itself
-    is kept: a constructor that validates or is called often is written out,
-    storing each field with `_setfield`.  No code is generated, so making a
-    record costs a few closures.
+    is kept: a constructor that validates or normalises a field is written
+    out, storing each field with `_setfield`.  No code is generated, so
+    making a record costs a few closures.
     """
     own = cls.__dict__
     names = tuple(own.get("__annotations__", {}))

@@ -12,7 +12,7 @@ these names importable there too.  `kernels` is imported inside
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from . import _lazy
 from .groups import record
@@ -79,7 +79,6 @@ class HypothesisReport:
     entropy_positive: bool | None
     entropy_method: str
     unchecked: tuple[str, ...]
-    notes: tuple[str, ...] = ()
     criteria_skipped: str | None = None
 
     @property
@@ -101,7 +100,6 @@ def check_hypotheses(
     m_max: int = 4,
     entropy_samples: int = 20_000,
     seed: int = 0,
-    notes: Sequence[str] = (),
 ) -> HypothesisReport:
     """Populate every checkable premise; ergodicity and invariant-set algebra
     equalities stay explicitly unchecked.
@@ -172,6 +170,5 @@ def check_hypotheses(
         entropy_positive=entropy_positive,
         entropy_method=method,
         unchecked=unchecked,
-        notes=tuple(notes),
         criteria_skipped=skipped,
     )

@@ -38,7 +38,6 @@ from .groups import (
     _gl_order,
     _gl_primes,
     _is_prime,
-    _setfield,
     closure_set,
     enumerate_subgroups,
     record,
@@ -144,10 +143,6 @@ class KernelLevel:
     elements: tuple[PeriodicConfig, ...]
     period: int
 
-    def __init__(self, elements: tuple[PeriodicConfig, ...], period: int) -> None:
-        _setfield(self, "elements", elements)
-        _setfield(self, "period", period)
-
     @property
     def size(self) -> int:
         return len(self.elements)
@@ -169,11 +164,6 @@ class _KernelModule:
     p: int
     k: int
     factors: tuple[tuple[tuple[int, ...], int], ...]
-
-    def __init__(self, p: int, k: int, factors: tuple[tuple[tuple[int, ...], int], ...]) -> None:
-        _setfield(self, "p", p)
-        _setfield(self, "k", k)
-        _setfield(self, "factors", factors)
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
@@ -358,14 +348,6 @@ def tower(F: CellularAutomaton, N: int, cap: int = DEFAULT_KERNEL_CAP) -> Kernel
         ):
             raise AssertionError(f"period p_{n} does not divide |A|^{width} p_{n - 1}")
     return tw
-
-
-def boundary(tw: KernelTower, n: int) -> tuple[PeriodicConfig, ...]:
-    """Level n minus level n-1 (n >= 1)."""
-    if not 1 <= n <= tw.depth:
-        raise ValueError(f"boundary level {n} not in computed range 1..{tw.depth}")
-    lower = set(tw.level(n - 1).elements)
-    return tuple(x for x in tw.level(n).elements if x not in lower)
 
 
 def restrict(tw: KernelTower, sigma: SubgroupShiftSpec) -> KernelTower:

@@ -84,17 +84,11 @@ def _check_window(alphabet: GroupSpec, length: int,
 #
 # A block distribution maps every word of positive probability on the window
 # [offset, offset + length) to its exact probability; words outside the
-# support are absent.  Inside this module it travels as block weights
-# (weights, den): a positive integer weight per word over one denominator.
-# `block_distribution` turns them into one Fraction per word at the edge.
+# support are absent.  It travels as block weights (weights, den): a
+# positive integer weight per word over one denominator.
 
 Weights = tuple[dict[Word, int], int]
 Lane = Mapping[int, tuple[int, ...]]  # a rule's nonzero letter maps by offset (`_lane`)
-
-
-def _fractions(block: Weights) -> dict[Word, Fraction]:
-    weights, den = block
-    return {word: Fraction(c, den) for word, c in weights.items()}
 
 
 def _iid(mu: "MeasureSpec") -> bool:
@@ -332,16 +326,8 @@ def _check_per_target(alphabet: GroupSpec, span: int, cap: int, power: int) -> N
 # -- measure variants -----------------------------------------------------------
 
 
-class _BlockWeighted:
-    """A measure whose `block_weights(offset, length, laws=None)` gives its
-    block weights; `block_distribution` is their one conversion to Fractions."""
-
-    def block_distribution(self, offset: int, length: int) -> dict[Word, Fraction]:
-        return _fractions(self.block_weights(offset, length))
-
-
 @record
-class Bernoulli(_BlockWeighted):
+class Bernoulli:
     """Product measure with one rational weight per letter."""
 
     alphabet: GroupSpec
@@ -354,14 +340,15 @@ class Bernoulli(_BlockWeighted):
             if w < 0:
                 raise ValueError(f"negative weight at {a}")
             table[a] = w
-        if sum(table.values()) != 1:
+        # the run law of every letter, made once: integer weights over one
+        # denominator, whose sum checks the total without a Fraction sum
+        den = math.lcm(*(w.denominator for w in table.values()))
+        scaled = {a: w.numerator * (den // w.denominator) for a, w in table.items()}
+        if sum(scaled.values()) != den:
             raise ValueError("letter weights must sum to 1")
         _setfield(self, "alphabet", alphabet)
         _setfield(self, "weights", table)
-        # the run law of every letter, made once
-        den = math.lcm(*(w.denominator for w in table.values()))
-        runs = tuple(((a,), int(w * den)) for a, w in table.items() if w)
-        _setfield(self, "_runs", (runs, den))
+        _setfield(self, "_runs", (tuple(((a,), c) for a, c in scaled.items() if c), den))
 
     @classmethod
     def uniform(cls, alphabet: GroupSpec) -> "Bernoulli":
@@ -378,7 +365,7 @@ class Bernoulli(_BlockWeighted):
 
 
 @record
-class HaarMeasure(_BlockWeighted):
+class HaarMeasure:
     """Haar (uniform) measure on a subgroup shift."""
 
     sigma: SubgroupShiftSpec
@@ -410,7 +397,7 @@ class HaarMeasure(_BlockWeighted):
 
 
 @record
-class PushforwardMeasure(_BlockWeighted):
+class PushforwardMeasure:
     """Image of a base measure under automaton and shift powers.
 
     Probabilities come from `block_weights`: under a linear or affine rule,
@@ -507,7 +494,7 @@ class PushforwardMeasure(_BlockWeighted):
 
 
 @record
-class MixtureMeasure(_BlockWeighted):
+class MixtureMeasure:
     """Rational convex combination of measures on one alphabet."""
 
     components: tuple[tuple[Fraction, "MeasureSpec"], ...]
@@ -541,7 +528,7 @@ class MixtureMeasure(_BlockWeighted):
 
 
 @record
-class PeriodicOrbitMeasure(_BlockWeighted):
+class PeriodicOrbitMeasure:
     """Uniform measure on a finite set of periodic configurations."""
 
     configs: tuple[PeriodicConfig, ...]
@@ -893,20 +880,11 @@ def _power_lanes(F: CellularAutomaton) -> Iterator[Lane]:
 
 @record
 class CesaroResult:
-    """Cesaro averages of iterated pushforwards: distances to uniform, and
-    block distributions built on first read from `sums`, each average's
-    numerators (in `words` order) over its denominator."""
+    """Total-variation distances to uniform of the Cesaro averages of
+    iterated pushforwards on the window [0, length)."""
 
     distances_to_uniform: tuple[Fraction, ...]
     length: int
-    words: tuple[Word, ...]
-    sums: tuple[tuple[tuple[int, ...], int], ...]
-    exact: bool = True
-
-    @functools.cached_property
-    def distributions(self) -> tuple[dict[Word, Fraction], ...]:
-        return tuple({w: Fraction(c, total) for w, c in zip(self.words, numerators)}
-                     for numerators, total in self.sums)
 
 
 def cesaro_sequence(
@@ -916,17 +894,17 @@ def cesaro_sequence(
     length: int,
     cap: int = DEFAULT_EXPANSION_CAP,
 ) -> CesaroResult:
-    """Block distributions on [0, length) of the running averages
-    (1/n) sum_(j<n) F^j mu0 for n = 1..steps, with their total-variation
-    distances to the uniform block distribution.
+    """Total-variation distances to the uniform block distribution on
+    [0, length) of the running averages (1/n) sum_(j<n) F^j mu0 for
+    n = 1..steps.
 
     Each F^j mu0 gives `PushforwardMeasure` block weights.  A linear or
     affine F^j is carried as its lane, advanced by F once per step
     (`_power_lanes`), and a constant, F^j of the zero
     configuration, and pushed as they are (`_push`); the sweeps share one
-    memo of run-law powers.  The running sum is kept as integer numerators
-    over one denominator, so each distance is one integer sum; Fractions are
-    built only when `distributions` is read.  `cap` is the pushforwards' cap.
+    memo of run-law powers.  The one running sum is kept as integer
+    numerators over one denominator, so each distance is one integer sum.
+    `cap` is the pushforwards' cap.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -939,7 +917,6 @@ def cesaro_sequence(
     laws: dict = {}
     lanes = _power_lanes(F) if F.is_affine else None
     constant = A.zero  # F^j of the zero configuration, for an affine F
-    sums = []
     distances = []
     for n in range(1, steps + 1):
         j = n - 1
@@ -958,11 +935,10 @@ def cesaro_sequence(
         for w, c in weights.items():
             running[w] += c * scale
         total = n * den  # the average is running / total
-        sums.append((tuple(running.values()), total))
         # sum_w |running_w / total - 1 / |words|| / 2, over one denominator
         gap = sum(abs(c * len(words) - total) for c in running.values())
         distances.append(Fraction(gap, 2 * total * len(words)))
-    return CesaroResult(tuple(distances), length, words, tuple(sums))
+    return CesaroResult(tuple(distances), length)
 
 
 # -- the invariance counterexample bundle ------------------------------------------

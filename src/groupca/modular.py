@@ -14,7 +14,7 @@ import itertools
 import math
 from .automata import (CellularAutomaton, _memoized, _poly_divmod, _poly_pow, as_laurent,
                        linear_ca, power)
-from .groups import CapExceeded, GroupSpec, _is_prime, _prime_factors, _setfield, record
+from .groups import CapExceeded, GroupSpec, _is_prime, _prime_factors, record
 
 MAX_FACTOR_DEGREE = 8
 
@@ -36,11 +36,6 @@ class PermutativeSupport:
     p: int
     k: int
     offsets: tuple[int, ...]
-
-    def __init__(self, p: int, k: int, offsets: tuple[int, ...]) -> None:
-        _setfield(self, "p", p)
-        _setfield(self, "k", k)
-        _setfield(self, "offsets", offsets)
 
     @property
     def is_empty(self) -> bool:

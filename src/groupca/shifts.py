@@ -99,9 +99,6 @@ class FullShift:
 
     alphabet: GroupSpec
 
-    def __init__(self, alphabet: GroupSpec) -> None:
-        _setfield(self, "alphabet", alphabet)
-
     def contains(self, x: PeriodicConfig) -> bool:
         return x.alphabet == self.alphabet
 

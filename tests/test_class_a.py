@@ -266,17 +266,24 @@ def test_verify_conjugacy_f1_f2():
     assert verify_conjugacy(F2, dual2, depth=2, width=6).ok
 
 
-def test_the_dual_keeps_the_inverse_it_verified(monkeypatch):
-    dual1 = dual_ca(F1)
-    assert dual1.inverse == invert_radius1(F1)
-
-    def refuse(F):
-        raise AssertionError("inverted again")
-
-    monkeypatch.setattr(class_a, "invert_radius1", refuse)
-    assert verify_conjugacy(F1, dual1, depth=2, width=6).ok
-    with pytest.raises(AssertionError, match="inverted again"):
-        verify_conjugacy(F2, dual1, depth=2, width=6)  # F2's own inverse is needed
+def test_dual_and_conjugacy_analyse_and_invert_each_rule_once(monkeypatch):
+    # the analysis and the inverse are kept on the rule (`_memoized`), so
+    # dual_ca and verify_conjugacy make each once per rule; the rules are
+    # built afresh, so no earlier test has made either
+    made = []
+    analysis, verify = class_a.ClassAAnalysis, class_a._verify_inverse
+    monkeypatch.setattr(class_a, "ClassAAnalysis",
+                        lambda F, *rest: made.append(("analysis", F)) or analysis(F, *rest))
+    monkeypatch.setattr(class_a, "_verify_inverse",
+                        lambda F, inv: made.append(("inverse", F)) or verify(F, inv))
+    G1, G2 = (linear_ca(V, F.coeffs, neighborhood=F.neighborhood) for F in (F1, F2))
+    dual1 = dual_ca(G1)
+    assert verify_conjugacy(G1, dual1, depth=2, width=6).ok
+    assert analyze_radius1(G1) is dual1.analysis
+    assert made == [("analysis", G1), ("inverse", G1)]
+    verify_conjugacy(G2, dual1, depth=2, width=6)  # G2's own inverse is needed
+    verify_conjugacy(G2, dual_ca(G2), depth=2, width=6)
+    assert made == [("analysis", G1), ("inverse", G1), ("analysis", G2), ("inverse", G2)]
 
 
 def test_verify_conjugacy_mismatch_produces_witness():
@@ -331,7 +338,7 @@ def _single_entry_mutations(dual):
         for other in letters(dual.alphabet):
             if other != value:
                 rule = table_ca(dual.alphabet, (-1, 1), {**table, key: other})
-                yield DualCA(rule, dual.provenance, dual.analysis, dual.inverse)
+                yield DualCA(rule, dual.provenance, dual.analysis)
 
 
 def test_verify_conjugacy_matches_the_seed_walk():
@@ -356,13 +363,16 @@ def test_wrong_arity_rejected():
 
 
 def test_radius1_analysis_refuses_windows_over_the_cap(monkeypatch):
-    # Z/3 has 9 windows on [0, 1]; Z/1000003 has 10^12
-    F = linear_ca(GroupSpec((3,)), {0: 1, 1: 1})
+    # Z/3 has 9 windows on [0, 1]; Z/1000003 has 10^12.  Each cap gets a
+    # rule of its own, since the analysis is kept on the rule it was made for
+    def F():
+        return linear_ca(GroupSpec((3,)), {0: 1, 1: 1})
+
     monkeypatch.setattr(class_a, "DEFAULT_TABLE_CAP", 9)
-    assert not analyze_radius1(F).class_a
+    assert not analyze_radius1(F()).class_a
     monkeypatch.setattr(class_a, "DEFAULT_TABLE_CAP", 8)
     with pytest.raises(CapExceeded, match=r"\|A\|\^2 = 9 windows exceeds cap 8"):
-        analyze_radius1(F)
+        analyze_radius1(F())
     monkeypatch.undo()
     with pytest.raises(CapExceeded, match="exceeds cap 1048576"):
         analyze_radius1(linear_ca(GroupSpec((1000003,)), {0: 1, 1: 1}))

@@ -43,7 +43,6 @@ from groupca.kernels import (
     LinearKernelShift,
     NotAlgebraicError,
     ProductSubgroup,
-    boundary,
     condition4_search,
     corollary_ker_check,
     kernel_elements,
@@ -57,6 +56,12 @@ Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
 Z4 = GroupSpec((4,))
 Z5 = GroupSpec((5,))
+
+
+def boundary(tw, n):
+    """Level n minus level n - 1 of a tower (n >= 1)."""
+    lower = set(tw.level(n - 1).elements)
+    return tuple(x for x in tw.level(n).elements if x not in lower)
 
 
 def cfg(group, *xs):

@@ -27,6 +27,7 @@ from groupca.kernels import FullShift, LinearKernelShift, ProductSubgroup
 from groupca.measures import (
     DEFAULT_EXPANSION_CAP,
     Bernoulli,
+    CesaroResult,
     CounterexampleSuite,
     HaarMeasure,
     MixtureMeasure,
@@ -38,7 +39,6 @@ from groupca.measures import (
     counterexample_suite,
     haar_test,
     invariance_check,
-    _fractions,
     _independent_pieces,
     _lane,
     _phases,
@@ -66,6 +66,18 @@ def drawn(mu, lo, hi, count, seed):
             for code in _draw_rows(mu, lo, hi, count, random.Random(seed))}
 
 
+def _fractions(block):
+    """Block weights (weights, den) as one Fraction per word."""
+    weights, den = block
+    return {word: Fraction(c, den) for word, c in weights.items()}
+
+
+def block_distribution(mu, offset, length):
+    """The block distribution of mu on [offset, offset + length): every word
+    of positive probability and its exact probability, from `block_weights`."""
+    return _fractions(mu.block_weights(offset, length))
+
+
 def test_bernoulli_cylinder_prob():
     mu = Bernoulli.uniform(Z2)
     assert mu.cylinder_prob(Cylinder(0, w(0, 1))) == Fraction(1, 4)
@@ -78,6 +90,20 @@ def test_bernoulli_validation():
         Bernoulli(Z2, {(0,): Fraction(1, 2), (1,): Fraction(1, 4)})
     with pytest.raises(ValueError):
         Bernoulli(Z2, {(0,): Fraction(3, 2), (1,): Fraction(-1, 2)})
+
+
+def test_bernoulli_checks_its_total_over_the_lcm_of_the_denominators():
+    # 1/4 + 1/6 + 7/12 = 1 over the common denominator 12: 3 + 2 + 7
+    Z3 = GroupSpec((3,))
+    mu = Bernoulli(Z3, {(0,): Fraction(1, 4), (1,): Fraction(1, 6), (2,): Fraction(7, 12)})
+    runs, den = mu._runs
+    assert den == 12 and [c for _, c in runs] == [3, 2, 7]
+    assert mu.cylinder_prob(Cylinder(0, w(2, 1))) == Fraction(7, 72)
+    # 1/4 + 1/6 + 1/2 = 11/12, and a negative weight is named before the total
+    with pytest.raises(ValueError, match="letter weights must sum to 1"):
+        Bernoulli(Z3, {(0,): Fraction(1, 4), (1,): Fraction(1, 6), (2,): Fraction(1, 2)})
+    with pytest.raises(ValueError, match=r"negative weight at \(1,\)"):
+        Bernoulli(Z3, {(0,): Fraction(5, 4), (1,): Fraction(-1, 6), (2,): Fraction(-1, 12)})
 
 
 def test_haar_product_subgroup_probabilities():
@@ -111,7 +137,7 @@ def test_haar_cylinders_and_languages_match_the_block_distribution():
                   LinearKernelShift(linear_ca(Z4, {0: 1, 1: 2}))):
         mu = HaarMeasure(sigma)
         for offset, length in itertools.product(range(3), range(1, 4)):
-            exact = mu.block_distribution(offset, length)
+            exact = block_distribution(mu, offset, length)
             assert _language(sigma, offset, length) == set(exact)
             for word in itertools.product(letters(sigma.alphabet), repeat=length):
                 assert mu.cylinder_prob(Cylinder(offset, word)) == exact.get(word, 0)
@@ -235,17 +261,15 @@ def test_cesaro_uniform_is_fixed():
 
 
 def _naive_cesaro(mu, F, steps, length):
-    """Running averages and distances to uniform, one Fraction per word."""
+    """Distances to uniform of the running averages, one Fraction per word."""
     words = list(itertools.product(letters(mu.alphabet), repeat=length))
     running = dict.fromkeys(words, Fraction(0))
-    averages, distances = [], []
+    distances = []
     for n in range(1, steps + 1):
-        for word, p in PushforwardMeasure(mu, F, n - 1).block_distribution(0, length).items():
+        for word, p in block_distribution(PushforwardMeasure(mu, F, n - 1), 0, length).items():
             running[word] += p
-        avg = {word: p / n for word, p in running.items()}
-        averages.append(avg)
-        distances.append(sum(abs(p - Fraction(1, len(words))) for p in avg.values()) / 2)
-    return tuple(averages), tuple(distances)
+        distances.append(sum(abs(p / n - Fraction(1, len(words))) for p in running.values()) / 2)
+    return tuple(distances)
 
 
 @pytest.mark.parametrize("mu, F, steps, length", [
@@ -258,9 +282,7 @@ def _naive_cesaro(mu, F, steps, length):
 ])
 def test_cesaro_matches_a_naive_fraction_recomputation(mu, F, steps, length):
     res = cesaro_sequence(mu, F, steps, length)
-    assert (res.distributions, res.distances_to_uniform) == _naive_cesaro(mu, F, steps, length)
-    assert list(res.distributions[-1]) == list(itertools.product(letters(mu.alphabet),
-                                                                 repeat=length))
+    assert res == CesaroResult(_naive_cesaro(mu, F, steps, length), length)
 
 
 def test_cesaro_point_mass_at_zero():
@@ -313,19 +335,9 @@ def test_check_hypotheses_xor_uniform():
 
 def test_check_hypotheses_counterexample_measure():
     suite = counterexample_suite()
-    rep = check_hypotheses(
-        suite.automaton,
-        mu=suite.mu,
-        notes=(
-            "the coupling subgroups are invariant for the second shift power "
-            "but not for the shift itself, so the invariant-set equality "
-            "premise fails for this measure",
-        ),
-    )
+    rep = check_hypotheses(suite.automaton, mu=suite.mu)
     assert rep.entropy_positive
     assert rep.condition4.found
-    assert rep.notes
-    assert "invariant-set equality" in rep.notes[0]
 
 
 def test_check_hypotheses_trivial_rule():
@@ -536,8 +548,7 @@ def test_block_distributions_match_preimage_oracle(data):
     weights, den = push.block_weights(offset, length)
     assert type(den) is int and den > 0
     assert all(type(c) is int and c > 0 for c in weights.values())
-    dist = push.block_distribution(offset, length)
-    assert dist == _fractions((weights, den))
+    dist = _fractions((weights, den))
     for word in itertools.product(letters(group), repeat=length):
         assert dist.get(word, 0) == _preimage_prob(push, Cylinder(offset, word))
 
@@ -659,7 +670,7 @@ def test_the_phase_count_is_a_period_of_every_window_law(data):
     group = data.draw(st.sampled_from(ALPHABETS))
     mu = data.draw(weighted_measures(group))[0]
     t, i, length = _phases(mu), data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3))
-    assert mu.block_distribution(i, length) == mu.block_distribution(i + t, length)
+    assert block_distribution(mu, i, length) == block_distribution(mu, i + t, length)
 
 
 def test_orbit_phases_are_one_when_closed_under_the_shift_else_the_periods():
@@ -720,11 +731,11 @@ def test_product_haar_phases_are_its_least_period_dividing_the_grouping(data):
     mu, phases = HaarMeasure(sig), _phases(HaarMeasure(sig))
     assert t % phases == 0 and (extra or d % phases == 0)
     for i, length in itertools.product(range(t), range(1, t + 2)):
-        assert mu.block_distribution(i, length) == mu.block_distribution(i + phases, length)
+        assert block_distribution(mu, i, length) == block_distribution(mu, i + phases, length)
     # no shorter divisor of t fixes the law of a block
     for e in range(1, phases):
         if t % e == 0:
-            assert mu.block_distribution(sig.phase, t) != mu.block_distribution(sig.phase + e, t)
+            assert block_distribution(mu, sig.phase, t) != block_distribution(mu, sig.phase + e, t)
 
 
 def _per_length_languages(suite, length):
@@ -926,10 +937,9 @@ def test_cesaro_matches_the_composed_pushforwards_step_by_step(data):
     running = dict.fromkeys(words, Fraction(0))
     for n in range(1, steps + 1):
         step = _oracle_distribution(mu, power(F, n - 1), length)
-        assert PushforwardMeasure(mu, F, n - 1).block_distribution(0, length) == step
+        assert block_distribution(PushforwardMeasure(mu, F, n - 1), 0, length) == step
         for word, p in step.items():
             running[word] += p
-        assert res.distributions[n - 1] == {word: p / n for word, p in running.items()}
         assert res.distances_to_uniform[n - 1] == sum(
             abs(p / n - Fraction(1, len(words))) for p in running.values()) / 2
 
@@ -969,9 +979,7 @@ def test_cesaro_advances_the_lane_and_composes_no_matrices(monkeypatch):
     res = cesaro_sequence(mu, F, steps, 2)
     # one sweep per step and per component, the step's lane; F^0 is the identity
     assert products == [] and lanes == expected
-    assert "distributions" not in vars(res)
-    assert res.distributions is res.distributions
-    assert res.distributions == _naive_cesaro(mu, F, steps, 2)[0]
+    assert res.distances_to_uniform == _naive_cesaro(mu, F, steps, 2)
 
 
 def test_nested_pushforward_is_pushforward_by_composite():
@@ -984,7 +992,7 @@ def test_nested_pushforward_is_pushforward_by_composite():
     nested = PushforwardMeasure(PushforwardMeasure(mu, F, 1, shift=1), G, 2, shift=-1)
     direct = PushforwardMeasure(mu, compose(compose(G, G), F), 1)
     for offset in (-1, 0, 2):
-        assert nested.block_distribution(offset, 3) == direct.block_distribution(offset, 3)
+        assert block_distribution(nested, offset, 3) == block_distribution(direct, offset, 3)
 
 
 # -- the pushforward cap ---------------------------------------------------------------
@@ -1038,7 +1046,7 @@ def test_cap_message_names_the_composed_power():
     base = HaarMeasure(LinearKernelShift(linear_ca(Z2, {0: 1, 1: 1, 2: 1})))
     message = r"pushforward by F\^17 needs 131072 words per target word"
     with pytest.raises(CapExceeded, match=message):
-        PushforwardMeasure(base, F_xor, 17).block_distribution(0, 3)
+        block_distribution(PushforwardMeasure(base, F_xor, 17), 0, 3)
     with pytest.raises(CapExceeded, match=message):
         cesaro_sequence(base, F_xor, 18, 3)
 
@@ -1101,20 +1109,20 @@ def test_one_piece_sweep_matches_the_widened_window_loop(data):
     Fj = power(F, j)
     swept = _sweep(base, _lane(Fj), Fj.constant, offset, length)
     assert _fractions(swept) == _widened_loop(base, F, j, offset, length)
-    assert PushforwardMeasure(base, F, j).block_distribution(offset, length) == _fractions(swept)
+    assert block_distribution(PushforwardMeasure(base, F, j), offset, length) == _fractions(swept)
 
 
 def test_kernel_haar_off_the_bipermutative_case():
     # 1 + 2x over Z/4: the kernel is {0}, so Haar measure is the point mass
     point = HaarMeasure(LinearKernelShift(linear_ca(Z4, {0: 1, 1: 2})))
-    assert point.block_distribution(0, 1) == {w(0): 1}
-    assert point.block_distribution(3, 2) == {w(0, 0): 1}
+    assert block_distribution(point, 0, 1) == {w(0): 1}
+    assert block_distribution(point, 3, 2) == {w(0, 0): 1}
     assert drawn(point, 0, 3, 20, 1) == {w(0, 0, 0, 0)}
     assert sigma_entropy_exact(point) == 0.0
     # 2 x_0 over Z/4: the kernel is {0, 2}^Z, of shift entropy log 2
     evens = HaarMeasure(LinearKernelShift(linear_ca(Z4, {0: 2})))
-    assert evens.block_distribution(0, 2) == {w(a, b): Fraction(1, 4)
-                                              for a in (0, 2) for b in (0, 2)}
+    assert block_distribution(evens, 0, 2) == {w(a, b): Fraction(1, 4)
+                                               for a in (0, 2) for b in (0, 2)}
     assert sigma_entropy_exact(evens) == pytest.approx(math.log(2))
     rep = check_hypotheses(linear_ca(Z4, {0: 1, 1: 1}), mu=evens)
     assert rep.entropy_positive and rep.entropy_method.startswith("exact shift entropy 0.693147")
@@ -1146,8 +1154,8 @@ def test_a_surjective_rule_keeps_the_uniform_measure(monkeypatch):
     for base in (Bernoulli.uniform(Z4), HaarMeasure(FullShift(Z4))):
         mu = PushforwardMeasure(base, F, 2)
         assert sigma_entropy_exact(mu) == math.log(4)
-        assert mu.block_distribution(0, 2) == {w(a, b): Fraction(1, 16)
-                                               for a in range(4) for b in range(4)}
+        assert block_distribution(mu, 0, 2) == {w(a, b): Fraction(1, 16)
+                                                for a in range(4) for b in range(4)}
         rep = check_hypotheses(linear_ca(Z4, {0: 1, 1: 1}), mu=mu)
         assert rep.entropy_positive
         assert rep.entropy_method == "exact shift entropy 1.386294 nats"

@@ -34,7 +34,7 @@ def test_all_is_the_published_names():
         "PeriodicOrbitMeasure", "PermutativeSupport", "Permutativity", "ProductSubgroup",
         "PushforwardMeasure", "Subgroup", "SubgroupShiftSpec", "SurjectivityResult",
         "analyze_radius1", "as_laurent", "automata", "bipermutative_power",
-        "block_entropy_estimate", "boundary", "bounds_check", "cesaro_sequence",
+        "block_entropy_estimate", "bounds_check", "cesaro_sequence",
         "character_integral", "check_hypotheses", "class_a",
         "closure_set", "column_factor_samples", "compose", "condition4_search", "configs",
         "corollary_ker_check", "counterexample_suite", "cylinder_preimage",
