@@ -36,24 +36,28 @@ def letter_arithmetic(alphabet: GroupSpec, terms: Mapping[int, tuple]) -> tuple:
     (plus[i][j] indexes letter i + letter j) and, by offset, each matrix term
     (`matrix_terms`) as a map of letter indices.  The index (read-only) and
     the table are built once per alphabet and each letter map once per
-    matrix, in bounded caches shared by every caller."""
-    index, plus = _letter_table(alphabet)
+    matrix, in bounded caches shared by every caller.  A caller that reads
+    letter indices only takes `letter_index`, which builds no |A|^2 table."""
     maps = {u: _letter_map(alphabet, m) for u, m in terms.items()}
-    return index, plus, maps
+    return letter_index(alphabet), _letter_table(alphabet), maps
 
 
 @functools.lru_cache(maxsize=64)
-def _letter_table(alphabet: GroupSpec) -> tuple[Mapping[Element, int], tuple]:
-    abc = letters(alphabet)
-    index = {a: i for i, a in enumerate(abc)}
-    plus = tuple(tuple(index[alphabet.add(a, b)] for b in abc) for a in abc)
-    return types.MappingProxyType(index), plus
+def letter_index(alphabet: GroupSpec) -> Mapping[Element, int]:
+    """Each letter's index in `letters` order, read-only."""
+    return types.MappingProxyType({a: i for i, a in enumerate(letters(alphabet))})
+
+
+@functools.lru_cache(maxsize=64)
+def _letter_table(alphabet: GroupSpec) -> tuple:
+    abc, index = letters(alphabet), letter_index(alphabet)
+    return tuple(tuple(index[alphabet.add(a, b)] for b in abc) for a in abc)
 
 
 @functools.lru_cache(maxsize=1024)
 def _letter_map(alphabet: GroupSpec, matrix: tuple) -> tuple[int, ...]:
     f = Endomorphism(alphabet, alphabet, matrix)
-    index = _letter_table(alphabet)[0]
+    index = letter_index(alphabet)
     return tuple(index[f(a)] for a in letters(alphabet))
 
 
@@ -104,11 +108,9 @@ def _memoized(derive):
     in the frozen instance's `__dict__`, outside its fields (as
     `functools.cached_property` keeps a value), so `==` and `repr` ignore it
     and an automaton built from F's fields starts without it.  An error is
-    not kept; any other first argument is passed through."""
+    not kept."""
     @functools.wraps(derive)
     def get(F, *args, **kwargs):
-        if not isinstance(F, CellularAutomaton):
-            return derive(F, *args, **kwargs)
         memo = F.__dict__.setdefault("_derived", {})
         key = (derive.__name__, args, tuple(kwargs.items()))
         if key not in memo:
@@ -411,12 +413,13 @@ def identity_ca(alphabet: GroupSpec) -> CellularAutomaton:
 # -- composition --------------------------------------------------------------
 
 
-def compose(F: CellularAutomaton, G: CellularAutomaton,
-            cap: int = DEFAULT_TABLE_CAP) -> CellularAutomaton:
+def compose(F: CellularAutomaton, G: CellularAutomaton) -> CellularAutomaton:
     """The CA x -> F(G(x)); linear rules compose through their polynomials.
 
-    `cap` bounds the work: the composite table's entries, or for two rules
-    with coefficients the product of their term counts."""
+    DEFAULT_TABLE_CAP, read at each call, bounds the work: the composite
+    table's entries, or for two rules with coefficients the product of their
+    term counts."""
+    cap = DEFAULT_TABLE_CAP
     if F.alphabet != G.alphabet:
         raise ValueError("alphabet mismatch")
     rF, sF = F.neighborhood
@@ -449,12 +452,12 @@ def compose(F: CellularAutomaton, G: CellularAutomaton,
     return CellularAutomaton(F.alphabet, (rF + rG, sF + sG), table=table)
 
 
-def power(F: CellularAutomaton, n: int, cap: int = DEFAULT_TABLE_CAP) -> CellularAutomaton:
+def power(F: CellularAutomaton, n: int) -> CellularAutomaton:
     """The n-th iterate of F (n >= 0).  A rule with coefficients is squared
     through `compose`, reading n's bits from the top; a table rule is
     composed one step at a time, since squaring a table costs more than
-    widening it by F.  `cap` bounds each table, and for coefficients the
-    products of term counts summed over the whole chain."""
+    widening it by F.  DEFAULT_TABLE_CAP bounds each table, and for
+    coefficients the products of term counts summed over the whole chain."""
     if n < 0:
         raise ValueError("negative CA power")
     if n == 0:
@@ -462,16 +465,16 @@ def power(F: CellularAutomaton, n: int, cap: int = DEFAULT_TABLE_CAP) -> Cellula
     result = F
     if F.coeffs is None:
         for _ in range(n - 1):
-            result = compose(F, result, cap)
+            result = compose(F, result)
         return result
     spent = 0
     for bit in bin(n)[3:]:
         for G in (result, F) if bit == "1" else (result,):
             spent += len(G.coeffs) * len(result.coeffs)
-            if spent > cap:
+            if spent > DEFAULT_TABLE_CAP:
                 raise CapExceeded(f"power {n} by squaring: a running total of {spent} "
-                                  f"products of terms exceeds cap {cap}")
-            result = compose(G, result, cap)
+                                  f"products of terms exceeds cap {DEFAULT_TABLE_CAP}")
+            result = compose(G, result)
     return result
 
 

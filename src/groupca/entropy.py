@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import _lazy
-from .automata import CellularAutomaton, letter_arithmetic, letters
+from .automata import CellularAutomaton, letter_index, letters
 from .groups import CapExceeded, record
 from .measures import (
     MAX_EXACT_WORDS, MixtureMeasure, PushforwardMeasure, _independent_pieces, _mix, _phases,
@@ -267,7 +267,7 @@ def _draw_rows(measure, lo: int, hi: int, count: int, rng: random.Random) -> lis
                 codes[j] = code
         return codes
     n = measure.alphabet.order
-    index = letter_arithmetic(measure.alphabet, {})[0]
+    index = letter_index(measure.alphabet)
     codes = None
     for runs, den, starts in _independent_pieces(measure, lo, hi):
         values = [sum(index[a] * n**j for j, a in enumerate(run)) for run, _ in runs]
@@ -286,7 +286,7 @@ def _rule_on_digits(F: CellularAutomaton) -> Callable[[tuple], tuple]:
     over the letters: the image's indices, F.width - 1 fewer.  The local
     rule reads each distinct window once."""
     abc, w = letters(F.alphabet), F.width
-    index = letter_arithmetic(F.alphabet, {})[0]
+    index = letter_index(F.alphabet)
     local: dict[tuple, int] = {}  # window -> the index of its image letter
 
     def step(word: tuple) -> tuple:
@@ -350,7 +350,7 @@ def _pooled_weights(measure, lo: int, hi: int) -> dict[tuple, int]:
     t, laws = _phases(measure), {}
     weights, _ = _mix((Fraction(1, t), measure.block_weights(lo + i, hi - lo + 1, laws))
                       for i in range(t))
-    index = letter_arithmetic(measure.alphabet, {})[0].__getitem__
+    index = letter_index(measure.alphabet).__getitem__
     return {tuple(map(index, word)): c for word, c in weights.items()}
 
 
@@ -420,7 +420,7 @@ def entropy_report(F: CellularAutomaton, measure, samples: int = 1_000_000, k: i
         h_sigma = _conditional_entropy(shift, (lambda word: word[:-1]) if k > 1 else None)
     else:
         rng = random.Random(seed)
-        h_sigma = _code_entropy(Counter(_pooled_rows(measure, 0, k - 1, samples, rng)), k, n)
+        h_sigma = _shift_entropy(measure, samples, k, rng)
         windows = {_digits(x, length, n): c for x, c in
                    Counter(_pooled_rows(measure, lo, lo + length - 1, samples, rng)).items()}
     blocks: Counter = Counter()

@@ -218,9 +218,6 @@ class GroupSpec:
     def neg(self, x: Element) -> Element:
         return tuple((-a) % d for a, d in zip(x, self.moduli))
 
-    def scale(self, n: int, x: Element) -> Element:
-        return tuple((n * a) % d for a, d in zip(x, self.moduli))
-
     def elements(self) -> Iterator[Element]:
         return itertools.product(*(range(d) for d in self.moduli))
 

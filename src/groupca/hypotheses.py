@@ -25,6 +25,8 @@ if TYPE_CHECKING:
 
 shifts = _lazy("shifts")
 
+ENTROPY_SAMPLES = 20_000  # windows `check_hypotheses` samples where no closed form applies
+
 
 def _require_bipermutative(F: CellularAutomaton) -> CellularAutomaton:
     small = F.smallest_neighborhood()
@@ -98,7 +100,6 @@ def check_hypotheses(
     sigma: SubgroupShiftSpec | None = None,
     mu: MeasureSpec | str = "abstract",
     m_max: int = 4,
-    entropy_samples: int = 20_000,
     seed: int = 0,
 ) -> HypothesisReport:
     """Populate every checkable premise; ergodicity and invariant-set algebra
@@ -131,8 +132,8 @@ def check_hypotheses(
             p1 = (tw.period(1) if isinstance(sigma, shifts.FullShift)
                   else tw.restricted_level(1, sigma).period)
             kp1 = k * p1
-            cond4 = condition4_search(tw, sigma, m_max=m_max, cap=tw.cap)
-            corker = corollary_ker_check(tw, sigma, cap=tw.cap)
+            cond4 = condition4_search(tw, sigma, m_max=m_max)
+            corker = corollary_ker_check(tw, sigma)
         except ValueError as exc:
             skipped = f"{type(exc).__name__}: {exc}"
     entropy_positive: bool | None = None
@@ -147,9 +148,9 @@ def check_hypotheses(
 
             from .entropy import _shift_entropy
 
-            est = _shift_entropy(mu, entropy_samples, 4, random.Random(seed))
+            est = _shift_entropy(mu, ENTROPY_SAMPLES, 4, random.Random(seed))
             entropy_positive = est > 0.02
-            method = (f"estimated shift entropy {est:.4f} nats ({entropy_samples} samples, "
+            method = (f"estimated shift entropy {est:.4f} nats ({ENTROPY_SAMPLES} samples, "
                       f"seed {seed}; positive above 0.02 nats)")
     unchecked = (
         "measure ergodicity for the joint rule/shift action",

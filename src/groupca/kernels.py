@@ -179,13 +179,6 @@ class _KernelModule:
     def size(self, n: int) -> int:
         return self.p ** (self.k * n)
 
-    def levels_within(self, cap: int) -> int:
-        """The deepest level n with size(n) <= cap (0 if none above 0)."""
-        n = 0
-        while self.size(n + 1) <= cap:
-            n += 1
-        return n
-
     def period(self, n: int) -> int:
         """The order of x modulo P^n: `order` times the least power of p
         that is at least n times the largest multiplicity."""
@@ -441,12 +434,10 @@ class Condition4Result:
         return self.found
 
 
-def _unrestricted(
-    F: CellularAutomaton | KernelTower, cap: int = DEFAULT_KERNEL_CAP
-) -> KernelTower:
+def _unrestricted(F: CellularAutomaton | KernelTower) -> KernelTower:
     """F itself when it is a kernel tower, which must not come from
-    `restrict`; otherwise a new tower of F, enumerating under cap."""
-    tw = F if isinstance(F, KernelTower) else KernelTower(F, cap)
+    `restrict`; otherwise a new tower of F under the default cap."""
+    tw = F if isinstance(F, KernelTower) else KernelTower(F)
     if tw.sigma is not None:
         raise ValueError("the density criteria need unrestricted kernel levels, "
                          f"not levels restricted to {tw.sigma.describe()}")
@@ -457,32 +448,28 @@ def condition4_search(
     F: CellularAutomaton | KernelTower,
     sigma: SubgroupShiftSpec | None = None,
     m_max: int = DEFAULT_M_MAX,
-    cap: int = DEFAULT_KERNEL_CAP,
 ) -> Condition4Result:
     """Search m such that every d in the (m+1)-th boundary generates a
     subgroup (closed under rule and shift) containing the whole first level.
 
-    F may be a kernel tower, whose levels are read and extended under its own
-    cap; `cap` then bounds each closure only.  On a tower with a closed form
+    F may be a kernel tower, whose cap bounds its levels and each closure; a
+    rule gets a tower under the default cap.  On a tower with a closed form
     and the full shift, a found m is read off the factorization.  Otherwise
     the search fails at every m up to m_max, and only m = m_max, where the
-    failures are taken, is enumerated.  Where a closure could exceed `cap`,
-    every m is enumerated as on any other tower."""
+    failures are taken, is enumerated."""
     if m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
-    tw = _unrestricted(F, cap)
+    tw = _unrestricted(F)
     sigma = subgroup_shift_on(sigma, tw.automaton.alphabet)
     module = tw.module if isinstance(sigma, FullShift) else None
     start = 0
     if module is not None:
         m = module.condition4_m
         found = m is not None and m <= m_max
-        last = m + 1 if found else m_max + 1  # the deepest level the search reads
-        if min(last, module.levels_within(tw.cap)) <= module.levels_within(cap):
-            tw.size(last)  # the cap checks of the levels the search reads
-            if found:
-                return Condition4Result(True, m, m_max)
-            start = m_max
+        tw.size(m + 1 if found else m_max + 1)  # the cap checks of the levels it reads
+        if found:
+            return Condition4Result(True, m, m_max)
+        start = m_max
     d1 = tw.restricted_level(1, sigma).elements
     lower = set(tw.level(start).elements)
     failures: list[PeriodicConfig] = []
@@ -490,7 +477,7 @@ def condition4_search(
         lvl = tw.coded(m + 1)
         fresh = [d for d in tw.restricted_level(m + 1, sigma).elements if d not in lower]
         verdicts = lvl.generates({lvl.code(x) for x in d1},
-                                 (lvl.code(d) for d in fresh), cap)
+                                 (lvl.code(d) for d in fresh), tw.cap)
         failures = [d for d in fresh if not verdicts[lvl.code(d)]]
         if not failures:
             return Condition4Result(True, m, m_max)
@@ -515,23 +502,22 @@ class CorollaryKerResult:
 def corollary_ker_check(
     F: CellularAutomaton | KernelTower,
     sigma: SubgroupShiftSpec | None = None,
-    cap: int = DEFAULT_KERNEL_CAP,
 ) -> CorollaryKerResult:
     """F may be a kernel tower, as in `condition4_search`.  On a tower with a
     closed form and the full shift, the invariant subgroups are counted from
     the factorization, and no level is enumerated; otherwise the coded first
-    level's shift-closed subgroups are enumerated."""
-    tw = _unrestricted(F, cap)
+    level's shift-closed subgroups are enumerated under the tower's cap."""
+    tw = _unrestricted(F)
     sigma = subgroup_shift_on(sigma, tw.automaton.alphabet)
     module = tw.module if isinstance(sigma, FullShift) else None
-    if module is not None and module.size(1) <= cap:
+    if module is not None:
         tw.size(1)  # the cap checks of level 1
         proper = module.proper_ideals
     else:
         d1 = tw.restricted_level(1, sigma).elements
         lvl = tw.coded(1)
         subs = enumerate_subgroups(
-            Subgroup(lvl.group, tuple(map(lvl.code, d1))), [lvl.shift.__getitem__], cap=cap
+            Subgroup(lvl.group, tuple(map(lvl.code, d1))), [lvl.shift.__getitem__], cap=tw.cap
         )
         proper = sum(1 for s in subs if 1 < len(s) < len(d1))
     return CorollaryKerResult(proper == 0, proper)

@@ -28,7 +28,7 @@ import math
 from collections import Counter, defaultdict
 from fractions import Fraction
 from operator import getitem
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from . import _lazy
 from .automata import (
@@ -298,7 +298,6 @@ def _push(
     constant: Element | None,
     offset: int,
     length: int,
-    cap: int,
     power: int,
     laws: dict | None = None,
 ) -> Weights:
@@ -306,21 +305,21 @@ def _push(
     affine rule with this lane and `constant` (`_sweep`), a mixture
     component by component.  A base that is not i.i.d. enumerates its law
     on the widened window, so its |A|^(span of the lane) words per target
-    word are checked against `cap` first, in a message naming F^power.
+    word are checked against DEFAULT_EXPANSION_CAP first, in a message
+    naming F^power.
     """
     if isinstance(base, MixtureMeasure):
-        return _mix((c, _push(m, lane, constant, offset, length, cap, power, laws))
+        return _mix((c, _push(m, lane, constant, offset, length, power, laws))
                     for c, m in base.components if c)
     if not _iid(base):
-        _check_per_target(base.alphabet, max(lane, default=0) - min(lane, default=0),
-                          cap, power)
+        _check_per_target(base.alphabet, max(lane, default=0) - min(lane, default=0), power)
     return _sweep(base, lane, constant, offset, length, laws)
 
 
-def _check_per_target(alphabet: GroupSpec, span: int, cap: int, power: int) -> None:
-    if alphabet.order ** span > cap:
+def _check_per_target(alphabet: GroupSpec, span: int, power: int) -> None:
+    if alphabet.order ** span > DEFAULT_EXPANSION_CAP:
         raise CapExceeded(f"pushforward by F^{power} needs {alphabet.order ** span} words "
-                          f"per target word, over cap {cap}")
+                          f"per target word, over cap {DEFAULT_EXPANSION_CAP}")
 
 
 # -- measure variants -----------------------------------------------------------
@@ -404,13 +403,13 @@ class PushforwardMeasure:
     one sweep of the base's independent pieces, one move per distinct
     column of its terms, with F^j composed once per measure and a mixture
     pushed component by component; under a table rule, the base's weights
-    on the widened window are pushed through the rule step by step.  `cap`
-    bounds the widened words per target word wherever the base's widened
-    window law is enumerated (every base under a table rule, a base that is
-    not i.i.d. under an affine one), as it bounds the preimage cylinders per
-    target word of `preimage`, so both raise CapExceeded at the same power
-    of a surjective rule; the sweep of an i.i.d. base enumerates at most
-    one state per target word.
+    on the widened window are pushed through the rule step by step.
+    DEFAULT_EXPANSION_CAP, read at each use, bounds the widened words per
+    target word wherever the base's widened window law is enumerated (every
+    base under a table rule, a base that is not i.i.d. under an affine one),
+    as it bounds the preimage cylinders per target word of `preimage`, so
+    both raise CapExceeded at the same power of a surjective rule; the sweep
+    of an i.i.d. base enumerates at most one state per target word.
     `preimage` expands cylinder preimages instead; it is kept as an
     independent reference for tests.
     """
@@ -419,10 +418,9 @@ class PushforwardMeasure:
     automaton: CellularAutomaton | None
     f_power: int
     shift: int
-    cap: int
 
     def __init__(self, base: "MeasureSpec", automaton: CellularAutomaton | None = None,
-                 f_power: int = 0, shift: int = 0, cap: int = DEFAULT_EXPANSION_CAP) -> None:
+                 f_power: int = 0, shift: int = 0) -> None:
         if f_power < 0:
             raise ValueError("automaton power must be >= 0")
         if f_power > 0 and automaton is None:
@@ -432,7 +430,6 @@ class PushforwardMeasure:
         _setfield(self, "automaton", automaton)
         _setfield(self, "f_power", f_power)
         _setfield(self, "shift", shift)
-        _setfield(self, "cap", cap)
 
     @property
     def alphabet(self) -> GroupSpec:
@@ -444,8 +441,8 @@ class PushforwardMeasure:
         for _ in range(self.f_power):
             nxt: list[Cylinder] = []
             for c in cyls:
-                nxt.extend(cylinder_preimage(self.automaton, c, self.cap))
-                if len(nxt) > self.cap:
+                nxt.extend(cylinder_preimage(self.automaton, c, DEFAULT_EXPANSION_CAP))
+                if len(nxt) > DEFAULT_EXPANSION_CAP:
                     raise CapExceeded("pushforward expansion exceeds cap")
             cyls = nxt
         return [c.shifted(self.shift) for c in cyls]
@@ -470,11 +467,10 @@ class PushforwardMeasure:
         if j == 0:
             return self.base.block_weights(offset, length, laws)
         if F.is_affine:
-            return _push(self.base, _lane(F), F.constant, offset, length, self.cap,
-                         self.f_power, laws)
+            return _push(self.base, _lane(F), F.constant, offset, length, self.f_power, laws)
         small = F.smallest_neighborhood()
         r, s = small.neighborhood
-        _check_per_target(self.alphabet, j * (s - r), self.cap, self.f_power)
+        _check_per_target(self.alphabet, j * (s - r), self.f_power)
         weights, den = self.base.block_weights(offset + j * r, length + j * (s - r), laws)
         for _ in range(j):
             image: defaultdict = defaultdict(int)
@@ -633,15 +629,14 @@ def invariance_check(
     f_power: int = 0,
     shift: int = 0,
     length: int = 4,
-    offsets: Sequence[int] | None = None,
     mode: str = "exact",
     mc_samples: int = 50_000,
     seed: int = 0,
 ) -> InvarianceResult:
     """Sup over short cylinders of |mu(T^-1 [w]_i) - mu([w]_i)| for the map T
     given by automaton and shift powers; exact rationals, or empirical
-    frequencies in mc mode.  The offsets default to 0, 1, 2, 3, extended to
-    0..t-1 when sigma^t fixes mu for a phase count t > 4 (`_phases`), so the
+    frequencies in mc mode.  The offsets are 0, 1, 2, 3, extended to 0..t-1
+    when sigma^t fixes mu for a phase count t > 4 (`_phases`), so the
     verdict covers every phase.
 
     Exact mode reads the block weights of mu and of its image once per phase
@@ -669,28 +664,20 @@ def invariance_check(
     if length < 1:
         raise ValueError("cylinder length must be >= 1")
     t = _phases(mu)
-    if offsets is None:
-        offsets = range(max(4, t))
-    if not offsets:
-        raise ValueError("at least one cylinder offset is needed")
+    offsets = range(max(4, t))
     _check_window(mu.alphabet, length)
     push = PushforwardMeasure(mu, automaton, f_power, shift)
     if mode == "exact":
         laws: dict = {}
-        first: dict[int, int] = {}  # phase -> its first offset
-        for i in offsets:
-            first.setdefault(i % t, i)
         windows = {i: (push.block_weights(i, length, laws), mu.block_weights(i, length, laws))
-                   for i in first.values()}
+                   for i in range(t)}
     elif mode == "mc":
         if mc_samples < 1:
             raise ValueError(f"mc_samples must be >= 1 in mc mode, got {mc_samples}")
         from .entropy import _sampled_weights
 
-        lo = min(offsets)
-        own, image = _sampled_weights((mu, push), lo, max(offsets) + length - 1, mc_samples,
-                                      seed)
-        windows = {i: (_restrict(image, i - lo, length), _restrict(own, i - lo, length))
+        own, image = _sampled_weights((mu, push), 0, offsets[-1] + length - 1, mc_samples, seed)
+        windows = {i: (_restrict(image, i, length), _restrict(own, i, length))
                    for i in offsets}
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -892,7 +879,6 @@ def cesaro_sequence(
     F: CellularAutomaton,
     steps: int,
     length: int,
-    cap: int = DEFAULT_EXPANSION_CAP,
 ) -> CesaroResult:
     """Total-variation distances to the uniform block distribution on
     [0, length) of the running averages (1/n) sum_(j<n) F^j mu0 for
@@ -904,7 +890,6 @@ def cesaro_sequence(
     configuration, and pushed as they are (`_push`); the sweeps share one
     memo of run-law powers.  The one running sum is kept as integer
     numerators over one denominator, so each distance is one integer sum.
-    `cap` is the pushforwards' cap.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -923,9 +908,9 @@ def cesaro_sequence(
         if j and lanes is not None:
             if F.constant is not None:  # F^j of the zero configuration
                 constant = F.local((constant,) * F.width)
-            block = _push(mu0, next(lanes), constant, 0, length, cap, j, laws)
+            block = _push(mu0, next(lanes), constant, 0, length, j, laws)
         else:
-            block = PushforwardMeasure(mu0, F, j, cap=cap).block_weights(0, length, laws)
+            block = PushforwardMeasure(mu0, F, j).block_weights(0, length, laws)
         weights, d = block
         if den % d:
             scale = math.lcm(den, d) // den

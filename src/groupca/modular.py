@@ -142,18 +142,16 @@ class Factorization:
 
 
 @_memoized
-def factor_mod_p(poly: CellularAutomaton | dict, p: int | None = None) -> Factorization:
-    """Factor into monic irreducibles by trial division of increasing degree.
+def factor_mod_p(F: CellularAutomaton) -> Factorization:
+    """Factor the linear form of a rule over Z/p into monic irreducibles by
+    trial division of increasing degree.
 
     Degrees are capped at 8: candidates found in increasing degree order are
     automatically irreducible because all smaller factors were removed first.
-    An automaton's factorization is kept on it (`_memoized`); a dict's is not.
+    The factorization is kept on the automaton (`_memoized`).
     """
-    if p is None:
-        if isinstance(poly, dict):
-            raise ValueError("plain coefficient dicts need an explicit prime")
-        p = poly.alphabet.moduli[0]
-    coeffs = _scalar_coeffs(poly)
+    p = F.alphabet.moduli[0]
+    coeffs = _scalar_coeffs(F)
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     coeffs = {u: c % p for u, c in coeffs.items() if c % p}

@@ -1,6 +1,7 @@
 """Local rules, permutativity, composition, polynomials, surjectivity and
 cylinder preimages."""
 
+import collections
 import functools
 import itertools
 import random
@@ -175,26 +176,32 @@ def test_power_matches_iterated_application(F):
             assert Fn.apply_window(word) == image
 
 
-def test_linear_compose_cap_names_both_term_counts():
+def test_linear_compose_cap_names_both_term_counts(monkeypatch):
     F = linear_ca(Z3, {0: 1, 1: 1})
     F8 = power(F, 8)  # (1 + x)^8 = (1 + x^3)^2 (1 + x)^2 over Z/3: 9 terms
     assert len(F8.coeffs) == 9
-    assert compose(F8, F8, cap=81) == power(F, 16)
+    F16 = power(F, 16)
+    monkeypatch.setattr(automata, "DEFAULT_TABLE_CAP", 81)
+    assert compose(F8, F8) == F16
+    monkeypatch.setattr(automata, "DEFAULT_TABLE_CAP", 80)
     with pytest.raises(CapExceeded, match="rules of 9 and 9 terms exceeds cap 80"):
-        compose(F8, F8, cap=80)
+        compose(F8, F8)
     with pytest.raises(CapExceeded, match="exceeds cap 80"):
-        power(F, 16, cap=80)
+        power(F, 16)
 
 
-def test_power_cap_bounds_the_whole_squaring_chain():
+def test_power_cap_bounds_the_whole_squaring_chain(monkeypatch):
     F = linear_ca(Z2, {0: 1, 1: 1})
     # (1 + x)^1023 over Z/2: at t = 2, 4, ..., 512 terms, a squaring (t * t
     # products of terms) and a product by F (2t), 351,568 in all
     assert sum(t * t + 2 * t for t in (2**i for i in range(1, 10))) == 351_568
-    assert len(power(F, 1023, cap=351_568).coeffs) == 1024
-    with pytest.raises(CapExceeded, match="power 1023 by squaring: a running total of "
-                                          "351568 products of terms exceeds cap 351567"):
-        power(F, 1023, cap=351_567)
+    with monkeypatch.context() as patch:
+        patch.setattr(automata, "DEFAULT_TABLE_CAP", 351_568)
+        assert len(power(F, 1023).coeffs) == 1024
+        patch.setattr(automata, "DEFAULT_TABLE_CAP", 351_567)
+        with pytest.raises(CapExceeded, match="power 1023 by squaring: a running total of "
+                                              "351568 products of terms exceeds cap 351567"):
+            power(F, 1023)
     # each further squaring of 1,024 terms is one product of exactly the
     # default cap, 2^20: only the budget for the whole chain refuses
     for k in (1, 4, 40):
@@ -202,12 +209,13 @@ def test_power_cap_bounds_the_whole_squaring_chain():
             power(F, 1023 * 2**k)
 
 
-def test_power_cap_refuses_powers_wider_than_the_cap():
+def test_power_cap_refuses_powers_wider_than_the_cap(monkeypatch):
     T = table_from_rule(Z2, (0, 1), lambda win: (win[0][0] * win[1][0],))
-    assert power(T, 5, cap=2**6).width == 6
+    monkeypatch.setattr(automata, "DEFAULT_TABLE_CAP", 2**6)
+    assert power(T, 5).width == 6
     for n in (6, 7, 12):
         with pytest.raises(CapExceeded, match="exceeds cap"):
-            power(T, n, cap=2**6)
+            power(T, n)
 
 
 def test_laurent_round_trip_and_product():
@@ -281,6 +289,41 @@ def test_surjectivity_examples():
     assert count_preimages(AND, res.witness) != 2  # |A|^(s-r) = 2 would be balanced
     assert is_surjective(shift_ca(Z2)).surjective
     assert is_surjective(F_z4).surjective  # surjective though not bipermutative
+
+
+def _eca(number):
+    """Wolfram's elementary rule `number` on [-1, 1]."""
+    return table_from_rule(
+        Z2, (-1, 1), lambda win: ((number >> (4 * win[0][0] + 2 * win[1][0] + win[2][0])) & 1,)
+    )
+
+
+def _preimage_counts(F, length):
+    """Oracle: the number of preimage words of every word of this length."""
+    small = F.smallest_neighborhood()
+    words = itertools.product(letters(F.alphabet), repeat=length + small.width - 1)
+    return collections.Counter(map(small.apply_window, words))
+
+
+@pytest.mark.parametrize("F, right, surjective, depth, witness", [
+    (_eca(86), True, True, 7, None),
+    (compose(_eca(30), _eca(86)), False, True, 12, None),
+    (_eca(232), False, False, 2, w(0, 0)),  # majority
+], ids=["eca86", "eca30_after_86", "majority"])
+def test_surjectivity_walks_count_vectors_past_depth_one(F, right, surjective, depth, witness):
+    small = F.smallest_neighborhood()
+    assert small.permutativity() == (False, right)
+    res = is_surjective(F)
+    assert (res.surjective, res.decided, res.depth, res.witness) == (
+        surjective, True, depth, witness)
+    n, k = F.alphabet.order, small.width - 1
+    # balanced: every word of each length has |A|^k preimages, up to the
+    # witness's length where there is one
+    for length in range(1, len(witness) if witness else 7):
+        counts = _preimage_counts(F, length)
+        assert len(counts) == n**length and set(counts.values()) == {n**k}
+    if witness:
+        assert _preimage_counts(F, len(witness))[witness] != n**k
 
 
 def test_surjectivity_refuses_overlap_graphs_over_the_cap(monkeypatch):

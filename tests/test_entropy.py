@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from groupca import automata, measures
 from groupca.automata import letters, linear_ca, shift_ca, table_ca
 from groupca.specs import bundled_spec, load_ca
 from groupca.entropy import (
@@ -641,15 +642,32 @@ def test_the_budget_edge(F, k, words, parent):
     assert figures == pytest.approx(parent, abs=1e-12)
 
 
-def test_a_refused_exact_law_is_sampled():
+def test_a_refused_exact_law_is_sampled(monkeypatch):
     # a table rule's pushforward enumerates 2 base words per target word,
-    # over its cap of 1: the exact law is refused, so the report samples
-    mu = PushforwardMeasure(Bernoulli.uniform(Z2), _table_form(F_xor), 1, cap=1)
+    # over a cap of 1: the exact law is refused, so the report samples
+    monkeypatch.setattr(measures, "DEFAULT_EXPANSION_CAP", 1)
+    mu = PushforwardMeasure(Bernoulli.uniform(Z2), _table_form(F_xor), 1)
     with pytest.raises(CapExceeded):
         mu.block_weights(0, 2)
     rep = entropy_report(F_xor, mu, samples=1000, k=2, seed=3)
     assert (rep.method, rep.seed) == ("sampled", 3)
     assert (rep.h_sigma_estimate, rep.h_f_estimate) == sampled_figures(F_xor, mu, 1000, 2, 3)
+
+
+def test_sampled_entropy_over_a_large_alphabet_builds_no_addition_table(monkeypatch):
+    # the sampler and the column process read letter indices only
+    # (`automata.letter_index`); the addition table of Z/3001 would take
+    # 9,006,001 additions
+    def refused(alphabet):
+        raise AssertionError(f"addition table of {alphabet} built")
+
+    monkeypatch.setattr(automata, "_letter_table", refused)
+    A = GroupSpec((3001,))
+    F, uniform = linear_ca(A, {0: 1, 1: 1}), Bernoulli.uniform(A)
+    for mu in (uniform, PushforwardMeasure(uniform, F, 1)):
+        rep = entropy_report(F, mu, samples=1000, k=1)
+        assert rep.method == "sampled"
+        assert 0 < rep.h_sigma_estimate <= math.log(1000)
 
 
 def test_exact_weights_past_the_float_range_are_read():

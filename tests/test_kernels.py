@@ -613,22 +613,22 @@ def test_density_criteria_match_config_closure_oracle(case):
     cap = 1 << 12
     cond4 = _outcome(_condition4_oracle, F, sigma, m_max, cap)
     corker = _outcome(_corollary_oracle, F, sigma, cap)
-    assert _outcome(condition4_search, F, sigma, m_max, cap) == cond4
-    assert _outcome(corollary_ker_check, F, sigma, cap) == corker
+    assert _outcome(condition4_search, KernelTower(F, cap), sigma, m_max) == cond4
+    assert _outcome(corollary_ker_check, KernelTower(F, cap), sigma) == corker
     if isinstance(corker, CorollaryKerResult):
         # the rule kills level 1, so an invariant subgroup is one under both
         assert corker.holds == _every_element_generates(F, sigma, cap)
     # one tower shared by both criteria, in the order `analyze` runs them
     tw = KernelTower(F, cap)
-    assert _outcome(condition4_search, tw, sigma, m_max, cap) == cond4
-    assert _outcome(corollary_ker_check, tw, sigma, cap) == corker
+    assert _outcome(condition4_search, tw, sigma, m_max) == cond4
+    assert _outcome(corollary_ker_check, tw, sigma) == corker
 
 
 def test_density_criteria_small_cap_names_it():
     with pytest.raises(CapExceeded, match="cap 3"):
-        condition4_search(F_dist2, cap=3)
+        condition4_search(KernelTower(F_dist2, 3))
     with pytest.raises(CapExceeded, match="cap 3"):
-        corollary_ker_check(F_dist2, cap=3)
+        corollary_ker_check(KernelTower(F_dist2, 3))
 
 
 # -- the additive walk against the per-letter walk --------------------------------
@@ -902,17 +902,14 @@ def _tower_values(F, N, cap):
 
 
 def _closed_form_outcomes(F, N, m_max, cap):
-    """The tower and both criteria of F, on new towers and on shared ones."""
-    tw, wide = KernelTower(F, cap), KernelTower(F, 1 << 9)
+    """The tower and both criteria of F, on new towers and on a shared one."""
+    tw = KernelTower(F, cap)
     return (
         _tower_values(F, N, cap),
-        _outcome(condition4_search, F, None, m_max, cap),
-        _outcome(corollary_ker_check, F, FullShift(F.alphabet), cap),
-        _outcome(condition4_search, tw, None, m_max, cap),
-        _outcome(corollary_ker_check, tw, None, cap),
-        # towers under a larger cap than the criteria's closures
-        _outcome(condition4_search, wide, None, m_max, cap),
-        _outcome(corollary_ker_check, wide, None, cap),
+        _outcome(condition4_search, KernelTower(F, cap), None, m_max),
+        _outcome(corollary_ker_check, KernelTower(F, cap), FullShift(F.alphabet)),
+        _outcome(condition4_search, tw, None, m_max),
+        _outcome(corollary_ker_check, tw, None),
     )
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupca import automata, hypotheses, measures
 from groupca.automata import (
     compose,
     letters,
@@ -322,6 +323,22 @@ def test_sigma_entropy_exact_values():
     assert sigma_entropy_exact(orbit) == 0.0
 
 
+def test_sigma_entropy_exact_on_the_full_shift_mixtures_and_capped_pushforwards(monkeypatch):
+    assert sigma_entropy_exact(HaarMeasure(FullShift(Z4))) == pytest.approx(math.log(4))
+    uniform = Bernoulli.uniform(Z4)
+    # 2x_0 + 2x_1 is not surjective, so its image of uniform has no closed form
+    no_form = PushforwardMeasure(uniform, linear_ca(Z4, {0: 2, 1: 2}), 1)
+    assert sigma_entropy_exact(no_form) is None
+    half = Fraction(1, 2)
+    assert sigma_entropy_exact(MixtureMeasure(((half, uniform), (half, no_form)))) is None
+    # x_0 + 2x_1 is surjective but not bipermutative: uniform is read off its
+    # |A|^2 = 16 windows, unless they pass the table cap
+    onto = PushforwardMeasure(uniform, linear_ca(Z4, {0: 1, 1: 2}), 1)
+    assert sigma_entropy_exact(onto) == pytest.approx(math.log(4))
+    monkeypatch.setattr(automata, "DEFAULT_TABLE_CAP", 15)
+    assert sigma_entropy_exact(onto) is None
+
+
 def test_check_hypotheses_xor_uniform():
     rep = check_hypotheses(F_xor, mu=Bernoulli.uniform(Z2))
     assert rep.nontrivial and rep.bipermutative
@@ -389,12 +406,6 @@ def test_mc_reports_are_pinned(d, seed, discrepancy, offset, word, threshold):
     assert res.max_discrepancy == discrepancy and res.threshold == threshold
     assert res.witness == Cylinder(offset, w(*word))
     assert res.cylinders_checked == 4 * (d + d * d) and res.invariant
-    mu = Bernoulli(GroupSpec((3,)), {(0,): Fraction(1, 2), (1,): Fraction(1, 3),
-                                     (2,): Fraction(1, 6)})
-    res = invariance_check(mu, linear_ca(GroupSpec((3,)), {0: 1, 1: 2}), f_power=2, shift=1,
-                           length=3, offsets=(-1, 2), mode="mc", mc_samples=1500, seed=4)
-    assert (res.max_discrepancy, res.threshold) == (0.18066666666666664, 0.08643024509222537)
-    assert res.witness == Cylinder(2, w(0)) and res.cylinders_checked == 78
 
 
 def test_mc_threshold_is_the_spread_of_a_difference():
@@ -455,8 +466,6 @@ def test_degenerate_windows_are_rejected():
         cesaro_sequence(mu, F_xor, 0, 1)
     with pytest.raises(ValueError, match="length must be >= 1"):
         invariance_check(mu, F_xor, f_power=1, length=0)
-    with pytest.raises(ValueError, match="offset"):
-        invariance_check(mu, F_xor, f_power=1, length=2, offsets=())
 
 
 # -- block distributions against the preimage expansion ------------------------------
@@ -561,8 +570,8 @@ def test_exact_invariance_matches_a_per_cylinder_fraction_sup(data):
     mu = data.draw(weighted_measures(group))[0]
     j, shift = data.draw(st.integers(0, 1)), data.draw(st.integers(-1, 1))
     length = data.draw(st.integers(1, 2))
-    offsets = data.draw(st.lists(st.integers(-1, 2), min_size=1, max_size=3))
-    res = invariance_check(mu, F if j else None, j, shift, length, offsets)
+    offsets = range(max(4, _phases(mu)))
+    res = invariance_check(mu, F if j else None, j, shift, length)
     push = PushforwardMeasure(mu, F if j else None, j, shift)
     best, witness, checked = Fraction(0), None, 0
     for ell in range(1, length + 1):
@@ -584,7 +593,7 @@ def test_exact_invariance_compares_discrepancies_over_different_denominators():
     mu = MixtureMeasure(((Fraction(1, 4), half),
                          (Fraction(3, 4), Bernoulli(Z2, {(0,): Fraction(1, 3),
                                                          (1,): Fraction(2, 3)}))))
-    res = invariance_check(mu, F_xor, 1, length=2, offsets=(0, 1))
+    res = invariance_check(mu, F_xor, 1, length=2)
     assert (res.max_discrepancy, res.witness) == (Fraction(1, 6), Cylinder(0, w(0)))
 
 
@@ -650,16 +659,14 @@ def _every_offset_invariance(mu, F, j, shift, length, offsets):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_per_phase_invariance_matches_the_every_offset_oracle(data):
-    # offsets negative, non-contiguous, repeated and more than t of them; None
-    # is the default, 0..3 widened to every phase
+    # the offsets are 0..3, widened to every phase
     group = data.draw(st.sampled_from(ALPHABETS[:3]))
     F = data.draw(rules(group))
     mu = data.draw(weighted_measures(group))[0]
     j, shift = data.draw(st.integers(0, 2)), data.draw(st.integers(-2, 2))
     length = data.draw(st.integers(1, 2))
-    offsets = data.draw(st.none() | st.lists(st.integers(-5, 6), min_size=1, max_size=8))
-    res = invariance_check(mu, F if j else None, j, shift, length, offsets)
-    every = range(max(4, _phases(mu))) if offsets is None else offsets
+    res = invariance_check(mu, F if j else None, j, shift, length)
+    every = range(max(4, _phases(mu)))
     assert ((res.max_discrepancy, res.witness, res.cylinders_checked)
             == _every_offset_invariance(mu, F if j else None, j, shift, length, every))
 
@@ -693,7 +700,7 @@ def test_exact_invariance_sweeps_each_side_once_per_phase(monkeypatch, mu, sweep
     calls = []
     monkeypatch.setattr("groupca.measures._sweep",
                         lambda *args: calls.append(args[3]) or _sweep(*args))
-    res = invariance_check(mu, F_xor, 1, length=3, offsets=(0, 1, 2, 3))
+    res = invariance_check(mu, F_xor, 1, length=3)
     assert len(calls) == sweeps and res.cylinders_checked == 4 * (2 + 4 + 8)
 
 
@@ -1003,11 +1010,12 @@ F_xor_table = table_ca(Z2, (0, 1), {(a, b): ((a[0] + b[0]) % 2,)
                                     for a in letters(Z2) for b in letters(Z2)})
 
 
-def test_pushforward_cap_matches_preimage_expansion():
+def test_pushforward_cap_matches_preimage_expansion(monkeypatch):
     mu = Bernoulli(Z2, {(0,): Fraction(1, 3), (1,): Fraction(2, 3)})
     cyl = Cylinder(1, w(1, 0))
+    monkeypatch.setattr(measures, "DEFAULT_EXPANSION_CAP", 8)
     for j in range(1, 6):
-        push = PushforwardMeasure(mu, F_xor_table, j, cap=8)
+        push = PushforwardMeasure(mu, F_xor_table, j)
         if j <= 3:
             oracle = sum((mu.cylinder_prob(c) for c in push.preimage(cyl)), Fraction(0))
             assert push.cylinder_prob(cyl) == oracle
@@ -1018,15 +1026,16 @@ def test_pushforward_cap_matches_preimage_expansion():
                 push.preimage(cyl)
 
 
-def test_cesaro_table_rule_on_both_sides_of_the_cap():
+def test_cesaro_table_rule_on_both_sides_of_the_cap(monkeypatch):
     mu = Bernoulli(Z2, {(0,): Fraction(1, 3), (1,): Fraction(2, 3)})
+    linear = cesaro_sequence(mu, F_xor, 9, 2).distances_to_uniform
     # F^8 needs 2^8 = 256 words per target word: within a cap of 256
-    table = cesaro_sequence(mu, F_xor_table, 9, 2, cap=256)
-    assert table.distances_to_uniform == cesaro_sequence(mu, F_xor, 9, 2).distances_to_uniform
+    monkeypatch.setattr(measures, "DEFAULT_EXPANSION_CAP", 256)
+    assert cesaro_sequence(mu, F_xor_table, 9, 2).distances_to_uniform == linear
     with pytest.raises(CapExceeded, match="cap 256"):
-        cesaro_sequence(mu, F_xor_table, 10, 2, cap=256)
+        cesaro_sequence(mu, F_xor_table, 10, 2)
     # the linear rule takes the sweep, whose cost does not grow like 2^j
-    assert len(cesaro_sequence(mu, F_xor, 40, 2, cap=256).distances_to_uniform) == 40
+    assert len(cesaro_sequence(mu, F_xor, 40, 2).distances_to_uniform) == 40
 
 
 def test_oversized_enumerations_raise_before_enumerating():
@@ -1133,13 +1142,14 @@ def test_kernel_haar_off_the_bipermutative_case():
     assert {word[0][0] % 2 for word in words} == {0, 1}
 
 
-def test_estimated_shift_entropy_names_its_threshold():
+def test_estimated_shift_entropy_names_its_threshold(monkeypatch):
     # a pushforward by a rule neither bipermutative nor surjective has no
     # closed form
     F = linear_ca(Z4, {0: 2, 1: 2})
     mu = PushforwardMeasure(Bernoulli.uniform(Z4), F, 1)
     assert sigma_entropy_exact(mu) is None
-    rep = check_hypotheses(linear_ca(Z4, {0: 1, 1: 1}), mu=mu, entropy_samples=5000, seed=3)
+    monkeypatch.setattr(hypotheses, "ENTROPY_SAMPLES", 5000)
+    rep = check_hypotheses(linear_ca(Z4, {0: 1, 1: 1}), mu=mu, seed=3)
     assert rep.entropy_positive
     assert rep.entropy_method.endswith("(5000 samples, seed 3; positive above 0.02 nats)")
 

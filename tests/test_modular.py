@@ -194,10 +194,10 @@ def test_divisor_bound_values():
 
 
 def test_factor_examples():
-    assert factor_mod_p({0: 1, 1: 1}, p=2).factors == (((1, 1), 1),)
-    f = factor_mod_p({0: 1, 2: 1}, p=2)
+    assert factor_mod_p(linear_ca(Z2, {0: 1, 1: 1})).factors == (((1, 1), 1),)
+    f = factor_mod_p(linear_ca(Z2, {0: 1, 2: 1}))
     assert f.factors == (((1, 1), 2),)
-    assert factor_mod_p({0: 1, 1: 1, 2: 1}, p=2).factors == (((1, 1, 1), 1),)
+    assert factor_mod_p(linear_ca(Z2, {0: 1, 1: 1, 2: 1})).factors == (((1, 1, 1), 1),)
 
 
 def reassemble(f):
@@ -217,7 +217,7 @@ def test_factor_reassembles_input():
             coeffs[deg] = rng.randrange(1, p)
             shift = rng.randint(-2, 2)
             poly = {u + shift: c for u, c in coeffs.items() if c}
-            f = factor_mod_p(poly, p=p)
+            f = factor_mod_p(linear_ca(GroupSpec((p,)), poly))
             assert reassemble(f) == poly
 
 
@@ -230,19 +230,19 @@ def test_factor_multiplicity_structure():
     for u, c in poly.items():
         for v, d in b.items():
             prod[u + v] = (prod.get(u + v, 0) + c * d) % 2
-    f = factor_mod_p({u: c for u, c in prod.items() if c}, p=2)
+    f = factor_mod_p(linear_ca(Z2, {u: c for u, c in prod.items() if c}))
     assert set(f.factors) == {((1, 1), 3), ((1, 1, 1), 1)}
 
 
 def test_factor_degree_cap():
     with pytest.raises(ValueError):
-        factor_mod_p({0: 1, 9: 1}, p=2)
+        factor_mod_p(linear_ca(Z2, {0: 1, 9: 1}))
 
 
 def test_prime_checks_reject_small_composite_and_prime_power_moduli():
-    for bad in (-3, 0, 1, 4, 6):
-        with pytest.raises(ValueError):
-            factor_mod_p({0: 1, 1: 1}, p=bad)
+    for bad in (4, 6):
+        with pytest.raises(ValueError, match="not prime"):
+            factor_mod_p(linear_ca(GroupSpec((bad,)), {0: 1, 1: 1}))
     with pytest.raises(ValueError):
         permutative_support(linear_ca(GroupSpec((12,)), {0: 1, 1: 1}))
     with pytest.raises(ValueError):
