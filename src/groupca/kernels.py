@@ -12,13 +12,13 @@ codes, the rule applied by the same letter maps (`shifts._periodic_rule`).
 The subgroup shifts that filter levels live in `shifts` and are importable
 from here too.
 
-A linear rule over a prime field Z/p, whose polynomial normalized to P(0) != 0
-has degree k, has ker F^n isomorphic to Z/p[x]/(P^n) as a module over the
-shift, which acts as x.  Its sizes, periods and both density criteria then
-follow from the factorization of P, without enumerating a level
-(`_KernelModule`).  Reading a level's elements still enumerates it.  An
-additive table rule is read as the linear rule it is (`automata.as_laurent`),
-so it takes the same paths.
+A linear rule over Z/p^j with unit extreme coefficients, its polynomial
+normalized to a monic P with P(0) a unit, has ker F^n isomorphic to
+(Z/p^j)[x]/(P^n) as a module over the shift, which acts as x.  Its sizes and
+periods, and over Z/p both density criteria, follow from the factorization of
+P mod p without closing a subgroup (`_KernelModule`).  Reading a level's
+elements still enumerates it.  An additive table rule is read as the linear
+rule it is (`automata.as_laurent`), so it takes the same paths.
 """
 
 from __future__ import annotations
@@ -28,16 +28,18 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
 from . import _lazy
-from .automata import CellularAutomaton, _poly_pow, as_laurent, compose, letters
+from .automata import (CellularAutomaton, _memoized, _poly_divmod, _poly_pow, as_laurent,
+                       compose, letters, linear_ca)
 from .automata import NotAlgebraicError  # noqa: F401  (importable from here too)
 from .groups import (
     CapExceeded,
     Element,
+    GroupSpec,
     Subgroup,
     Word,
     _gl_order,
     _gl_primes,
-    _is_prime,
+    _prime_factors,
     closure_set,
     enumerate_subgroups,
     record,
@@ -156,14 +158,21 @@ def _level(elements: Iterable[PeriodicConfig]) -> KernelLevel:
 
 @record
 class _KernelModule:
-    """The kernel levels of a linear rule over Z/p as the modules
-    Z/p[x]/(P^n), with P = prod f_i^(e_i) over monic irreducibles f_i
-    (`factors`, as pairs (f_i, e_i)).
+    """The kernel levels of a linear rule over Z/q, q = p^j, whose extreme
+    coefficients are units: the modules (Z/q)[x]/(P^n), where P (`poly`,
+    lowest power first) is monic with P(0) a unit, and P mod p =
+    prod f_i^(e_i) over monic irreducibles f_i (`factors`, as pairs
+    (f_i, e_i)).
     """
 
     p: int
-    k: int
+    q: int
+    poly: tuple[int, ...]
     factors: tuple[tuple[tuple[int, ...], int], ...]
+
+    @property
+    def k(self) -> int:
+        return len(self.poly) - 1
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
@@ -171,33 +180,46 @@ class _KernelModule:
 
     @cached_property
     def order(self) -> int:
-        """The x-order of P's squarefree part: the lcm of the orders of x
-        modulo each f_i (Lidl & Niederreiter, Finite Fields, Thm 3.8-3.9)."""
+        """The x-order of P's squarefree part mod p: the lcm of the orders of
+        x modulo each f_i (Lidl & Niederreiter, Finite Fields, Thm 3.8-3.9)."""
         return math.lcm(*(modular._x_order(dict(enumerate(f)), self.p, self.p ** (len(f) - 1) - 1)
                           for f, _ in self.factors))
 
     def size(self, n: int) -> int:
-        return self.p ** (self.k * n)
+        return self.q ** (self.k * n)
 
     def period(self, n: int) -> int:
-        """The order of x modulo P^n: `order` times the least power of p
-        that is at least n times the largest multiplicity."""
+        """The order of x modulo P^n.  Mod p it is e = `order` times the
+        least power of p that is at least n times the largest multiplicity.
+        Over Z/q, x^e is 1 + p(...), whose (q/p)-th power is 1: the order
+        divides e q/p, and `_x_order` strips p from it."""
         if n == 0:
             return 1
         power = 1
         while power < n * max(self.multiplicities):
             power *= self.p
-        return self.order * power
+        if self.q == self.p:
+            return self.order * power
+        return modular._x_order(_poly_pow(dict(enumerate(self.poly)), n, self.q), self.q,
+                                self.order * power * self.q // self.p, [self.p])
 
     @property
     def condition4_m(self) -> int | None:
-        """Where the boundary search succeeds.  The subgroup d generates is
-        the ideal of gcd(d, P^n), so with one factor f^e it is found at m = 0
-        if e = 1 and at m = 1 otherwise; with two or more factors, the
-        product of the other factors' full powers fails at every m."""
+        """Where the boundary search succeeds over Z/p.  The subgroup d
+        generates is the ideal of gcd(d, P^n), so with one factor f^e it is
+        found at m = 0 if e = 1 and at m = 1 otherwise; with two or more
+        factors, the other factors' full powers fail at every m."""
         if len(self.multiplicities) > 1:
             return None
         return 0 if self.multiplicities[0] == 1 else 1
+
+    def annihilators(self, n: int) -> list[dict[int, int]]:
+        """Q_i = P^n / f_i^((n-1)e_i + 1) over Z/p, one per factor.  Level 1
+        is P^(n-1) times level n, so d in level n generates it exactly when
+        gcd(d, P^n) divides P^(n-1): when no Q_i kills d."""
+        power = _poly_pow(dict(enumerate(self.poly)), n, self.p)
+        return [_poly_divmod(power, _poly_pow(dict(enumerate(f)), (n - 1) * e + 1, self.p),
+                             self.p)[0] for f, e in self.factors]
 
     @property
     def proper_ideals(self) -> int:
@@ -206,19 +228,27 @@ class _KernelModule:
         return math.prod(e + 1 for e in self.multiplicities) - 2
 
 
+@_memoized
 def _kernel_module(F: CellularAutomaton, cap: int) -> _KernelModule | None:
-    """The closed form of the kernel tower of the linear rule F: F over a
-    prime field, with smallest-neighborhood width k in 1..MAX_FACTOR_DEGREE
-    and |A|^k within cap (else level 1 is over the cap anyway).  None for
-    every other rule."""
+    """The closed form of the kernel tower of the linear rule F: F over Z/q,
+    q = p^j, with smallest-neighborhood width k in 1..MAX_FACTOR_DEGREE,
+    unit extreme coefficients (always, over Z/p) and |A|^k within cap (else
+    level 1 is over the cap anyway); for j >= 2 the factors are those of
+    its reduction mod p.  None for every other rule.  Kept on F per cap
+    (`_memoized`), so the towers of one rule share it."""
     if F.alphabet.rank != 1:
         return None
-    p = F.alphabet.moduli[0]
-    r, s = F.smallest_neighborhood().neighborhood
+    q, small = F.alphabet.moduli[0], F.smallest_neighborhood()
+    (r, s), primes = small.neighborhood, _prime_factors(q)
+    c = {u: f.matrix[0][0] for u, f in small.coeffs.items()}
     k = s - r
-    if not (k >= 1 and p**k <= cap and _is_prime(p) and k <= modular.MAX_FACTOR_DEGREE):
+    if not (k >= 1 and q**k <= cap and len(primes) == 1 and c[r] * c[s] % primes[0]
+            and k <= modular.MAX_FACTOR_DEGREE):
         return None
-    return _KernelModule(p, k, modular.factor_mod_p(F).factors)
+    p, inv = primes[0], pow(c[s], -1, q)
+    poly = tuple(c.get(r + i, 0) * inv % q for i in range(k + 1))
+    reduced = F if q == p else linear_ca(GroupSpec((p,)), {u: a % p for u, a in c.items()})
+    return _KernelModule(p, q, poly, modular.factor_mod_p(reduced).factors)
 
 
 class KernelTower:
@@ -444,6 +474,21 @@ def _unrestricted(F: CellularAutomaton | KernelTower) -> KernelTower:
     return tw
 
 
+def _annihilated_failures(tw: KernelTower, module: _KernelModule,
+                          n: int) -> tuple[PeriodicConfig, ...]:
+    """The fresh elements of level n, in level order, that some annihilator
+    Q_i(shift) kills, tested once per shift orbit (`_KernelModule`)."""
+    kills = [_periodic_rule(linear_ca(tw.rule.alphabet, Q)) for Q in module.annihilators(n)]
+    zero, lower = tw.rule.alphabet.zero, set(tw.level(n - 1).elements)
+    fails: dict[Word, bool] = {}
+    for d in tw.level(n).elements:
+        w = d.word
+        if w not in fails and d not in lower:
+            bad = any(kill(w) == (zero,) * len(w) for kill in kills)
+            fails.update(dict.fromkeys((w[t:] + w[:t] for t in range(len(w))), bad))
+    return tuple(d for d in tw.level(n).elements if fails.get(d.word))
+
+
 def condition4_search(
     F: CellularAutomaton | KernelTower,
     sigma: SubgroupShiftSpec | None = None,
@@ -454,26 +499,26 @@ def condition4_search(
 
     F may be a kernel tower, whose cap bounds its levels and each closure; a
     rule gets a tower under the default cap.  On a tower with a closed form
-    and the full shift, a found m is read off the factorization.  Otherwise
-    the search fails at every m up to m_max, and only m = m_max, where the
-    failures are taken, is enumerated."""
+    over a prime field and the full shift, a found m is read off the
+    factorization; otherwise only level m_max + 1, where the failures are
+    taken, is enumerated, and its elements are tested by annihilators
+    instead of closures."""
     if m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
     tw = _unrestricted(F)
     sigma = subgroup_shift_on(sigma, tw.automaton.alphabet)
     module = tw.module if isinstance(sigma, FullShift) else None
-    start = 0
-    if module is not None:
+    if module is not None and module.q == module.p:
         m = module.condition4_m
         found = m is not None and m <= m_max
         tw.size(m + 1 if found else m_max + 1)  # the cap checks of the levels it reads
         if found:
             return Condition4Result(True, m, m_max)
-        start = m_max
+        return Condition4Result(False, None, m_max, _annihilated_failures(tw, module, m_max + 1))
     d1 = tw.restricted_level(1, sigma).elements
-    lower = set(tw.level(start).elements)
+    lower = set(tw.level(0).elements)
     failures: list[PeriodicConfig] = []
-    for m in range(start, m_max + 1):
+    for m in range(m_max + 1):
         lvl = tw.coded(m + 1)
         fresh = [d for d in tw.restricted_level(m + 1, sigma).elements if d not in lower]
         verdicts = lvl.generates({lvl.code(x) for x in d1},
@@ -510,7 +555,7 @@ def corollary_ker_check(
     tw = _unrestricted(F)
     sigma = subgroup_shift_on(sigma, tw.automaton.alphabet)
     module = tw.module if isinstance(sigma, FullShift) else None
-    if module is not None:
+    if module is not None and module.q == module.p:
         tw.size(1)  # the cap checks of level 1
         proper = module.proper_ideals
     else:

@@ -351,8 +351,14 @@ class Bernoulli:
 
     @classmethod
     def uniform(cls, alphabet: GroupSpec) -> "Bernoulli":
-        n = alphabet.order
-        return cls(alphabet, {a: Fraction(1, n) for a in alphabet.elements()})
+        """Every letter weighs one shared Fraction(1, |A|), and the run law
+        counts each letter once over |A|."""
+        abc = tuple(alphabet.elements())
+        out = object.__new__(cls)
+        _setfield(out, "alphabet", alphabet)
+        _setfield(out, "weights", dict.fromkeys(abc, Fraction(1, len(abc))))
+        _setfield(out, "_runs", (tuple(((a,), 1) for a in abc), len(abc)))
+        return out
 
     cylinder_prob = _piece_prob
 

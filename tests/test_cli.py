@@ -757,6 +757,8 @@ MEASURES = (
     "assert cesaro_sequence(mu, F, 4, 2).distances_to_uniform\n"
 )
 HAAR_Z2 = {"type": "haar", "sigma": {"type": "full", "alphabet": {"moduli": [2]}}}
+UNIT_ENDED_Z4 = {"alphabet": {"moduli": [4]}, "neighborhood": [0, 1],
+                 "rule": {"type": "linear", "coeffs": {"0": 1, "1": 1}}}
 
 
 def _cli(*argv: str) -> str:
@@ -787,6 +789,8 @@ HYPOTHESES = RULES | {"shifts", "kernels", "modular", "hypotheses"} | _report("h
     (_cli("modular", "--ca", "id_plus_sigma_z2"), RULES | {"modular"} | _report("modular")),
     (_cli("kernel", "--ca", "id_plus_sigma_z2", "--sigma", "ledrappier_kernel_sigma"),
      KERNEL | {"modular"} | _report("kernel")),
+    # 1 + x over Z/4 has unit extreme coefficients: its levels take the closed form
+    (_cli("kernel", "--ca", "z4.json"), KERNEL | {"modular"} | _report("kernel")),
     # a Bernoulli base: no subgroup shift, no cylinder, no hypothesis report
     (_cli("measure", "cesaro", "--measure", "mu.json", "--ca", "id_plus_sigma_z2",
           "--steps", "2"), RULES | {"measures"} | _report("measure")),
@@ -816,7 +820,7 @@ HYPOTHESES = RULES | {"shifts", "kernels", "modular", "hypotheses"} | _report("h
     (_cli("measure", "prob", "--measure", "haar.json", "--word", "[[0],[1]]"),
      RULES | {"configs", "shifts", "measures"} | _report("measure")),
 ], ids=["package", "rules", "measures", "tower", "cli", "cli-examples", "cli-dual",
-        "cli-modular", "cli-kernel", "cli-cesaro", "cli-counterexample", "cli-mc-invariance",
+        "cli-modular", "cli-kernel", "cli-kernel-z4", "cli-cesaro", "cli-counterexample", "cli-mc-invariance",
         "cli-entropy", "cli-analyze", "cli-analyze-class-a", "cli-hypotheses",
         "cli-hypotheses-sampled", "cli-hypotheses-abstract", "cli-prob-haar"])
 def test_each_import_loads_only_the_modules_it_uses(code, loaded, tmp_path):
@@ -828,6 +832,7 @@ def test_each_import_loads_only_the_modules_it_uses(code, loaded, tmp_path):
     (tmp_path / "mu.json").write_text(json.dumps(UNIFORM_Z2))
     (tmp_path / "and.json").write_text(json.dumps(AND_OF_UNIFORM_Z2))
     (tmp_path / "haar.json").write_text(json.dumps(HAAR_Z2))
+    (tmp_path / "z4.json").write_text(json.dumps(UNIT_ENDED_Z4))
     script = code + (
         "\nimport importlib.util, sys\n"
         "lazy = importlib.util._LazyModule\n"

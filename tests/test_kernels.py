@@ -9,12 +9,14 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import groupca
 from groupca.automata import (
     CellularAutomaton,
+    _poly_divmod,
+    _poly_pow,
     as_laurent,
     letters,
     linear_ca,
@@ -43,6 +45,7 @@ from groupca.kernels import (
     LinearKernelShift,
     NotAlgebraicError,
     ProductSubgroup,
+    _kernel_module,
     condition4_search,
     corollary_ker_check,
     kernel_elements,
@@ -879,16 +882,20 @@ Z7 = GroupSpec((7,))
 _MAX_CLOSED_WIDTH = {Z2: 4, Z3: 3, Z5: 3, Z7: 2}
 
 
+def _unit_ended(draw, group, k):
+    """A rule over Z/q of width k whose extreme coefficients are units."""
+    q = group.order
+    unit = st.sampled_from([c for c in range(1, q) if math.gcd(c, q) == 1])
+    coeffs = [draw(unit)] + draw(st.lists(st.integers(0, q - 1), min_size=k - 1,
+                                          max_size=k - 1)) + [draw(unit)]
+    r = draw(st.integers(-2, 0))
+    return linear_ca(group, {r + i: c for i, c in enumerate(coeffs)}, neighborhood=(r, r + k))
+
+
 @st.composite
 def _closed_form_cases(draw):
     group = draw(st.sampled_from(sorted(_MAX_CLOSED_WIDTH, key=lambda g: g.order)))
-    p = group.order
-    k = draw(st.integers(1, _MAX_CLOSED_WIDTH[group]))
-    unit = st.integers(1, p - 1)
-    coeffs = [draw(unit)] + draw(st.lists(st.integers(0, p - 1), min_size=k - 1,
-                                          max_size=k - 1)) + [draw(unit)]
-    r = draw(st.integers(-2, 0))
-    F = linear_ca(group, {r + i: c for i, c in enumerate(coeffs)}, neighborhood=(r, r + k))
+    F = _unit_ended(draw, group, draw(st.integers(1, _MAX_CLOSED_WIDTH[group])))
     return F, draw(st.integers(1, 3)), draw(st.integers(0, 2)), draw(st.integers(1, 300))
 
 
@@ -1023,6 +1030,203 @@ def test_table_towers_walk_nothing_the_closed_form_gives(monkeypatch):
     # 1+x+x^2 is irreducible with x-order 3: p_n = 3 * 2^t with 2^t >= n
     assert [tw.period(n) for n in range(13)] == [1, 3, 6, 12, 12] + [24] * 4 + [48] * 4
     assert len(walks) == 3
+
+
+# -- the closed forms over Z/p^j and the annihilator search -------------------
+
+
+Z8, Z9, Z25 = GroupSpec((8,)), GroupSpec((9,)), GroupSpec((25,))
+# the widest unit-ended rule drawn per ring: the enumeration oracle walks the
+# levels and closes subgroups of the second one
+_MAX_LIFTED_WIDTH = {Z4: 2, Z8: 1, Z9: 1, Z25: 1}
+
+
+@st.composite
+def _lifted_cases(draw):
+    group = draw(st.sampled_from(sorted(_MAX_LIFTED_WIDTH, key=lambda g: g.order)))
+    F = _unit_ended(draw, group, draw(st.integers(1, _MAX_LIFTED_WIDTH[group])))
+    return F, draw(st.integers(1, 3)), draw(st.integers(0, 1)), draw(st.integers(1, 1 << 12))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_lifted_cases())
+@example((linear_ca(Z4, {0: 1, 1: 1}), 3, 1, 1 << 12))
+@example((linear_ca(Z9, {0: 1, 1: 1}), 3, 1, 1 << 12))
+@example((linear_ca(Z8, {-1: 3, 0: 5}), 3, 0, 1 << 12))
+@example((linear_ca(Z25, {0: 2, 1: 7}), 2, 1, 1 << 12))
+@example((linear_ca(Z4, {0: 1, 1: 2, 2: 3}), 3, 1, 1 << 12))
+def test_lifted_closed_form_matches_enumeration(case):
+    import groupca.kernels as kernels
+
+    F, N, m_max, cap = case
+    module = KernelTower(F, cap).module
+    assert (module is not None) == (F.alphabet.order ** (F.width - 1) <= cap)
+    T = table_from_rule(F.alphabet, F.neighborhood, F.local)
+    assert KernelTower(T, cap).module == module
+    with mock.patch.object(kernels, "_kernel_module", return_value=None):
+        enumerated = _closed_form_outcomes(F, N, m_max, cap)
+    assert _closed_form_outcomes(F, N, m_max, cap) == enumerated
+
+
+@st.composite
+def _failing_search_cases(draw):
+    F, _, m_max, _ = draw(_closed_form_cases())
+    module = KernelTower(F).module
+    assume(module.condition4_m is None or module.condition4_m > m_max)
+    return F, m_max
+
+
+@settings(max_examples=40, deadline=None)
+@given(_failing_search_cases())
+@example((linear_ca(Z2, {0: 1, 3: 1}), 2))
+@example((linear_ca(Z2, {0: 1, 1: 1, 2: 1, 3: 1}), 0))
+@example((linear_ca(Z5, {-1: 2, 0: 3, 1: 1}), 1))
+def test_failing_search_by_annihilators_matches_enumeration(case):
+    import groupca.kernels as kernels
+
+    F, m_max = case
+    cap = 1 << 12
+    with mock.patch.object(kernels, "_kernel_module", return_value=None):
+        enumerated = _outcome(condition4_search, KernelTower(F, cap), None, m_max)
+    assert _outcome(condition4_search, KernelTower(F, cap), None, m_max) == enumerated
+
+
+def test_failing_search_on_the_closed_form_closes_nothing(monkeypatch):
+    import groupca.kernels as kernels
+
+    cases = [(linear_ca(Z2, {0: 1, 3: 1}), 1), (linear_ca(Z2, {0: 1, 3: 1}), 2),
+             (linear_ca(Z2, {0: 1, 1: 1, 2: 1, 3: 1}), 0), (linear_ca(Z3, {0: 1, 2: 2}), 1)]
+    with mock.patch.object(kernels, "_kernel_module", return_value=None):
+        enumerated = [condition4_search(F, m_max=m) for F, m in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the failing search closed a subgroup")
+
+    monkeypatch.setattr(kernels, "_CodedLevel", refuse)
+    monkeypatch.setattr(kernels, "closure_set", refuse)
+    assert [condition4_search(F, m_max=m) for F, m in cases] == enumerated
+    assert [len(res.failures) for res in enumerated] == [14, 52, 3, 12]
+
+
+def test_lifted_towers_walk_no_level(monkeypatch):
+    import groupca.kernels as kernels
+
+    walks = []
+    annihilated = kernels._annihilated
+
+    def spy(G, cap):
+        walks.append(G)
+        return annihilated(G, cap)
+
+    monkeypatch.setattr(kernels, "_annihilated", spy)
+    for F in (linear_ca(Z4, {0: 1, 1: 1}), linear_ca(Z8, {0: 3, 1: 1, 2: 5}),
+              linear_ca(Z9, {0: 1, 1: 1}), linear_ca(Z25, {-1: 2, 0: 7, 1: 1})):
+        tw = tower(F, 2, cap=10**6)
+        assert [tw.size(n) for n in range(3)] == [F.alphabet.order ** (n * (F.width - 1))
+                                                  for n in range(3)]
+    assert walks == []
+    # 1 + x over Z/9, twelve levels deep; each period is the order of x
+    # modulo (1 + x)^n over Z/9: x to it is 1, and to each proper divisor is not
+    tw = tower(linear_ca(Z9, {0: 1, 1: 1}), 12, cap=10**40)
+    assert walks == []
+    assert [tw.size(n) for n in range(13)] == [9**n for n in range(13)]
+    for n in range(1, 13):
+        mod = _poly_pow({0: 1, 1: 1}, n, 9)
+        period = tw.period(n)
+        assert _poly_pow({1: 1}, period, 9, mod) == {0: 1}
+        assert all(_poly_pow({1: 1}, period // ell, 9, mod) != {0: 1}
+                   for ell in _prime_factors(period))
+    # a Z/4 rule whose extreme coefficient is no unit is still walked
+    assert KernelTower(linear_ca(Z4, {0: 1, 1: 1, 2: 2})).module is None
+
+
+def _transforms(F, unit, j):
+    """F, its reflection, sigma^j composed with F and unit * F."""
+    c = {u: f.matrix[0][0] for u, f in F.coeffs.items()}
+    q = F.alphabet.order
+    return [F, linear_ca(F.alphabet, {-u: a for u, a in c.items()}),
+            linear_ca(F.alphabet, {u + j: a for u, a in c.items()}),
+            linear_ca(F.alphabet, {u: unit * a % q for u, a in c.items()})]
+
+
+@st.composite
+def _metamorphic_lifted_cases(draw):
+    group = draw(st.sampled_from([Z4, Z8, Z9, Z25]))
+    F = _unit_ended(draw, group, draw(st.integers(1, 3)))
+    q = group.order
+    unit = draw(st.sampled_from([c for c in range(2, q) if math.gcd(c, q) == 1]))
+    return F, unit, draw(st.integers(-3, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_metamorphic_lifted_cases())
+def test_lifted_towers_past_the_cap_agree_on_related_rules(case):
+    values = {repr(_tower_values(G, 12, 10**40)) for G in _transforms(*case)}
+    assert len(values) == 1, values
+
+
+@st.composite
+def _metamorphic_field_cases(draw):
+    F, _, _, _ = draw(_closed_form_cases())
+    assume(len(KernelTower(F).module.factors) >= 2)
+    p = F.alphabet.order
+    unit = draw(st.sampled_from(range(1, p)))
+    return F, unit, draw(st.integers(-3, 3))
+
+
+def _failure_count(F, m_max):
+    res = _outcome(condition4_search, KernelTower(F, 1 << 12), None, m_max)
+    return res if isinstance(res, type) else (res.found, len(res.failures))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_metamorphic_field_cases())
+@example((linear_ca(Z2, {0: 1, 3: 1}), 1, 2))
+def test_failure_counts_agree_on_related_rules(case):
+    for m_max in (1, 2):
+        counts = {_failure_count(G, m_max) for G in _transforms(*case)}
+        assert len(counts) == 1, (m_max, counts)
+
+
+def _poly_gcd(a, b, p):
+    """The monic gcd over Z/p by Euclid's algorithm on `_poly_divmod`: the
+    test-only oracle for a level restricted to a kernel shift."""
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+    inv = pow(a[max(a)], -1, p)
+    return {u: c * inv % p for u, c in a.items()}
+
+
+def _from_zero(F):
+    """F's polynomial, its lowest offset moved to 0."""
+    c = {u: f.matrix[0][0] for u, f in F.coeffs.items()}
+    return {u - min(c): a for u, a in c.items()}
+
+
+@st.composite
+def _kernel_shift_cases(draw):
+    group = draw(st.sampled_from([Z2, Z3, Z5]))
+    F = _unit_ended(draw, group, draw(st.integers(1, 3)))
+    n = draw(st.integers(1, 3))
+    assume(group.order ** (n * (F.width - 1)) <= 1 << 12)
+    G = _unit_ended(draw, group, draw(st.integers(1, 4)))
+    return F, G, n
+
+
+@settings(max_examples=40, deadline=None)
+@given(_kernel_shift_cases())
+@example((linear_ca(Z2, {0: 1, 3: 1}), linear_ca(Z2, {0: 1, 1: 1, 2: 1}), 2))
+@example((linear_ca(Z3, {0: 1, 1: 2, 2: 1}), linear_ca(Z3, {0: 1, 1: 1}), 3))
+@example((linear_ca(Z2, {0: 1, 1: 1}), linear_ca(Z2, {0: 1, 1: 1, 2: 1}), 2))
+def test_a_level_inside_a_kernel_shift_is_the_kernel_of_a_gcd(case):
+    # ker F^n restricted to ker G is ker gcd(P^n, G) over Z/p
+    F, G, n = case
+    p, cap = F.alphabet.order, 1 << 12
+    g = _poly_gcd(_poly_pow(_from_zero(F), n, p), _from_zero(G), p)
+    want = (set(kernel_elements(linear_ca(F.alphabet, g), 1, cap)) if max(g)
+            else {PeriodicConfig.zero(F.alphabet)})
+    restricted = restrict(tower(F, n, cap), LinearKernelShift(G))
+    assert set(restricted.level(n).elements) == want
 
 
 def _additive_oracle(F):
@@ -1166,7 +1370,7 @@ def _derivations_run(calls) -> dict:
     actually ran (a call of the function `_memoized` wraps), by its name and
     the automaton it ran on."""
     wrapped = (CellularAutomaton.smallest_neighborhood, CellularAutomaton.permutativity,
-               as_laurent, factor_mod_p)
+               as_laurent, factor_mod_p, _kernel_module)
     codes = {f.__wrapped__.__code__: f.__name__ for f in wrapped}
     runs: dict = {}
     kept = []  # each automaton stays alive, so its id names it alone
@@ -1195,8 +1399,10 @@ def _derivations_run(calls) -> dict:
 ], ids=["Z5_linear", "Z4_linear", "Z3_additive_table", "Z2xZ2_matrix"])
 def test_one_kernel_job_derives_each_rule_structure_once(F):
     # the three towers of a kernel job and the premises share the rule's
-    # smallest neighborhood, permutativity, linear form and factorization
+    # smallest neighborhood, permutativity, linear form, factorization and
+    # closed form; the unit-ended Z/4 rule factors its reduction mod 2 once
     prime_field = F.alphabet.moduli in ((3,), (5,))
+    unit_ended = F.alphabet.moduli == (4,)
 
     def job():
         tower(F, 2)
@@ -1210,11 +1416,12 @@ def test_one_kernel_job_derives_each_rule_structure_once(F):
     assert runs and max(runs.values()) == 1, runs
     names = {name for name, _ in runs}
     assert {"smallest_neighborhood", "permutativity", "as_laurent"} <= names
-    assert ("factor_mod_p" in names) == prime_field
+    assert ("factor_mod_p" in names) == (prime_field or unit_ended)
     # what is kept on the rule is its derivations, never a level or a verdict
     for G in (F, as_laurent(F)):
         kept = {key[0] for key in G.__dict__["_derived"]}
-        assert kept <= {"smallest_neighborhood", "permutativity", "as_laurent", "factor_mod_p"}
+        assert kept <= {"smallest_neighborhood", "permutativity", "as_laurent", "factor_mod_p",
+                        "_kernel_module"}
     # the same job again derives nothing on the rule; only the powers F^n
     # that each tower composes for its levels are new automata
     ids = {id(F), id(as_laurent(F))}

@@ -86,6 +86,16 @@ def test_bernoulli_cylinder_prob():
     assert biased.cylinder_prob(Cylinder(2, w(0, 0, 1))) == Fraction(9, 64)
 
 
+@pytest.mark.parametrize("moduli", [(d,) for d in range(2, 13)] + [(2, 2)])
+def test_uniform_bernoulli_equals_the_general_constructor(moduli):
+    group = GroupSpec(moduli)
+    mu = Bernoulli.uniform(group)
+    general = Bernoulli(group, {a: Fraction(1, group.order) for a in group.elements()})
+    assert mu == general
+    assert mu.weights == general.weights and list(mu.weights) == list(general.weights)
+    assert mu._runs == general._runs
+
+
 def test_bernoulli_validation():
     with pytest.raises(ValueError):
         Bernoulli(Z2, {(0,): Fraction(1, 2), (1,): Fraction(1, 4)})
