@@ -43,29 +43,6 @@ def _is_prime(n: int) -> bool:
     return _prime_factors(n) == [n]
 
 
-def _gl_order(m: int, r: int) -> int:
-    """|GL_r(Z/m)|, the count of invertible r x r matrices over Z/m: the
-    product over the prime powers p^j exactly dividing m of
-    p^((j-1) r^2) |GL_r(F_p)|."""
-    out = 1
-    for p in _prime_factors(m):
-        pj = math.gcd(m, p ** m.bit_length())  # the power of p exactly dividing m
-        out *= (pj // p) ** (r * r) * math.prod(p**r - p**i for i in range(r))
-    return out
-
-
-def _gl_primes(m: int, r: int) -> list[int]:
-    """The distinct primes of |GL_r(Z/m)|, factoring each p^i - 1 (i <= r) of
-    the product on its own rather than the product's second-largest prime."""
-    primes = set()
-    for p in _prime_factors(m):
-        if r > 1 or m % (p * p) == 0:
-            primes.add(p)
-        for i in range(1, r + 1):
-            primes.update(_prime_factors(p**i - 1))
-    return sorted(primes)
-
-
 # -- frozen records ----------------------------------------------------------
 
 _setfield = object.__setattr__  # how a record's own __init__ stores each field

@@ -37,8 +37,6 @@ from .groups import (
     GroupSpec,
     Subgroup,
     Word,
-    _gl_order,
-    _gl_primes,
     _prime_factors,
     closure_set,
     enumerate_subgroups,
@@ -180,21 +178,28 @@ class _KernelModule:
 
     @cached_property
     def order(self) -> int:
-        """The x-order of P's squarefree part mod p: the lcm of the orders of
-        x modulo each f_i (Lidl & Niederreiter, Finite Fields, Thm 3.8-3.9)."""
-        return math.lcm(*(modular._x_order(dict(enumerate(f)), self.p, self.p ** (len(f) - 1) - 1)
-                          for f, _ in self.factors))
+        """The x-order of P's squarefree part mod p, the lcm of the orders of
+        x modulo each f_i: the order of x modulo P mod p (`modular._order_of_x`)
+        with its powers of p divided out, as each of those orders divides
+        p^deg(f_i) - 1 (Lidl & Niederreiter, Finite Fields, Thm 3.8-3.9)."""
+        order = modular._order_of_x(tuple(c % self.p for c in self.poly), self.p)
+        while order % self.p == 0:
+            order //= self.p
+        return order
 
     def size(self, n: int) -> int:
         return self.q ** (self.k * n)
 
     def period(self, n: int) -> int:
-        """The order of x modulo P^n.  Mod p it is e = `order` times the
-        least power of p that is at least n times the largest multiplicity.
-        Over Z/q, x^e is 1 + p(...), whose (q/p)-th power is 1: the order
-        divides e q/p, and `_x_order` strips p from it."""
+        """The order of x modulo P^n.  Level 1's is `modular._order_of_x` of
+        (P, q), the value `KernelRecurrence.matrix_order` reads.  Mod p it is
+        e = `order` times the least power of p that is at least n times the
+        largest multiplicity.  Over Z/q, x^e is 1 + p(...), whose (q/p)-th
+        power is 1: the order divides e q/p, and `_x_order` strips p from it."""
         if n == 0:
             return 1
+        if n == 1:
+            return modular._order_of_x(self.poly, self.q)
         power = 1
         while power < n * max(self.multiplicities):
             power *= self.p
@@ -592,14 +597,15 @@ class KernelRecurrence:
 
         The matrix is multiplication by x on the free module Z/m[x]/(P), for
         the monic P = x^k - sum_j matrix[0][j] x^(k-1-j) whose constant term
-        is a unit, so its order is the order of x modulo P.  That order
-        divides |GL_k(Z/m)|, whose prime factors `_x_order` divides out;
-        they come from the factors p^i - 1 of that product, one at a time.
+        is a unit, so its order is the order of x modulo P: read from the
+        squarefree and distinct-degree factorization of P over each prime of
+        m (`modular._order_of_x`), which the closed-form tower of the same P
+        has cached, and checked here to take x to 1.
         """
-        m, k = self.modulus, self.width
-        f = {i: -c % m for i, c in enumerate(reversed(self.matrix[0]))} | {k: 1}
-        order = modular._x_order(f, m, _gl_order(m, k), _gl_primes(m, k))
-        if _poly_pow({1: 1}, order, m, f) != {0: 1}:
+        m = self.modulus
+        poly = tuple(-c % m for c in reversed(self.matrix[0])) + (1,)
+        order = modular._order_of_x(poly, m)
+        if _poly_pow({1: 1}, order, m, dict(enumerate(poly))) != {0: 1}:
             raise AssertionError("order reduction failed")
         return order
 

@@ -2,14 +2,16 @@
 
 Covers the unit-coefficient support, the bipermutative power, the Frobenius
 congruence for polynomial powers, the order of x modulo a monic polynomial
-over Z/m that gives every kernel shift period, and polynomial factorization
-over prime fields with the kernel direct sum check.  Each rule is read
+over Z/m that gives every kernel shift period (from its squarefree and
+distinct-degree factorization over each prime field), and polynomial
+factorization over prime fields with the kernel direct sum check.  Each rule is read
 through its linear form (`automata.as_laurent`), so an additive table counts
 as the linear rule it equals.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from .automata import (CellularAutomaton, _memoized, _poly_divmod, _poly_pow, as_laurent,
@@ -101,17 +103,91 @@ def frobenius_congruence_check(
 
 # -- the order of x, factorization over prime fields ----------------------------
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound, the
+# least strong pseudoprime to all of them (Sorenson & Webster, Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime_mr(n: int) -> bool:
+    """Whether n is prime, by Miller-Rabin to the bases `_MR_BASES`.  A base
+    that refutes n proves it composite at any size; an n past `_MR_BOUND`
+    that no base refutes raises CapExceeded."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        y = pow(b, d, n)
+        if y == 1 or y == n - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_BOUND:
+        raise CapExceeded(f"primality of {n} is past the Miller-Rabin bound {_MR_BOUND}")
+    return True
+
+
+def _split(n: int) -> int:
+    """A proper divisor of an odd composite n, by Brent's variant of Pollard's
+    rho: y -> y^2 + c from y = 2, compared with its value at the last power of
+    two steps, for c = 1, 2, ... until one splits n."""
+    for c in itertools.count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = math.gcd(x - y, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
+
+
+def _primes_of(n: int) -> list[int]:
+    """The distinct primes of n >= 1: trial division below 2^10, then what is
+    left split by `_split` until `_is_prime_mr` holds of every piece.  So a
+    multiple p^d - 1 with a large prime factor (2^61 - 1 is one) is answered
+    in milliseconds."""
+    primes, d = set(), 2
+    while d < 1024 and d * d <= n:
+        if n % d == 0:
+            primes.add(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    pending = [n] if n > 1 else []
+    while pending:
+        n = pending.pop()
+        if _is_prime_mr(n):
+            primes.add(n)
+        else:
+            g = _split(n)
+            pending += [g, n // g]
+    return sorted(primes)
+
 
 def _x_order(f: dict[int, int], m: int, bound: int,
              primes: list[int] | None = None) -> int:
     """Multiplicative order of x modulo a monic f over Z/m with f(0) a unit,
-    found from `bound`, a multiple of it: for instance |GL_deg(f)(Z/m)|, as
-    x acts invertibly on the free module Z/m[x]/(f), or p^deg(f) - 1 for an
-    irreducible f over a prime field.  Each of `primes` (by default those of
-    `bound`) costs one full exponentiation and one raising to that prime per
-    power the order keeps."""
+    found from `bound`, a multiple of it: p^d - 1 for a product of distinct
+    irreducibles of degree d over Z/p, or e p^(j-1) over Z/p^j for e the
+    order mod p, with `primes` [p].  Each of `primes` (by default those of
+    `bound`, `_primes_of`) costs one full exponentiation and one raising to
+    that prime per power the order keeps; with `primes` given, the order
+    must share the part of `bound` prime to them."""
     order = bound
-    for ell in _prime_factors(bound) if primes is None else primes:
+    for ell in _primes_of(bound) if primes is None else primes:
         v = 0  # strip ell from the multiple, then restore the powers x needs
         while order % ell == 0:
             order, v = order // ell, v + 1
@@ -119,6 +195,83 @@ def _x_order(f: dict[int, int], m: int, bound: int,
         while y != {0: 1} and v:
             y, order, v = _poly_pow(y, ell, m, f), order * ell, v - 1
     return order
+
+
+def _gcd(a: dict[int, int], b: dict[int, int], p: int) -> dict[int, int]:
+    """The monic gcd of a nonzero a and b over Z/p, by Euclid's algorithm."""
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+    inv = pow(a[max(a)], -1, p)
+    return {u: c * inv % p for u, c in a.items()}
+
+
+def _squarefree_parts(f: dict[int, int], p: int) -> list[tuple[dict[int, int], int]]:
+    """Yun's squarefree decomposition of a monic f over Z/p: pairs (a_i, i)
+    of monic, squarefree, pairwise coprime a_i of degree >= 1 with f =
+    prod a_i^i.  gcd(f, f') keeps each factor's multiplicity less one, except
+    those divisible by p, which it keeps whole; what is left of it after the
+    loop is a p-th power g(x^p) = g(x)^p, decomposed in turn (the p-th-root
+    step, which is all of f when f' = 0)."""
+    parts, i = [], 1
+    c = _gcd(f, {u - 1: r for u, a in f.items() if (r := u * a % p)}, p)
+    w = _poly_divmod(f, c, p)[0]
+    while max(w):
+        y = _gcd(w, c, p)
+        if max(w) > max(y):
+            parts.append((_poly_divmod(w, y, p)[0], i))
+        c, w, i = _poly_divmod(c, y, p)[0], y, i + 1
+    if max(c):
+        root = {u // p: a for u, a in c.items()}
+        parts += [(a, e * p) for a, e in _squarefree_parts(root, p)]
+    return parts
+
+
+def _distinct_degree(g: dict[int, int], p: int) -> list[tuple[dict[int, int], int]]:
+    """The distinct-degree factorization of a monic squarefree g over Z/p:
+    pairs (h_d, d), h_d the product of g's irreducible factors of degree d,
+    which gcd(g, x^(p^d) - x) holds once the lower degrees are divided out
+    (Lidl & Niederreiter, Finite Fields, Thm 3.20)."""
+    parts, h, d = [], {1: 1}, 0
+    while 2 * (d + 1) <= max(g):
+        d += 1
+        h = _poly_pow(h, p, p, g)  # x^(p^d) mod g
+        t = _gcd(g, {u: r for u, c in (h | {1: h.get(1, 0) - 1}).items() if (r := c % p)}, p)
+        if max(t):
+            parts.append((t, d))
+            g = _poly_divmod(g, t, p)[0]
+            h = _poly_divmod(h, g, p)[1]
+    if max(g):
+        parts.append((g, max(g)))
+    return parts
+
+
+@functools.lru_cache(maxsize=256)
+def _order_of_x(poly: tuple[int, ...], m: int) -> int:
+    """The order of x modulo the monic f = sum poly[i] x^i over Z/m, f(0) a
+    unit: the shift period of the free module (Z/m)[x]/(f).  Over Z/p, with
+    f = prod a_i^i (`_squarefree_parts`) and each a_i the product of its
+    h_d (`_distinct_degree`), x's order mod h_d divides p^d - 1, and mod f
+    it is the lcm of those orders times the least p^t >= the largest i
+    (Lidl & Niederreiter, Finite Fields, Thm 3.8-3.9).  Over Z/p^j, x to
+    the order e mod p is 1 + p(...), whose p^(j-1)-th power is 1, so
+    `_x_order` descends from e p^(j-1) by p alone; over a composite m it is
+    the lcm over the prime powers exactly dividing m.  Memoized by
+    (poly, m): the closed-form tower and `matrix_order` read one value."""
+    f = {u: r for u, c in enumerate(poly) if (r := c % m)}
+    primes = _prime_factors(m)
+    if len(primes) > 1:
+        return math.lcm(*(_order_of_x(tuple(c % q for c in poly), q)
+                          for q in (math.gcd(m, p ** m.bit_length()) for p in primes)))
+    p = primes[0]
+    if m > p:
+        return _x_order(f, m, _order_of_x(tuple(c % p for c in poly), p) * m // p, [p])
+    order, power = 1, 1
+    for part, i in _squarefree_parts(f, p):
+        while power < i:
+            power *= p
+        for h, d in _distinct_degree(part, p):
+            order = math.lcm(order, _x_order(h, p, p**d - 1))
+    return order * power
 
 
 @record

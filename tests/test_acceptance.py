@@ -18,7 +18,7 @@ from groupca.class_a import dual_ca, verify_conjugacy
 from groupca.specs import bundled_spec, load_ca
 from groupca.configs import PeriodicConfig
 from groupca.entropy import entropy_report
-from groupca.groups import Character, GroupSpec, Subgroup, _gl_order, closure_set
+from groupca.groups import Character, GroupSpec, Subgroup, closure_set
 from groupca.kernels import (
     FullShift,
     ProductSubgroup,
@@ -38,6 +38,7 @@ from groupca.measures import (
     invariance_check,
 )
 from groupca.modular import bipermutative_power, permutative_support
+from test_kernels import _gl_order
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))

@@ -29,8 +29,6 @@ from groupca.groups import (
     CapExceeded,
     GroupSpec,
     Subgroup,
-    _gl_order,
-    _gl_primes,
     _prime_factors,
     closure_set,
     subgroup_closure,
@@ -53,7 +51,7 @@ from groupca.kernels import (
     restrict,
     tower,
 )
-from groupca.modular import factor_mod_p
+from groupca.modular import _order_of_x, _x_order, factor_mod_p
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
@@ -450,6 +448,58 @@ def _matrix_order_oracle(rec):
         )
         order += 1
     return order
+
+
+def _gl_order(m, r):
+    """|GL_r(Z/m)|, the count of invertible r x r matrices over Z/m: the
+    product over the prime powers p^j exactly dividing m of
+    p^((j-1) r^2) |GL_r(F_p)|.  A companion matrix over Z/m lies in it, so
+    its order, the order of x modulo its polynomial, divides it."""
+    out = 1
+    for p in _prime_factors(m):
+        pj = math.gcd(m, p ** m.bit_length())  # the power of p exactly dividing m
+        out *= (pj // p) ** (r * r) * math.prod(p**r - p**i for i in range(r))
+    return out
+
+
+def _gl_primes(m, r):
+    """The distinct primes of |GL_r(Z/m)|, factoring each p^i - 1 (i <= r) of
+    the product on its own rather than the product's second-largest prime."""
+    primes = set()
+    for p in _prime_factors(m):
+        if r > 1 or m % (p * p) == 0:
+            primes.add(p)
+        for i in range(1, r + 1):
+            primes.update(_prime_factors(p**i - 1))
+    return sorted(primes)
+
+
+@st.composite
+def _unit_constant_monics(draw):
+    """Monic f over Z/m of degree 1..12 with f(0) a unit, as a coefficient
+    tuple lowest power first, with m."""
+    m = draw(st.sampled_from((2, 3, 4, 5, 6, 8, 9, 10, 12, 18, 25, 27)))
+    k = draw(st.integers(1, 12))
+    units = [c for c in range(1, m) if math.gcd(c, m) == 1]
+    middle = draw(st.lists(st.integers(0, m - 1), min_size=k - 1, max_size=k - 1))
+    return (draw(st.sampled_from(units)), *middle, 1), m
+
+
+@settings(max_examples=100, deadline=None)
+@given(_unit_constant_monics())
+@example(((1, 0, 1), 2))  # (1 + x)^2: the p-th-root step alone
+@example(((1, 1, 1, 1, 1, 1), 2))  # (1 + x + x^2)^2 (1 + x): the p-th-root step and Yun's loop
+@example(((1, 0, 0, 1), 3))  # (1 + x)^3
+@example(((1, 3, 2, 1), 27))
+@example(((3, 7, 4, 7, 7, 1), 10))  # P of the Z/10 rule whose order is 96,844
+def test_order_of_x_matches_the_gl_multiple(case):
+    poly, m = case
+    f = {u: c for u, c in enumerate(poly) if c}
+    k = len(poly) - 1
+    order = _order_of_x(poly, m)
+    assert order == _x_order(f, m, _gl_order(m, k), _gl_primes(m, k))
+    assert _poly_pow({1: 1}, order, m, f) == {0: 1}
+    assert all(_poly_pow({1: 1}, order // ell, m, f) != {0: 1} for ell in _prime_factors(order))
 
 
 @st.composite
@@ -1344,8 +1394,9 @@ def test_gl_primes_are_the_primes_of_the_gl_order():
 
 
 def test_matrix_order_past_width_37_returns():
-    # |GL_37(F_2)| has the factor 2^37 - 1 = 223 * 616318177; trial division
-    # of the whole product would run to 616318177, so run it with a timeout
+    # 1 + x + x^37 has irreducible factors of degrees 18 and 19 over Z/2, and
+    # the order of x is found from 2^18 - 1 and 2^19 - 1; a multiple as large
+    # as |GL_37(F_2)| took seconds, so run it with a timeout
     script = (
         "from groupca.automata import _poly_pow, linear_ca\n"
         "from groupca.groups import GroupSpec, _prime_factors\n"
@@ -1363,6 +1414,26 @@ def test_matrix_order_past_width_37_returns():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) == 137_438_167_041
+
+
+def test_matrix_order_of_a_degree_61_irreducible_returns():
+    # 1 + x + x^2 + x^5 + x^61 is irreducible over Z/2, so the order of x
+    # divides the prime 2^61 - 1, which trial division would run to
+    # 1.5 * 10^9 to factor; so run it with a timeout
+    script = (
+        "from groupca.automata import _poly_pow, linear_ca\n"
+        "from groupca.groups import GroupSpec\n"
+        "from groupca.kernels import recurrence_matrix\n"
+        "F = linear_ca(GroupSpec((2,)), {0: 1, 1: 1, 2: 1, 5: 1, 61: 1})\n"
+        "order = recurrence_matrix(F).matrix_order()\n"
+        "assert _poly_pow({1: 1}, order, 2, {0: 1, 1: 1, 2: 1, 5: 1, 61: 1}) == {0: 1}\n"
+        "print(order)\n"
+    )
+    src = str(Path(groupca.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == 2**61 - 1
 
 
 def _derivations_run(calls) -> dict:

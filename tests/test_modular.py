@@ -4,20 +4,25 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupca.automata import (NotAlgebraicError, _poly_divmod, _poly_mul, _poly_pow, as_laurent,
                               linear_ca, table_from_rule)
-from groupca.groups import GroupSpec, _gl_order
+from groupca.groups import CapExceeded, GroupSpec, _prime_factors
 from groupca.kernels import kernel_elements, recurrence_matrix
 from groupca.modular import (
+    _distinct_degree,
+    _gcd,
+    _primes_of,
+    _squarefree_parts,
     bipermutative_power,
     factor_mod_p,
     frobenius_congruence_check,
     kernel_direct_sum_check,
     permutative_support,
 )
+from test_kernels import _gl_order
 
 Z2 = GroupSpec((2,))
 Z4 = GroupSpec((4,))
@@ -250,6 +255,63 @@ def test_prime_checks_reject_small_composite_and_prime_power_moduli():
     sup = permutative_support(linear_ca(Z8, {0: 1, 1: 2, 2: 3}))
     assert (sup.p, sup.k, sup.offsets) == (2, 3, (0, 2))
     assert _gl_order(3, 2) == 48
+
+
+@st.composite
+def _monic_unit_constant(draw):
+    """A monic f over Z/p, p in (2, 3, 5), of degree 1..8 with f(0) != 0."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    k = draw(st.integers(1, 8))
+    low = draw(st.lists(st.integers(0, p - 1), min_size=k - 1, max_size=k - 1))
+    poly = (draw(st.integers(1, p - 1)), *low, 1)
+    return {u: c for u, c in enumerate(poly) if c}, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_monic_unit_constant())
+@example(({0: 1, 2: 1}, 2))  # (1 + x)^2 over Z/2: f' = 0, the p-th-root step alone
+@example(({0: 1, 3: 1}, 3))  # (1 + x)^3 over Z/3
+@example(({0: 1, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1}, 2))  # (1 + x + x^2)^2 (1 + x) over Z/2
+def test_squarefree_and_distinct_degree_parts_match_trial_division(case):
+    f, p = case
+    trial = factor_mod_p(linear_ca(GroupSpec((p,)), f)).factors
+    parts = _squarefree_parts(f, p)
+    whole = {0: 1}
+    for part, i in parts:
+        pieces = _distinct_degree(part, p)
+        product = {0: 1}
+        for h, d in pieces:
+            # each h_d is the product of the trial-division factors of degree d in it
+            inside = [g for g, _ in trial if not _poly_divmod(h, dict(enumerate(g)), p)[1]]
+            assert inside and all(len(g) - 1 == d for g in inside)
+            product = _poly_mul(product, h, p)
+        assert product == part
+        # Yun's multiplicity is the trial-division one of every factor in the part
+        assert all(e == i for g, e in trial if not _poly_divmod(part, dict(enumerate(g)), p)[1])
+        whole = _poly_mul(whole, _poly_pow(part, i, p), p)
+    assert whole == f
+
+
+def test_gcd_over_a_prime_field():
+    # (1 + x)(1 + x + x^2) and (1 + x)^2 over Z/2 share 1 + x
+    assert _gcd({0: 1, 3: 1}, {0: 1, 2: 1}, 2) == {0: 1, 1: 1}
+    # coprime: 1; and a zero second argument gives the first made monic
+    assert _gcd({0: 1, 1: 1, 2: 1}, {0: 1, 1: 1}, 2) == {0: 1}
+    assert _gcd({0: 2, 1: 4}, {}, 5) == {0: 3, 1: 1}
+
+
+def test_primes_of_large_multiples_match_trial_division():
+    assert all(_primes_of(n) == _prime_factors(n) for n in range(1, 5000))
+    # 2^61 - 1 is prime; 2^67 - 1 = 193707721 * 761838257287 (Cole, 1903)
+    assert _primes_of(2**61 - 1) == [2**61 - 1]
+    assert _primes_of(2**67 - 1) == [193_707_721, 761_838_257_287]
+    assert _primes_of(3 * 1_000_003**2 * 1_000_033) == [3, 1_000_003, 1_000_033]
+    # a composite past the bound Miller-Rabin is exact below is still refuted
+    # and split; the Mersenne prime 2^89 - 1, past it, is refused
+    primes = [1031, 1033, 1039, 1049, 1051, 1061, 1063, 1069, 1087]
+    assert math.prod(primes) > 3.3e24 and _primes_of(math.prod(primes)) == primes
+    with pytest.raises(CapExceeded, match="Miller-Rabin bound"):
+        _primes_of(2**89 - 1)
 
 
 def test_kernel_direct_sum_examples():
