@@ -236,10 +236,10 @@ class _KernelModule:
 @_memoized
 def _kernel_module(F: CellularAutomaton, cap: int) -> _KernelModule | None:
     """The closed form of the kernel tower of the linear rule F: F over Z/q,
-    q = p^j, with smallest-neighborhood width k in 1..MAX_FACTOR_DEGREE,
-    unit extreme coefficients (always, over Z/p) and |A|^k within cap (else
-    level 1 is over the cap anyway); for j >= 2 the factors are those of
-    its reduction mod p.  None for every other rule.  Kept on F per cap
+    q = p^j, with smallest-neighborhood width k >= 1, unit extreme
+    coefficients (always, over Z/p) and |A|^k within cap (else level 1 is
+    over the cap anyway); for j >= 2 the factors are those of its
+    reduction mod p.  None for every other rule.  Kept on F per cap
     (`_memoized`), so the towers of one rule share it."""
     if F.alphabet.rank != 1:
         return None
@@ -247,8 +247,7 @@ def _kernel_module(F: CellularAutomaton, cap: int) -> _KernelModule | None:
     (r, s), primes = small.neighborhood, _prime_factors(q)
     c = {u: f.matrix[0][0] for u, f in small.coeffs.items()}
     k = s - r
-    if not (k >= 1 and q**k <= cap and len(primes) == 1 and c[r] * c[s] % primes[0]
-            and k <= modular.MAX_FACTOR_DEGREE):
+    if not (k >= 1 and q**k <= cap and len(primes) == 1 and c[r] * c[s] % primes[0]):
         return None
     p, inv = primes[0], pow(c[s], -1, q)
     poly = tuple(c.get(r + i, 0) * inv % q for i in range(k + 1))

@@ -1,12 +1,12 @@
 """Structure lemmas for linear rules over prime-power cyclic alphabets.
 
 Covers the unit-coefficient support, the bipermutative power, the Frobenius
-congruence for polynomial powers, the order of x modulo a monic polynomial
-over Z/m that gives every kernel shift period (from its squarefree and
-distinct-degree factorization over each prime field), and polynomial
-factorization over prime fields with the kernel direct sum check.  Each rule is read
-through its linear form (`automata.as_laurent`), so an additive table counts
-as the linear rule it equals.
+congruence for polynomial powers, and one factorization over prime fields
+(squarefree, distinct-degree, then equal-degree parts): the order of x modulo
+a monic polynomial over Z/m, which gives every kernel shift period, reads its
+first two steps, and `factor_mod_p` and the kernel direct sum check all three.
+Each rule is read through its linear form (`automata.as_laurent`), so an
+additive table counts as the linear rule it equals.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import math
 from .automata import (CellularAutomaton, _memoized, _poly_divmod, _poly_pow, as_laurent,
                        linear_ca, power)
 from .groups import CapExceeded, GroupSpec, _is_prime, _prime_factors, record
-
-MAX_FACTOR_DEGREE = 8
 
 
 def _scalar_coeffs(F: CellularAutomaton | dict) -> dict[int, int]:
@@ -197,6 +195,11 @@ def _x_order(f: dict[int, int], m: int, bound: int,
     return order
 
 
+def _add(a: dict[int, int], b: dict[int, int], p: int) -> dict[int, int]:
+    """The sum of two polynomials over Z/p."""
+    return {u: r for u in a.keys() | b.keys() if (r := (a.get(u, 0) + b.get(u, 0)) % p)}
+
+
 def _gcd(a: dict[int, int], b: dict[int, int], p: int) -> dict[int, int]:
     """The monic gcd of a nonzero a and b over Z/p, by Euclid's algorithm."""
     while b:
@@ -235,7 +238,7 @@ def _distinct_degree(g: dict[int, int], p: int) -> list[tuple[dict[int, int], in
     while 2 * (d + 1) <= max(g):
         d += 1
         h = _poly_pow(h, p, p, g)  # x^(p^d) mod g
-        t = _gcd(g, {u: r for u, c in (h | {1: h.get(1, 0) - 1}).items() if (r := c % p)}, p)
+        t = _gcd(g, _add(h, {1: -1}, p), p)
         if max(t):
             parts.append((t, d))
             g = _poly_divmod(g, t, p)[0]
@@ -243,6 +246,29 @@ def _distinct_degree(g: dict[int, int], p: int) -> list[tuple[dict[int, int], in
     if max(g):
         parts.append((g, max(g)))
     return parts
+
+
+def _equal_degree(h: dict[int, int], d: int, p: int) -> list[dict[int, int]]:
+    """The monic irreducible factors of a monic squarefree h over Z/p, all of
+    degree d, by Berlekamp's trace algorithm (Math. Comp. 24, 1970).  Modulo
+    each of h's r factors the trace t = sum_(i<d) x^(j p^i) mod h lies in
+    Z/p.  The trace map onto (Z/p)^r is onto and the x^j, j < deg h, span
+    Z/p[x]/(h), so for r >= 2 some j in 1 .. deg h - 1 gives a t that is not
+    constant, and gcd(h, t + c), for odd p after gcd(h, (t + c)^((p-1)/2) - 1),
+    splits h for some c in 0 .. p - 1.  No step is random."""
+    if max(h) == d:
+        return [h]
+    for j in range(1, max(h)):
+        a = t = _poly_divmod({j: 1}, h, p)[1]
+        for _ in range(d - 1):
+            a = _poly_pow(a, p, p, h)
+            t = _add(t, a, p)
+        for c in range(p if max(t, default=0) else 0):  # a constant t splits nothing
+            s = _add(t, {0: c}, p)
+            for u in (_add(_poly_pow(s, (p - 1) // 2, p, h), {0: -1}, p), s):  # 0 for p = 2
+                if 0 < max(g := _gcd(h, u, p)) < max(h):
+                    return _equal_degree(g, d, p) + _equal_degree(_poly_divmod(h, g, p)[0], d, p)
+    raise AssertionError("no trace splits h")  # unreachable, by the argument above
 
 
 @functools.lru_cache(maxsize=256)
@@ -296,48 +322,23 @@ class Factorization:
 
 @_memoized
 def factor_mod_p(F: CellularAutomaton) -> Factorization:
-    """Factor the linear form of a rule over Z/p into monic irreducibles by
-    trial division of increasing degree.
-
-    Degrees are capped at 8: candidates found in increasing degree order are
-    automatically irreducible because all smaller factors were removed first.
-    The factorization is kept on the automaton (`_memoized`).
-    """
-    p = F.alphabet.moduli[0]
-    coeffs = _scalar_coeffs(F)
+    """Factor the linear form of a rule over Z/p into monic irreducibles of any
+    degree (`_squarefree_parts`, `_distinct_degree`, `_equal_degree`), sorted by
+    degree, then coefficients lowest power first; kept on F (`_memoized`)."""
+    p, coeffs = F.alphabet.moduli[0], _scalar_coeffs(F)
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     coeffs = {u: c % p for u, c in coeffs.items() if c % p}
     if not coeffs:
         raise ValueError("zero polynomial")
-    shift, top = min(coeffs), max(coeffs)
-    if top - shift > MAX_FACTOR_DEGREE:
-        raise ValueError(f"degree {top - shift} exceeds the factorization cap {MAX_FACTOR_DEGREE}")
-    unit = coeffs[top]
+    shift, unit = min(coeffs), coeffs[max(coeffs)]
     inv = pow(unit, -1, p)
     rem = {u - shift: c * inv % p for u, c in coeffs.items()}
-    factors: list[tuple[tuple[int, ...], int]] = []
-    d = 1
-    while max(rem) > 0:
-        if 2 * d > max(rem):
-            factors.append((tuple(rem.get(i, 0) for i in range(max(rem) + 1)), 1))
-            break
-        # rem(0) != 0, so a candidate with a zero constant term cannot divide
-        for low in itertools.product(range(1, p), *[range(p)] * (d - 1)):
-            cand = low + (1,)
-            den = dict(enumerate(cand))
-            mult = 0
-            while max(rem) >= d:
-                quot, r = _poly_divmod(rem, den, p)
-                if r:
-                    break
-                rem = quot
-                mult += 1
-            if mult:
-                factors.append((cand, mult))
-            if max(rem) < 2 * d:
-                break
-        d += 1
+    factors = sorted(((tuple(f.get(u, 0) for u in range(d + 1)), i)
+                      for part, i in _squarefree_parts(rem, p)
+                      for h, d in _distinct_degree(part, p)
+                      for f in _equal_degree(h, d, p)),
+                     key=lambda fi: (len(fi[0]), fi[0]))
     return Factorization(p, shift, unit, tuple(factors))
 
 

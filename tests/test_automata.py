@@ -260,7 +260,7 @@ def test_a_refused_derivation_is_refused_again():
             as_laurent(T)
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
-    for F, message in ((linear_ca(Z2, {0: 1, 9: 1}), "exceeds the factorization cap"),
+    for F, message in ((linear_ca(GroupSpec((6,)), {0: 1, 1: 1}), "6 is not prime"),
                        (linear_ca(Z3, {0: 3}, neighborhood=(0, 1)), "zero polynomial")):
         for _ in range(2):
             with pytest.raises(ValueError, match=message):

@@ -984,6 +984,8 @@ def _closed_form_outcomes(F, N, m_max, cap):
 @example((linear_ca(Z2, {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}), 3, 2, 300))
 # the cap admits level 1 only
 @example((linear_ca(Z3, {0: 1, 2: 2}), 3, 2, 9))
+# width 9: an irreducible factor past the degree trial division reached
+@example((linear_ca(Z2, {0: 1, 1: 1, 9: 1}), 1, 0, 2**10))
 def test_closed_form_matches_enumeration_of_the_table_form(case):
     import groupca.kernels as kernels
 
@@ -1240,7 +1242,8 @@ def test_failure_counts_agree_on_related_rules(case):
 
 def _poly_gcd(a, b, p):
     """The monic gcd over Z/p by Euclid's algorithm on `_poly_divmod`: the
-    test-only oracle for a level restricted to a kernel shift."""
+    test-only oracle for a level restricted to a kernel shift, and for
+    Rabin's irreducibility test in `test_modular`."""
     while b:
         a, b = b, _poly_divmod(a, b, p)[1]
     inv = pow(a[max(a)], -1, p)

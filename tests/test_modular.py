@@ -1,7 +1,9 @@
 """Prime-power structure lemmas and prime-field factorization."""
 
+import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +24,7 @@ from groupca.modular import (
     kernel_direct_sum_check,
     permutative_support,
 )
-from test_kernels import _gl_order
+from test_kernels import _gl_order, _poly_gcd
 
 Z2 = GroupSpec((2,))
 Z4 = GroupSpec((4,))
@@ -239,9 +241,23 @@ def test_factor_multiplicity_structure():
     assert set(f.factors) == {((1, 1), 3), ((1, 1, 1), 1)}
 
 
-def test_factor_degree_cap():
-    with pytest.raises(ValueError):
-        factor_mod_p(linear_ca(Z2, {0: 1, 9: 1}))
+def test_factor_past_degree_8():
+    # 1 + x^9 = (1 + x)(1 + x + x^2)(1 + x^3 + x^6) over Z/2: no degree is refused
+    f = factor_mod_p(linear_ca(Z2, {0: 1, 9: 1}))
+    assert f.factors == (((1, 1), 1), ((1, 1, 1), 1), ((1, 0, 0, 1, 0, 0, 1), 1))
+    assert factor_mod_p(linear_ca(Z2, {0: 1, 1: 1, 9: 1})).factors == (
+        ((1, 1) + (0,) * 7 + (1,), 1),)
+
+
+@pytest.mark.parametrize("roots", [(1, 2), (500_000, 7)])
+def test_factor_over_a_large_prime_field(roots):
+    # (x - a)(x - b) over Z/1,000,003: the trace splits it in a few steps
+    p = 1_000_003
+    a, b = roots
+    start = time.perf_counter()
+    f = factor_mod_p(linear_ca(GroupSpec((p,)), {0: a * b % p, 1: -(a + b) % p, 2: 1}))
+    assert time.perf_counter() - start < 1
+    assert f.factors == tuple(sorted((((-r % p, 1), 1) for r in roots)))
 
 
 def test_prime_checks_reject_small_composite_and_prime_power_moduli():
@@ -257,11 +273,59 @@ def test_prime_checks_reject_small_composite_and_prime_power_moduli():
     assert _gl_order(3, 2) == 48
 
 
+def _trial_division(f, p):
+    """Oracle: the monic irreducible factors of a monic f over Z/p with f(0)
+    != 0 and degree at most 8, with multiplicities, by trial division of
+    increasing degree.  A candidate found in that order is irreducible,
+    since every factor of smaller degree was divided out first."""
+    assert max(f) <= 8 and f.get(0)
+    rem, factors, d = dict(f), [], 1
+    while max(rem) > 0:
+        if 2 * d > max(rem):
+            factors.append((tuple(rem.get(i, 0) for i in range(max(rem) + 1)), 1))
+            break
+        # rem(0) != 0, so a candidate with a zero constant term cannot divide
+        for low in itertools.product(range(1, p), *[range(p)] * (d - 1)):
+            cand = low + (1,)
+            den = dict(enumerate(cand))
+            mult = 0
+            while max(rem) >= d:
+                quot, r = _poly_divmod(rem, den, p)
+                if r:
+                    break
+                rem = quot
+                mult += 1
+            if mult:
+                factors.append((cand, mult))
+            if max(rem) < 2 * d:
+                break
+        d += 1
+    return tuple(factors)
+
+
+def _rabin_irreducible(f, p):
+    """Oracle: Rabin's test.  A monic f of degree n over Z/p is irreducible
+    iff x^(p^n) = x mod f and gcd(f, x^(p^(n/q)) - x) = 1 for each prime q
+    dividing n."""
+    n = max(f)
+
+    def frobenius_minus_x(e):  # x^(p^e) - x mod f
+        y = {1: 1}
+        for _ in range(e):
+            y = _poly_pow(y, p, p, f)
+        return {u: r for u in {*y, 1} if (r := (y.get(u, 0) - (u == 1)) % p)}
+
+    return (not _poly_divmod(frobenius_minus_x(n), f, p)[1]
+            and all(_poly_gcd(f, frobenius_minus_x(n // q), p) == {0: 1}
+                    for q in _prime_factors(n)))
+
+
 @st.composite
-def _monic_unit_constant(draw):
-    """A monic f over Z/p, p in (2, 3, 5), of degree 1..8 with f(0) != 0."""
-    p = draw(st.sampled_from((2, 3, 5)))
-    k = draw(st.integers(1, 8))
+def _monic_unit_constant(draw, primes=(2, 3, 5), degrees=(1, 8)):
+    """A monic f over Z/p, p in `primes`, of degree in the closed range
+    `degrees` with f(0) != 0."""
+    p = draw(st.sampled_from(primes))
+    k = draw(st.integers(*degrees))
     low = draw(st.lists(st.integers(0, p - 1), min_size=k - 1, max_size=k - 1))
     poly = (draw(st.integers(1, p - 1)), *low, 1)
     return {u: c for u, c in enumerate(poly) if c}, p
@@ -274,7 +338,7 @@ def _monic_unit_constant(draw):
 @example(({0: 1, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1}, 2))  # (1 + x + x^2)^2 (1 + x) over Z/2
 def test_squarefree_and_distinct_degree_parts_match_trial_division(case):
     f, p = case
-    trial = factor_mod_p(linear_ca(GroupSpec((p,)), f)).factors
+    trial = _trial_division(f, p)
     parts = _squarefree_parts(f, p)
     whole = {0: 1}
     for part, i in parts:
@@ -290,6 +354,26 @@ def test_squarefree_and_distinct_degree_parts_match_trial_division(case):
         assert all(e == i for g, e in trial if not _poly_divmod(part, dict(enumerate(g)), p)[1])
         whole = _poly_mul(whole, _poly_pow(part, i, p), p)
     assert whole == f
+
+
+@settings(max_examples=200, deadline=None)
+@given(_monic_unit_constant(primes=(2, 3, 5, 7)))
+def test_factor_matches_trial_division(case):
+    f, p = case
+    fact = factor_mod_p(linear_ca(GroupSpec((p,)), f))
+    assert (fact.shift_power, fact.unit, fact.factors) == (0, 1, _trial_division(f, p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_monic_unit_constant(primes=(2, 3, 5, 7, 11), degrees=(9, 30)))
+@example(({0: 1, 9: 1}, 2))
+@example(({0: 1, 1: 1, 9: 1}, 2))
+def test_factors_past_the_oracle_are_irreducible_and_multiply_back(case):
+    f, p = case
+    fact = factor_mod_p(linear_ca(GroupSpec((p,)), f))
+    assert reassemble(fact) == f
+    assert list(fact.factors) == sorted(set(fact.factors), key=lambda g: (len(g[0]), g[0]))
+    assert all(_rabin_irreducible(dict(enumerate(g)), p) for g, _ in fact.factors)
 
 
 def test_gcd_over_a_prime_field():
