@@ -15,10 +15,13 @@ from here too.
 A linear rule over Z/p^j with unit extreme coefficients, its polynomial
 normalized to a monic P with P(0) a unit, has ker F^n isomorphic to
 (Z/p^j)[x]/(P^n) as a module over the shift, which acts as x.  Its sizes and
-periods, and over Z/p both density criteria, follow from the factorization of
-P mod p without closing a subgroup (`_KernelModule`).  Reading a level's
-elements still enumerates it.  An additive table rule is read as the linear
-rule it is (`automata.as_laurent`), so it takes the same paths.
+periods, and over Z/p both density criteria, follow without closing a
+subgroup from one squarefree and distinct-degree split of P mod p
+(`modular._parts`): the periods are the orders of x modulo P^n
+(`modular._order_of_x`), and the criteria read its irreducible factors
+(`modular._factors`, `_KernelModule`).  Reading a level's elements still
+enumerates it.  An additive table rule is read as the linear rule it is
+(`automata.as_laurent`), so it takes the same paths.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .automata import NotAlgebraicError  # noqa: F401  (importable from here too
 from .groups import (
     CapExceeded,
     Element,
-    GroupSpec,
     Subgroup,
     Word,
     _prime_factors,
@@ -172,41 +174,13 @@ class _KernelModule:
     def k(self) -> int:
         return len(self.poly) - 1
 
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(e for _, e in self.factors)
-
-    @cached_property
-    def order(self) -> int:
-        """The x-order of P's squarefree part mod p, the lcm of the orders of
-        x modulo each f_i: the order of x modulo P mod p (`modular._order_of_x`)
-        with its powers of p divided out, as each of those orders divides
-        p^deg(f_i) - 1 (Lidl & Niederreiter, Finite Fields, Thm 3.8-3.9)."""
-        order = modular._order_of_x(tuple(c % self.p for c in self.poly), self.p)
-        while order % self.p == 0:
-            order //= self.p
-        return order
-
     def size(self, n: int) -> int:
         return self.q ** (self.k * n)
 
     def period(self, n: int) -> int:
-        """The order of x modulo P^n.  Level 1's is `modular._order_of_x` of
-        (P, q), the value `KernelRecurrence.matrix_order` reads.  Mod p it is
-        e = `order` times the least power of p that is at least n times the
-        largest multiplicity.  Over Z/q, x^e is 1 + p(...), whose (q/p)-th
-        power is 1: the order divides e q/p, and `_x_order` strips p from it."""
-        if n == 0:
-            return 1
-        if n == 1:
-            return modular._order_of_x(self.poly, self.q)
-        power = 1
-        while power < n * max(self.multiplicities):
-            power *= self.p
-        if self.q == self.p:
-            return self.order * power
-        return modular._x_order(_poly_pow(dict(enumerate(self.poly)), n, self.q), self.q,
-                                self.order * power * self.q // self.p, [self.p])
+        """The order of x modulo P^n (`modular._order_of_x`), the value
+        `KernelRecurrence.matrix_order` reads at n = 1."""
+        return 1 if n == 0 else modular._order_of_x(self.poly, self.q, n)
 
     @property
     def condition4_m(self) -> int | None:
@@ -214,9 +188,9 @@ class _KernelModule:
         generates is the ideal of gcd(d, P^n), so with one factor f^e it is
         found at m = 0 if e = 1 and at m = 1 otherwise; with two or more
         factors, the other factors' full powers fail at every m."""
-        if len(self.multiplicities) > 1:
+        if len(self.factors) > 1:
             return None
-        return 0 if self.multiplicities[0] == 1 else 1
+        return 0 if self.factors[0][1] == 1 else 1
 
     def annihilators(self, n: int) -> list[dict[int, int]]:
         """Q_i = P^n / f_i^((n-1)e_i + 1) over Z/p, one per factor.  Level 1
@@ -230,7 +204,7 @@ class _KernelModule:
     def proper_ideals(self) -> int:
         """Shift-invariant subgroups of level 1 other than 0 and itself: the
         ideals of Z/p[x]/(P), one per monic divisor of P."""
-        return math.prod(e + 1 for e in self.multiplicities) - 2
+        return math.prod(e + 1 for _, e in self.factors) - 2
 
 
 @_memoized
@@ -238,9 +212,9 @@ def _kernel_module(F: CellularAutomaton, cap: int) -> _KernelModule | None:
     """The closed form of the kernel tower of the linear rule F: F over Z/q,
     q = p^j, with smallest-neighborhood width k >= 1, unit extreme
     coefficients (always, over Z/p) and |A|^k within cap (else level 1 is
-    over the cap anyway); for j >= 2 the factors are those of its
-    reduction mod p.  None for every other rule.  Kept on F per cap
-    (`_memoized`), so the towers of one rule share it."""
+    over the cap anyway); the factors are those of its normalized polynomial
+    mod p (`modular._factors`).  None for every other rule.  Kept on F per
+    cap (`_memoized`), so the towers of one rule share it."""
     if F.alphabet.rank != 1:
         return None
     q, small = F.alphabet.moduli[0], F.smallest_neighborhood()
@@ -251,8 +225,7 @@ def _kernel_module(F: CellularAutomaton, cap: int) -> _KernelModule | None:
         return None
     p, inv = primes[0], pow(c[s], -1, q)
     poly = tuple(c.get(r + i, 0) * inv % q for i in range(k + 1))
-    reduced = F if q == p else linear_ca(GroupSpec((p,)), {u: a % p for u, a in c.items()})
-    return _KernelModule(p, q, poly, modular.factor_mod_p(reduced).factors)
+    return _KernelModule(p, q, poly, modular._factors(tuple(a % p for a in poly), p))
 
 
 class KernelTower:
@@ -597,14 +570,14 @@ class KernelRecurrence:
         The matrix is multiplication by x on the free module Z/m[x]/(P), for
         the monic P = x^k - sum_j matrix[0][j] x^(k-1-j) whose constant term
         is a unit, so its order is the order of x modulo P: read from the
-        squarefree and distinct-degree factorization of P over each prime of
-        m (`modular._order_of_x`), which the closed-form tower of the same P
-        has cached, and checked here to take x to 1.
+        squarefree and distinct-degree parts of P over each prime of m
+        (`modular._order_of_x`), which the closed-form tower of the same P
+        has cached as its level-1 period, and checked here to take x to 1.
         """
         m = self.modulus
         poly = tuple(-c % m for c in reversed(self.matrix[0])) + (1,)
-        order = modular._order_of_x(poly, m)
-        if _poly_pow({1: 1}, order, m, dict(enumerate(poly))) != {0: 1}:
+        order = modular._order_of_x(poly, m, 1)
+        if _poly_pow({1: 1}, order, m, modular._sparse(poly)) != {0: 1}:
             raise AssertionError("order reduction failed")
         return order
 

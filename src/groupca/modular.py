@@ -1,10 +1,12 @@
 """Structure lemmas for linear rules over prime-power cyclic alphabets.
 
 Covers the unit-coefficient support, the bipermutative power, the Frobenius
-congruence for polynomial powers, and one factorization over prime fields
-(squarefree, distinct-degree, then equal-degree parts): the order of x modulo
-a monic polynomial over Z/m, which gives every kernel shift period, reads its
-first two steps, and `factor_mod_p` and the kernel direct sum check all three.
+congruence for polynomial powers, and one factorization over prime fields:
+a monic P is split once into squarefree, then distinct-degree parts
+(`_parts`, memoized by P and p).  The order of x modulo P^n over Z/m, which
+gives every kernel shift period, reads those parts; the irreducible factors
+(`_factors`), which `factor_mod_p`, the kernel closed form and the kernel
+direct sum check read, split them by equal degree.
 Each rule is read through its linear form (`automata.as_laurent`), so an
 additive table counts as the linear rule it equals.
 """
@@ -14,8 +16,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from .automata import (CellularAutomaton, _memoized, _poly_divmod, _poly_pow, as_laurent,
-                       linear_ca, power)
+from .automata import (CellularAutomaton, _poly_divmod, _poly_pow, as_laurent, linear_ca,
+                       power)
 from .groups import CapExceeded, GroupSpec, _is_prime, _prime_factors, record
 
 
@@ -271,33 +273,62 @@ def _equal_degree(h: dict[int, int], d: int, p: int) -> list[dict[int, int]]:
     raise AssertionError("no trace splits h")  # unreachable, by the argument above
 
 
+def _sparse(poly: tuple[int, ...]) -> dict[int, int]:
+    """The nonzero entries of a coefficient tuple by power: no zero entry slows
+    a reduction or folds into x^0 at a p-th root (`_squarefree_parts`)."""
+    return {u: c for u, c in enumerate(poly) if c}
+
+
 @functools.lru_cache(maxsize=256)
-def _order_of_x(poly: tuple[int, ...], m: int) -> int:
-    """The order of x modulo the monic f = sum poly[i] x^i over Z/m, f(0) a
-    unit: the shift period of the free module (Z/m)[x]/(f).  Over Z/p, with
-    f = prod a_i^i (`_squarefree_parts`) and each a_i the product of its
-    h_d (`_distinct_degree`), x's order mod h_d divides p^d - 1, and mod f
-    it is the lcm of those orders times the least p^t >= the largest i
-    (Lidl & Niederreiter, Finite Fields, Thm 3.8-3.9).  Over Z/p^j, x to
-    the order e mod p is 1 + p(...), whose p^(j-1)-th power is 1, so
-    `_x_order` descends from e p^(j-1) by p alone; over a composite m it is
-    the lcm over the prime powers exactly dividing m.  Memoized by
-    (poly, m): the closed-form tower and `matrix_order` read one value."""
-    f = {u: r for u, c in enumerate(poly) if (r := c % m)}
+def _parts(poly: tuple[int, ...], p: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """The squarefree (`_squarefree_parts`), then distinct-degree
+    (`_distinct_degree`) split of the monic P = sum poly[i] x^i over Z/p,
+    poly reduced mod p: triples (h_d, d, i), h_d the product of P's
+    irreducible factors of degree d and multiplicity i, as a coefficient
+    tuple lowest power first.  Memoized by (poly, p): the orders of x and
+    the factors of one P read one split."""
+    return tuple((tuple(h.get(u, 0) for u in range(max(h) + 1)), d, i)
+                 for part, i in _squarefree_parts(_sparse(poly), p)
+                 for h, d in _distinct_degree(part, p))
+
+
+@functools.lru_cache(maxsize=256)
+def _order_of_x(poly: tuple[int, ...], m: int, n: int) -> int:
+    """The order of x modulo P^n over Z/m, for P = sum poly[i] x^i monic with
+    P(0) a unit, poly reduced mod m: the shift period of (Z/m)[x]/(P^n).  Over
+    Z/p it is the lcm of x's orders mod the h_d of `_parts`, each dividing
+    p^d - 1, times the least p^t >= n times the largest multiplicity (Lidl &
+    Niederreiter, Finite Fields, Thm 3.8-3.9).  Over Z/p^j, x to the order e
+    mod p is 1 + p(...) mod P^n, whose p^(j-1)-th power is 1, so `_x_order`
+    descends from e p^(j-1) by p alone; over a composite m it is the lcm over
+    the p^j exactly dividing m.  Memoized by (poly, m, n)."""
     primes = _prime_factors(m)
     if len(primes) > 1:
-        return math.lcm(*(_order_of_x(tuple(c % q for c in poly), q)
+        return math.lcm(*(_order_of_x(tuple(c % q for c in poly), q, n)
                           for q in (math.gcd(m, p ** m.bit_length()) for p in primes)))
     p = primes[0]
     if m > p:
-        return _x_order(f, m, _order_of_x(tuple(c % p for c in poly), p) * m // p, [p])
-    order, power = 1, 1
-    for part, i in _squarefree_parts(f, p):
-        while power < i:
-            power *= p
-        for h, d in _distinct_degree(part, p):
-            order = math.lcm(order, _x_order(h, p, p**d - 1))
-    return order * power
+        e = _order_of_x(tuple(c % p for c in poly), p, n)
+        return _x_order(_poly_pow(_sparse(poly), n, m), m, e * m // p, [p])
+    parts, power = _parts(poly, p), 1
+    while power < n * max(i for *_, i in parts):
+        power *= p
+    if n > 1:  # n = 1's e p^t, e prime to p and p^t dividing power: e does not move with n
+        e = _order_of_x(poly, p, 1)
+        return e // math.gcd(e, power) * power
+    return math.lcm(*(_x_order(_sparse(h), p, p**d - 1) for h, d, _ in parts)) * power
+
+
+@functools.lru_cache(maxsize=256)
+def _factors(poly: tuple[int, ...], p: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The monic irreducible factors of the monic P = sum poly[i] x^i over Z/p,
+    poly reduced mod p, with their multiplicities: each h_d of `_parts`
+    split by `_equal_degree`, sorted by degree, then coefficients lowest
+    power first.  Memoized by (poly, p)."""
+    return tuple(sorted(((tuple(f.get(u, 0) for u in range(d + 1)), i)
+                         for h, d, i in _parts(poly, p)
+                         for f in _equal_degree(_sparse(h), d, p)),
+                        key=lambda fi: (len(fi[0]), fi[0])))
 
 
 @record
@@ -320,11 +351,10 @@ class Factorization:
                 for f, m in self.factors]
 
 
-@_memoized
 def factor_mod_p(F: CellularAutomaton) -> Factorization:
     """Factor the linear form of a rule over Z/p into monic irreducibles of any
-    degree (`_squarefree_parts`, `_distinct_degree`, `_equal_degree`), sorted by
-    degree, then coefficients lowest power first; kept on F (`_memoized`)."""
+    degree: its polynomial is normalized to a monic P with P(0) != 0, whose
+    factors `_factors` gives, memoized by P."""
     p, coeffs = F.alphabet.moduli[0], _scalar_coeffs(F)
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -333,13 +363,8 @@ def factor_mod_p(F: CellularAutomaton) -> Factorization:
         raise ValueError("zero polynomial")
     shift, unit = min(coeffs), coeffs[max(coeffs)]
     inv = pow(unit, -1, p)
-    rem = {u - shift: c * inv % p for u, c in coeffs.items()}
-    factors = sorted(((tuple(f.get(u, 0) for u in range(d + 1)), i)
-                      for part, i in _squarefree_parts(rem, p)
-                      for h, d in _distinct_degree(part, p)
-                      for f in _equal_degree(h, d, p)),
-                     key=lambda fi: (len(fi[0]), fi[0]))
-    return Factorization(p, shift, unit, tuple(factors))
+    poly = tuple(coeffs.get(u, 0) * inv % p for u in range(shift, max(coeffs) + 1))
+    return Factorization(p, shift, unit, _factors(poly, p))
 
 
 def kernel_direct_sum_check(F: CellularAutomaton, n: int) -> bool:

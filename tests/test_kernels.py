@@ -16,6 +16,7 @@ import groupca
 from groupca.automata import (
     CellularAutomaton,
     _poly_divmod,
+    _poly_mul,
     _poly_pow,
     as_laurent,
     letters,
@@ -476,27 +477,33 @@ def _gl_primes(m, r):
 
 @st.composite
 def _unit_constant_monics(draw):
-    """Monic f over Z/m of degree 1..12 with f(0) a unit, as a coefficient
-    tuple lowest power first, with m."""
+    """Monic f over Z/m with f(0) a unit, as a coefficient tuple lowest power
+    first, with m and an exponent n of 1..3, f^n of degree at most 12."""
     m = draw(st.sampled_from((2, 3, 4, 5, 6, 8, 9, 10, 12, 18, 25, 27)))
-    k = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 12 // n))
     units = [c for c in range(1, m) if math.gcd(c, m) == 1]
     middle = draw(st.lists(st.integers(0, m - 1), min_size=k - 1, max_size=k - 1))
-    return (draw(st.sampled_from(units)), *middle, 1), m
+    return (draw(st.sampled_from(units)), *middle, 1), m, n
 
 
 @settings(max_examples=100, deadline=None)
 @given(_unit_constant_monics())
-@example(((1, 0, 1), 2))  # (1 + x)^2: the p-th-root step alone
-@example(((1, 1, 1, 1, 1, 1), 2))  # (1 + x + x^2)^2 (1 + x): the p-th-root step and Yun's loop
-@example(((1, 0, 0, 1), 3))  # (1 + x)^3
-@example(((1, 3, 2, 1), 27))
-@example(((3, 7, 4, 7, 7, 1), 10))  # P of the Z/10 rule whose order is 96,844
+@example(((1, 0, 1), 2, 1))  # (1 + x)^2: the p-th-root step alone
+@example(((1, 1, 1, 1, 1, 1), 2, 1))  # (1 + x + x^2)^2 (1 + x): the p-th-root step and Yun's loop
+@example(((1, 0, 0, 1), 3, 1))  # (1 + x)^3
+@example(((1, 3, 2, 1), 27, 1))
+@example(((3, 7, 4, 7, 7, 1), 10, 1))  # P of the Z/10 rule whose order is 96,844
+# x^3 + 2 = (x - 1)^3 over Z/3, to the n: the power of 3 moves with n
+@example(((2, 0, 0, 1), 3, 3))
+@example(((1, 1, 0, 1, 1), 2, 3))  # (1 + x)^2 (1 + x + x^2) over Z/2, cubed
+@example(((1, 1), 9, 3))
 def test_order_of_x_matches_the_gl_multiple(case):
-    poly, m = case
-    f = {u: c for u, c in enumerate(poly) if c}
-    k = len(poly) - 1
-    order = _order_of_x(poly, m)
+    # the order of x modulo f^n, against the multiple |GL_k| of f^n's degree k
+    poly, m, n = case
+    f = _poly_pow({u: c for u, c in enumerate(poly) if c}, n, m)
+    k = max(f)
+    order = _order_of_x(poly, m, n)
     assert order == _x_order(f, m, _gl_order(m, k), _gl_primes(m, k))
     assert _poly_pow({1: 1}, order, m, f) == {0: 1}
     assert all(_poly_pow({1: 1}, order // ell, m, f) != {0: 1} for ell in _prime_factors(order))
@@ -1177,17 +1184,22 @@ def test_lifted_towers_walk_no_level(monkeypatch):
         assert [tw.size(n) for n in range(3)] == [F.alphabet.order ** (n * (F.width - 1))
                                                   for n in range(3)]
     assert walks == []
-    # 1 + x over Z/9, twelve levels deep; each period is the order of x
-    # modulo (1 + x)^n over Z/9: x to it is 1, and to each proper divisor is not
-    tw = tower(linear_ca(Z9, {0: 1, 1: 1}), 12, cap=10**40)
-    assert walks == []
-    assert [tw.size(n) for n in range(13)] == [9**n for n in range(13)]
-    for n in range(1, 13):
-        mod = _poly_pow({0: 1, 1: 1}, n, 9)
-        period = tw.period(n)
-        assert _poly_pow({1: 1}, period, 9, mod) == {0: 1}
-        assert all(_poly_pow({1: 1}, period // ell, 9, mod) != {0: 1}
-                   for ell in _prime_factors(period))
+    # twelve levels deep: 1 + x over Z/9, and over prime fields with a
+    # repeated factor, 1 + 2x^3 = 2(x - 1)^3 over Z/3 and
+    # (1 + x)^2 (1 + x + x^2) over Z/2, where the power of p in the period
+    # moves with n.  Each period is the order of x modulo P^n: x to it is 1,
+    # and to each proper divisor is not
+    for group, P in ((Z9, {0: 1, 1: 1}), (Z3, {0: 1, 3: 2}), (Z2, {0: 1, 1: 1, 3: 1, 4: 1})):
+        q, k = group.order, max(P)
+        tw = tower(linear_ca(group, P), 12, cap=10**40)
+        assert walks == []
+        assert [tw.size(n) for n in range(13)] == [q ** (k * n) for n in range(13)]
+        for n in range(1, 13):
+            mod = _poly_pow(P, n, q)
+            period = tw.period(n)
+            assert _poly_pow({1: 1}, period, q, mod) == {0: 1}
+            assert all(_poly_pow({1: 1}, period // ell, q, mod) != {0: 1}
+                       for ell in _prime_factors(period))
     # a Z/4 rule whose extreme coefficient is no unit is still walked
     assert KernelTower(linear_ca(Z4, {0: 1, 1: 1, 2: 2})).module is None
 
@@ -1219,11 +1231,20 @@ def test_lifted_towers_past_the_cap_agree_on_related_rules(case):
 
 @st.composite
 def _metamorphic_field_cases(draw):
-    F, _, _, _ = draw(_closed_form_cases())
-    assume(len(KernelTower(F).module.factors) >= 2)
-    p = F.alphabet.order
-    unit = draw(st.sampled_from(range(1, p)))
-    return F, unit, draw(st.integers(-3, 3))
+    """A rule over Z/p whose P mod p has two or more distinct factors by
+    construction: a drawn unit-ended g times x - a for a unit a with
+    g(a) != 0, a factor g lacks.  If every unit is a root of g, then over
+    Z/2 1 + x divides g and 1 + x + x^2 is the second factor; over a larger
+    field g has p - 1 >= 2 linear factors already."""
+    group = draw(st.sampled_from(sorted(_MAX_CLOSED_WIDTH, key=lambda g: g.order)))
+    p = group.order
+    g = _from_zero(_unit_ended(draw, group, draw(st.integers(1, _MAX_CLOSED_WIDTH[group] - 1))))
+    free = [a for a in range(1, p) if sum(c * a**u for u, c in g.items()) % p]
+    second = ({0: -draw(st.sampled_from(free)) % p, 1: 1} if free
+              else {0: 1, 1: 1, 2: 1} if p == 2 else {0: p - 1, 1: 1})
+    r = draw(st.integers(-2, 0))
+    F = linear_ca(group, {r + u: c for u, c in _poly_mul(g, second, p).items()})
+    return F, draw(st.sampled_from(range(1, p))), draw(st.integers(-3, 3))
 
 
 def _failure_count(F, m_max):
@@ -1235,9 +1256,37 @@ def _failure_count(F, m_max):
 @given(_metamorphic_field_cases())
 @example((linear_ca(Z2, {0: 1, 3: 1}), 1, 2))
 def test_failure_counts_agree_on_related_rules(case):
+    assert len(factor_mod_p(case[0]).factors) >= 2
     for m_max in (1, 2):
         counts = {_failure_count(G, m_max) for G in _transforms(*case)}
         assert len(counts) == 1, (m_max, counts)
+
+
+@st.composite
+def _wide_field_cases(draw):
+    """A unit-ended rule over Z/2, Z/3 or Z/5 of width 9-40, past the degree-8
+    trial-division oracle, with a unit and a shift for `_transforms`."""
+    group = draw(st.sampled_from([Z2, Z3, Z5]))
+    F = _unit_ended(draw, group, draw(st.integers(9, 40)))
+    return F, draw(st.sampled_from(range(1, group.order))), draw(st.integers(-3, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_wide_field_cases())
+@example((linear_ca(Z2, {0: 1, 1: 1, 31: 1}), 1, 2))  # factors of degree 3, 7 and 21
+@example((linear_ca(Z3, {0: 1, 9: 2}), 2, -1))  # (x - 1)^9: one factor, multiplicity 9
+def test_orders_and_factor_degrees_agree_on_related_rules(case):
+    # the reflection maps P to its reciprocal polynomial, which has the same
+    # x-order and factor degrees; sigma^j F and u F share P itself
+    import groupca.modular as modular
+
+    values = set()
+    for G in _transforms(*case):
+        for cached in (modular._parts, modular._order_of_x, modular._factors):
+            cached.cache_clear()
+        degrees = sorted((len(f) - 1, e) for f, e in factor_mod_p(G).factors)
+        values.add((recurrence_matrix(G).matrix_order(), tuple(degrees)))
+    assert len(values) == 1, values
 
 
 def _poly_gcd(a, b, p):
@@ -1444,7 +1493,7 @@ def _derivations_run(calls) -> dict:
     actually ran (a call of the function `_memoized` wraps), by its name and
     the automaton it ran on."""
     wrapped = (CellularAutomaton.smallest_neighborhood, CellularAutomaton.permutativity,
-               as_laurent, factor_mod_p, _kernel_module)
+               as_laurent, _kernel_module)
     codes = {f.__wrapped__.__code__: f.__name__ for f in wrapped}
     runs: dict = {}
     kept = []  # each automaton stays alive, so its id names it alone
@@ -1473,8 +1522,8 @@ def _derivations_run(calls) -> dict:
 ], ids=["Z5_linear", "Z4_linear", "Z3_additive_table", "Z2xZ2_matrix"])
 def test_one_kernel_job_derives_each_rule_structure_once(F):
     # the three towers of a kernel job and the premises share the rule's
-    # smallest neighborhood, permutativity, linear form, factorization and
-    # closed form; the unit-ended Z/4 rule factors its reduction mod 2 once
+    # smallest neighborhood, permutativity, linear form and closed form,
+    # which the prime-field rules and the unit-ended Z/4 rule have
     prime_field = F.alphabet.moduli in ((3,), (5,))
     unit_ended = F.alphabet.moduli == (4,)
 
@@ -1489,14 +1538,55 @@ def test_one_kernel_job_derives_each_rule_structure_once(F):
     runs = _derivations_run(job)
     assert runs and max(runs.values()) == 1, runs
     names = {name for name, _ in runs}
-    assert {"smallest_neighborhood", "permutativity", "as_laurent"} <= names
-    assert ("factor_mod_p" in names) == (prime_field or unit_ended)
-    # what is kept on the rule is its derivations, never a level or a verdict
+    assert {"smallest_neighborhood", "permutativity", "as_laurent", "_kernel_module"} <= names
+    assert (KernelTower(F).module is not None) == (prime_field or unit_ended)
+    # what is kept on the rule is its derivations, never a level, a verdict
+    # or a factorization
     for G in (F, as_laurent(F)):
         kept = {key[0] for key in G.__dict__["_derived"]}
-        assert kept <= {"smallest_neighborhood", "permutativity", "as_laurent", "factor_mod_p",
-                        "_kernel_module"}
+        assert kept <= {"smallest_neighborhood", "permutativity", "as_laurent", "_kernel_module"}
     # the same job again derives nothing on the rule; only the powers F^n
     # that each tower composes for its levels are new automata
     ids = {id(F), id(as_laurent(F))}
     assert not [key for key in _derivations_run(job) if key[1] in ids]
+
+
+@pytest.mark.parametrize("coeffs, m, P, p", [
+    ({0: 2, 1: 1, 2: 3}, 5, {0: 4, 1: 2, 2: 1}, 5),
+    ({0: 1, 3: 2}, 3, {0: 2, 3: 1}, 3),  # (x - 1)^3: the p-th-root step
+    ({0: 1, 1: 1}, 9, {0: 1, 1: 1}, 3),  # over Z/9, decomposed mod 3
+], ids=["Z5", "Z3_cube", "Z9"])
+def test_one_kernel_job_decomposes_each_polynomial_once(monkeypatch, coeffs, m, P, p):
+    # the tower's periods, both criteria, matrix_order and factor_mod_p read
+    # one squarefree and distinct-degree split of the monic P mod p
+    import groupca.modular as modular
+
+    for cached in (modular._parts, modular._order_of_x, modular._factors):
+        cached.cache_clear()
+    splits, degrees, depth = [], [], []
+    squarefree, distinct = modular._squarefree_parts, modular._distinct_degree
+
+    def spy_squarefree(f, q):
+        if not depth:  # the p-th-root step recurses
+            splits.append((tuple(sorted(f.items())), q))
+        depth.append(f)
+        try:
+            return squarefree(f, q)
+        finally:
+            depth.pop()
+
+    def spy_distinct(g, q):
+        degrees.append((tuple(sorted(g.items())), q))
+        return distinct(g, q)
+
+    monkeypatch.setattr(modular, "_squarefree_parts", spy_squarefree)
+    monkeypatch.setattr(modular, "_distinct_degree", spy_distinct)
+    F = linear_ca(GroupSpec((m,)), coeffs)
+    tw = tower(F, 3)
+    condition4_search(F, m_max=1)
+    corollary_ker_check(F)
+    assert recurrence_matrix(F).matrix_order() == tw.period(1)
+    if m == p:
+        factor_mod_p(F)
+    assert splits == [(tuple(sorted(P.items())), p)]
+    assert len(degrees) == len(set(degrees)) >= 1
